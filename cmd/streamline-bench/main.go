@@ -1,6 +1,9 @@
-// Command streamline-bench runs the STREAMLINE experiment suite E1–E10 and
-// prints one table per experiment (see DESIGN.md for the experiment index
-// and EXPERIMENTS.md for recorded results).
+// Command streamline-bench runs the STREAMLINE experiment suite E1–E11 and
+// prints one table per experiment. The experiments are the E* functions of
+// internal/bench, each table carrying the claim it checks; the results of the
+// single-flag benchmarks below are recorded in the BENCH_*.json files at the
+// repository root. The engine's end-to-end benchmark is not this command but
+// the benchmark/ module described by BENCHMARK.json.
 //
 // Usage:
 //

@@ -24,6 +24,7 @@ package cutty
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/agg"
@@ -85,6 +86,7 @@ type fnStore struct {
 }
 
 type openWin struct {
+	id    int64
 	begin int64 // absolute index of the window's first slice
 }
 
@@ -92,29 +94,71 @@ type queryState struct {
 	id       int
 	assigner window.Assigner
 	store    *fnStore
-	open     map[int64]openWin
-	minBegin int64 // valid when len(open) > 0
+	open     winList
+}
+
+// winList holds a query's open windows in the order they opened. A window
+// begins at the next slice, so begins never decrease along the list and the
+// first entry's begin is the oldest slice the query still needs. Windows
+// mostly close oldest-first, which find answers at the front and remove
+// serves by advancing head; a list is also a fraction of a map's footprint,
+// and there is one per query per key.
+type winList struct {
+	wins []openWin // wins[head:] are open
+	head int
+}
+
+func (l *winList) live() []openWin { return l.wins[l.head:] }
+
+// find returns the index in live() of the open window id, or -1.
+func (l *winList) find(id int64) int {
+	for i, w := range l.live() {
+		if w.id == id {
+			return i
+		}
+	}
+	return -1
+}
+
+func (l *winList) push(w openWin) {
+	// Reclaim the closed prefix before growing: a steady open/close cycle
+	// then allocates nothing, and stays O(1) amortized because the array only
+	// ever grew (geometrically) while every entry in it was open.
+	if len(l.wins) == cap(l.wins) && l.head > 0 {
+		l.wins = l.wins[:copy(l.wins, l.live())]
+		l.head = 0
+	}
+	l.wins = append(l.wins, w)
+}
+
+// remove drops live()[i].
+func (l *winList) remove(i int) {
+	if i > 0 {
+		l.wins = slices.Delete(l.wins, l.head+i, l.head+i+1)
+	} else if l.head++; l.head == len(l.wins) {
+		l.wins, l.head = l.wins[:0], 0
+	}
 }
 
 // Engine is the Cutty multi-query window aggregation engine. It is not safe
-// for concurrent use; the dataflow layer runs one engine per operator
-// subtask.
+// for concurrent use; the dataflow layer runs one engine per key, all of a
+// subtask's engines on the subtask's own goroutine.
 type Engine struct {
 	emit engine.Emit
 
 	pos     int64
 	curWM   int64
-	queries map[int]*queryState
 	nextQID int
-	stores  map[string]*fnStore
-	// qlist and stlist mirror queries and stores in insertion order: the
-	// per-element and per-watermark paths iterate them instead of the maps
-	// (Go map iteration re-seeds its random start on every call, a real cost
-	// when OnElement and OnWatermark run once per record), and they make
-	// dispatch — and therefore emission order under multiple queries —
-	// deterministic instead of map-order.
-	qlist  []*queryState
-	stlist []*fnStore
+	// queries (ascending id) and stores are lists in insertion order, not
+	// maps: the per-element and per-watermark paths iterate them (Go map
+	// iteration re-seeds its random start on every call, a real cost when
+	// OnElement and OnWatermark run once per record), dispatch — and
+	// therefore emission order under multiple queries — is deterministic,
+	// and with one engine per key a pair of maps per engine would be a
+	// visible share of a window operator's memory. Lookups by id or function
+	// name scan; they happen on AddQuery, RemoveQuery and Restore only.
+	queries []*queryState
+	stores  []*fnStore
 
 	meta       metaRing
 	cutPending bool
@@ -138,12 +182,7 @@ func WithLinearEval() Option {
 
 // New returns an empty Cutty engine emitting completed windows to emit.
 func New(emit engine.Emit, opts ...Option) *Engine {
-	e := &Engine{
-		emit:    emit,
-		curWM:   math.MinInt64,
-		queries: make(map[int]*queryState),
-		stores:  make(map[string]*fnStore),
-	}
+	e := &Engine{emit: emit, curWM: math.MinInt64}
 	for _, o := range opts {
 		o(e)
 	}
@@ -159,8 +198,8 @@ func (e *Engine) AddQuery(q engine.Query) (int, error) {
 	if q.Fn == nil || q.Window.Factory == nil {
 		return 0, fmt.Errorf("cutty: query requires a window spec and an aggregate function")
 	}
-	st, ok := e.stores[q.Fn.Name]
-	if !ok {
+	st := e.store(q.Fn.Name)
+	if st == nil {
 		st = &fnStore{fn: q.Fn, tree: agg.NewFlatFAT(q.Fn.Identity, q.Fn.Combine, 16)}
 		// Align the new tree with the existing slice ring: identity
 		// partials for slices that predate the query (its windows can only
@@ -168,8 +207,7 @@ func (e *Engine) AddQuery(q engine.Query) (int, error) {
 		for i := int64(0); i < e.meta.len(); i++ {
 			st.tree.Append(q.Fn.Identity)
 		}
-		e.stores[q.Fn.Name] = st
-		e.stlist = append(e.stlist, st)
+		e.stores = append(e.stores, st)
 	}
 	st.refs++
 	id := e.nextQID
@@ -178,35 +216,41 @@ func (e *Engine) AddQuery(q engine.Query) (int, error) {
 		id:       id,
 		assigner: q.Window.Factory(),
 		store:    st,
-		open:     make(map[int64]openWin),
 	}
-	e.queries[id] = qs
-	e.qlist = append(e.qlist, qs)
+	e.queries = append(e.queries, qs)
 	return id, nil
+}
+
+// store returns the shared state of the aggregate function name, or nil.
+func (e *Engine) store(name string) *fnStore {
+	for _, st := range e.stores {
+		if st.fn.Name == name {
+			return st
+		}
+	}
+	return nil
+}
+
+// query returns the registered query id, or nil.
+func (e *Engine) query(id int) *queryState {
+	for _, q := range e.queries {
+		if q.id == id {
+			return q
+		}
+	}
+	return nil
 }
 
 // RemoveQuery implements engine.Engine.
 func (e *Engine) RemoveQuery(id int) {
-	q, ok := e.queries[id]
-	if !ok {
+	q := e.query(id)
+	if q == nil {
 		return
 	}
-	delete(e.queries, id)
-	for i, qs := range e.qlist {
-		if qs == q {
-			e.qlist = append(e.qlist[:i], e.qlist[i+1:]...)
-			break
-		}
-	}
+	e.queries = slices.DeleteFunc(e.queries, func(qs *queryState) bool { return qs == q })
 	q.store.refs--
 	if q.store.refs == 0 {
-		delete(e.stores, q.store.fn.Name)
-		for i, st := range e.stlist {
-			if st == q.store {
-				e.stlist = append(e.stlist[:i], e.stlist[i+1:]...)
-				break
-			}
-		}
+		e.stores = slices.DeleteFunc(e.stores, func(st *fnStore) bool { return st == q.store })
 	}
 	e.evict()
 }
@@ -215,7 +259,7 @@ func (e *Engine) RemoveQuery(id int) {
 func (e *Engine) OnElement(ts int64, v float64) {
 	// 1. Let every query's window function observe the element first; any
 	//    Open cuts a slice boundary immediately before it.
-	for _, q := range e.qlist {
+	for _, q := range e.queries {
 		e.active = q
 		q.assigner.OnElement(ts, e.pos, v, (*ctx)(e))
 	}
@@ -224,13 +268,13 @@ func (e *Engine) OnElement(ts int64, v float64) {
 	//    once per distinct aggregate function — this is the shared work.
 	if e.cutPending || e.meta.len() == 0 {
 		e.meta.append(sliceMeta{firstTs: ts, count: 1})
-		for _, st := range e.stlist {
+		for _, st := range e.stores {
 			st.tree.Append(st.fn.Lift(v))
 		}
 		e.cutPending = false
 	} else {
 		e.meta.at(e.meta.nextAbs()-1).count++
-		for _, st := range e.stlist {
+		for _, st := range e.stores {
 			st.tree.UpdateBack(st.fn.Combine(st.tree.Back(), st.fn.Lift(v)))
 		}
 	}
@@ -244,7 +288,7 @@ func (e *Engine) OnWatermark(wm int64) {
 		return
 	}
 	e.curWM = wm
-	for _, q := range e.qlist {
+	for _, q := range e.queries {
 		e.active = q
 		q.assigner.OnTime(wm, (*ctx)(e))
 	}
@@ -252,11 +296,27 @@ func (e *Engine) OnWatermark(wm int64) {
 	e.evict()
 }
 
+// NextFire reports the smallest watermark at which OnWatermark would emit
+// anything: the minimum of the queries' Assigner.NextTime, math.MaxInt64
+// when only the end-of-stream watermark closes a window. A caller may skip
+// every OnWatermark(wm) with wm < NextFire() — the dataflow layer's timer
+// index does — because such a call only advances curWM and re-runs an
+// eviction that the next effective call repeats: slices die only when a
+// window closes, and OnWatermark(ts) precedes OnElement(ts) on the release
+// path, so no assigner ever observes time running backwards.
+func (e *Engine) NextFire() int64 {
+	next := int64(math.MaxInt64)
+	for _, q := range e.queries {
+		next = min(next, q.assigner.NextTime())
+	}
+	return next
+}
+
 // StoredPartials implements engine.Engine: live slice partials across all
 // function stores.
 func (e *Engine) StoredPartials() int {
 	n := 0
-	for _, st := range e.stlist {
+	for _, st := range e.stores {
 		n += st.tree.Len()
 	}
 	return n
@@ -280,50 +340,35 @@ func (c *ctx) Open(id int64) {
 	// open a fresh slice at absolute index nextAbs().
 	begin := e.meta.nextAbs()
 	e.cutPending = true
-	if _, dup := q.open[id]; dup {
-		return
+	if q.open.find(id) < 0 {
+		q.open.push(openWin{id: id, begin: begin})
 	}
-	if len(q.open) == 0 || begin < q.minBegin {
-		q.minBegin = begin
-	}
-	q.open[id] = openWin{begin: begin}
 }
 
 // CloseHere implements window.Context: content is every slice so far.
 func (c *ctx) CloseHere(id, end int64) {
 	e := c.engine()
-	c.close(id, end, e.meta.nextAbs())
+	if i := e.active.open.find(id); i >= 0 {
+		c.close(i, end, e.meta.nextAbs())
+	}
 }
 
 // CloseAt implements window.Context: content is every slice whose first
 // element's timestamp is below cutoff.
 func (c *ctx) CloseAt(id, end, cutoff int64) {
 	e := c.engine()
-	q := e.active
-	w, ok := q.open[id]
-	if !ok {
-		return
+	if i := e.active.open.find(id); i >= 0 {
+		c.close(i, end, e.meta.firstAtOrAfter(e.active.open.live()[i].begin, cutoff))
 	}
-	toAbs := e.meta.firstAtOrAfter(w.begin, cutoff)
-	c.close(id, end, toAbs)
 }
 
-func (c *ctx) close(id, end, toAbs int64) {
+// close completes the active query's i-th open window with the slices up to
+// toAbs.
+func (c *ctx) close(i int, end, toAbs int64) {
 	e := c.engine()
 	q := e.active
-	w, ok := q.open[id]
-	if !ok {
-		return
-	}
-	delete(q.open, id)
-	if w.begin == q.minBegin && len(q.open) > 0 {
-		q.minBegin = math.MaxInt64
-		for _, ow := range q.open {
-			if ow.begin < q.minBegin {
-				q.minBegin = ow.begin
-			}
-		}
-	}
+	w := q.open.live()[i]
+	q.open.remove(i)
 	st := q.store
 	lo := w.begin - e.meta.base
 	hi := toAbs - e.meta.base
@@ -335,7 +380,7 @@ func (c *ctx) close(id, end, toAbs int64) {
 	}
 	e.emit(engine.Result{
 		QueryID: q.id,
-		Start:   id,
+		Start:   w.id,
 		End:     end,
 		Value:   st.fn.Lower(acc),
 		Count:   acc.N,
@@ -349,15 +394,15 @@ func (c *ctx) close(id, end, toAbs int64) {
 // forces a cut before the next element.
 func (e *Engine) evict() {
 	minNeeded := int64(math.MaxInt64)
-	for _, q := range e.qlist {
-		if len(q.open) > 0 && q.minBegin < minNeeded {
-			minNeeded = q.minBegin
+	for _, q := range e.queries {
+		if open := q.open.live(); len(open) > 0 {
+			minNeeded = min(minNeeded, open[0].begin)
 		}
 	}
 	for e.meta.len() > 0 && e.meta.base < minNeeded {
 		last := e.meta.len() == 1
 		e.meta.popFront()
-		for _, st := range e.stlist {
+		for _, st := range e.stores {
 			st.tree.EvictFront()
 		}
 		if last {

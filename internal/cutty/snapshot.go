@@ -1,9 +1,10 @@
 package cutty
 
 import (
+	"cmp"
 	"encoding/gob"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/agg"
 	"repro/internal/window"
@@ -55,35 +56,25 @@ func (e *Engine) Snapshot(enc *gob.Encoder) error {
 		st.MetaFirst = append(st.MetaFirst, m.firstTs)
 		st.MetaCount = append(st.MetaCount, m.count)
 	}
-	storeNames := make([]string, 0, len(e.stores))
-	for name := range e.stores {
-		storeNames = append(storeNames, name)
-	}
-	sort.Strings(storeNames)
-	for _, name := range storeNames {
-		s := e.stores[name]
-		ss := storeState{FnName: name}
+	stores := slices.Clone(e.stores)
+	slices.SortFunc(stores, func(a, b *fnStore) int { return cmp.Compare(a.fn.Name, b.fn.Name) })
+	for _, s := range stores {
+		ss := storeState{FnName: s.fn.Name}
 		for i := 0; i < s.tree.Len(); i++ {
 			ss.Leaves = append(ss.Leaves, s.tree.Range(i, i+1))
 		}
 		st.Stores = append(st.Stores, ss)
 	}
-	qids := make([]int, 0, len(e.queries))
-	for id := range e.queries {
-		qids = append(qids, id)
-	}
-	sort.Ints(qids)
-	for _, id := range qids {
-		q := e.queries[id]
-		qb := queryStateBlob{ID: id, MinBegin: q.minBegin}
-		wids := make([]int64, 0, len(q.open))
-		for wid := range q.open {
-			wids = append(wids, wid)
+	for _, q := range e.queries {
+		qb := queryStateBlob{ID: q.id}
+		wins := slices.Clone(q.open.live())
+		if len(wins) > 0 {
+			qb.MinBegin = wins[0].begin
 		}
-		sort.Slice(wids, func(i, j int) bool { return wids[i] < wids[j] })
-		for _, wid := range wids {
-			qb.OpenIDs = append(qb.OpenIDs, wid)
-			qb.OpenBegin = append(qb.OpenBegin, q.open[wid].begin)
+		slices.SortFunc(wins, func(a, b openWin) int { return cmp.Compare(a.id, b.id) })
+		for _, w := range wins {
+			qb.OpenIDs = append(qb.OpenIDs, w.id)
+			qb.OpenBegin = append(qb.OpenBegin, w.begin)
 		}
 		st.Queries = append(st.Queries, qb)
 	}
@@ -91,13 +82,13 @@ func (e *Engine) Snapshot(enc *gob.Encoder) error {
 		return fmt.Errorf("cutty: snapshot: %w", err)
 	}
 	// Assigner state, in query-id order.
-	for _, id := range qids {
-		ck, ok := e.queries[id].assigner.(window.Checkpointable)
+	for _, q := range e.queries {
+		ck, ok := q.assigner.(window.Checkpointable)
 		if !ok {
-			return fmt.Errorf("cutty: assigner of query %d is not checkpointable", id)
+			return fmt.Errorf("cutty: assigner of query %d is not checkpointable", q.id)
 		}
 		if err := ck.SaveState(enc); err != nil {
-			return fmt.Errorf("cutty: snapshot assigner %d: %w", id, err)
+			return fmt.Errorf("cutty: snapshot assigner %d: %w", q.id, err)
 		}
 	}
 	return nil
@@ -118,8 +109,8 @@ func (e *Engine) Restore(dec *gob.Decoder) error {
 		e.meta.append(sliceMeta{firstTs: st.MetaFirst[i], count: st.MetaCount[i]})
 	}
 	for _, ss := range st.Stores {
-		s, ok := e.stores[ss.FnName]
-		if !ok {
+		s := e.store(ss.FnName)
+		if s == nil {
 			return fmt.Errorf("cutty: restore: no store for function %q (query set mismatch)", ss.FnName)
 		}
 		s.tree = agg.NewFlatFAT(s.fn.Identity, s.fn.Combine, len(ss.Leaves)+1)
@@ -128,28 +119,26 @@ func (e *Engine) Restore(dec *gob.Decoder) error {
 		}
 	}
 	for _, qb := range st.Queries {
-		q, ok := e.queries[qb.ID]
-		if !ok {
+		q := e.query(qb.ID)
+		if q == nil {
 			return fmt.Errorf("cutty: restore: query %d missing (query set mismatch)", qb.ID)
 		}
-		q.minBegin = qb.MinBegin
-		q.open = make(map[int64]openWin, len(qb.OpenIDs))
+		// The blob lists windows by id; the engine wants them in opening
+		// order, which is begin order (ties opened at the same element).
+		wins := make([]openWin, len(qb.OpenIDs))
 		for i, wid := range qb.OpenIDs {
-			q.open[wid] = openWin{begin: qb.OpenBegin[i]}
+			wins[i] = openWin{id: wid, begin: qb.OpenBegin[i]}
 		}
+		slices.SortStableFunc(wins, func(a, b openWin) int { return cmp.Compare(a.begin, b.begin) })
+		q.open = winList{wins: wins}
 	}
-	qids := make([]int, 0, len(e.queries))
-	for id := range e.queries {
-		qids = append(qids, id)
-	}
-	sort.Ints(qids)
-	for _, id := range qids {
-		ck, ok := e.queries[id].assigner.(window.Checkpointable)
+	for _, q := range e.queries {
+		ck, ok := q.assigner.(window.Checkpointable)
 		if !ok {
-			return fmt.Errorf("cutty: assigner of query %d is not checkpointable", id)
+			return fmt.Errorf("cutty: assigner of query %d is not checkpointable", q.id)
 		}
 		if err := ck.LoadState(dec); err != nil {
-			return fmt.Errorf("cutty: restore assigner %d: %w", id, err)
+			return fmt.Errorf("cutty: restore assigner %d: %w", q.id, err)
 		}
 	}
 	return nil

@@ -3,7 +3,7 @@ package dataflow
 import (
 	"encoding/gob"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/state"
 )
@@ -52,11 +52,10 @@ type WindowJoinOp struct {
 
 	ks   *state.KeyedState
 	wins *state.MapCell[map[int64]joinSides]
-	// minEnd is the earliest end among all open windows (MaxInt64 when
-	// none), letting the common nothing-is-due watermark return in O(1)
-	// instead of scanning every key. Transient: recomputed from the keyed
-	// state on Open, kept current by OnRecordEdge and the fire pass.
-	minEnd int64
+	// timers holds each key's earliest window end, so a watermark visits
+	// only the keys with a window to fire. Derived: rebuilt from the keyed
+	// state on Open, kept current by the record paths and the fire pass.
+	timers timerIndex
 
 	// Vectorized-run scratch (see OnBatchEdge), reused across calls.
 	kt   keyTable
@@ -107,12 +106,10 @@ func (j *WindowJoinOp) Open(ctx *OpContext) error {
 	if err := ctx.RestoreKeyedState(j.ks); err != nil {
 		return err
 	}
-	j.minEnd = math.MaxInt64
-	j.wins.Range(func(_ uint64, m map[int64]joinSides) bool {
+	j.timers.init(ctx)
+	j.wins.Range(func(key uint64, m map[int64]joinSides) bool {
 		for start := range m {
-			if end := start + j.Size; end < j.minEnd {
-				j.minEnd = end
-			}
+			j.timers.arm(key, start+j.Size) // the earliest end wins
 		}
 		return true
 	})
@@ -146,15 +143,15 @@ func (j *WindowJoinOp) OnRecordEdge(edge int, r Record, _ Collector) {
 		m = make(map[int64]joinSides)
 		j.wins.Put(r.Key, m)
 	}
-	b := m[start]
+	b, open := m[start]
 	if edge == 0 {
 		b.Left = append(b.Left, v)
 	} else {
 		b.Right = append(b.Right, v)
 	}
 	m[start] = b
-	if end := start + j.Size; end < j.minEnd {
-		j.minEnd = end
+	if !open { // only a new window can move the key's earliest end
+		j.timers.arm(r.Key, start+j.Size)
 	}
 }
 
@@ -190,54 +187,37 @@ func (j *WindowJoinOp) OnBatchEdge(edge int, b []Record, _ Collector) []Record {
 		if r.Ts < 0 {
 			start = ((r.Ts - j.Size + 1) / j.Size) * j.Size
 		}
-		bkt := m[start]
+		bkt, open := m[start]
 		if edge == 0 {
 			bkt.Left = append(bkt.Left, v)
 		} else {
 			bkt.Right = append(bkt.Right, v)
 		}
 		m[start] = bkt
-		if end := start + j.Size; end < j.minEnd {
-			j.minEnd = end
+		if !open {
+			j.timers.arm(r.Key, start+j.Size)
 		}
 	}
 	return nil
 }
 
-// OnWatermark implements Operator: fire every window whose end has passed.
+// OnWatermark implements Operator: fire every window whose end has passed,
+// keys ascending and a key's windows by start. Only keys with a due window
+// are visited, so a watermark that closes nothing costs O(1).
 func (j *WindowJoinOp) OnWatermark(wm int64, out Collector) {
-	if wm < j.minEnd {
-		return // nothing due: O(1), independent of the key count
-	}
-	newMin := int64(math.MaxInt64)
-	remaining := func(m map[int64]joinSides) {
-		for start := range m {
-			if end := start + j.Size; end < newMin {
-				newMin = end
-			}
-		}
-	}
-	for _, key := range j.wins.SortedKeys() {
-		m, _ := j.wins.Get(key)
-		due := false
-		for start := range m {
-			if start+j.Size <= wm {
-				due = true
-				break
-			}
-		}
-		if !due {
-			remaining(m)
-			continue
-		}
-		m, _ = j.wins.GetMut(key)
+	due := j.timers.expire(wm)
+	for _, key := range due {
+		m, _ := j.wins.GetMut(key)
 		starts := make([]int64, 0, len(m))
+		next := int64(math.MaxInt64) // earliest end among the windows that stay
 		for start := range m {
-			if start+j.Size <= wm {
+			if end := start + j.Size; end <= wm {
 				starts = append(starts, start)
+			} else {
+				next = min(next, end)
 			}
 		}
-		sort.Slice(starts, func(i, k int) bool { return starts[i] < starts[k] })
+		slices.Sort(starts)
 		for _, start := range starts {
 			b := m[start]
 			delete(m, start)
@@ -251,11 +231,10 @@ func (j *WindowJoinOp) OnWatermark(wm int64, out Collector) {
 		}
 		if len(m) == 0 {
 			j.wins.Delete(key)
-		} else {
-			remaining(m)
 		}
+		j.timers.arm(key, next)
 	}
-	j.minEnd = newMin
+	j.timers.count(len(due))
 }
 
 // Finish implements Operator: fire all remaining windows.

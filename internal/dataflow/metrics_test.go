@@ -95,3 +95,35 @@ func TestDroppedLateMetric(t *testing.T) {
 		t.Fatalf("records_dropped_late = %d, want 2", got)
 	}
 }
+
+// TestWindowTimerMetrics reads the window operator's useful-work ratio in
+// situ: watermarks counts the watermarks the operator saw, keys_fired the
+// keys whose timer those watermarks fired. 50 keys share each tumbling window
+// of 100 ticks and a watermark arrives every 10 records, so one watermark in
+// ten closes a window and fires all 50 timers; the other nine fire none. End
+// of stream reaches the operator three times (the source's last watermark,
+// the runtime's on the final End, and Finish) and visits every key each time.
+// Visiting every key on every watermark would have made it 50 x 203.
+func TestWindowTimerMetrics(t *testing.T) {
+	reg := metrics.NewRegistry()
+	g := NewGraph("timers")
+	src := g.AddSource("src", 1, func(sub, par int) SourceFunc {
+		return &GenSource{N: 2000, WatermarkEvery: 10, Gen: func(i int64) Record {
+			return Data(i, uint64(i%50), float64(1))
+		}}
+	})
+	g.AddOperator("win", 1, NewWindowOp(
+		WindowQuery{Spec: window.Tumbling(100), Fn: agg.SumF64()},
+	), Edge{From: src, Part: HashPartition})
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := NewJob(g, WithMetrics(reg)).Run(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if got := reg.Counter("node.win.watermarks").Value(); got != 200+3 {
+		t.Fatalf("watermarks = %d, want 203", got)
+	}
+	if got := reg.Counter("node.win.keys_fired").Value(); got != 19*50+3*50 { // 19 windows closed by a watermark
+		t.Fatalf("keys_fired = %d, want %d", got, 19*50+3*50)
+	}
+}

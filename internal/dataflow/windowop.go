@@ -2,10 +2,11 @@ package dataflow
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/gob"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/agg"
 	"repro/internal/cutty"
@@ -34,6 +35,16 @@ type WindowQuery struct {
 // the per-group release watermark — lives in a state.KeyedState, so the
 // operator snapshots per key group (asynchronously, behind a copy-on-write
 // capture) and restores at any parallelism.
+//
+// A watermark visits only the keys with a window due. Each engine reports
+// the smallest watermark at which it would emit anything (Engine.NextFire);
+// the operator keeps that deadline per key in a timerIndex and advances only
+// the engines a watermark has reached — the rest catch up lazily, when their
+// next element or deadline arrives. The invariant: for every engine not
+// visited at wm, NextFire() > wm, so visiting it would emit nothing. The
+// index is derived from the engines and not checkpointed (a restore at
+// another parallelism regroups the keys anyway): Open rebuilds it by asking
+// each restored engine.
 type WindowOp struct {
 	Queries []WindowQuery
 
@@ -42,6 +53,7 @@ type WindowOp struct {
 	engines     *state.MapCell[*cutty.Engine]
 	buf         *state.MapCell[[]bufEntry]
 	wm          *state.GroupCell[int64]
+	timers      timerIndex
 	curKey      uint64
 	droppedLate int64
 	droppedCtr  *metrics.Counter
@@ -122,7 +134,15 @@ func (w *WindowOp) Open(ctx *OpContext) error {
 	if ctx.Metrics != nil {
 		w.droppedCtr = ctx.Metrics.Counter("node." + ctx.NodeName + ".records_dropped_late")
 	}
-	return ctx.RestoreKeyedState(w.ks)
+	if err := ctx.RestoreKeyedState(w.ks); err != nil {
+		return err
+	}
+	w.timers.init(ctx)
+	w.engines.Range(func(key uint64, e *cutty.Engine) bool {
+		w.timers.arm(key, e.NextFire())
+		return true
+	})
+	return nil
 }
 
 // KeyedState implements KeyedStateful.
@@ -250,14 +270,21 @@ func (w *WindowOp) engineFor(key uint64) *cutty.Engine {
 	return e
 }
 
+func byTs(a, b bufEntry) int { return cmp.Compare(a.Ts, b.Ts) }
+
 // OnWatermark implements Operator: release buffered records with ts <= wm
-// per key in event-time order into the key's engine, then advance every
-// engine's watermark and the per-group release watermark. The sweep runs
-// eagerly — window results must be emitted before the runtime forwards the
-// watermark downstream, or a downstream event-time operator would drop
-// them as late. While a snapshot capture is serializing, each engine the
-// sweep touches pays its copy-on-write clone once; that cost is bounded by
-// one deep copy per engine per checkpoint and never blocks the barrier.
+// per key in event-time order into the key's engine and re-arm the key's
+// timer, then advance the engines whose timer wm has reached — in ascending
+// key order, the order results are emitted in — and the per-group release
+// watermark. The other engines would emit nothing (the timer invariant), and
+// their own watermark need only catch up before their next element, which
+// the release loop sees to. The end-of-stream watermark closes windows no
+// deadline announces (count, punctuation, delta), so it visits every engine.
+//
+// The results must be out before the runtime forwards the watermark
+// downstream, or a downstream event-time operator would drop them as late.
+// While a snapshot capture is serializing, each engine touched — released
+// into or due, not every engine — pays its copy-on-write clone once.
 func (w *WindowOp) OnWatermark(wm int64, out Collector) {
 	w.out = out
 	for _, key := range w.buf.SortedKeys() {
@@ -272,8 +299,12 @@ func (w *WindowOp) OnWatermark(wm int64, out Collector) {
 		if !due {
 			continue
 		}
-		entries, _ = w.buf.GetMut(key)
-		sort.SliceStable(entries, func(i, j int) bool { return entries[i].Ts < entries[j].Ts })
+		// Mostly in order already (one upstream, bounded jitter): sort, and
+		// take the private copy that sorting in place needs, only if not.
+		if !slices.IsSortedFunc(entries, byTs) {
+			entries, _ = w.buf.GetMut(key)
+			slices.SortStableFunc(entries, byTs)
+		}
 		e := w.engineFor(key)
 		w.curKey = key
 		i := 0
@@ -286,11 +317,21 @@ func (w *WindowOp) OnWatermark(wm int64, out Collector) {
 		} else {
 			w.buf.Put(key, entries[i:])
 		}
+		w.timers.arm(key, e.NextFire())
 	}
-	for _, key := range w.engines.SortedKeys() {
+	var fired []uint64
+	if wm == math.MaxInt64 {
+		fired = w.engines.SortedKeys()
+	} else {
+		fired = w.timers.expire(wm)
+	}
+	for _, key := range fired {
 		w.curKey = key
-		w.engineFor(key).OnWatermark(wm)
+		e := w.engineFor(key)
+		e.OnWatermark(wm)
+		w.timers.arm(key, e.NextFire())
 	}
+	w.timers.count(len(fired))
 	w.wm.SetAll(wm)
 	w.out = nil
 }

@@ -85,6 +85,13 @@ func (a *slidingAssigner) OnTime(wm int64, ctx Context) {
 	a.open = a.open[i:]
 }
 
+func (a *slidingAssigner) NextTime() int64 {
+	if len(a.open) == 0 {
+		return math.MaxInt64
+	}
+	return a.open[0] + a.size
+}
+
 // firstStartAfter returns the smallest non-negative multiple of slide that
 // is strictly greater than t.
 func firstStartAfter(t, slide int64) int64 {
@@ -132,6 +139,13 @@ func (a *sessionAssigner) OnTime(wm int64, ctx Context) {
 		ctx.CloseHere(a.start, a.lastTs+a.gap)
 		a.active = false
 	}
+}
+
+func (a *sessionAssigner) NextTime() int64 {
+	if !a.active {
+		return math.MaxInt64
+	}
+	return a.lastTs + a.gap
 }
 
 // CountTumbling returns a spec for count windows of n elements each.
@@ -190,6 +204,8 @@ func (a *countAssigner) OnTime(wm int64, ctx Context) {
 	}
 }
 
+func (a *countAssigner) NextTime() int64 { return math.MaxInt64 }
+
 // Punctuation returns a spec for data-driven windows delimited by marker
 // elements: a window begins at a marker and spans up to (excluding) the next
 // marker. Elements before the first marker belong to no window.
@@ -224,6 +240,8 @@ func (a *punctuationAssigner) OnTime(wm int64, ctx Context) {
 		a.active = false
 	}
 }
+
+func (a *punctuationAssigner) NextTime() int64 { return math.MaxInt64 }
 
 // Delta returns a spec for delta (threshold) windows, one of Cutty's
 // user-defined examples: a new window begins whenever the value deviates
@@ -265,6 +283,8 @@ func (a *deltaAssigner) OnTime(wm int64, ctx Context) {
 		a.active = false
 	}
 }
+
+func (a *deltaAssigner) NextTime() int64 { return math.MaxInt64 }
 
 // SessionWithMaxDuration returns a spec for sessions that additionally close
 // after maxDur ticks regardless of activity — a composite user-defined
@@ -309,12 +329,15 @@ func (a *sessionMaxAssigner) OnTime(wm int64, ctx Context) {
 	if !a.active {
 		return
 	}
-	end := a.lastTs + a.gap
-	if a.start+a.maxDur < end {
-		end = a.start + a.maxDur
-	}
-	if wm >= end {
+	if end := a.NextTime(); wm >= end {
 		ctx.CloseHere(a.start, end)
 		a.active = false
 	}
+}
+
+func (a *sessionMaxAssigner) NextTime() int64 {
+	if !a.active {
+		return math.MaxInt64
+	}
+	return min(a.lastTs+a.gap, a.start+a.maxDur)
 }

@@ -70,6 +70,13 @@ func (a *timeOrCountAssigner) OnTime(wm int64, ctx Context) {
 	}
 }
 
+func (a *timeOrCountAssigner) NextTime() int64 {
+	if !a.active {
+		return math.MaxInt64
+	}
+	return a.start + a.maxDur
+}
+
 type timeOrCountState struct {
 	Active   bool
 	Start    int64

@@ -62,6 +62,13 @@ type Assigner interface {
 	// OnTime observes the advance of event time to wm (a watermark).
 	// Time-based windows close here.
 	OnTime(wm int64, ctx Context)
+	// NextTime reports the smallest wm for which OnTime(wm) is not a no-op:
+	// the event time at which the assigner's earliest pending close falls
+	// due. It is math.MaxInt64 when only the end-of-stream watermark (or
+	// nothing at all) makes OnTime act. Callers may skip every OnTime call
+	// below NextTime without changing what the assigner declares — the
+	// contract behind the dataflow layer's event-time timer index.
+	NextTime() int64
 }
 
 // Factory produces a fresh, independent Assigner instance (one per key and
