@@ -122,7 +122,12 @@ func (c *CombinerOp) OnRecord(r dataflow.Record, out dataflow.Collector) {
 // over the whole run. Pass-throughs and flushes emit through out (delivered
 // in fold order), so the semantics are exactly the per-record path's; the
 // point is keeping a chain that contains a combiner on the vectorized path.
+// A combiner that decided against combining holds nothing and forwards every
+// record, so it returns the run whole and the run enters the exchange as one.
 func (c *CombinerOp) OnBatch(b []dataflow.Record, out dataflow.Collector) []dataflow.Record {
+	if c.decided && !c.enabled {
+		return b
+	}
 	for i := range b {
 		c.OnRecord(b[i], out)
 	}

@@ -201,3 +201,34 @@ func TestNoGoroutineLeakAfterCancelledCheckpointingJob(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 }
+
+// TestCancelStopsGatheringSource: a source that never waits and never ends
+// polls for cancellation once per run, so the job is gone well within 100ms
+// of cancel().
+func TestCancelStopsGatheringSource(t *testing.T) {
+	g := NewGraph("cancel")
+	src := g.AddSource("src", 2, func(sub, par int) SourceFunc {
+		return &GenSource{N: -1, Gen: func(i int64) Record { return Data(i, uint64(i), float64(i)) }}
+	})
+	m := g.AddOperator("map", 2, func() Operator {
+		return &MapOp{F: func(r Record) Record { return r }}
+	}, Edge{From: src, Part: Forward})
+	g.AddOperator("sink", 2, func() Operator { return &FuncSink{F: func(Record) {}} }, Edge{From: m, Part: HashPartition})
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() { done <- NewJob(g).Run(ctx) }()
+	time.Sleep(50 * time.Millisecond)
+	cancel()
+	cancelled := time.Now()
+	select {
+	case err := <-done:
+		if err != context.Canceled {
+			t.Fatalf("Run returned %v, want context.Canceled", err)
+		}
+		if d := time.Since(cancelled); d > 100*time.Millisecond {
+			t.Fatalf("job took %v to stop after cancel()", d)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatalf("job still running 10s after cancel()")
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"math/rand/v2"
 	"reflect"
 	"sync"
 	"sync/atomic"
@@ -82,8 +83,10 @@ func WithVectorizedKeyedOps(on bool) JobOption {
 }
 
 // WithMetrics attaches a metrics registry: the job reports per-node input
-// record counts ("node.<name>.records_in"), per-node watermark progress
-// ("node.<name>.watermark"), completed checkpoint count
+// record counts ("node.<name>.records_in"), per-source run counts
+// ("node.<name>.runs": records_in/runs is the mean length of the runs the
+// source gathers — near the batch size at rest, one in motion), per-node
+// watermark progress ("node.<name>.watermark"), completed checkpoint count
 // ("job.checkpoints") and checkpoint end-to-end duration
 // ("job.checkpoint_nanos").
 func WithMetrics(reg *metrics.Registry) JobOption {
@@ -94,6 +97,7 @@ func WithMetrics(reg *metrics.Registry) JobOption {
 // lookups.
 type nodeMetrics struct {
 	recordsIn *metrics.Counter
+	runs      *metrics.Counter // source nodes only
 	watermark *metrics.Gauge
 }
 
@@ -650,15 +654,13 @@ type chain struct {
 	vectorize bool
 	vecKeyed  bool
 	batched   []BatchedOperator // aligned with ops; nil where the op has no OnBatch
-}
 
-// collector returns the entry collector of the chain (records flow through
-// every operator, then to the outputs).
-func (c *chain) collector() Collector {
-	if len(c.ops) == 0 {
-		return outCollector{c.out}
-	}
-	return opCollector{op: c.ops[0], next: c.colls[0]}
+	// Run dispatch, resolved by build: the per-record entry collector, the
+	// head's edge-aware contracts (joins), and whether runs take OnBatch.
+	entry       Collector
+	edgeAware   EdgeAware
+	batchedEdge BatchedEdgeAware
+	vectorized  bool
 }
 
 // build creates downstream collectors: colls[i] is what ops[i] emits into.
@@ -682,24 +684,54 @@ func (c *chain) build() {
 		}
 		c.batched[i] = bo
 	}
+	c.entry = outCollector{c.out}
+	if len(c.ops) > 0 {
+		c.entry = opCollector{op: c.ops[0], next: c.colls[0]}
+		c.edgeAware, _ = c.ops[0].(EdgeAware)
+	}
+	// EdgeAware heads need the arrival edge; those offering the batched
+	// contract take whole runs tagged with it (a run never spans channels),
+	// and the rest stay on the per-record path.
+	if c.edgeAware != nil && c.vecKeyed {
+		c.batchedEdge, _ = c.edgeAware.(BatchedEdgeAware)
+	}
+	c.vectorized = c.vectorize && (c.edgeAware == nil || c.batchedEdge != nil)
 }
 
-// processBatch hands a contiguous run of data records through the chain's
-// vectorized fast path: each BatchedOperator transforms the whole run with
-// one OnBatch call, and the survivors exit into the exchange under a single
-// staging-lock acquisition. The first operator without OnBatch downgrades the
-// rest of the chain to the per-record path, so mixed chains stay correct.
-// The run aliases the inbound pooled batch; in-place compaction is safe
-// because the receiver owns the batch until it is recycled.
-func (c *chain) processBatch(b []Record) { c.processBatchFrom(0, b) }
-
-// processBatchFrom is processBatch starting at the from-th chain operator —
-// the continuation used after an edge-aware head consumed the run.
-func (c *chain) processBatchFrom(from int, b []Record) {
-	for i := from; i < len(c.ops); i++ {
-		if len(b) == 0 {
-			return
+// dispatchRun hands one contiguous run of data records — never a control
+// record — to the chain, and is the one way data enters it: runOperator calls
+// it with each data run of an inbound batch and the logical edge it arrived
+// on, runSource with each run it gathered (edge 0). A vectorized chain takes
+// the run through processRun; with WithVectorizedChains(false), or behind an
+// EdgeAware head without the batched contract, it is walked record by record.
+func (c *chain) dispatchRun(edge int, b []Record) {
+	switch {
+	case !c.vectorized:
+		for _, r := range b {
+			if c.edgeAware != nil {
+				c.edgeAware.OnRecordEdge(edge, r, c.colls[0])
+			} else {
+				c.entry.Collect(r)
+			}
 		}
+	case c.batchedEdge != nil:
+		// The head takes the whole run tagged with its arrival edge; what
+		// it forwards continues down the rest of the chain.
+		c.processRun(1, c.batchedEdge.OnBatchEdge(edge, b, c.colls[0]))
+	default:
+		c.processRun(0, b)
+	}
+}
+
+// processRun is the vectorized fast path from the from-th chain operator on:
+// each BatchedOperator transforms the whole run with one OnBatch call, and
+// the survivors exit into the exchange under a single staging-lock
+// acquisition. The first operator without OnBatch downgrades the rest of the
+// chain to the per-record path, so mixed chains stay correct. Operators may
+// compact the run in place: its owner (the receiver of a pooled batch, the
+// source's scratch) does not read it again.
+func (c *chain) processRun(from int, b []Record) {
+	for i := from; i < len(c.ops) && len(b) > 0; i++ {
 		bo := c.batched[i]
 		if bo == nil {
 			for _, r := range b {
@@ -709,18 +741,9 @@ func (c *chain) processBatchFrom(from int, b []Record) {
 		}
 		b = bo.OnBatch(b, c.colls[i])
 	}
-	c.out.dataBatch(b)
-}
-
-// processBatchEdge drives a run through a batched edge-aware head (a join):
-// the head takes the whole run tagged with its arrival edge, and whatever it
-// forwards continues down the rest of the chain on the vectorized path.
-func (c *chain) processBatchEdge(head BatchedEdgeAware, edge int, b []Record) {
-	b = head.OnBatchEdge(edge, b, c.colls[0])
-	if len(b) == 0 {
-		return
+	if len(b) > 0 {
+		c.out.dataBatch(b)
 	}
-	c.processBatchFrom(1, b)
 }
 
 func (c *chain) watermark(wm int64) {
@@ -1052,9 +1075,13 @@ func (j *Job) run(ctx context.Context, part *Participation) error {
 				rt.controls = append(rt.controls, control)
 				node, sub := n, s
 				rt.wg.Add(1)
+				nm := j.nodeMetrics(n.Name)
+				if nm != nil {
+					nm.runs = j.reg.Counter("node." + n.Name + ".runs")
+				}
 				go func() {
 					defer rt.wg.Done()
-					rt.fail(runSource(rt, node, sub, src, ch, control, j.nodeMetrics(node.Name)))
+					rt.fail(runSource(rt, node, sub, src, ch, control, nm))
 				}()
 			} else {
 				ins := make([]chan []Record, 0)
@@ -1221,30 +1248,35 @@ func (j *Job) coordinate(rt *runtime, done chan struct{}) {
 	}
 }
 
-// runSource drives a source subtask: generate records, inject barriers on
-// coordinator triggers, and finish the chain at end of stream. Records flow
-// through the chain's collector into the batching outputs, so at-rest replay
-// (files, slices) is vectorized end to end; the records_in counter is
-// flushed in batches at control boundaries rather than per record.
+// runSource drives a source subtask on the run-at-a-time path operator
+// subtasks use. Each iteration gathers one run — records pulled with
+// src.Next() into a reused scratch until it holds batchSize data records, the
+// source returns a control record (a watermark) or the stream ends — hands it
+// to the chain with one dispatchRun call, then handles whatever ended it, so
+// nothing pulled from the source is held across an iteration.
+//
+// Cancellation and checkpoint triggers are polled once per run, so a barrier
+// is injected between runs, where the snapshot is exact: src.Snapshot() is the
+// position after the last Next, and every record before it is through the
+// chain and in the exchange ahead of the barrier. A run never spans a call
+// that may wait: while the source reports MayWait the run capacity is one, so
+// a record in motion is in the staging buffers, under the flusher's latency
+// bound, the moment it is read.
 func runSource(rt *runtime, n *Node, subtask int, src SourceFunc, ch *chain, control chan int64, nm *nodeMetrics) error {
 	stopFlush := ch.out.startFlusher(&rt.wg)
 	defer stopFlush()
-	entry := ch.collector()
-	var pendingIn int64
-	flushIn := func() {
-		if nm != nil && pendingIn != 0 {
-			nm.recordsIn.Add(pendingIn)
-			pendingIn = 0
-		}
-	}
-	defer flushIn()
+	done := rt.ctx.Done()
+	run := make([]Record, 0, ch.out.batchSize)
 	for {
-		// Handle pending control triggers and cancellation.
+		// Two single-channel polls, not one select: an empty channel is then
+		// a lock-free check, not a lock on the Done channel all subtasks share.
 		select {
-		case <-rt.ctx.Done():
+		case <-done:
 			return nil
+		default:
+		}
+		select {
 		case ckpt := <-control:
-			flushIn()
 			blob, err := src.Snapshot()
 			if err != nil {
 				return fmt.Errorf("snapshot source %q/%d: %w", n.Name, subtask, err)
@@ -1252,7 +1284,7 @@ func runSource(rt *runtime, n *Node, subtask int, src SourceFunc, ch *chain, con
 			msg := ackMsg{ckpt: ckpt, key: state.SubtaskKey{OperatorID: n.ID, Subtask: subtask}, blob: blob}
 			select {
 			case rt.ackCh <- msg:
-			case <-rt.ctx.Done():
+			case <-done:
 				return nil
 			}
 			if err := ch.snapshotAll(rt, ckpt, subtask); err != nil {
@@ -1264,9 +1296,35 @@ func runSource(rt *runtime, n *Node, subtask int, src SourceFunc, ch *chain, con
 			continue
 		default:
 		}
-		r, ok := src.Next()
-		if !ok {
-			flushIn()
+		limit := cap(run)
+		if sourceMayWait(src) {
+			limit = 1
+		}
+		run = run[:0]
+		var ctrl Record // the control record that ended the run, if one did
+		ended := false
+		for len(run) < limit {
+			r, ok := src.Next()
+			if !ok {
+				ended = true
+				break
+			}
+			if r.Kind != KindData {
+				ctrl = r
+				break
+			}
+			run = append(run, r)
+		}
+		if len(run) > 0 {
+			if nm != nil {
+				nm.recordsIn.Add(int64(len(run)))
+				nm.runs.Inc()
+			}
+			ch.dispatchRun(0, run)
+			clear(run) // the scratch must not pin payloads until the next run
+		}
+		switch {
+		case ended:
 			if err := sourceErr(src); err != nil {
 				return fmt.Errorf("source %q/%d: %w", n.Name, subtask, err)
 			}
@@ -1277,25 +1335,14 @@ func runSource(rt *runtime, n *Node, subtask int, src SourceFunc, ch *chain, con
 			ch.finish()
 			ch.out.broadcast(End())
 			return nil
-		}
-		switch r.Kind {
-		case KindWatermark:
-			flushIn()
+		case ctrl.Kind == KindWatermark:
 			if nm != nil {
-				nm.watermark.Max(r.Ts)
+				nm.watermark.Max(ctrl.Ts)
 			}
-			ch.watermark(r.Ts)
-			if !ch.out.broadcast(r) {
+			ch.watermark(ctrl.Ts)
+			if !ch.out.broadcast(ctrl) {
 				return nil
 			}
-		case KindData:
-			pendingIn++
-			if pendingIn >= int64(ch.out.batchSize) {
-				// Keep the metric live for watermark-sparse sources without
-				// reverting to per-record increments.
-				flushIn()
-			}
-			entry.Collect(r)
 		}
 	}
 }
@@ -1317,11 +1364,11 @@ type inState struct {
 
 // runOperator drives an operator subtask: merge inputs, track watermarks,
 // align barriers, and finish when all inputs end. Inputs arrive as pooled
-// record batches; the loop iterates each batch record by record (per-channel
-// order is the sender's emission order) and returns consumed batches to the
-// pool. edges[i] is the logical input-edge index of channel i, surfaced to
-// EdgeAware head operators (joins need to know which side a record arrived
-// on).
+// record batches; the loop walks each batch in order (per-channel order is
+// the sender's emission order), data runs going to the chain whole, and
+// returns consumed batches to the pool. edges[i] is the logical input-edge
+// index of channel i, surfaced to EdgeAware head operators (joins need to
+// know which side a record arrived on).
 func runOperator(rt *runtime, n *Node, subtask int, inputs []chan []Record, edges []int, ch *chain, nm *nodeMetrics) error {
 	stopFlush := ch.out.startFlusher(&rt.wg)
 	defer stopFlush()
@@ -1330,21 +1377,6 @@ func runOperator(rt *runtime, n *Node, subtask int, inputs []chan []Record, edge
 	for i, c := range inputs {
 		ins[i] = inState{ch: c, wm: math.MinInt64}
 	}
-	entry := ch.collector()
-	var edgeAware EdgeAware
-	if len(ch.ops) > 0 {
-		edgeAware, _ = ch.ops[0].(EdgeAware)
-	}
-	// The vectorized fast path hands contiguous data runs to the chain in one
-	// processBatch call. EdgeAware heads need the arrival edge; those offering
-	// the batched edge-aware contract take whole runs tagged with it (a run
-	// never spans channels, so the edge is constant across it), and the rest
-	// stay on the per-record path.
-	var batchedEdge BatchedEdgeAware
-	if edgeAware != nil && ch.vecKeyed {
-		batchedEdge, _ = edgeAware.(BatchedEdgeAware)
-	}
-	vectorized := ch.vectorize && (edgeAware == nil || batchedEdge != nil)
 	curWM := int64(math.MinInt64)
 	var aligning int64 // current barrier id, 0 = none
 	var alignSeen int
@@ -1416,46 +1448,26 @@ func runOperator(rt *runtime, n *Node, subtask int, inputs []chan []Record, edge
 	// each record exactly as the per-record loop used to. It stops early
 	// when a barrier blocks the channel (the remainder is held) and returns
 	// stop=true when the subtask is finished (all inputs ended, or the job
-	// was cancelled mid-broadcast). records_in is bumped once per call.
+	// was cancelled mid-broadcast). records_in is bumped once per data run.
 	consume := func(idx int) (stop bool, err error) {
 		in := &ins[idx]
-		var dataSeen int64
-		defer func() {
-			if nm != nil && dataSeen > 0 {
-				nm.recordsIn.Add(dataSeen)
-			}
-		}()
 		for in.pos < len(in.batch) {
 			r := in.batch[in.pos]
 			in.pos++
 			switch r.Kind {
 			case KindData:
-				if vectorized {
-					// Extend the run across every contiguous data record: the
-					// whole run goes through the chain with one OnBatch call
-					// per operator. Control records are excluded, so
-					// watermark/barrier/end ordering is exactly the
-					// per-record path's. records_in counts the whole run at
-					// once on both branches, the batch-aware convention the
-					// exchange uses.
-					start := in.pos - 1
-					for in.pos < len(in.batch) && in.batch[in.pos].Kind == KindData {
-						in.pos++
-					}
-					dataSeen += int64(in.pos - start)
-					if batchedEdge != nil {
-						ch.processBatchEdge(batchedEdge, edges[idx], in.batch[start:in.pos])
-					} else {
-						ch.processBatch(in.batch[start:in.pos])
-					}
-					continue
+				// Extend the run across every contiguous data record: the
+				// whole run goes to the chain in one dispatchRun call.
+				// Control records are excluded, so watermark/barrier/end
+				// ordering is exactly the per-record path's.
+				start := in.pos - 1
+				for in.pos < len(in.batch) && in.batch[in.pos].Kind == KindData {
+					in.pos++
 				}
-				dataSeen++
-				if edgeAware != nil {
-					edgeAware.OnRecordEdge(edges[idx], r, ch.colls[0])
-				} else {
-					entry.Collect(r)
+				if nm != nil {
+					nm.recordsIn.Add(int64(in.pos - start))
 				}
+				ch.dispatchRun(edges[idx], in.batch[start:in.pos])
 			case KindWatermark:
 				if r.Ts > in.wm {
 					in.wm = r.Ts
@@ -1596,12 +1608,33 @@ func runOperator(rt *runtime, n *Node, subtask int, inputs []chan []Record, edge
 				idx = active[0]
 			}
 		} else {
-			chosen, val, _ := reflect.Select(cases)
-			if chosen == 0 {
+			// Fan-in: sweep the active channels with non-blocking receives
+			// and pay for the reflective select (and its boxed batch header)
+			// only when all are empty and the subtask has to sleep. The sweep
+			// starts at a random channel, as select does: no input starves,
+			// and a strict rotation, which locks the producers into step with
+			// the consumer, measured 10-30% slower on keyed windows.
+			select {
+			case <-rt.ctx.Done():
 				return nil
+			default:
 			}
-			idx = active[chosen-1]
-			b = val.Interface().([]Record)
+			start := rand.IntN(len(active))
+			for k := 0; k < len(active) && b == nil; k++ {
+				idx = active[(start+k)%len(active)]
+				select {
+				case b = <-ins[idx].ch:
+				default:
+				}
+			}
+			if b == nil {
+				chosen, val, _ := reflect.Select(cases)
+				if chosen == 0 {
+					return nil
+				}
+				idx = active[chosen-1]
+				b = val.Interface().([]Record)
+			}
 		}
 		ins[idx].batch, ins[idx].pos = b, 0
 		stop, err := consume(idx)

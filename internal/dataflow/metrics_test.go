@@ -127,3 +127,44 @@ func TestWindowTimerMetrics(t *testing.T) {
 		t.Fatalf("keys_fired = %d, want %d", got, 19*50+3*50)
 	}
 }
+
+// TestSourceRunsMetric reads run lengths off node.<name>.runs: a source at
+// rest gathers full batches, a source in motion hands every record over on
+// its own, and a hybrid does the first up to its handoff and the second
+// after it.
+func TestSourceRunsMetric(t *testing.T) {
+	gen := func(n int64) *GenSource {
+		return &GenSource{N: n, WatermarkEvery: 1 << 40, Gen: func(i int64) Record { return Data(i, uint64(i%3), 1.0) }}
+	}
+	live := func(n int) *ChannelSource {
+		c := make(chan Record, n)
+		for i := 0; i < n; i++ {
+			c <- Data(int64(1000+i), 0, 1.0)
+		}
+		close(c)
+		return &ChannelSource{C: c}
+	}
+	for _, tc := range []struct {
+		name          string
+		src           SourceFunc
+		records, runs int64
+	}{
+		{"generator", gen(100 * DefaultBatchSize), 100 * DefaultBatchSize, 100},
+		{"channel", live(50), 50, 50},
+		// A hybrid's first record goes alone (until it has seen history data
+		// it cannot rule out an empty history, which hands off unannounced).
+		{"hybrid", &HybridSource{History: gen(1 + 10*DefaultBatchSize), Live: live(5)}, 1 + 10*DefaultBatchSize + 5, 1 + 10 + 5},
+	} {
+		reg := metrics.NewRegistry()
+		g := NewGraph("runs")
+		src := g.AddSource("src", 1, func(int, int) SourceFunc { return tc.src })
+		g.AddOperator("sink", 1, (&CollectSink{}).Factory(), Edge{From: src, Part: Rebalance})
+		run(t, g, WithMetrics(reg))
+		if got := reg.Counter("node.src.records_in").Value(); got != tc.records {
+			t.Fatalf("%s: records_in = %d, want %d", tc.name, got, tc.records)
+		}
+		if got := reg.Counter("node.src.runs").Value(); got != tc.runs {
+			t.Fatalf("%s: runs = %d over %d records, want %d", tc.name, got, tc.records, tc.runs)
+		}
+	}
+}

@@ -48,7 +48,10 @@
 // fast path entirely; results are byte-identical on both paths by contract
 // (OnBatch must equal OnRecord applied in order). All stateless built-ins
 // (MapOp, FilterOp, FlatMapOp, FuncSink, CollectSink, CombinerOp) are
-// batched.
+// batched. Source subtasks are driven the same way: they gather what their
+// source returns into runs of up to the batch size — runs of one while the
+// source says its Next may wait (MayWaiter) — and hand each to their chain
+// whole, so a chain fused into a source is vectorized like any other.
 //
 // Keyed operators are batched too (KeyedReduceOp, WindowOp, and — through
 // BatchedEdgeAware, the two-input variant of the contract — WindowJoinOp).

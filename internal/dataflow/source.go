@@ -15,6 +15,10 @@ import (
 //
 // A SourceFunc may emit Watermark records interleaved with data; the runtime
 // emits the final +inf watermark and end-of-stream marker itself.
+//
+// The runtime gathers consecutive data records into runs of up to the batch
+// size before handing them downstream, so Next should return without waiting;
+// a source whose Next may wait must say so through MayWaiter.
 type SourceFunc interface {
 	// Next returns the next record, or ok=false at end of stream.
 	Next() (r Record, ok bool)
@@ -22,6 +26,23 @@ type SourceFunc interface {
 	Snapshot() ([]byte, error)
 	// Restore resumes from a snapshot taken by Snapshot.
 	Restore([]byte) error
+}
+
+// MayWaiter is an optional SourceFunc extension for sources in motion, whose
+// Next may wait (for the wall clock, a channel, a socket). The runtime asks
+// once per run; while MayWait reports true it hands every record downstream
+// the moment Next returns it, so none sits in a half-gathered run for as long
+// as the next call waits. The answer may change — a hybrid replays history in
+// full runs and reports true from the handoff on — but only at a control
+// record, where a run ends anyway. Sources without the method never wait.
+type MayWaiter interface {
+	MayWait() bool
+}
+
+// sourceMayWait reports whether a source declares that its Next may wait.
+func sourceMayWait(src SourceFunc) bool {
+	w, ok := src.(MayWaiter)
+	return ok && w.MayWait()
 }
 
 // Failable is an optional SourceFunc extension for sources whose input can
@@ -218,6 +239,9 @@ func (p *PacedSource) Next() (Record, bool) {
 	return p.Inner.Next()
 }
 
+// MayWait implements MayWaiter: a paced Next sleeps until its record is due.
+func (p *PacedSource) MayWait() bool { return p.PerSec > 0 || sourceMayWait(p.Inner) }
+
 // Snapshot implements SourceFunc.
 func (p *PacedSource) Snapshot() ([]byte, error) { return p.Inner.Snapshot() }
 
@@ -375,6 +399,9 @@ func (c *ChannelSource) received(r Record, ok bool) (Record, bool) {
 	}
 }
 
+// MayWait implements MayWaiter: Next waits up to Poll on a quiet channel.
+func (c *ChannelSource) MayWait() bool { return true }
+
 // SourceLocalOnly implements LocalOnlySource: the Go channel exists only in
 // the process that built the graph, so distributed placement pins the node
 // to the coordinator.
@@ -472,6 +499,14 @@ func (h *HybridSource) Next() (Record, bool) {
 		}
 	}
 	return h.Live.Next()
+}
+
+// MayWait implements MayWaiter: history replays in full runs, the live phase
+// record by record. The handoff watermark ends the last history run; a
+// history without data hands off with no watermark, so until the first
+// history record the source reports true as well.
+func (h *HybridSource) MayWait() bool {
+	return h.phase == hybridLive || !h.haveTs || sourceMayWait(h.History)
 }
 
 // Snapshot implements SourceFunc.

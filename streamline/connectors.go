@@ -183,6 +183,10 @@ func (r *pacedReader[T]) CanHandoff() bool { return readerCanHandoff(r.inner) }
 // CrossedHandoff delegates the handoff progress to the inner reader.
 func (r *pacedReader[T]) CrossedHandoff() bool { return readerCrossedHandoff(r.inner) }
 
+// MayWait declares the reader in motion: a paced Next sleeps until its
+// element is due.
+func (r *pacedReader[T]) MayWait() bool { return r.perSec > 0 || readerMayWait(r.inner) }
+
 func (r *pacedReader[T]) Err() error { return readerErr(r.inner) }
 
 // SourceLocalOnly delegates the local-only property to the inner reader.
@@ -248,6 +252,10 @@ func (r *channelReader[T]) received(k Keyed[T], ok bool) (Keyed[T], ReadStatus) 
 	r.emitted++
 	return k, ReadData
 }
+
+// MayWait declares the reader in motion: Next waits up to the idle poll on a
+// quiet channel.
+func (r *channelReader[T]) MayWait() bool { return true }
 
 // SourceLocalOnly marks the reader as bound to this process: its feeding
 // channel has no existence in a worker, so distributed placement pins the
@@ -600,6 +608,11 @@ func (h *hybridReader[T]) CanHandoff() bool { return true }
 // idle/cadence watermarks then track the stage clock, which the straggling
 // subtasks keep pushing toward the global history maximum.
 func (h *hybridReader[T]) CrossedHandoff() bool { return h.inLive }
+
+// MayWait reports the phase: history replays in full runs, and from the
+// handoff on the reader is in motion whatever its live half declares (a
+// wrapper around it need not forward the trait).
+func (h *hybridReader[T]) MayWait() bool { return h.inLive || readerMayWait(h.history) }
 
 func (h *hybridReader[T]) Snapshot() ([]byte, error) {
 	hist, err := h.history.Snapshot()

@@ -103,7 +103,9 @@
 // elements plus a ReadStatus (data, watermark, idle, end, handoff), and
 // Snapshot/Restore serialize the read position for exactly-once recovery
 // (MultiRestorer additionally lets a connector's state redistribute across
-// a different source parallelism, the way the file connectors do).
+// a different source parallelism, the way the file connectors do). The
+// source stage gathers elements into batch-sized runs, so a reader whose
+// Next may wait declares `MayWait() bool` (see Reader).
 //
 // # Lowering
 //

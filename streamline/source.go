@@ -25,7 +25,9 @@ const (
 	ReadWatermark
 	// ReadIdle means no element is available right now; the runtime emits
 	// the current watermark and polls again. Readers should wait briefly
-	// before returning ReadIdle rather than spinning.
+	// before returning ReadIdle rather than spinning. Such a reader's Next
+	// may wait (see Reader); if it did not declare that, the runtime takes
+	// its first ReadIdle as the declaration.
 	ReadIdle
 	// ReadEnd means the input is exhausted (bounded sources).
 	ReadEnd
@@ -49,6 +51,15 @@ const (
 // A Reader whose input can fail mid-stream (files, networks) may
 // additionally implement `Err() error`; the runtime checks it at end of
 // stream and fails the job with the reported error.
+//
+// The may-wait contract: the runtime gathers the elements Next returns into
+// runs of up to the batch size before handing them downstream, so Next should
+// return without waiting. A reader in motion, whose Next may wait (for the
+// wall clock, a channel, a tail that has not grown), declares it with the
+// optional method `MayWait() bool`, asked once per run: while it reports true
+// every element goes downstream the moment Next returns it, and none is held
+// across a call that waits. The answer may change only where the reader
+// returns ReadHandoff (Hybrid: false during history, true from the handoff on).
 type Reader[T any] interface {
 	// Next returns the next element and its status. The element is only
 	// meaningful for ReadData (a record) and ReadWatermark (Ts is the
@@ -150,6 +161,9 @@ func From[T any](env *Env, name string, src Source[T], opts ...SourceOption) *St
 	if !cfg.parSet {
 		cfg.parallelism = preferredParallelism(src)
 	}
+	if cfg.wmEvery <= 0 {
+		cfg.wmEvery = 64
+	}
 	var ts func(T) int64
 	if cfg.ts != nil {
 		f, ok := cfg.ts.(func(T) int64)
@@ -182,6 +196,7 @@ func From[T any](env *Env, name string, src Source[T], opts ...SourceOption) *St
 		if readerCanHandoff(l.r) {
 			l.clock = clock
 		}
+		l.readTraits()
 		return l
 	}
 	return &Stream[T]{env: env, inner: env.core.FromSource(name, cfg.parallelism, factory)}
@@ -276,6 +291,11 @@ type loweredReader[T any] struct {
 	lag   int64
 	clock *stageClock // non-nil only for handoff-capable readers
 
+	// The reader's traits, cached so the per-record path asks it nothing.
+	unordered bool // Unordered: no cadence watermarks
+	crossed   bool // past the handoff of a handoff-capable reader
+	idled     bool // latched: the reader returned ReadIdle, so its Next may wait
+
 	maxTs     int64
 	haveTs    bool
 	sinceWM   int64
@@ -314,7 +334,7 @@ func (l *loweredReader[T]) watermark() int64 {
 	if l.haveTs {
 		wm = l.maxTs - l.lag
 	}
-	if l.clock != nil && readerCrossedHandoff(l.r) {
+	if l.crossed {
 		if m := l.clock.max(); m > wm {
 			wm = m
 		}
@@ -330,6 +350,24 @@ func readerCrossedHandoff(r any) bool {
 	}
 	return false
 }
+
+// readerMayWait reports whether a reader declares that its Next may wait.
+func readerMayWait(r any) bool {
+	w, ok := r.(interface{ MayWait() bool })
+	return ok && w.MayWait()
+}
+
+// readTraits re-reads the reader's order contract and handoff progress.
+// Both change only where the reader returns ReadHandoff or is restored, so
+// they are read when the reader is opened and at those two points.
+func (l *loweredReader[T]) readTraits() {
+	l.unordered = readerUnordered(l.r)
+	l.crossed = l.clock != nil && readerCrossedHandoff(l.r)
+}
+
+// MayWait implements dataflow.MayWaiter by forwarding the reader's declaration;
+// a reader that has returned ReadIdle has waited, declared or not.
+func (l *loweredReader[T]) MayWait() bool { return l.idled || readerMayWait(l.r) }
 
 // emitWM stamps a watermark on the wire, clamped so the source's event
 // time never regresses.
@@ -354,7 +392,8 @@ func (l *loweredReader[T]) Next() (dataflow.Record, bool) {
 		// Keep the runtime loop moving and event time visible while the
 		// input is quiet. An unordered reader's running max is not a sound
 		// promise mid-scan, so idling then just re-emits the current floor.
-		if readerUnordered(l.r) {
+		l.idled = true
+		if l.unordered {
 			return l.emitWM(minInt64)
 		}
 		return l.emitWM(l.watermark())
@@ -380,6 +419,7 @@ func (l *loweredReader[T]) Next() (dataflow.Record, bool) {
 		// splits, a subtask's own share (possibly empty) says nothing about
 		// the history as a whole, and a per-subtask promise would leave
 		// history windows hanging until live data happened to arrive here.
+		l.readTraits()
 		wm := int64(minInt64)
 		if l.clock != nil {
 			wm = l.clock.max()
@@ -412,7 +452,7 @@ func (l *loweredReader[T]) Next() (dataflow.Record, bool) {
 	// clock freezes at the history max. Folding live timestamps in would
 	// lift every crossed subtask's floor to the newest live record — no lag
 	// allowance, and promised cross-subtask before the records are seen.
-	if l.clock != nil && !readerCrossedHandoff(l.r) {
+	if l.clock != nil && !l.crossed {
 		l.clock.advance(k.Ts)
 		if k.Ts > l.atRestMax || !l.atRestHave {
 			l.atRestMax, l.atRestHave = k.Ts, true
@@ -425,13 +465,9 @@ func (l *loweredReader[T]) Next() (dataflow.Record, bool) {
 	// single early high-timestamp record would mark everything after it late.
 	// Event time over such a scan closes out at end of stream (the runtime's
 	// +inf watermark) or at a composite's explicit handoff watermark.
-	if !readerUnordered(l.r) {
-		every := l.every
-		if every <= 0 {
-			every = 64
-		}
+	if !l.unordered {
 		l.sinceWM++
-		if l.sinceWM >= every {
+		if l.sinceWM >= l.every {
 			l.sinceWM = 0
 			l.havePend = true
 			l.pendingWM = l.watermark()
@@ -469,6 +505,7 @@ func (l *loweredReader[T]) Restore(blob []byte) error {
 	if l.clock != nil && s.AtRestHave {
 		l.clock.advance(s.AtRestMax)
 	}
+	l.readTraits()
 	return nil
 }
 
@@ -492,6 +529,7 @@ func (l *loweredReader[T]) RestoreAll(subtask, parallelism int, blobs map[int][]
 	if err := restoreReaderAll(l.r, subtask, parallelism, inner); err != nil {
 		return err
 	}
+	l.readTraits()
 	l.maxTs, l.haveTs, l.sinceWM, l.havePend = 0, false, 0, false
 	l.wmFloor = minInt64
 	l.atRestMax, l.atRestHave = 0, false

@@ -414,6 +414,10 @@ func (r *topicFollowReader[T]) CanHandoff() bool { return true }
 // CrossedHandoff reports whether the reader is past the history phase.
 func (r *topicFollowReader[T]) CrossedHandoff() bool { return r.inTail }
 
+// MayWait reports the phase, like hybridReader: the tail backs off on a topic
+// that has not grown.
+func (r *topicFollowReader[T]) MayWait() bool { return r.inTail }
+
 // Unordered reports the history scan's contract while replaying; the tail
 // emits in append order.
 func (r *topicFollowReader[T]) Unordered() bool {
