@@ -53,17 +53,19 @@ type Record struct {
 	Payload []byte
 }
 
-// appendFrame encodes one record frame onto buf.
+// appendFrame encodes one record frame onto buf. The header is built in
+// place: a local array would escape through the checksum call and cost a
+// heap allocation per append.
 func appendFrame(buf []byte, ts int64, key uint64, payload []byte) []byte {
-	var hdr [frameHeader]byte
+	start := len(buf)
+	buf = append(buf, make([]byte, frameHeader)...)
+	buf = append(buf, payload...)
+	hdr := buf[start : start+frameHeader]
 	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
 	binary.LittleEndian.PutUint64(hdr[8:16], uint64(ts))
 	binary.LittleEndian.PutUint64(hdr[16:24], key)
-	crc := crc32.Checksum(hdr[8:24], castagnoli)
-	crc = crc32.Update(crc, castagnoli, payload)
-	binary.LittleEndian.PutUint32(hdr[4:8], crc)
-	buf = append(buf, hdr[:]...)
-	return append(buf, payload[:len(payload):len(payload)]...)
+	binary.LittleEndian.PutUint32(hdr[4:8], crc32.Checksum(buf[start+8:], castagnoli))
+	return buf
 }
 
 // frameLen is the on-disk size of a frame with the given payload length.

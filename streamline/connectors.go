@@ -3,7 +3,6 @@ package streamline
 import (
 	"bytes"
 	"encoding/gob"
-	"encoding/json"
 	"fmt"
 	"time"
 
@@ -319,10 +318,14 @@ func resolveFileOpts(opts []FileOption) fileConfig {
 }
 
 // JSONL returns a bounded source reading one JSON document per line from
-// files at rest, decoded into T with encoding/json. input is a single file,
-// a directory (all regular files inside), or a glob pattern. Blank lines are
-// skipped. Records default to their byte offset in their file as event
-// timestamp — pair with WithTimestamps to extract real event time.
+// files at rest, decoded into T with encoding/json's semantics: every line
+// yields what json.Unmarshal into a zero T yields, errors included, and a T
+// made of scalar and string fields decodes through a plan compiled once per
+// reader instead of reflection (see "Topics" in the package documentation).
+// input is a single file, a directory (all regular files inside), or a glob
+// pattern. Blank lines are skipped. Records default to their byte offset in
+// their file as event timestamp — pair with WithTimestamps to extract real
+// event time.
 //
 // The scan is splittable: files are chopped into newline-aligned byte-range
 // splits (WithSplitSize) that a shared assigner hands to the stage's
@@ -368,14 +371,15 @@ func (j *jsonlSource[T]) Open(sub, par int) Reader[T] {
 }
 
 func (j *jsonlSource[T]) open(plan *dataflow.ScanPlan, sub, par int) Reader[T] {
+	dec := newJSONDecoder[T]()
 	return &funcReader[T]{src: &dataflow.FileScanSource{
 		Plan: plan, Subtask: sub, Parallelism: par,
 		DecodeLine: func(line []byte, off int64) (dataflow.Record, bool, error) {
 			if len(bytes.TrimSpace(line)) == 0 {
 				return dataflow.Record{}, false, nil
 			}
-			var v T
-			if err := json.Unmarshal(line, &v); err != nil {
+			v, err := dec.decode(line)
+			if err != nil {
 				return dataflow.Record{}, false, fmt.Errorf("decode %s: %w", typeName[T](), err)
 			}
 			return dataflow.Data(off, 0, v), true, nil
@@ -448,14 +452,51 @@ type funcReader[T any] struct {
 }
 
 func (f *funcReader[T]) Next() (Keyed[T], ReadStatus) {
-	r, ok := f.src.Next()
-	if !ok {
-		return Keyed[T]{}, ReadEnd
-	}
-	if r.Kind == dataflow.KindWatermark {
-		return Keyed[T]{Ts: r.Ts}, ReadWatermark
+	r, st := f.nextBoxed()
+	if st != ReadData {
+		return Keyed[T]{Ts: r.Ts}, st
 	}
 	return unbox[T](r), ReadData
+}
+
+// nextBoxed implements boxedReader: the engine source's record as it is.
+func (f *funcReader[T]) nextBoxed() (dataflow.Record, ReadStatus) {
+	r, ok := f.src.Next()
+	switch {
+	case !ok:
+		return dataflow.Record{}, ReadEnd
+	case r.Kind == dataflow.KindWatermark:
+		return r, ReadWatermark
+	}
+	return r, ReadData
+}
+
+// boxedReader is the inner method of a reader whose elements already exist
+// in the engine's boxed form (it sits on an engine source, or forwards one
+// that does): the source stage takes the record as it is instead of
+// unboxing it to Keyed[T] and boxing it again. Statuses are Next's; for the
+// control statuses only the record's Ts is meaningful.
+type boxedReader interface {
+	nextBoxed() (dataflow.Record, ReadStatus)
+}
+
+// asBoxed returns r's boxedReader side, nil when it has none.
+func asBoxed(r any) boxedReader {
+	b, _ := r.(boxedReader)
+	return b
+}
+
+// boxedNext reads r's next element in boxed form: through b, r's own
+// boxedReader side, when it has one, boxing Next's element otherwise.
+func boxedNext[T any](r Reader[T], b boxedReader) (dataflow.Record, ReadStatus) {
+	if b != nil {
+		return b.nextBoxed()
+	}
+	k, st := r.Next()
+	if st != ReadData {
+		return dataflow.Record{Ts: k.Ts}, st
+	}
+	return box(k), ReadData
 }
 
 func (f *funcReader[T]) Snapshot() ([]byte, error) { return f.src.Snapshot() }
@@ -518,7 +559,7 @@ type hybridSource[T any] struct {
 }
 
 func (h hybridSource[T]) Open(sub, par int) Reader[T] {
-	return &hybridReader[T]{history: h.history.Open(sub, par), live: h.live.Open(sub, par)}
+	return newHybridReader(h.history.Open(sub, par), h.live.Open(sub, par))
 }
 
 // hybridSlots carries the per-stage shared state of both hybrid phases.
@@ -532,10 +573,9 @@ func (h hybridSource[T]) openShared(slot *any, sub, par int) Reader[T] {
 		*slot = &hybridSlots{}
 	}
 	s := (*slot).(*hybridSlots)
-	return &hybridReader[T]{
-		history: openSourceShared(h.history, &s.history, sub, par),
-		live:    openSourceShared(h.live, &s.live, sub, par),
-	}
+	return newHybridReader(
+		openSourceShared(h.history, &s.history, sub, par),
+		openSourceShared(h.live, &s.live, sub, par))
 }
 
 // PreferredParallelism implements ParallelismHinter by delegation to the
@@ -552,9 +592,14 @@ func (h hybridSource[T]) PreferredParallelism() int {
 
 type hybridReader[T any] struct {
 	history, live Reader[T]
-	inLive        bool // past the handoff
+	historyBoxed  boxedReader // history's boxedReader side, if any
+	inLive        bool        // past the handoff
 	maxTs         int64
 	haveTs        bool
+}
+
+func newHybridReader[T any](history, live Reader[T]) *hybridReader[T] {
+	return &hybridReader[T]{history: history, live: live, historyBoxed: asBoxed(history)}
 }
 
 type hybridReaderState struct {
@@ -566,38 +611,54 @@ type hybridReaderState struct {
 }
 
 func (h *hybridReader[T]) Next() (Keyed[T], ReadStatus) {
-	if !h.inLive {
-		k, st := h.history.Next()
-		switch st {
-		case ReadData:
-			if k.Ts > h.maxTs || !h.haveTs {
-				h.maxTs, h.haveTs = k.Ts, true
-			}
-			return k, ReadData
-		case ReadWatermark, ReadIdle, ReadHandoff:
-			return k, st
-		}
-		// A history that failed mid-stream ends the whole stream here
-		// instead of handing off: the runtime only inspects Err at end of
-		// stream, and an unbounded live phase would bury a truncated
-		// history forever.
-		if readerErr(h.history) != nil {
-			return Keyed[T]{}, ReadEnd
-		}
-		// History exhausted: hand off. The switch and the handoff signal
-		// happen in this one call, so a checkpoint can never fall between
-		// them. Ts carries this subtask's own history maximum (minInt64
-		// when its share was empty — with dynamic split assignment a
-		// subtask may well replay nothing); the runtime turns the signal
-		// into a stage-wide watermark promise.
-		h.inLive = true
-		ts := int64(minInt64)
-		if h.haveTs {
-			ts = h.maxTs
-		}
-		return Keyed[T]{Ts: ts}, ReadHandoff
+	if h.inLive {
+		return h.live.Next()
 	}
-	return h.live.Next()
+	k, st := h.history.Next()
+	k.Ts, st = h.historyStep(k.Ts, st)
+	return k, st
+}
+
+// nextBoxed implements boxedReader: Next, with a history half that sits on
+// an engine source (Topic, JSONL, CSV) forwarded in its boxed form.
+func (h *hybridReader[T]) nextBoxed() (dataflow.Record, ReadStatus) {
+	if h.inLive {
+		return boxedNext(h.live, nil)
+	}
+	r, st := boxedNext(h.history, h.historyBoxed)
+	r.Ts, st = h.historyStep(r.Ts, st)
+	return r, st
+}
+
+// historyStep folds one history-phase element (its timestamp and status)
+// into the handoff bookkeeping and returns what the hybrid reports for it.
+func (h *hybridReader[T]) historyStep(ts int64, st ReadStatus) (int64, ReadStatus) {
+	switch st {
+	case ReadData:
+		if ts > h.maxTs || !h.haveTs {
+			h.maxTs, h.haveTs = ts, true
+		}
+		return ts, st
+	case ReadWatermark, ReadIdle, ReadHandoff:
+		return ts, st
+	}
+	// A history that failed mid-stream ends the whole stream here instead of
+	// handing off: the runtime only inspects Err at end of stream, and an
+	// unbounded live phase would bury a truncated history forever.
+	if readerErr(h.history) != nil {
+		return 0, ReadEnd
+	}
+	// History exhausted: hand off. The switch and the handoff signal happen
+	// in this one call, so a checkpoint can never fall between them. Ts
+	// carries this subtask's own history maximum (minInt64 when its share was
+	// empty — with dynamic split assignment a subtask may well replay
+	// nothing); the runtime turns the signal into a stage-wide watermark
+	// promise.
+	h.inLive = true
+	if h.haveTs {
+		return h.maxTs, ReadHandoff
+	}
+	return minInt64, ReadHandoff
 }
 
 // CanHandoff marks the reader as a ReadHandoff emitter, opting the source

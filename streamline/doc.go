@@ -99,6 +99,26 @@
 // restored lineage. A fresh (non-restored) run appends after whatever the
 // topic already holds.
 //
+// Payloads are JSON, at rest and on the way back in: Persist writes each
+// element with json.Marshal, and Topic and JSONL decode a document into T
+// with the semantics of json.Unmarshal into a zero T — for every T, every
+// payload and every error, whoever wrote the bytes (tags, case-insensitive
+// key matching, unknown keys, null, escapes and duplicate keys included).
+// What differs by type is only the cost. For a T that is a bool, integer,
+// float or string, or a struct whose exported fields are such scalars (or
+// structs of them), the decode is compiled once per reader into a list of
+// field names and offsets and runs without reflection or per-record garbage
+// beyond the strings themselves; a document that needs more than that list
+// can express (an escape sequence, a key matching only case-insensitively, an
+// unknown key, a null, a number that does not fit) is decoded by
+// encoding/json instead, one document at a time. A type goes through
+// encoding/json for every document when it or one of its fields is a
+// pointer, slice, map, array or interface, is embedded, carries a ",string"
+// or "-" tag or a tag name outside plain ASCII, has two fields whose names
+// differ only by case, or implements json.Unmarshaler or
+// encoding.TextUnmarshaler (time.Time does). There is nothing to configure:
+// the choice follows from the type and from each document's bytes.
+//
 // Custom connectors implement Source[T]/Reader[T] directly: Next reports
 // elements plus a ReadStatus (data, watermark, idle, end, handoff), and
 // Snapshot/Restore serialize the read position for exactly-once recovery

@@ -186,8 +186,10 @@ func From[T any](env *Env, name string, src Source[T], opts ...SourceOption) *St
 		if sub == 0 {
 			clock.reset()
 		}
+		r := openSourceShared(src, &slot, sub, par)
 		l := &loweredReader[T]{
-			r:       openSourceShared(src, &slot, sub, par),
+			r:       r,
+			boxed:   asBoxed(r),
 			ts:      ts,
 			every:   cfg.wmEvery,
 			lag:     cfg.lag,
@@ -286,6 +288,7 @@ func readerCanHandoff(r any) bool {
 
 type loweredReader[T any] struct {
 	r     Reader[T]
+	boxed boxedReader // r's boxedReader side, if any: its records are taken as they are
 	ts    func(T) int64
 	every int64
 	lag   int64
@@ -384,7 +387,20 @@ func (l *loweredReader[T]) Next() (dataflow.Record, bool) {
 		l.havePend = false
 		return l.emitWM(l.pendingWM)
 	}
-	k, st := l.r.Next()
+	// One element: typed, or — from a reader that sits on an engine source —
+	// its timestamp and key with the value left in the box it arrived in.
+	var (
+		k     Keyed[T]
+		boxed any
+		st    ReadStatus
+	)
+	if l.boxed != nil {
+		var r dataflow.Record
+		r, st = l.boxed.nextBoxed()
+		k.Ts, k.Key, boxed = r.Ts, r.Key, r.Value
+	} else {
+		k, st = l.r.Next()
+	}
 	switch st {
 	case ReadEnd:
 		return dataflow.Record{}, false
@@ -442,6 +458,9 @@ func (l *loweredReader[T]) Next() (dataflow.Record, bool) {
 		return l.emitWM(wm)
 	}
 	if l.ts != nil {
+		if l.boxed != nil {
+			k.Value = boxed.(T)
+		}
 		k.Ts = l.ts(k.Value)
 	}
 	if k.Ts > l.maxTs || !l.haveTs {
@@ -472,6 +491,9 @@ func (l *loweredReader[T]) Next() (dataflow.Record, bool) {
 			l.havePend = true
 			l.pendingWM = l.watermark()
 		}
+	}
+	if l.boxed != nil {
+		return dataflow.Data(k.Ts, k.Key, boxed), true
 	}
 	return box(k), true
 }

@@ -98,3 +98,42 @@ func TestLoweredReaderWatermarkPassThrough(t *testing.T) {
 		t.Fatalf("watermarks = %v, want [10]", wms)
 	}
 }
+
+// boxedSource is an engine source handing out one pre-boxed record forever.
+type boxedSource struct{ rec dataflow.Record }
+
+func (s *boxedSource) Next() (dataflow.Record, bool) { return s.rec, true }
+func (s *boxedSource) Snapshot() ([]byte, error)     { return nil, nil }
+func (s *boxedSource) Restore([]byte) error          { return nil }
+
+// A reader that sits on an engine source (Topic, JSONL, CSV) holds its
+// elements boxed already: the source stage passes the record through — alone
+// and as the history half of a Hybrid — instead of unboxing and boxing again.
+// The extractor still sees the typed value.
+func TestLoweredReaderTakesBoxedRecordsAsTheyAre(t *testing.T) {
+	type payload struct{ A, B, C int64 }
+	engine := &funcReader[payload]{src: &boxedSource{rec: dataflow.Data(7, 9, payload{A: 41})}}
+	live := make(chan Keyed[payload])
+	for name, r := range map[string]Reader[payload]{
+		"engine source":           engine,
+		"hybrid of engine source": hybridSource[payload]{history: constSource[payload]{engine}, live: Channel(live)}.Open(0, 1),
+	} {
+		l := &loweredReader[payload]{
+			r: r, boxed: asBoxed(r), every: 1 << 40, wmFloor: minInt64,
+			ts: func(p payload) int64 { return p.A + 1 },
+		}
+		var rec dataflow.Record
+		allocs := testing.AllocsPerRun(100, func() { rec, _ = l.Next() })
+		if allocs != 0 {
+			t.Errorf("%s: %v allocations per record, want 0", name, allocs)
+		}
+		if want := dataflow.Data(42, 9, payload{A: 41}); rec != want {
+			t.Errorf("%s: Next = %+v, want %+v", name, rec, want)
+		}
+	}
+}
+
+// constSource opens the same reader for every subtask.
+type constSource[T any] struct{ r Reader[T] }
+
+func (c constSource[T]) Open(int, int) Reader[T] { return c.r }

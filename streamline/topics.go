@@ -132,7 +132,11 @@ func WithFollow() TopicOption {
 }
 
 // Topic returns a source replaying a segment-log topic's records, decoded
-// from JSON into T with their stored event timestamps and keys. The replay
+// from JSON into T with their stored event timestamps and keys. Each payload
+// decodes as json.Unmarshal into a zero T would, errors included, however it
+// was appended; a T made of scalar and string fields decodes through a plan
+// compiled once per reader instead of reflection (see "Topics" in the
+// package documentation for the types that qualify). The replay
 // is bounded by the topic's visible end at planning time (a frozen view):
 // segments are chopped into byte-range splits (WithSplitSize) assigned
 // dynamically to the stage's subtasks, exactly like the file scans —
@@ -216,9 +220,10 @@ func (t *topicSource[T]) PreferredParallelism() int {
 }
 
 func (t *topicSource[T]) open(st *topicScanState, sub, par int) Reader[T] {
+	dec := newJSONDecoder[T]()
 	scan := &dataflow.SplitScanSource{
 		Plan: st.plan, Subtask: sub, Parallelism: par,
-		Reader: &topicSplitReader[T]{store: t.store, topic: t.topic},
+		Reader: &topicSplitReader[T]{store: t.store, topic: t.topic, dec: dec},
 	}
 	hist := &funcReader[T]{src: scan}
 	if !t.cfg.follow {
@@ -230,7 +235,7 @@ func (t *topicSource[T]) open(st *topicScanState, sub, par int) Reader[T] {
 			t.topic, par)}
 	}
 	return &topicFollowReader[T]{
-		store: t.store, topic: t.topic, st: st, hist: hist,
+		store: t.store, topic: t.topic, st: st, hist: hist, dec: dec,
 		end: -1, tailOff: -1, poll: 10 * time.Millisecond,
 	}
 }
@@ -251,6 +256,7 @@ func (r *errReader[T]) Err() error                   { return r.err }
 type topicSplitReader[T any] struct {
 	store   *TopicStore
 	topic   string
+	dec     jsonDecoder[T]
 	rr      *seglog.RangeReader
 	lastPos int64
 }
@@ -278,8 +284,8 @@ func (r *topicSplitReader[T]) NextInSplit() (dataflow.Record, bool, error) {
 	if err != nil || !ok {
 		return dataflow.Record{}, false, err
 	}
-	var v T
-	if err := json.Unmarshal(rec.Payload, &v); err != nil {
+	v, err := r.dec.decode(rec.Payload)
+	if err != nil {
 		return dataflow.Record{}, false, fmt.Errorf("topic %q offset %d: decode %s: %w", r.topic, rec.Offset, typeName[T](), err)
 	}
 	return dataflow.Data(rec.Ts, rec.Key, v), true, nil
@@ -317,6 +323,7 @@ type topicFollowReader[T any] struct {
 	topic string
 	st    *topicScanState
 	hist  Reader[T]
+	dec   jsonDecoder[T]
 	tr    *seglog.TailReader
 
 	inTail  bool
@@ -400,8 +407,8 @@ func (r *topicFollowReader[T]) Next() (Keyed[T], ReadStatus) {
 		return Keyed[T]{}, ReadIdle
 	}
 	r.tailOff = r.tr.Pos()
-	var v T
-	if err := json.Unmarshal(rec.Payload, &v); err != nil {
+	v, err := r.dec.decode(rec.Payload)
+	if err != nil {
 		return r.fail(fmt.Errorf("topic %q offset %d: decode %s: %w", r.topic, rec.Offset, typeName[T](), err))
 	}
 	return Keyed[T]{Ts: rec.Ts, Key: rec.Key, Value: v}, ReadData
@@ -505,8 +512,9 @@ func (r *topicFollowReader[T]) Err() error {
 // ---- persist sink ----------------------------------------------------------
 
 // Persist terminates the stream into a segment-log topic: every record is
-// appended as one JSON document with its event timestamp and key, replayable
-// later with Topic. The sink runs at parallelism 1 (one writer per topic)
+// appended as one JSON document (json.Marshal of the element) with its event
+// timestamp and key, replayable later with Topic or by anything that reads
+// JSON. The sink runs at parallelism 1 (one writer per topic)
 // and participates in checkpointing: each snapshot syncs the topic and
 // records its high-water offset, and a restore truncates the topic back to
 // that offset before appending — records written after the checkpoint are

@@ -1,8 +1,13 @@
 package streamline_test
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -11,7 +16,7 @@ import (
 
 // openTopicStore opens a store under a test temp dir with small segments so
 // even modest histories span several segments (and several splits).
-func openTopicStore(t *testing.T, opts ...streamline.TopicStoreOption) *streamline.TopicStore {
+func openTopicStore(t testing.TB, opts ...streamline.TopicStoreOption) *streamline.TopicStore {
 	t.Helper()
 	store, err := streamline.OpenTopicStore(t.TempDir(), opts...)
 	if err != nil {
@@ -30,6 +35,22 @@ func persistEvents(t *testing.T, store *streamline.TopicStore, topic string, eve
 		streamline.WithTimestamps(func(e event) int64 { return e.TsMs }))
 	streamline.Persist(src, store, topic)
 	execute(t, env.Execute)
+}
+
+// waitForRecords blocks until a running job has collected n records, failing
+// the test if the job ends or 30s pass first.
+func waitForRecords(t *testing.T, out *streamline.Results[event], done <-chan error, n int) {
+	t.Helper()
+	deadline := time.After(30 * time.Second)
+	for len(out.Records()) < n {
+		select {
+		case err := <-done:
+			t.Fatalf("job ended with %d/%d records: %v", len(out.Records()), n, err)
+		case <-deadline:
+			t.Fatalf("only %d of %d records arrived within 30s", len(out.Records()), n)
+		case <-time.After(2 * time.Millisecond):
+		}
+	}
 }
 
 // assertEventsExactlyOnce checks got against want by the unique TsMs of
@@ -266,19 +287,7 @@ func TestTopicFollowTailsNewAppends(t *testing.T) {
 	done := make(chan error, 1)
 	go func() { done <- env.Execute(ctx) }()
 
-	waitFor := func(n int) {
-		t.Helper()
-		deadline := time.After(30 * time.Second)
-		for len(out.Records()) < n {
-			select {
-			case err := <-done:
-				t.Fatalf("job ended with %d/%d records: %v", len(out.Records()), n, err)
-			case <-deadline:
-				t.Fatalf("only %d of %d records arrived within 30s", len(out.Records()), n)
-			case <-time.After(2 * time.Millisecond):
-			}
-		}
-	}
+	waitFor := func(n int) { t.Helper(); waitForRecords(t, out, done, n) }
 	waitFor(len(history))
 
 	// Append the live tail directly to the topic while the job runs.
@@ -353,4 +362,222 @@ func TestTopicStoreMetrics(t *testing.T) {
 			t.Fatalf("metric %s = %d, want >= %d", name, v, len(events))
 		}
 	}
+}
+
+// mixedPayloads are JSON documents for event as any writer might have
+// appended them: some the compiled decode plan takes, some it refuses and
+// hands to encoding/json — an escaped string, a case-folded key, an extra
+// field, a null. A reader must not be able to tell the difference.
+var mixedPayloads = []string{
+	`{"ts":1,"name":"plain","value":1.5}`,
+	`{"ts":2,"name":"esc\"apedé","value":2}`,
+	`{"TS":3,"Name":"folded","VALUE":3}`,
+	`{"ts":4,"name":"extra","value":4,"unit":"ms","tags":["a",{"b":null}]}`,
+	`{"ts":5,"name":null,"value":5}`,
+	` { "value" : 6e0 , "name" : "späce" , "ts" : 6 } `,
+	`{"ts":7,"name":"dup","value":0,"value":7}`,
+	`{"ts":8,"name":"plain-again","value":-0.125}`,
+	`{}`,
+}
+
+// decodeWithEncodingJSON is the oracle: a plain json.Unmarshal loop.
+func decodeWithEncodingJSON(t *testing.T, payloads []string) []event {
+	t.Helper()
+	out := make([]event, len(payloads))
+	for i, p := range payloads {
+		if err := json.Unmarshal([]byte(p), &out[i]); err != nil {
+			t.Fatalf("payload %d: %v", i, err)
+		}
+	}
+	return out
+}
+
+// appendRaw appends payloads to a topic through the segment log itself, as
+// they are, with timestamp = key = index.
+func appendRaw(t *testing.T, store *streamline.TopicStore, topic string, payloads []string) {
+	t.Helper()
+	tp, err := store.Store().Topic(topic)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := tp.NextOffset()
+	for i, p := range payloads {
+		if _, err := tp.Append(base+int64(i), uint64(base)+uint64(i), []byte(p)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tp.Flush(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func assertEventsInOrder(t *testing.T, what string, got []streamline.Keyed[event], want []event) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: got %d events, want %d", what, len(got), len(want))
+	}
+	for i, k := range got {
+		if k.Value != want[i] {
+			t.Fatalf("%s: event %d = %+v, want %+v", what, i, k.Value, want[i])
+		}
+	}
+}
+
+// Payloads the plan takes and payloads it refuses, interleaved, replay through
+// Topic, the follow-mode tail and JSONL to exactly what encoding/json yields,
+// in order. Collect keeps every value while the readers reuse their payload
+// buffers, so a string aliasing one would show up here as well.
+func TestAtRestDecodeMatchesEncodingJSON(t *testing.T) {
+	want := decodeWithEncodingJSON(t, mixedPayloads)
+	store := openTopicStore(t)
+	appendRaw(t, store, "raw", mixedPayloads)
+
+	t.Run("topic", func(t *testing.T) {
+		env := streamline.New(streamline.WithParallelism(1))
+		out := streamline.Collect(streamline.From(env, "replay", streamline.Topic[event](store, "raw")), "out")
+		execute(t, env.Execute)
+		got := out.Records()
+		assertEventsInOrder(t, "topic", got, want)
+		for i, k := range got {
+			if k.Ts != int64(i) || k.Key != uint64(i) {
+				t.Fatalf("record %d replayed with ts %d key %d, want the stored %d", i, k.Ts, k.Key, i)
+			}
+		}
+	})
+
+	t.Run("follow", func(t *testing.T) {
+		env := streamline.New(streamline.WithParallelism(1))
+		out := streamline.Collect(streamline.From(env, "follow",
+			streamline.Topic[event](store, "raw", streamline.WithFollow())), "out")
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		done := make(chan error, 1)
+		go func() { done <- env.Execute(ctx) }()
+		waitFor := func(n int) { t.Helper(); waitForRecords(t, out, done, n) }
+		waitFor(len(mixedPayloads))
+		appendRaw(t, store, "raw", mixedPayloads) // the tail decodes these
+		waitFor(2 * len(mixedPayloads))
+		cancel()
+		<-done
+		assertEventsInOrder(t, "follow", out.Records(), append(append([]event{}, want...), want...))
+	})
+
+	t.Run("jsonl", func(t *testing.T) {
+		path := filepath.Join(t.TempDir(), "raw.jsonl")
+		if err := os.WriteFile(path, []byte(strings.Join(mixedPayloads, "\n")+"\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		env := streamline.New(streamline.WithParallelism(1))
+		out := streamline.Collect(streamline.From(env, "scan", streamline.JSONL[event](path)), "out")
+		execute(t, env.Execute)
+		assertEventsInOrder(t, "jsonl", out.Records(), want)
+	})
+}
+
+// A malformed payload fails the job with encoding/json's own error, named by
+// topic and offset.
+func TestTopicMalformedPayloadFailsExecute(t *testing.T) {
+	store := openTopicStore(t)
+	bad := `{"ts":2,"name":"cut`
+	appendRaw(t, store, "bad", []string{mixedPayloads[0], bad})
+
+	env := streamline.New(streamline.WithParallelism(1))
+	streamline.Sink(streamline.From(env, "replay", streamline.Topic[event](store, "bad")), "out", func(streamline.Keyed[event]) {})
+	err := env.Execute(context.Background())
+	want := fmt.Sprintf("topic %q offset 1: decode streamline_test.event: %v", "bad", json.Unmarshal([]byte(bad), new(event)))
+	if err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("Execute = %v, want an error containing %q", err, want)
+	}
+}
+
+// The segment log's readers reuse their payload buffer on the next call: a
+// decoded string must own its bytes.
+func TestTopicDecodedStringsDoNotAliasPayload(t *testing.T) {
+	store := openTopicStore(t)
+	appendRaw(t, store, "names", []string{
+		`{"ts":1,"name":"first-name","value":1}`,
+		`{"ts":2,"name":"other-name","value":2}`,
+	})
+	r := streamline.Topic[event](store, "names").Open(0, 1)
+	first, st := r.Next()
+	if st != streamline.ReadData {
+		t.Fatalf("first Next: status %v", st)
+	}
+	if second, st := r.Next(); st != streamline.ReadData || second.Value.Name != "other-name" {
+		t.Fatalf("second Next = %+v, status %v", second, st)
+	}
+	if first.Value.Name != "first-name" {
+		t.Fatalf("first record's name became %q after the next Next()", first.Value.Name)
+	}
+}
+
+const benchRecords = 100_000
+
+// drainReader reads r to its end and fails the benchmark on a short or
+// failed read.
+func drainReader(b *testing.B, r streamline.Reader[event]) {
+	n := 0
+	for {
+		_, st := r.Next()
+		if st == streamline.ReadEnd {
+			break
+		}
+		n++
+	}
+	if e, ok := r.(interface{ Err() error }); ok && e.Err() != nil {
+		b.Fatal(e.Err())
+	}
+	if n != benchRecords {
+		b.Fatalf("read %d records, want %d", n, benchRecords)
+	}
+}
+
+func reportPerRecord(b *testing.B) {
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*benchRecords), "ns/record")
+}
+
+// BenchmarkTopicNext drains a topic of event-shaped records through one
+// reader: segment-log range read plus payload decode, per record.
+func BenchmarkTopicNext(b *testing.B) {
+	store := openTopicStore(b)
+	tp, err := store.Store().Topic("events")
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, e := range mkEvents(benchRecords, 1_700_000_000_000) {
+		data, _ := json.Marshal(e)
+		if _, err := tp.Append(e.TsMs, 0, data); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := tp.Flush(); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		drainReader(b, streamline.Topic[event](store, "events").Open(0, 1))
+	}
+	reportPerRecord(b)
+}
+
+// BenchmarkJSONLNext is the same drain over a JSONL file: line scan plus
+// payload decode.
+func BenchmarkJSONLNext(b *testing.B) {
+	var buf bytes.Buffer
+	for _, e := range mkEvents(benchRecords, 1_700_000_000_000) {
+		data, _ := json.Marshal(e)
+		buf.Write(data)
+		buf.WriteByte('\n')
+	}
+	path := filepath.Join(b.TempDir(), "events.jsonl")
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		drainReader(b, streamline.JSONL[event](path).Open(0, 1))
+	}
+	reportPerRecord(b)
 }
