@@ -359,49 +359,34 @@ func BenchmarkExchange(b *testing.B) {
 	}
 }
 
-// BenchmarkFusedChain: the vectorized operator chain trajectory — a
-// map→filter→map run behind a rebalance exchange at parallelism 1 and 4,
-// chaining on and off, under both execution strategies (vectorized = typed
-// stage fusion + OnBatch chain driver; per-record = stage-per-node lowering
-// with per-record dispatch). `streamline-bench -fusion` records the larger
-// six-stage variant in BENCH_fusion.json.
+// BenchmarkFusedChain: the operator chain trajectory — a map→filter→map run
+// (one fused operator) behind a rebalance exchange at parallelism 1 and 4,
+// chaining on and off.
 func BenchmarkFusedChain(b *testing.B) {
 	const n = 100_000
 	for _, par := range []int{1, 4} {
 		for _, chaining := range []bool{true, false} {
-			for _, vectorized := range []bool{true, false} {
-				mode := "vectorized"
-				if !vectorized {
-					mode = "per-record"
-				}
-				b.Run(fmt.Sprintf("par=%d/chaining=%v/%s", par, chaining, mode), func(b *testing.B) {
-					for i := 0; i < b.N; i++ {
-						opts := []streamline.Option{
-							streamline.WithParallelism(par),
-							streamline.WithChaining(chaining),
-						}
-						if !vectorized {
-							opts = append(opts,
-								streamline.WithStageFusion(false),
-								streamline.WithVectorizedChains(false))
-						}
-						env := streamline.New(opts...)
-						src := streamline.From(env, "gen", streamline.Generator(n,
-							func(sub, par int, j int64) streamline.Keyed[float64] {
-								return streamline.Keyed[float64]{Ts: j, Key: uint64(j % 64), Value: float64(j % 101)}
-							}), streamline.WithSourceParallelism(par))
-						merged := streamline.Union(src, "merge")
-						m1 := streamline.Map(merged, "scale", func(v float64) float64 { return v * 2 })
-						f1 := streamline.Filter(m1, "band", func(v float64) bool { return int64(v)%4 != 2 })
-						m2 := streamline.Map(f1, "final", func(v float64) float64 { return v + 1 })
-						streamline.Sink(m2, "out", func(streamline.Keyed[float64]) {})
-						if err := env.Execute(context.Background()); err != nil {
-							b.Fatal(err)
-						}
+			b.Run(fmt.Sprintf("par=%d/chaining=%v", par, chaining), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					env := streamline.New(
+						streamline.WithParallelism(par),
+						streamline.WithChaining(chaining),
+					)
+					src := streamline.From(env, "gen", streamline.Generator(n,
+						func(sub, par int, j int64) streamline.Keyed[float64] {
+							return streamline.Keyed[float64]{Ts: j, Key: uint64(j % 64), Value: float64(j % 101)}
+						}), streamline.WithSourceParallelism(par))
+					merged := streamline.Union(src, "merge")
+					m1 := streamline.Map(merged, "scale", func(v float64) float64 { return v * 2 })
+					f1 := streamline.Filter(m1, "band", func(v float64) bool { return int64(v)%4 != 2 })
+					m2 := streamline.Map(f1, "final", func(v float64) float64 { return v + 1 })
+					streamline.Sink(m2, "out", func(streamline.Keyed[float64]) {})
+					if err := env.Execute(context.Background()); err != nil {
+						b.Fatal(err)
 					}
-					b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds(), "events/s")
-				})
-			}
+				}
+				b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds(), "events/s")
+			})
 		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"runtime"
 	"time"
 
 	"repro/streamline"
@@ -38,6 +39,20 @@ type ExchangeReport struct {
 	DefaultBatchSize int                `json:"default_batch_size"`
 	Runs             []ExchangeRun      `json:"runs"`
 	Speedup          map[string]float64 `json:"speedup"`
+}
+
+// memDelta runs f between two MemStats readings and returns the heap
+// allocation deltas (count and bytes). A GC first settles the baseline so
+// leftover garbage from pipeline construction is not attributed to f.
+func memDelta(f func() error) (mallocs, bytes uint64, err error) {
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	if err := f(); err != nil {
+		return 0, 0, err
+	}
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs, after.TotalAlloc - before.TotalAlloc, nil
 }
 
 // exchangeVocab is the word list the wordcount corpus cycles through.

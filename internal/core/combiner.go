@@ -76,8 +76,8 @@ func (c *CombinerOp) Open(ctx *dataflow.OpContext) error {
 	return nil
 }
 
-// OnRecord implements dataflow.Operator.
-func (c *CombinerOp) OnRecord(r dataflow.Record, out dataflow.Collector) {
+// fold takes one record: pass-throughs and table flushes emit through out.
+func (c *CombinerOp) fold(r dataflow.Record, out dataflow.Collector) {
 	v, ok := r.Value.(float64)
 	if !ok {
 		out.Collect(r)
@@ -118,18 +118,16 @@ func (c *CombinerOp) OnRecord(r dataflow.Record, out dataflow.Collector) {
 	}
 }
 
-// OnBatch implements dataflow.BatchedOperator: the per-record fold applied
-// over the whole run. Pass-throughs and flushes emit through out (delivered
-// in fold order), so the semantics are exactly the per-record path's; the
-// point is keeping a chain that contains a combiner on the vectorized path.
-// A combiner that decided against combining holds nothing and forwards every
-// record, so it returns the run whole and the run enters the exchange as one.
+// OnBatch implements dataflow.Operator: the fold applied over the run in
+// order, everything it emits going through out. A combiner that decided
+// against combining holds nothing and forwards every record, so it returns
+// the run whole and the run enters the exchange as one.
 func (c *CombinerOp) OnBatch(b []dataflow.Record, out dataflow.Collector) []dataflow.Record {
 	if c.decided && !c.enabled {
 		return b
 	}
 	for i := range b {
-		c.OnRecord(b[i], out)
+		c.fold(b[i], out)
 	}
 	return nil
 }

@@ -50,9 +50,6 @@ type Environment struct {
 	graph       *dataflow.Graph
 	parallelism int
 	chaining    bool
-	vectorize   bool
-	vecKeyed    bool
-	fusion      bool
 	combiner    CombinerMode
 	backend     state.Backend
 	ckptEvery   time.Duration
@@ -92,32 +89,6 @@ func WithParallelism(p int) Option {
 // WithChaining toggles operator chaining (default on).
 func WithChaining(on bool) Option {
 	return func(e *Environment) { e.chaining = on }
-}
-
-// WithVectorizedChains toggles the batch-at-a-time fast path through operator
-// chains (default on). Purely physical: results are identical either way and
-// the setting is not part of the distributed PlanSpec.
-func WithVectorizedChains(on bool) Option {
-	return func(e *Environment) { e.vectorize = on }
-}
-
-// WithVectorizedKeyedOps toggles the keyed half of the vectorized fast path
-// (default on): batched keyed operators with run-grouped state access and
-// batch-at-a-time hash routing in the exchange stager. Purely physical like
-// WithVectorizedChains — results, plans and snapshots are identical either
-// way — and not part of the distributed PlanSpec.
-func WithVectorizedKeyedOps(on bool) Option {
-	return func(e *Environment) { e.vecKeyed = on }
-}
-
-// WithStageFusion toggles typed stage fusion in the streamline layer (default
-// on): runs of adjacent Map/Filter/FlatMap stages lower into one fused
-// operator that keeps values in their concrete type across stages. Fusion
-// changes the lowered plan (fused node names concatenate the stage names)
-// deterministically — every process building the same pipeline with the same
-// setting produces the same PlanSpec fingerprint — and never changes results.
-func WithStageFusion(on bool) Option {
-	return func(e *Environment) { e.fusion = on }
 }
 
 // WithCombiner sets the combiner mode (default CombinerAuto).
@@ -268,10 +239,6 @@ func (e *Environment) RejoinWindow() time.Duration { return e.rejoinWindow }
 // physical-plan identity a distributed worker must reproduce.
 func (e *Environment) Chaining() bool { return e.chaining }
 
-// StageFusion reports whether typed stage fusion is enabled. Read by the
-// streamline layer at lowering time.
-func (e *Environment) StageFusion() bool { return e.fusion }
-
 // Backend returns the configured snapshot backend (nil when unset) and the
 // checkpoint interval (0 when periodic checkpointing is off).
 func (e *Environment) Backend() (state.Backend, time.Duration) {
@@ -288,12 +255,9 @@ func (e *Environment) NoteDistributedCheckpoints(n int64) { e.distCompleted += n
 // NewEnvironment returns an empty pipeline environment.
 func NewEnvironment(opts ...Option) *Environment {
 	e := &Environment{
-		graph:     dataflow.NewGraph("streamline"),
-		chaining:  true,
-		vectorize: true,
-		vecKeyed:  true,
-		fusion:    true,
-		combiner:  CombinerAuto,
+		graph:    dataflow.NewGraph("streamline"),
+		chaining: true,
+		combiner: CombinerAuto,
 	}
 	for _, o := range opts {
 		o(e)
@@ -323,32 +287,19 @@ func (e *Environment) Fail(err error) { e.fail(err) }
 // Execute runs the pipeline to completion (bounded sources) or until the
 // context is cancelled (unbounded sources).
 func (e *Environment) Execute(ctx context.Context) error {
-	if e.buildErr != nil {
-		return e.buildErr
-	}
-	opts := []dataflow.JobOption{
-		dataflow.WithChaining(e.chaining),
-		dataflow.WithVectorizedChains(e.vectorize),
-		dataflow.WithVectorizedKeyedOps(e.vecKeyed),
-	}
-	if e.backend != nil {
-		opts = append(opts, dataflow.WithCheckpointing(e.backend, e.ckptEvery))
-	}
-	e.job = dataflow.NewJob(e.graph, opts...)
-	return e.job.Run(ctx)
+	return e.run(ctx)
 }
 
 // ExecuteRestored runs the pipeline starting from a recovery snapshot.
 func (e *Environment) ExecuteRestored(ctx context.Context, snap *state.Snapshot) error {
+	return e.run(ctx, dataflow.WithRestore(snap))
+}
+
+func (e *Environment) run(ctx context.Context, opts ...dataflow.JobOption) error {
 	if e.buildErr != nil {
 		return e.buildErr
 	}
-	opts := []dataflow.JobOption{
-		dataflow.WithChaining(e.chaining),
-		dataflow.WithVectorizedChains(e.vectorize),
-		dataflow.WithVectorizedKeyedOps(e.vecKeyed),
-		dataflow.WithRestore(snap),
-	}
+	opts = append(opts, dataflow.WithChaining(e.chaining))
 	if e.backend != nil {
 		opts = append(opts, dataflow.WithCheckpointing(e.backend, e.ckptEvery))
 	}

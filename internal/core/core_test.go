@@ -178,7 +178,7 @@ func TestCombinerAdaptiveDecision(t *testing.T) {
 		}
 		sinkDrop := collectorFunc(func(dataflow.Record) {})
 		for i := 0; i < combinerSampleSize+10; i++ {
-			c.OnRecord(gen(i), sinkDrop)
+			c.OnBatch([]dataflow.Record{gen(i)}, sinkDrop)
 		}
 		return c.Enabled()
 	}

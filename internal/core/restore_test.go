@@ -2,10 +2,13 @@ package core
 
 import (
 	"context"
+	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
+	"sort"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -273,5 +276,110 @@ func TestExecuteRestoredRescaled(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// writeParentFixture regenerates testdata/parent_snapshot: run it at the
+// commit whose snapshots must stay restorable, never at the commit under test.
+var writeParentFixture = flag.Bool("write-parent-fixture", false, "rewrite testdata/parent_snapshot (run at the parent commit)")
+
+// TestParentWrittenSnapshotRestores restores a checkpoint written by the
+// commit before the operator contract became run-only (26190fe: file backend,
+// window + reduce + combiner state, taken mid-stream with the combiner table
+// non-empty) and demands the output tail that commit produced from the same
+// snapshot: no state format moved with the contract.
+func TestParentWrittenSnapshotRestores(t *testing.T) {
+	const n = 6000
+	dir := filepath.Join("testdata", "parent_snapshot")
+	golden := filepath.Join(dir, "restored_output.golden")
+	build := func(perSec float64, backend state.Backend) (*Environment, []*dataflow.CollectSink) {
+		opts := []Option{WithParallelism(2), WithCombiner(CombinerOn)}
+		if backend != nil {
+			opts = append(opts, WithCheckpointing(backend, 20*time.Millisecond))
+		}
+		env := NewEnvironment(opts...)
+		gen := func(sub, par int, i int64) dataflow.Record {
+			global := i*int64(par) + int64(sub)
+			return dataflow.Data(global, uint64(global%5), float64(global%7))
+		}
+		var src *Stream
+		if perSec > 0 {
+			src = env.FromPacedGenerator("gen", 2, n, perSec, gen)
+		} else {
+			src = env.FromGenerator("gen", 2, n, gen)
+		}
+		keyed := src.KeyBy("k", func(r dataflow.Record) uint64 { return r.Key })
+		win := keyed.WindowAggregate("win",
+			WindowedQuery{Window: window.Tumbling(100), Fn: agg.SumF64()},
+			WindowedQuery{Window: window.Sliding(200, 50), Fn: agg.SumF64()},
+		).Collect("win-out")
+		sum := keyed.ReduceByKey("sum", func(a, v float64) float64 { return a + v }, false).Collect("sum-out")
+		return env, []*dataflow.CollectSink{win, sum}
+	}
+	// The sinks merge two upstream subtasks, so order across keys is not
+	// fixed; the multiset of results is.
+	render := func(sinks []*dataflow.CollectSink) string {
+		var lines []string
+		for i, s := range sinks {
+			for _, r := range s.Records() {
+				lines = append(lines, fmt.Sprintf("%d %d %d %v", i, r.Key, r.Ts, r.Value))
+			}
+		}
+		sort.Strings(lines)
+		return strings.Join(lines, "\n") + "\n"
+	}
+
+	if *writeParentFixture {
+		if err := os.RemoveAll(dir); err != nil {
+			t.Fatal(err)
+		}
+		backend, err := state.NewFileBackend(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		env, _ := build(10_000, backend)
+		ctx, cancel := context.WithTimeout(context.Background(), 150*time.Millisecond)
+		err = env.Execute(ctx)
+		cancel()
+		if err == nil {
+			t.Fatal("job finished before the kill; nothing mid-stream to restore")
+		}
+		snap, ok, err := backend.Latest()
+		if !ok || err != nil {
+			t.Fatalf("no checkpoint before the kill: %v", err)
+		}
+		files, _ := filepath.Glob(filepath.Join(dir, "chk-*.gob"))
+		for _, f := range files {
+			if f != filepath.Join(dir, fmt.Sprintf("chk-%012d.gob", snap.CheckpointID)) {
+				os.Remove(f)
+			}
+		}
+		resume, sinks := build(0, nil)
+		if err := resume.ExecuteRestored(context.Background(), snap); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(golden, []byte(render(sinks)), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	backend, err := state.NewFileBackend(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, ok, err := backend.Latest()
+	if !ok || err != nil {
+		t.Fatalf("fixture snapshot unreadable: ok=%v err=%v", ok, err)
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	env, sinks := build(0, nil)
+	if err := env.ExecuteRestored(context.Background(), snap); err != nil {
+		t.Fatalf("restore of the parent's snapshot: %v", err)
+	}
+	if got := render(sinks); got != string(want) {
+		t.Fatalf("restored output differs from the parent's:\n got %d bytes\nwant %d bytes", len(got), len(want))
 	}
 }

@@ -27,10 +27,13 @@ type seqCapture struct {
 	seq []seqEvent
 }
 
-func (s *seqCapture) OnRecord(r Record, _ Collector) {
+func (s *seqCapture) OnBatch(b []Record, _ Collector) []Record {
 	s.mu.Lock()
-	s.seq = append(s.seq, seqEvent{kind: KindData, ts: r.Ts})
+	for _, r := range b {
+		s.seq = append(s.seq, seqEvent{kind: KindData, ts: r.Ts})
+	}
 	s.mu.Unlock()
+	return nil
 }
 
 func (s *seqCapture) OnWatermark(wm int64, _ Collector) {

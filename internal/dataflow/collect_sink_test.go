@@ -8,7 +8,7 @@ import "testing"
 func TestCollectSinkRollsBackToCheckpointedCount(t *testing.T) {
 	s := &CollectSink{}
 	for i := 0; i < 5; i++ {
-		s.OnRecord(Record{Kind: KindData, Ts: int64(i)}, nil)
+		FeedOne(s, Record{Kind: KindData, Ts: int64(i)}, nil)
 	}
 	blob, err := s.Snapshot()
 	if err != nil {
@@ -17,7 +17,7 @@ func TestCollectSinkRollsBackToCheckpointedCount(t *testing.T) {
 	// The failed epoch collected three more records past the checkpoint;
 	// restoring must discard exactly those.
 	for i := 5; i < 8; i++ {
-		s.OnRecord(Record{Kind: KindData, Ts: int64(i)}, nil)
+		FeedOne(s, Record{Kind: KindData, Ts: int64(i)}, nil)
 	}
 	if err := s.Open(&OpContext{Restore: blob}); err != nil {
 		t.Fatal(err)

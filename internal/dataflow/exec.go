@@ -17,14 +17,12 @@ import (
 // Job is an executable instance of a Graph: channels, subtask goroutines, an
 // optional checkpoint coordinator, and optional recovery state.
 type Job struct {
-	g         *Graph
-	backend   state.Backend
-	interval  time.Duration
-	restore   *state.Snapshot
-	chaining  bool
-	vectorize bool
-	vecKeyed  bool
-	reg       *metrics.Registry
+	g        *Graph
+	backend  state.Backend
+	interval time.Duration
+	restore  *state.Snapshot
+	chaining bool
+	reg      *metrics.Registry
 
 	completed atomic.Int64
 }
@@ -58,30 +56,6 @@ func WithChaining(on bool) JobOption {
 	return func(j *Job) { j.chaining = on }
 }
 
-// WithVectorizedChains toggles the batch-at-a-time fast path through operator
-// chains: exchange-fed chains whose operators implement BatchedOperator
-// process each contiguous data run of an inbound batch with one OnBatch call
-// per operator instead of one OnRecord dispatch per record. Enabled by
-// default. Purely physical — results are identical at any batch size with the
-// fast path on or off, and the setting is not part of the distributed
-// PlanSpec.
-func WithVectorizedChains(on bool) JobOption {
-	return func(j *Job) { j.vectorize = on }
-}
-
-// WithVectorizedKeyedOps toggles the keyed half of the vectorized fast path
-// (enabled by default; no effect with WithVectorizedChains(false)): batched
-// keyed operators (KeyedReduceOp, WindowOp, and WindowJoinOp through its
-// batched edge-aware contract) take whole data runs with run-grouped state
-// access, and the exchange stager routes hash-partitioned runs batch at a
-// time — the key hash computed once per record, each destination's records
-// appended in contiguous slices. Purely physical, like WithVectorizedChains:
-// results, plans and snapshots are identical either way, and the setting is
-// not part of the distributed PlanSpec.
-func WithVectorizedKeyedOps(on bool) JobOption {
-	return func(j *Job) { j.vecKeyed = on }
-}
-
 // WithMetrics attaches a metrics registry: the job reports per-node input
 // record counts ("node.<name>.records_in"), per-source run counts
 // ("node.<name>.runs": records_in/runs is the mean length of the runs the
@@ -113,7 +87,7 @@ func (j *Job) nodeMetrics(name string) *nodeMetrics {
 
 // NewJob prepares a graph for execution.
 func NewJob(g *Graph, opts ...JobOption) *Job {
-	j := &Job{g: g, chaining: true, vectorize: true, vecKeyed: true}
+	j := &Job{g: g, chaining: true}
 	for _, o := range opts {
 		o(j)
 	}
@@ -307,8 +281,7 @@ type outputs struct {
 	pool       *batchPool
 	batchSize  int
 	flushEvery time.Duration
-	numGroups  int  // key-group count for hash routing
-	vecRoute   bool // batch-at-a-time routing in dataBatch (WithVectorizedKeyedOps)
+	numGroups  int // key-group count for hash routing
 
 	mu sync.Mutex
 	// Run-routing scratch (guarded by mu, reused across runs): the key hash
@@ -341,7 +314,8 @@ func (o *outputs) send(ch chan []Record, b []Record) bool {
 	}
 }
 
-// stageLocked appends r to the slot's staged batch, shipping it when full.
+// stageLocked appends one record to the slot's staged batch, shipping it when
+// full: how broadcast stages a control record behind the slot's data.
 func (o *outputs) stageLocked(e *outEdge, slot int, r Record) bool {
 	if e.stage[slot] == nil {
 		e.stage[slot] = o.pool.get()
@@ -369,56 +343,9 @@ func (o *outputs) flushSlotLocked(e *outEdge, slot int) bool {
 	return true
 }
 
-// routeLocked stages one data record on one edge according to its
-// partitioning.
-func (o *outputs) routeLocked(e *outEdge, r Record) bool {
-	n := len(e.chans)
-	switch e.part {
-	case BroadcastPartition:
-		for slot := range e.chans {
-			if !o.stageLocked(e, slot, r) {
-				return false
-			}
-		}
-	case HashPartition:
-		// Route via the key group so routing and keyed-state
-		// partitioning agree: the subtask receiving a key is exactly
-		// the subtask owning its state's key group.
-		g := state.KeyGroupFor(r.Key, o.numGroups)
-		if !o.stageLocked(e, state.SubtaskForGroup(g, o.numGroups, n), r) {
-			return false
-		}
-	case Rebalance:
-		slot := e.rr % n
-		e.rr++
-		if !o.stageLocked(e, slot, r) {
-			return false
-		}
-	default: // Forward
-		// An unchained Forward edge holds exactly one channel: the peer
-		// subtask's (see outputsFor), so routing is the single slot.
-		if !o.stageLocked(e, 0, r) {
-			return false
-		}
-	}
-	return true
-}
-
-// data routes one data record according to each edge's partitioning.
-func (o *outputs) data(r Record) bool {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	for i := range o.edges {
-		if !o.routeLocked(&o.edges[i], r) {
-			return false
-		}
-	}
-	return true
-}
-
 // stageRunLocked appends a slice of records destined for one slot to its
-// staged batch, shipping at exactly the same batch boundaries the
-// record-by-record stageLocked would: fill to batchSize, ship, continue.
+// staged batch, shipping at the boundaries staging them one at a time would:
+// fill to batchSize, ship, continue.
 func (o *outputs) stageRunLocked(e *outEdge, slot int, recs []Record) bool {
 	for len(recs) > 0 {
 		if e.stage[slot] == nil {
@@ -442,8 +369,11 @@ func (o *outputs) stageRunLocked(e *outEdge, slot int, recs []Record) bool {
 // routeRunLocked stages a whole data run on one edge: bulk appends for the
 // single-destination partitionings, a strided gather for Rebalance, and for
 // HashPartition a counting sort over cached per-record hashes, so each
-// destination's records append in one contiguous slice. Per-slot record
-// order and batch boundaries are identical to routing record by record.
+// destination's records append in one contiguous slice. Hash routing goes via
+// the key group, so routing and keyed-state partitioning agree: the subtask
+// receiving a key is exactly the subtask owning its state's key group. Per
+// slot, record order is the run's and batches ship when they fill, so what a
+// channel carries does not depend on how the records were cut into runs.
 func (o *outputs) routeRunLocked(e *outEdge, b []Record) bool {
 	n := len(e.chans)
 	switch e.part {
@@ -539,28 +469,14 @@ func (o *outputs) routeRunLocked(e *outEdge, b []Record) bool {
 }
 
 // dataBatch routes a run of data records under a single staging-lock
-// acquisition — the vectorized chain's exit into the exchange. Per-slot
-// record order matches routing the records one by one; with vecRoute the
-// run is routed batch at a time (hash computed once per record per run,
-// contiguous per-destination appends) instead of looping routeLocked.
+// acquisition — the chain's one exit into the exchange.
 func (o *outputs) dataBatch(b []Record) bool {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	if o.vecRoute {
-		o.hashBuf = o.hashBuf[:0]
-		for i := range o.edges {
-			if !o.routeRunLocked(&o.edges[i], b) {
-				return false
-			}
-		}
-		return true
-	}
+	o.hashBuf = o.hashBuf[:0]
 	for i := range o.edges {
-		e := &o.edges[i]
-		for _, r := range b {
-			if !o.routeLocked(e, r) {
-				return false
-			}
+		if !o.routeRunLocked(&o.edges[i], b) {
+			return false
 		}
 	}
 	return true
@@ -630,175 +546,6 @@ func (o *outputs) startFlusher(wg *sync.WaitGroup) (stop func()) {
 		}
 	}()
 	return func() { close(done) }
-}
-
-// outCollector terminates an operator chain into the channel outputs.
-type outCollector struct{ o *outputs }
-
-func (c outCollector) Collect(r Record) { c.o.data(r) }
-
-// opCollector feeds records into the next operator of a chain.
-type opCollector struct {
-	op   Operator
-	next Collector
-}
-
-func (c opCollector) Collect(r Record) { c.op.OnRecord(r, c.next) }
-
-// chain is the per-subtask instantiation of a chain of operators.
-type chain struct {
-	nodes     []*Node    // chain nodes in order (head first for operator chains)
-	ops       []Operator // instances, aligned with nodes
-	colls     []Collector
-	out       *outputs
-	vectorize bool
-	vecKeyed  bool
-	batched   []BatchedOperator // aligned with ops; nil where the op has no OnBatch
-
-	// Run dispatch, resolved by build: the per-record entry collector, the
-	// head's edge-aware contracts (joins), and whether runs take OnBatch.
-	entry       Collector
-	edgeAware   EdgeAware
-	batchedEdge BatchedEdgeAware
-	vectorized  bool
-}
-
-// build creates downstream collectors: colls[i] is what ops[i] emits into.
-// With the keyed fast path disabled, keyed-stateful operators are withheld
-// from the batched table, so they (and only they) fall back to per-record
-// dispatch — the baseline the keyed vectorization is measured against.
-func (c *chain) build() {
-	c.colls = make([]Collector, len(c.ops))
-	c.batched = make([]BatchedOperator, len(c.ops))
-	for i := len(c.ops) - 1; i >= 0; i-- {
-		if i == len(c.ops)-1 {
-			c.colls[i] = outCollector{c.out}
-		} else {
-			c.colls[i] = opCollector{op: c.ops[i+1], next: c.colls[i+1]}
-		}
-		bo, _ := c.ops[i].(BatchedOperator)
-		if bo != nil && !c.vecKeyed {
-			if _, keyed := c.ops[i].(KeyedStateful); keyed {
-				bo = nil
-			}
-		}
-		c.batched[i] = bo
-	}
-	c.entry = outCollector{c.out}
-	if len(c.ops) > 0 {
-		c.entry = opCollector{op: c.ops[0], next: c.colls[0]}
-		c.edgeAware, _ = c.ops[0].(EdgeAware)
-	}
-	// EdgeAware heads need the arrival edge; those offering the batched
-	// contract take whole runs tagged with it (a run never spans channels),
-	// and the rest stay on the per-record path.
-	if c.edgeAware != nil && c.vecKeyed {
-		c.batchedEdge, _ = c.edgeAware.(BatchedEdgeAware)
-	}
-	c.vectorized = c.vectorize && (c.edgeAware == nil || c.batchedEdge != nil)
-}
-
-// dispatchRun hands one contiguous run of data records — never a control
-// record — to the chain, and is the one way data enters it: runOperator calls
-// it with each data run of an inbound batch and the logical edge it arrived
-// on, runSource with each run it gathered (edge 0). A vectorized chain takes
-// the run through processRun; with WithVectorizedChains(false), or behind an
-// EdgeAware head without the batched contract, it is walked record by record.
-func (c *chain) dispatchRun(edge int, b []Record) {
-	switch {
-	case !c.vectorized:
-		for _, r := range b {
-			if c.edgeAware != nil {
-				c.edgeAware.OnRecordEdge(edge, r, c.colls[0])
-			} else {
-				c.entry.Collect(r)
-			}
-		}
-	case c.batchedEdge != nil:
-		// The head takes the whole run tagged with its arrival edge; what
-		// it forwards continues down the rest of the chain.
-		c.processRun(1, c.batchedEdge.OnBatchEdge(edge, b, c.colls[0]))
-	default:
-		c.processRun(0, b)
-	}
-}
-
-// processRun is the vectorized fast path from the from-th chain operator on:
-// each BatchedOperator transforms the whole run with one OnBatch call, and
-// the survivors exit into the exchange under a single staging-lock
-// acquisition. The first operator without OnBatch downgrades the rest of the
-// chain to the per-record path, so mixed chains stay correct. Operators may
-// compact the run in place: its owner (the receiver of a pooled batch, the
-// source's scratch) does not read it again.
-func (c *chain) processRun(from int, b []Record) {
-	for i := from; i < len(c.ops) && len(b) > 0; i++ {
-		bo := c.batched[i]
-		if bo == nil {
-			for _, r := range b {
-				c.ops[i].OnRecord(r, c.colls[i])
-			}
-			return
-		}
-		b = bo.OnBatch(b, c.colls[i])
-	}
-	if len(b) > 0 {
-		c.out.dataBatch(b)
-	}
-}
-
-func (c *chain) watermark(wm int64) {
-	for i, op := range c.ops {
-		op.OnWatermark(wm, c.colls[i])
-	}
-}
-
-func (c *chain) finish() {
-	for i, op := range c.ops {
-		op.Finish(c.colls[i])
-	}
-}
-
-// snapshotAll snapshots every operator in the chain and acks each. Keyed
-// operators take only a copy-on-write capture on this (barrier) path; the
-// expensive serialization runs on a separate goroutine, and the ack — which
-// the coordinator needs to complete the checkpoint — is sent only when the
-// asynchronous phase lands.
-func (c *chain) snapshotAll(rt *runtime, ckpt int64, subtask int) error {
-	for i, op := range c.ops {
-		name := c.nodes[i].Name
-		key := state.SubtaskKey{OperatorID: c.nodes[i].ID, Subtask: subtask}
-		blob, err := op.Snapshot()
-		if err != nil {
-			return fmt.Errorf("snapshot %q: %w", name, err)
-		}
-		if h, ok := op.(KeyedStateful); ok {
-			captured := h.KeyedState().Capture()
-			// The subtask goroutine still holds a WaitGroup slot, so the
-			// counter cannot reach zero while this Add races Run's Wait.
-			rt.wg.Add(1)
-			go func() {
-				defer rt.wg.Done()
-				groups, err := captured.EncodeGroups()
-				if err != nil {
-					rt.fail(fmt.Errorf("async snapshot %q/%d: %w", name, subtask, err))
-					return
-				}
-				msg := ackMsg{ckpt: ckpt, key: key, blob: blob, groups: groups}
-				select {
-				case rt.ackCh <- msg:
-				case <-rt.ctx.Done():
-				}
-			}()
-			continue
-		}
-		msg := ackMsg{ckpt: ckpt, key: key, blob: blob}
-		select {
-		case rt.ackCh <- msg:
-		case <-rt.ctx.Done():
-			return rt.ctx.Err()
-		}
-	}
-	return nil
 }
 
 // ---- Run -------------------------------------------------------------------
@@ -938,7 +685,7 @@ func (j *Job) run(ctx context.Context, part *Participation) error {
 
 	// outputsFor builds the outputs of chain-tail `tail` for subtask s.
 	outputsFor := func(tail *Node, s int) *outputs {
-		o := &outputs{ctx: runCtx, pool: pool, batchSize: batchSize, flushEvery: flushEvery, numGroups: numGroups, vecRoute: j.vectorize && j.vecKeyed}
+		o := &outputs{ctx: runCtx, pool: pool, batchSize: batchSize, flushEvery: flushEvery, numGroups: numGroups}
 		for _, consumer := range j.g.nodes {
 			if ci.head[consumer] != consumer {
 				continue
@@ -1022,7 +769,11 @@ func (j *Job) run(ctx context.Context, part *Participation) error {
 			if !isLocal(n, s) {
 				continue
 			}
-			ch := &chain{out: outputsFor(tail, s), vectorize: j.vectorize, vecKeyed: j.vecKeyed}
+			ch := &chain{out: outputsFor(tail, s), subtask: s}
+			nm := j.nodeMetrics(n.Name)
+			if nm != nil {
+				ch.wmGauge = nm.watermark
+			}
 			if n.NewOperator != nil {
 				ch.nodes = append([]*Node{n}, chainNodes...)
 			} else {
@@ -1075,7 +826,6 @@ func (j *Job) run(ctx context.Context, part *Participation) error {
 				rt.controls = append(rt.controls, control)
 				node, sub := n, s
 				rt.wg.Add(1)
-				nm := j.nodeMetrics(n.Name)
 				if nm != nil {
 					nm.runs = j.reg.Counter("node." + n.Name + ".runs")
 				}
@@ -1106,7 +856,7 @@ func (j *Job) run(ctx context.Context, part *Participation) error {
 				rt.wg.Add(1)
 				go func() {
 					defer rt.wg.Done()
-					rt.fail(runOperator(rt, node, sub, ins, edges, ch, j.nodeMetrics(node.Name)))
+					rt.fail(runOperator(rt, node, sub, ins, edges, ch, nm))
 				}()
 			}
 		}
@@ -1287,7 +1037,7 @@ func runSource(rt *runtime, n *Node, subtask int, src SourceFunc, ch *chain, con
 			case <-done:
 				return nil
 			}
-			if err := ch.snapshotAll(rt, ckpt, subtask); err != nil {
+			if err := ch.snapshotAll(rt, ckpt); err != nil {
 				return err
 			}
 			if !ch.out.broadcast(Barrier(ckpt)) {
@@ -1328,19 +1078,12 @@ func runSource(rt *runtime, n *Node, subtask int, src SourceFunc, ch *chain, con
 			if err := sourceErr(src); err != nil {
 				return fmt.Errorf("source %q/%d: %w", n.Name, subtask, err)
 			}
-			ch.watermark(math.MaxInt64)
-			if !ch.out.broadcast(Watermark(math.MaxInt64)) {
+			if !ch.advance(math.MaxInt64) {
 				return nil
 			}
-			ch.finish()
-			ch.out.broadcast(End())
-			return nil
+			return ch.finish()
 		case ctrl.Kind == KindWatermark:
-			if nm != nil {
-				nm.watermark.Max(ctrl.Ts)
-			}
-			ch.watermark(ctrl.Ts)
-			if !ch.out.broadcast(ctrl) {
+			if !ch.advance(ctrl.Ts) {
 				return nil
 			}
 		}
@@ -1419,7 +1162,7 @@ func runOperator(rt *runtime, n *Node, subtask int, inputs []chan []Record, edge
 	}
 
 	completeBarrier := func(ckpt int64) error {
-		if err := ch.snapshotAll(rt, ckpt, subtask); err != nil {
+		if err := ch.snapshotAll(rt, ckpt); err != nil {
 			return err
 		}
 		if !ch.out.broadcast(Barrier(ckpt)) {
@@ -1444,8 +1187,7 @@ func runOperator(rt *runtime, n *Node, subtask int, inputs []chan []Record, edge
 		return need
 	}
 
-	// consume drains ins[idx]'s buffered batch from its cursor, handling
-	// each record exactly as the per-record loop used to. It stops early
+	// consume drains ins[idx]'s buffered batch from its cursor. It stops early
 	// when a barrier blocks the channel (the remainder is held) and returns
 	// stop=true when the subtask is finished (all inputs ended, or the job
 	// was cancelled mid-broadcast). records_in is bumped once per data run.
@@ -1458,8 +1200,8 @@ func runOperator(rt *runtime, n *Node, subtask int, inputs []chan []Record, edge
 			case KindData:
 				// Extend the run across every contiguous data record: the
 				// whole run goes to the chain in one dispatchRun call.
-				// Control records are excluded, so watermark/barrier/end
-				// ordering is exactly the per-record path's.
+				// Control records are excluded, so they keep their place
+				// between the data before and after them.
 				start := in.pos - 1
 				for in.pos < len(in.batch) && in.batch[in.pos].Kind == KindData {
 					in.pos++
@@ -1473,11 +1215,7 @@ func runOperator(rt *runtime, n *Node, subtask int, inputs []chan []Record, edge
 					in.wm = r.Ts
 					if m := minWM(); m > curWM {
 						curWM = m
-						if nm != nil {
-							nm.watermark.Max(curWM)
-						}
-						ch.watermark(curWM)
-						if !ch.out.broadcast(Watermark(curWM)) {
+						if !ch.advance(curWM) {
 							return true, nil
 						}
 					}
@@ -1516,8 +1254,7 @@ func runOperator(rt *runtime, n *Node, subtask int, inputs []chan []Record, edge
 				activeDirty = true
 				if m := minWM(); m > curWM && m != math.MaxInt64 {
 					curWM = m
-					ch.watermark(curWM)
-					if !ch.out.broadcast(Watermark(curWM)) {
+					if !ch.advance(curWM) {
 						return true, nil
 					}
 				}
@@ -1535,11 +1272,10 @@ func runOperator(rt *runtime, n *Node, subtask int, inputs []chan []Record, edge
 					}
 				}
 				if allEnded {
-					ch.watermark(math.MaxInt64)
-					ch.out.broadcast(Watermark(math.MaxInt64))
-					ch.finish()
-					ch.out.broadcast(End())
-					return true, nil
+					if !ch.advance(math.MaxInt64) {
+						return true, nil
+					}
+					return true, ch.finish()
 				}
 				// Nothing follows an end marker on its channel.
 				pool.put(in.batch)
@@ -1585,9 +1321,7 @@ func runOperator(rt *runtime, n *Node, subtask int, inputs []chan []Record, edge
 				}
 			}
 			if allEnded {
-				ch.finish()
-				ch.out.broadcast(End())
-				return nil
+				return ch.finish()
 			}
 			if rt.ctx.Err() != nil {
 				return nil // cancelled mid-alignment; not a deadlock

@@ -22,6 +22,14 @@ func run(t *testing.T, g *Graph, opts ...JobOption) {
 	}
 }
 
+// FeedOne hands op a run of one — a record in motion — and delivers what it
+// forwards as the driver does: collected through out first, returned second.
+func FeedOne(op Operator, r Record, out Collector) {
+	for _, x := range op.OnBatch([]Record{r}, out) {
+		out.Collect(x)
+	}
+}
+
 func intRecords(n int) []Record {
 	recs := make([]Record, n)
 	for i := range recs {
@@ -117,7 +125,9 @@ func (o *openWrap) Open(ctx *OpContext) error {
 	o.onOpen(ctx)
 	return o.inner.Open(ctx)
 }
-func (o *openWrap) OnRecord(r Record, out Collector)    { o.inner.OnRecord(r, out) }
+func (o *openWrap) OnBatch(b []Record, out Collector) []Record {
+	return o.inner.OnBatch(b, out)
+}
 func (o *openWrap) OnWatermark(wm int64, out Collector) { o.inner.OnWatermark(wm, out) }
 func (o *openWrap) Snapshot() ([]byte, error)           { return o.inner.Snapshot() }
 func (o *openWrap) Finish(out Collector)                { o.inner.Finish(out) }

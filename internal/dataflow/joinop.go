@@ -8,24 +8,14 @@ import (
 	"repro/internal/state"
 )
 
-// EdgeAware is an optional operator capability: head operators implementing
-// it receive data records tagged with the input-edge index they arrived on.
-// Two-input operators (joins, co-processing) need the distinction; ordinary
-// operators ignore it and receive everything through OnRecord.
+// EdgeAware is an optional capability of a chain's head operator: one
+// implementing it receives each run through OnBatchEdge, tagged with the index
+// of the input edge it arrived on, instead of through OnBatch. Two-input
+// operators (joins, co-processing) need the distinction. A run arrives on
+// exactly one edge — it never spans channels — and the contract is OnBatch's:
+// the returned records (compacted input or the operator's own buffer) are
+// forwarded after anything collected through out.
 type EdgeAware interface {
-	OnRecordEdge(edge int, r Record, out Collector)
-}
-
-// BatchedEdgeAware is the vectorized form of EdgeAware: the chain driver
-// hands a head operator implementing it whole contiguous data runs tagged
-// with their arrival edge, so vectorized chains no longer downgrade to the
-// per-record path at two-input (join) stages. Exactly one edge per run by
-// construction — a run never spans channels. The contract mirrors
-// BatchedOperator: OnBatchEdge must equal OnRecordEdge applied to each
-// record in order, and the returned records (scratch or compacted input)
-// are forwarded after anything collected through out.
-type BatchedEdgeAware interface {
-	EdgeAware
 	OnBatchEdge(edge int, b []Record, out Collector) []Record
 }
 
@@ -54,10 +44,10 @@ type WindowJoinOp struct {
 	wins *state.MapCell[map[int64]joinSides]
 	// timers holds each key's earliest window end, so a watermark visits
 	// only the keys with a window to fire. Derived: rebuilt from the keyed
-	// state on Open, kept current by the record paths and the fire pass.
+	// state on Open, kept current by OnBatchEdge and the fire pass.
 	timers timerIndex
 
-	// Vectorized-run scratch (see OnBatchEdge), reused across calls.
+	// Run scratch (see OnBatchEdge), reused across calls.
 	kt   keyTable
 	maps []map[int64]joinSides // dense key index -> the key's window map
 }
@@ -72,7 +62,6 @@ type joinSides struct {
 
 var _ Operator = (*WindowJoinOp)(nil)
 var _ EdgeAware = (*WindowJoinOp)(nil)
-var _ BatchedEdgeAware = (*WindowJoinOp)(nil)
 var _ KeyedStateful = (*WindowJoinOp)(nil)
 
 // NewWindowJoinOp returns an operator factory for a tumbling equi-join.
@@ -123,45 +112,18 @@ func (j *WindowJoinOp) KeyedState() *state.KeyedState { return j.ks }
 // group through KeyedState; there is no residual per-subtask state.
 func (j *WindowJoinOp) Snapshot() ([]byte, error) { return nil, nil }
 
-// OnRecord implements Operator; it should not be reached for a head join
-// operator (the runtime dispatches through OnRecordEdge), but chains may
-// deliver here — treat untagged records as left input.
-func (j *WindowJoinOp) OnRecord(r Record, out Collector) { j.OnRecordEdge(0, r, out) }
-
-// OnRecordEdge implements EdgeAware.
-func (j *WindowJoinOp) OnRecordEdge(edge int, r Record, _ Collector) {
-	v, ok := r.Value.(float64)
-	if !ok {
-		return
-	}
-	start := (r.Ts / j.Size) * j.Size
-	if r.Ts < 0 {
-		start = ((r.Ts - j.Size + 1) / j.Size) * j.Size
-	}
-	m, ok := j.wins.GetMut(r.Key)
-	if !ok {
-		m = make(map[int64]joinSides)
-		j.wins.Put(r.Key, m)
-	}
-	b, open := m[start]
-	if edge == 0 {
-		b.Left = append(b.Left, v)
-	} else {
-		b.Right = append(b.Right, v)
-	}
-	m[start] = b
-	if !open { // only a new window can move the key's earliest end
-		j.timers.arm(r.Key, start+j.Size)
-	}
+// OnBatch implements Operator. The runtime hands a head join its runs
+// through OnBatchEdge; a join that is not the head of its chain has one input
+// and takes it as the left side.
+func (j *WindowJoinOp) OnBatch(b []Record, out Collector) []Record {
+	return j.OnBatchEdge(0, b, out)
 }
 
-// OnBatchEdge implements BatchedEdgeAware: each distinct key of the run
-// resolves its window map once — one key-group hash and, during a capture
-// window, at most one copy-on-write clone — and the run's records then
-// append straight into the resolved maps in record order. The per-record
-// path reaches the same final state through a GetMut per record; deferring
-// nothing and emitting nothing (joins fire on watermarks), the batched path
-// is value-identical by construction.
+// OnBatchEdge implements EdgeAware: each distinct key of the run resolves its
+// window map once — one key-group hash and, during a capture window, at most
+// one copy-on-write clone — and the run's records then append straight into
+// the resolved maps in record order. It emits nothing: joins fire on
+// watermarks.
 func (j *WindowJoinOp) OnBatchEdge(edge int, b []Record, _ Collector) []Record {
 	j.kt.reset()
 	clear(j.maps)
@@ -194,7 +156,7 @@ func (j *WindowJoinOp) OnBatchEdge(edge int, b []Record, _ Collector) []Record {
 			bkt.Right = append(bkt.Right, v)
 		}
 		m[start] = bkt
-		if !open {
+		if !open { // only a new window can move the key's earliest end
 			j.timers.arm(r.Key, start+j.Size)
 		}
 	}

@@ -18,10 +18,10 @@ func TestWindowJoinOpBasic(t *testing.T) {
 	}
 	out := &collectList{}
 	// Window [0,10): key 1 left {1,2}, right {10}; key 2 left {3}, right none.
-	op.OnRecordEdge(0, Data(1, 1, 1.0), out)
-	op.OnRecordEdge(0, Data(2, 1, 2.0), out)
-	op.OnRecordEdge(1, Data(3, 1, 10.0), out)
-	op.OnRecordEdge(0, Data(4, 2, 3.0), out)
+	op.OnBatchEdge(0, []Record{Data(1, 1, 1.0)}, out)
+	op.OnBatchEdge(0, []Record{Data(2, 1, 2.0)}, out)
+	op.OnBatchEdge(1, []Record{Data(3, 1, 10.0)}, out)
+	op.OnBatchEdge(0, []Record{Data(4, 2, 3.0)}, out)
 	if len(out.recs) != 0 {
 		t.Fatalf("join fired before watermark")
 	}
@@ -43,8 +43,8 @@ func TestWindowJoinOpSeparateWindows(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := &collectList{}
-	op.OnRecordEdge(0, Data(5, 1, 1.0), out)
-	op.OnRecordEdge(1, Data(15, 1, 2.0), out) // different window: no join
+	op.OnBatchEdge(0, []Record{Data(5, 1, 1.0)}, out)
+	op.OnBatchEdge(1, []Record{Data(15, 1, 2.0)}, out) // different window: no join
 	op.Finish(out)
 	if len(out.recs) != 0 {
 		t.Fatalf("cross-window values joined: %+v", out.recs)
@@ -57,14 +57,14 @@ func TestWindowJoinOpSnapshotRestore(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := &collectList{}
-	op.OnRecordEdge(0, Data(1, 7, 1.0), out)
-	op.OnRecordEdge(1, Data(2, 7, 5.0), out)
+	op.OnBatchEdge(0, []Record{Data(1, 7, 1.0)}, out)
+	op.OnBatchEdge(1, []Record{Data(2, 7, 5.0)}, out)
 	groups := captureGroups(t, op)
 	restored := &WindowJoinOp{Size: 10}
 	if err := restored.Open(&OpContext{RestoreGroups: groups}); err != nil {
 		t.Fatal(err)
 	}
-	restored.OnRecordEdge(1, Data(3, 7, 6.0), out)
+	restored.OnBatchEdge(1, []Record{Data(3, 7, 6.0)}, out)
 	restored.OnWatermark(math.MaxInt64, out)
 	if len(out.recs) != 2 { // 1x5 and 1x6
 		t.Fatalf("got %d pairs after restore: %+v", len(out.recs), out.recs)

@@ -78,64 +78,68 @@ type KeyedStateful interface {
 	KeyedState() *state.KeyedState
 }
 
-// Collector receives records an operator emits downstream. Operators may
-// emit from OnRecord, OnWatermark and Finish. Watermarks, barriers and end
-// markers are forwarded by the runtime — operators emit only data records.
+// Collector receives the data records an operator emits downstream, from
+// OnBatch, OnWatermark or Finish. Watermarks, barriers and end markers are
+// forwarded by the runtime — operators emit only data records.
+//
+// The collector an operator is handed belongs to its position in the chain.
+// It holds at most Graph.BatchSize records: when it fills it hands them on as
+// one run — to the next operator of the chain, or into the exchange behind
+// the last — and the driver drains whatever it holds as soon as the call that
+// collected into it returns. So what an operator emits in one call is
+// downstream, in emission order and in runs of at most the batch size, before
+// anything that follows the call: the run OnBatch returns, the watermark
+// OnWatermark was called for, the end of the stream after Finish.
 type Collector interface {
 	Collect(r Record)
-}
-
-// BatchedOperator is the vectorized fast path of the operator contract.
-// When every operator of a fused chain implements it, the chain driver hands
-// whole exchange batches through the chain instead of dispatching one
-// OnRecord call per record.
-//
-// OnBatch receives a contiguous run of data records — never watermarks,
-// barriers or end markers; the runtime splits batches at control records so
-// event-time and alignment ordering are untouched — and returns the records
-// to forward downstream. Implementations may compact b in place and return
-// it (maps overwrite slots, filters delete by copy-down) or return an
-// internal scratch buffer that stays valid until the next OnBatch call
-// (flatmaps, whose output cardinality differs from the input's). Stateful
-// operators that emit on internal triggers may also collect through out —
-// out-collected records are delivered before the returned ones. Returning
-// an empty slice (or nil) forwards nothing.
-//
-// The semantics must be exactly OnRecord applied to each record in order:
-// the runtime treats the two paths as interchangeable (identical results at
-// any batch size, with batching on or off).
-type BatchedOperator interface {
-	Operator
-	OnBatch(b []Record, out Collector) []Record
 }
 
 // Operator is one subtask instance of a dataflow operator. Instances are
 // never shared between subtasks, so implementations need no internal
 // locking.
+//
+// A run — a contiguous sequence of data records — is the only way data
+// reaches an operator. The runtime splits what a subtask receives at every
+// control record, so a run never holds or spans a watermark, barrier or end
+// marker, and hands each run down the chain whole; a record in motion is a
+// run of one. How records are grouped into runs is physical (the batch size,
+// what a source had ready, where a control record fell) and must be
+// invisible: an operator's output and state after a sequence of records may
+// not depend on where the sequence was cut into runs.
 type Operator interface {
 	// Open initializes the subtask, restoring state from ctx.Restore when
 	// recovering.
 	Open(ctx *OpContext) error
-	// OnRecord processes one data record.
-	OnRecord(r Record, out Collector)
+	// OnBatch processes one run and returns the records to forward
+	// downstream; nil or an empty slice forwards nothing. The run is the
+	// operator's to overwrite: it may compact b in place and return it (maps
+	// overwrite slots, filters delete by copy-down), or return a buffer of
+	// its own that stays valid until its next OnBatch call. It may also emit
+	// through out — records collected there are delivered before the
+	// returned ones. Neither b nor the returned slice may be retained past
+	// the call; state that outlives it must copy what it keeps. Writes to
+	// keyed state may be deferred to the end of the run: a barrier never
+	// falls inside one, so no snapshot can observe mid-run state.
+	OnBatch(b []Record, out Collector) []Record
 	// OnWatermark observes the subtask's event-time advance (the minimum
-	// across all input channels).
+	// across all input channels). Results it emits through out reach the
+	// next operator before the watermark does.
 	OnWatermark(wm int64, out Collector)
 	// Snapshot serializes the subtask's state for a checkpoint barrier.
 	Snapshot() ([]byte, error)
 	// Finish is called when all inputs have ended (bounded execution);
-	// operators flush their remaining results here.
+	// operators flush their remaining results here. An operator that can
+	// fail mid-stream implements Failable: the runtime asks once Finish has
+	// returned and fails the job with the error.
 	Finish(out Collector)
 }
 
-// Base is a convenience embedding providing no-op Operator methods.
+// Base is a convenience embedding providing the no-op Operator methods; an
+// operator embeds it and adds OnBatch.
 type Base struct{}
 
 // Open implements Operator.
 func (Base) Open(*OpContext) error { return nil }
-
-// OnRecord implements Operator.
-func (Base) OnRecord(Record, Collector) {}
 
 // OnWatermark implements Operator.
 func (Base) OnWatermark(int64, Collector) {}
@@ -152,10 +156,7 @@ type MapOp struct {
 	F func(Record) Record
 }
 
-// OnRecord implements Operator.
-func (m *MapOp) OnRecord(r Record, out Collector) { out.Collect(m.F(r)) }
-
-// OnBatch implements BatchedOperator: every slot is overwritten in place.
+// OnBatch implements Operator: every slot is overwritten in place.
 func (m *MapOp) OnBatch(b []Record, _ Collector) []Record {
 	for i := range b {
 		b[i] = m.F(b[i])
@@ -169,15 +170,8 @@ type FilterOp struct {
 	F func(Record) bool
 }
 
-// OnRecord implements Operator.
-func (f *FilterOp) OnRecord(r Record, out Collector) {
-	if f.F(r) {
-		out.Collect(r)
-	}
-}
-
-// OnBatch implements BatchedOperator: survivors compact to the front of the
-// batch by copy-down.
+// OnBatch implements Operator: survivors compact to the front of the run by
+// copy-down.
 func (f *FilterOp) OnBatch(b []Record, _ Collector) []Record {
 	keep := 0
 	for i := range b {
@@ -195,33 +189,17 @@ func (f *FilterOp) OnBatch(b []Record, _ Collector) []Record {
 type FlatMapOp struct {
 	Base
 	F func(Record, Collector)
-
-	scratch sliceCollector // batch-mode emission buffer, reused across calls
 }
 
-// OnRecord implements Operator.
-func (f *FlatMapOp) OnRecord(r Record, out Collector) { f.F(r, out) }
-
-// OnBatch implements BatchedOperator. A flatmap's output cardinality differs
-// from its input's, so emissions collect into a reused scratch buffer rather
-// than compacting in place; the scratch is valid until the next call, and
-// the previous batch's payloads are released before reuse so the buffer does
-// not pin them.
-func (f *FlatMapOp) OnBatch(b []Record, _ Collector) []Record {
-	clear(f.scratch.buf)
-	f.scratch.buf = f.scratch.buf[:0]
+// OnBatch implements Operator. A flatmap's output cardinality differs from
+// its input's, so F emits straight into the position's collector and nothing
+// is returned.
+func (f *FlatMapOp) OnBatch(b []Record, out Collector) []Record {
 	for i := range b {
-		f.F(b[i], &f.scratch)
+		f.F(b[i], out)
 	}
-	return f.scratch.buf
+	return nil
 }
-
-// sliceCollector accumulates collected records in a slice — the scratch
-// target batch-mode flatmaps emit into.
-type sliceCollector struct{ buf []Record }
-
-// Collect implements Collector.
-func (s *sliceCollector) Collect(r Record) { s.buf = append(s.buf, r) }
 
 // KeyedReduceOp maintains a float64 accumulator per key, combining values
 // with F. With EmitEach it emits the updated accumulator for every input
@@ -237,7 +215,7 @@ type KeyedReduceOp struct {
 	ks  *state.KeyedState
 	acc *state.MapCell[float64]
 
-	// Vectorized-run scratch, reused across OnBatch calls.
+	// Run scratch, reused across OnBatch calls.
 	kt   keyTable
 	accs []float64               // dense index -> running accumulator
 	refs []state.KeyRef[float64] // dense index -> resolved cell slot
@@ -255,30 +233,12 @@ func (k *KeyedReduceOp) Open(ctx *OpContext) error {
 // KeyedState implements KeyedStateful.
 func (k *KeyedReduceOp) KeyedState() *state.KeyedState { return k.ks }
 
-// OnRecord implements Operator.
-func (k *KeyedReduceOp) OnRecord(r Record, out Collector) {
-	v, ok := r.Value.(float64)
-	if !ok {
-		return
-	}
-	acc, exists := k.acc.Get(r.Key)
-	if !exists {
-		acc = k.Init
-	}
-	acc = k.F(acc, v)
-	k.acc.Put(r.Key, acc)
-	if k.EmitEach {
-		out.Collect(Data(r.Ts, r.Key, acc))
-	}
-}
-
-// OnBatch implements BatchedOperator: the run is folded through a dense
-// scratch table — one cell read (and one key-group hash) per distinct key on
-// first touch, one cell write per distinct key at the end — instead of a
-// Get/Put pair per record. Records are visited in order and EmitEach
-// emissions overwrite the batch in place, so the output sequence is
-// byte-identical to OnRecord-in-order; deferring the writes is invisible
-// because barriers split runs, so no snapshot can observe mid-run state.
+// OnBatch implements Operator: the run is folded through a dense scratch
+// table — one cell read (and one key-group hash) per distinct key on first
+// touch, one cell write per distinct key at the end — instead of a Get/Put
+// pair per record. Records are visited in order and EmitEach emissions
+// overwrite the run in place, so the output sequence does not depend on how
+// the records were cut into runs.
 func (k *KeyedReduceOp) OnBatch(b []Record, _ Collector) []Record {
 	k.kt.reset()
 	k.accs = k.accs[:0]
@@ -334,10 +294,7 @@ type FuncSink struct {
 	OnWM func(int64)
 }
 
-// OnRecord implements Operator.
-func (s *FuncSink) OnRecord(r Record, _ Collector) { s.F(r) }
-
-// OnBatch implements BatchedOperator; a sink forwards nothing.
+// OnBatch implements Operator; a sink forwards nothing.
 func (s *FuncSink) OnBatch(b []Record, _ Collector) []Record {
 	for i := range b {
 		s.F(b[i])
@@ -393,14 +350,7 @@ func (s *CollectSink) Snapshot() ([]byte, error) {
 	return buf[:binary.PutVarint(buf, int64(n))], nil
 }
 
-// OnRecord implements Operator.
-func (s *CollectSink) OnRecord(r Record, _ Collector) {
-	s.mu.Lock()
-	s.recs = append(s.recs, r)
-	s.mu.Unlock()
-}
-
-// OnBatch implements BatchedOperator: one lock acquisition per batch.
+// OnBatch implements Operator: one lock acquisition per run.
 func (s *CollectSink) OnBatch(b []Record, _ Collector) []Record {
 	s.mu.Lock()
 	s.recs = append(s.recs, b...)

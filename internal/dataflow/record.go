@@ -25,50 +25,61 @@
 //     shipped immediately, so per-channel ordering — and with it watermark
 //     monotonicity and ABS barrier alignment — is preserved exactly.
 //
-// Receivers return consumed batches to a shared sync.Pool. Operator chains
-// are unaffected: a fused chain passes records by direct Collect calls and
-// batches only at real exchange boundaries. Batching is purely physical —
-// the logical plan and its results are identical at every batch size; only
-// the throughput/latency trade-off moves (bigger batches amortize channel
-// hops, the flush interval bounds how stale an in-motion record may get).
+// Receivers return consumed batches to a shared sync.Pool. Batching is purely
+// physical — the logical plan and its results are identical at every batch
+// size; only the throughput/latency trade-off moves (bigger batches amortize
+// channel hops, the flush interval bounds how stale an in-motion record may
+// get).
 //
-// # Vectorized operators
+// # The operator contract: runs
 //
-// Receiving subtasks do not pay one virtual OnRecord dispatch per record:
-// operators implementing BatchedOperator take whole contiguous runs of data
-// records through OnBatch. The chain driver scans each inbound batch up to
-// the next control record (watermarks, barriers and end markers split runs,
-// so alignment and event-time ordering never change), hands the run through
-// every batched operator in the chain — maps overwrite slots in place,
-// filters compact survivors by copy-down, flatmaps emit into a reused
-// scratch buffer — and routes the survivors into the outbound exchange
-// under a single staging-lock acquisition. The first operator without
-// OnBatch downgrades the rest of its chain to per-record Collect calls, so
-// mixed chains stay correct, and WithVectorizedChains(false) disables the
-// fast path entirely; results are byte-identical on both paths by contract
-// (OnBatch must equal OnRecord applied in order). All stateless built-ins
-// (MapOp, FilterOp, FlatMapOp, FuncSink, CollectSink, CombinerOp) are
-// batched. Source subtasks are driven the same way: they gather what their
-// source returns into runs of up to the batch size — runs of one while the
-// source says its Next may wait (MayWaiter) — and hand each to their chain
-// whole, so a chain fused into a source is vectorized like any other.
+// Data moves through a subtask in runs — contiguous sequences of data records
+// — and Operator.OnBatch, which takes one run and returns the records to
+// forward, is the only way data reaches an operator. There is no per-record
+// entry point: a record in motion is a run of one.
 //
-// Keyed operators are batched too (KeyedReduceOp, WindowOp, and — through
-// BatchedEdgeAware, the two-input variant of the contract — WindowJoinOp).
-// Their OnBatch groups each run by key in a reusable open-addressing
-// scratch table and pays the per-key costs once per distinct key per run
-// instead of once per record: one key-group hash (state.MapCell.RefFor
-// resolves a KeyRef whose later accesses skip the hash), one state load,
-// one fold or append pass over the key's gathered elements, one store.
-// Deferred writes are invisible because control records split runs — a
-// barrier can never observe mid-run state, so checkpoints are identical on
-// both paths and a snapshot taken under one execution mode restores under
-// the other. The exchange stager is run-aware in the same way: a routed run
-// is hashed key by key but appended to each destination's staging buffer in
-// contiguous slices under one lock acquisition. WithVectorizedKeyedOps(false)
-// downgrades only the keyed operators and run routing (stateless chains stay
-// batched) — the ablation baseline that isolates the keyed half; emission
-// order and every value are byte-identical either way.
+// Where runs come from. A receiving subtask scans each inbound batch up to
+// the next control record and hands the data in between to its chain as one
+// run, so watermarks, barriers and end markers split runs and a run never
+// spans channels; alignment and event-time ordering are exactly what a record
+// at a time would give. A source subtask gathers what its source returns into
+// runs of up to the batch size — runs of one while the source says its Next
+// may wait (MayWaiter), so nothing read is held back behind a wait — and
+// hands each to the chain fused into it the same way. A head operator with
+// two inputs (EdgeAware) is told which edge each run arrived on.
+//
+// What OnBatch may do. The run is the operator's to overwrite: maps overwrite
+// slots in place, filters compact survivors by copy-down, and either returns
+// the same slice; an operator may instead return a buffer of its own, valid
+// until its next call. It may also emit through its Collector — flatmaps and
+// combiners do — and those records go downstream before the returned ones.
+// Keyed operators (KeyedReduceOp, WindowOp, WindowJoinOp) group the run by
+// key in a reusable open-addressing scratch table and pay the per-key costs
+// once per distinct key per run instead of once per record: one key-group
+// hash (state.MapCell.RefFor resolves a KeyRef whose later accesses skip the
+// hash), one state load, one fold or append pass over the key's gathered
+// elements, one store. Deferring those writes to the end of the run is
+// invisible because control records split runs — a barrier can never observe
+// mid-run state.
+//
+// The one obligation: how records are cut into runs is physical and must not
+// show. An operator's output and state after a sequence of records may not
+// depend on where the sequence was cut, so results, checkpoints and what
+// every channel carries are the same at any batch size, and a snapshot taken
+// at one restores at another.
+//
+// When a Collector is drained. The collector an operator emits into belongs
+// to its chain position and holds at most one batch: it hands its records on
+// as a run — to the next operator, or into the exchange behind the last —
+// when it fills, and the chain driver drains it after every call into the
+// operator (OnBatch, OnWatermark, Finish), before forwarding the run the call
+// returned or the watermark it was made for. A call that emits a burst (a
+// watermark closing every open window of a subtask) therefore feeds
+// downstream in runs of at most the batch size while it is still emitting,
+// and a record emitted in motion is downstream no later than the call that
+// emitted it. Runs leave a chain for the exchange under one staging-lock
+// acquisition: hashed key by key, appended to each destination's staging
+// buffer in contiguous slices, shipped as each fills.
 //
 // # The splittable at-rest scan
 //

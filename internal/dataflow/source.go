@@ -45,10 +45,12 @@ func sourceMayWait(src SourceFunc) bool {
 	return ok && w.MayWait()
 }
 
-// Failable is an optional SourceFunc extension for sources whose input can
-// fail mid-stream (files, networks). Next has no error return — a failing
-// source ends its stream (ok=false) and reports the cause through Err, which
-// the runtime checks at end of stream and surfaces as the job error.
+// Failable is an optional extension for sources whose input can fail
+// mid-stream (files, networks) and operators whose output can (external
+// sinks). Neither Next nor OnBatch has an error return: a failing source ends
+// its stream (ok=false), a failing operator drops what it can no longer
+// deliver, and both report the cause through Err, which the runtime checks at
+// end of stream — for operators after Finish — and surfaces as the job error.
 type Failable interface {
 	// Err returns the error that terminated the stream, or nil if the
 	// stream is still healthy / ended normally.

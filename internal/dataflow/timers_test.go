@@ -289,7 +289,7 @@ func TestWindowJoinTimerIndexMatchesScan(t *testing.T) {
 					op.OnBatchEdge(edge, append([]Record{}, st.run...), nil)
 				} else {
 					for _, r := range st.run {
-						op.OnRecordEdge(edge, r, nil)
+						op.OnBatchEdge(edge, []Record{r}, nil)
 					}
 				}
 				for _, r := range st.run {

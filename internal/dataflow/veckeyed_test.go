@@ -46,96 +46,78 @@ func keyedRun(n int, tsBase int64) []Record {
 	return in
 }
 
-// TestKeyedReduceOnBatchMatchesOnRecord proves the keyed vectorized
-// contract at the operator level: one OnBatch call over a run — and the
-// same run chopped into small chunks — emits byte-identical records to
-// OnRecord in order, with EmitEach both on and off, and leaves identical
-// state behind (compared via Finish).
-func TestKeyedReduceOnBatchMatchesOnRecord(t *testing.T) {
-	in := keyedRun(57, 0)
+// TestKeyedReduceRunCutsAreInvisible holds the keyed reduce to the contract:
+// however a sequence of records is cut into runs, it emits the records runs
+// of one do, with EmitEach both on and off, and leaves identical state behind
+// (compared via Finish).
+func TestKeyedReduceRunCutsAreInvisible(t *testing.T) {
+	in := keyedRun(157, 0)
 	for _, emitEach := range []bool{true, false} {
 		ref := newKeyedReduce(t, emitEach)
-		want := perRecordOutput(ref, in)
-
-		batched := newKeyedReduce(t, emitEach)
-		got := batchOutput(batched, in)
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("emitEach=%v: OnBatch diverged from OnRecord:\n got %+v\nwant %+v", emitEach, got, want)
+		want := cutOutput(ref, in, 1)
+		if emitEach && len(want) == 0 {
+			t.Fatal("runs of one emitted nothing")
 		}
-
-		chunked := newKeyedReduce(t, emitEach)
-		var gotChunked []Record
-		for off := 0; off < len(in); off += 10 {
-			end := min(off+10, len(in))
-			gotChunked = append(gotChunked, batchOutput(chunked, in[off:end])...)
-		}
-		if !reflect.DeepEqual(gotChunked, want) {
-			t.Fatalf("emitEach=%v: chunked OnBatch diverged from OnRecord", emitEach)
-		}
-
-		for name, op := range map[string]*KeyedReduceOp{"batched": batched, "chunked": chunked} {
-			refOut, opOut := &capCollector{}, &capCollector{}
-			ref.Finish(refOut)
+		refOut := &capCollector{}
+		ref.Finish(refOut)
+		for _, size := range cutSizes[1:] {
+			op := newKeyedReduce(t, emitEach)
+			if got := cutOutput(op, in, size); !reflect.DeepEqual(got, want) {
+				t.Fatalf("emitEach=%v: runs of %d diverged from runs of one:\n got %+v\nwant %+v", emitEach, size, got, want)
+			}
+			opOut := &capCollector{}
 			op.Finish(opOut)
 			if !reflect.DeepEqual(opOut.recs, refOut.recs) {
-				t.Fatalf("emitEach=%v: %s Finish state diverged:\n got %+v\nwant %+v",
-					emitEach, name, opOut.recs, refOut.recs)
+				t.Fatalf("emitEach=%v: Finish state after runs of %d diverged:\n got %+v\nwant %+v",
+					emitEach, size, opOut.recs, refOut.recs)
 			}
 		}
 	}
 }
 
-// TestKeyedReduceSnapshotCrossesExecutionModes: a checkpoint taken
-// mid-stream under batched execution restores into a per-record operator
-// (and vice versa) with identical final state — the barrier-mid-batch
-// guarantee that makes the toggle invisible to recovery.
-func TestKeyedReduceSnapshotCrossesExecutionModes(t *testing.T) {
+// TestKeyedReduceSnapshotCrossesRunLengths: a checkpoint taken mid-stream
+// under whole-batch runs restores into an operator fed runs of one (and vice
+// versa) with identical final state — writes deferred to the end of a run are
+// never visible to a barrier, which lands between runs.
+func TestKeyedReduceSnapshotCrossesRunLengths(t *testing.T) {
 	first, second := keyedRun(40, 0), keyedRun(40, 100)
 
 	ref := newKeyedReduce(t, false)
-	perRecordOutput(ref, first)
-	perRecordOutput(ref, second)
+	cutOutput(ref, first, 1)
+	cutOutput(ref, second, 1)
 	want := &capCollector{}
 	ref.Finish(want)
 
-	// Batched first half -> capture (the barrier lands between runs, never
-	// inside one) -> restore -> per-record second half.
-	half := newKeyedReduce(t, false)
-	batchOutput(half, first)
-	groups := captureGroups(t, half)
-	restored := &KeyedReduceOp{F: ref.F, Init: ref.Init}
-	if err := restored.Open(&OpContext{RestoreGroups: groups}); err != nil {
-		t.Fatal(err)
-	}
-	perRecordOutput(restored, second)
-	got := &capCollector{}
-	restored.Finish(got)
-	if !reflect.DeepEqual(got.recs, want.recs) {
-		t.Fatalf("batched->restore->per-record diverged:\n got %+v\nwant %+v", got.recs, want.recs)
-	}
-
-	// And the mirror image: per-record first half, batched after restore.
-	half2 := newKeyedReduce(t, false)
-	perRecordOutput(half2, first)
-	restored2 := &KeyedReduceOp{F: ref.F, Init: ref.Init}
-	if err := restored2.Open(&OpContext{RestoreGroups: captureGroups(t, half2)}); err != nil {
-		t.Fatal(err)
-	}
-	batchOutput(restored2, second)
-	got2 := &capCollector{}
-	restored2.Finish(got2)
-	if !reflect.DeepEqual(got2.recs, want.recs) {
-		t.Fatalf("per-record->restore->batched diverged:\n got %+v\nwant %+v", got2.recs, want.recs)
+	for _, sizes := range [][2]int{{64, 1}, {1, 64}, {7, 2}} {
+		half := newKeyedReduce(t, false)
+		cutOutput(half, first, sizes[0])
+		restored := &KeyedReduceOp{F: ref.F, Init: ref.Init}
+		if err := restored.Open(&OpContext{RestoreGroups: captureGroups(t, half)}); err != nil {
+			t.Fatal(err)
+		}
+		cutOutput(restored, second, sizes[1])
+		got := &capCollector{}
+		restored.Finish(got)
+		if !reflect.DeepEqual(got.recs, want.recs) {
+			t.Fatalf("runs of %d -> restore -> runs of %d diverged:\n got %+v\nwant %+v", sizes[0], sizes[1], got.recs, want.recs)
+		}
 	}
 }
 
-// windowScript drives a WindowOp through a fixed interleaving of data runs
-// and watermarks, dispatching runs through deliver, and returns everything
-// emitted. The script includes exactly-late records (Ts == watermark, must
-// drop), barely-in-time records (Ts == watermark+1, must keep) and
-// out-of-order-but-not-late records.
-func windowScript(t *testing.T, deliver func(op *WindowOp, b []Record, out Collector)) ([]Record, int64) {
+// windowScript drives a WindowOp through a fixed interleaving of data and
+// watermarks, the data between two watermarks cut into runs of at most size,
+// and returns everything emitted. The script includes exactly-late records
+// (Ts == watermark, must drop), barely-in-time records (Ts == watermark+1,
+// must keep) and out-of-order-but-not-late records.
+func windowScript(t *testing.T, size int) ([]Record, int64) {
 	t.Helper()
+	deliver := func(op *WindowOp, b []Record, out Collector) {
+		cut(b, size, func(run []Record) {
+			if ret := op.OnBatch(run, out); len(ret) != 0 {
+				t.Fatalf("WindowOp.OnBatch returned records: %+v", ret)
+			}
+		})
+	}
 	op := newWindowOp(t,
 		WindowQuery{Spec: window.Tumbling(10), Fn: agg.SumF64()},
 		WindowQuery{Spec: window.Sliding(20, 10), Fn: agg.CountF64()})
@@ -161,50 +143,44 @@ func windowScript(t *testing.T, deliver func(op *WindowOp, b []Record, out Colle
 	return out.recs, op.DroppedLate()
 }
 
-// TestWindowOpOnBatchMatchesOnRecord proves the windowed keyed contract:
-// the batched path produces byte-identical emissions and the same late-drop
-// count as per-record delivery across watermark interleavings, including
-// drops exactly at the allowed-lateness boundary.
-func TestWindowOpOnBatchMatchesOnRecord(t *testing.T) {
-	want, wantDropped := windowScript(t, func(op *WindowOp, b []Record, out Collector) {
-		for _, r := range b {
-			op.OnRecord(r, out)
-		}
-	})
-	got, gotDropped := windowScript(t, func(op *WindowOp, b []Record, out Collector) {
-		if ret := op.OnBatch(append([]Record{}, b...), out); len(ret) != 0 {
-			t.Fatalf("WindowOp.OnBatch returned records: %+v", ret)
-		}
-	})
+// TestWindowOpRunCutsAreInvisible holds the window operator to the contract:
+// byte-identical emissions and the same late-drop count however the data is
+// cut into runs, across watermark interleavings, including drops exactly at
+// the allowed-lateness boundary.
+func TestWindowOpRunCutsAreInvisible(t *testing.T) {
+	want, wantDropped := windowScript(t, 1)
 	if wantDropped != 3 {
-		t.Fatalf("reference dropped %d late records, want 3", wantDropped)
-	}
-	if gotDropped != wantDropped {
-		t.Fatalf("DroppedLate = %d batched, %d per-record", gotDropped, wantDropped)
+		t.Fatalf("runs of one dropped %d late records, want 3", wantDropped)
 	}
 	if len(want) == 0 {
 		t.Fatal("script emitted no windows")
 	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("OnBatch emissions diverged:\n got %+v\nwant %+v", got, want)
+	for _, size := range cutSizes[1:] {
+		got, gotDropped := windowScript(t, size)
+		if gotDropped != wantDropped {
+			t.Fatalf("DroppedLate = %d with runs of %d, %d with runs of one", gotDropped, size, wantDropped)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("runs of %d diverged from runs of one:\n got %+v\nwant %+v", size, got, want)
+		}
 	}
 }
 
-// TestWindowOpBatchSnapshotRestoreMatches: capture mid-script under batched
-// delivery, restore, finish per-record — emissions after the restore match
-// a pure per-record run of the same tail.
-func TestWindowOpBatchSnapshotRestoreMatches(t *testing.T) {
+// TestWindowOpSnapshotCrossesRunLengths: capture mid-script under whole-batch
+// runs, restore, finish with runs of one — emissions match a run of the same
+// script fed runs of one throughout.
+func TestWindowOpSnapshotCrossesRunLengths(t *testing.T) {
 	q := WindowQuery{Spec: window.Tumbling(10), Fn: agg.SumF64()}
 	head, tail := keyedRun(30, 0), keyedRun(30, 25)
 
 	ref := newWindowOp(t, q)
 	refOut := &capCollector{}
 	for _, r := range head {
-		ref.OnRecord(r, refOut)
+		FeedOne(ref, r, refOut)
 	}
 	ref.OnWatermark(20, refOut)
 	for _, r := range tail {
-		ref.OnRecord(r, refOut)
+		FeedOne(ref, r, refOut)
 	}
 	ref.OnWatermark(math.MaxInt64, refOut)
 
@@ -217,19 +193,27 @@ func TestWindowOpBatchSnapshotRestoreMatches(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, r := range tail {
-		restored.OnRecord(r, opOut)
+		FeedOne(restored, r, opOut)
 	}
 	restored.OnWatermark(math.MaxInt64, opOut)
 
 	if !reflect.DeepEqual(opOut.recs, refOut.recs) {
-		t.Fatalf("batched+restore emissions diverged:\n got %+v\nwant %+v", opOut.recs, refOut.recs)
+		t.Fatalf("whole runs + restore diverged from runs of one:\n got %+v\nwant %+v", opOut.recs, refOut.recs)
 	}
 }
 
-// joinScript drives a WindowJoinOp through runs on both edges interleaved
-// with watermarks and returns everything emitted.
-func joinScript(t *testing.T, deliver func(op *WindowJoinOp, edge int, b []Record, out Collector)) []Record {
+// joinScript drives a WindowJoinOp through data on both edges interleaved
+// with watermarks, cut into runs of at most size, and returns everything
+// emitted.
+func joinScript(t *testing.T, size int) []Record {
 	t.Helper()
+	deliver := func(op *WindowJoinOp, edge int, b []Record, out Collector) {
+		cut(b, size, func(run []Record) {
+			if ret := op.OnBatchEdge(edge, run, out); len(ret) != 0 {
+				t.Fatalf("OnBatchEdge returned records: %+v", ret)
+			}
+		})
+	}
 	op := &WindowJoinOp{Size: 10}
 	if err := op.Open(&OpContext{}); err != nil {
 		t.Fatal(err)
@@ -245,33 +229,27 @@ func joinScript(t *testing.T, deliver func(op *WindowJoinOp, edge int, b []Recor
 	return out.recs
 }
 
-// TestWindowJoinOnBatchEdgeMatchesOnRecordEdge proves the two-input keyed
-// contract: OnBatchEdge over whole runs joins identically to OnRecordEdge.
-func TestWindowJoinOnBatchEdgeMatchesOnRecordEdge(t *testing.T) {
-	want := joinScript(t, func(op *WindowJoinOp, edge int, b []Record, out Collector) {
-		for _, r := range b {
-			op.OnRecordEdge(edge, r, out)
-		}
-	})
-	got := joinScript(t, func(op *WindowJoinOp, edge int, b []Record, out Collector) {
-		if ret := op.OnBatchEdge(edge, append([]Record{}, b...), out); len(ret) != 0 {
-			t.Fatalf("OnBatchEdge returned records: %+v", ret)
-		}
-	})
+// TestWindowJoinRunCutsAreInvisible holds the two-input operator to the
+// contract: the same pairs however each side's data is cut into runs.
+func TestWindowJoinRunCutsAreInvisible(t *testing.T) {
+	want := joinScript(t, 1)
 	if len(want) == 0 {
 		t.Fatal("join script emitted no pairs")
 	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("OnBatchEdge emissions diverged:\n got %d pairs\nwant %d pairs", len(got), len(want))
+	for _, size := range cutSizes[1:] {
+		if got := joinScript(t, size); !reflect.DeepEqual(got, want) {
+			t.Fatalf("runs of %d diverged from runs of one:\n got %d pairs\nwant %d pairs", size, len(got), len(want))
+		}
 	}
 }
 
 // vecKeyedResults runs a two-keyed-stage pipeline (windowed aggregation
 // behind one hash edge feeding a keyed reduce behind another) and returns
 // the sink contents in a canonical order.
-func vecKeyedResults(t *testing.T, par int, opts ...JobOption) []Record {
+func vecKeyedResults(t *testing.T, par, batch int, opts ...JobOption) []Record {
 	t.Helper()
 	g := NewGraph("veckeyed")
+	g.BatchSize = batch
 	src := g.AddSource("src", 2, func(sub, par int) SourceFunc {
 		return &GenSource{N: 2000, WatermarkEvery: 64, Gen: func(i int64) Record {
 			global := i*2 + int64(sub)
@@ -304,32 +282,34 @@ func vecKeyedResults(t *testing.T, par int, opts ...JobOption) []Record {
 	return recs
 }
 
-// TestVectorizedKeyedOpsArePhysicalOnly proves WithVectorizedKeyedOps is a
-// pure execution knob: identical sink contents with the keyed fast path on
-// and off, at parallelism 1 and 4 — including under checkpointing, whose
-// barriers land between the runs the batched operators consume.
-func TestVectorizedKeyedOpsArePhysicalOnly(t *testing.T) {
+// TestBatchSizeIsPhysicalOnlyKeyed proves the batch size is a pure execution
+// knob for keyed stages too: identical sink contents at every size, at
+// parallelism 1 and 4 — including under checkpointing, whose barriers land
+// between the runs the keyed operators consume.
+func TestBatchSizeIsPhysicalOnlyKeyed(t *testing.T) {
 	for _, par := range []int{1, 4} {
-		ref := vecKeyedResults(t, par, WithVectorizedKeyedOps(false))
+		ref := vecKeyedResults(t, par, 1)
 		if len(ref) == 0 {
 			t.Fatalf("par=%d: empty reference run", par)
 		}
-		got := vecKeyedResults(t, par, WithVectorizedKeyedOps(true))
-		if !reflect.DeepEqual(got, ref) {
-			t.Fatalf("par=%d: keyed vectorization changed results (%d vs %d records)",
-				par, len(got), len(ref))
-		}
-		ckpt := vecKeyedResults(t, par, WithVectorizedKeyedOps(true),
-			WithCheckpointing(state.NewMemoryBackend(1), 5*time.Millisecond))
-		if !reflect.DeepEqual(ckpt, ref) {
-			t.Fatalf("par=%d: keyed vectorization under checkpointing changed results", par)
+		for _, batch := range cutSizes[1:] {
+			got := vecKeyedResults(t, par, batch)
+			if !reflect.DeepEqual(got, ref) {
+				t.Fatalf("par=%d batch=%d: results diverged from batch size 1 (%d vs %d records)",
+					par, batch, len(got), len(ref))
+			}
+			ckpt := vecKeyedResults(t, par, batch,
+				WithCheckpointing(state.NewMemoryBackend(1), 5*time.Millisecond))
+			if !reflect.DeepEqual(ckpt, ref) {
+				t.Fatalf("par=%d batch=%d: checkpointing changed results", par, batch)
+			}
 		}
 	}
 }
 
-// TestKeyedVectorizedRecordsInCounts: records_in on a keyed operator counts
-// every record of every run when the batched path consumes them whole.
-func TestKeyedVectorizedRecordsInCounts(t *testing.T) {
+// TestKeyedRecordsInCounts: records_in on a keyed operator counts every
+// record of every run it consumes whole.
+func TestKeyedRecordsInCounts(t *testing.T) {
 	const n = 500
 	reg := metrics.NewRegistry()
 	g := NewGraph("veckeyed-metrics")
@@ -343,7 +323,7 @@ func TestKeyedVectorizedRecordsInCounts(t *testing.T) {
 	}, Edge{From: src, Part: HashPartition})
 	sink := &CollectSink{}
 	g.AddOperator("out", 1, sink.Factory(), Edge{From: sum, Part: Rebalance})
-	run(t, g, WithMetrics(reg), WithVectorizedKeyedOps(true))
+	run(t, g, WithMetrics(reg))
 
 	if got := reg.Counter("node.sum.records_in").Value(); got != n {
 		t.Fatalf("node.sum.records_in = %d, want %d", got, n)

@@ -1,7 +1,7 @@
 package dataflow
 
-// This file holds the scratch structures of the vectorized keyed hot path:
-// a small open-addressing table that groups one contiguous data run by key
+// This file holds the scratch structures of the keyed operators' OnBatch: a
+// small open-addressing table that groups one contiguous data run by key
 // (keyTable), reused across batches so the steady state allocates nothing.
 // Keyed operators use it to touch their per-key state once per distinct key
 // per run instead of once per record; the exchange stager uses the same

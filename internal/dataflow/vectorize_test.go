@@ -13,35 +13,41 @@ type capCollector struct{ recs []Record }
 
 func (c *capCollector) Collect(r Record) { c.recs = append(c.recs, r) }
 
-// perRecordOutput drives op over the batch one OnRecord at a time and
-// returns everything it emitted — the reference semantics OnBatch must
-// reproduce exactly.
-func perRecordOutput(op Operator, in []Record) []Record {
+// cutSizes are the run lengths the cut-invariance tests compare: a record at
+// a time (the reference: a record in motion is a run of one), lengths that
+// never line up with anything, the default batch and one longer than any
+// input.
+var cutSizes = []int{1, 2, 7, 64, 1024}
+
+// cutOutput drives op over in cut into runs of at most size records — each on
+// a private copy, implementations may compact in place — and returns what it
+// delivered in delivery order: per call, out-collected first, then the
+// returned run (copied at once: an operator's own buffer is only valid until
+// its next call).
+func cutOutput(op Operator, in []Record, size int) []Record {
 	out := &capCollector{}
-	for _, r := range in {
-		op.OnRecord(r, out)
-	}
+	cut(in, size, func(run []Record) {
+		out.recs = append(out.recs, op.OnBatch(run, out)...)
+	})
 	return out.recs
 }
 
-// batchOutput drives op over the batch with one OnBatch call on a private
-// copy (implementations may compact in place) and returns the delivered
-// records in delivery order: out-collected first, then the returned run.
-func batchOutput(op BatchedOperator, in []Record) []Record {
-	b := append([]Record{}, in...)
-	out := &capCollector{}
-	ret := op.OnBatch(b, out)
-	return append(out.recs, ret...)
+// cut hands f the records of in as private runs of at most size.
+func cut(in []Record, size int, f func(run []Record)) {
+	for lo := 0; lo < len(in); lo += size {
+		f(append([]Record{}, in[lo:min(lo+size, len(in))]...))
+	}
 }
 
-// TestOnBatchMatchesOnRecord proves the vectorized contract for every
-// stateless operator: OnBatch over a run is byte-identical to OnRecord per
-// record, including the degenerate filters (drop-all, keep-all) and a
-// flatmap whose per-record fan-out alternates between zero and three.
-func TestOnBatchMatchesOnRecord(t *testing.T) {
+// TestRunCutsAreInvisibleStateless holds every stateless operator to the
+// contract: the output over a sequence of records does not depend on where
+// the sequence was cut into runs, including the degenerate filters (drop-all,
+// keep-all) and a flatmap whose per-record fan-out alternates between zero
+// and three.
+func TestRunCutsAreInvisibleStateless(t *testing.T) {
 	input := func() []Record {
 		var in []Record
-		for i := int64(0); i < 57; i++ {
+		for i := int64(0); i < 157; i++ {
 			in = append(in, Data(i, uint64(i%7), float64(i)*1.5))
 		}
 		return in
@@ -49,24 +55,25 @@ func TestOnBatchMatchesOnRecord(t *testing.T) {
 
 	cases := []struct {
 		name string
-		op   func() BatchedOperator
+		op   func() Operator
+		want int // records delivered, so an operator that emits nothing cannot pass
 	}{
-		{"map", func() BatchedOperator {
+		{"map", func() Operator {
 			return &MapOp{F: func(r Record) Record {
 				r.Value = r.Value.(float64) * 2
 				return r
 			}}
-		}},
-		{"filter", func() BatchedOperator {
+		}, 157},
+		{"filter", func() Operator {
 			return &FilterOp{F: func(r Record) bool { return int64(r.Value.(float64))%3 != 1 }}
-		}},
-		{"filter-drop-all", func() BatchedOperator {
+		}, 79},
+		{"filter-drop-all", func() Operator {
 			return &FilterOp{F: func(Record) bool { return false }}
-		}},
-		{"filter-keep-all", func() BatchedOperator {
+		}, 0},
+		{"filter-keep-all", func() Operator {
 			return &FilterOp{F: func(Record) bool { return true }}
-		}},
-		{"flatmap-0-and-3", func() BatchedOperator {
+		}, 157},
+		{"flatmap-0-and-3", func() Operator {
 			return &FlatMapOp{F: func(r Record, out Collector) {
 				if int64(r.Value.(float64))%2 == 0 {
 					return // even inputs emit nothing
@@ -75,42 +82,25 @@ func TestOnBatchMatchesOnRecord(t *testing.T) {
 					out.Collect(Data(r.Ts, r.Key, r.Value.(float64)+float64(j)))
 				}
 			}}
-		}},
+		}, 234},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			want := perRecordOutput(tc.op(), input())
-			got := batchOutput(tc.op(), input())
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("OnBatch diverged from OnRecord:\n got %v\nwant %v", got, want)
+			want := cutOutput(tc.op(), input(), 1)
+			if len(want) != tc.want {
+				t.Fatalf("runs of one delivered %d records, want %d", len(want), tc.want)
 			}
-			// Batch splitting is the runtime's job; the operator must give
-			// the same answer regardless of how a run is carved up.
-			op := tc.op()
-			var pieces []Record
-			in := input()
-			for lo := 0; lo < len(in); lo += 10 {
-				hi := min(lo+10, len(in))
-				pieces = append(pieces, batchOutput2(op, in[lo:hi])...)
-			}
-			if !reflect.DeepEqual(pieces, want) {
-				t.Fatalf("chunked OnBatch diverged:\n got %v\nwant %v", pieces, want)
+			for _, size := range cutSizes[1:] {
+				if got := cutOutput(tc.op(), input(), size); !reflect.DeepEqual(got, want) {
+					t.Fatalf("runs of %d diverged from runs of one:\n got %v\nwant %v", size, got, want)
+				}
 			}
 		})
 	}
 }
 
-// batchOutput2 is batchOutput but must copy the returned run immediately:
-// an operator's scratch buffer (flatmap) is only valid until the next call.
-func batchOutput2(op BatchedOperator, in []Record) []Record {
-	b := append([]Record{}, in...)
-	out := &capCollector{}
-	ret := op.OnBatch(b, out)
-	return append(out.recs, append([]Record{}, ret...)...)
-}
-
 // TestCollectSinkOnBatch proves the sink's one-lock append delivers exactly
-// the per-record sequence.
+// the sequence runs of one do.
 func TestCollectSinkOnBatch(t *testing.T) {
 	var in []Record
 	for i := int64(0); i < 20; i++ {
@@ -118,7 +108,7 @@ func TestCollectSinkOnBatch(t *testing.T) {
 	}
 	ref := &CollectSink{}
 	for _, r := range in {
-		ref.OnRecord(r, nil)
+		FeedOne(ref, r, nil)
 	}
 	batched := &CollectSink{}
 	if ret := batched.OnBatch(append([]Record{}, in...), nil); len(ret) != 0 {
@@ -156,9 +146,10 @@ func TestFuncSinkOnBatch(t *testing.T) {
 // vectorizedResults runs a generator -> rebalance -> map -> filter ->
 // flatmap -> sink pipeline and returns the sink contents sorted, so runs
 // with different physical execution strategies compare directly.
-func vectorizedResults(t *testing.T, n int64, par int, opts ...JobOption) []Record {
+func vectorizedResults(t *testing.T, n int64, par, batch int, opts ...JobOption) []Record {
 	t.Helper()
 	g := NewGraph("vec")
+	g.BatchSize = batch
 	src := g.AddSource("gen", par, func(sub, par int) SourceFunc {
 		return &GenSource{N: n / int64(par), Gen: func(i int64) Record {
 			return Data(i, uint64(i%13), float64(i%997))
@@ -195,77 +186,27 @@ func vectorizedResults(t *testing.T, n int64, par int, opts ...JobOption) []Reco
 	return recs
 }
 
-// TestVectorizedChainsArePhysicalOnly proves WithVectorizedChains is a pure
-// execution knob: identical sink contents with batching on and off, chained
-// and unchained, at parallelism 1 and 4.
-func TestVectorizedChainsArePhysicalOnly(t *testing.T) {
+// TestBatchSizeIsPhysicalOnly proves the batch size — the length of the runs
+// a chain is handed — is a pure execution knob: identical sink contents at
+// every size, chained and unchained, at parallelism 1 and 4.
+func TestBatchSizeIsPhysicalOnly(t *testing.T) {
 	const n = 4000
 	for _, par := range []int{1, 4} {
 		for _, chain := range []bool{true, false} {
-			ref := vectorizedResults(t, n, par,
-				WithChaining(chain), WithVectorizedChains(false))
-			got := vectorizedResults(t, n, par,
-				WithChaining(chain), WithVectorizedChains(true))
-			if !reflect.DeepEqual(got, ref) {
-				t.Fatalf("par=%d chaining=%v: vectorized results diverged (%d vs %d records)",
-					par, chain, len(got), len(ref))
-			}
+			ref := vectorizedResults(t, n, par, 1, WithChaining(chain))
 			if len(ref) == 0 {
 				t.Fatalf("par=%d chaining=%v: empty reference run", par, chain)
+			}
+			for _, batch := range cutSizes[1:] {
+				got := vectorizedResults(t, n, par, batch, WithChaining(chain))
+				if !reflect.DeepEqual(got, ref) {
+					t.Fatalf("par=%d chaining=%v batch=%d: results diverged from batch size 1 (%d vs %d records)",
+						par, chain, batch, len(got), len(ref))
+				}
 			}
 		}
 	}
 }
-
-// TestMixedChainFallsBackPerRecord proves a chain containing an operator
-// without OnBatch still computes correctly on the vectorized path: the
-// driver downgrades at the first non-batched operator.
-func TestMixedChainFallsBackPerRecord(t *testing.T) {
-	const n = 1000
-	results := func(vec bool) []Record {
-		g := NewGraph("mixed")
-		src := g.AddSource("gen", 2, func(sub, par int) SourceFunc {
-			return &GenSource{N: n, Gen: func(i int64) Record {
-				return Data(i, uint64(i%7), float64(i))
-			}}
-		})
-		m := g.AddOperator("scale", 2, func() Operator {
-			return &MapOp{F: func(r Record) Record {
-				r.Value = r.Value.(float64) + 0.5
-				return r
-			}}
-		}, Edge{From: src, Part: Rebalance})
-		// seqCapture implements only the per-record contract.
-		cap := g.AddOperator("tap", 2, func() Operator {
-			return &passThrough{}
-		}, Edge{From: m, Part: Forward})
-		f := g.AddOperator("band", 2, func() Operator {
-			return &FilterOp{F: func(r Record) bool { return int64(r.Value.(float64))%2 == 0 }}
-		}, Edge{From: cap, Part: Forward})
-		sink := &CollectSink{}
-		g.AddOperator("out", 1, sink.Factory(), Edge{From: f, Part: Rebalance})
-		run(t, g, WithVectorizedChains(vec))
-		recs := sink.Records()
-		sort.Slice(recs, func(i, j int) bool {
-			if recs[i].Ts != recs[j].Ts {
-				return recs[i].Ts < recs[j].Ts
-			}
-			return recs[i].Value.(float64) < recs[j].Value.(float64)
-		})
-		return recs
-	}
-	ref := results(false)
-	got := results(true)
-	if len(ref) == 0 || !reflect.DeepEqual(got, ref) {
-		t.Fatalf("mixed chain diverged: %d vs %d records", len(got), len(ref))
-	}
-}
-
-// passThrough forwards every record and implements only the per-record
-// contract, forcing the chain driver's fallback.
-type passThrough struct{ Base }
-
-func (p *passThrough) OnRecord(r Record, out Collector) { out.Collect(r) }
 
 // TestUnchainedForwardEdgesTerminate is the regression test for the
 // unchained Forward-edge deadlock: with chaining disabled each consumer
@@ -275,11 +216,8 @@ func (p *passThrough) OnRecord(r Record, out Collector) { out.Collect(r) }
 func TestUnchainedForwardEdgesTerminate(t *testing.T) {
 	for _, par := range []int{2, 4} {
 		t.Run(fmt.Sprintf("par=%d", par), func(t *testing.T) {
-			for _, vec := range []bool{false, true} {
-				recs := vectorizedResults(t, 2000, par, WithChaining(false), WithVectorizedChains(vec))
-				if len(recs) == 0 {
-					t.Fatalf("par=%d vec=%v: no output", par, vec)
-				}
+			if recs := vectorizedResults(t, 2000, par, DefaultBatchSize, WithChaining(false)); len(recs) == 0 {
+				t.Fatalf("par=%d: no output", par)
 			}
 		})
 	}

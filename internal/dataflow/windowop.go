@@ -58,7 +58,7 @@ type WindowOp struct {
 	droppedLate int64
 	droppedCtr  *metrics.Counter
 
-	// Vectorized-run scratch (see OnBatch), reused across calls.
+	// Run scratch (see OnBatch), reused across calls.
 	kt     keyTable
 	recIdx []int32    // per record: dense key index, -1 = skipped (non-float64)
 	segLen []int32    // per dense key: element count in the run
@@ -152,40 +152,20 @@ func (w *WindowOp) KeyedState() *state.KeyedState { return w.ks }
 // key group through KeyedState; there is no residual per-subtask state.
 func (w *WindowOp) Snapshot() ([]byte, error) { return nil, nil }
 
-// OnRecord implements Operator: buffer until the watermark releases. Late
+// OnBatch implements Operator: buffer until the watermark releases. Late
 // elements — older than their key group's release watermark — are dropped
 // (allowed lateness zero): releasing them would feed the per-key engines
 // out-of-order input. The count of dropped records is observable via
 // DroppedLate and, when the job runs with metrics, the per-node
 // records_dropped_late counter.
-func (w *WindowOp) OnRecord(r Record, _ Collector) {
-	v, ok := r.Value.(float64)
-	if !ok {
-		return
-	}
-	if r.Ts <= w.wm.Get(r.Key) {
-		w.droppedLate++
-		if w.droppedCtr != nil {
-			w.droppedCtr.Inc()
-		}
-		return
-	}
-	entries, _ := w.buf.Get(r.Key)
-	// Appending never mutates the visible prefix, so a captured view of the
-	// old slice header stays intact; sorting and compacting below go
-	// through GetMut.
-	w.buf.Put(r.Key, append(entries, bufEntry{Ts: r.Ts, Val: v}))
-}
-
-// OnBatch implements BatchedOperator: the run is grouped by key (counting
-// sort into a reused gather buffer), then each distinct key pays one release-
-// watermark read, one reorder-buffer load and one store for all its elements
-// instead of one of each per record. Appending a key's survivors in a single
-// append also grows the buffer once per run instead of element by element.
-// The release watermark only moves in OnWatermark — never inside a data run
-// — so one read per key is exact, and the per-element late check against it
-// matches OnRecord's decision bit for bit. OnBatch emits nothing (results
-// fire on watermarks), so ordering is trivially preserved.
+//
+// The run is grouped by key (counting sort into a reused gather buffer), then
+// each distinct key pays one release-watermark read, one reorder-buffer load
+// and one store for all its elements instead of one of each per record.
+// Appending a key's survivors in a single append also grows the buffer once
+// per run instead of element by element. The release watermark only moves in
+// OnWatermark — never inside a run — so one read per key is exact. OnBatch
+// emits nothing: results fire on watermarks.
 func (w *WindowOp) OnBatch(b []Record, _ Collector) []Record {
 	w.kt.reset()
 	w.recIdx = w.recIdx[:0]
@@ -243,8 +223,10 @@ func (w *WindowOp) OnBatch(b []Record, _ Collector) []Record {
 		}
 		ref := w.buf.RefFor(key)
 		entries, _ := ref.Get()
-		// Like OnRecord: append-only growth keeps a captured view of the old
-		// slice header intact, so Get+Put (not GetMut) is COW-safe here.
+		// Appending never mutates the visible prefix, so a captured view of
+		// the old slice header stays intact and Get+Put (not GetMut) is
+		// COW-safe here; sorting and compacting in OnWatermark go through
+		// GetMut.
 		ref.Put(append(entries, keep...))
 	}
 	if dropped > 0 {

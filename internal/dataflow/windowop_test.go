@@ -20,11 +20,11 @@ func newWindowOp(t *testing.T, qs ...WindowQuery) *WindowOp {
 func TestWindowOpLateElementsDropped(t *testing.T) {
 	op := newWindowOp(t, WindowQuery{Spec: window.Tumbling(10), Fn: agg.SumF64()})
 	out := &collectList{}
-	op.OnRecord(Data(5, 1, 1.0), out)
+	FeedOne(op, Data(5, 1, 1.0), out)
 	op.OnWatermark(20, out) // closes [0,10)
 	// ts=7 is now late: the watermark passed it. It must not corrupt the
 	// engine or resurrect the closed window.
-	op.OnRecord(Data(7, 1, 100.0), out)
+	FeedOne(op, Data(7, 1, 100.0), out)
 	op.OnWatermark(math.MaxInt64, out)
 	if op.DroppedLate() != 1 {
 		t.Fatalf("DroppedLate = %d, want 1", op.DroppedLate())
@@ -43,9 +43,9 @@ func TestWindowOpInOrderWithinWatermarkKept(t *testing.T) {
 	// ts > curWM must be kept and correctly ordered on release.
 	op := newWindowOp(t, WindowQuery{Spec: window.Tumbling(10), Fn: agg.CountF64()})
 	out := &collectList{}
-	op.OnRecord(Data(9, 1, 1.0), out)
-	op.OnRecord(Data(3, 1, 1.0), out) // out of order but not late
-	op.OnRecord(Data(6, 1, 1.0), out)
+	FeedOne(op, Data(9, 1, 1.0), out)
+	FeedOne(op, Data(3, 1, 1.0), out) // out of order but not late
+	FeedOne(op, Data(6, 1, 1.0), out)
 	op.OnWatermark(10, out)
 	if len(out.recs) != 1 {
 		t.Fatalf("got %d windows", len(out.recs))
@@ -61,8 +61,8 @@ func TestWindowOpInOrderWithinWatermarkKept(t *testing.T) {
 func TestWindowOpNonFloatValuesIgnored(t *testing.T) {
 	op := newWindowOp(t, WindowQuery{Spec: window.Tumbling(10), Fn: agg.SumF64()})
 	out := &collectList{}
-	op.OnRecord(Data(1, 1, "not a float"), out)
-	op.OnRecord(Data(2, 1, 42), out) // int, not float64
+	FeedOne(op, Data(1, 1, "not a float"), out)
+	FeedOne(op, Data(2, 1, 42), out) // int, not float64
 	op.OnWatermark(math.MaxInt64, out)
 	if len(out.recs) != 0 {
 		t.Fatalf("non-float values produced windows: %+v", out.recs)
@@ -73,7 +73,7 @@ func TestWindowOpSnapshotCarriesBufferAndWatermark(t *testing.T) {
 	op := newWindowOp(t, WindowQuery{Spec: window.Tumbling(10), Fn: agg.SumF64()})
 	out := &collectList{}
 	op.OnWatermark(5, out)
-	op.OnRecord(Data(7, 2, 3.0), out) // buffered, not yet released
+	FeedOne(op, Data(7, 2, 3.0), out) // buffered, not yet released
 	groups := captureGroups(t, op)
 	restored := NewWindowOp(WindowQuery{Spec: window.Tumbling(10), Fn: agg.SumF64()})().(*WindowOp)
 	if err := restored.Open(&OpContext{RestoreGroups: groups}); err != nil {
@@ -81,7 +81,7 @@ func TestWindowOpSnapshotCarriesBufferAndWatermark(t *testing.T) {
 	}
 	// The release watermark travels per key group: ts=4 is late for the
 	// restored operator exactly as it was for the original.
-	restored.OnRecord(Data(4, 2, 99.0), out)
+	FeedOne(restored, Data(4, 2, 99.0), out)
 	if restored.DroppedLate() != 1 {
 		t.Fatalf("restored op lost the release watermark: DroppedLate = %d", restored.DroppedLate())
 	}
@@ -101,15 +101,15 @@ func TestWindowOpSnapshotCarriesBufferAndWatermark(t *testing.T) {
 func TestWindowOpCaptureImmutableWhileProcessing(t *testing.T) {
 	op := newWindowOp(t, WindowQuery{Spec: window.Tumbling(10), Fn: agg.SumF64()})
 	out := &collectList{}
-	op.OnRecord(Data(1, 1, 1.0), out)
-	op.OnRecord(Data(2, 1, 2.0), out)
+	FeedOne(op, Data(1, 1, 1.0), out)
+	FeedOne(op, Data(2, 1, 2.0), out)
 	op.OnWatermark(5, out) // engine for key 1 now holds sum 3 in window [0,10)
 
 	captured := op.KeyedState().Capture()
 	// Keep processing while the capture is outstanding: more elements into
 	// the same key's engine and a new key entirely.
-	op.OnRecord(Data(7, 1, 100.0), out)
-	op.OnRecord(Data(8, 2, 50.0), out)
+	FeedOne(op, Data(7, 1, 100.0), out)
+	FeedOne(op, Data(8, 2, 50.0), out)
 	op.OnWatermark(9, out)
 	groups, err := captured.EncodeGroups()
 	if err != nil {
@@ -143,17 +143,17 @@ func TestWindowOpCaptureImmutableWhileProcessing(t *testing.T) {
 
 // TestWindowOpCaptureSurvivesBufferReuse is the regression test for the
 // aliased-Put corruption: OnWatermark keeps a buffer remainder whose
-// backing array the next OnRecord appends into, and the subsequent
+// backing array the next run appends into, and the subsequent
 // release sort must not reorder memory a capture still references.
 func TestWindowOpCaptureSurvivesBufferReuse(t *testing.T) {
 	op := newWindowOp(t, WindowQuery{Spec: window.Tumbling(10), Fn: agg.SumF64()})
 	out := &collectList{}
-	op.OnRecord(Data(5, 1, 10.0), out)
-	op.OnRecord(Data(9, 1, 30.0), out)
+	FeedOne(op, Data(5, 1, 10.0), out)
+	FeedOne(op, Data(9, 1, 30.0), out)
 	op.OnWatermark(7, out) // releases ts=5; remainder [{9,30}] keeps spare capacity
 
 	captured := op.KeyedState().Capture()
-	op.OnRecord(Data(8, 1, 1000.0), out) // appends into the remainder's backing array
+	FeedOne(op, Data(8, 1, 1000.0), out) // appends into the remainder's backing array
 	op.OnWatermark(9, out)               // sorts + releases — must not touch the captured view
 	groups, err := captured.EncodeGroups()
 	if err != nil {

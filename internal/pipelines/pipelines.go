@@ -141,7 +141,7 @@ func buildFused(args []string, extra ...streamline.Option) (*streamline.Env, fun
 // buildJoined is the keyed/windowed join guard: two deterministic generator
 // streams equi-joined per key within tumbling windows. The join is a
 // two-input keyed operator behind two hash edges, so the multi-process
-// smoke diff covers the vectorized keyed path's edge-aware batching — its
+// smoke diff covers runs tagged with their arrival edge (EdgeAware) — its
 // pair set must be byte-identical single-process and multi-process.
 func buildJoined(args []string, extra ...streamline.Option) (*streamline.Env, func() string, error) {
 	fs := flag.NewFlagSet("joined", flag.ContinueOnError)

@@ -150,14 +150,19 @@
 // behave identically at every batch size. The knobs trade throughput
 // against freshness: bigger batches amortize exchange hops for data at
 // rest, while a shorter flush interval bounds how long an in-motion record
-// may wait in a half-full buffer. Fused operator chains are untouched —
-// batching applies only at real exchange boundaries, and the logical plan
-// never changes (WithBatchSize(1) is the per-record ablation baseline).
+// may wait in a half-full buffer. The logical plan never changes
+// (WithBatchSize(1) is the per-record ablation baseline).
 //
-// # Vectorized operator chains
+// # Operator chains run batch at a time
 //
-// The exchange is batched; so is execution. Two layers cooperate to keep
-// records out of per-record dispatch on the hot path:
+// The exchange is batched; so is execution. Every operator takes the data
+// between two control records of an inbound batch as one run, and there is
+// no per-record mode to switch to: a record in motion is a run of one. What
+// a pipeline can observe of this is nothing — results, their order per key,
+// every checkpoint and what each channel carries are identical at any
+// WithBatchSize, and a snapshot taken at one batch size restores at another.
+// Watermarks, barriers and end markers always fall between runs, so event
+// time and exactly-once snapshots are untouched.
 //
 // Typed stage fusion. Adjacent stateless typed stages — Map, Filter,
 // FlatMap — lower as ONE operator whose stage functions compose in native
@@ -165,42 +170,10 @@
 // runs every stage on the concrete T, and boxes once on exit, instead of
 // paying an interface box/unbox pair per stage. The fused operator's name
 // concatenates its stage names with "+" ("scale+band+final"), so lowering
-// is deterministic and distributed plan fingerprints still match across
+// is deterministic and distributed plan fingerprints match across
 // processes. Fusion never crosses a semantic boundary — KeyBy, windows,
 // unions, sinks and any stage consumed by more than one downstream all end
-// the run — and WithStageFusion(false) restores stage-per-operator
-// lowering (the only option that intentionally changes the lowered plan;
-// results are identical either way).
-//
-// Batch-at-a-time operators. Underneath, stateless operators implement the
-// engine's vectorized contract: the chain driver hands each exchange batch
-// through the chain as a whole — maps overwrite slots in place, filters
-// compact survivors down, flatmaps emit into a reused scratch buffer — and
-// survivors enter the outbound exchange under a single staging-lock
-// acquisition. Batches split at watermarks, barriers and end markers, so
-// control ordering, event time and exactly-once snapshots are untouched;
-// WithVectorizedChains(false) is the per-record ablation baseline.
-// BENCH_fusion.json records the measured win of both layers together
-// (`streamline-bench -fusion`): throughput and allocations per record
-// against per-record execution.
-//
-// Vectorized keyed operators. The keyed stages — ReduceByKey,
-// WindowAggregate, JoinWindow — ride the same fast path instead of ending
-// it: each contiguous data run is grouped by key in a reusable scratch
-// table, and the per-key costs (key-group hash, state load, store) are
-// paid once per distinct key per run rather than once per record, with the
-// run's elements folded or appended in a single pass per key. Hash routing
-// is run-aware too: a routed run is appended to each destination's staging
-// buffer in contiguous slices under one lock acquisition. The contract is
-// strict — batched execution must equal per-record execution applied in
-// order — and checkpoint barriers always land between runs, so the toggle
-// is purely physical: the logical plan, every emitted value and its order,
-// and every checkpoint are identical with WithVectorizedKeyedOps on or
-// off, and a snapshot taken under either mode restores under the other.
-// WithVectorizedKeyedOps(false) is the keyed ablation baseline (stateless
-// chains stay batched); BENCH_keyed.json records the measured win
-// (`streamline-bench -keyed`) on a windowed aggregation and a combiner-off
-// reduce.
+// the run.
 //
 // # Keyed state, checkpoints and rescaling
 //

@@ -70,26 +70,6 @@ func WithParallelism(p int) Option { return core.WithParallelism(p) }
 // WithChaining toggles operator chaining (default on).
 func WithChaining(on bool) Option { return core.WithChaining(on) }
 
-// WithVectorizedChains toggles the engine's batch-at-a-time fast path through
-// operator chains (default on). Purely physical: results are identical either
-// way, at any batch size.
-func WithVectorizedChains(on bool) Option { return core.WithVectorizedChains(on) }
-
-// WithVectorizedKeyedOps toggles the keyed half of that fast path (default
-// on): keyed operators process whole data runs with run-grouped state access
-// and the exchange stager hash-routes a run in one pass. No effect when
-// WithVectorizedChains is off. Purely physical: the logical plan, all
-// results and every checkpoint are identical either way.
-func WithVectorizedKeyedOps(on bool) Option { return core.WithVectorizedKeyedOps(on) }
-
-// WithStageFusion toggles typed stage fusion (default on): runs of adjacent
-// Map/Filter/FlatMap stages lower into one fused operator that keeps values
-// in their concrete type across stages — one unbox at chain entry, one box at
-// exit. Fused node names concatenate the stage names with "+", so the lowered
-// plan (and its distributed fingerprint) is deterministic for a given
-// setting; results are identical with fusion on or off.
-func WithStageFusion(on bool) Option { return core.WithStageFusion(on) }
-
 // WithCombiner sets the combiner mode (default CombinerAuto).
 func WithCombiner(m CombinerMode) Option { return core.WithCombiner(m) }
 

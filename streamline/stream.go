@@ -32,8 +32,7 @@ type Keyed[T any] struct {
 // chain entry, one box at chain exit, instead of a box/unbox pair per stage.
 // The fused node's name concatenates the stage names with "+", so plan
 // fingerprints stay deterministic; fusion never crosses KeyBy, window, join,
-// union, sink, or exchange boundaries, and WithStageFusion(false) restores
-// the stage-per-node lowering.
+// union, sink, or exchange boundaries.
 type Stream[T any] struct {
 	env *Env
 
@@ -75,9 +74,8 @@ type fuseStage struct {
 	// entry binds the run's single unbox: it turns the fully composed head
 	// emitFn into the lowered operator's per-record function.
 	entry func(em any) func(dataflow.Record, dataflow.Collector)
-	// direct is the classic stage-per-node lowering, used for runs of one
-	// and when fusion is disabled — keeping those plans bit-identical to the
-	// pre-fusion layout.
+	// direct is the stage-per-node lowering, used for runs of one: a lone
+	// stage has nothing to fuse with and needs no composed closure.
 	direct func(base *core.Stream) *core.Stream
 }
 
@@ -141,12 +139,8 @@ func (s *Stream[T]) lower() *core.Stream {
 	return s.inner
 }
 
-// derive creates the typed handle of a deferred stage over parent. With
-// fusion disabled the stage lowers immediately through its direct path.
+// derive creates the typed handle of a deferred stage over parent.
 func derive[U, T any](parent *Stream[T], st *fuseStage) *Stream[U] {
-	if !parent.env.core.StageFusion() {
-		return &Stream[U]{env: parent.env, inner: st.direct(parent.lower())}
-	}
 	parent.noteConsumer()
 	return &Stream[U]{env: parent.env, parent: parent, stage: st}
 }

@@ -557,23 +557,32 @@ func (p *persistOp) Open(ctx *dataflow.OpContext) error {
 	return nil
 }
 
-func (p *persistOp) OnRecord(r dataflow.Record, out dataflow.Collector) {
-	if p.err != nil {
-		return
+// OnBatch appends the run in order. After the first failure nothing more is
+// written: the topic must not hold records past a gap.
+func (p *persistOp) OnBatch(b []dataflow.Record, _ dataflow.Collector) []dataflow.Record {
+	for i := 0; i < len(b) && p.err == nil; i++ {
+		p.err = p.append(b[i])
 	}
-	data, err := json.Marshal(r.Value)
-	if err != nil {
-		p.err = fmt.Errorf("persist %q: encode: %w", p.topic, err)
-		return
-	}
-	if _, err := p.t.Append(r.Ts, r.Key, data); err != nil {
-		p.err = fmt.Errorf("persist %q: %w", p.topic, err)
-	}
+	return nil
 }
 
-// Snapshot syncs the topic and records its high-water offset — and is also
-// where a failed append surfaces to fail the job (sink operators have no
-// mid-stream error channel).
+func (p *persistOp) append(r dataflow.Record) error {
+	data, err := json.Marshal(r.Value)
+	if err != nil {
+		return fmt.Errorf("persist %q: encode: %w", p.topic, err)
+	}
+	if _, err := p.t.Append(r.Ts, r.Key, data); err != nil {
+		return fmt.Errorf("persist %q: %w", p.topic, err)
+	}
+	return nil
+}
+
+// Err implements dataflow.Failable: a sink has no mid-stream error channel,
+// so a failed encode, append or final sync fails the job here, at end of
+// stream, and at the next checkpoint through Snapshot.
+func (p *persistOp) Err() error { return p.err }
+
+// Snapshot syncs the topic and records its high-water offset.
 func (p *persistOp) Snapshot() ([]byte, error) {
 	if p.err != nil {
 		return nil, p.err
@@ -585,7 +594,10 @@ func (p *persistOp) Snapshot() ([]byte, error) {
 }
 
 func (p *persistOp) Finish(out dataflow.Collector) {
-	if p.err == nil {
-		p.err = p.t.Sync()
+	if p.err != nil {
+		return
+	}
+	if err := p.t.Sync(); err != nil {
+		p.err = fmt.Errorf("persist %q: sync: %w", p.topic, err)
 	}
 }

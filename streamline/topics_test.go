@@ -102,6 +102,48 @@ func TestPersistTopicRoundTrip(t *testing.T) {
 	}
 }
 
+// A Persist that loses records must fail the job even when nothing
+// checkpoints: the store is closed underneath the sink once it has written
+// its first record, every later append fails, and Execute has to say so.
+func TestPersistFailureFailsUncheckpointedJob(t *testing.T) {
+	store := openTopicStore(t)
+	topic, err := store.Store().Topic("events")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ch := make(chan streamline.Keyed[event])
+	env := streamline.New(streamline.WithParallelism(1))
+	streamline.Persist(streamline.From(env, "chan", streamline.Channel(ch)), store, "events")
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	done := make(chan error, 1)
+	go func() { done <- env.Execute(ctx) }()
+	send := func(e event) {
+		select {
+		case ch <- streamline.Keyed[event]{Ts: e.TsMs, Value: e}:
+		case err := <-done:
+			t.Fatalf("job ended before the store was closed: %v", err)
+		}
+	}
+	events := mkEvents(20, 1000)
+	send(events[0])
+	for topic.NextOffset() == 0 {
+		select {
+		case err := <-done:
+			t.Fatalf("job ended before its first append: %v", err)
+		case <-time.After(time.Millisecond):
+		}
+	}
+	store.Close()
+	for _, e := range events[1:] {
+		send(e)
+	}
+	close(ch)
+	if err := <-done; err == nil || !strings.Contains(err.Error(), `persist "events"`) {
+		t.Fatalf("Execute = %v, want the persist failure", err)
+	}
+}
+
 // The paper's bootstrap scenario served from the engine's own store:
 // Hybrid(Topic, Channel) must produce the same windows as a single source
 // over the concatenation, with the handoff watermark derived from the
