@@ -39,7 +39,10 @@ func allEngines() []mkEngine {
 
 // drive feeds elements with the canonical watermark-before-element protocol
 // and a final flush watermark.
-func drive(e engine.Engine, elems []window.Element) {
+func drive(e interface {
+	OnWatermark(wm int64)
+	OnElement(ts int64, v float64)
+}, elems []window.Element) {
 	for _, el := range elems {
 		e.OnWatermark(el.Ts)
 		e.OnElement(el.Ts, el.V)
@@ -128,6 +131,17 @@ func runConformance(t *testing.T, queries []engine.Query, elems []window.Element
 		}
 		drive(e, elems)
 		assertConform(t, mk.name, got, want)
+	}
+	if periodicOnly {
+		// Cutty's slice timeline — what a window operator runs for a periodic
+		// query set instead of an engine per key — driven for one key.
+		var got []engine.Result
+		tl, ok := cutty.NewTimeline(func(r engine.Result) { got = append(got, r) }, queries)
+		if !ok {
+			t.Fatalf("cutty-timeline: periodic query set rejected")
+		}
+		drive(tl.Visit(cutty.NewKeySlices()), elems)
+		assertConform(t, "cutty-timeline", got, want)
 	}
 }
 

@@ -19,6 +19,17 @@
 // and element-granularity sharing (B-Int) measured in experiments E1–E5,
 // and — unlike Pairs and Panes — it applies to non-periodic windows such as
 // sessions, punctuations and delta windows.
+//
+// The package holds the slicing in two layouts. Engine is the general one: it
+// learns its slice edges from the window functions as the stream goes by, so
+// it serves every deterministic window, and it is one stream's worth of state
+// — slice ring, one FlatFAT per function, assigners, open-window lists. For
+// a query set made only of periodic time windows the edges are known in
+// advance and the same for every key of a keyed stream; Timeline computes
+// them and keeps per key nothing but the partials of occupied slices
+// (KeySlices). The keyed window operator of the dataflow layer runs a
+// Timeline per subtask for such a set and an Engine per key for any other;
+// NewTimeline decides, from the queries alone.
 package cutty
 
 import (
@@ -140,9 +151,12 @@ func (l *winList) remove(i int) {
 	}
 }
 
-// Engine is the Cutty multi-query window aggregation engine. It is not safe
-// for concurrent use; the dataflow layer runs one engine per key, all of a
-// subtask's engines on the subtask's own goroutine.
+// Engine is the Cutty multi-query window aggregation engine over one in-order
+// stream. It is not safe for concurrent use. The dataflow layer runs one
+// engine per key — all of a subtask's engines on the subtask's own goroutine
+// — when the query set holds a data-driven window (session, count,
+// punctuation, delta, time-or-count) or a periodic window too long in slices
+// for Timeline's linear fold; purely periodic sets run on a Timeline instead.
 type Engine struct {
 	emit engine.Emit
 

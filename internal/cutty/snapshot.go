@@ -101,6 +101,10 @@ func (e *Engine) Restore(dec *gob.Decoder) error {
 	if err := dec.Decode(&st); err != nil {
 		return fmt.Errorf("cutty: restore: %w", err)
 	}
+	if len(st.MetaCount) != len(st.MetaFirst) || len(st.Stores) != len(e.stores) {
+		return fmt.Errorf("cutty: restore: %d slice starts, %d slice counts, %d stores for %d functions (malformed or query set mismatch)",
+			len(st.MetaFirst), len(st.MetaCount), len(st.Stores), len(e.stores))
+	}
 	e.pos = st.Pos
 	e.curWM = st.CurWM
 	e.cutPending = st.CutPending
@@ -118,10 +122,18 @@ func (e *Engine) Restore(dec *gob.Decoder) error {
 			s.tree.Append(leaf)
 		}
 	}
+	for _, s := range e.stores { // also catches a blob naming one store twice
+		if s.tree.Len() != len(st.MetaFirst) {
+			return fmt.Errorf("cutty: restore: %d partials of %q for %d slices", s.tree.Len(), s.fn.Name, len(st.MetaFirst))
+		}
+	}
 	for _, qb := range st.Queries {
 		q := e.query(qb.ID)
 		if q == nil {
 			return fmt.Errorf("cutty: restore: query %d missing (query set mismatch)", qb.ID)
+		}
+		if len(qb.OpenBegin) != len(qb.OpenIDs) {
+			return fmt.Errorf("cutty: restore: query %d lists %d open windows and %d begins", qb.ID, len(qb.OpenIDs), len(qb.OpenBegin))
 		}
 		// The blob lists windows by id; the engine wants them in opening
 		// order, which is begin order (ties opened at the same element).

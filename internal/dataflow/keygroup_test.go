@@ -12,7 +12,7 @@ import (
 // captureGroups snapshots an operator's keyed state exactly the way the
 // runtime does — a copy-on-write capture serialized into per-group blobs —
 // and hands the blobs back for a restore via OpContext.RestoreGroups.
-func captureGroups(t *testing.T, op Operator) map[int][]byte {
+func captureGroups(t testing.TB, op Operator) map[int][]byte {
 	t.Helper()
 	h, ok := op.(KeyedStateful)
 	if !ok {

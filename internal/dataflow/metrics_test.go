@@ -107,8 +107,10 @@ func TestDroppedLateMetric(t *testing.T) {
 // of 100 ticks and a watermark arrives every 10 records, so one watermark in
 // ten closes a window and fires all 50 timers; the other nine fire none. End
 // of stream reaches the operator three times (the source's last watermark,
-// the runtime's on the final End, and Finish) and visits every key each time.
-// Visiting every key on every watermark would have made it 50 x 203.
+// the runtime's on the final End, and Finish) and visits every key that still
+// holds state: the first visit closes the last window and releases all 50
+// keys, the other two find none. Visiting every key on every watermark would
+// have made it 50 x 203.
 func TestWindowTimerMetrics(t *testing.T) {
 	reg := metrics.NewRegistry()
 	g := NewGraph("timers")
@@ -128,8 +130,59 @@ func TestWindowTimerMetrics(t *testing.T) {
 	if got := reg.Counter("node.win.watermarks").Value(); got != 200+3 {
 		t.Fatalf("watermarks = %d, want 203", got)
 	}
-	if got := reg.Counter("node.win.keys_fired").Value(); got != 19*50+3*50 { // 19 windows closed by a watermark
-		t.Fatalf("keys_fired = %d, want %d", got, 19*50+3*50)
+	if got := reg.Counter("node.win.keys_fired").Value(); got != 19*50+1*50 { // 19 windows closed by a watermark
+		t.Fatalf("keys_fired = %d, want %d", got, 19*50+1*50)
+	}
+	for _, g := range []string{"window_keys", "window_slices"} {
+		if got := reg.Gauge("node.win." + g).Value(); got != 0 {
+			t.Fatalf("%s = %d after the job's close-out, want 0", g, got)
+		}
+	}
+}
+
+// TestWindowStateGauges reads the size of a window node's state in situ:
+// window_keys and window_slices, moved once per watermark by every subtask of
+// the node, rise with the keys that hold open windows and the slices they
+// occupy, fall when windows close, and are back at 0 after the close-out.
+func TestWindowStateGauges(t *testing.T) {
+	reg := metrics.NewRegistry()
+	var subs [2]*WindowOp
+	for sub := range subs {
+		subs[sub] = NewWindowOp(
+			WindowQuery{Spec: window.Tumbling(10), Fn: agg.SumF64()},
+			WindowQuery{Spec: window.Sliding(30, 10), Fn: agg.CountF64()},
+		)().(*WindowOp)
+		if err := subs[sub].Open(&OpContext{NodeName: "win", Metrics: reg, Subtask: sub, Parallelism: 2}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	feed := func(wm int64, recs ...Record) (keys, slices int64) {
+		for _, r := range recs {
+			ng := state.DefaultNumKeyGroups
+			sub := subs[state.SubtaskForGroup(state.KeyGroupFor(r.Key, ng), ng, 2)]
+			sub.OnBatch([]Record{r}, nil)
+		}
+		for _, sub := range subs {
+			sub.OnWatermark(wm, &collectList{})
+		}
+		return reg.Gauge("node.win.window_keys").Value(), reg.Gauge("node.win.window_slices").Value()
+	}
+	var recs []Record
+	for key := uint64(0); key < 40; key++ {
+		recs = append(recs, Data(1, key, 1.0), Data(12, key, 1.0))
+	}
+	if keys, slices := feed(15, recs...); keys != 40 || slices != 80 {
+		t.Fatalf("40 keys with two slices each: window_keys = %d, window_slices = %d", keys, slices)
+	}
+	if keys, slices := feed(25, Data(21, 7, 1.0)); keys != 40 || slices != 81 {
+		t.Fatalf("one more slice for key 7: window_keys = %d, window_slices = %d", keys, slices)
+	}
+	// At 45 every window over slices 0 and 1 has closed: only key 7 remains.
+	if keys, slices := feed(45); keys != 1 || slices != 1 {
+		t.Fatalf("after 39 keys went idle: window_keys = %d, window_slices = %d", keys, slices)
+	}
+	if keys, slices := feed(math.MaxInt64); keys != 0 || slices != 0 {
+		t.Fatalf("after the close-out: window_keys = %d, window_slices = %d", keys, slices)
 	}
 }
 

@@ -1,60 +1,128 @@
 package dataflow
 
 import (
+	"encoding/gob"
+	"errors"
 	"fmt"
+	"maps"
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 	"time"
 
 	"repro/internal/agg"
 	"repro/internal/cutty"
+	"repro/internal/engine"
 	"repro/internal/metrics"
 	"repro/internal/state"
 	"repro/internal/window"
 )
 
-// sweepOnWatermark is WindowOp.OnWatermark as it was before the timer index:
-// release, then advance every engine of the subtask on every watermark. It
-// never consults or maintains the index, so it is the reference the indexed
-// operator must match emission for emission.
-func sweepOnWatermark(w *WindowOp, wm int64, out Collector) {
-	w.out = out
-	for _, key := range w.buf.SortedKeys() {
-		entries, _ := w.buf.Get(key)
-		due := false
-		for i := range entries {
-			if entries[i].Ts <= wm {
-				due = true
-				break
-			}
+// sweepRef is the reference the window operator must match emission for
+// emission: the operator as it was before the timer index and before the
+// slice timeline. It runs one cutty.Engine per key whatever the query set,
+// releases the reorder buffer on a watermark and then advances every engine it
+// holds, on every watermark, and keeps its state in plain maps. It shares no
+// code with WindowOp but the engine.
+type sweepRef struct {
+	queries []WindowQuery
+	engines map[uint64]*cutty.Engine
+	buf     map[uint64][]bufEntry
+	wm      int64
+	dropped int64
+	curKey  uint64
+	out     Collector
+}
+
+func newSweepRef(queries ...WindowQuery) *sweepRef {
+	return &sweepRef{queries: queries, engines: map[uint64]*cutty.Engine{}, buf: map[uint64][]bufEntry{}, wm: math.MinInt64}
+}
+
+func (r *sweepRef) newEngine() *cutty.Engine {
+	e := cutty.New(func(res engine.Result) {
+		r.out.Collect(Data(res.End, r.curKey, WindowResult{QueryID: res.QueryID, Start: res.Start, End: res.End, Value: res.Value, Count: res.Count}))
+	})
+	for _, q := range r.queries {
+		if _, err := e.AddQuery(engine.Query{Window: q.Spec, Fn: q.Fn}); err != nil {
+			panic(err)
 		}
-		if !due {
+	}
+	return e
+}
+
+func (r *sweepRef) OnBatch(run []Record) {
+	for _, rec := range run {
+		v, ok := rec.Value.(float64)
+		if !ok {
 			continue
 		}
-		entries, _ = w.buf.GetMut(key)
+		if rec.Ts <= r.wm {
+			r.dropped++
+			continue
+		}
+		r.buf[rec.Key] = append(r.buf[rec.Key], bufEntry{Ts: rec.Ts, Val: v})
+	}
+}
+
+func (r *sweepRef) OnWatermark(wm int64, out Collector) {
+	r.out = out
+	for _, key := range slices.Sorted(maps.Keys(r.buf)) {
+		entries := r.buf[key]
 		sort.SliceStable(entries, func(i, j int) bool { return entries[i].Ts < entries[j].Ts })
-		e := w.engineFor(key)
-		w.curKey = key
+		if entries[0].Ts > wm {
+			continue
+		}
+		e := r.engines[key]
+		if e == nil {
+			e = r.newEngine()
+			r.engines[key] = e
+		}
+		r.curKey = key
 		i := 0
 		for ; i < len(entries) && entries[i].Ts <= wm; i++ {
 			e.OnWatermark(entries[i].Ts)
 			e.OnElement(entries[i].Ts, entries[i].Val)
 		}
-		if i == len(entries) {
-			w.buf.Delete(key)
-		} else {
-			w.buf.Put(key, entries[i:])
+		if r.buf[key] = entries[i:]; i == len(entries) {
+			delete(r.buf, key)
 		}
 	}
-	for _, key := range w.engines.SortedKeys() {
-		w.curKey = key
-		w.engineFor(key).OnWatermark(wm)
+	for _, key := range slices.Sorted(maps.Keys(r.engines)) {
+		r.curKey = key
+		r.engines[key].OnWatermark(wm)
 	}
-	w.wm.SetAll(wm)
-	w.out = nil
+	r.wm = wm
+	r.out = nil
+}
+
+func (r *sweepRef) DroppedLate() int64 { return r.dropped }
+
+// perKeyEngineGroups snapshots the reference in the format WindowOp wrote
+// while it ran an engine per key for every query set: cells "engines", "buf"
+// and "wm", one blob per key group.
+func (r *sweepRef) perKeyEngineGroups(t testing.TB) map[int][]byte {
+	t.Helper()
+	ks := state.NewKeyedState(state.DefaultNumKeyGroups, 0, state.DefaultNumKeyGroups)
+	engines := state.RegisterMap(ks, "engines", state.Codec[*cutty.Engine]{
+		Encode: func(enc *gob.Encoder, e *cutty.Engine) error { return e.Snapshot(enc) },
+		Decode: func(*gob.Decoder) (*cutty.Engine, error) { return nil, errors.New("write-only") },
+	})
+	buf := state.RegisterMap(ks, "buf", state.SliceCodec[bufEntry]())
+	state.RegisterPerGroup(ks, "wm", r.wm, state.GobCodec[int64]())
+	for key, e := range r.engines {
+		engines.Put(key, e)
+	}
+	for key, entries := range r.buf {
+		buf.Put(key, entries)
+	}
+	groups, err := ks.Capture().EncodeGroups()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return groups
 }
 
 // oracleStep is one event of a generated schedule: a data run, or (run == nil)
@@ -66,13 +134,18 @@ type oracleStep struct {
 
 const oracleKeys = 240
 
+// oracleIdleKey shows up once every ninety steps, some two thousand ticks
+// apart: under short windows its state is released and it returns as a new
+// key, under the 60 000-tick windows it never goes away.
+const oracleIdleKey = 100_000
+
 // oracleSchedule generates a random interleaving of data runs and watermarks
-// over oracleKeys keys: skewed keys, bounded disorder with a share of late
-// records, non-float64 values, repeated watermarks, one jump far ahead, and
-// the end-of-stream watermark last.
+// over oracleKeys keys: a stream that starts before time 0, skewed keys,
+// bounded disorder with a share of late records, non-float64 values, repeated
+// watermarks, one jump far ahead, and the end-of-stream watermark last.
 func oracleSchedule(rng *rand.Rand) []oracleStep {
 	var steps []oracleStep
-	now, lastWM := int64(0), int64(math.MinInt64)
+	now, lastWM := int64(-150), int64(math.MinInt64)
 	watermark := func(wm int64) {
 		lastWM = max(lastWM, wm)
 		steps = append(steps, oracleStep{wm: lastWM})
@@ -109,8 +182,6 @@ func oracleSchedule(rng *rand.Rand) []oracleStep {
 }
 
 var oracleSpecs = map[string][]WindowQuery{
-	"tumbling":       {{Spec: window.Tumbling(50), Fn: agg.SumF64()}},
-	"sliding":        {{Spec: window.Sliding(120, 30), Fn: agg.CountF64()}},
 	"session":        {{Spec: window.Session(25), Fn: agg.SumF64()}},
 	"session-maxdur": {{Spec: window.SessionWithMaxDuration(25, 90), Fn: agg.MaxF64()}},
 	"count":          {{Spec: window.CountTumbling(7), Fn: agg.SumF64()}},
@@ -125,6 +196,64 @@ var oracleSpecs = map[string][]WindowQuery{
 		{Spec: window.CountTumbling(7), Fn: agg.AvgF64()},
 		{Spec: window.TimeOrCount(60, 5), Fn: agg.SumF64()},
 	},
+	// One slice over the bound a timeline takes: per-key engines.
+	"sliding-long": {{Spec: window.Sliding(10*(periodicSliceBound+1), 10), Fn: agg.SumF64()}},
+}
+
+// periodicSliceBound mirrors cutty's bound on a window's length in slices.
+const periodicSliceBound = 256
+
+// periodicSpecs are the query sets the slice timeline serves; init adds them
+// to oracleSpecs. Hand-picked edges first, then generated sets.
+var periodicSpecs = map[string][]WindowQuery{
+	"tumbling":            {{Spec: window.Tumbling(50), Fn: agg.SumF64()}},
+	"sliding":             {{Spec: window.Sliding(120, 30), Fn: agg.CountF64()}},
+	"p-size-not-multiple": {{Spec: window.Sliding(70, 30), Fn: agg.SumF64()}},
+	// Slice width 10, smaller than every slide (the 2000/3000 case, scaled).
+	"p-narrow-slices": {
+		{Spec: window.Sliding(60, 20), Fn: agg.MaxF64()},
+		{Spec: window.Sliding(90, 30), Fn: agg.SumF64()},
+	},
+	"p-shared-function": {
+		{Spec: window.Tumbling(50), Fn: agg.SumF64()},
+		{Spec: window.Sliding(150, 50), Fn: agg.SumF64()},
+		{Spec: window.Tumbling(100), Fn: agg.CountF64()},
+	},
+	"p-at-the-bound": {{Spec: window.Sliding(10*periodicSliceBound, 10), Fn: agg.CountF64()}},
+	"windows":        windowsQueries(1),
+	"windows-scaled": windowsQueries(100),
+}
+
+// windowsQueries is the windows workload's query set, sizes divided by scale.
+func windowsQueries(scale int64) []WindowQuery {
+	return []WindowQuery{
+		{Spec: window.Tumbling(1000 / scale), Fn: agg.SumF64()},
+		{Spec: window.Tumbling(1000 / scale), Fn: agg.CountF64()},
+		{Spec: window.Sliding(10_000/scale, 1000/scale), Fn: agg.AvgF64()},
+		{Spec: window.Sliding(60_000/scale, 5000/scale), Fn: agg.MaxF64()},
+	}
+}
+
+func init() {
+	// Var is left out: its Combine is associative only up to rounding, and a
+	// FlatFAT range and a left fold associate differently.
+	fns := []func() *agg.FnF64{agg.SumF64, agg.CountF64, agg.MinF64, agg.MaxF64, agg.AvgF64}
+	rng := rand.New(rand.NewSource(19))
+	for i := 0; i < 8; i++ {
+		var qs []WindowQuery
+		for n := 1 + rng.Intn(5); n > 0; n-- {
+			slide := int64(1 + rng.Intn(40))
+			size := slide * int64(1+rng.Intn(4))
+			if rng.Intn(2) == 0 {
+				size += rng.Int63n(slide) // not a multiple of the slide
+			}
+			qs = append(qs, WindowQuery{Spec: window.Sliding(size, slide), Fn: fns[rng.Intn(len(fns))]()})
+		}
+		periodicSpecs[fmt.Sprintf("p-gen-%d", i)] = qs
+	}
+	for name, qs := range periodicSpecs {
+		oracleSpecs[name] = qs
+	}
 }
 
 // oracleSeeds returns the fixed seeds plus one from the clock, logged so a
@@ -135,44 +264,53 @@ func oracleSeeds(t *testing.T) []int64 {
 	return []int64{1, 2, 3, clock}
 }
 
-// checkTimerInvariant asserts what lets a watermark skip engines: after
-// OnWatermark(wm) no engine — visited or not — has anything left to emit at
-// or below wm.
+// checkTimerInvariant asserts what lets a watermark skip keys: after
+// OnWatermark(wm) no key — visited or not — has anything left to emit at or
+// below wm.
 func checkTimerInvariant(t *testing.T, op *WindowOp, wm int64, where string) {
 	t.Helper()
 	if wm == math.MaxInt64 {
 		return
 	}
-	op.engines.Range(func(key uint64, e *cutty.Engine) bool {
-		if nf := e.NextFire(); nf <= wm {
-			t.Fatalf("%s: key %d skipped at watermark %d with NextFire %d", where, key, wm, nf)
+	for _, key := range op.keys() {
+		if kw, _ := op.visit(key); kw.NextFire() <= wm {
+			t.Fatalf("%s: key %d skipped at watermark %d with NextFire %d", where, key, wm, kw.NextFire())
 		}
-		return true
-	})
+	}
 }
 
-// TestWindowOpTimerIndexMatchesSweep is the oracle test of the event-time
-// timer index: over random schedules and every built-in window type, the
-// indexed operator emits exactly the records — values and order — of an
-// operator that visits every engine on every watermark, and drops the same
-// late records.
+// checkLayout asserts the rule that picks the window state layout: a timeline
+// for exactly the periodic sets, an engine per key for everything else.
+func checkLayout(t *testing.T, op *WindowOp, spec string) {
+	t.Helper()
+	if _, periodic := periodicSpecs[spec]; periodic != (op.timeline != nil) {
+		t.Fatalf("%s: timeline layout = %v, want %v", spec, op.timeline != nil, periodic)
+	}
+}
+
+// TestWindowOpTimerIndexMatchesSweep is the oracle test of the window operator — the
+// event-time timer index and both window state layouts: over random schedules
+// and every built-in window type, alone and in generated periodic sets, the
+// operator emits exactly the records — values and order — of the sweep
+// reference on every watermark, and drops the same late records.
 func TestWindowOpTimerIndexMatchesSweep(t *testing.T) {
 	seeds := oracleSeeds(t)
 	for name, queries := range oracleSpecs {
 		t.Run(name, func(t *testing.T) {
 			for _, seed := range seeds {
-				op, ref := newWindowOp(t, queries...), newWindowOp(t, queries...)
+				op, ref := newWindowOp(t, queries...), newSweepRef(queries...)
+				checkLayout(t, op, name)
 				emitted := 0
 				for i, st := range oracleSchedule(rand.New(rand.NewSource(seed))) {
 					where := fmt.Sprintf("seed %d step %d", seed, i)
 					if st.run != nil {
 						op.OnBatch(append([]Record{}, st.run...), nil)
-						ref.OnBatch(append([]Record{}, st.run...), nil)
+						ref.OnBatch(st.run)
 						continue
 					}
 					got, want := &capCollector{}, &capCollector{}
 					op.OnWatermark(st.wm, got)
-					sweepOnWatermark(ref, st.wm, want)
+					ref.OnWatermark(st.wm, want)
 					if !reflect.DeepEqual(got.recs, want.recs) {
 						t.Fatalf("%s, watermark %d: emissions diverged\n got %+v\nwant %+v", where, st.wm, got.recs, want.recs)
 					}
@@ -182,19 +320,25 @@ func TestWindowOpTimerIndexMatchesSweep(t *testing.T) {
 				if op.DroppedLate() != ref.DroppedLate() || op.DroppedLate() == 0 {
 					t.Fatalf("seed %d: DroppedLate = %d, sweep %d (want equal and > 0)", seed, op.DroppedLate(), ref.DroppedLate())
 				}
-				if emitted == 0 || op.engines.Len() < 200 {
-					t.Fatalf("seed %d: schedule too thin: %d results over %d keys", seed, emitted, op.engines.Len())
+				if emitted == 0 || len(ref.engines) < 200 {
+					t.Fatalf("seed %d: schedule too thin: %d results over %d keys", seed, emitted, len(ref.engines))
+				}
+				if op.timeline != nil && op.slices.Len() != 0 {
+					t.Fatalf("seed %d: %d keys hold state after the end-of-stream watermark", seed, op.slices.Len())
 				}
 			}
 		})
 	}
 }
 
-// TestWindowOpTimerIndexRebuiltOnRestore captures the indexed operator at a
-// random point of the schedule and restores it at parallelism 2. The index is
-// not in the snapshot; each restored subtask rebuilds it from its engines and
-// must emit, for the rest of the schedule, exactly what the uninterrupted
-// sweep reference emits for the keys that subtask now owns.
+// TestWindowOpTimerIndexRebuiltOnRestore captures the operator at a random point of
+// the schedule and restores it at parallelism 2. The timer index is not in
+// the snapshot; each restored subtask rebuilds it from its keys and must
+// emit, for the rest of the schedule, exactly what the uninterrupted sweep
+// reference emits for the keys that subtask now owns. For the periodic sets a
+// second pair of subtasks restores what the operator wrote while it ran an
+// engine per key for them — the reference's own state in that format — and
+// must do the same.
 func TestWindowOpTimerIndexRebuiltOnRestore(t *testing.T) {
 	const par = 2
 	owner := func(key uint64) int {
@@ -210,25 +354,7 @@ func TestWindowOpTimerIndexRebuiltOnRestore(t *testing.T) {
 		}
 		return out
 	}
-	for _, seed := range oracleSeeds(t) {
-		queries := oracleSpecs["mix"]
-		steps := oracleSchedule(rand.New(rand.NewSource(seed)))
-		cut := 50 + rand.New(rand.NewSource(seed)).Intn(len(steps)-100)
-
-		op, ref := newWindowOp(t, queries...), newWindowOp(t, queries...)
-		for _, st := range steps[:cut] {
-			if st.run != nil {
-				op.OnBatch(append([]Record{}, st.run...), nil)
-				ref.OnBatch(append([]Record{}, st.run...), nil)
-				continue
-			}
-			op.OnWatermark(st.wm, &capCollector{})
-			sweepOnWatermark(ref, st.wm, &capCollector{})
-		}
-		droppedBefore := ref.DroppedLate()
-		groups := captureGroups(t, op)
-
-		var subs [par]*WindowOp
+	restore := func(t *testing.T, queries []WindowQuery, groups map[int][]byte) (subs [par]*WindowOp) {
 		for sub := range subs {
 			start, end := state.GroupRangeFor(state.DefaultNumKeyGroups, par, sub)
 			mine := map[int][]byte{}
@@ -242,30 +368,62 @@ func TestWindowOpTimerIndexRebuiltOnRestore(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		for i, st := range steps[cut:] {
-			where := fmt.Sprintf("seed %d cut %d step %d", seed, cut, cut+i)
-			if st.run != nil {
-				ref.OnBatch(append([]Record{}, st.run...), nil)
-				for sub, s := range subs {
-					s.OnBatch(ownedBy(st.run, sub), nil)
+		return subs
+	}
+	seeds := oracleSeeds(t)
+	for name, queries := range oracleSpecs {
+		t.Run(name, func(t *testing.T) {
+			for _, seed := range seeds {
+				steps := oracleSchedule(rand.New(rand.NewSource(seed)))
+				cut := 50 + rand.New(rand.NewSource(seed)).Intn(len(steps)-100)
+
+				op, ref := newWindowOp(t, queries...), newSweepRef(queries...)
+				for _, st := range steps[:cut] {
+					if st.run != nil {
+						op.OnBatch(append([]Record{}, st.run...), nil)
+						ref.OnBatch(st.run)
+						continue
+					}
+					op.OnWatermark(st.wm, &capCollector{})
+					ref.OnWatermark(st.wm, &capCollector{})
 				}
-				continue
-			}
-			want := &capCollector{}
-			sweepOnWatermark(ref, st.wm, want)
-			for sub, s := range subs {
-				got := &capCollector{}
-				s.OnWatermark(st.wm, got)
-				if !reflect.DeepEqual(got.recs, ownedBy(want.recs, sub)) {
-					t.Fatalf("%s, subtask %d, watermark %d: emissions diverged\n got %+v\nwant %+v",
-						where, sub, st.wm, got.recs, ownedBy(want.recs, sub))
+				droppedBefore := ref.DroppedLate()
+				restored := map[string][par]*WindowOp{"own snapshot": restore(t, queries, captureGroups(t, op))}
+				if op.timeline != nil {
+					restored["per-key engine snapshot"] = restore(t, queries, ref.perKeyEngineGroups(t))
 				}
-				checkTimerInvariant(t, s, st.wm, where)
+				for i, st := range steps[cut:] {
+					if st.run != nil {
+						ref.OnBatch(st.run)
+						for _, subs := range restored {
+							for sub, s := range subs {
+								s.OnBatch(ownedBy(st.run, sub), nil)
+							}
+						}
+						continue
+					}
+					want := &capCollector{}
+					ref.OnWatermark(st.wm, want)
+					for from, subs := range restored {
+						where := fmt.Sprintf("seed %d cut %d step %d, restored from %s", seed, cut, cut+i, from)
+						for sub, s := range subs {
+							got := &capCollector{}
+							s.OnWatermark(st.wm, got)
+							if !reflect.DeepEqual(got.recs, ownedBy(want.recs, sub)) {
+								t.Fatalf("%s, subtask %d, watermark %d: emissions diverged\n got %+v\nwant %+v",
+									where, sub, st.wm, got.recs, ownedBy(want.recs, sub))
+							}
+							checkTimerInvariant(t, s, st.wm, where)
+						}
+					}
+				}
+				for from, subs := range restored {
+					if got := subs[0].DroppedLate() + subs[1].DroppedLate(); got != ref.DroppedLate()-droppedBefore {
+						t.Fatalf("seed %d, restored from %s: subtasks dropped %d late records, sweep %d", seed, from, got, ref.DroppedLate()-droppedBefore)
+					}
+				}
 			}
-		}
-		if got := subs[0].DroppedLate() + subs[1].DroppedLate(); got != ref.DroppedLate()-droppedBefore {
-			t.Fatalf("seed %d: restored subtasks dropped %d late records, sweep %d", seed, got, ref.DroppedLate()-droppedBefore)
-		}
+		})
 	}
 }
 
@@ -378,18 +536,21 @@ func TestTimerIndex(t *testing.T) {
 // source does — a run of 64 records, then a watermark — over the windows
 // workload's four queries, at 100 and at 10 000 keys (every key warm, then
 // Zipf-skewed traffic). One iteration is one run plus its watermark;
-// ns/watermark is the watermark's share and keys/watermark the engines it
+// ns/watermark is the watermark's share and keys/watermark the keys it
 // visited. With the timer index the cost follows the keys that fire, not the
-// keys the subtask holds: the two sizes differ by far less than 100x.
+// keys the subtask holds: the two sizes differ by far less than 100x. The
+// capture-active variant takes a snapshot capture before every run and leaves
+// it unserialized, so every key the run or the watermark touches pays its
+// copy-on-write clone.
 func BenchmarkWindowOpWatermark(b *testing.B) {
-	for _, keys := range []int{100, 10_000} {
-		b.Run(fmt.Sprintf("%dkeys", keys), func(b *testing.B) {
-			op := NewWindowOp(
-				WindowQuery{Spec: window.Tumbling(1000), Fn: agg.SumF64()},
-				WindowQuery{Spec: window.Tumbling(1000), Fn: agg.CountF64()},
-				WindowQuery{Spec: window.Sliding(10_000, 1000), Fn: agg.AvgF64()},
-				WindowQuery{Spec: window.Sliding(60_000, 5000), Fn: agg.MaxF64()},
-			)().(*WindowOp)
+	for _, bc := range []struct {
+		name    string
+		keys    int
+		capture bool
+	}{{"100keys", 100, false}, {"10000keys", 10_000, false}, {"10000keys/capture-active", 10_000, true}} {
+		b.Run(bc.name, func(b *testing.B) {
+			keys := bc.keys
+			op := NewWindowOp(windowsQueries(1)...)().(*WindowOp)
 			reg := metrics.NewRegistry()
 			if err := op.Open(&OpContext{NodeName: "win", Metrics: reg}); err != nil {
 				b.Fatal(err)
@@ -408,7 +569,7 @@ func BenchmarkWindowOpWatermark(b *testing.B) {
 				op.OnWatermark(next/10-lag, out)
 				return time.Since(start)
 			}
-			for op.engines.Len() < keys {
+			for next < int64(2*keys) {
 				step(func() uint64 { return uint64(next % int64(keys)) })
 			}
 			// P(rank k) ~ 1/k: the hottest hundredth of the keys takes half the records.
@@ -418,7 +579,14 @@ func BenchmarkWindowOpWatermark(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			var inWatermark time.Duration
+			var capture *state.Captured
 			for i := 0; i < b.N; i++ {
+				if bc.capture {
+					if capture != nil {
+						capture.Release()
+					}
+					capture = op.KeyedState().Capture()
+				}
 				inWatermark += step(zipf)
 			}
 			b.ReportMetric(float64(inWatermark.Nanoseconds())/float64(b.N), "ns/watermark")

@@ -27,29 +27,50 @@ type WindowQuery struct {
 // WindowOp is the keyed window aggregation operator. It receives keyed
 // float64 records (after a hash edge), restores event-time order with a
 // watermark-driven reorder buffer (merging the per-upstream in-order streams
-// re-introduces disorder), and runs one Cutty engine per key. Window results
-// are emitted as records whose Value is a WindowResult and whose Ts is the
-// window end.
+// re-introduces disorder), and feeds each key's elements, in order, to that
+// key's window state. Window results are emitted as records whose Value is a
+// WindowResult and whose Ts is the window end.
 //
-// All mutable state — the per-key engines, the per-key reorder buffers and
-// the per-group release watermark — lives in a state.KeyedState, so the
+// Window state has two layouts, and nothing selects between them but the
+// query set (cutty.NewTimeline decides in Open). When every query is a
+// periodic time window (tumbling, sliding) short enough in slices, the slice
+// edges are the same for every key: the subtask keeps one cutty.Timeline and
+// per key a cutty.KeySlices — the partials of the slices that key has data
+// in — and deletes a key whose last slice is evicted, so state is
+// proportional to live keys x occupied slices. Any other set (session, count,
+// punctuation, delta, time-or-count, a mix of those with periodic windows, a
+// window too long for a linear fold) runs one cutty.Engine per key.
+//
+// Emission order is a contract and the same in both layouts: per watermark,
+// the keys with released elements ascending, then the keys with a window due
+// ascending; per key, everything due at ts fires before an element at ts is
+// folded, query-major (ascending query id), ascending window start within a
+// query.
+//
+// All mutable state — the per-key window state, the per-key reorder buffers
+// and the per-group release watermark — lives in a state.KeyedState, so the
 // operator snapshots per key group (asynchronously, behind a copy-on-write
-// capture) and restores at any parallelism.
+// capture) and restores at any parallelism. A snapshot from when a periodic
+// query set still ran an engine per key (cell "engines") restores into the
+// timeline layout, converted key by key.
 //
-// A watermark visits only the keys with a window due. Each engine reports
-// the smallest watermark at which it would emit anything (Engine.NextFire);
+// A watermark visits only the keys with a window due. Each key's state
+// reports the smallest watermark at which it would emit anything (NextFire);
 // the operator keeps that deadline per key in a timerIndex and advances only
-// the engines a watermark has reached — the rest catch up lazily, when their
-// next element or deadline arrives. The invariant: for every engine not
-// visited at wm, NextFire() > wm, so visiting it would emit nothing. The
-// index is derived from the engines and not checkpointed (a restore at
-// another parallelism regroups the keys anyway): Open rebuilds it by asking
-// each restored engine.
+// the keys a watermark has reached — the rest catch up lazily, when their
+// next element or deadline arrives. The invariant: for every key not visited
+// at wm, NextFire() > wm, so visiting it would emit nothing. The index is
+// derived from the window state and not checkpointed (a restore at another
+// parallelism regroups the keys anyway): Open rebuilds it by asking each
+// restored key.
 type WindowOp struct {
 	Queries []WindowQuery
 
-	out         Collector
-	ks          *state.KeyedState
+	out Collector
+	ks  *state.KeyedState
+	// The layout: timeline and slices, or (timeline == nil) engines.
+	timeline    *cutty.Timeline
+	slices      *state.MapCell[*cutty.KeySlices]
 	engines     *state.MapCell[*cutty.Engine]
 	buf         *state.MapCell[[]bufEntry]
 	wm          *state.GroupCell[int64]
@@ -58,12 +79,27 @@ type WindowOp struct {
 	droppedLate int64
 	droppedCtr  *metrics.Counter
 
+	// State size — keys holding window state and their slices, kept by visit
+	// and leave — and what of it this subtask has added to the node's gauges.
+	liveKeys, liveSlices   int64
+	shownKeys, shownSlices int64
+	keysGauge, slicesGauge *metrics.Gauge
+
 	// Run scratch (see OnBatch), reused across calls.
 	kt     keyTable
 	recIdx []int32    // per record: dense key index, -1 = skipped (non-float64)
 	segLen []int32    // per dense key: element count in the run
 	segOff []int32    // per dense key: gather cursor (segment end after fill)
 	gather []bufEntry // run elements grouped by key, record order within a key
+}
+
+// keyWindows is one key's window state while OnWatermark visits it: the key's
+// cutty.Engine, or the subtask's cutty.Timeline pointed at the key's slices.
+type keyWindows interface {
+	OnWatermark(wm int64)
+	OnElement(ts int64, v float64)
+	NextFire() int64
+	Slices() int
 }
 
 // bufEntry is one buffered, not-yet-released element of a key's reorder
@@ -121,27 +157,45 @@ func (w *WindowOp) emitResult(r engine.Result) {
 // Open implements Operator.
 func (w *WindowOp) Open(ctx *OpContext) error {
 	w.ks = ctx.NewKeyedState()
-	w.engines = state.RegisterMap(w.ks, "engines", state.Codec[*cutty.Engine]{
-		Encode: func(enc *gob.Encoder, e *cutty.Engine) error { return e.Snapshot(enc) },
-		Decode: func(dec *gob.Decoder) (*cutty.Engine, error) {
-			e := w.newEngine()
-			return e, e.Restore(dec)
-		},
-		Clone: w.cloneEngine,
-	})
+	queries := make([]engine.Query, len(w.Queries))
+	for i, q := range w.Queries {
+		queries[i] = engine.Query{Window: q.Spec, Fn: q.Fn}
+	}
+	if tl, ok := cutty.NewTimeline(w.emitResult, queries); ok {
+		w.timeline = tl
+		w.slices = state.RegisterMap(w.ks, "slices", state.Codec[*cutty.KeySlices]{
+			Encode: func(enc *gob.Encoder, k *cutty.KeySlices) error { return enc.Encode(k) },
+			Decode: tl.Decode,
+			Clone:  (*cutty.KeySlices).Clone,
+		})
+		w.slices.AcceptLegacy("engines", tl.DecodeEngine)
+	} else {
+		w.engines = state.RegisterMap(w.ks, "engines", state.Codec[*cutty.Engine]{
+			Encode: func(enc *gob.Encoder, e *cutty.Engine) error { return e.Snapshot(enc) },
+			Decode: func(dec *gob.Decoder) (*cutty.Engine, error) {
+				e := w.newEngine()
+				return e, e.Restore(dec)
+			},
+			Clone: w.cloneEngine,
+		})
+	}
 	w.buf = state.RegisterMap(w.ks, "buf", state.SliceCodec[bufEntry]())
 	w.wm = state.RegisterPerGroup(w.ks, "wm", int64(math.MinInt64), state.GobCodec[int64]())
 	if ctx.Metrics != nil {
 		w.droppedCtr = ctx.Metrics.Counter("node." + ctx.NodeName + ".records_dropped_late")
+		w.keysGauge = ctx.Metrics.Gauge("node." + ctx.NodeName + ".window_keys")
+		w.slicesGauge = ctx.Metrics.Gauge("node." + ctx.NodeName + ".window_slices")
 	}
 	if err := ctx.RestoreKeyedState(w.ks); err != nil {
 		return err
 	}
 	w.timers.init(ctx)
-	w.engines.Range(func(key uint64, e *cutty.Engine) bool {
-		w.timers.arm(key, e.NextFire())
-		return true
-	})
+	restored := w.keys()
+	w.liveKeys = int64(len(restored))
+	for _, key := range restored {
+		kw, _ := w.visit(key)
+		w.leave(key, kw, 0)
+	}
 	return nil
 }
 
@@ -242,31 +296,68 @@ func (w *WindowOp) OnBatch(b []Record, _ Collector) []Record {
 // passed their timestamp and were therefore excluded.
 func (w *WindowOp) DroppedLate() int64 { return w.droppedLate }
 
-// engineFor returns the key's engine for mutation, creating it on demand.
-func (w *WindowOp) engineFor(key uint64) *cutty.Engine {
-	e, ok := w.engines.GetMut(key)
-	if !ok {
-		e = w.newEngine()
-		w.engines.Put(key, e)
+// keys returns the keys holding window state, ascending.
+func (w *WindowOp) keys() []uint64 {
+	if w.timeline != nil {
+		return w.slices.SortedKeys()
 	}
-	return e
+	return w.engines.SortedKeys()
+}
+
+// visit returns key's window state for mutation (while a capture serializes,
+// a private copy: two slice copies for a timeline key, a snapshot round trip
+// for an engine), creating it on demand, and how many slices it holds.
+func (w *WindowOp) visit(key uint64) (keyWindows, int) {
+	w.curKey = key
+	if w.timeline == nil {
+		e, ok := w.engines.GetMut(key)
+		if !ok {
+			e = w.newEngine()
+			w.engines.Put(key, e)
+			w.liveKeys++
+		}
+		return e, e.Slices()
+	}
+	k, ok := w.slices.GetMut(key)
+	if !ok {
+		k = cutty.NewKeySlices()
+		w.slices.Put(key, k)
+		w.liveKeys++
+	}
+	return w.timeline.Visit(k), len(k.Slots)
+}
+
+// leave ends a visit that found the key with had slices: the key's timer is
+// re-armed, or — timeline layout, nothing pending, so no slice left — its
+// state is released. A key that returns starts over: every later element is
+// newer than the release watermark, so no window fires twice.
+func (w *WindowOp) leave(key uint64, kw keyWindows, had int) {
+	w.liveSlices += int64(kw.Slices() - had)
+	next := kw.NextFire()
+	if next == math.MaxInt64 && w.timeline != nil {
+		w.slices.Delete(key)
+		w.liveKeys--
+		return
+	}
+	w.timers.arm(key, next)
 }
 
 func byTs(a, b bufEntry) int { return cmp.Compare(a.Ts, b.Ts) }
 
 // OnWatermark implements Operator: release buffered records with ts <= wm
-// per key in event-time order into the key's engine and re-arm the key's
-// timer, then advance the engines whose timer wm has reached — in ascending
-// key order, the order results are emitted in — and the per-group release
-// watermark. The other engines would emit nothing (the timer invariant), and
-// their own watermark need only catch up before their next element, which
-// the release loop sees to. The end-of-stream watermark closes windows no
-// deadline announces (count, punctuation, delta), so it visits every engine.
+// per key in event-time order into the key's window state and re-arm the
+// key's timer, then advance the keys whose timer wm has reached — in
+// ascending key order, the order results are emitted in — and the per-group
+// release watermark. The other keys would emit nothing (the timer invariant),
+// and their own event time need only catch up before their next element,
+// which the release loop sees to. The end-of-stream watermark closes windows
+// no deadline announces (count, punctuation, delta), so it visits every key
+// that still holds state.
 //
 // The results must be out before the runtime forwards the watermark
 // downstream, or a downstream event-time operator would drop them as late.
-// While a snapshot capture is serializing, each engine touched — released
-// into or due, not every engine — pays its copy-on-write clone once.
+// While a snapshot capture is serializing, each key touched — released into
+// or due, not every key — pays its copy-on-write clone once.
 func (w *WindowOp) OnWatermark(wm int64, out Collector) {
 	w.out = out
 	for _, key := range w.buf.SortedKeys() {
@@ -287,34 +378,37 @@ func (w *WindowOp) OnWatermark(wm int64, out Collector) {
 			entries, _ = w.buf.GetMut(key)
 			slices.SortStableFunc(entries, byTs)
 		}
-		e := w.engineFor(key)
-		w.curKey = key
+		kw, had := w.visit(key)
 		i := 0
 		for ; i < len(entries) && entries[i].Ts <= wm; i++ {
-			e.OnWatermark(entries[i].Ts)
-			e.OnElement(entries[i].Ts, entries[i].Val)
+			kw.OnWatermark(entries[i].Ts)
+			kw.OnElement(entries[i].Ts, entries[i].Val)
 		}
 		if i == len(entries) {
 			w.buf.Delete(key)
 		} else {
 			w.buf.Put(key, entries[i:])
 		}
-		w.timers.arm(key, e.NextFire())
+		w.leave(key, kw, had)
 	}
 	var fired []uint64
 	if wm == math.MaxInt64 {
-		fired = w.engines.SortedKeys()
+		fired = w.keys()
 	} else {
 		fired = w.timers.expire(wm)
 	}
 	for _, key := range fired {
-		w.curKey = key
-		e := w.engineFor(key)
-		e.OnWatermark(wm)
-		w.timers.arm(key, e.NextFire())
+		kw, had := w.visit(key)
+		kw.OnWatermark(wm)
+		w.leave(key, kw, had)
 	}
 	w.timers.count(len(fired))
 	w.wm.SetAll(wm)
+	if w.keysGauge != nil {
+		w.keysGauge.Add(w.liveKeys - w.shownKeys)
+		w.slicesGauge.Add(w.liveSlices - w.shownSlices)
+		w.shownKeys, w.shownSlices = w.liveKeys, w.liveSlices
+	}
 	w.out = nil
 }
 

@@ -1,10 +1,15 @@
 package dataflow
 
 import (
+	"fmt"
 	"math"
+	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/agg"
+	"repro/internal/cutty"
+	"repro/internal/state"
 	"repro/internal/window"
 )
 
@@ -173,5 +178,132 @@ func TestWindowOpCaptureSurvivesBufferReuse(t *testing.T) {
 	}
 	if wr := rout.recs[0].Value.(WindowResult); wr.Value != 40 {
 		t.Fatalf("captured state corrupted by post-capture buffer reuse: window sum %v, want 40", wr.Value)
+	}
+}
+
+// TestWindowOpReleasesIdleKeys: window state used to be created on a key's
+// first element and never deleted. A key none of whose windows is still open
+// holds nothing — the cell is empty, a checkpoint is as small as a new
+// operator's — and when the key returns its windows are exact.
+func TestWindowOpReleasesIdleKeys(t *testing.T) {
+	queries := []WindowQuery{
+		{Spec: window.Tumbling(10), Fn: agg.SumF64()},
+		{Spec: window.Sliding(40, 10), Fn: agg.CountF64()},
+	}
+	checkpointBytes := func(op *WindowOp) (n int) {
+		for _, blob := range captureGroups(t, op) {
+			n += len(blob)
+		}
+		return n
+	}
+	op := newWindowOp(t, queries...)
+	empty := checkpointBytes(op)
+
+	const keys = 5000
+	run := make([]Record, keys)
+	for i := range run {
+		run[i] = Data(int64(i%30), uint64(i), 1.0)
+	}
+	out := &collectList{}
+	op.OnBatch(run, nil)
+	op.OnWatermark(35, out)
+	if got := op.slices.Len(); got != keys {
+		t.Fatalf("%d keys hold window state with windows open, want %d", got, keys)
+	}
+	if n := checkpointBytes(op); n < empty+keys {
+		t.Fatalf("checkpoint of %d live keys is %d bytes, an empty one %d", keys, n, empty)
+	}
+	op.OnWatermark(70, out) // past the last window of every key: [20,60), [30,70)
+	if got := op.slices.Len(); got != 0 {
+		t.Fatalf("%d keys still hold window state after their last window fired", got)
+	}
+	// The release watermark is per-group state a new operator does not have
+	// at another value; compare at the same one.
+	fresh := newWindowOp(t, queries...)
+	fresh.OnWatermark(70, &collectList{})
+	if n, want := checkpointBytes(op), checkpointBytes(fresh); n != want {
+		t.Fatalf("checkpoint after every key went idle is %d bytes, a new operator's %d", n, want)
+	}
+
+	out.recs = nil
+	op.OnBatch([]Record{Data(75, 42, 2.0), Data(78, 42, 3.0), Data(60, 42, 100.0)}, nil) // ts 60 is late
+	op.OnWatermark(math.MaxInt64, out)
+	var got []WindowResult
+	for _, r := range out.recs {
+		got = append(got, r.Value.(WindowResult))
+	}
+	want := []WindowResult{
+		{QueryID: 0, Start: 70, End: 80, Value: 5, Count: 2},
+		{QueryID: 1, Start: 40, End: 80, Value: 2, Count: 2},
+		{QueryID: 1, Start: 50, End: 90, Value: 2, Count: 2},
+		{QueryID: 1, Start: 60, End: 100, Value: 2, Count: 2},
+		{QueryID: 1, Start: 70, End: 110, Value: 2, Count: 2},
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("returning key fired %+v, want %+v", got, want)
+	}
+}
+
+// keySlicesBlob encodes one key group holding the given per-key states in the
+// timeline layout's snapshot format, bypassing every check the operator's own
+// codec makes.
+func keySlicesBlob(t testing.TB, wm int64, keys map[uint64]*cutty.KeySlices) (group int, blob []byte) {
+	t.Helper()
+	ks := state.NewKeyedState(state.DefaultNumKeyGroups, 0, state.DefaultNumKeyGroups)
+	cell := state.RegisterMap(ks, "slices", state.GobCodec[*cutty.KeySlices]())
+	state.RegisterMap(ks, "buf", state.SliceCodec[bufEntry]())
+	state.RegisterPerGroup(ks, "wm", wm, state.GobCodec[int64]())
+	for key, k := range keys {
+		cell.Put(key, k)
+		group = state.KeyGroupFor(key, state.DefaultNumKeyGroups)
+	}
+	blob, err := ks.Capture().EncodeGroup(group)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return group, blob
+}
+
+// TestWindowOpRestoreRejectsMalformedSlices: a per-key blob whose partials do
+// not match its slices, or whose slices are out of order, fails the restore —
+// naming operator, key group and key — instead of panicking at the next fire.
+func TestWindowOpRestoreRejectsMalformedSlices(t *testing.T) {
+	queries := []WindowQuery{
+		{Spec: window.Tumbling(10), Fn: agg.SumF64()},
+		{Spec: window.Tumbling(10), Fn: agg.MaxF64()},
+	}
+	part := agg.Acc{V: 1, N: 1}
+	for name, tc := range map[string]struct {
+		k  *cutty.KeySlices
+		ok bool
+	}{
+		"well-formed":          {&cutty.KeySlices{Fired: 5, Slots: []int64{1, 3}, Parts: []agg.Acc{part, part, part, part}}, true},
+		"one store's partials": {&cutty.KeySlices{Fired: 5, Slots: []int64{1, 3}, Parts: []agg.Acc{part, part}}, false},
+		"partials, no slices":  {&cutty.KeySlices{Fired: 5, Parts: []agg.Acc{part, part}}, false},
+		"slices out of order":  {&cutty.KeySlices{Fired: 5, Slots: []int64{3, 1}, Parts: []agg.Acc{part, part, part, part}}, false},
+		"a slice listed twice": {&cutty.KeySlices{Fired: 5, Slots: []int64{3, 3}, Parts: []agg.Acc{part, part, part, part}}, false},
+		"slices, no partials":  {&cutty.KeySlices{Fired: 5, Slots: []int64{1}}, false},
+		"an extra odd partial": {&cutty.KeySlices{Fired: 5, Slots: []int64{1}, Parts: []agg.Acc{part, part, part}}, false},
+		"no state at all":      {&cutty.KeySlices{Fired: 5}, true},
+		"slices before time 0": {&cutty.KeySlices{Fired: -30, Slots: []int64{-2, 0}, Parts: []agg.Acc{part, part, part, part}}, true},
+	} {
+		group, blob := keySlicesBlob(t, 5, map[uint64]*cutty.KeySlices{7: tc.k})
+		op := NewWindowOp(queries...)().(*WindowOp)
+		err := op.Open(&OpContext{NodeName: "win", RestoreGroups: map[int][]byte{group: blob}})
+		if tc.ok {
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			op.OnWatermark(math.MaxInt64, &collectList{})
+			continue
+		}
+		if err == nil {
+			t.Fatalf("%s: restore accepted the blob", name)
+		}
+		for _, part := range []string{`"win"`, fmt.Sprintf("key group %d", group), "key 0x7"} {
+			if !strings.Contains(err.Error(), part) {
+				t.Fatalf("%s: error %q does not name %s", name, err, part)
+			}
+		}
 	}
 }

@@ -42,6 +42,10 @@ type Gauge struct {
 // Set stores v as the current value.
 func (g *Gauge) Set(v int64) { g.v.Store(v) }
 
+// Add moves the gauge by delta: the form for a level several subtasks share,
+// each reporting how its own part changed.
+func (g *Gauge) Add(delta int64) { g.v.Add(delta) }
+
 // Value returns the current value.
 func (g *Gauge) Value() int64 { return g.v.Load() }
 

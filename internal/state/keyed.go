@@ -185,6 +185,14 @@ type keyedCell interface {
 	decodeGroup(dec *gob.Decoder, group int) error
 }
 
+// legacyCell is a cell that also restores what an earlier version of its
+// operator wrote under another cell name (MapCell.AcceptLegacy).
+type legacyCell interface {
+	// legacyDecoder returns the group decoder for the old cell name, nil if
+	// the cell does not stand in for it.
+	legacyDecoder(name string) func(dec *gob.Decoder, group int) error
+}
+
 // capturedCell is one cell's frozen view inside a Captured snapshot.
 type capturedCell interface {
 	encodeGroup(enc *gob.Encoder, group int) error
@@ -214,6 +222,17 @@ type MapCell[V any] struct {
 	name   string
 	codec  Codec[V]
 	groups []mapGroup[V]
+
+	legacyName   string
+	legacyDecode func(dec *gob.Decoder) (V, error)
+}
+
+// AcceptLegacy declares that this cell replaces the cell an earlier version
+// of the operator registered as name, in the same position: a blob carrying
+// that cell restores into this one, each value read and converted by decode.
+// The cell snapshots under its own name only.
+func (c *MapCell[V]) AcceptLegacy(name string, decode func(dec *gob.Decoder) (V, error)) {
+	c.legacyName, c.legacyDecode = name, decode
 }
 
 // RegisterMap registers a per-key cell on ks under the given name.
@@ -443,22 +462,37 @@ func (cm *capturedMap[V]) encodeGroup(enc *gob.Encoder, group int) error {
 }
 
 func (c *MapCell[V]) decodeGroup(dec *gob.Decoder, group int) error {
+	return c.decodeGroupWith(c.codec.Decode, c.name, dec, group)
+}
+
+func (c *MapCell[V]) legacyDecoder(name string) func(*gob.Decoder, int) error {
+	if c.legacyDecode == nil || name != c.legacyName {
+		return nil
+	}
+	return func(dec *gob.Decoder, group int) error {
+		return c.decodeGroupWith(c.legacyDecode, name, dec, group)
+	}
+}
+
+func (c *MapCell[V]) decodeGroupWith(decode func(*gob.Decoder) (V, error), name string, dec *gob.Decoder, group int) error {
 	var n int
 	if err := dec.Decode(&n); err != nil {
 		return err
 	}
 	g := &c.groups[group-c.ks.start]
 	if g.m == nil && n > 0 {
-		g.m = make(map[uint64]V, n)
+		// n is read from the blob: presize by it only as far as a blob can
+		// plausibly hold, so a corrupt count cannot allocate on its own.
+		g.m = make(map[uint64]V, min(n, 1<<12))
 	}
 	for i := 0; i < n; i++ {
 		var k uint64
 		if err := dec.Decode(&k); err != nil {
 			return err
 		}
-		v, err := c.codec.Decode(dec)
+		v, err := decode(dec)
 		if err != nil {
-			return fmt.Errorf("cell %q key %#x: %w", c.name, k, err)
+			return fmt.Errorf("cell %q key %#x: %w", name, k, err)
 		}
 		g.m[k] = v
 	}
@@ -623,10 +657,17 @@ func (ks *KeyedState) RestoreGroup(group int, blob []byte) error {
 		if err := dec.Decode(&name); err != nil {
 			return fmt.Errorf("state: restore key group %d: %w", group, err)
 		}
+		decode := cell.decodeGroup
 		if name != cell.cellName() {
-			return fmt.Errorf("state: restore key group %d: cell %q in snapshot, %q registered (registration order changed?)", group, name, cell.cellName())
+			decode = nil
+			if lc, ok := cell.(legacyCell); ok {
+				decode = lc.legacyDecoder(name)
+			}
+			if decode == nil {
+				return fmt.Errorf("state: restore key group %d: cell %q in snapshot, %q registered (registration order changed?)", group, name, cell.cellName())
+			}
 		}
-		if err := cell.decodeGroup(dec, group); err != nil {
+		if err := decode(dec, group); err != nil {
 			return fmt.Errorf("state: restore key group %d: %w", group, err)
 		}
 	}

@@ -175,6 +175,25 @@
 // unions, sinks and any stage consumed by more than one downstream all end
 // the run.
 //
+// # Window state
+//
+// WindowAggregate shares work between its queries the way Cutty does: one
+// partial aggregate per slice per distinct aggregate function, however many
+// queries use it. How the slices are kept depends on the queries alone, and
+// a pipeline cannot tell except by size and speed. When every query is a
+// Tumbling or Sliding window, the slice edges are the same for every key; a
+// subtask computes them once and holds, per key, only the partials of the
+// slices that key has data in, so window state is proportional to live keys
+// x occupied slices and a key with no open window holds nothing. Any other
+// set — one with a Session, a count, punctuation or delta window, or a
+// sliding window several hundred slides long — runs Cutty's general engine
+// per key. Results and their order are identical in both: per watermark keys
+// ascending, per key by query then window start. Count, Min and Max, and sums
+// of exactly representable values, are bit-identical; other floating-point
+// sums agree up to re-association (a window is a left fold over its slices
+// in one layout, an aggregate-tree range in the other — as it already was
+// for any window restored from a checkpoint).
+//
 // # Keyed state, checkpoints and rescaling
 //
 // Keyed operators (ReduceByKey, WindowAggregate, JoinWindow) keep their
