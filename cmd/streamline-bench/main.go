@@ -20,7 +20,7 @@
 //	streamline-bench -scan BENCH_scan.json
 //	                              # at-rest scan report only: byte-range
 //	                              # splits vs round-robin full-file scans
-//	                              # plus seek vs re-scan restore, to JSON
+//	                              # plus seek restore time, to JSON
 //	streamline-bench -recover BENCH_recover.json
 //	                              # supervised recovery report only: inject
 //	                              # worker kills into a supervised job and

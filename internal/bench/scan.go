@@ -2,9 +2,7 @@ package bench
 
 import (
 	"bufio"
-	"bytes"
 	"context"
-	"encoding/gob"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -21,10 +19,9 @@ import (
 // dynamic assigner (each subtask scans ~1/p of the file). Two pipelines run
 // at parallelism 1/2/4: "scan" counts lines with a near-free decode (the
 // pure scan path under measurement) and "wordcount" tokenizes every owned
-// line into words (decode work shared by both designs). A separate pair of
-// measurements shows restore cost: seek-based split restore is O(remaining
-// split), the legacy row-cursor restore re-scans O(file). Results are
-// written to BENCH_scan.json by `streamline-bench -scan`.
+// line into words (decode work shared by both designs). A separate
+// measurement shows restore cost: seek-based split restore is O(remaining
+// split). Results are written to BENCH_scan.json by `streamline-bench -scan`.
 
 // ScanRun is one (pipeline, mode, parallelism, split size) measurement.
 type ScanRun struct {
@@ -42,7 +39,7 @@ type ScanRun struct {
 // ScanRestoreRun is one restore-cost measurement: time from Restore to the
 // first record, resuming at ~7/8 of the file.
 type ScanRestoreRun struct {
-	Mode          string  `json:"mode"` // "seek" | "legacy_rescan"
+	Mode          string  `json:"mode"` // "seek"
 	FileBytes     int64   `json:"file_bytes"`
 	ResumeAtLines int64   `json:"resume_at_lines"`
 	FirstRecordMs float64 `json:"first_record_ms"`
@@ -246,17 +243,8 @@ func scanOnce(pipeline, mode, path string, lines, size, splitSize int64, par int
 	return run, nil
 }
 
-// legacyCursorBlob encodes a pre-split fileCursorState{Next} snapshot — the
-// versioned decoder accepts it by field name, so the bench can exercise the
-// legacy O(file) restore path without the old reader.
-func legacyCursorBlob(next int64) ([]byte, error) {
-	var buf bytes.Buffer
-	err := gob.NewEncoder(&buf).Encode(struct{ Next int64 }{Next: next})
-	return buf.Bytes(), err
-}
-
-// scanRestore measures the two restore paths at a resume position ~7/8 into
-// the file: seek-based split restore versus the legacy row-cursor re-scan.
+// scanRestore measures seek-based split restore at a resume position ~7/8
+// into the file: the time from Restore to the first record.
 func scanRestore(path string, lines, size int64) ([]ScanRestoreRun, error) {
 	keepAll := func(line []byte, off int64) (dataflow.Record, bool, error) {
 		return dataflow.Data(off, 0, 1.0), true, nil
@@ -269,7 +257,7 @@ func scanRestore(path string, lines, size int64) ([]ScanRestoreRun, error) {
 	}
 	resumeAt := lines * 7 / 8
 
-	// Seek path: consume 7/8 of the records, snapshot, restore fresh.
+	// Consume 7/8 of the records, snapshot, restore fresh.
 	src := mk()
 	for i := int64(0); i < resumeAt; i++ {
 		if _, ok := src.Next(); !ok {
@@ -290,25 +278,8 @@ func scanRestore(path string, lines, size int64) ([]ScanRestoreRun, error) {
 	}
 	seekMs := float64(time.Since(t0).Nanoseconds()) / 1e6
 
-	// Legacy path: a pre-split cursor at the same position re-scans the
-	// whole prefix before the first record.
-	legacyBlob, err := legacyCursorBlob(resumeAt)
-	if err != nil {
-		return nil, err
-	}
-	legacy := mk()
-	t1 := time.Now()
-	if err := legacy.Restore(legacyBlob); err != nil {
-		return nil, err
-	}
-	if _, ok := legacy.Next(); !ok {
-		return nil, fmt.Errorf("legacy restore emitted nothing")
-	}
-	legacyMs := float64(time.Since(t1).Nanoseconds()) / 1e6
-
 	return []ScanRestoreRun{
 		{Mode: "seek", FileBytes: size, ResumeAtLines: resumeAt, FirstRecordMs: seekMs},
-		{Mode: "legacy_rescan", FileBytes: size, ResumeAtLines: resumeAt, FirstRecordMs: legacyMs},
 	}, nil
 }
 

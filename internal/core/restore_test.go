@@ -127,12 +127,16 @@ func TestExecuteRestoredRescaledFileSource(t *testing.T) {
 			opts = append(opts, WithCheckpointing(backend, 20*time.Millisecond))
 		}
 		env := NewEnvironment(opts...)
-		factory := dataflow.LineSourceFactory(dataflow.ScanConfig{Input: path, SplitSize: 2048}, decode)
+		var plan *dataflow.ScanPlan // one per execution, shared by its subtasks
 		src := env.FromSource("scan", srcPar, func(sub, par int) dataflow.SourceFunc {
-			if perSec > 0 {
-				return &dataflow.PacedSource{PerSec: perSec, Inner: factory(sub, par)}
+			if sub == 0 {
+				plan = &dataflow.ScanPlan{Inputs: []string{path}, SplitSize: 2048}
 			}
-			return factory(sub, par)
+			scan := &dataflow.FileScanSource{Plan: plan, Subtask: sub, Parallelism: par, DecodeLine: decode}
+			if perSec > 0 {
+				return &dataflow.PacedSource{PerSec: perSec, Inner: scan}
+			}
+			return scan
 		})
 		sink := src.
 			KeyBy("k", func(r dataflow.Record) uint64 { return r.Key }).

@@ -131,10 +131,11 @@ func (j *Job) validateRestore(numGroups int) error {
 			// redistributes it at any parallelism. Probe a throwaway instance
 			// for the capability (factories are cheap and side-effect-free
 			// until first read). The probe is best-effort: composite sources
-			// (typed-layer adapters, PacedSource) implement MultiRestorable
-			// unconditionally and enforce the positional rules inside
-			// RestoreAll instead, so their mismatch errors surface at source
-			// restore time rather than here — still before any data flows.
+			// (PacedSource, the typed layer's readers) implement
+			// MultiRestorable unconditionally and apply PositionalBlob to
+			// their positional parts inside RestoreAll, so those mismatch
+			// errors surface at source restore time — still before any data
+			// flows.
 			if n.NewSource != nil {
 				if _, ok := n.NewSource(0, n.Parallelism).(MultiRestorable); ok {
 					continue

@@ -24,55 +24,13 @@ import (
 const maxLineBytes = 4 << 20
 
 // LineDecode turns one line (without its newline) into a record; off is the
-// byte offset of the line's first byte in its file (a scan restored from a
-// pre-split snapshot passes the global row index instead — the legacy
-// contract, so default timestamps keep their domain). The line buffer is
-// only valid during the call. keep=false skips the line (blanks, comments).
+// byte offset of the line's first byte in its file. The line buffer is only
+// valid during the call. keep=false skips the line (blanks, comments).
 type LineDecode func(line []byte, off int64) (r Record, keep bool, err error)
 
 // RowDecode turns one CSV row into a record; off is the byte offset of the
-// row's first byte in its file (row index under a legacy restore, like
-// LineDecode). The row slice is only valid during the call.
+// row's first byte in its file. The row slice is only valid during the call.
 type RowDecode func(row []string, off int64) (r Record, err error)
-
-// ScanConfig describes one at-rest scan for the factory helpers below.
-type ScanConfig struct {
-	// Input is a literal file path, a directory, or a filepath.Match glob.
-	Input string
-	// SplitSize is the target split length in bytes (<= 0 uses
-	// DefaultSplitSize).
-	SplitSize int64
-	// Header marks the first CSV row of every file as a header to skip
-	// (CSV factories only).
-	Header bool
-}
-
-// LineSourceFactory returns a SourceFactory scanning newline-delimited
-// files. All subtasks of one execution share a single ScanPlan — the
-// factory creates a fresh plan when subtask 0 is instantiated (the runtime
-// builds subtasks in order), so re-running a graph re-plans the scan.
-func LineSourceFactory(cfg ScanConfig, decode LineDecode) SourceFactory {
-	var plan *ScanPlan
-	return func(sub, par int) SourceFunc {
-		if sub == 0 || plan == nil {
-			plan = &ScanPlan{Inputs: []string{cfg.Input}, SplitSize: cfg.SplitSize}
-		}
-		return &FileScanSource{Plan: plan, Subtask: sub, Parallelism: par, DecodeLine: decode}
-	}
-}
-
-// CSVSourceFactory returns a SourceFactory scanning CSV files, planned with
-// quote-aware splits (see ScanPlan.CSV). Plan sharing works like
-// LineSourceFactory.
-func CSVSourceFactory(cfg ScanConfig, decode RowDecode) SourceFactory {
-	var plan *ScanPlan
-	return func(sub, par int) SourceFunc {
-		if sub == 0 || plan == nil {
-			plan = &ScanPlan{Inputs: []string{cfg.Input}, SplitSize: cfg.SplitSize, CSV: true, Header: cfg.Header}
-		}
-		return &FileScanSource{Plan: plan, Subtask: sub, Parallelism: par, DecodeRow: decode}
-	}
-}
 
 // FileScanSource is one subtask of a splittable at-rest scan. Exactly one of
 // DecodeLine / DecodeRow must be set, matching the plan's mode (DecodeRow
@@ -99,12 +57,6 @@ type FileScanSource struct {
 	lineBuf  []byte
 
 	completed []int
-
-	// legacy round-robin mode (restored from a pre-split snapshot)
-	legacy     bool
-	legacyNext int64 // restore target: skip rows below this global index
-	legacyCur  int64 // global index of the next row
-	legacyOpen bool
 
 	// scan observability (OpenSource): counters are per source node, deltas
 	// are accumulated locally and flushed at split boundaries and snapshots.
@@ -300,9 +252,6 @@ func (s *FileScanSource) Next() (Record, bool) {
 	if s.err != nil || s.done {
 		return Record{}, false
 	}
-	if s.legacy {
-		return s.nextLegacy()
-	}
 	for {
 		if !s.hasCur {
 			c, ok, err := s.Plan.acquire()
@@ -374,120 +323,13 @@ func (s *FileScanSource) nextInSplit() (Record, bool, error) {
 	return Record{}, false, nil
 }
 
-// ---- legacy round-robin mode ----------------------------------------------
-
-// nextLegacy replays the pre-split behavior for sources restored from an old
-// fileCursorState snapshot: one file, rows assigned round-robin by global
-// index, scanning from the start and skipping rows below the restore target.
-// The decode callback receives the global row *index* as its offset — the
-// pre-split contract — so default event timestamps stay in the row-index
-// domain the job's checkpointed downstream state was built in. The job keeps
-// this mode (and its positional snapshots) until it completes; fresh
-// executions plan splits.
-func (s *FileScanSource) nextLegacy() (Record, bool) {
-	par := s.Parallelism
-	if par <= 0 {
-		par = 1
-	}
-	if !s.legacyOpen {
-		path, err := s.Plan.legacyInput()
-		if err != nil {
-			return s.fail(err)
-		}
-		if err := s.openAt(path, 0); err != nil {
-			return s.fail(fmt.Errorf("scan %q: %w", path, err))
-		}
-		s.legacyCur = 0
-		if s.Plan.CSV {
-			s.base = 0
-			s.cr = csv.NewReader(s.f)
-			s.cr.FieldsPerRecord = -1
-			if s.Plan.Header {
-				if _, err := s.cr.Read(); err != nil && err != io.EOF {
-					return s.fail(fmt.Errorf("csv %q: header: %w", path, err))
-				}
-			}
-		}
-		s.legacyOpen = true
-	}
-	for {
-		var (
-			line []byte
-			row  []string
-		)
-		if s.Plan.CSV {
-			rw, err := s.cr.Read()
-			if err == io.EOF {
-				s.legacyEnd()
-				return Record{}, false
-			}
-			if err != nil {
-				return s.fail(fmt.Errorf("csv %q: %w", s.path, err))
-			}
-			row = rw
-		} else {
-			l, _, ok, err := s.readLine()
-			if err != nil {
-				return s.fail(fmt.Errorf("scan %q: %w", s.path, err))
-			}
-			if !ok {
-				s.legacyEnd()
-				return Record{}, false
-			}
-			line = l
-		}
-		idx := s.legacyCur
-		s.legacyCur++
-		if idx < s.legacyNext || idx%int64(par) != int64(s.Subtask%par) {
-			continue
-		}
-		if s.Plan.CSV {
-			r, err := s.DecodeRow(row, idx)
-			if err != nil {
-				return s.fail(fmt.Errorf("csv %q row %d: %w", s.path, idx+1, err))
-			}
-			s.pendRecords++
-			return r, true
-		}
-		r, keep, err := s.DecodeLine(line, idx)
-		if err != nil {
-			return s.fail(fmt.Errorf("scan %q line %d: %w", s.path, idx+1, err))
-		}
-		if !keep {
-			continue
-		}
-		s.pendRecords++
-		return r, true
-	}
-}
-
-// legacyEnd finishes the legacy scan, recording the end position so a later
-// snapshot does not replay the file (mirrors the pre-split close behavior).
-// curOffset covers both modes (the CSV parser tracks consumption through
-// InputOffset, not s.off).
-func (s *FileScanSource) legacyEnd() {
-	s.done = true
-	s.legacyNext = s.legacyCur
-	s.legacyOpen = false
-	s.pendBytes += s.curOffset()
-	s.closeFile()
-	s.flushMetrics()
-}
-
 // ---- snapshot / restore ----------------------------------------------------
 
 // Snapshot implements SourceFunc: the versioned split-scan state (see
 // splitScanState). Restore Seeks, it does not re-scan.
 func (s *FileScanSource) Snapshot() ([]byte, error) {
 	s.flushMetrics()
-	if s.legacy {
-		next := s.legacyCur
-		if !s.legacyOpen {
-			next = s.legacyNext
-		}
-		return encodeScanState(splitScanState{V: splitStateVersion, CurID: -1, Legacy: next})
-	}
-	st := splitScanState{V: splitStateVersion, Completed: s.completed, CurID: -1, Legacy: -1}
+	st := splitScanState{V: splitStateVersion, Completed: s.completed, CurID: -1}
 	if s.hasCur {
 		st.CurID = s.cur.split.ID
 		st.CurPath = s.cur.split.Path
@@ -528,24 +370,16 @@ func (s *FileScanSource) Restore(blob []byte) error {
 // subtask of the checkpointing job, keyed by its old subtask index. The
 // shared plan rebuilds the split queue once (pending = planned − completed,
 // in-flight splits resume at their byte offsets), so the restoring stage may
-// run at any parallelism. Legacy (pre-split) snapshots convert to
-// round-robin cursors and require the original parallelism.
+// run at any parallelism.
 func (s *FileScanSource) RestoreAll(subtask, parallelism int, blobs map[int][]byte) error {
 	if subtask != s.Subtask || parallelism != s.Parallelism {
 		return fmt.Errorf("scan restore: RestoreAll(%d/%d) does not match the reader's subtask %d/%d", subtask, parallelism, s.Subtask, s.Parallelism)
 	}
-	if err := s.Plan.restoreFrom(blobs, s.Parallelism); err != nil {
+	if err := s.Plan.restoreFrom(blobs); err != nil {
 		return err
 	}
 	s.closeFile()
 	s.err, s.done, s.hasCur = nil, false, false
-	s.completed = nil
-	next, legacyMode, carry := s.Plan.restoredState(s.Subtask)
-	if legacyMode {
-		s.legacy, s.legacyNext, s.legacyOpen = true, next, false
-		return nil
-	}
-	s.legacy = false
-	s.completed = carry
+	s.completed = s.Plan.restoredCarry(s.Subtask)
 	return nil
 }

@@ -187,20 +187,11 @@ func TestWindowStateGauges(t *testing.T) {
 }
 
 // TestSourceRunsMetric reads run lengths off node.<name>.runs: a source at
-// rest gathers full batches, a source in motion hands every record over on
-// its own, and a hybrid does the first up to its handoff and the second
-// after it.
+// rest gathers full batches, and a source in motion (one whose Next may
+// wait) hands every record over on its own.
 func TestSourceRunsMetric(t *testing.T) {
 	gen := func(n int64) *GenSource {
 		return &GenSource{N: n, WatermarkEvery: 1 << 40, Gen: func(i int64) Record { return Data(i, uint64(i%3), 1.0) }}
-	}
-	live := func(n int) *ChannelSource {
-		c := make(chan Record, n)
-		for i := 0; i < n; i++ {
-			c <- Data(int64(1000+i), 0, 1.0)
-		}
-		close(c)
-		return &ChannelSource{C: c}
 	}
 	for _, tc := range []struct {
 		name          string
@@ -208,10 +199,7 @@ func TestSourceRunsMetric(t *testing.T) {
 		records, runs int64
 	}{
 		{"generator", gen(100 * DefaultBatchSize), 100 * DefaultBatchSize, 100},
-		{"channel", live(50), 50, 50},
-		// A hybrid's first record goes alone (until it has seen history data
-		// it cannot rule out an empty history, which hands off unannounced).
-		{"hybrid", &HybridSource{History: gen(1 + 10*DefaultBatchSize), Live: live(5)}, 1 + 10*DefaultBatchSize + 5, 1 + 10 + 5},
+		{"paced", &PacedSource{Inner: gen(50), PerSec: 1e6}, 50, 50},
 	} {
 		reg := metrics.NewRegistry()
 		g := NewGraph("runs")

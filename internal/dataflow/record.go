@@ -94,8 +94,8 @@
 // position instead of re-reading, and — because the state is a work set,
 // not a position per subtask — a recovered job may run the source at a
 // different parallelism (MultiRestorable): the remaining splits simply
-// redistribute. Legacy row-cursor snapshots are still accepted and convert
-// to a compatibility mode (see splitScanState). Split assignment carries no
+// redistribute. The split state has one format (splitScanState, version 2);
+// a blob of any other version fails restore. Split assignment carries no
 // timestamp order, so file sources emit no in-flight watermarks; bounded
 // scans close out event time at end of stream.
 //

@@ -142,7 +142,7 @@ func (s *SplitScanSource) Next() (Record, bool) {
 // geometry signature.
 func (s *SplitScanSource) Snapshot() ([]byte, error) {
 	s.flushMetrics()
-	st := splitScanState{V: splitStateVersion, Completed: s.completed, CurID: -1, Legacy: -1}
+	st := splitScanState{V: splitStateVersion, Completed: s.completed, CurID: -1}
 	if s.hasCur {
 		st.CurID = s.cur.split.ID
 		st.CurPath = s.cur.split.Path
@@ -173,14 +173,10 @@ func (s *SplitScanSource) RestoreAll(subtask, parallelism int, blobs map[int][]b
 	if subtask != s.Subtask || parallelism != s.Parallelism {
 		return fmt.Errorf("scan restore: RestoreAll(%d/%d) does not match the reader's subtask %d/%d", subtask, parallelism, s.Subtask, s.Parallelism)
 	}
-	if err := s.Plan.restoreFrom(blobs, s.Parallelism); err != nil {
+	if err := s.Plan.restoreFrom(blobs); err != nil {
 		return err
 	}
 	s.err, s.done, s.hasCur = nil, false, false
-	_, legacyMode, carry := s.Plan.restoredState(s.Subtask)
-	if legacyMode {
-		return fmt.Errorf("scan restore: legacy source state cannot restore a fixed-split source")
-	}
-	s.completed = carry
+	s.completed = s.Plan.restoredCarry(s.Subtask)
 	return nil
 }

@@ -1,6 +1,7 @@
 package dataflow
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"testing"
@@ -241,15 +242,15 @@ func TestSplitScanSourceRestoreIgnoresGrownInput(t *testing.T) {
 }
 
 func TestSplitScanSourceLegacyBlobRejected(t *testing.T) {
-	blob, err := encodeScanState(splitScanState{V: 0, CurID: -1, Legacy: 7})
+	blob, err := encodeScanState(splitScanState{V: 0, CurID: -1})
 	if err != nil {
 		t.Fatalf("encode: %v", err)
 	}
 	in := &fakeSplitInput{recBytes: 10, files: []fakeFile{{path: "seg-a", recs: 4}}}
 	plan := fakePlan(in, 0)
 	s := &SplitScanSource{Plan: plan, Subtask: 0, Parallelism: 1, Reader: &fakeSplitReader{in: in}}
-	if err := s.RestoreAll(0, 1, map[int][]byte{0: blob}); err == nil {
-		t.Fatalf("legacy blob must be rejected by a fixed-split source")
+	if err := s.RestoreAll(0, 1, map[int][]byte{0: blob}); !errors.Is(err, errOlderScanState) {
+		t.Fatalf("legacy blob restore = %v, want the older-format error", err)
 	}
 }
 

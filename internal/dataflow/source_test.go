@@ -3,14 +3,11 @@ package dataflow
 import (
 	"context"
 	"fmt"
-	"math"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 	"time"
-
-	"repro/internal/state"
 )
 
 // drainData pulls from a source until end of stream, returning the data
@@ -95,166 +92,6 @@ func TestPacedSourceRestoreResetsPacing(t *testing.T) {
 	}
 	if el := time.Since(start); el > 2*time.Second {
 		t.Fatalf("first post-restore record took %v; pacing replayed the old schedule", el)
-	}
-}
-
-func TestChannelSourceEmitsDataAndIdleWatermarks(t *testing.T) {
-	ch := make(chan Record, 8)
-	src := &ChannelSource{C: ch, Poll: 5 * time.Millisecond, WatermarkEvery: 2}
-	ch <- Data(100, 1, 1.0)
-	ch <- Data(200, 2, 2.0)
-
-	r, ok := src.Next()
-	if !ok || r.Kind != KindData || r.Ts != 100 {
-		t.Fatalf("first = %+v, want data ts=100", r)
-	}
-	r, ok = src.Next()
-	if !ok || r.Kind != KindData || r.Ts != 200 {
-		t.Fatalf("second = %+v, want data ts=200", r)
-	}
-	// Cadence watermark after WatermarkEvery=2 records.
-	r, ok = src.Next()
-	if !ok || r.Kind != KindWatermark || r.Ts != 200 {
-		t.Fatalf("third = %+v, want watermark 200", r)
-	}
-	// Idle: the channel is empty, so the poll times out with a watermark.
-	r, ok = src.Next()
-	if !ok || r.Kind != KindWatermark || r.Ts != 200 {
-		t.Fatalf("idle = %+v, want watermark 200", r)
-	}
-	// Closing the channel ends the stream.
-	close(ch)
-	if _, ok := src.Next(); ok {
-		t.Fatalf("closed channel must end the stream")
-	}
-}
-
-func TestChannelSourcePassesProducerWatermarks(t *testing.T) {
-	ch := make(chan Record, 2)
-	src := &ChannelSource{C: ch, Poll: 5 * time.Millisecond}
-	ch <- Watermark(500)
-	r, ok := src.Next()
-	if !ok || r.Kind != KindWatermark || r.Ts != 500 {
-		t.Fatalf("got %+v, want producer watermark 500", r)
-	}
-	// The idle watermark must not regress behind it.
-	r, ok = src.Next()
-	if !ok || r.Kind != KindWatermark || r.Ts != 500 {
-		t.Fatalf("idle after producer watermark = %+v, want watermark 500", r)
-	}
-	close(ch)
-}
-
-// The hybrid handoff: all history records, then a watermark at the
-// history's max timestamp, then live records.
-func TestHybridSourceHandoff(t *testing.T) {
-	history := &GenSource{N: 100, WatermarkEvery: 1000, Gen: func(i int64) Record {
-		return Data(i, 0, float64(i))
-	}}
-	live := &GenSource{N: 50, WatermarkEvery: 1000, Gen: func(i int64) Record {
-		return Data(100+i, 0, float64(100+i))
-	}}
-	src := &HybridSource{History: history, Live: live}
-
-	var seq []Record
-	for {
-		r, ok := src.Next()
-		if !ok {
-			break
-		}
-		seq = append(seq, r)
-	}
-	// Locate the handoff watermark.
-	wmAt := -1
-	for i, r := range seq {
-		if r.Kind == KindWatermark && r.Ts == 99 {
-			wmAt = i
-			break
-		}
-	}
-	if wmAt != 100 {
-		t.Fatalf("handoff watermark at position %d, want 100 (after all history)", wmAt)
-	}
-	for i, r := range seq {
-		switch {
-		case i < 100:
-			if r.Kind != KindData || r.Ts != int64(i) {
-				t.Fatalf("position %d = %+v, want history record %d", i, r, i)
-			}
-		case i > 100:
-			if r.Kind != KindData || r.Ts != int64(i-1) {
-				t.Fatalf("position %d = %+v, want live record %d", i, r, i-1)
-			}
-		}
-	}
-	if len(seq) != 151 {
-		t.Fatalf("sequence length %d, want 151 (100 history + watermark + 50 live)", len(seq))
-	}
-}
-
-// mkHybrid builds a replayable hybrid (generator history and generator
-// live) for snapshot/restore tests.
-func mkHybrid() *HybridSource {
-	return &HybridSource{
-		History: &GenSource{N: 60, WatermarkEvery: 1000, Gen: func(i int64) Record {
-			return Data(i, 0, float64(i))
-		}},
-		Live: &GenSource{N: 40, WatermarkEvery: 1000, Gen: func(i int64) Record {
-			return Data(60+i, 0, float64(60+i))
-		}},
-	}
-}
-
-// A snapshot taken in any phase must restore to exactly-once emission of
-// the remaining records, including across the handoff boundary.
-func TestHybridSourceSnapshotRestoreAcrossHandoff(t *testing.T) {
-	for _, consumed := range []int{10, 59, 60, 61, 80} {
-		t.Run(fmt.Sprintf("after%d", consumed), func(t *testing.T) {
-			src := mkHybrid()
-			var first []Record
-			for len(first) < consumed {
-				r, ok := src.Next()
-				if !ok {
-					t.Fatalf("source ended after %d data records", len(first))
-				}
-				if r.Kind == KindData {
-					first = append(first, r)
-				}
-			}
-			blob, err := src.Snapshot()
-			if err != nil {
-				t.Fatal(err)
-			}
-			resumed := mkHybrid()
-			if err := resumed.Restore(blob); err != nil {
-				t.Fatal(err)
-			}
-			rest, wms := drainData(t, resumed, 1000)
-			seen := map[int64]int{}
-			for _, r := range append(first, rest...) {
-				seen[r.Ts]++
-			}
-			for i := int64(0); i < 100; i++ {
-				if seen[i] != 1 {
-					t.Fatalf("record %d emitted %d times across restore", i, seen[i])
-				}
-			}
-			// The handoff watermark must appear exactly when the snapshot
-			// precedes the phase switch (which happens on the Next call
-			// after history's last record), and not again after it.
-			sawHandoff := false
-			for _, wm := range wms {
-				if wm == 59 {
-					sawHandoff = true
-				}
-			}
-			if consumed <= 60 && !sawHandoff {
-				t.Fatalf("snapshot before handoff: restored run must emit the handoff watermark")
-			}
-			if consumed > 60 && sawHandoff {
-				t.Fatalf("snapshot after handoff: restored run must not re-emit the handoff watermark")
-			}
-		})
 	}
 }
 
@@ -409,13 +246,15 @@ func TestFileScanSourceSplitAlignment(t *testing.T) {
 func TestLineFileSourceDecodeErrorFailsJob(t *testing.T) {
 	path := writeTempFile(t, "bad.txt", "ok\nBOOM\nok\n")
 	g := NewGraph("files")
-	src := g.AddSource("lines", 1, LineSourceFactory(ScanConfig{Input: path},
-		func(line []byte, off int64) (Record, bool, error) {
-			if string(line) == "BOOM" {
-				return Record{}, false, fmt.Errorf("corrupt line")
-			}
-			return Data(off, 0, string(line)), true, nil
-		}))
+	src := g.AddSource("lines", 1, func(sub, par int) SourceFunc {
+		return &FileScanSource{Plan: &ScanPlan{Inputs: []string{path}}, Subtask: sub, Parallelism: par,
+			DecodeLine: func(line []byte, off int64) (Record, bool, error) {
+				if string(line) == "BOOM" {
+					return Record{}, false, fmt.Errorf("corrupt line")
+				}
+				return Data(off, 0, string(line)), true, nil
+			}}
+	})
 	sink := &CollectSink{}
 	g.AddOperator("sink", 1, sink.Factory(), Edge{From: src, Part: Rebalance})
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
@@ -545,148 +384,17 @@ func TestScanPlanDirectoryAndGlobInputs(t *testing.T) {
 
 func TestCSVFileSourceMissingFileFailsJob(t *testing.T) {
 	g := NewGraph("missing")
-	src := g.AddSource("csv", 1, CSVSourceFactory(
-		ScanConfig{Input: filepath.Join(t.TempDir(), "nope.csv")},
-		func(row []string, off int64) (Record, error) { return Data(off, 0, row), nil }))
+	path := filepath.Join(t.TempDir(), "nope.csv")
+	src := g.AddSource("csv", 1, func(sub, par int) SourceFunc {
+		return &FileScanSource{Plan: &ScanPlan{Inputs: []string{path}, CSV: true}, Subtask: sub, Parallelism: par,
+			DecodeRow: func(row []string, off int64) (Record, error) { return Data(off, 0, row), nil }}
+	})
 	sink := &CollectSink{}
 	g.AddOperator("sink", 1, sink.Factory(), Edge{From: src, Part: Rebalance})
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	if err := NewJob(g).Run(ctx); err == nil {
 		t.Fatalf("missing file must fail the job")
-	}
-}
-
-// The hybrid source through the engine with checkpointing: kill during the
-// history replay, recover, and the deduplicated results must equal a
-// failure-free run — exactly-once across the handoff boundary.
-func TestHybridSourceCheckpointRecoveryThroughEngine(t *testing.T) {
-	const histN, liveN = 3000, 1000
-	build := func(paced bool, sink *CollectSink) *Graph {
-		g := NewGraph("hybrid-recovery")
-		src := g.AddSource("src", 1, func(sub, par int) SourceFunc {
-			var history SourceFunc = &GenSource{N: histN, WatermarkEvery: 16, Gen: func(i int64) Record {
-				return Data(i, uint64(i%4), 1.0)
-			}}
-			if paced {
-				history = &PacedSource{PerSec: 15000, Inner: history}
-			}
-			return &HybridSource{
-				History: history,
-				Live: &GenSource{N: liveN, WatermarkEvery: 16, Gen: func(i int64) Record {
-					return Data(histN+i, uint64(i%4), 1.0)
-				}},
-			}
-		})
-		red := g.AddOperator("sum", 2, func() Operator {
-			return &KeyedReduceOp{F: func(acc, v float64) float64 { return acc + v }}
-		}, Edge{From: src, Part: HashPartition})
-		g.AddOperator("sink", 1, sink.Factory(), Edge{From: red, Part: Rebalance})
-		return g
-	}
-	sums := func(s *CollectSink) map[uint64]float64 {
-		out := map[uint64]float64{}
-		for _, r := range s.Records() {
-			out[r.Key] = r.Value.(float64) // final emission per key wins
-		}
-		return out
-	}
-
-	refSink := &CollectSink{}
-	run(t, build(false, refSink))
-	want := sums(refSink)
-
-	backend := state.NewMemoryBackend(0)
-	crashSink := &CollectSink{}
-	job := NewJob(build(true, crashSink), WithCheckpointing(backend, 20*time.Millisecond))
-	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
-	err := job.Run(ctx)
-	cancel()
-	if err == nil {
-		t.Skip("job finished before kill on this machine")
-	}
-	snap, ok, _ := backend.Latest()
-	if !ok {
-		t.Skip("no checkpoint before kill")
-	}
-	recSink := &CollectSink{}
-	job2 := NewJob(build(false, recSink), WithRestore(snap))
-	ctx2, cancel2 := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel2()
-	if err := job2.Run(ctx2); err != nil {
-		t.Fatalf("recovery run failed: %v", err)
-	}
-	got := sums(recSink)
-	if len(got) != len(want) {
-		t.Fatalf("got %d keys, want %d", len(got), len(want))
-	}
-	for k, v := range want {
-		if got[k] != v {
-			t.Fatalf("key %d = %v, want %v (exactly-once across the handoff)", k, got[k], v)
-		}
-	}
-}
-
-// A producer watermark inside (maxTs-Lag, maxTs] must fold into the
-// source's clock: the fold used to compare r.Ts against maxTs but assign
-// r.Ts+Lag, so such a promise was forwarded downstream and then regressed
-// by the next idle/cadence watermark — which can re-open already-fired
-// windows in downstream operators.
-func TestChannelSourceProducerWatermarkFoldsIntoClock(t *testing.T) {
-	ch := make(chan Record, 4)
-	src := &ChannelSource{C: ch, Poll: time.Millisecond, Lag: 10}
-	ch <- Data(100, 1, 1.0)
-	if r, ok := src.Next(); !ok || r.Kind != KindData {
-		t.Fatalf("first = %+v ok=%v, want data", r, ok)
-	}
-	// Clock: maxTs=100, watermark 90. The producer promises 95.
-	ch <- Watermark(95)
-	if r, ok := src.Next(); !ok || r.Kind != KindWatermark || r.Ts != 95 {
-		t.Fatalf("producer watermark = %+v ok=%v, want watermark 95", r, ok)
-	}
-	// Idle watermarks must not regress behind the forwarded promise.
-	if r, ok := src.Next(); !ok || r.Kind != KindWatermark || r.Ts != 95 {
-		t.Fatalf("idle after fold = %+v ok=%v, want watermark 95", r, ok)
-	}
-	// A stale promise below the current watermark must not regress it.
-	ch <- Watermark(50)
-	if r, ok := src.Next(); !ok || r.Kind != KindWatermark || r.Ts != 95 {
-		t.Fatalf("stale producer watermark = %+v ok=%v, want clamped to 95", r, ok)
-	}
-	// A +inf close-out promise must pass through intact — Lag-adjusted
-	// arithmetic would overflow and swallow it.
-	ch <- Watermark(math.MaxInt64)
-	if r, ok := src.Next(); !ok || r.Kind != KindWatermark || r.Ts != math.MaxInt64 {
-		t.Fatalf("close-out promise = %+v ok=%v, want +inf watermark", r, ok)
-	}
-	close(ch)
-}
-
-// A history that fails mid-replay must end the hybrid stream so the runtime
-// surfaces Err at end of stream — not hand off to an unbounded live phase
-// that would run forever over a silently truncated history.
-func TestHybridSourceHistoryErrorEndsStream(t *testing.T) {
-	path := writeTempFile(t, "hist.txt", "ok\nBOOM\nok\n")
-	live := make(chan Record) // never fed, never closed: an unbounded live phase
-	src := &HybridSource{
-		History: &FileScanSource{
-			Plan: &ScanPlan{Inputs: []string{path}}, Subtask: 0, Parallelism: 1,
-			DecodeLine: func(line []byte, off int64) (Record, bool, error) {
-				if string(line) == "BOOM" {
-					return Record{}, false, fmt.Errorf("corrupt history")
-				}
-				return Data(off, 0, string(line)), true, nil
-			}},
-		Live: &ChannelSource{C: live, Poll: time.Millisecond},
-	}
-	if r, ok := src.Next(); !ok || r.Kind != KindData {
-		t.Fatalf("first = %+v ok=%v, want the healthy history record", r, ok)
-	}
-	if r, ok := src.Next(); ok {
-		t.Fatalf("after the history error got %+v, want end of stream (no handoff)", r)
-	}
-	if err := src.Err(); err == nil || !strings.Contains(err.Error(), "corrupt history") {
-		t.Fatalf("Err() = %v, want the history error", err)
 	}
 }
 

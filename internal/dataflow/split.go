@@ -50,8 +50,9 @@ type splitCursor struct {
 
 // ScanPlan owns the splits of one at-rest source stage and assigns them to
 // the stage's subtasks. Exactly one ScanPlan is shared by all readers of a
-// source node per execution (ScanConfig's factories arrange this); the
-// shared queue is what makes assignment dynamic.
+// source node per execution (the streamline file and topic connectors keep
+// it in their per-stage slot); the shared queue is what makes assignment
+// dynamic.
 //
 // Planning is lazy: inputs are expanded (file, directory, or glob) and
 // split on first use, so building a graph never touches the filesystem and
@@ -88,8 +89,7 @@ type ScanPlan struct {
 	splits   []Split
 	queue    []splitCursor
 	restored bool
-	legacy   map[int]int64 // legacy round-robin cursors by subtask, nil in split mode
-	carry    []int         // restored completed ids, re-carried by subtask 0's snapshots
+	carry    []int // restored completed ids, re-carried by subtask 0's snapshots
 	// restoreSig is the plan signature carried by the snapshot being
 	// restored. Planning trusts its per-file quote decisions (a file's
 	// Splits count encodes them) instead of re-reading every CSV file, so
@@ -416,8 +416,6 @@ func (p *ScanPlan) Splits() ([]Split, error) {
 // shared queue: without it, a checkpoint taken between a restore and the
 // cursor's re-acquisition would forget the resume offset and a second
 // recovery would re-scan the split from its start, duplicating records.
-// Legacy >= 0 marks a reader converted from a pre-split snapshot that is
-// still scanning round-robin by row index.
 // Plan (subtask 0 only) fingerprints the split geometry the IDs refer to;
 // restore refuses to reuse IDs against a plan that chops the input
 // differently.
@@ -429,7 +427,6 @@ type splitScanState struct {
 	CurOff    int64
 	Pending   []pendingSplit
 	Plan      *scanPlanSig
-	Legacy    int64 // -1: split mode
 }
 
 // pendingSplit is a resumed in-flight cursor not yet re-acquired: split ID,
@@ -507,46 +504,32 @@ func sigsEqual(a, b *scanPlanSig) bool {
 	return true
 }
 
-// splitStateVersion is the current source-snapshot format version. Version 0
-// is the implicit version of pre-split fileCursorState blobs.
+// splitStateVersion is the source-snapshot format version, and the only one
+// restore accepts: version 0 (or no V field at all) is the pre-split row
+// cursor, which fails restore with errOlderScanState.
 const splitStateVersion = 2
 
-// fileCursorState is the pre-split snapshot of the file readers: the next
-// global record index, under round-robin row assignment. Kept so versioned
-// decoding can accept and convert snapshots taken before splits existed.
-type fileCursorState struct {
-	Next int64
-}
+// errOlderScanState is the restore error for a pre-split source snapshot.
+var errOlderScanState = fmt.Errorf("scan restore: source snapshot written by an older format (pre-split row cursor); this binary restores format %d only", splitStateVersion)
 
-// decodeScanState decodes a source snapshot blob of either version: the
-// version probe reads only a V field, which legacy fileCursorState blobs
-// leave at zero, and dispatches. Legacy blobs convert to a Legacy-mode
-// state (round-robin from row index Next).
+// decodeScanState decodes a source snapshot blob of the current version.
 func decodeScanState(blob []byte) (splitScanState, error) {
-	// The probe declares one field from each format (gob needs at least one
-	// match): V stays zero for legacy blobs, which only carry Next.
-	var probe struct {
-		V    int
-		Next int64
-	}
-	if err := gob.NewDecoder(bytes.NewReader(blob)).Decode(&probe); err != nil {
-		return splitScanState{}, fmt.Errorf("scan restore: %w", err)
-	}
-	if probe.V == 0 {
-		var legacy fileCursorState
-		if err := gob.NewDecoder(bytes.NewReader(blob)).Decode(&legacy); err != nil {
-			return splitScanState{}, fmt.Errorf("scan restore (legacy): %w", err)
-		}
-		return splitScanState{V: 0, CurID: -1, Legacy: legacy.Next}, nil
-	}
-	if probe.V != splitStateVersion {
-		return splitScanState{}, fmt.Errorf("scan restore: unknown snapshot version %d", probe.V)
-	}
 	var s splitScanState
 	if err := gob.NewDecoder(bytes.NewReader(blob)).Decode(&s); err != nil {
+		// A pre-split row cursor ({Next}) shares no field with this format,
+		// which gob reports as no fields matched.
+		if strings.Contains(err.Error(), "no fields matched") {
+			return splitScanState{}, errOlderScanState
+		}
 		return splitScanState{}, fmt.Errorf("scan restore: %w", err)
 	}
-	return s, nil
+	switch s.V {
+	case splitStateVersion:
+		return s, nil
+	case 0:
+		return splitScanState{}, errOlderScanState
+	}
+	return splitScanState{}, fmt.Errorf("scan restore: unknown snapshot version %d; this binary restores format %d only", s.V, splitStateVersion)
 }
 
 func encodeScanState(s splitScanState) ([]byte, error) {
@@ -560,54 +543,24 @@ func encodeScanState(s splitScanState) ([]byte, error) {
 // call is shared and idempotent: every reader of the stage passes the same
 // blob set, the first call does the work, later calls see the result.
 //
-// Split-mode blobs are parallelism-agnostic: pending work is everything
-// planned minus the union of completed splits, plus the in-flight splits
-// resumed at their recorded offsets — so the restoring job may run at any
-// source parallelism. Legacy blobs are positional (row index modulo the old
-// parallelism), so they restore only at the parallelism they were written
-// at; restoreFrom records the per-subtask cursors and the readers stay in
-// round-robin mode.
-func (p *ScanPlan) restoreFrom(blobs map[int][]byte, newPar int) error {
+// The blobs are parallelism-agnostic: pending work is everything planned
+// minus the union of completed splits, plus the in-flight splits resumed at
+// their recorded offsets — so the restoring job may run at any source
+// parallelism.
+func (p *ScanPlan) restoreFrom(blobs map[int][]byte) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.restored {
 		return nil
 	}
 	p.restored = true
-	states := make(map[int]splitScanState, len(blobs))
-	legacyN, splitN := 0, 0
-	maxSub := -1
-	for sub, blob := range blobs {
+	states := make([]splitScanState, 0, len(blobs))
+	for _, blob := range blobs {
 		s, err := decodeScanState(blob)
 		if err != nil {
 			return err
 		}
-		states[sub] = s
-		if s.Legacy >= 0 {
-			legacyN++
-		} else {
-			splitN++
-		}
-		if sub > maxSub {
-			maxSub = sub
-		}
-	}
-	if legacyN > 0 && splitN > 0 {
-		return fmt.Errorf("scan restore: snapshot mixes legacy and split-mode source state")
-	}
-	if legacyN > 0 && p.FixedSplits != nil {
-		return fmt.Errorf("scan restore: legacy (pre-split) source state cannot restore a fixed-split source")
-	}
-	if legacyN > 0 {
-		oldPar := maxSub + 1
-		if oldPar != newPar {
-			return fmt.Errorf("scan restore: legacy (pre-split) source snapshot written at parallelism %d cannot restore at %d: row-index cursors are positional; take one checkpoint at the original parallelism first", oldPar, newPar)
-		}
-		p.legacy = make(map[int]int64, len(states))
-		for sub, s := range states {
-			p.legacy[sub] = s.Legacy
-		}
-		return nil
+		states = append(states, s)
 	}
 	for _, s := range states {
 		if s.Plan != nil {
@@ -721,26 +674,13 @@ func (p *ScanPlan) pendingResumed() []pendingSplit {
 	return append([]pendingSplit(nil), p.resumed...)
 }
 
-// restoredState hands a reader its post-restore role: the legacy cursor for
-// its subtask (ok only in legacy mode) and, for subtask 0, the completed-ID
-// carry set.
-func (p *ScanPlan) restoredState(subtask int) (legacyNext int64, legacyMode bool, carry []int) {
+// restoredCarry hands subtask 0 the completed-ID carry set of the last
+// restore (nil for every other subtask).
+func (p *ScanPlan) restoredCarry(subtask int) []int {
+	if subtask != 0 {
+		return nil
+	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.legacy != nil {
-		return p.legacy[subtask], true, nil
-	}
-	if subtask == 0 {
-		return 0, false, append([]int(nil), p.carry...)
-	}
-	return 0, false, nil
-}
-
-// legacyInput returns the single input file of a legacy-restored scan.
-// Pre-split snapshots only ever covered one literal path.
-func (p *ScanPlan) legacyInput() (string, error) {
-	if len(p.Inputs) != 1 {
-		return "", fmt.Errorf("scan restore: legacy snapshot requires a single input file, plan has %d inputs", len(p.Inputs))
-	}
-	return p.Inputs[0], nil
+	return append([]int(nil), p.carry...)
 }

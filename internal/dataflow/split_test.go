@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/gob"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -18,48 +19,127 @@ import (
 	"repro/internal/window"
 )
 
-// encodeLegacyCursor produces a pre-split source snapshot blob: the
-// fileCursorState{Next} gob that LineFileSource/CSVFileSource used to write.
-func encodeLegacyCursor(t *testing.T, next int64) []byte {
+// parentScanState is splitScanState as earlier binaries wrote it: the same
+// version 2 plus a Legacy field (-1 in split mode) that restore must ignore.
+type parentScanState struct {
+	V         int
+	Completed []int
+	CurID     int
+	CurPath   string
+	CurOff    int64
+	Pending   []pendingSplit
+	Plan      *scanPlanSig
+	Legacy    int64
+}
+
+func gobBytes(t *testing.T, v any) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(fileCursorState{Next: next}); err != nil {
+	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
 }
 
-// A legacy (pre-split) snapshot blob must be recognized by the versioned
-// decoder and restore to the right row: the reader continues the old
-// round-robin scan from the recorded index instead of failing or replaying
-// from the start.
+// parentBlob consumes n records from src and re-encodes its snapshot through
+// parentScanState, as an earlier binary would have written it.
+func parentBlob(t *testing.T, src SourceFunc, n int) []byte {
+	t.Helper()
+	for i := 0; i < n; i++ {
+		if _, ok := src.Next(); !ok {
+			t.Fatalf("ended early")
+		}
+	}
+	blob, err := src.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := decodeScanState(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return gobBytes(t, parentScanState{V: st.V, Completed: st.Completed, CurID: st.CurID,
+		CurPath: st.CurPath, CurOff: st.CurOff, Pending: st.Pending, Plan: st.Plan, Legacy: -1})
+}
+
+// Split scans restore one snapshot format. A pre-split row cursor ({Next})
+// or a version-0 blob fails with the older-format error — not gob's "no
+// fields matched" — a future version fails with the unknown-version error,
+// and a version-2 blob still carrying the Legacy field restores and resumes
+// at its recorded offset, for the file scan and the fixed-split scan alike.
+func TestScanSnapshotFormatRestore(t *testing.T) {
+	_, mkLines := mkLinePlan(t, 20, 0)
+	in := &fakeSplitInput{recBytes: 10, files: []fakeFile{{path: "seg-a", recs: 20}}}
+	for _, src := range []struct {
+		name   string
+		mk     func() SourceFunc
+		record string // the value of record 7
+	}{
+		{"file", func() SourceFunc {
+			return &FileScanSource{Plan: mkLines(), Subtask: 0, Parallelism: 1, DecodeLine: lineDecode}
+		}, "v7"},
+		{"fixed-split", func() SourceFunc {
+			return &SplitScanSource{Plan: fakePlan(in, 0), Subtask: 0, Parallelism: 1, Reader: &fakeSplitReader{in: in}}
+		}, "seg-a#7"},
+	} {
+		t.Run(src.name, func(t *testing.T) {
+			parent := parentBlob(t, src.mk(), 7)
+			for _, tc := range []struct {
+				name, wantErr string
+				blob          []byte
+			}{
+				{"pre-split row cursor", "older format", gobBytes(t, struct{ Next int64 }{Next: 7})},
+				{"version 0", "older format", gobBytes(t, splitScanState{CurID: -1})},
+				{"unknown version", "unknown snapshot version 99", gobBytes(t, splitScanState{V: 99, CurID: -1})},
+				{"parent-written version 2", "", parent},
+			} {
+				t.Run(tc.name, func(t *testing.T) {
+					restored := src.mk()
+					err := restored.Restore(tc.blob)
+					if tc.wantErr != "" {
+						if err == nil || !strings.Contains(err.Error(), tc.wantErr) || strings.Contains(err.Error(), "no fields matched") {
+							t.Fatalf("restore = %v, want the %q error", err, tc.wantErr)
+						}
+						return
+					}
+					if err != nil {
+						t.Fatal(err)
+					}
+					r, ok := restored.Next()
+					if !ok || r.Value.(string) != src.record {
+						t.Fatalf("first record after restore = %+v ok=%v, want %s", r, ok, src.record)
+					}
+				})
+			}
+		})
+	}
+}
+
+// A snapshot an earlier binary wrote (version 2 still carrying the Legacy
+// field) restores to the right row: the reader emits exactly the rows after
+// the recorded offset, and a snapshot taken after that restore keeps
+// round-tripping to the position the scan reached.
 func TestLegacySnapshotRestoresToTheRightRow(t *testing.T) {
-	path, mkPlan := mkLinePlan(t, 20, 0)
-	_ = path
-	src := &FileScanSource{Plan: mkPlan(), Subtask: 0, Parallelism: 1, DecodeLine: lineDecode}
-	if err := src.Restore(encodeLegacyCursor(t, 7)); err != nil {
+	_, mkPlan := mkLinePlan(t, 20, 0)
+	mk := func() *FileScanSource {
+		return &FileScanSource{Plan: mkPlan(), Subtask: 0, Parallelism: 1, DecodeLine: lineDecode}
+	}
+	src := mk()
+	if err := src.Restore(parentBlob(t, mk(), 7)); err != nil {
 		t.Fatal(err)
 	}
 	data, _ := drainData(t, src, 100)
 	if len(data) != 13 {
-		t.Fatalf("restored legacy cursor emitted %d rows, want 13 (rows 7..19)", len(data))
+		t.Fatalf("restored parent snapshot emitted %d rows, want 13 (rows 7..19)", len(data))
 	}
 	for i, r := range data {
 		if want := fmt.Sprintf("v%d", 7+i); r.Value.(string) != want {
 			t.Fatalf("row %d = %q, want %q", i, r.Value, want)
 		}
-		// Legacy mode hands the decode the row *index*, not the byte offset:
-		// the job's checkpointed downstream state is in the pre-split
-		// default-timestamp domain and replayed rows must stay in it.
-		if r.Ts != int64(7+i) {
-			t.Fatalf("row %d carries ts %d, want row index %d", i, r.Ts, 7+i)
-		}
 	}
 
-	// The converted state keeps round-tripping: a snapshot taken after the
-	// legacy restore resumes at the position the scan reached.
-	src2 := &FileScanSource{Plan: mkPlan(), Subtask: 0, Parallelism: 1, DecodeLine: lineDecode}
-	if err := src2.Restore(encodeLegacyCursor(t, 0)); err != nil {
+	src2 := mk()
+	if err := src2.Restore(parentBlob(t, mk(), 0)); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 5; i++ {
@@ -71,50 +151,39 @@ func TestLegacySnapshotRestoresToTheRightRow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	src3 := &FileScanSource{Plan: mkPlan(), Subtask: 0, Parallelism: 1, DecodeLine: lineDecode}
+	src3 := mk()
 	if err := src3.Restore(blob); err != nil {
 		t.Fatal(err)
 	}
 	rest, _ := drainData(t, src3, 100)
 	if len(rest) != 15 || rest[0].Value.(string) != "v5" {
-		t.Fatalf("round-tripped legacy state resumed at %v (%d rows), want v5 (15 rows)", rest[0].Value, len(rest))
+		t.Fatalf("round-tripped parent state resumed at %v (%d rows), want v5 (15 rows)", rest[0].Value, len(rest))
 	}
 }
 
-// Legacy cursors are positional (row index modulo the old parallelism), so a
-// multi-subtask legacy snapshot restores each subtask's stripe — and refuses
-// a different parallelism with a useful error.
+// A multi-subtask pre-split snapshot no longer restores each subtask's row
+// stripe: RestoreAll refuses it with the older-format error at the
+// checkpoint's parallelism and at a rescaled one alike, and one pre-split
+// blob beside a current one is not skipped over.
 func TestLegacySnapshotMultiSubtaskAndRescaleRejection(t *testing.T) {
 	_, mkPlan := mkLinePlan(t, 20, 0)
-	blobs := map[int][]byte{
-		0: encodeLegacyCursor(t, 6),
-		1: encodeLegacyCursor(t, 7),
-	}
-	plan := mkPlan()
-	for sub, wantFirst := range map[int]string{0: "v6", 1: "v7"} {
-		src := &FileScanSource{Plan: plan, Subtask: sub, Parallelism: 2, DecodeLine: lineDecode}
-		if err := src.RestoreAll(sub, 2, blobs); err != nil {
-			t.Fatal(err)
-		}
-		data, _ := drainData(t, src, 100)
-		if len(data) != 7 {
-			t.Fatalf("subtask %d emitted %d rows, want 7", sub, len(data))
-		}
-		if data[0].Value.(string) != wantFirst {
-			t.Fatalf("subtask %d resumed at %v, want %s", sub, data[0].Value, wantFirst)
-		}
-		for _, r := range data {
-			idx, _ := strconv.Atoi(strings.TrimPrefix(r.Value.(string), "v"))
-			if idx%2 != sub {
-				t.Fatalf("subtask %d saw row %d (wrong stripe)", sub, idx)
+	cursor := func(next int64) []byte { return gobBytes(t, struct{ Next int64 }{Next: next}) }
+	current := parentBlob(t, &FileScanSource{Plan: mkPlan(), Subtask: 0, Parallelism: 1, DecodeLine: lineDecode}, 6)
+	for _, tc := range []struct {
+		name  string
+		blobs map[int][]byte
+	}{
+		{"pre-split", map[int][]byte{0: cursor(6), 1: cursor(7)}},
+		{"mixed", map[int][]byte{0: current, 1: cursor(7)}},
+	} {
+		for _, par := range []int{2, 4} {
+			for sub := 0; sub < par; sub++ {
+				src := &FileScanSource{Plan: mkPlan(), Subtask: sub, Parallelism: par, DecodeLine: lineDecode}
+				if err := src.RestoreAll(sub, par, tc.blobs); !errors.Is(err, errOlderScanState) {
+					t.Fatalf("%s blobs, subtask %d/%d: restore = %v, want the older-format error", tc.name, sub, par, err)
+				}
 			}
 		}
-	}
-
-	rescaled := &FileScanSource{Plan: mkPlan(), Subtask: 0, Parallelism: 4, DecodeLine: lineDecode}
-	err := rescaled.RestoreAll(0, 4, blobs)
-	if err == nil || !strings.Contains(err.Error(), "legacy") {
-		t.Fatalf("legacy rescale error = %v, want a legacy-parallelism error", err)
 	}
 }
 
@@ -251,12 +320,14 @@ func TestScanMetricsSumAcrossSubtasks(t *testing.T) {
 	content := b.String()
 	path := writeTempFile(t, "metered.txt", content)
 
-	cfg := ScanConfig{Input: path, SplitSize: 512}
 	wantSplits := (int64(len(content)) + 511) / 512
 
 	reg := metrics.NewRegistry()
 	g := NewGraph("scan-metrics")
-	src := g.AddSource("scan", 4, LineSourceFactory(cfg, lineDecode))
+	plan := &ScanPlan{Inputs: []string{path}, SplitSize: 512}
+	src := g.AddSource("scan", 4, func(sub, par int) SourceFunc {
+		return &FileScanSource{Plan: plan, Subtask: sub, Parallelism: par, DecodeLine: lineDecode}
+	})
 	sink := &CollectSink{}
 	g.AddOperator("sink", 1, sink.Factory(), Edge{From: src, Part: Rebalance})
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
@@ -291,9 +362,12 @@ func buildScanRecoveryGraph(path string, srcPar int, perSec float64, sink *Colle
 		}
 		return Data(i, uint64(i%4), 1.0), true, nil
 	}
-	factory := LineSourceFactory(ScanConfig{Input: path, SplitSize: 2048}, decode)
+	var plan *ScanPlan // one per execution, shared by its subtasks
 	src := g.AddSource("scan", srcPar, func(sub, par int) SourceFunc {
-		inner := factory(sub, par)
+		if sub == 0 {
+			plan = &ScanPlan{Inputs: []string{path}, SplitSize: 2048}
+		}
+		inner := &FileScanSource{Plan: plan, Subtask: sub, Parallelism: par, DecodeLine: decode}
 		if perSec > 0 {
 			return &PacedSource{PerSec: perSec, Inner: inner}
 		}
@@ -358,75 +432,6 @@ func TestFileScanKillRecoverRescaledSource(t *testing.T) {
 	}
 }
 
-// A mixed-phase hybrid snapshot (one subtask already past the handoff with
-// live records consumed, another still in history) must refuse a rescaled
-// restore when the live source cannot redistribute — silently resetting the
-// live cursor would replay already-checkpointed live records.
-func TestHybridMixedPhaseRescaleRejectsPositionalLive(t *testing.T) {
-	_, mkPlan := mkLinePlan(t, 6, 8) // several small splits
-	mk := func(plan *ScanPlan, sub, par int) *HybridSource {
-		return &HybridSource{
-			History: &FileScanSource{Plan: plan, Subtask: sub, Parallelism: par, DecodeLine: lineDecode},
-			Live:    &GenSource{N: 50, WatermarkEvery: 1000, Gen: func(i int64) Record { return Data(100+i, 0, float64(i)) }},
-		}
-	}
-	plan := mkPlan()
-	crossed, inHistory := mk(plan, 0, 2), mk(plan, 1, 2)
-	// Subtask 1 starts one split, then subtask 0 drains the rest, crosses
-	// the handoff, and consumes 5 live records.
-	if r, ok := inHistory.Next(); !ok || r.Kind != KindData {
-		t.Fatalf("subtask 1 first Next = %+v ok=%v, want history data", r, ok)
-	}
-	liveSeen := 0
-	for liveSeen < 5 {
-		r, ok := crossed.Next()
-		if !ok {
-			t.Fatalf("subtask 0 ended early")
-		}
-		if r.Kind == KindData && r.Ts >= 100 {
-			liveSeen++
-		}
-	}
-	blobs := map[int][]byte{}
-	for sub, src := range map[int]*HybridSource{0: crossed, 1: inHistory} {
-		blob, err := src.Snapshot()
-		if err != nil {
-			t.Fatal(err)
-		}
-		blobs[sub] = blob
-	}
-
-	// Rescale: the history (splits) would redistribute, but subtask 0's
-	// live state holds a consumed position and GenSource is positional —
-	// the restore must refuse rather than silently reset the live cursor
-	// and replay checkpointed live records.
-	err := mk(mkPlan(), 0, 4).RestoreAll(0, 4, blobs)
-	if err == nil || !strings.Contains(err.Error(), "live") {
-		t.Fatalf("mixed-phase rescale = %v, want a live-state error", err)
-	}
-
-	// Same parallelism restores positionally: subtask 0 re-enters the
-	// history phase (pending splits exist), finishes it, and resumes the
-	// live stream at record 5 — ts 105, nothing replayed.
-	plan2 := mkPlan()
-	resumed := mk(plan2, 0, 2)
-	if err := resumed.RestoreAll(0, 2, blobs); err != nil {
-		t.Fatal(err)
-	}
-	for {
-		r, ok := resumed.Next()
-		if !ok {
-			t.Fatalf("resumed subtask 0 ended before reaching the live phase")
-		}
-		if r.Kind == KindData && r.Ts >= 100 {
-			if r.Ts != 105 {
-				t.Fatalf("first live record after restore has ts %d, want 105 (live records 100..104 were checkpointed as consumed)", r.Ts)
-			}
-			break
-		}
-	}
-}
-
 // Split IDs are positional in the plan, so a restore whose inputs chop
 // differently — a changed split size, or files added to the scanned
 // directory — must be refused instead of silently remapping completed
@@ -484,7 +489,7 @@ func TestRestoreRejectsChangedPlanGeometry(t *testing.T) {
 // The versioned decoder must reject snapshots from a future format rather
 // than silently misreading them.
 func TestScanStateUnknownVersionRejected(t *testing.T) {
-	blob, err := encodeScanState(splitScanState{V: 99, CurID: -1, Legacy: -1})
+	blob, err := encodeScanState(splitScanState{V: 99, CurID: -1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -758,13 +758,14 @@ func (h *hybridReader[T]) restoreLive(subtask, parallelism int, blobs map[int][]
 	if m, ok := h.live.(MultiRestorer); ok {
 		return m.RestoreAll(subtask, parallelism, blobs)
 	}
-	if blob, ok := blobs[subtask]; ok && len(blobs) == parallelism {
+	blob, err := dataflow.PositionalBlob(subtask, parallelism, blobs)
+	switch {
+	case err == nil:
 		return h.live.Restore(blob)
-	}
-	if !started {
+	case !started:
 		return nil
 	}
-	return fmt.Errorf("live source state of %d subtasks does not redistribute to parallelism %d", len(blobs), parallelism)
+	return err
 }
 
 // OpenSource forwards the runtime's per-subtask context to both phases.
@@ -820,24 +821,14 @@ func openReader(r any, ctx *dataflow.OpContext) {
 
 // restoreReaderAll restores one reader from the node-wide blob set:
 // MultiRestorer readers redistribute, everything else falls back to the
-// positional per-subtask Restore, which requires the parallelism to match
-// the snapshot's.
+// positional per-subtask Restore (dataflow.PositionalBlob).
 func restoreReaderAll[T any](r Reader[T], subtask, parallelism int, blobs map[int][]byte) error {
 	if m, ok := r.(MultiRestorer); ok {
 		return m.RestoreAll(subtask, parallelism, blobs)
 	}
-	oldPar := 0
-	for sub := range blobs {
-		if sub+1 > oldPar {
-			oldPar = sub + 1
-		}
-	}
-	if oldPar != parallelism {
-		return fmt.Errorf("source state of %d subtasks does not redistribute to parallelism %d (only splittable scans rescale)", oldPar, parallelism)
-	}
-	blob, ok := blobs[subtask]
-	if !ok {
-		return fmt.Errorf("source snapshot is missing subtask %d", subtask)
+	blob, err := dataflow.PositionalBlob(subtask, parallelism, blobs)
+	if err != nil {
+		return err
 	}
 	return r.Restore(blob)
 }

@@ -66,7 +66,7 @@ func buildWordcount(workers int, extra ...streamline.Option) (*streamline.Env, *
 		streamline.WithWorkers(workers),
 	}, extra...)
 	env := streamline.New(opts...)
-	src := streamline.FromSlice(env, "lines", wordcountLines())
+	src := streamline.From(env, "lines", streamline.Slice(wordcountLines()))
 	words := streamline.FlatMap(src, "split", func(l string, em streamline.Emitter[string]) {
 		for _, w := range strings.Fields(l) {
 			em.Emit(w)

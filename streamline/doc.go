@@ -33,9 +33,7 @@
 // WithSourceParallelism, WithWatermarkEvery and WithWatermarkLag (event
 // time cadence and bounded-disorder allowance), and WithTimestamps (an
 // extractor re-stamping records with event time taken from the values).
-// FromChannel, FromJSONL and FromCSV are one-line sugar over From; the
-// legacy FromSlice/FromGenerator/FromPacedGenerator trio remains as
-// deprecated wrappers that lower through the same path.
+// FromChannel, FromJSONL and FromCSV are one-line sugar over From.
 //
 // # The splittable at-rest scan
 //

@@ -244,11 +244,6 @@ func emptySourceFactory(sub, par int) dataflow.SourceFunc {
 	return &dataflow.GenSource{N: 0, Gen: func(int64) dataflow.Record { return dataflow.Record{} }}
 }
 
-// loweredReader adapts a typed Reader to the engine's SourceFunc: it boxes
-// elements, applies the timestamp extractor, and generates cadence
-// watermarks (one per `every` records, trailing the max seen timestamp by
-// `lag`), mirroring GenSource's watermarking so connector-built sources
-// behave exactly like the legacy constructors.
 // stageClock is the shared event-time high-water mark of one source stage:
 // every subtask folds its emitted timestamps in, and ReadHandoff promises
 // its value. Advance is a CAS-max, so the hot-path cost is one atomic load
@@ -286,6 +281,12 @@ func readerCanHandoff(r any) bool {
 	return false
 }
 
+// loweredReader is the one place a typed Reader meets the engine: it adapts
+// the reader to dataflow.SourceFunc, boxing elements, applying the timestamp
+// extractor, and generating cadence watermarks (one per `every` records,
+// trailing the max seen timestamp by `lag`, like dataflow.GenSource). It
+// turns the reader's ReadIdle, ReadWatermark and ReadHandoff statuses into
+// watermarks that never regress on the wire.
 type loweredReader[T any] struct {
 	r     Reader[T]
 	boxed boxedReader // r's boxedReader side, if any: its records are taken as they are

@@ -1,6 +1,10 @@
 package streamline
 
 import (
+	"fmt"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/dataflow"
@@ -137,3 +141,78 @@ func TestLoweredReaderTakesBoxedRecordsAsTheyAre(t *testing.T) {
 type constSource[T any] struct{ r Reader[T] }
 
 func (c constSource[T]) Open(int, int) Reader[T] { return c.r }
+
+// A mixed-phase hybrid snapshot (one subtask already past the handoff with
+// live elements consumed, another still in history) must refuse a rescaled
+// restore when the live reader cannot redistribute — silently resetting the
+// live cursor would replay already-checkpointed live elements.
+func TestHybridMixedPhaseRescaleRejectsPositionalLive(t *testing.T) {
+	var lines strings.Builder
+	for i := 10; i < 16; i++ {
+		fmt.Fprintf(&lines, "%d\n", i)
+	}
+	path := filepath.Join(t.TempDir(), "history.jsonl")
+	if err := os.WriteFile(path, []byte(lines.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	src := hybridSource[float64]{
+		history: JSONL[float64](path, WithSplitSize(8)), // several small splits
+		live: Generator(50, func(sub, par int, i int64) Keyed[float64] {
+			return Keyed[float64]{Ts: 100 + i, Value: float64(i)}
+		}),
+	}
+	var slot any
+	crossed, inHistory := src.openShared(&slot, 0, 2), src.openShared(&slot, 1, 2)
+	// Subtask 1 starts one split, then subtask 0 drains the rest, crosses
+	// the handoff, and consumes 5 live elements.
+	if _, st := inHistory.Next(); st != ReadData {
+		t.Fatalf("subtask 1 first Next = %v, want history data", st)
+	}
+	for liveSeen := 0; liveSeen < 5; {
+		k, st := crossed.Next()
+		if st == ReadEnd {
+			t.Fatalf("subtask 0 ended early")
+		}
+		if st == ReadData && k.Ts >= 100 {
+			liveSeen++
+		}
+	}
+	blobs := map[int][]byte{}
+	for sub, r := range map[int]Reader[float64]{0: crossed, 1: inHistory} {
+		blob, err := r.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		blobs[sub] = blob
+	}
+
+	// Rescale: the history (splits) would redistribute, but subtask 0's live
+	// state holds a consumed position and the generator is positional — the
+	// restore must refuse rather than reset the live cursor.
+	var slot4 any
+	err := src.openShared(&slot4, 0, 4).(MultiRestorer).RestoreAll(0, 4, blobs)
+	if err == nil || !strings.Contains(err.Error(), "live") {
+		t.Fatalf("mixed-phase rescale = %v, want a live-state error", err)
+	}
+
+	// Same parallelism restores positionally: subtask 0 re-enters the history
+	// phase (subtask 1's split is still pending), finishes it, and resumes the
+	// live stream at element 5 — ts 105, nothing replayed.
+	var slot2 any
+	resumed := src.openShared(&slot2, 0, 2)
+	if err := resumed.(MultiRestorer).RestoreAll(0, 2, blobs); err != nil {
+		t.Fatal(err)
+	}
+	for {
+		k, st := resumed.Next()
+		if st == ReadEnd {
+			t.Fatalf("resumed subtask 0 ended before reaching the live phase")
+		}
+		if st == ReadData && k.Ts >= 100 {
+			if k.Ts != 105 {
+				t.Fatalf("first live element after restore has ts %d, want 105 (live elements 100..104 were checkpointed as consumed)", k.Ts)
+			}
+			break
+		}
+	}
+}

@@ -10,77 +10,82 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
+	"repro/internal/dataflow"
 	"repro/streamline"
 )
 
-// The acceptance bar of the connector redesign: From with the Slice
-// connector must build the exact same job graph as the legacy FromSlice —
-// the deprecated constructors are thin wrappers, not a parallel code path.
+// The acceptance bar of the connector API: From with the Slice connector
+// must build the exact same job graph as the untyped substrate's
+// FromRecords, and compute the same sums — a typed source is a lowering, not
+// a parallel code path.
 func TestSliceConnectorPlanIdentity(t *testing.T) {
 	items := []float64{1, 2, 3, 4, 5, 6, 7}
-	build := func(useConnector bool) (*streamline.Env, *streamline.Results[float64]) {
-		env := streamline.New(streamline.WithParallelism(2))
-		var src *streamline.Stream[float64]
-		if useConnector {
-			src = streamline.From(env, "src", streamline.Slice(items))
-		} else {
-			src = streamline.FromSlice(env, "src", items)
-		}
-		keyed := streamline.KeyBy(src, "key", func(v float64) uint64 { return uint64(v) % 2 })
-		sums := streamline.ReduceByKey(keyed, "sum", func(acc, v float64) float64 { return acc + v }, false)
-		return env, streamline.Collect(sums, "out")
+	typedEnv := streamline.New(streamline.WithParallelism(2))
+	keyed := streamline.KeyBy(streamline.From(typedEnv, "src", streamline.Slice(items)),
+		"key", func(v float64) uint64 { return uint64(v) % 2 })
+	typedOut := streamline.Collect(streamline.ReduceByKey(keyed, "sum",
+		func(acc, v float64) float64 { return acc + v }, false), "out")
+
+	untypedEnv := core.NewEnvironment(core.WithParallelism(2))
+	recs := make([]dataflow.Record, len(items))
+	for i, v := range items {
+		recs[i] = dataflow.Data(int64(i), 0, v)
+	}
+	untypedOut := untypedEnv.FromRecords("src", recs).
+		KeyBy("key", func(r dataflow.Record) uint64 { return uint64(r.Value.(float64)) % 2 }).
+		ReduceByKey("sum", func(acc, v float64) float64 { return acc + v }, false).
+		Collect("out")
+
+	typedPlan := planString(typedEnv.Core().Graph())
+	untypedPlan := planString(untypedEnv.Graph())
+	if typedPlan != untypedPlan {
+		t.Fatalf("plans differ:\nFrom+Slice:\n%s\nFromRecords:\n%s", typedPlan, untypedPlan)
 	}
 
-	newEnv, newOut := build(true)
-	oldEnv, oldOut := build(false)
-	newPlan := planString(newEnv.Core().Graph())
-	oldPlan := planString(oldEnv.Core().Graph())
-	if newPlan != oldPlan {
-		t.Fatalf("plans differ:\nFrom+Slice:\n%s\nFromSlice:\n%s", newPlan, oldPlan)
+	execute(t, typedEnv.Execute)
+	execute(t, untypedEnv.Execute)
+	got, want := map[uint64]float64{}, map[uint64]float64{}
+	for _, k := range typedOut.Records() {
+		got[k.Key] += k.Value
 	}
-
-	execute(t, newEnv.Execute)
-	execute(t, oldEnv.Execute)
-	sums := func(res *streamline.Results[float64]) map[uint64]float64 {
-		out := map[uint64]float64{}
-		for _, k := range res.Records() {
-			out[k.Key] += k.Value
-		}
-		return out
+	for _, r := range untypedOut.Records() {
+		want[r.Key] += r.Value.(float64)
 	}
-	got, want := sums(newOut), sums(oldOut)
 	if len(got) != len(want) {
 		t.Fatalf("key counts differ: %d vs %d", len(got), len(want))
 	}
 	for k, v := range want {
 		if got[k] != v {
-			t.Fatalf("key %d: connector %v, legacy %v", k, got[k], v)
+			t.Fatalf("key %d: connector %v, untyped %v", k, got[k], v)
 		}
 	}
 }
 
-// Generator and paced-generator wrappers must likewise lower to identical
-// plans through the connector path.
+// The Generator and Paced connectors likewise lower to the plans of the
+// untyped generator sources, at the parallelism WithSourceParallelism names.
 func TestGeneratorConnectorPlanIdentity(t *testing.T) {
 	gen := func(sub, par int, i int64) streamline.Keyed[float64] {
 		return streamline.Keyed[float64]{Ts: i, Value: float64(i)}
 	}
-	plan := func(build func(env *streamline.Env) *streamline.Stream[float64]) string {
+	untypedGen := func(sub, par int, i int64) dataflow.Record { return dataflow.Data(i, 0, float64(i)) }
+	typed := func(src streamline.Source[float64], par int) string {
 		env := streamline.New(streamline.WithParallelism(2))
-		streamline.Sink(build(env), "out", func(streamline.Keyed[float64]) {})
+		streamline.Collect(streamline.From(env, "gen", src, streamline.WithSourceParallelism(par)), "out")
 		return planString(env.Core().Graph())
 	}
-	if got, want := plan(func(env *streamline.Env) *streamline.Stream[float64] {
-		return streamline.From(env, "gen", streamline.Generator(100, gen), streamline.WithSourceParallelism(1))
-	}), plan(func(env *streamline.Env) *streamline.Stream[float64] {
-		return streamline.FromGenerator(env, "gen", 1, 100, gen)
+	untyped := func(build func(env *core.Environment) *core.Stream) string {
+		env := core.NewEnvironment(core.WithParallelism(2))
+		build(env).Collect("out")
+		return planString(env.Graph())
+	}
+	if got, want := typed(streamline.Generator(100, gen), 1), untyped(func(env *core.Environment) *core.Stream {
+		return env.FromGenerator("gen", 1, 100, untypedGen)
 	}); got != want {
 		t.Fatalf("generator plans differ:\n%s\nvs\n%s", got, want)
 	}
-	if got, want := plan(func(env *streamline.Env) *streamline.Stream[float64] {
-		return streamline.From(env, "gen", streamline.Paced(streamline.Generator(100, gen), 1e6), streamline.WithSourceParallelism(2))
-	}), plan(func(env *streamline.Env) *streamline.Stream[float64] {
-		return streamline.FromPacedGenerator(env, "gen", 2, 100, 1e6, gen)
+	if got, want := typed(streamline.Paced(streamline.Generator(100, gen), 1e6), 2), untyped(func(env *core.Environment) *core.Stream {
+		return env.FromPacedGenerator("gen", 2, 100, 1e6, untypedGen)
 	}); got != want {
 		t.Fatalf("paced plans differ:\n%s\nvs\n%s", got, want)
 	}
@@ -596,7 +601,7 @@ func TestHybridHandoffWatermarkFiresHistoryWindows(t *testing.T) {
 // deprecated, not removed).
 func TestDeprecatedWrappersStillWork(t *testing.T) {
 	env := streamline.New(streamline.WithParallelism(1))
-	nums := streamline.FromSlice(env, "src", []float64{3, 1, 2})
+	nums := streamline.From(env, "src", streamline.Slice([]float64{3, 1, 2}))
 	out := streamline.Collect(nums, "out")
 	execute(t, env.Execute)
 	var vals []float64

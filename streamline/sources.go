@@ -1,8 +1,7 @@
 package streamline
 
 // Convenience source entry points over the connector API. Each is sugar for
-// From with a built-in connector; the legacy trio at the bottom is kept as
-// deprecated wrappers so existing pipelines migrate mechanically.
+// From with a built-in connector.
 
 // FromChannel creates a live in-motion stream fed by a Go channel; closing
 // the channel ends the stream. The source defaults to parallelism 1 —
@@ -34,44 +33,4 @@ func FromJSONL[T any](env *Env, name string, input string, opts ...SourceOption)
 // Equivalent to From(env, name, CSV(input, skipHeader, parse), ...).
 func FromCSV[T any](env *Env, name string, input string, skipHeader bool, parse func(row []string) (T, error), opts ...SourceOption) *Stream[T] {
 	return From(env, name, CSV(input, skipHeader, parse), opts...)
-}
-
-// FromSlice creates a bounded stream from an in-memory slice (data at
-// rest). Element i carries event timestamp i; keys are assigned by a later
-// KeyBy.
-//
-// Deprecated: Use From with the Slice connector:
-// From(env, name, Slice(items)).
-func FromSlice[T any](env *Env, name string, items []T) *Stream[T] {
-	return From(env, name, Slice(items))
-}
-
-// FromKeyedSlice creates a bounded stream from records carrying explicit
-// timestamps and keys.
-//
-// Deprecated: Use From with the KeyedSlice connector:
-// From(env, name, KeyedSlice(items)).
-func FromKeyedSlice[T any](env *Env, name string, items []Keyed[T]) *Stream[T] {
-	return From(env, name, KeyedSlice(items))
-}
-
-// FromGenerator creates a stream from a deterministic generator. count < 0
-// makes it unbounded (data in motion); otherwise it is a bounded stream
-// that ends — the same plan either way. gen computes the i-th record of the
-// given subtask; parallelism <= 0 uses the environment default.
-//
-// Deprecated: Use From with the Generator connector:
-// From(env, name, Generator(count, gen), WithSourceParallelism(parallelism)).
-func FromGenerator[T any](env *Env, name string, parallelism int, count int64, gen func(subtask, parallelism int, i int64) Keyed[T]) *Stream[T] {
-	return From(env, name, Generator(count, gen), WithSourceParallelism(parallelism))
-}
-
-// FromPacedGenerator is FromGenerator throttled to perSec records per
-// second per subtask — the live-stream simulation used by the latency
-// experiments.
-//
-// Deprecated: Use From with the Paced and Generator connectors:
-// From(env, name, Paced(Generator(count, gen), perSec), WithSourceParallelism(parallelism)).
-func FromPacedGenerator[T any](env *Env, name string, parallelism int, count int64, perSec float64, gen func(subtask, parallelism int, i int64) Keyed[T]) *Stream[T] {
-	return From(env, name, Paced(Generator(count, gen), perSec), WithSourceParallelism(parallelism))
 }

@@ -42,10 +42,10 @@ func planString(g *dataflow.Graph) string {
 // generator -> keyBy -> two-query window aggregate -> collect.
 func buildTypedWindowed(n int64) (*streamline.Env, *streamline.Results[streamline.WindowResult]) {
 	env := streamline.New(streamline.WithParallelism(2))
-	src := streamline.FromGenerator(env, "gen", 1, n,
+	src := streamline.From(env, "gen", streamline.Generator(n,
 		func(sub, par int, i int64) streamline.Keyed[float64] {
 			return streamline.Keyed[float64]{Ts: i, Value: float64(i)}
-		})
+		}), streamline.WithSourceParallelism(1))
 	keyed := streamline.KeyBy(src, "key", func(v float64) uint64 { return uint64(v) % 5 })
 	win := streamline.WindowAggregate(keyed, "win",
 		streamline.Query(streamline.Tumbling(30), streamline.Sum()),
@@ -129,10 +129,10 @@ func TestTypedUntypedCombinerParity(t *testing.T) {
 	const n = 500
 
 	typedEnv := streamline.New(streamline.WithParallelism(2), streamline.WithCombiner(streamline.CombinerOn))
-	src := streamline.FromGenerator(typedEnv, "gen", 1, n,
+	src := streamline.From(typedEnv, "gen", streamline.Generator(n,
 		func(sub, par int, i int64) streamline.Keyed[float64] {
 			return streamline.Keyed[float64]{Ts: i, Value: float64(i)}
-		})
+		}), streamline.WithSourceParallelism(1))
 	keyed := streamline.KeyBy(src, "key", func(v float64) uint64 { return uint64(v) % 5 })
 	sums := streamline.ReduceByKey(keyed, "sum", func(acc, v float64) float64 { return acc + v }, false)
 	typedOut := streamline.Collect(sums, "out")
@@ -180,10 +180,10 @@ func TestTypedUntypedCombinerParity(t *testing.T) {
 func TestBoundedUnboundedSamePlan(t *testing.T) {
 	build := func(count int64) string {
 		env := streamline.New(streamline.WithParallelism(2))
-		src := streamline.FromGenerator(env, "gen", 1, count,
+		src := streamline.From(env, "gen", streamline.Generator(count,
 			func(sub, par int, i int64) streamline.Keyed[float64] {
 				return streamline.Keyed[float64]{Ts: i, Value: float64(i)}
-			})
+			}), streamline.WithSourceParallelism(1))
 		keyed := streamline.KeyBy(src, "key", func(v float64) uint64 { return uint64(v) % 3 })
 		win := streamline.WindowAggregate(keyed, "win",
 			streamline.Query(streamline.Tumbling(50), streamline.Avg()))
@@ -199,7 +199,7 @@ func TestBoundedUnboundedSamePlan(t *testing.T) {
 
 func TestMapFilterFlatMapTyped(t *testing.T) {
 	env := streamline.New(streamline.WithParallelism(1))
-	nums := streamline.FromSlice(env, "src", []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9})
+	nums := streamline.From(env, "src", streamline.Slice([]int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}))
 	odds := streamline.Filter(nums, "odd", func(v int) bool { return v%2 == 1 })
 	strs := streamline.Map(odds, "str", func(v int) string { return strings.Repeat("x", v) })
 	tripled := streamline.FlatMap(strs, "triple", func(s string, out streamline.Emitter[int]) {
@@ -225,7 +225,7 @@ func TestMapFilterFlatMapTyped(t *testing.T) {
 
 func TestKeyByStringMatchesKeyOf(t *testing.T) {
 	env := streamline.New(streamline.WithParallelism(1))
-	words := streamline.FromSlice(env, "src", []string{"alpha", "beta", "alpha"})
+	words := streamline.From(env, "src", streamline.Slice([]string{"alpha", "beta", "alpha"}))
 	keyed := streamline.KeyByString(words, "word", func(w string) string { return w })
 	out := streamline.Collect(keyed, "out")
 	execute(t, env.Execute)
@@ -238,10 +238,10 @@ func TestKeyByStringMatchesKeyOf(t *testing.T) {
 
 func TestKeyByRecordUsesStampedKey(t *testing.T) {
 	env := streamline.New(streamline.WithParallelism(1))
-	src := streamline.FromGenerator(env, "gen", 1, 10,
+	src := streamline.From(env, "gen", streamline.Generator(10,
 		func(sub, par int, i int64) streamline.Keyed[float64] {
 			return streamline.Keyed[float64]{Ts: i, Key: uint64(i % 3), Value: 1}
-		})
+		}), streamline.WithSourceParallelism(1))
 	keyed := streamline.KeyByRecord(src, "key", func(k streamline.Keyed[float64]) uint64 { return k.Key })
 	sums := streamline.ReduceByKey(keyed, "sum", func(acc, v float64) float64 { return acc + v }, false)
 	out := streamline.Collect(sums, "out")
@@ -260,8 +260,8 @@ func TestKeyByRecordUsesStampedKey(t *testing.T) {
 
 func TestUnionTyped(t *testing.T) {
 	env := streamline.New(streamline.WithParallelism(1))
-	a := streamline.FromSlice(env, "a", []float64{1, 2, 3})
-	b := streamline.FromSlice(env, "b", []float64{4, 5})
+	a := streamline.From(env, "a", streamline.Slice([]float64{1, 2, 3}))
+	b := streamline.From(env, "b", streamline.Slice([]float64{4, 5}))
 	u := streamline.Union(a, "u", b)
 	out := streamline.Collect(u, "out")
 	execute(t, env.Execute)
@@ -276,14 +276,14 @@ func TestUnionTyped(t *testing.T) {
 
 func TestJoinWindowTyped(t *testing.T) {
 	env := streamline.New(streamline.WithParallelism(1))
-	left := streamline.FromKeyedSlice(env, "left", []streamline.Keyed[float64]{
+	left := streamline.From(env, "left", streamline.KeyedSlice([]streamline.Keyed[float64]{
 		{Ts: 1, Value: 10},
 		{Ts: 12, Value: 30},
-	})
-	right := streamline.FromKeyedSlice(env, "right", []streamline.Keyed[float64]{
+	}))
+	right := streamline.From(env, "right", streamline.KeyedSlice([]streamline.Keyed[float64]{
 		{Ts: 2, Value: 20},
 		{Ts: 13, Value: 40},
-	})
+	}))
 	lk := streamline.KeyBy(left, "lk", func(float64) uint64 { return 7 })
 	rk := streamline.KeyBy(right, "rk", func(float64) uint64 { return 7 })
 	joined := streamline.JoinWindow(lk, "join", rk, 10)
@@ -308,7 +308,7 @@ func TestJoinWindowTyped(t *testing.T) {
 
 func TestReduceByKeyEmitEach(t *testing.T) {
 	env := streamline.New(streamline.WithParallelism(1))
-	src := streamline.FromSlice(env, "src", []float64{1, 1, 1, 1})
+	src := streamline.From(env, "src", streamline.Slice([]float64{1, 1, 1, 1}))
 	keyed := streamline.KeyBy(src, "k", func(float64) uint64 { return 1 })
 	running := streamline.ReduceByKey(keyed, "sum", func(acc, v float64) float64 { return acc + v }, true)
 	out := streamline.Collect(running, "out")
@@ -332,10 +332,10 @@ func TestReduceByKeyEmitEach(t *testing.T) {
 func TestCheckpointingThroughTypedAPI(t *testing.T) {
 	env := streamline.New(streamline.WithParallelism(1),
 		streamline.WithCheckpointing(streamline.NewMemoryBackend(0), 20*time.Millisecond))
-	src := streamline.FromPacedGenerator(env, "gen", 1, 3000, 15000,
+	src := streamline.From(env, "gen", streamline.Paced(streamline.Generator(3000,
 		func(sub, par int, i int64) streamline.Keyed[float64] {
 			return streamline.Keyed[float64]{Ts: i, Value: 1}
-		})
+		}), 15000), streamline.WithSourceParallelism(1))
 	keyed := streamline.KeyBy(src, "key", func(v float64) uint64 { return uint64(v) })
 	sums := streamline.ReduceByKey(keyed, "sum", func(acc, v float64) float64 { return acc + v }, false)
 	out := streamline.Collect(sums, "out")
