@@ -339,6 +339,25 @@ func (e *Engine) StoredPartials() int {
 // Slices reports the number of live slices (diagnostics, E5).
 func (e *Engine) Slices() int { return int(e.meta.len()) }
 
+// Idle reports whether the engine holds nothing a new engine with the same
+// queries lacks: no slice, no open window in any query, no pending cut. An
+// idle engine may be dropped and replaced by a new one for a stream whose
+// later elements are all newer than any window it closed. Every built-in
+// assigner keeps no state outside its open windows that such an element
+// could observe: a periodic assigner re-aligns to the element, and a
+// count window is open from a stream's first element to its end.
+func (e *Engine) Idle() bool {
+	if e.meta.len() > 0 || e.cutPending {
+		return false
+	}
+	for _, q := range e.queries {
+		if len(q.open.live()) > 0 {
+			return false
+		}
+	}
+	return true
+}
+
 // ctx adapts Engine to window.Context for the query in e.active.
 type ctx Engine
 

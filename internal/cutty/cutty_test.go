@@ -130,6 +130,37 @@ func TestResultCountsMatchElements(t *testing.T) {
 	}
 }
 
+// TestIdle: an engine is idle when it is new and again once every window it
+// opened has closed and its slices are evicted — for a session after the gap,
+// for a count window only at the end of the stream.
+func TestIdle(t *testing.T) {
+	session := New(func(engine.Result) {})
+	session.AddQuery(engine.Query{Window: window.Session(5), Fn: agg.SumF64()})
+	count := New(func(engine.Result) {})
+	count.AddQuery(engine.Query{Window: window.CountTumbling(3), Fn: agg.SumF64()})
+	for name, e := range map[string]*Engine{"session": session, "count": count} {
+		if !e.Idle() {
+			t.Fatalf("%s: a new engine is not idle", name)
+		}
+		feed(e, 0, 10, func(int64) float64 { return 1 })
+		if e.Idle() {
+			t.Fatalf("%s: idle with a window open", name)
+		}
+	}
+	session.OnWatermark(100)
+	if !session.Idle() {
+		t.Fatalf("session: not idle after its session closed (%d slices)", session.Slices())
+	}
+	count.OnWatermark(100)
+	if count.Idle() {
+		t.Fatal("count: idle with a count window open")
+	}
+	count.OnWatermark(math.MaxInt64)
+	if !count.Idle() {
+		t.Fatal("count: not idle after the end-of-stream watermark")
+	}
+}
+
 func TestRemoveUnknownQueryNoop(t *testing.T) {
 	e := New(func(engine.Result) {})
 	e.RemoveQuery(42) // must not panic

@@ -541,13 +541,24 @@ func TestTimerIndex(t *testing.T) {
 // keys the subtask holds: the two sizes differ by far less than 100x. The
 // capture-active variant takes a snapshot capture before every run and leaves
 // it unserialized, so every key the run or the watermark touches pays its
-// copy-on-write clone.
+// copy-on-write clone. The two-upstreams variant interleaves a second
+// generator running a second of event time ahead, as a job's source subtasks
+// drift apart: the watermark is the lagging one's, so some two thousand keys
+// stay buffered while a watermark releases a few dozen — with the release
+// index that cost follows the keys released, not the keys buffered.
+// buffered-keys/watermark and released-keys/watermark report both.
 func BenchmarkWindowOpWatermark(b *testing.B) {
 	for _, bc := range []struct {
 		name    string
 		keys    int
 		capture bool
-	}{{"100keys", 100, false}, {"10000keys", 10_000, false}, {"10000keys/capture-active", 10_000, true}} {
+		ahead   int64 // event-time lead of the second upstream; 0 = one upstream
+	}{
+		{"100keys", 100, false, 0},
+		{"10000keys", 10_000, false, 0},
+		{"10000keys/capture-active", 10_000, true, 0},
+		{"10000keys/two-upstreams", 10_000, false, 1000},
+	} {
 		b.Run(bc.name, func(b *testing.B) {
 			keys := bc.keys
 			op := NewWindowOp(windowsQueries(1)...)().(*WindowOp)
@@ -558,16 +569,23 @@ func BenchmarkWindowOpWatermark(b *testing.B) {
 			const lag = 20 // ms of disorder, and the watermark's distance behind
 			rng := rand.New(rand.NewSource(1))
 			out, run, next := &countCollector{}, make([]Record, 64), int64(0)
+			var buffered, released int
 			step := func(key func() uint64) time.Duration {
 				for j := range run {
 					ts := max(next/10-rng.Int63n(lag), 0) // 10 records per event-time ms
+					if j%2 == 1 {
+						ts += bc.ahead
+					}
 					run[j] = Data(ts, key(), 1.0)
 					next++
 				}
 				op.OnBatch(run, out)
 				start := time.Now()
 				op.OnWatermark(next/10-lag, out)
-				return time.Since(start)
+				d := time.Since(start)
+				buffered += op.buf.Len()
+				released += len(op.release.due)
+				return d
 			}
 			for next < int64(2*keys) {
 				step(func() uint64 { return uint64(next % int64(keys)) })
@@ -576,6 +594,7 @@ func BenchmarkWindowOpWatermark(b *testing.B) {
 			zipf := func() uint64 { return uint64(math.Pow(float64(keys), rng.Float64())) - 1 }
 			fired := reg.Counter("node.win.keys_fired")
 			firedBefore := fired.Value()
+			buffered, released = 0, 0
 			b.ReportAllocs()
 			b.ResetTimer()
 			var inWatermark time.Duration
@@ -591,6 +610,8 @@ func BenchmarkWindowOpWatermark(b *testing.B) {
 			}
 			b.ReportMetric(float64(inWatermark.Nanoseconds())/float64(b.N), "ns/watermark")
 			b.ReportMetric(float64(fired.Value()-firedBefore)/float64(b.N), "keys/watermark")
+			b.ReportMetric(float64(buffered)/float64(b.N), "buffered-keys/watermark")
+			b.ReportMetric(float64(released)/float64(b.N), "released-keys/watermark")
 		})
 	}
 }

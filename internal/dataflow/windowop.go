@@ -54,15 +54,18 @@ type WindowQuery struct {
 // query set still ran an engine per key (cell "engines") restores into the
 // timeline layout, converted key by key.
 //
-// A watermark visits only the keys with a window due. Each key's state
-// reports the smallest watermark at which it would emit anything (NextFire);
-// the operator keeps that deadline per key in a timerIndex and advances only
-// the keys a watermark has reached — the rest catch up lazily, when their
-// next element or deadline arrives. The invariant: for every key not visited
-// at wm, NextFire() > wm, so visiting it would emit nothing. The index is
-// derived from the window state and not checkpointed (a restore at another
-// parallelism regroups the keys anyway): Open rebuilds it by asking each
-// restored key.
+// A watermark visits only the keys with an element or a window due, through
+// two timerIndexes. release holds each buffered key at its earliest buffered
+// timestamp, so a watermark releases the keys it has reached and never looks
+// at the ones whose elements are all still ahead of it. timers holds each key
+// at the smallest watermark at which its window state would emit anything
+// (NextFire), so a watermark advances only the keys it has reached — the rest
+// catch up lazily, when their next element or deadline arrives. The
+// invariants: for every key not released at wm, every buffered element is
+// newer than wm; for every key not fired at wm, NextFire() > wm, so visiting
+// it would emit nothing. Both indexes are derived from the keyed state and
+// not checkpointed (a restore at another parallelism regroups the keys
+// anyway): Open rebuilds them from the restored buffers and window state.
 type WindowOp struct {
 	Queries []WindowQuery
 
@@ -74,7 +77,8 @@ type WindowOp struct {
 	engines     *state.MapCell[*cutty.Engine]
 	buf         *state.MapCell[[]bufEntry]
 	wm          *state.GroupCell[int64]
-	timers      timerIndex
+	release     timerIndex // buffered key -> its earliest buffered timestamp
+	timers      timerIndex // key -> its window state's NextFire
 	curKey      uint64
 	droppedLate int64
 	droppedCtr  *metrics.Counter
@@ -189,6 +193,16 @@ func (w *WindowOp) Open(ctx *OpContext) error {
 	if err := ctx.RestoreKeyedState(w.ks); err != nil {
 		return err
 	}
+	// The release index counts nothing: the node's watermarks / keys_fired
+	// are the timer index's.
+	w.release = timerIndex{armed: make(map[uint64]int64)}
+	for _, key := range w.buf.SortedKeys() {
+		if entries, _ := w.buf.Get(key); len(entries) == 0 {
+			w.buf.Delete(key) // a blob may hold an empty buffer; nothing to release
+		} else {
+			w.release.arm(key, slices.MinFunc(entries, byTs).Ts)
+		}
+	}
 	w.timers.init(ctx)
 	restored := w.keys()
 	w.liveKeys = int64(len(restored))
@@ -214,12 +228,12 @@ func (w *WindowOp) Snapshot() ([]byte, error) { return nil, nil }
 // records_dropped_late counter.
 //
 // The run is grouped by key (counting sort into a reused gather buffer), then
-// each distinct key pays one release-watermark read, one reorder-buffer load
-// and one store for all its elements instead of one of each per record.
-// Appending a key's survivors in a single append also grows the buffer once
-// per run instead of element by element. The release watermark only moves in
-// OnWatermark — never inside a run — so one read per key is exact. OnBatch
-// emits nothing: results fire on watermarks.
+// each distinct key pays one release-watermark read, one reorder-buffer load,
+// one store and at most one release-index arm for all its elements instead of
+// one of each per record. Appending a key's survivors in a single append also
+// grows the buffer once per run instead of element by element. The release
+// watermark only moves in OnWatermark — never inside a run — so one read per
+// key is exact. OnBatch emits nothing: results fire on watermarks.
 func (w *WindowOp) OnBatch(b []Record, _ Collector) []Record {
 	w.kt.reset()
 	w.recIdx = w.recIdx[:0]
@@ -264,12 +278,13 @@ func (w *WindowOp) OnBatch(b []Record, _ Collector) []Record {
 		end := w.segOff[d]
 		seg := w.gather[end-w.segLen[d] : end]
 		wm := w.wm.Get(key)
-		keep := seg[:0]
+		keep, first := seg[:0], int64(math.MaxInt64)
 		for _, e := range seg {
 			if e.Ts <= wm {
 				dropped++
 			} else {
 				keep = append(keep, e)
+				first = min(first, e.Ts)
 			}
 		}
 		if len(keep) == 0 {
@@ -282,6 +297,14 @@ func (w *WindowOp) OnBatch(b []Record, _ Collector) []Record {
 		// COW-safe here; sorting and compacting in OnWatermark go through
 		// GetMut.
 		ref.Put(append(entries, keep...))
+		// A key's release deadline is at most its first buffered element (a
+		// remainder is sorted when released, and arming only lowers it), so
+		// an append that brings nothing earlier leaves it standing without a
+		// lookup in the index — a lookup per key per run that costs an
+		// at-rest replay, which releases nothing until its end, ~5 % CPU.
+		if len(entries) == 0 || first < entries[0].Ts {
+			w.release.arm(key, first)
+		}
 	}
 	if dropped > 0 {
 		w.droppedLate += dropped
@@ -327,32 +350,38 @@ func (w *WindowOp) visit(key uint64) (keyWindows, int) {
 	return w.timeline.Visit(k), len(k.Slots)
 }
 
-// leave ends a visit that found the key with had slices: the key's timer is
-// re-armed, or — timeline layout, nothing pending, so no slice left — its
-// state is released. A key that returns starts over: every later element is
-// newer than the release watermark, so no window fires twice.
+// leave ends a visit that found the key holding had slices: the key's timer
+// is re-armed, or — nothing pending, no slice left (timeline layout), an idle
+// engine (engine layout) — its state is released. A key that returns starts
+// over: every later element is newer than the release watermark, so no
+// window fires twice.
 func (w *WindowOp) leave(key uint64, kw keyWindows, had int) {
 	w.liveSlices += int64(kw.Slices() - had)
 	next := kw.NextFire()
-	if next == math.MaxInt64 && w.timeline != nil {
+	switch {
+	case w.timeline != nil && next == math.MaxInt64:
 		w.slices.Delete(key)
-		w.liveKeys--
+	case w.timeline == nil && kw.(*cutty.Engine).Idle():
+		w.engines.Delete(key)
+	default:
+		w.timers.arm(key, next)
 		return
 	}
-	w.timers.arm(key, next)
+	w.liveKeys--
 }
 
 func byTs(a, b bufEntry) int { return cmp.Compare(a.Ts, b.Ts) }
 
-// OnWatermark implements Operator: release buffered records with ts <= wm
-// per key in event-time order into the key's window state and re-arm the
-// key's timer, then advance the keys whose timer wm has reached — in
-// ascending key order, the order results are emitted in — and the per-group
-// release watermark. The other keys would emit nothing (the timer invariant),
-// and their own event time need only catch up before their next element,
-// which the release loop sees to. The end-of-stream watermark closes windows
-// no deadline announces (count, punctuation, delta), so it visits every key
-// that still holds state.
+// OnWatermark implements Operator: for each key whose release deadline wm
+// has reached, release its buffered records with ts <= wm in event-time
+// order into the key's window state and re-arm both of the key's deadlines;
+// then advance the keys whose timer wm has reached — each loop in ascending
+// key order, the order results are emitted in — and the per-group release
+// watermark. The other keys would release and emit nothing (the two
+// invariants), and their own event time need only catch up before their
+// next element, which the release loop sees to. The end-of-stream watermark
+// closes windows no deadline announces (count, punctuation, delta), so it
+// releases every buffered key and visits every key that still holds state.
 //
 // The results must be out before the runtime forwards the watermark
 // downstream, or a downstream event-time operator would drop them as late.
@@ -360,18 +389,12 @@ func byTs(a, b bufEntry) int { return cmp.Compare(a.Ts, b.Ts) }
 // or due, not every key — pays its copy-on-write clone once.
 func (w *WindowOp) OnWatermark(wm int64, out Collector) {
 	w.out = out
-	for _, key := range w.buf.SortedKeys() {
+	released := w.release.expire(wm)
+	if wm == math.MaxInt64 {
+		released = w.buf.SortedKeys() // also a key holding only ts MaxInt64, never armed
+	}
+	for _, key := range released {
 		entries, _ := w.buf.Get(key)
-		due := false
-		for i := range entries {
-			if entries[i].Ts <= wm {
-				due = true
-				break
-			}
-		}
-		if !due {
-			continue
-		}
 		// Mostly in order already (one upstream, bounded jitter): sort, and
 		// take the private copy that sorting in place needs, only if not.
 		if !slices.IsSortedFunc(entries, byTs) {
@@ -388,6 +411,7 @@ func (w *WindowOp) OnWatermark(wm int64, out Collector) {
 			w.buf.Delete(key)
 		} else {
 			w.buf.Put(key, entries[i:])
+			w.release.arm(key, entries[i].Ts)
 		}
 		w.leave(key, kw, had)
 	}

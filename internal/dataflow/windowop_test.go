@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	goruntime "runtime"
 	"strings"
 	"testing"
 
@@ -241,6 +242,160 @@ func TestWindowOpReleasesIdleKeys(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("returning key fired %+v, want %+v", got, want)
+	}
+
+	// The engine layout releases a key once its engine is idle — no slice, no
+	// open window — and emits what the sweep reference, which never releases
+	// a key, emits. A count window is open from a key's first element to the
+	// end of the stream, so mix holds its keys until then.
+	for i := range run {
+		run[i].Ts = int64(100 + i%20) // every session still open at 120
+	}
+	for _, name := range []string{"session", "session-maxdur", "sliding-long", "mix"} {
+		queries := oracleSpecs[name]
+		op, ref := newWindowOp(t, queries...), newSweepRef(queries...)
+		step := func(run []Record, wm int64) {
+			t.Helper()
+			op.OnBatch(append([]Record{}, run...), nil)
+			ref.OnBatch(run)
+			got, want := &capCollector{}, &capCollector{}
+			op.OnWatermark(wm, got)
+			ref.OnWatermark(wm, want)
+			if !reflect.DeepEqual(got.recs, want.recs) {
+				t.Fatalf("%s, watermark %d: emissions diverged\n got %+v\nwant %+v", name, wm, got.recs, want.recs)
+			}
+		}
+		step(run, 120)
+		if got := op.engines.Len(); got != keys {
+			t.Fatalf("%s: %d keys hold window state with windows open, want %d", name, got, keys)
+		}
+		const past = 3000 // past every session and every 2570-tick window
+		step(nil, past)
+		if name == "mix" {
+			if got := op.engines.Len(); got != keys {
+				t.Fatalf("mix: %d keys hold window state with count windows open, want %d", got, keys)
+			}
+		} else {
+			if got := op.engines.Len(); got != 0 {
+				t.Fatalf("%s: %d keys still hold window state after their last window fired", name, got)
+			}
+			fresh := newWindowOp(t, queries...)
+			fresh.OnWatermark(past, &collectList{})
+			if n, want := checkpointBytes(op), checkpointBytes(fresh); n != want {
+				t.Fatalf("%s: checkpoint after every key went idle is %d bytes, a new operator's %d", name, n, want)
+			}
+		}
+		step([]Record{Data(past+5, 42, 2.0), Data(past+8, 42, 3.0), Data(past-10, 42, 100.0)}, math.MaxInt64)
+		if got := op.engines.Len(); got != 0 {
+			t.Fatalf("%s: %d keys hold window state after the end-of-stream watermark", name, got)
+		}
+	}
+}
+
+// TestWindowOpWatermarkReleasingNothingIsFree: a watermark that releases
+// nothing costs nothing however many keys are buffered ahead of it — it asks
+// the release index, not the buffers. The one that reaches three keys'
+// elements releases exactly those.
+func TestWindowOpWatermarkReleasingNothingIsFree(t *testing.T) {
+	op := newWindowOp(t, WindowQuery{Spec: window.Tumbling(10), Fn: agg.SumF64()})
+	const keys = 5000
+	run := make([]Record, 0, keys+3)
+	for i := range keys {
+		run = append(run, Data(int64(1000+i%100), uint64(i), 1.0))
+	}
+	due := []uint64{7, 2500, 4999}
+	var want []Record
+	for j, key := range due {
+		run = append(run, Data(500, key, float64(j+1)))
+		want = append(want, Data(510, key, WindowResult{QueryID: 0, Start: 500, End: 510, Value: float64(j + 1), Count: 1}))
+	}
+	op.OnBatch(run, nil)
+
+	out := &collectList{}
+	var before, after goruntime.MemStats
+	goruntime.ReadMemStats(&before)
+	for wm := int64(1); wm <= 100; wm++ {
+		op.OnWatermark(wm, out)
+	}
+	goruntime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1024 {
+		t.Fatalf("100 watermarks releasing nothing over %d buffered keys allocated %d bytes", keys, got)
+	}
+	if len(out.recs) != 0 {
+		t.Fatalf("watermarks releasing nothing emitted %+v", out.recs)
+	}
+	op.OnWatermark(600, out)
+	if !reflect.DeepEqual(out.recs, want) {
+		t.Fatalf("watermark 600 emitted %+v, want %+v", out.recs, want)
+	}
+	if got := op.buf.Len(); got != keys {
+		t.Fatalf("%d keys buffered after the release, want %d", got, keys)
+	}
+}
+
+// TestWindowOpEndOfStreamReleasesEveryBufferedKey: an element at ts MaxInt64
+// has no release deadline an index can hold, yet the end-of-stream watermark
+// releases it like any other, so the key closes out among the released keys,
+// as in the sweep reference, not among the fired ones.
+func TestWindowOpEndOfStreamReleasesEveryBufferedKey(t *testing.T) {
+	queries := oracleSpecs["session"]
+	op, ref := newWindowOp(t, queries...), newSweepRef(queries...)
+	for _, st := range []oracleStep{
+		{run: []Record{Data(5, 0, 1.0), Data(10, 1, 2.0)}}, {wm: 11},
+		{run: []Record{Data(math.MaxInt64, 1, 4.0)}}, {wm: math.MaxInt64},
+	} {
+		if st.run != nil {
+			op.OnBatch(append([]Record{}, st.run...), nil)
+			ref.OnBatch(st.run)
+			continue
+		}
+		got, want := &capCollector{}, &capCollector{}
+		op.OnWatermark(st.wm, got)
+		ref.OnWatermark(st.wm, want)
+		if !reflect.DeepEqual(got.recs, want.recs) || (st.wm == math.MaxInt64 && len(got.recs) != 2) {
+			t.Fatalf("watermark %d: emitted %+v, sweep %+v", st.wm, got.recs, want.recs)
+		}
+	}
+}
+
+// emptyBufferBlob encodes one key group in which key 7 holds an empty reorder
+// buffer — a state the operator never writes but the blob format allows.
+func emptyBufferBlob(t testing.TB) (group int, blob []byte) {
+	t.Helper()
+	ks := state.NewKeyedState(state.DefaultNumKeyGroups, 0, state.DefaultNumKeyGroups)
+	state.RegisterMap(ks, "slices", state.GobCodec[*cutty.KeySlices]())
+	buf := state.RegisterMap(ks, "buf", state.SliceCodec[bufEntry]())
+	state.RegisterPerGroup(ks, "wm", int64(5), state.GobCodec[int64]())
+	buf.Put(7, []bufEntry{})
+	group = state.KeyGroupFor(7, state.DefaultNumKeyGroups)
+	blob, err := ks.Capture().EncodeGroup(group)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return group, blob
+}
+
+// TestWindowOpRestoreDropsEmptyBuffer: Open drops a restored key whose reorder
+// buffer is empty — nothing of it is ever due, so it would otherwise stay in
+// the buffer cell for ever — and the key works as a new one afterwards.
+func TestWindowOpRestoreDropsEmptyBuffer(t *testing.T) {
+	group, blob := emptyBufferBlob(t)
+	op := NewWindowOp(WindowQuery{Spec: window.Tumbling(10), Fn: agg.SumF64()})().(*WindowOp)
+	if err := op.Open(&OpContext{RestoreGroups: map[int][]byte{group: blob}}); err != nil {
+		t.Fatal(err)
+	}
+	if n := op.buf.Len(); n != 0 {
+		t.Fatalf("%d keys buffered after restoring an empty buffer, want 0", n)
+	}
+	out := &collectList{}
+	op.OnBatch([]Record{Data(12, 7, 2.0)}, nil)
+	op.OnWatermark(math.MaxInt64, out)
+	want := []Record{Data(20, 7, WindowResult{QueryID: 0, Start: 10, End: 20, Value: 2, Count: 1})}
+	if !reflect.DeepEqual(out.recs, want) {
+		t.Fatalf("emitted %+v, want %+v", out.recs, want)
+	}
+	if n := op.buf.Len(); n != 0 {
+		t.Fatalf("%d keys buffered after the end-of-stream watermark", n)
 	}
 }
 

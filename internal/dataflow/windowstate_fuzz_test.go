@@ -24,7 +24,8 @@ var fuzzQuerySets = [][]WindowQuery{
 // FuzzWindowStateDecode restores a window operator from an arbitrary key-group
 // blob. Seeds are real blobs of both formats the timeline layout reads — its
 // own cell, and the per-key engine cell it converts (the sweep reference's
-// state in that format, and the blobs of the parent-written fixture). Whatever
+// state in that format, and the blobs of the parent-written fixture) and a
+// key holding an empty reorder buffer, which the format allows. Whatever
 // the bytes, the restore returns an error or an operator that runs: it never
 // panics, now or at the next fire, and never allocates beyond a bound
 // proportional to the input (plus the 10 MB encoding/gob reads ahead on the
@@ -69,6 +70,8 @@ func FuzzWindowStateDecode(f *testing.F) {
 	if fixtureSeeds == 0 {
 		f.Fatal("no window state in the parent-written fixture")
 	}
+	group, blob := emptyBufferBlob(f)
+	f.Add(uint8(0), uint8(group), blob)
 
 	f.Fuzz(func(t *testing.T, set, group uint8, blob []byte) {
 		op := NewWindowOp(fuzzQuerySets[int(set)%len(fuzzQuerySets)]...)().(*WindowOp)
