@@ -1,16 +1,18 @@
-// Command streamline-coord runs a named demo pipeline as the coordinator
-// of a distributed STREAMLINE job: it listens for -workers worker processes
-// (cmd/streamline-worker), distributes the plan, injects checkpoint
-// barriers, and prints the pipeline's deterministic output. With
-// -workers 0 it runs the identical pipeline single-process — diffing the
-// two outputs is the distribution smoke test.
+// Command streamline-coord runs a named demo pipeline through Env.Execute
+// and prints its deterministic output. The flags only configure the Env:
+// with -workers N it is the coordinator of a distributed STREAMLINE job — it
+// listens for N worker processes (cmd/streamline-worker), distributes the
+// plan and injects checkpoint barriers — and with -workers 0 it runs the
+// identical pipeline single-process. Diffing the two outputs is the
+// distribution smoke test.
 //
 //	streamline-coord -pipeline wordcount -workers 2 -listen 127.0.0.1:7171
 //	streamline-coord -pipeline wordcount -workers 0
 //
-// With -supervise N the job is self-healing: periodic checkpoints go to
-// -ckpt-dir, and on any worker failure the coordinator restores the newest
-// one and relaunches — onto respawned or rejoining workers — up to N times.
+// With -supervise N the job is self-healing (WithSupervision): periodic
+// checkpoints go to -ckpt-dir, and on any failure the coordinator restores
+// the newest one and relaunches — onto respawned or rejoining workers, or
+// in-process with -workers 0 — up to N times.
 // The recovery trajectory (detect→restored downtime per restart) prints to
 // stderr.
 //
@@ -71,12 +73,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	ctx := context.Background()
-	if *supervise > 0 {
-		err = env.ExecuteSupervised(ctx)
-	} else {
-		err = env.ExecuteDistributed(ctx)
-	}
+	err = env.Execute(context.Background())
 	for _, st := range env.RestartStats() {
 		fmt.Fprintf(os.Stderr, "restart %d: %d workers, checkpoint %d, downtime %v (cause: %s)\n",
 			st.Attempt, st.Workers, st.Checkpoint, st.Downtime.Round(time.Millisecond), st.Cause)

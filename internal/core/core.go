@@ -56,18 +56,21 @@ type Environment struct {
 	buildErr    error
 	job         *dataflow.Job
 
-	// Distributed-execution configuration, consumed by the streamline
-	// layer's ExecuteDistributed (plain Execute ignores it).
-	workers       int
-	listenAddr    string
-	selfSpawn     bool
-	pipeline      string
-	pipeArgs      []string
-	onListen      func(addr string)
-	distCompleted int64
+	// completed counts the checkpoints persisted by this environment's
+	// earlier runs and by its distributed runs (see CompletedCheckpoints).
+	completed int64
 
-	// Supervision configuration, consumed by ExecuteSupervised and by
-	// ExecuteDistributed when WithSupervision is given.
+	// Distributed-execution configuration, consumed by the streamline
+	// layer's Execute when workers > 0 (this package's Execute ignores it).
+	workers    int
+	listenAddr string
+	selfSpawn  bool
+	pipeline   string
+	pipeArgs   []string
+	onListen   func(addr string)
+
+	// Supervision configuration, consumed by the streamline layer's Execute
+	// when WithSupervision is given, with or without workers.
 	supervise    bool
 	maxRestarts  int
 	backoffBase  time.Duration
@@ -151,7 +154,7 @@ func WithListenAddr(addr string) Option {
 	return func(e *Environment) { e.listenAddr = addr }
 }
 
-// WithSelfSpawn makes ExecuteDistributed start its own worker processes by
+// WithSelfSpawn makes a distributed Execute start its own worker processes by
 // re-executing the current binary (the workers rebuild the identical
 // pipeline and connect back). Without it the coordinator waits for
 // externally started workers.
@@ -218,14 +221,6 @@ func (e *Environment) Supervision() (on bool, maxRestarts int, base, max time.Du
 	return e.supervise, e.maxRestarts, e.backoffBase, e.backoffMax
 }
 
-// EnsureSupervision turns supervision on with defaults if no
-// WithSupervision option was given (ExecuteSupervised's entry path).
-func (e *Environment) EnsureSupervision() {
-	if !e.supervise {
-		e.supervise = true
-	}
-}
-
 // Heartbeat returns the configured control-plane liveness settings (zeros:
 // transport defaults).
 func (e *Environment) Heartbeat() (interval, timeout time.Duration) {
@@ -250,7 +245,7 @@ func (e *Environment) BuildErr() error { return e.buildErr }
 
 // NoteDistributedCheckpoints records how many checkpoints a distributed run
 // completed, so CompletedCheckpoints answers uniformly for both modes.
-func (e *Environment) NoteDistributedCheckpoints(n int64) { e.distCompleted += n }
+func (e *Environment) NoteDistributedCheckpoints(n int64) { e.completed += n }
 
 // NewEnvironment returns an empty pipeline environment.
 func NewEnvironment(opts ...Option) *Environment {
@@ -290,7 +285,8 @@ func (e *Environment) Execute(ctx context.Context) error {
 	return e.run(ctx)
 }
 
-// ExecuteRestored runs the pipeline starting from a recovery snapshot.
+// ExecuteRestored runs the pipeline starting from a recovery snapshot (nil:
+// from scratch, as Execute).
 func (e *Environment) ExecuteRestored(ctx context.Context, snap *state.Snapshot) error {
 	return e.run(ctx, dataflow.WithRestore(snap))
 }
@@ -303,17 +299,21 @@ func (e *Environment) run(ctx context.Context, opts ...dataflow.JobOption) error
 	if e.backend != nil {
 		opts = append(opts, dataflow.WithCheckpointing(e.backend, e.ckptEvery))
 	}
+	if e.job != nil {
+		e.completed += e.job.CompletedCheckpoints()
+	}
 	e.job = dataflow.NewJob(e.graph, opts...)
 	return e.job.Run(ctx)
 }
 
-// CompletedCheckpoints reports the number of persisted checkpoints of the
-// last Execute call.
+// CompletedCheckpoints reports how many checkpoints this environment's runs
+// persisted — every attempt of a supervised run and every distributed run
+// included.
 func (e *Environment) CompletedCheckpoints() int64 {
 	if e.job == nil {
-		return e.distCompleted
+		return e.completed
 	}
-	return e.distCompleted + e.job.CompletedCheckpoints()
+	return e.completed + e.job.CompletedCheckpoints()
 }
 
 // Graph exposes the underlying job graph (diagnostics and tests).

@@ -288,10 +288,10 @@ func TestExecuteRestoredRescaled(t *testing.T) {
 var writeParentFixture = flag.Bool("write-parent-fixture", false, "rewrite testdata/parent_snapshot (run at the parent commit)")
 
 // TestParentWrittenSnapshotRestores restores a checkpoint written by the
-// commit before the operator contract became run-only (26190fe: file backend,
-// window + reduce + combiner state, taken mid-stream with the combiner table
-// non-empty) and demands the output tail that commit produced from the same
-// snapshot: no state format moved with the contract.
+// commit before the last snapshot converter was deleted (f52fe5e: file
+// backend, window + reduce + combiner state, taken mid-stream with the
+// combiner table non-empty) and demands the output tail that commit produced
+// from the same snapshot: no state format moved since.
 func TestParentWrittenSnapshotRestores(t *testing.T) {
 	const n = 6000
 	dir := filepath.Join("testdata", "parent_snapshot")
@@ -385,5 +385,26 @@ func TestParentWrittenSnapshotRestores(t *testing.T) {
 	}
 	if got := render(sinks); got != string(want) {
 		t.Fatalf("restored output differs from the parent's:\n got %d bytes\nwant %d bytes", len(got), len(want))
+	}
+
+	// A checkpoint of the same job written while the window operator still
+	// ran one Cutty engine per key (cell "engines", before the slice
+	// timeline) is refused when the operator opens, before any record
+	// reaches a sink.
+	old, err := state.NewFileBackend(filepath.Join("testdata", "pre_timeline_snapshot"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, ok, err = old.Latest()
+	if !ok || err != nil {
+		t.Fatalf("pre-timeline fixture unreadable: ok=%v err=%v", ok, err)
+	}
+	env, sinks = build(0, nil)
+	err = env.ExecuteRestored(context.Background(), snap)
+	if err == nil || !strings.Contains(err.Error(), `cell "engines"`) || !strings.Contains(err.Error(), `"slices"`) {
+		t.Fatalf("restore of a pre-timeline snapshot = %v, want an error naming cells \"engines\" and \"slices\"", err)
+	}
+	if got := render(sinks); got != "\n" {
+		t.Fatalf("a refused restore delivered records:\n%s", got)
 	}
 }

@@ -40,8 +40,7 @@ const maxWindowSlices = 256
 // concurrent use.
 type Timeline struct {
 	emit    engine.Emit
-	src     []engine.Query // as given, for decoding what an Engine wrote
-	width   int64          // slice width in ticks
+	width   int64 // slice width in ticks
 	queries []timelineQuery
 	fns     []*agg.FnF64 // one per distinct function name, AddQuery order
 	maxTs   int64        // newest timestamp whose windows end inside int64
@@ -97,7 +96,7 @@ func NewTimeline(emit engine.Emit, queries []engine.Query) (*Timeline, bool) {
 	if len(queries) == 0 {
 		return nil, false
 	}
-	t := &Timeline{emit: emit, src: queries}
+	t := &Timeline{emit: emit}
 	var maxSize int64
 	for _, q := range queries {
 		if !q.Window.IsPeriodic() || q.Fn == nil {
@@ -239,65 +238,26 @@ func floorDiv(a, b int64) int64 {
 
 // Decode reads one key's snapshot (gob of KeySlices) and validates it against
 // the timeline, so a malformed blob fails the restore instead of the fire
-// that would have indexed past its partials.
+// that would have indexed past its partials. It derives what is not stored:
+// the deadline, and with it the eviction of slices that were already dead.
 func (t *Timeline) Decode(dec *gob.Decoder) (*KeySlices, error) {
 	k := new(KeySlices)
 	if err := dec.Decode(k); err != nil {
 		return nil, err
 	}
-	return k, t.adopt(k)
-}
-
-// DecodeEngine reads the snapshot of an Engine that ran this timeline's query
-// set for one key — a window operator's per-key state before it kept
-// timelines — and converts it: a slice (firstTs, partial per store) becomes
-// the slot floor(firstTs/width), curWM becomes Fired. Engine cut its slices
-// at window begins and fired a window before folding an element at or past
-// its end, so every unfired window holds an old slice wholly or not at all.
-func (t *Timeline) DecodeEngine(dec *gob.Decoder) (*KeySlices, error) {
-	e := New(nil)
-	for _, q := range t.src {
-		if _, err := e.AddQuery(q); err != nil {
-			return nil, err
-		}
-	}
-	if err := e.Restore(dec); err != nil {
-		return nil, err
-	}
-	n := len(t.fns)
-	k := &KeySlices{Fired: e.curWM}
-	for i, m := range e.meta.items {
-		slot := floorDiv(m.firstTs, t.width)
-		if last := len(k.Slots) - 1; last >= 0 && k.Slots[last] == slot {
-			for j, st := range e.stores {
-				k.Parts[last*n+j] = st.fn.Combine(k.Parts[last*n+j], st.tree.Range(i, i+1))
-			}
-			continue
-		}
-		k.Slots = append(k.Slots, slot)
-		for _, st := range e.stores {
-			k.Parts = append(k.Parts, st.tree.Range(i, i+1))
-		}
-	}
-	return k, t.adopt(k)
-}
-
-// adopt validates decoded state and derives what is not stored: the deadline,
-// and with it the eviction of slices that were already dead.
-func (t *Timeline) adopt(k *KeySlices) error {
 	if len(k.Parts) != len(k.Slots)*len(t.fns) {
-		return fmt.Errorf("cutty: %d partials for %d slices, want %d per slice (query set mismatch)", len(k.Parts), len(k.Slots), len(t.fns))
+		return nil, fmt.Errorf("cutty: %d partials for %d slices, want %d per slice (query set mismatch)", len(k.Parts), len(k.Slots), len(t.fns))
 	}
 	for i, slot := range k.Slots {
 		if i > 0 && slot <= k.Slots[i-1] {
-			return fmt.Errorf("cutty: slice indexes not ascending (%d after %d)", slot, k.Slots[i-1])
+			return nil, fmt.Errorf("cutty: slice indexes not ascending (%d after %d)", slot, k.Slots[i-1])
 		}
 	}
 	// Slices outside the representable range hold elements OnElement would
-	// have dropped; an Engine kept them until its next eviction.
+	// have dropped; only a malformed blob carries them.
 	lo, _ := slices.BinarySearch(k.Slots, 0)
 	hi, _ := slices.BinarySearch(k.Slots, t.maxTs/t.width+1)
 	k.Slots, k.Parts = k.Slots[lo:hi], k.Parts[lo*len(t.fns):hi*len(t.fns)]
 	t.fire(k, k.Fired)
-	return nil
+	return k, nil
 }

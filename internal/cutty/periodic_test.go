@@ -1,8 +1,6 @@
 package cutty
 
 import (
-	"bytes"
-	"encoding/gob"
 	"math"
 	"reflect"
 	"testing"
@@ -72,46 +70,5 @@ func TestTimelineDeadlineMovesEarlier(t *testing.T) {
 	want := []engine.Result{{QueryID: 0, Start: 0, End: 1000, Value: 1, Count: 1}, {QueryID: 0, Start: 58_000, End: 59_000, Value: 1, Count: 1}, {QueryID: 1, Start: 0, End: 60_000, Value: 4, Count: 2}}
 	if !reflect.DeepEqual(got[:3], want) {
 		t.Fatalf("fired %+v, want %+v first", got[:3], want)
-	}
-}
-
-// TestTimelineDecodeEngine converts an Engine's snapshot mid-stream and
-// demands the windows the engine itself goes on to fire.
-func TestTimelineDecodeEngine(t *testing.T) {
-	queries := []engine.Query{q(window.Tumbling(100), agg.SumF64()), q(window.Sliding(70, 30), agg.MaxF64())}
-	var want, got []engine.Result
-	e := New(func(r engine.Result) { want = append(want, r) })
-	for _, qq := range queries {
-		if _, err := e.AddQuery(qq); err != nil {
-			t.Fatal(err)
-		}
-	}
-	feed := func(eng interface {
-		OnWatermark(int64)
-		OnElement(int64, float64)
-	}, from, to int64) {
-		for ts := from; ts < to; ts += 7 {
-			eng.OnWatermark(ts)
-			eng.OnElement(ts, float64(ts%13))
-		}
-	}
-	feed(e, -20, 400)
-	var buf bytes.Buffer
-	if err := e.Snapshot(gob.NewEncoder(&buf)); err != nil {
-		t.Fatal(err)
-	}
-	want = nil
-	feed(e, 400, 900)
-	e.OnWatermark(math.MaxInt64)
-
-	tl, _ := NewTimeline(func(r engine.Result) { got = append(got, r) }, queries)
-	k, err := tl.DecodeEngine(gob.NewDecoder(&buf))
-	if err != nil {
-		t.Fatal(err)
-	}
-	feed(tl.Visit(k), 400, 900)
-	tl.OnWatermark(math.MaxInt64)
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("converted state fired\n%+v\nthe engine\n%+v", got, want)
 	}
 }

@@ -1,8 +1,6 @@
 package dataflow
 
 import (
-	"encoding/gob"
-	"errors"
 	"fmt"
 	"maps"
 	"math"
@@ -99,31 +97,6 @@ func (r *sweepRef) OnWatermark(wm int64, out Collector) {
 }
 
 func (r *sweepRef) DroppedLate() int64 { return r.dropped }
-
-// perKeyEngineGroups snapshots the reference in the format WindowOp wrote
-// while it ran an engine per key for every query set: cells "engines", "buf"
-// and "wm", one blob per key group.
-func (r *sweepRef) perKeyEngineGroups(t testing.TB) map[int][]byte {
-	t.Helper()
-	ks := state.NewKeyedState(state.DefaultNumKeyGroups, 0, state.DefaultNumKeyGroups)
-	engines := state.RegisterMap(ks, "engines", state.Codec[*cutty.Engine]{
-		Encode: func(enc *gob.Encoder, e *cutty.Engine) error { return e.Snapshot(enc) },
-		Decode: func(*gob.Decoder) (*cutty.Engine, error) { return nil, errors.New("write-only") },
-	})
-	buf := state.RegisterMap(ks, "buf", state.SliceCodec[bufEntry]())
-	state.RegisterPerGroup(ks, "wm", r.wm, state.GobCodec[int64]())
-	for key, e := range r.engines {
-		engines.Put(key, e)
-	}
-	for key, entries := range r.buf {
-		buf.Put(key, entries)
-	}
-	groups, err := ks.Capture().EncodeGroups()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return groups
-}
 
 // oracleStep is one event of a generated schedule: a data run, or (run == nil)
 // a watermark.
@@ -335,10 +308,7 @@ func TestWindowOpTimerIndexMatchesSweep(t *testing.T) {
 // the schedule and restores it at parallelism 2. The timer index is not in
 // the snapshot; each restored subtask rebuilds it from its keys and must
 // emit, for the rest of the schedule, exactly what the uninterrupted sweep
-// reference emits for the keys that subtask now owns. For the periodic sets a
-// second pair of subtasks restores what the operator wrote while it ran an
-// engine per key for them — the reference's own state in that format — and
-// must do the same.
+// reference emits for the keys that subtask now owns.
 func TestWindowOpTimerIndexRebuiltOnRestore(t *testing.T) {
 	const par = 2
 	owner := func(key uint64) int {
@@ -389,9 +359,6 @@ func TestWindowOpTimerIndexRebuiltOnRestore(t *testing.T) {
 				}
 				droppedBefore := ref.DroppedLate()
 				restored := map[string][par]*WindowOp{"own snapshot": restore(t, queries, captureGroups(t, op))}
-				if op.timeline != nil {
-					restored["per-key engine snapshot"] = restore(t, queries, ref.perKeyEngineGroups(t))
-				}
 				for i, st := range steps[cut:] {
 					if st.run != nil {
 						ref.OnBatch(st.run)

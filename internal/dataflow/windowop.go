@@ -50,9 +50,7 @@ type WindowQuery struct {
 // All mutable state — the per-key window state, the per-key reorder buffers
 // and the per-group release watermark — lives in a state.KeyedState, so the
 // operator snapshots per key group (asynchronously, behind a copy-on-write
-// capture) and restores at any parallelism. A snapshot from when a periodic
-// query set still ran an engine per key (cell "engines") restores into the
-// timeline layout, converted key by key.
+// capture) and restores at any parallelism.
 //
 // A watermark visits only the keys with an element or a window due, through
 // two timerIndexes. release holds each buffered key at its earliest buffered
@@ -172,7 +170,6 @@ func (w *WindowOp) Open(ctx *OpContext) error {
 			Decode: tl.Decode,
 			Clone:  (*cutty.KeySlices).Clone,
 		})
-		w.slices.AcceptLegacy("engines", tl.DecodeEngine)
 	} else {
 		w.engines = state.RegisterMap(w.ks, "engines", state.Codec[*cutty.Engine]{
 			Encode: func(enc *gob.Encoder, e *cutty.Engine) error { return e.Snapshot(enc) },

@@ -22,33 +22,29 @@ var fuzzQuerySets = [][]WindowQuery{
 }
 
 // FuzzWindowStateDecode restores a window operator from an arbitrary key-group
-// blob. Seeds are real blobs of both formats the timeline layout reads — its
-// own cell, and the per-key engine cell it converts (the sweep reference's
-// state in that format, and the blobs of the parent-written fixture) and a
-// key holding an empty reorder buffer, which the format allows. Whatever
+// blob. Seeds are real blobs — the operator's own, the blobs of the
+// parent-written fixture — and a key holding an empty reorder buffer, which
+// the format allows. Whatever
 // the bytes, the restore returns an error or an operator that runs: it never
 // panics, now or at the next fire, and never allocates beyond a bound
 // proportional to the input (plus the 10 MB encoding/gob reads ahead on the
 // word of a message's length prefix, which is the blob codec's to fix).
 func FuzzWindowStateDecode(f *testing.F) {
 	for set, queries := range fuzzQuerySets {
-		op, ref := NewWindowOp(queries...)().(*WindowOp), newSweepRef(queries...)
+		op := NewWindowOp(queries...)().(*WindowOp)
 		if err := op.Open(&OpContext{}); err != nil {
 			f.Fatal(err)
 		}
 		for _, st := range oracleSchedule(rand.New(rand.NewSource(1)))[:120] {
 			if st.run != nil {
 				op.OnBatch(append([]Record{}, st.run...), nil)
-				ref.OnBatch(st.run)
 				continue
 			}
 			op.OnWatermark(st.wm, &capCollector{})
-			ref.OnWatermark(st.wm, &capCollector{})
 		}
-		for _, groups := range []map[int][]byte{captureGroups(f, op), ref.perKeyEngineGroups(f)} {
-			for g := 0; g < 4; g++ {
-				f.Add(uint8(set), uint8(g), groups[g])
-			}
+		groups := captureGroups(f, op)
+		for g := 0; g < 8; g++ {
+			f.Add(uint8(set), uint8(g), groups[g])
 		}
 	}
 	backend, err := state.NewFileBackend("../core/testdata/parent_snapshot")

@@ -185,14 +185,6 @@ type keyedCell interface {
 	decodeGroup(dec *gob.Decoder, group int) error
 }
 
-// legacyCell is a cell that also restores what an earlier version of its
-// operator wrote under another cell name (MapCell.AcceptLegacy).
-type legacyCell interface {
-	// legacyDecoder returns the group decoder for the old cell name, nil if
-	// the cell does not stand in for it.
-	legacyDecoder(name string) func(dec *gob.Decoder, group int) error
-}
-
 // capturedCell is one cell's frozen view inside a Captured snapshot.
 type capturedCell interface {
 	encodeGroup(enc *gob.Encoder, group int) error
@@ -222,17 +214,6 @@ type MapCell[V any] struct {
 	name   string
 	codec  Codec[V]
 	groups []mapGroup[V]
-
-	legacyName   string
-	legacyDecode func(dec *gob.Decoder) (V, error)
-}
-
-// AcceptLegacy declares that this cell replaces the cell an earlier version
-// of the operator registered as name, in the same position: a blob carrying
-// that cell restores into this one, each value read and converted by decode.
-// The cell snapshots under its own name only.
-func (c *MapCell[V]) AcceptLegacy(name string, decode func(dec *gob.Decoder) (V, error)) {
-	c.legacyName, c.legacyDecode = name, decode
 }
 
 // RegisterMap registers a per-key cell on ks under the given name.
@@ -462,19 +443,6 @@ func (cm *capturedMap[V]) encodeGroup(enc *gob.Encoder, group int) error {
 }
 
 func (c *MapCell[V]) decodeGroup(dec *gob.Decoder, group int) error {
-	return c.decodeGroupWith(c.codec.Decode, c.name, dec, group)
-}
-
-func (c *MapCell[V]) legacyDecoder(name string) func(*gob.Decoder, int) error {
-	if c.legacyDecode == nil || name != c.legacyName {
-		return nil
-	}
-	return func(dec *gob.Decoder, group int) error {
-		return c.decodeGroupWith(c.legacyDecode, name, dec, group)
-	}
-}
-
-func (c *MapCell[V]) decodeGroupWith(decode func(*gob.Decoder) (V, error), name string, dec *gob.Decoder, group int) error {
 	var n int
 	if err := dec.Decode(&n); err != nil {
 		return err
@@ -490,9 +458,9 @@ func (c *MapCell[V]) decodeGroupWith(decode func(*gob.Decoder) (V, error), name 
 		if err := dec.Decode(&k); err != nil {
 			return err
 		}
-		v, err := decode(dec)
+		v, err := c.codec.Decode(dec)
 		if err != nil {
-			return fmt.Errorf("cell %q key %#x: %w", name, k, err)
+			return fmt.Errorf("cell %q key %#x: %w", c.name, k, err)
 		}
 		g.m[k] = v
 	}
@@ -657,17 +625,10 @@ func (ks *KeyedState) RestoreGroup(group int, blob []byte) error {
 		if err := dec.Decode(&name); err != nil {
 			return fmt.Errorf("state: restore key group %d: %w", group, err)
 		}
-		decode := cell.decodeGroup
 		if name != cell.cellName() {
-			decode = nil
-			if lc, ok := cell.(legacyCell); ok {
-				decode = lc.legacyDecoder(name)
-			}
-			if decode == nil {
-				return fmt.Errorf("state: restore key group %d: cell %q in snapshot, %q registered (registration order changed?)", group, name, cell.cellName())
-			}
+			return fmt.Errorf("state: restore key group %d: cell %q in snapshot, %q registered (registration order changed, or a snapshot of an older format?)", group, name, cell.cellName())
 		}
-		if err := decode(dec, group); err != nil {
+		if err := cell.decodeGroup(dec, group); err != nil {
 			return fmt.Errorf("state: restore key group %d: %w", group, err)
 		}
 	}

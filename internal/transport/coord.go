@@ -91,71 +91,6 @@ func (c Config) listen() (net.Listener, error) {
 	return ln, nil
 }
 
-// Coordinator owns one distributed run: it distributes the plan, injects
-// checkpoint barriers, assembles global snapshots from per-subtask acks,
-// and treats any lost worker connection — or one silent past the heartbeat
-// timeout — as a job failure (clean abort; the persisted snapshots make the
-// job restartable at any worker count, and Supervisor automates exactly
-// that restart).
-type Coordinator struct {
-	cfg       Config
-	ln        net.Listener
-	completed atomic.Int64
-}
-
-// NewCoordinator binds the control listener so workers can dial before Run
-// is entered (Addr is valid immediately).
-func NewCoordinator(cfg Config) (*Coordinator, error) {
-	ln, err := cfg.listen()
-	if err != nil {
-		return nil, err
-	}
-	return &Coordinator{cfg: cfg, ln: ln}, nil
-}
-
-// Addr returns the control-plane address workers dial.
-func (c *Coordinator) Addr() string { return c.ln.Addr().String() }
-
-// CompletedCheckpoints reports how many snapshots this run persisted.
-func (c *Coordinator) CompletedCheckpoints() int64 { return c.completed.Load() }
-
-// Run executes the distributed job to completion. It blocks until the local
-// share and every worker finished (returning nil), or until any participant
-// fails — lost control connection included — in which case everything is
-// cancelled and the first error returns.
-func (c *Coordinator) Run(ctx context.Context) error {
-	RegisterTypes()
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	// Unblock Accept when the caller cancels during the gather phase.
-	go func() { <-ctx.Done(); c.ln.Close() }()
-	defer c.ln.Close()
-
-	_, hbTimeout := c.cfg.heartbeat()
-	// Gather exactly W workers, in connection order; the order fixes the
-	// participant indices 1..W.
-	workers := make([]*wconn, 0, c.cfg.Workers)
-	defer closeWorkers(workers)
-	for i := 1; i <= c.cfg.Workers; i++ {
-		conn, err := c.ln.Accept()
-		if err != nil {
-			if ctx.Err() != nil {
-				return ctx.Err()
-			}
-			return fmt.Errorf("coordinator accept: %w", err)
-		}
-		w, err := newWorkerConn(i, conn, hbTimeout)
-		if err != nil {
-			conn.Close()
-			return fmt.Errorf("coordinator: bad hello from connection %d: %v", i, err)
-		}
-		workers = append(workers, w)
-	}
-
-	ep := &epoch{cfg: c.cfg, workers: workers, restore: c.cfg.Restore, completed: &c.completed}
-	return ep.run(ctx)
-}
-
 // wconn is the coordinator's handle on one worker's control connection.
 type wconn struct {
 	i        int
@@ -264,9 +199,8 @@ func (a *assembler) offer(ack dataflow.Ack) *state.Snapshot {
 
 // epoch is one execution attempt over an established set of worker control
 // connections: plan distribution, readiness barrier, checkpoint loop, and
-// teardown. A plain Coordinator runs exactly one; a Supervisor runs a fresh
-// epoch (with a fresh restore snapshot and possibly different workers)
-// after every failure.
+// teardown. A Supervisor runs a fresh epoch (with a fresh restore snapshot
+// and possibly different workers) after every failure it may restart.
 type epoch struct {
 	cfg       Config
 	workers   []*wconn
@@ -278,7 +212,7 @@ type epoch struct {
 	rejoinOnAbort bool
 	// onStarted fires once the epoch's producers are unleashed (readiness
 	// barrier passed) — the "restored" instant of the MTTR measurement.
-	onStarted func(time.Time)
+	onStarted func()
 	// failedAt is when the epoch first observed its failure.
 	failedAt time.Time
 }
@@ -478,8 +412,8 @@ func (ep *epoch) run(ctx context.Context) error {
 			}
 		}
 	}
-	if failure == nil && ep.onStarted != nil {
-		ep.onStarted(time.Now())
+	if failure == nil {
+		ep.onStarted()
 	}
 
 	// Checkpoint machinery: at most one checkpoint in flight, assembled

@@ -8,10 +8,15 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/state"
 )
 
 // SupervisionPolicy bounds and paces a Supervisor's restarts.
 type SupervisionPolicy struct {
+	// Unsupervised runs the job once: no restart, the failure returned as
+	// it is, and workers told that their failures end the job.
+	Unsupervised bool
 	// MaxRestarts is the restart budget: how many failed epochs may be
 	// retried before the last error surfaces (default 5; negative: none).
 	MaxRestarts int
@@ -35,7 +40,7 @@ func (p SupervisionPolicy) withDefaults() SupervisionPolicy {
 	if p.MaxRestarts == 0 {
 		p.MaxRestarts = 5
 	}
-	if p.MaxRestarts < 0 {
+	if p.MaxRestarts < 0 || p.Unsupervised {
 		p.MaxRestarts = 0
 	}
 	if p.BaseBackoff <= 0 {
@@ -74,18 +79,22 @@ type RestartStat struct {
 	Checkpoint int64
 }
 
-// Supervisor closes the detect→recover loop around the coordinator: it owns
-// a persistent control listener that outlives epochs, runs the job as a
-// sequence of epochs, and on failure reloads the last completed checkpoint
-// from the backend and relaunches — respawning its workers (self-spawn
+// Supervisor runs every job that is distributed, supervised or both. It
+// owns a control listener that outlives epochs, runs the job as a sequence
+// of epochs, and on failure reloads the last completed checkpoint from the
+// backend and relaunches — respawning its workers (self-spawn
 // mode, Spawn set) or re-placing the dead worker's subtasks onto whoever
 // redials within the rejoin window (graceful degradation; restore works at
 // any worker count). Restarts are spaced by capped exponential backoff with
-// jitter and bounded by the policy's restart budget.
+// jitter and bounded by the policy's restart budget; an Unsupervised policy
+// runs exactly one epoch. A local Supervisor (NewLocalSupervisor) runs the
+// same restart loop over in-process attempts and binds no socket.
 type Supervisor struct {
 	cfg Config
 	pol SupervisionPolicy
 	ln  net.Listener
+	// local, when set, runs one in-process attempt in place of an epoch.
+	local func(ctx context.Context, restore *state.Snapshot) error
 
 	// Spawn, when set, (re)launches the full worker complement dialing
 	// addr — the self-spawn hook. It is invoked before every epoch's
@@ -97,7 +106,6 @@ type Supervisor struct {
 	completed atomic.Int64
 	mu        sync.Mutex
 	stats     []RestartStat
-	failedAt  time.Time
 }
 
 // NewSupervisor binds the control listener (or adopts cfg.Listener) so
@@ -108,6 +116,14 @@ func NewSupervisor(cfg Config, pol SupervisionPolicy) (*Supervisor, error) {
 		return nil, err
 	}
 	return &Supervisor{cfg: cfg, pol: pol.withDefaults(), ln: ln}, nil
+}
+
+// NewLocalSupervisor supervises a job that runs in this process alone: run
+// executes one attempt from restore (nil: from scratch), and a restart
+// resumes from the newest checkpoint in backend. It binds no socket and has
+// no Addr.
+func NewLocalSupervisor(pol SupervisionPolicy, backend state.Backend, restore *state.Snapshot, run func(ctx context.Context, restore *state.Snapshot) error) *Supervisor {
+	return &Supervisor{cfg: Config{Backend: backend, Restore: restore}, pol: pol.withDefaults(), local: run}
 }
 
 // Addr returns the control-plane address workers dial (and redial).
@@ -125,18 +141,81 @@ func (s *Supervisor) Stats() []RestartStat {
 	return out
 }
 
-// Run executes the supervised job until global success (nil), a cancelled
-// context, or an exhausted restart budget (the last epoch's error, wrapped).
+// Run executes the job until global success (nil), a cancelled context, a
+// failed unsupervised epoch, or an exhausted restart budget (the last
+// epoch's error, wrapped).
 func (s *Supervisor) Run(ctx context.Context) error {
-	RegisterTypes()
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
+	try := s.runLocal
+	if s.local == nil {
+		RegisterTypes()
+		try = s.epochs(ctx)
+		defer s.ln.Close()
+	}
 
-	// The accept pump outlives epochs: survivors and respawned workers
-	// redial the same address while the failed epoch is still unwinding.
+	restore := s.cfg.Restore
+	var lastErr error
+	var failedAt time.Time
+	for attempt := 0; ; attempt++ {
+		// Each recovery resumes from the newest completed checkpoint —
+		// possibly one persisted by the attempt that just failed.
+		if attempt > 0 && s.cfg.Backend != nil {
+			if snap, ok, err := s.cfg.Backend.Latest(); err == nil && ok {
+				restore = snap
+			}
+		}
+		// A recovery is complete the instant the new attempt's producers
+		// run; record the trajectory then.
+		restored := func(int) {}
+		if attempt > 0 {
+			stat := RestartStat{Attempt: attempt, Cause: lastErr.Error(), FailedAt: failedAt}
+			if restore != nil {
+				stat.Checkpoint = restore.CheckpointID
+			}
+			restored = func(workers int) {
+				stat.Workers, stat.RestoredAt = workers, time.Now()
+				stat.Downtime = stat.RestoredAt.Sub(stat.FailedAt)
+				s.mu.Lock()
+				s.stats = append(s.stats, stat)
+				s.mu.Unlock()
+			}
+		}
+		var err error
+		failedAt, err = try(ctx, attempt, restore, restored)
+		if err == nil {
+			return nil
+		}
+		lastErr = err
+		if ctx.Err() != nil || s.pol.Unsupervised {
+			return err
+		}
+		if attempt >= s.pol.MaxRestarts {
+			return fmt.Errorf("supervision: restart budget (%d) exhausted: %w", s.pol.MaxRestarts, err)
+		}
+		select {
+		case <-time.After(backoffDelay(s.pol, attempt)):
+		case <-ctx.Done():
+			return err
+		}
+	}
+}
+
+// runLocal is one attempt of a local Supervisor; its producers count as
+// running the moment it starts.
+func (s *Supervisor) runLocal(ctx context.Context, _ int, restore *state.Snapshot, restored func(workers int)) (time.Time, error) {
+	restored(0)
+	err := s.local(ctx, restore)
+	return time.Now(), err
+}
+
+// epochs starts the accept pump and returns the attempt function that runs
+// one epoch over the connections it delivers. The pump outlives epochs:
+// survivors and respawned workers redial the same address while the failed
+// epoch is still unwinding.
+func (s *Supervisor) epochs(ctx context.Context) func(context.Context, int, *state.Snapshot, func(int)) (time.Time, error) {
 	conns := make(chan net.Conn)
 	go func() { <-ctx.Done(); s.ln.Close() }()
-	defer s.ln.Close()
 	go func() {
 		for {
 			conn, err := s.ln.Accept()
@@ -151,97 +230,34 @@ func (s *Supervisor) Run(ctx context.Context) error {
 			}
 		}
 	}()
-
-	restore := s.cfg.Restore
-	var lastErr error
-	for attempt := 0; ; attempt++ {
-		// Each recovery resumes from the newest completed checkpoint —
-		// possibly one persisted by the epoch that just failed.
-		if attempt > 0 && s.cfg.Backend != nil {
-			if snap, ok, err := s.cfg.Backend.Latest(); err == nil && ok {
-				restore = snap
-			}
-		}
+	return func(ctx context.Context, attempt int, restore *state.Snapshot, restored func(int)) (time.Time, error) {
 		if s.Spawn != nil {
 			if s.Reap != nil && attempt > 0 {
 				s.Reap()
 			}
 			if err := s.Spawn(ctx, s.Addr(), s.cfg.Workers); err != nil {
-				return fmt.Errorf("supervision: respawn workers: %w", err)
+				return time.Now(), err
 			}
 		}
 		// Degradation applies only to recovering epochs with external
 		// workers: attempt 0 and self-spawn mode wait for full strength.
-		degrade := attempt > 0 && s.Spawn == nil
-		workers, err := s.gather(ctx, conns, degrade)
+		workers, err := s.gather(ctx, conns, attempt > 0 && s.Spawn == nil)
 		if err != nil {
-			if lastErr != nil {
-				return lastErr
-			}
-			return err
+			return time.Now(), err
 		}
+		defer closeWorkers(workers)
 		ep := &epoch{
 			cfg:           s.cfg,
 			workers:       workers,
 			restore:       restore,
 			completed:     &s.completed,
-			supervised:    true,
+			supervised:    !s.pol.Unsupervised,
 			rejoinOnAbort: attempt < s.pol.MaxRestarts,
-		}
-		if attempt > 0 {
-			// The recovery is complete the instant the new epoch's
-			// producers are unleashed; record the trajectory then.
-			stat := RestartStat{
-				Attempt:  attempt,
-				Cause:    lastErr.Error(),
-				FailedAt: s.lastFailedAt(),
-				Workers:  len(workers),
-			}
-			if restore != nil {
-				stat.Checkpoint = restore.CheckpointID
-			}
-			ep.onStarted = func(t time.Time) {
-				stat.RestoredAt = t
-				stat.Downtime = t.Sub(stat.FailedAt)
-				s.mu.Lock()
-				s.stats = append(s.stats, stat)
-				s.mu.Unlock()
-			}
+			onStarted:     func() { restored(len(workers)) },
 		}
 		err = ep.run(ctx)
-		s.setLastFailedAt(ep.failedAt)
-		closeWorkers(workers)
-		if err == nil {
-			return nil
-		}
-		lastErr = err
-		if ctx.Err() != nil {
-			return err
-		}
-		if attempt >= s.pol.MaxRestarts {
-			return fmt.Errorf("supervision: restart budget (%d) exhausted: %w", s.pol.MaxRestarts, err)
-		}
-		select {
-		case <-time.After(backoffDelay(s.pol, attempt)):
-		case <-ctx.Done():
-			return err
-		}
+		return ep.failedAt, err
 	}
-}
-
-// lastFailedAt/setLastFailedAt hand the failed epoch's detection instant to
-// the next attempt's RestartStat under the stats lock (the onStarted
-// callback runs on the epoch goroutine).
-func (s *Supervisor) lastFailedAt() time.Time {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.failedAt
-}
-
-func (s *Supervisor) setLastFailedAt(t time.Time) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.failedAt = t
 }
 
 // gather collects the epoch's worker connections from the accept pump. At

@@ -32,8 +32,8 @@
 // blackholed or wedged; heartbeats ride every HeartbeatInterval so a
 // healthy-but-quiet epoch never trips it), and a control write missing its
 // deadline (a wedged peer must not block the abort or barrier path). The
-// coordinator reacts by failing the epoch; a plain Coordinator run surfaces
-// that as the job error, while a Supervisor (see supervisor.go) reloads the
+// coordinator reacts by failing the epoch; an unsupervised run surfaces that
+// as the job error, while a supervised one (see supervisor.go) reloads the
 // last completed checkpoint from the backend and runs a fresh epoch —
 // respawning its workers in self-spawn mode, or re-placing the dead
 // worker's subtasks onto whoever redials within the rejoin window

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
 	"os"
 	"os/exec"
 	"sync"
@@ -17,16 +16,15 @@ import (
 )
 
 // WorkerEnvVar, when set in a process's environment, marks it as a
-// self-spawned worker: ExecuteDistributed in that process runs the worker
-// share against the coordinator at the variable's address instead of
-// coordinating, and exits when the share completes. Set automatically by
-// WithSelfSpawn; never set it by hand unless you are building your own
-// process manager.
+// self-spawned worker: Execute in that process runs the worker share against
+// the coordinator at the variable's address instead of running the job, and
+// exits when the share completes. Set automatically by WithSelfSpawn; never
+// set it by hand unless you are building your own process manager.
 const WorkerEnvVar = "STREAMLINE_WORKER"
 
-// WithWorkers makes ExecuteDistributed split the job across n worker
-// processes plus the coordinator (this process, which keeps all sinks and
-// live local sources). n == 0 (the default) runs single-process.
+// WithWorkers makes Execute split the job across n worker processes plus
+// the coordinator (this process, which keeps all sinks and live local
+// sources). n == 0 (the default) runs single-process.
 func WithWorkers(n int) Option { return core.WithWorkers(n) }
 
 // WithListenAddr sets the coordinator's control listen address for
@@ -34,11 +32,11 @@ func WithWorkers(n int) Option { return core.WithWorkers(n) }
 // address when workers are started externally, e.g. "127.0.0.1:7171".
 func WithListenAddr(addr string) Option { return core.WithListenAddr(addr) }
 
-// WithSelfSpawn makes ExecuteDistributed start its own workers by
+// WithSelfSpawn makes a distributed Execute start its own workers by
 // re-executing the current binary with WorkerEnvVar set. The re-executed
-// process runs the same main, builds the same pipeline, and its
-// ExecuteDistributed call becomes the worker share — after which the child
-// process exits rather than returning into a main that expects results.
+// process runs the same main, builds the same pipeline, and its Execute
+// call becomes the worker share — after which the child process exits
+// rather than returning into a main that expects results.
 func WithSelfSpawn() Option { return core.WithSelfSpawn() }
 
 // WithPipelineRef names the registered pipeline externally started generic
@@ -53,15 +51,15 @@ func WithPipelineRef(name string, args ...string) Option {
 // port so externally started workers (or test goroutines) can dial in.
 func WithOnListen(f func(addr string)) Option { return core.WithOnListen(f) }
 
-// WithSupervision makes ExecuteDistributed self-healing: on any failure —
-// worker crash, lost or blackholed connection, local error — the
-// coordinator reloads the newest completed checkpoint from the backend and
-// relaunches the job, respawning workers (self-spawn mode) or re-placing
-// the lost subtasks onto the workers that rejoin (graceful degradation).
-// maxRestarts bounds the budget (0: default 5; negative: no restarts);
-// the optional backoff durations are the base delay before the first
-// restart (doubling per consecutive restart, with jitter) and the delay
-// cap. ExecuteSupervised implies this option with defaults.
+// WithSupervision makes Execute self-healing: on any failure — worker
+// crash, lost or blackholed connection, local error — it reloads the newest
+// completed checkpoint from the backend and relaunches the job, respawning
+// workers (self-spawn mode) or re-placing the lost subtasks onto the
+// workers that rejoin (graceful degradation); with zero workers it
+// re-executes in this process. maxRestarts bounds the budget (0: default
+// 5; negative: no restarts); the optional backoff durations are the base
+// delay before the first restart (doubling per consecutive restart, with
+// jitter) and the delay cap.
 func WithSupervision(maxRestarts int, backoff ...time.Duration) Option {
 	return core.WithSupervision(maxRestarts, backoff...)
 }
@@ -102,50 +100,26 @@ func (e *Env) Metrics() *metrics.Registry {
 	return e.reg
 }
 
-// ExecuteDistributed runs the pipeline across WithWorkers processes. This
-// process becomes the coordinator (participant 0): it distributes the
-// structural plan, runs every pinned chain — sinks, so Collect results land
-// here, and live channel sources, whose data exists only here — injects
-// checkpoint barriers, assembles per-subtask acks into global snapshots on
-// the configured backend, and aborts cleanly if any worker connection
-// drops (the job is then restartable from the last snapshot at any worker
-// count via ExecuteDistributedRestored).
+// ExecuteDistributed is Execute.
 //
-// With zero workers it is exactly Execute. In a WithSelfSpawn child
-// process it runs the worker share and exits.
-func (e *Env) ExecuteDistributed(ctx context.Context) error {
-	return e.executeDistributed(ctx, nil)
-}
+// Deprecated: Execute runs distributed whenever WithWorkers is set. The
+// benchmark module's dist workload (benchmark/dist.go) is the only caller
+// left; the alias goes with it.
+func (e *Env) ExecuteDistributed(ctx context.Context) error { return e.Execute(ctx) }
 
-// ExecuteDistributedRestored is ExecuteDistributed starting from a recovery
-// snapshot — the worker count may differ from the run that wrote it;
-// keyed state and splittable scan work redistribute.
-func (e *Env) ExecuteDistributedRestored(ctx context.Context, snap *Snapshot) error {
-	return e.executeDistributed(ctx, snap)
-}
-
-// ExecuteSupervised is ExecuteDistributed under supervision (implying
-// WithSupervision with defaults if not configured): the job survives worker
-// crashes, partitions and transient failures by restoring from the newest
-// completed checkpoint and relaunching, within the restart budget. With
-// zero workers it supervises the single-process run the same way — fail,
-// reload from the backend, re-execute. RestartStats reports the recovery
-// trajectory afterwards.
-func (e *Env) ExecuteSupervised(ctx context.Context) error {
-	e.core.EnsureSupervision()
-	return e.executeDistributed(ctx, nil)
-}
-
-// RestartStats returns one entry per supervised recovery of the last
-// ExecuteSupervised / supervised ExecuteDistributed run, in order. The
-// Downtime of each entry is the detect→restored repair time.
+// RestartStats returns one entry per recovery of the last supervised run,
+// in order. The Downtime of each entry is the detect→restored repair time.
 func (e *Env) RestartStats() []RestartStat { return e.restartStats }
 
-func (e *Env) executeDistributed(ctx context.Context, snap *Snapshot) error {
+// execute is Execute and ExecuteRestored (snap nil: from scratch). It
+// routes on the Env's own options: a self-spawned child runs its worker
+// share; otherwise the job runs in this process alone (zero workers) or
+// as the coordinator of WithWorkers workers, supervised only under
+// WithSupervision.
+func (e *Env) execute(ctx context.Context, snap *Snapshot) error {
 	if err := e.core.BuildErr(); err != nil {
 		return err
 	}
-	supervised, maxRestarts, backoffBase, backoffMax := e.core.Supervision()
 	if addr := os.Getenv(WorkerEnvVar); addr != "" {
 		// Self-spawned child: this very code built the identical pipeline,
 		// so the env itself is the build product. The share must not return
@@ -161,20 +135,34 @@ func (e *Env) executeDistributed(ctx context.Context, snap *Snapshot) error {
 		}
 		os.Exit(0)
 	}
+	supervised, maxRestarts, backoffBase, backoffMax := e.core.Supervision()
 	workers := e.core.Workers()
-	if workers <= 0 {
-		if !supervised {
-			if snap != nil {
-				return e.core.ExecuteRestored(ctx, snap)
-			}
-			return e.core.Execute(ctx)
+	if workers <= 0 && !supervised {
+		if snap != nil {
+			return e.core.ExecuteRestored(ctx, snap)
 		}
-		return e.executeSupervisedLocal(ctx, snap, maxRestarts, backoffBase, backoffMax)
+		return e.core.Execute(ctx)
+	}
+	pol := transport.SupervisionPolicy{
+		Unsupervised: !supervised,
+		MaxRestarts:  maxRestarts,
+		BaseBackoff:  backoffBase,
+		MaxBackoff:   backoffMax,
+		RejoinWindow: e.core.RejoinWindow(),
 	}
 	backend, every := e.core.Backend()
+	if workers <= 0 {
+		// The graph re-executes in-process, so Collect sinks roll back to
+		// their checkpointed length and exactly-once output holds across
+		// restarts.
+		sup := transport.NewLocalSupervisor(pol, backend, snap, e.core.ExecuteRestored)
+		err := sup.Run(ctx)
+		e.restartStats = sup.Stats()
+		return err
+	}
 	pipeline, args := e.core.PipelineRef()
 	hbInterval, hbTimeout := e.core.Heartbeat()
-	cfg := transport.Config{
+	sup, err := transport.NewSupervisor(transport.Config{
 		Graph:             e.core.Graph(),
 		Chaining:          e.core.Chaining(),
 		Workers:           workers,
@@ -187,55 +175,7 @@ func (e *Env) executeDistributed(ctx context.Context, snap *Snapshot) error {
 		ListenAddr:        e.core.ListenAddr(),
 		HeartbeatInterval: hbInterval,
 		HeartbeatTimeout:  hbTimeout,
-	}
-	spawnChild := func(addr string) (*exec.Cmd, error) {
-		cmd := exec.CommandContext(ctx, os.Args[0], os.Args[1:]...)
-		cmd.Env = append(os.Environ(), WorkerEnvVar+"="+addr)
-		cmd.Stderr = os.Stderr
-		if err := cmd.Start(); err != nil {
-			return nil, err
-		}
-		return cmd, nil
-	}
-
-	if !supervised {
-		coord, err := transport.NewCoordinator(cfg)
-		if err != nil {
-			return err
-		}
-		if f := e.core.OnListen(); f != nil {
-			f(coord.Addr())
-		}
-		var spawned []*exec.Cmd
-		if e.core.SelfSpawn() {
-			for i := 0; i < workers; i++ {
-				cmd, err := spawnChild(coord.Addr())
-				if err != nil {
-					for _, c := range spawned {
-						c.Process.Kill()
-						c.Wait()
-					}
-					return fmt.Errorf("spawn worker %d: %w", i+1, err)
-				}
-				spawned = append(spawned, cmd)
-			}
-		}
-		runErr := coord.Run(ctx)
-		e.core.NoteDistributedCheckpoints(coord.CompletedCheckpoints())
-		// Children exit on their own once their share (or the abort) lands:
-		// Run has closed every control connection by now, which unblocks them.
-		for _, c := range spawned {
-			c.Wait()
-		}
-		return runErr
-	}
-
-	sup, err := transport.NewSupervisor(cfg, transport.SupervisionPolicy{
-		MaxRestarts:  maxRestarts,
-		BaseBackoff:  backoffBase,
-		MaxBackoff:   backoffMax,
-		RejoinWindow: e.core.RejoinWindow(),
-	})
+	}, pol)
 	if err != nil {
 		return err
 	}
@@ -243,22 +183,25 @@ func (e *Env) executeDistributed(ctx context.Context, snap *Snapshot) error {
 	// respawns the full complement after waiting out the previous one.
 	var procs []*exec.Cmd
 	if e.core.SelfSpawn() {
-		sup.Spawn = func(_ context.Context, addr string, n int) error {
-			for i := 0; i < n; i++ {
-				cmd, err := spawnChild(addr)
-				if err != nil {
-					return fmt.Errorf("spawn worker %d: %w", i+1, err)
-				}
-				procs = append(procs, cmd)
-			}
-			return nil
-		}
 		sup.Reap = func() {
 			for _, c := range procs {
 				c.Process.Kill()
 				c.Wait()
 			}
 			procs = nil
+		}
+		sup.Spawn = func(_ context.Context, addr string, n int) error {
+			for i := 0; i < n; i++ {
+				cmd := exec.CommandContext(ctx, os.Args[0], os.Args[1:]...)
+				cmd.Env = append(os.Environ(), WorkerEnvVar+"="+addr)
+				cmd.Stderr = os.Stderr
+				if err := cmd.Start(); err != nil {
+					sup.Reap()
+					return fmt.Errorf("spawn worker %d: %w", i+1, err)
+				}
+				procs = append(procs, cmd)
+			}
+			return nil
 		}
 	}
 	if f := e.core.OnListen(); f != nil {
@@ -267,72 +210,12 @@ func (e *Env) executeDistributed(ctx context.Context, snap *Snapshot) error {
 	runErr := sup.Run(ctx)
 	e.core.NoteDistributedCheckpoints(sup.CompletedCheckpoints())
 	e.restartStats = sup.Stats()
+	// Children exit on their own once their share (or the abort) lands: Run
+	// has closed every control connection by now, which unblocks them.
 	for _, c := range procs {
 		c.Wait()
 	}
 	return runErr
-}
-
-// executeSupervisedLocal is the zero-worker supervision loop: Execute,
-// and on failure reload the newest completed checkpoint and re-execute,
-// with the same budget and backoff semantics as the distributed path. The
-// graph re-executes in-process, so Collect sinks roll back to their
-// checkpointed length and exactly-once output holds across restarts.
-func (e *Env) executeSupervisedLocal(ctx context.Context, snap *Snapshot, maxRestarts int, base, max time.Duration) error {
-	if maxRestarts == 0 {
-		maxRestarts = 5
-	}
-	if maxRestarts < 0 {
-		maxRestarts = 0
-	}
-	if base <= 0 {
-		base = 100 * time.Millisecond
-	}
-	if max <= 0 {
-		max = 5 * time.Second
-	}
-	backend, _ := e.core.Backend()
-	restore := snap
-	e.restartStats = nil
-	for attempt := 0; ; attempt++ {
-		var err error
-		if restore != nil {
-			err = e.core.ExecuteRestored(ctx, restore)
-		} else {
-			err = e.core.Execute(ctx)
-		}
-		if err == nil {
-			return nil
-		}
-		failedAt := time.Now()
-		if ctx.Err() != nil {
-			return err
-		}
-		if attempt >= maxRestarts {
-			return fmt.Errorf("supervision: restart budget (%d) exhausted: %w", maxRestarts, err)
-		}
-		d := base << uint(attempt)
-		if d <= 0 || d > max {
-			d = max
-		}
-		d = d/2 + time.Duration(rand.Int63n(int64(d/2)+1))
-		select {
-		case <-time.After(d):
-		case <-ctx.Done():
-			return err
-		}
-		if backend != nil {
-			if s, ok, lerr := backend.Latest(); lerr == nil && ok {
-				restore = s
-			}
-		}
-		stat := RestartStat{Attempt: attempt + 1, Cause: err.Error(), FailedAt: failedAt, RestoredAt: time.Now()}
-		stat.Downtime = stat.RestoredAt.Sub(stat.FailedAt)
-		if restore != nil {
-			stat.Checkpoint = restore.CheckpointID
-		}
-		e.restartStats = append(e.restartStats, stat)
-	}
 }
 
 // Pipeline registry: generic worker processes (cmd/streamline-worker) have
@@ -394,7 +277,7 @@ func RunRegisteredWorker(ctx context.Context, coordAddr string, opts ...WorkerOp
 // the worker's share ends because the coordinator is restarting the job, it
 // redials and rejoins the next epoch. It returns when the job globally
 // completes, fails terminally, or ctx is cancelled. Use it instead of
-// RunRegisteredWorker for workers of ExecuteSupervised coordinators.
+// RunRegisteredWorker for workers of coordinators run WithSupervision.
 func RunRegisteredWorkerLoop(ctx context.Context, coordAddr string, opts ...WorkerOption) error {
 	reg := metrics.NewRegistry()
 	return transport.RunWorkerLoop(ctx, coordAddr, reg, buildFromEnv(registryBuilder), resolveWorkerOptions(opts))

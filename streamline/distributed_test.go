@@ -2,13 +2,16 @@ package streamline_test
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"runtime"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/transport"
 	"repro/streamline"
 )
 
@@ -16,36 +19,37 @@ import (
 // the coordinator address lands on addrCh. Each worker rebuilds the
 // pipeline with its own build() call — the SPMD contract, exercised inside
 // one test process. Worker n-1 runs under victimCtx so kill tests can take
-// it down; wait() collects every worker's error.
+// it down; wait() returns every worker's error, indexed by worker.
 func startWorkers(ctx context.Context, n int, addrCh <-chan string, victimCtx context.Context, build func() *streamline.Env) (wait func() []error) {
-	errCh := make(chan error, n)
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	wg.Add(n)
 	go func() {
 		var addr string
 		select {
 		case addr = <-addrCh:
 		case <-ctx.Done():
-			for i := 0; i < n; i++ {
-				errCh <- ctx.Err()
+			for i := range errs {
+				errs[i] = ctx.Err()
+				wg.Done()
 			}
 			return
 		}
-		for i := 0; i < n; i++ {
+		for i := range errs {
 			wctx := ctx
 			if victimCtx != nil && i == n-1 {
 				wctx = victimCtx
 			}
-			go func(wctx context.Context) {
-				errCh <- streamline.RunWorker(wctx, addr, func(string, []string) (*streamline.Env, error) {
+			go func() {
+				defer wg.Done()
+				errs[i] = streamline.RunWorker(wctx, addr, func(string, []string) (*streamline.Env, error) {
 					return build(), nil
 				})
-			}(wctx)
+			}()
 		}
 	}()
 	return func() []error {
-		errs := make([]error, n)
-		for i := range errs {
-			errs[i] = <-errCh
-		}
+		wg.Wait()
 		return errs
 	}
 }
@@ -106,7 +110,7 @@ func TestDistributedWordcountMatchesLocal(t *testing.T) {
 		env, _ := buildWordcount(2)
 		return env
 	})
-	if err := distEnv.ExecuteDistributed(ctx); err != nil {
+	if err := distEnv.Execute(ctx); err != nil {
 		t.Fatalf("distributed execute: %v", err)
 	}
 	for i, err := range wait() {
@@ -176,7 +180,7 @@ func TestDistributedWindowedAggregateMatchesLocal(t *testing.T) {
 		env, _ := buildDistWindowed(2, 2, 0)
 		return env
 	})
-	if err := distEnv.ExecuteDistributed(ctx); err != nil {
+	if err := distEnv.Execute(ctx); err != nil {
 		t.Fatalf("distributed execute: %v", err)
 	}
 	for i, err := range wait() {
@@ -229,8 +233,8 @@ func TestDistributedKillWorkerRestoreRescaled(t *testing.T) {
 			streamline.WithCheckpointing(backend, 20*time.Millisecond))
 		return env
 	})
-	runErr := crashEnv.ExecuteDistributed(ctx)
-	wait()
+	runErr := crashEnv.Execute(ctx)
+	workerErrs := wait()
 	snap, ok, err := backend.Latest()
 	if err != nil {
 		t.Fatalf("Latest: %v", err)
@@ -240,6 +244,17 @@ func TestDistributedKillWorkerRestoreRescaled(t *testing.T) {
 	}
 	if runErr == nil {
 		t.Skip("job finished before the kill on this machine")
+	}
+	// Without WithSupervision the crash ends the job: one epoch, no restart,
+	// and the survivor is told its failure is final, not a rejoin.
+	if strings.Contains(runErr.Error(), "restart budget") {
+		t.Fatalf("unsupervised run reported a restart budget: %v", runErr)
+	}
+	if stats := crashEnv.RestartStats(); len(stats) != 0 {
+		t.Fatalf("unsupervised run recorded restarts: %+v", stats)
+	}
+	if errors.Is(workerErrs[0], transport.ErrRejoin) {
+		t.Fatalf("surviving worker of an unsupervised run was told to rejoin: %v", workerErrs[0])
 	}
 
 	// Recovery: keyed parallelism 3, three workers — keyed state
@@ -252,7 +267,7 @@ func TestDistributedKillWorkerRestoreRescaled(t *testing.T) {
 		env, _ := buildDistWindowed(3, 3, 0, streamline.WithStateBackend(backend))
 		return env
 	})
-	if err := resumeEnv.ExecuteDistributedRestored(ctx, snap); err != nil {
+	if err := resumeEnv.ExecuteRestored(ctx, snap); err != nil {
 		t.Fatalf("restored distributed run: %v", err)
 	}
 	for i, err := range wait2() {
@@ -325,7 +340,7 @@ func TestDistributedTopicSourceKillRestoreRescaled(t *testing.T) {
 		env, _ := build(4, 2, 9_000, streamline.WithCheckpointing(backend, 15*time.Millisecond))
 		return env
 	})
-	runErr := crashEnv.ExecuteDistributed(ctx)
+	runErr := crashEnv.Execute(ctx)
 	wait()
 	snap, ok, _ := backend.Latest()
 	if !ok {
@@ -345,7 +360,7 @@ func TestDistributedTopicSourceKillRestoreRescaled(t *testing.T) {
 		env, _ := build(2, 3, 0, streamline.WithStateBackend(backend))
 		return env
 	})
-	if err := resumeEnv.ExecuteDistributedRestored(ctx, snap); err != nil {
+	if err := resumeEnv.ExecuteRestored(ctx, snap); err != nil {
 		t.Fatalf("restored distributed run: %v", err)
 	}
 	for i, err := range wait2() {
@@ -382,7 +397,7 @@ func TestDistributedCancelReleasesAllGoroutines(t *testing.T) {
 			e, _ := buildDistWindowed(2, 2, 10_000, streamline.WithCheckpointing(backend, 10*time.Millisecond))
 			return e
 		})
-		_ = env.ExecuteDistributed(ctx) // cancelled mid-run; error expected
+		_ = env.Execute(ctx) // cancelled mid-run; error expected
 		wait()
 		cancel()
 	}

@@ -266,22 +266,41 @@
 // ParallelismHinter — because without a handoff floor an idle subtask would
 // pin event time at -inf.
 //
+// # One way to run a job
+//
+// Env.Execute runs the job and Env.ExecuteRestored runs it from a
+// checkpoint; nothing else does. Where and how it runs is the Env's own
+// configuration, the same pipeline code either way:
+//
+//	env := streamline.New(
+//		streamline.WithWorkers(2),     // across two worker processes
+//		streamline.WithSupervision(5), // self-healing, up to 5 restarts
+//		streamline.WithCheckpointing(backend, time.Second),
+//	)
+//	// ... build the pipeline ...
+//	err := env.Execute(ctx)
+//
+// Without WithWorkers the job runs in this process. With WithWorkers it runs
+// across that many worker processes plus this one, the coordinator. With
+// WithSupervision, either way, a failure relaunches the job from its newest
+// checkpoint. In a worker process started by WithSelfSpawn, Execute runs that
+// worker's share and exits.
+//
 // # Distributed execution
 //
-// Env.ExecuteDistributed splits the same plan across WithWorkers worker
-// processes plus this process, the coordinator, over loopback/LAN TCP (see
-// internal/transport). Execution is SPMD: operator logic is closures and
-// never crosses the wire, so every participant rebuilds the identical
-// pipeline from code — via WithSelfSpawn (the coordinator re-executes its
-// own binary), RunWorker (a caller-supplied builder), or RunRegisteredWorker
-// (a RegisterPipeline registry keyed by WithPipelineRef) — and the
-// coordinator ships only the structural plan, a fingerprint both sides
-// verify, the placement map, peer addresses, and (on recovery) the restore
-// snapshot. Exchange edges that cross participants carry the same pooled
-// record batches as the in-process channels, framed over one TCP connection
-// per channel so checkpoint-barrier alignment keeps its ordering guarantees;
-// custom payload types must be registered on every participant with
-// RegisterWireTypes.
+// WithWorkers splits the same plan across worker processes plus this
+// process, the coordinator, over loopback/LAN TCP (see internal/transport).
+// Execution is SPMD: operator logic is closures and never crosses the wire,
+// so every participant rebuilds the identical pipeline from code — via
+// WithSelfSpawn (the coordinator re-executes its own binary), RunWorker (a
+// caller-supplied builder), or RunRegisteredWorker (a RegisterPipeline
+// registry keyed by WithPipelineRef) — and the coordinator ships only the
+// structural plan, a fingerprint both sides verify, the placement map, peer
+// addresses, and (on recovery) the restore snapshot. Exchange edges that
+// cross participants carry the same pooled record batches as the in-process
+// channels, framed over one TCP connection per channel so
+// checkpoint-barrier alignment keeps its ordering guarantees; custom payload
+// types must be registered on every participant with RegisterWireTypes.
 //
 // Placement is deterministic: sinks (and live sources whose data exists only
 // in the coordinator process — Channel, Hybrid's live phase) are pinned to
@@ -289,15 +308,15 @@
 // Collect results always land in the coordinating process. The coordinator
 // also injects checkpoint barriers and assembles every participant's acks
 // into the same global snapshots a single-process run writes — a distributed
-// job checkpoints to the shared backend and restores via
-// ExecuteDistributedRestored at ANY worker count, with keyed state and
-// remaining scan splits redistributing exactly as under a parallelism
-// rescale. A lost worker connection aborts the job cleanly; restart from the
-// last snapshot to continue — or let supervision do it for you.
+// job checkpoints to the shared backend and ExecuteRestored resumes it at
+// ANY worker count, zero included, with keyed state and remaining scan
+// splits redistributing exactly as under a parallelism rescale. Without
+// supervision a lost worker connection aborts the job cleanly; restart from
+// the last snapshot to continue — or let supervision do it for you.
 //
 // # Fault tolerance and supervision
 //
-// Env.ExecuteSupervised closes the detect→recover loop the checkpoints make
+// WithSupervision closes the detect→recover loop the checkpoints make
 // possible. The failure model: a peer is dead when its control connection
 // drops, when a control send misses its write deadline, or when the stream
 // is silent past the heartbeat timeout — both sides ping every WithHeartbeat
@@ -336,6 +355,7 @@
 // still merge correctly downstream); splits are partitioned statically
 // across participants (split stealing stays process-local); and file scans
 // plus FileBackend checkpoints assume a filesystem all participants can
-// read. Single-machine multi-core jobs lose nothing: with zero workers
-// ExecuteDistributed is exactly Execute.
+// read. Single-machine multi-core jobs lose nothing: without WithWorkers
+// or WithSupervision, Execute runs the plan on the in-process engine
+// directly.
 package streamline

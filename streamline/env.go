@@ -122,19 +122,24 @@ func New(opts ...Option) *Env {
 }
 
 // Execute runs the pipeline to completion (bounded sources) or until the
-// context is cancelled (unbounded sources).
-func (e *Env) Execute(ctx context.Context) error { return e.core.Execute(ctx) }
+// context is cancelled (unbounded sources). Where it runs is the Env's own
+// configuration: in this process alone by default, across WithWorkers
+// worker processes with this one as the coordinator, and self-healing under
+// WithSupervision (see the package documentation). In a process spawned by
+// WithSelfSpawn it runs that worker's share and exits.
+func (e *Env) Execute(ctx context.Context) error { return e.execute(ctx, nil) }
 
-// ExecuteRestored runs the pipeline starting from a recovery snapshot:
-// every operator and source subtask is handed its checkpointed state before
-// processing. Rebuild the identical pipeline on a fresh Env, then resume
-// with the snapshot from the backend's Latest.
+// ExecuteRestored is Execute starting from a recovery snapshot: every
+// operator and source subtask is handed its checkpointed state before
+// processing. Rebuild the identical pipeline on a fresh Env — at any
+// parallelism or worker count — then resume with the snapshot from the
+// backend's Latest.
 func (e *Env) ExecuteRestored(ctx context.Context, snap *Snapshot) error {
-	return e.core.ExecuteRestored(ctx, snap)
+	return e.execute(ctx, snap)
 }
 
-// CompletedCheckpoints reports the number of persisted checkpoints of the
-// last Execute call.
+// CompletedCheckpoints reports how many checkpoints this Env's runs
+// persisted, every attempt of a supervised run included.
 func (e *Env) CompletedCheckpoints() int64 { return e.core.CompletedCheckpoints() }
 
 // Core exposes the untyped lowering environment this Env builds onto —

@@ -73,13 +73,29 @@ func (r *flakyReader) Restore(blob []byte) error {
 
 func (r *flakyReader) Err() error { return r.err }
 
-// TestExecuteSupervisedLocalRecoversExactlyOnce: the zero-worker supervision
-// loop restores from the newest checkpoint and re-executes in-process; the
-// Collect sink must roll back to its checkpointed length so every source
-// position lands in the output exactly once despite two mid-stream failures.
+// countingBackend counts the checkpoints persisted through it.
+type countingBackend struct {
+	streamline.Backend
+	persisted atomic.Int64
+}
+
+func (b *countingBackend) Persist(snap *streamline.Snapshot) error {
+	err := b.Backend.Persist(snap)
+	if err == nil {
+		b.persisted.Add(1)
+	}
+	return err
+}
+
+// TestExecuteSupervisedLocalRecoversExactlyOnce: Execute under
+// WithSupervision with zero workers restores from the newest checkpoint and
+// re-executes in-process; the Collect sink must roll back to its
+// checkpointed length so every source position lands in the output exactly
+// once despite two mid-stream failures, and CompletedCheckpoints counts the
+// checkpoints of every attempt.
 func TestExecuteSupervisedLocalRecoversExactlyOnce(t *testing.T) {
 	const total, failAt = 800, 600
-	backend := streamline.NewMemoryBackend(0)
+	backend := &countingBackend{Backend: streamline.NewMemoryBackend(0)}
 	var attempts atomic.Int32
 	src := &flakySource{total: total, failAt: failAt, failures: 2, attempts: &attempts, backend: backend}
 
@@ -94,8 +110,11 @@ func TestExecuteSupervisedLocalRecoversExactlyOnce(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
-	if err := env.ExecuteSupervised(ctx); err != nil {
+	if err := env.Execute(ctx); err != nil {
 		t.Fatalf("supervised local run: %v", err)
+	}
+	if got, want := env.CompletedCheckpoints(), backend.persisted.Load(); got != want {
+		t.Fatalf("CompletedCheckpoints = %d, but %d checkpoints were persisted", got, want)
 	}
 	if got := attempts.Load(); got != 3 {
 		t.Fatalf("source opened %d times, want 3 (two failures, one success)", got)
@@ -161,7 +180,7 @@ func TestExecuteSupervisedLocalExhaustsBudget(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	err := env.ExecuteSupervised(ctx)
+	err := env.Execute(ctx)
 	if err == nil {
 		t.Fatal("a permanently failing job must not report success")
 	}
@@ -216,9 +235,9 @@ func startWorkerLoops(ctx context.Context, n int, addrCh <-chan string, victimCt
 }
 
 // TestExecuteSupervisedDistributedKillWorker: crash one of two workers
-// mid-checkpoint under load; the supervised coordinator restores the newest
-// snapshot and degrades onto the surviving worker, and the output stays
-// byte-identical to an unfaulted single-process run.
+// mid-checkpoint under load; Execute under WithSupervision and WithWorkers
+// restores the newest snapshot and degrades onto the surviving worker, and
+// the output stays byte-identical to an unfaulted single-process run.
 func TestExecuteSupervisedDistributedKillWorker(t *testing.T) {
 	localEnv, localOut := buildDistWindowed(2, 0, 0)
 	execute(t, localEnv.Execute)
@@ -254,7 +273,7 @@ func TestExecuteSupervisedDistributedKillWorker(t *testing.T) {
 		env, _ := buildDistWindowed(2, 2, 4_000, streamline.WithCheckpointing(backend, 15*time.Millisecond))
 		return env
 	})
-	if err := supEnv.ExecuteSupervised(ctx); err != nil {
+	if err := supEnv.Execute(ctx); err != nil {
 		t.Fatalf("supervised distributed run: %v", err)
 	}
 	wait() // the victim's error is the kill; the survivor exits nil
