@@ -240,29 +240,35 @@ const (
 	DefaultFlushInterval = 10 * time.Millisecond
 )
 
-// batchPool recycles exchange batches between senders and receivers. All
-// edges of a job share one pool; receivers return fully consumed batches.
-type batchPool struct {
-	size int
-	pool sync.Pool
+// BatchPool recycles exchange batches between senders and receivers. All
+// edges of a job share one pool, across the wire too: a transport returns a
+// batch it has shipped to the pool and decodes a received one into a batch
+// from it (EdgeTransport.UsePool), so gets (staged + decoded) and puts
+// (consumed + shipped) balance on every participant.
+type BatchPool struct {
+	pool      sync.Pool
+	allocated atomic.Int64
 }
 
-func newBatchPool(size int) *batchPool {
-	bp := &batchPool{size: size}
+// NewBatchPool returns a pool of batches with room for size records.
+func NewBatchPool(size int) *BatchPool {
+	bp := &BatchPool{}
 	bp.pool.New = func() any {
+		bp.allocated.Add(1)
 		b := make([]Record, 0, size)
 		return &b
 	}
 	return bp
 }
 
-func (bp *batchPool) get() []Record {
+// Get returns an empty batch.
+func (bp *BatchPool) Get() []Record {
 	return (*bp.pool.Get().(*[]Record))[:0]
 }
 
-// put recycles a consumed batch. Entries are cleared first so the pool does
+// Put recycles a consumed batch. Entries are cleared first so the pool does
 // not pin record payloads across reuse.
-func (bp *batchPool) put(b []Record) {
+func (bp *BatchPool) Put(b []Record) {
 	if cap(b) == 0 {
 		return
 	}
@@ -272,6 +278,10 @@ func (bp *batchPool) put(b []Record) {
 	bp.pool.Put(&b)
 }
 
+// Allocated reports how many batches the pool has had to allocate because
+// none was free. It stays flat on a job whose pool balances.
+func (bp *BatchPool) Allocated() int64 { return bp.allocated.Load() }
+
 // outputs routes a subtask's emissions to downstream channels through
 // per-edge, per-downstream-subtask staging buffers. The mutex covers the
 // staging state: the owning subtask goroutine appends and flushes on the hot
@@ -279,7 +289,7 @@ func (bp *batchPool) put(b []Record) {
 // quiet in-motion pipeline never strands records in a buffer.
 type outputs struct {
 	ctx        context.Context
-	pool       *batchPool
+	pool       *BatchPool
 	batchSize  int
 	flushEvery time.Duration
 	numGroups  int // key-group count for hash routing
@@ -319,7 +329,7 @@ func (o *outputs) send(ch chan []Record, b []Record) bool {
 // full: how broadcast stages a control record behind the slot's data.
 func (o *outputs) stageLocked(e *outEdge, slot int, r Record) bool {
 	if e.stage[slot] == nil {
-		e.stage[slot] = o.pool.get()
+		e.stage[slot] = o.pool.Get()
 	}
 	e.stage[slot] = append(e.stage[slot], r)
 	if len(e.stage[slot]) >= o.batchSize {
@@ -350,7 +360,7 @@ func (o *outputs) flushSlotLocked(e *outEdge, slot int) bool {
 func (o *outputs) stageRunLocked(e *outEdge, slot int, recs []Record) bool {
 	for len(recs) > 0 {
 		if e.stage[slot] == nil {
-			e.stage[slot] = o.pool.get()
+			e.stage[slot] = o.pool.Get()
 		}
 		room := o.batchSize - len(e.stage[slot])
 		if room > len(recs) {
@@ -631,7 +641,10 @@ func (j *Job) run(ctx context.Context, part *Participation) error {
 	if flushEvery == 0 {
 		flushEvery = DefaultFlushInterval
 	}
-	pool := newBatchPool(batchSize)
+	pool := NewBatchPool(batchSize)
+	if transport != nil {
+		transport.UsePool(pool) // before any channel is registered
+	}
 
 	// Channel matrices for unchained edges: in[to][edgeIdx][toSub][fromSub].
 	// Channels carry pooled record batches; capacity is the record-
@@ -1244,7 +1257,7 @@ func runOperator(rt *runtime, n *Node, subtask int, inputs []chan []Record, edge
 					// possible with a mid-batch control — held until the
 					// barrier completes and unblocks the channel.
 					if in.pos >= len(in.batch) {
-						pool.put(in.batch)
+						pool.Put(in.batch)
 						in.batch, in.pos = nil, 0
 					}
 					return false, nil
@@ -1279,12 +1292,12 @@ func runOperator(rt *runtime, n *Node, subtask int, inputs []chan []Record, edge
 					return true, ch.finish()
 				}
 				// Nothing follows an end marker on its channel.
-				pool.put(in.batch)
+				pool.Put(in.batch)
 				in.batch, in.pos = nil, 0
 				return false, nil
 			}
 		}
-		pool.put(in.batch)
+		pool.Put(in.batch)
 		in.batch, in.pos = nil, 0
 		return false, nil
 	}

@@ -44,11 +44,17 @@ type Placement map[int][]int
 // channel. Control records (watermarks, barriers, end markers) travel
 // in-order with data on the same channel, exactly as in-process.
 type EdgeTransport interface {
+	// UsePool hands the transport the job's batch pool. The job calls it
+	// once, before it registers any channel.
+	UsePool(p *BatchPool)
 	// Inbound returns the channel the local consumer subtask receives ref's
-	// batches on. buf is the channel capacity in batches.
+	// batches on. buf is the channel capacity in batches. Received batches
+	// come from the job's pool; the consumer returns them to it.
 	Inbound(ref ChannelRef, buf int) chan []Record
 	// Outbound returns the channel the local producer subtask ships ref's
-	// batches into, destined for participant to.
+	// batches into, destined for participant to. A batch sent into it
+	// belongs to the transport from then on: the producer must not touch it
+	// again, and the transport returns it to the job's pool once shipped.
 	Outbound(ref ChannelRef, to int, buf int) chan []Record
 }
 
@@ -77,6 +83,10 @@ func (t *ChanTransport) chanFor(ref ChannelRef, buf int) chan []Record {
 	t.m[ref] = c
 	return c
 }
+
+// UsePool implements EdgeTransport. A batch passes through the shared Go
+// channel untouched and its consumer recycles it, as on a local edge.
+func (t *ChanTransport) UsePool(*BatchPool) {}
 
 // Inbound implements EdgeTransport.
 func (t *ChanTransport) Inbound(ref ChannelRef, buf int) chan []Record {

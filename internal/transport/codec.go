@@ -1,51 +1,105 @@
 package transport
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"encoding/gob"
 	"fmt"
+	"io"
 	"math"
-	"sync"
+	"slices"
 
 	"repro/internal/dataflow"
 )
 
-// wireBatch is []Record with a hand-rolled wire encoding. Letting gob encode
-// records directly would write each Value as a full interface value — the
+// A wire batch is one []Record packed into bytes by hand. Letting gob
+// encode records would write each Value as a full interface value — the
 // concrete type's name plus a nested single-value encoding, per record —
-// which dominates the data plane's CPU cost at scale. Instead the batch
-// packs into one byte slice: varint header fields and a one-byte payload tag
-// with fixed fast paths for every payload type the engine itself produces.
-// Custom payload types still work through a per-value gob fallback (paying
-// gob's interface cost, so hot pipelines should stick to engine types or
-// flat numerics). The frame struct keeps riding gob for its own fields; gob
-// sees this type as a single opaque byte slice via GobEncode/GobDecode.
-//
-// enc, when non-nil, is a reusable encode buffer: GobEncode builds the wire
-// bytes in it (growing it as needed) instead of allocating per batch. gob
-// copies the returned bytes into its own writer before Encode returns, so
-// the caller may recycle the buffer as soon as Encode does — writeLoop pairs
-// each Encode with a Get/Put on encBufPool.
-type wireBatch struct {
-	recs []dataflow.Record
-	enc  *[]byte
+// which dominates the data plane's CPU cost at scale. Instead a batch is a
+// uvarint record count, then per record its kind, varint timestamp, uvarint
+// key and a one-byte payload tag with fixed fast paths for every payload
+// type the engine itself produces. Custom payload types still work through a
+// per-value gob fallback (paying gob's interface cost, so hot pipelines
+// should stick to engine types or flat numerics). A data-plane connection
+// opens with the ChannelRef it carries; after that each batch travels as one
+// frame, its byte length as a uvarint followed by the batch.
+
+// appendRef appends the header a data-plane connection opens with: the
+// ChannelRef every frame on it belongs to, as four uvarints.
+func appendRef(buf []byte, ref dataflow.ChannelRef) []byte {
+	for _, v := range [...]int{ref.Node, ref.Edge, ref.To, ref.From} {
+		buf = binary.AppendUvarint(buf, uint64(v))
+	}
+	return buf
 }
 
-var (
-	_ gob.GobEncoder = wireBatch{}
-	_ gob.GobDecoder = (*wireBatch)(nil)
-)
-
-// encBufPool recycles wire-encode buffers across batches and connections.
-// Buffers retain their grown capacity, so the steady state encodes every
-// batch with zero buffer allocations.
-var encBufPool = sync.Pool{
-	New: func() any {
-		b := make([]byte, 0, 4096)
-		return &b
-	},
+// readRef reads the header appendRef wrote.
+func readRef(r io.ByteReader) (dataflow.ChannelRef, error) {
+	var f [4]int
+	for i := range f {
+		v, err := binary.ReadUvarint(r)
+		if err != nil {
+			return dataflow.ChannelRef{}, err
+		}
+		f[i] = int(v)
+	}
+	return dataflow.ChannelRef{Node: f[0], Edge: f[1], To: f[2], From: f[3]}, nil
 }
+
+// writeFrame writes one frame: the wire batch's byte length as a uvarint,
+// then the batch.
+func writeFrame(w io.Writer, batch []byte) error {
+	if len(batch) > maxFrameSize {
+		return fmt.Errorf("a %d-byte batch exceeds the %d-byte frame limit", len(batch), maxFrameSize)
+	}
+	var hdr [binary.MaxVarintLen64]byte
+	if _, err := w.Write(binary.AppendUvarint(hdr[:0], uint64(len(batch)))); err != nil {
+		return err
+	}
+	_, err := w.Write(batch)
+	return err
+}
+
+// readFrame reads one frame into buf's storage and returns its batch bytes.
+// It grows the buffer only as the bytes arrive, so a corrupt length prefix
+// costs at most about twice what the peer actually sent. A connection that
+// ends between frames reads as io.EOF; one that ends inside a frame as
+// io.ErrUnexpectedEOF.
+func readFrame(r *bufio.Reader, buf []byte) ([]byte, error) {
+	n, err := binary.ReadUvarint(r)
+	if err != nil {
+		return buf, err
+	}
+	if n > maxFrameSize {
+		return buf, fmt.Errorf("frame of %d bytes exceeds the %d-byte limit", n, maxFrameSize)
+	}
+	buf = buf[:0]
+	for len(buf) < int(n) {
+		if len(buf) == cap(buf) {
+			buf = slices.Grow(buf, min(int(n)-len(buf), max(cap(buf), 4096)))
+		}
+		k, err := io.ReadFull(r, buf[len(buf):min(int(n), cap(buf))])
+		buf = buf[:len(buf)+k]
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
+		if err != nil {
+			return buf, err
+		}
+	}
+	return buf, nil
+}
+
+// maxFrameSize bounds a data-plane frame's length prefix (gob's own message
+// limit, which the framing replaced). A batch of the default 64 records is
+// about a kilobyte.
+const maxFrameSize = 1 << 30
+
+// minRecordSize is the fewest bytes one encoded record takes: kind, a
+// one-byte timestamp, a one-byte key and the payload tag. It bounds the
+// record count a frame of a given length can claim.
+const minRecordSize = 4
 
 // Payload tags. The tag space is part of the wire protocol: both ends are
 // the same binary in SPMD execution, but keep additions append-only anyway.
@@ -62,17 +116,11 @@ const (
 	pGob
 )
 
-// GobEncode implements gob.GobEncoder.
-func (b wireBatch) GobEncode() ([]byte, error) {
-	var buf []byte
-	if b.enc != nil {
-		buf = (*b.enc)[:0]
-	} else {
-		buf = make([]byte, 0, 16*len(b.recs)+8)
-	}
-	buf = binary.AppendUvarint(buf, uint64(len(b.recs)))
-	for i := range b.recs {
-		r := &b.recs[i]
+// appendBatch appends the wire encoding of recs to buf.
+func appendBatch(buf []byte, recs []dataflow.Record) ([]byte, error) {
+	buf = binary.AppendUvarint(buf, uint64(len(recs)))
+	for i := range recs {
+		r := &recs[i]
 		buf = append(buf, byte(r.Kind))
 		buf = binary.AppendVarint(buf, r.Ts)
 		buf = binary.AppendUvarint(buf, r.Key)
@@ -118,45 +166,49 @@ func (b wireBatch) GobEncode() ([]byte, error) {
 		default:
 			var gb bytes.Buffer
 			if err := gob.NewEncoder(&gb).Encode(&r.Value); err != nil {
-				return nil, fmt.Errorf("wire batch: encode %T payload: %w", r.Value, err)
+				return buf, fmt.Errorf("wire batch: encode %T payload: %w", r.Value, err)
 			}
 			buf = append(buf, pGob)
 			buf = binary.AppendUvarint(buf, uint64(gb.Len()))
 			buf = append(buf, gb.Bytes()...)
 		}
 	}
-	if b.enc != nil {
-		*b.enc = buf // keep any growth for the next batch
-	}
 	return buf, nil
 }
 
-// GobDecode implements gob.GobDecoder.
-func (b *wireBatch) GobDecode(data []byte) error {
+// decodeBatch decodes one wire batch, appending its records to out. It
+// allocates in proportion to len(data), whatever record count the batch
+// claims.
+func decodeBatch(data []byte, out []dataflow.Record) ([]dataflow.Record, error) {
 	n, off, err := readUvarint(data, 0)
 	if err != nil {
-		return err
+		return out, err
 	}
-	out := make([]dataflow.Record, 0, n)
+	if n > uint64(len(data)-off)/minRecordSize {
+		return out, fmt.Errorf("wire batch: %d records cannot fit in %d bytes", n, len(data)-off)
+	}
+	out = slices.Grow(out, int(n))
 	for i := uint64(0); i < n; i++ {
 		var r dataflow.Record
 		if off >= len(data) {
-			return fmt.Errorf("wire batch: truncated at record %d", i)
+			return out, fmt.Errorf("wire batch: truncated at record %d", i)
 		}
-		r.Kind = dataflow.Kind(data[off])
+		if r.Kind = dataflow.Kind(data[off]); r.Kind > dataflow.KindEnd {
+			return out, fmt.Errorf("wire batch: unknown record kind %d at record %d", r.Kind, i)
+		}
 		off++
 		var ts int64
 		if ts, off, err = readVarint(data, off); err != nil {
-			return err
+			return out, err
 		}
 		r.Ts = ts
 		var key uint64
 		if key, off, err = readUvarint(data, off); err != nil {
-			return err
+			return out, err
 		}
 		r.Key = key
 		if off >= len(data) {
-			return fmt.Errorf("wire batch: truncated payload tag at record %d", i)
+			return out, fmt.Errorf("wire batch: truncated payload tag at record %d", i)
 		}
 		tag := data[off]
 		off++
@@ -165,40 +217,40 @@ func (b *wireBatch) GobDecode(data []byte) error {
 		case pFloat64:
 			var bits uint64
 			if bits, off, err = readFixed64(data, off); err != nil {
-				return err
+				return out, err
 			}
 			r.Value = math.Float64frombits(bits)
 		case pInt64:
 			var v int64
 			if v, off, err = readVarint(data, off); err != nil {
-				return err
+				return out, err
 			}
 			r.Value = v
 		case pInt:
 			var v int64
 			if v, off, err = readVarint(data, off); err != nil {
-				return err
+				return out, err
 			}
 			r.Value = int(v)
 		case pUint64:
 			var v uint64
 			if v, off, err = readUvarint(data, off); err != nil {
-				return err
+				return out, err
 			}
 			r.Value = v
 		case pString:
 			var ln uint64
 			if ln, off, err = readUvarint(data, off); err != nil {
-				return err
+				return out, err
 			}
 			if uint64(len(data)-off) < ln {
-				return fmt.Errorf("wire batch: truncated string at record %d", i)
+				return out, fmt.Errorf("wire batch: truncated string at record %d", i)
 			}
 			r.Value = string(data[off : off+int(ln)])
 			off += int(ln)
 		case pBool:
 			if off >= len(data) {
-				return fmt.Errorf("wire batch: truncated bool at record %d", i)
+				return out, fmt.Errorf("wire batch: truncated bool at record %d", i)
 			}
 			r.Value = data[off] != 0
 			off++
@@ -206,66 +258,65 @@ func (b *wireBatch) GobDecode(data []byte) error {
 			var w dataflow.WindowResult
 			var v int64
 			if v, off, err = readVarint(data, off); err != nil {
-				return err
+				return out, err
 			}
 			w.QueryID = int(v)
 			if w.Start, off, err = readVarint(data, off); err != nil {
-				return err
+				return out, err
 			}
 			if w.End, off, err = readVarint(data, off); err != nil {
-				return err
+				return out, err
 			}
 			var bits uint64
 			if bits, off, err = readFixed64(data, off); err != nil {
-				return err
+				return out, err
 			}
 			w.Value = math.Float64frombits(bits)
 			if w.Count, off, err = readVarint(data, off); err != nil {
-				return err
+				return out, err
 			}
 			r.Value = w
 		case pJoinedPair:
 			var j dataflow.JoinedPair
 			if j.WindowStart, off, err = readVarint(data, off); err != nil {
-				return err
+				return out, err
 			}
 			if j.WindowEnd, off, err = readVarint(data, off); err != nil {
-				return err
+				return out, err
 			}
 			var bits uint64
 			if bits, off, err = readFixed64(data, off); err != nil {
-				return err
+				return out, err
 			}
 			j.Left = math.Float64frombits(bits)
 			if bits, off, err = readFixed64(data, off); err != nil {
-				return err
+				return out, err
 			}
 			j.Right = math.Float64frombits(bits)
 			r.Value = j
 		case pGob:
 			var ln uint64
 			if ln, off, err = readUvarint(data, off); err != nil {
-				return err
+				return out, err
 			}
 			if uint64(len(data)-off) < ln {
-				return fmt.Errorf("wire batch: truncated gob payload at record %d", i)
+				return out, fmt.Errorf("wire batch: truncated gob payload at record %d", i)
 			}
 			var v any
 			if err := gob.NewDecoder(bytes.NewReader(data[off : off+int(ln)])).Decode(&v); err != nil {
-				return fmt.Errorf("wire batch: decode gob payload: %w", err)
+				return out, fmt.Errorf("wire batch: decode gob payload: %w", err)
 			}
 			r.Value = v
 			off += int(ln)
 		default:
-			return fmt.Errorf("wire batch: unknown payload tag %d at record %d", tag, i)
+			return out, fmt.Errorf("wire batch: unknown payload tag %d at record %d", tag, i)
 		}
 		out = append(out, r)
 	}
 	if off != len(data) {
-		return fmt.Errorf("wire batch: %d trailing bytes", len(data)-off)
+		return out, fmt.Errorf("wire batch: %d trailing bytes", len(data)-off)
 	}
-	b.recs = out
-	return nil
+	return out, nil
 }
 
 func readUvarint(data []byte, off int) (uint64, int, error) {

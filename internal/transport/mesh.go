@@ -3,7 +3,6 @@ package transport
 import (
 	"bufio"
 	"context"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
@@ -39,6 +38,7 @@ type Mesh struct {
 	failed  chan struct{} // closed by fail: transport is broken
 
 	mu      sync.Mutex
+	pool    *dataflow.BatchPool
 	peers   map[int]string
 	inbound map[dataflow.ChannelRef]chan []dataflow.Record
 	feeders []chan []dataflow.Record
@@ -51,6 +51,8 @@ type Mesh struct {
 
 // NewMesh wraps an already-bound data-plane listener. The graph supplies
 // node names for per-edge metric labels; reg may be nil to disable metrics.
+// The mesh starts with a batch pool of its own, which a job replaces with
+// the job's (UsePool).
 func NewMesh(self int, ln net.Listener, g *dataflow.Graph, reg *metrics.Registry) *Mesh {
 	names := make(map[int]string)
 	for _, n := range g.Nodes() {
@@ -61,6 +63,7 @@ func NewMesh(self int, ln net.Listener, g *dataflow.Graph, reg *metrics.Registry
 		ln:      ln,
 		reg:     reg,
 		names:   names,
+		pool:    dataflow.NewBatchPool(dataflow.DefaultBatchSize),
 		started: make(chan struct{}),
 		failed:  make(chan struct{}),
 		inbound: make(map[dataflow.ChannelRef]chan []dataflow.Record),
@@ -121,6 +124,14 @@ func (m *Mesh) track(conn net.Conn) {
 	m.conns[conn] = struct{}{}
 }
 
+// UsePool implements dataflow.EdgeTransport: readers decode received
+// batches into batches from p, and writers return shipped batches to it.
+func (m *Mesh) UsePool(p *dataflow.BatchPool) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.pool = p
+}
+
 // Inbound implements dataflow.EdgeTransport: it registers and returns the
 // channel the demultiplexer will deliver ref's frames into.
 func (m *Mesh) Inbound(ref dataflow.ChannelRef, buf int) chan []dataflow.Record {
@@ -131,15 +142,16 @@ func (m *Mesh) Inbound(ref dataflow.ChannelRef, buf int) chan []dataflow.Record 
 	return ch
 }
 
-func (m *Mesh) inboundFor(ref dataflow.ChannelRef) chan []dataflow.Record {
+func (m *Mesh) inboundFor(ref dataflow.ChannelRef) (chan []dataflow.Record, *dataflow.BatchPool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.inbound[ref]
+	return m.inbound[ref], m.pool
 }
 
 // Outbound implements dataflow.EdgeTransport: it returns the feeder channel
 // a local producer ships ref's batches into, and spawns the writer goroutine
-// that owns ref's TCP connection to participant to.
+// that owns ref's TCP connection to participant to. The writer returns each
+// batch to the pool once it has encoded it.
 func (m *Mesh) Outbound(ref dataflow.ChannelRef, to, buf int) chan []dataflow.Record {
 	feeder := make(chan []dataflow.Record, buf)
 	var tx *metrics.Counter
@@ -163,6 +175,7 @@ func (m *Mesh) writeLoop(ref dataflow.ChannelRef, to int, feeder chan []dataflow
 	}
 	m.mu.Lock()
 	addr, ok := m.peers[to]
+	pool := m.pool
 	m.mu.Unlock()
 	if !ok {
 		m.fail(fmt.Errorf("transport: no address for participant %d", to))
@@ -180,7 +193,9 @@ func (m *Mesh) writeLoop(ref dataflow.ChannelRef, to int, feeder chan []dataflow
 	}
 	m.track(conn)
 	bw := bufio.NewWriterSize(&countWriter{c: tx, w: conn}, 64<<10)
-	enc := gob.NewEncoder(bw)
+	// A write error sticks in bw and surfaces at the first frame or flush.
+	_, _ = bw.Write(appendRef(nil, ref))
+	var buf []byte
 	for {
 		select {
 		case b, open := <-feeder:
@@ -194,11 +209,12 @@ func (m *Mesh) writeLoop(ref dataflow.ChannelRef, to int, feeder chan []dataflow
 				conn.Close()
 				return
 			}
-			// The pooled encode buffer is safe to recycle the moment Encode
-			// returns: gob copies the GobEncode bytes into its own writer.
-			ebuf := encBufPool.Get().(*[]byte)
-			err := enc.Encode(frame{Ref: ref, Recs: wireBatch{recs: b, enc: ebuf}})
-			encBufPool.Put(ebuf)
+			var err error
+			buf, err = appendBatch(buf[:0], b)
+			pool.Put(b)
+			if err == nil {
+				err = writeFrame(bw, buf)
+			}
 			if err != nil {
 				m.fail(fmt.Errorf("transport: send to participant %d: %w", to, err))
 				m.discard(feeder)
@@ -258,25 +274,34 @@ func (m *Mesh) acceptLoop() {
 
 func (m *Mesh) readLoop(conn net.Conn) {
 	defer m.readers.Done()
-	dec := gob.NewDecoder(bufio.NewReaderSize(conn, 64<<10))
+	br := bufio.NewReaderSize(conn, 64<<10)
+	ref, err := readRef(br)
+	if err != nil {
+		if !m.benign(err) {
+			m.fail(fmt.Errorf("transport: recv channel header: %w", err))
+		}
+		return
+	}
+	ch, pool := m.inboundFor(ref)
+	if ch == nil {
+		m.fail(fmt.Errorf("transport: connection for unregistered channel %+v", ref))
+		return
+	}
+	var buf []byte
 	for {
-		// A fresh frame every iteration: gob decodes into an existing
-		// slice's backing array when capacity allows, which would scribble
-		// over a batch already handed to the consumer.
-		var f frame
-		if err := dec.Decode(&f); err != nil {
+		var b []dataflow.Record
+		buf, err = readFrame(br, buf)
+		if err == nil {
+			b, err = decodeBatch(buf, pool.Get())
+		}
+		if err != nil {
 			if !m.benign(err) {
 				m.fail(fmt.Errorf("transport: recv: %w", err))
 			}
 			return
 		}
-		ch := m.inboundFor(f.Ref)
-		if ch == nil {
-			m.fail(fmt.Errorf("transport: frame for unregistered channel %+v", f.Ref))
-			return
-		}
 		select {
-		case ch <- f.Recs.recs:
+		case ch <- b:
 		case <-m.ctx.Done():
 			return
 		}

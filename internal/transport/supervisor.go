@@ -58,9 +58,11 @@ func (p SupervisionPolicy) withDefaults() SupervisionPolicy {
 	return p
 }
 
-// RestartStat records one completed recovery: from the instant the
-// coordinator detected the failure to the instant the recovered epoch's
-// producers were unleashed. Downtime is the detect→restored MTTR term.
+// RestartStat records one restart attempt: from the instant the coordinator
+// detected the failure to the instant the recovered epoch's producers were
+// unleashed. Downtime is the detect→restored MTTR term. An attempt that
+// failed before it passed its readiness barrier restored nothing: its
+// RestoredAt, Downtime and Workers are zero.
 type RestartStat struct {
 	// Attempt is the 1-based restart number.
 	Attempt int
@@ -132,7 +134,9 @@ func (s *Supervisor) Addr() string { return s.ln.Addr().String() }
 // CompletedCheckpoints reports how many snapshots all epochs persisted.
 func (s *Supervisor) CompletedCheckpoints() int64 { return s.completed.Load() }
 
-// Stats returns one entry per completed recovery, in order.
+// Stats returns one entry per restart attempt, in order: an attempt is
+// listed once it has restored or ended, so the entries agree with the
+// restart budget.
 func (s *Supervisor) Stats() []RestartStat {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -166,23 +170,32 @@ func (s *Supervisor) Run(ctx context.Context) error {
 			}
 		}
 		// A recovery is complete the instant the new attempt's producers
-		// run; record the trajectory then.
-		restored := func(int) {}
-		if attempt > 0 {
-			stat := RestartStat{Attempt: attempt, Cause: lastErr.Error(), FailedAt: failedAt}
-			if restore != nil {
-				stat.Checkpoint = restore.CheckpointID
-			}
-			restored = func(workers int) {
-				stat.Workers, stat.RestoredAt = workers, time.Now()
-				stat.Downtime = stat.RestoredAt.Sub(stat.FailedAt)
+		// run; record the trajectory then, or when the attempt ends if it
+		// failed before it got that far.
+		stat := RestartStat{Attempt: attempt, FailedAt: failedAt}
+		recorded := attempt == 0 // the first run is no restart
+		record := func() {
+			if !recorded {
+				recorded = true
 				s.mu.Lock()
 				s.stats = append(s.stats, stat)
 				s.mu.Unlock()
 			}
 		}
+		if attempt > 0 {
+			stat.Cause = lastErr.Error()
+			if restore != nil {
+				stat.Checkpoint = restore.CheckpointID
+			}
+		}
+		restored := func(workers int) {
+			stat.Workers, stat.RestoredAt = workers, time.Now()
+			stat.Downtime = stat.RestoredAt.Sub(stat.FailedAt)
+			record()
+		}
 		var err error
 		failedAt, err = try(ctx, attempt, restore, restored)
+		record()
 		if err == nil {
 			return nil
 		}

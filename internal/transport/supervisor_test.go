@@ -200,6 +200,13 @@ func TestSupervisorSoakSurvivesKills(t *testing.T) {
 		if st.Checkpoint > 0 {
 			sawCheckpointed = true
 		}
+		if st.RestoredAt.IsZero() {
+			// The attempt failed before its readiness barrier.
+			if st.Downtime != 0 || st.Workers != 0 {
+				t.Fatalf("restart %d never restored, yet reports %+v", st.Attempt, st)
+			}
+			continue
+		}
 		if st.Downtime <= 0 {
 			t.Fatalf("restart %d has non-positive downtime %v", st.Attempt, st.Downtime)
 		}

@@ -10,13 +10,14 @@
 // structural plan spec (with a fingerprint both sides verify), the
 // placement map, peer addresses, and — on recovery — the restore snapshot.
 //
-// Data-plane framing is gob: each exchange channel gets its own TCP
-// connection carrying a stream of frames, each frame one pooled []Record
-// batch prefixed by its channel reference. gob messages are themselves
-// length-prefixed (a uvarint byte count precedes every message), and a
-// persistent encoder/decoder pair per connection sends type information
-// once, so steady-state framing overhead is a few bytes per batch. One
-// connection per channel — not per process pair — is deliberate: a
+// The data plane does not use gob. Each exchange channel gets its own TCP
+// connection, which opens with the channel's reference (four uvarints) and
+// then carries a stream of frames: a uvarint byte length, then one []Record
+// batch in the hand-rolled wire format (see codec.go). A writer returns each
+// batch it has encoded to the job's batch pool and a reader decodes into a
+// batch taken from it, so a distributed job recycles its batches as a local
+// one does. Gob stays on the control plane and for custom payload values.
+// One connection per channel — not per process pair — is deliberate: a
 // checkpoint barrier parks its channel until alignment completes, and
 // multiplexing a parked channel with live ones over one connection would
 // head-of-line-block the live channels' barriers behind the parked one,
@@ -73,16 +74,6 @@ func RegisterTypes(extra ...any) {
 	for _, v := range extra {
 		gob.Register(v)
 	}
-}
-
-// frame is one data-plane message: a record batch on one exchange channel.
-// The Ref identifies the channel to the receiving demultiplexer; within one
-// connection every frame carries the same Ref (conn-per-channel), which
-// after the first frame costs four small ints — gob omits zero fields. The
-// batch itself bypasses gob's per-value interface encoding (see wireBatch).
-type frame struct {
-	Ref  dataflow.ChannelRef
-	Recs wireBatch
 }
 
 // ctrlKind discriminates control-plane messages.

@@ -1,10 +1,18 @@
 package transport
 
 import (
+	"bufio"
 	"bytes"
+	"encoding/binary"
 	"encoding/gob"
+	"errors"
+	"io"
+	"net"
 	"reflect"
+	"runtime"
+	"slices"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/dataflow"
@@ -18,54 +26,157 @@ type customPayload struct {
 	Score float64
 }
 
-// TestFrameRoundTrip pushes every record kind a data-plane connection
-// carries through one persistent gob encoder/decoder pair — the exact wiring
-// a Mesh connection uses — and requires bit-identical frames on the far
-// side, in order. Interface payloads (WindowResult, JoinedPair, custom
-// structs) exercise the RegisterTypes contract.
-func TestFrameRoundTrip(t *testing.T) {
-	RegisterTypes(customPayload{})
-
+// meshPair connects two meshes over loopback TCP with one channel from a to
+// b, as the transport.mesh probe of the benchmark does, and returns the
+// channel's two ends. Nothing is sent until the caller starts a.
+func meshPair(t *testing.T) (a, b *Mesh, feeder, in chan []dataflow.Record) {
+	t.Helper()
+	g := dataflow.NewGraph("wire")
+	listen := func() net.Listener {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ln
+	}
+	a, b = NewMesh(1, listen(), g, nil), NewMesh(2, listen(), g, nil)
+	t.Cleanup(a.Close)
+	t.Cleanup(b.Close)
+	a.SetPeers(map[int]string{2: b.Addr()})
 	ref := dataflow.ChannelRef{Node: 7, Edge: 1, To: 2, From: 3}
-	frames := []frame{
-		{Ref: ref, Recs: wireBatch{recs: []dataflow.Record{
+	return a, b, a.Outbound(ref, 2, 16), b.Inbound(ref, 16)
+}
+
+// wireSamples holds one record per payload tag and per control record.
+func wireSamples() [][]dataflow.Record {
+	return [][]dataflow.Record{
+		{
+			dataflow.Data(100, 3, nil),
 			dataflow.Data(101, 4, "hello"),
 			dataflow.Data(102, 4, 3.5),
-			dataflow.Data(103, 5, int64(42)),
-		}}},
-		{Ref: ref, Recs: wireBatch{recs: []dataflow.Record{
-			dataflow.Data(104, 6, dataflow.WindowResult{QueryID: 2, Start: 100, End: 200, Value: 9.5, Count: 3}),
-			dataflow.Data(105, 6, dataflow.JoinedPair{WindowStart: 100, WindowEnd: 200, Left: 1, Right: 2}),
-			dataflow.Data(106, 7, customPayload{Name: "x", Score: 0.25}),
-		}}},
-		{Ref: ref, Recs: wireBatch{recs: []dataflow.Record{dataflow.Watermark(150)}}},
-		{Ref: ref, Recs: wireBatch{recs: []dataflow.Record{dataflow.Barrier(9)}}},
-		{Ref: ref, Recs: wireBatch{recs: []dataflow.Record{dataflow.End()}}},
+			dataflow.Data(103, 5, int64(-42)),
+			dataflow.Data(104, 5, 42),
+			dataflow.Data(105, 5, uint64(1)<<63),
+			dataflow.Data(106, 5, true),
+		},
+		{
+			dataflow.Data(107, 6, dataflow.WindowResult{QueryID: 2, Start: 100, End: 200, Value: 9.5, Count: 3}),
+			dataflow.Data(108, 6, dataflow.JoinedPair{WindowStart: 100, WindowEnd: 200, Left: 1, Right: 2}),
+			dataflow.Data(109, 7, customPayload{Name: "x", Score: 0.25}),
+		},
+		{dataflow.Watermark(150)},
+		{dataflow.Barrier(9)},
+		{dataflow.End()},
 	}
+}
 
-	var buf bytes.Buffer
-	enc := gob.NewEncoder(&buf)
-	for _, f := range frames {
-		if err := enc.Encode(f); err != nil {
-			t.Fatalf("encode: %v", err)
+// TestFrameRoundTrip pushes every payload tag and control record through a
+// pair of meshes over loopback TCP — the framing, the socket and the
+// demultiplexer — and requires identical batches on the far side, in order.
+// The sender ships copies: a shipped batch belongs to the transport, which
+// clears it back into the pool.
+func TestFrameRoundTrip(t *testing.T) {
+	RegisterTypes(customPayload{})
+	a, b, feeder, in := meshPair(t)
+	a.Start()
+	want := wireSamples()
+	for _, batch := range want {
+		feeder <- slices.Clone(batch)
+	}
+	for i, w := range want {
+		select {
+		case got := <-in:
+			if !reflect.DeepEqual(got, w) {
+				t.Fatalf("batch %d = %+v, want %+v", i, got, w)
+			}
+		case <-a.Failed():
+			t.Fatalf("sender failed: %v", a.Err())
+		case <-b.Failed():
+			t.Fatalf("receiver failed: %v", b.Err())
+		case <-time.After(10 * time.Second):
+			t.Fatalf("batch %d never arrived", i)
 		}
 	}
+}
 
-	dec := gob.NewDecoder(&buf)
-	for i, want := range frames {
-		// Fresh frame per message, as Mesh.readLoop does: gob reuses slice
-		// backing arrays of the destination otherwise.
-		var got frame
-		if err := dec.Decode(&got); err != nil {
-			t.Fatalf("decode frame %d: %v", i, err)
+// TestWireDecodeAllocatesWhatArrived: a corrupt record count or frame
+// length must cost an error, not memory. A 6-byte batch claiming 2^40
+// records once died of a fatal out-of-memory, and 2^24 allocated 640 MB
+// before it failed.
+func TestWireDecodeAllocatesWhatArrived(t *testing.T) {
+	allocated := func(f func()) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	for _, n := range []uint64{1 << 24, 1 << 40} {
+		data := binary.AppendUvarint(nil, n)
+		for len(data) < 6 {
+			data = append(data, 0)
 		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("frame %d = %+v, want %+v", i, got, want)
+		var err error
+		if b := allocated(func() { _, err = decodeBatch(data, nil) }); b > 64<<10 {
+			t.Errorf("a batch claiming %d records allocated %d bytes", n, b)
+		}
+		if err == nil {
+			t.Errorf("a 6-byte batch claiming %d records decoded without error", n)
 		}
 	}
-	if buf.Len() != 0 {
-		t.Fatalf("%d bytes left over after decoding all frames", buf.Len())
+	var err error
+	if b := allocated(func() {
+		frame := append(binary.AppendUvarint(nil, maxFrameSize), make([]byte, 100)...)
+		_, err = readFrame(bufio.NewReader(bytes.NewReader(frame)), nil)
+	}); b > 64<<10 {
+		t.Errorf("100 bytes of a frame claiming %d allocated %d bytes", maxFrameSize, b)
 	}
+	if !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Errorf("a frame cut short read as %v, want io.ErrUnexpectedEOF", err)
+	}
+}
+
+// FuzzWireBatchDecode: arbitrary bytes decode to an error or a batch, never
+// a panic, and whatever decodes re-encodes to bytes that decode to the same
+// batch. Batches compare by their encoding, which is exact (float bits
+// included) where reflect.DeepEqual is not (NaN).
+func FuzzWireBatchDecode(f *testing.F) {
+	RegisterTypes(customPayload{})
+	for _, batch := range wireSamples() {
+		for _, r := range batch {
+			data, err := appendBatch(nil, []dataflow.Record{r})
+			if err != nil {
+				f.Fatal(err)
+			}
+			f.Add(data)
+		}
+		data, err := appendBatch(nil, batch)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		b, err := decodeBatch(data, nil)
+		if err != nil {
+			return
+		}
+		enc, err := appendBatch(nil, b)
+		if err != nil {
+			t.Fatalf("decoded batch does not encode: %v", err)
+		}
+		again, err := decodeBatch(enc, nil)
+		if err != nil {
+			t.Fatalf("re-encoded batch does not decode: %v", err)
+		}
+		enc2, err := appendBatch(nil, again)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(again) != len(b) || !bytes.Equal(enc, enc2) {
+			t.Fatalf("round trip changed the batch:\n%+v\n%+v", b, again)
+		}
+	})
 }
 
 // TestControlRoundTrip round-trips the control protocol's richest message —

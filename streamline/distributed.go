@@ -77,9 +77,10 @@ func WithHeartbeat(interval, timeout time.Duration) Option {
 // (default 3s; self-spawn mode always respawns the full complement).
 func WithRejoinWindow(d time.Duration) Option { return core.WithRejoinWindow(d) }
 
-// RestartStat is one completed supervised recovery: cause, detect and
-// restore instants, the Downtime between them (detect→restored MTTR), the
-// recovered epoch's worker count, and the checkpoint it resumed from.
+// RestartStat is one supervised restart attempt: cause, detect and restore
+// instants, the Downtime between them (detect→restored MTTR), the recovered
+// epoch's worker count, and the checkpoint it resumed from. An attempt that
+// failed before it restored has zero restore instant, Downtime and workers.
 type RestartStat = transport.RestartStat
 
 // DialPolicy shapes worker dial/redial backoff (see transport.DialRetry).
@@ -107,8 +108,10 @@ func (e *Env) Metrics() *metrics.Registry {
 // left; the alias goes with it.
 func (e *Env) ExecuteDistributed(ctx context.Context) error { return e.Execute(ctx) }
 
-// RestartStats returns one entry per recovery of the last supervised run,
-// in order. The Downtime of each entry is the detect→restored repair time.
+// RestartStats returns one entry per restart attempt of the last supervised
+// run, in order, so its length is the number of restarts the budget paid
+// for. The Downtime of each entry is the detect→restored repair time; an
+// attempt that failed before it restored has a zero RestoredAt and Downtime.
 func (e *Env) RestartStats() []RestartStat { return e.restartStats }
 
 // execute is Execute and ExecuteRestored (snap nil: from scratch). It
