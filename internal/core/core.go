@@ -134,14 +134,6 @@ func WithBatchSize(n int) Option {
 	return func(e *Environment) { e.graph.BatchSize = n }
 }
 
-// WithFlushInterval bounds how long a record may sit in an exchange staging
-// buffer before being shipped — the latency guard for in-motion sources
-// (default dataflow.DefaultFlushInterval). Negative disables the periodic
-// flush: batches then ship only when full or at control records.
-func WithFlushInterval(d time.Duration) Option {
-	return func(e *Environment) { e.graph.FlushInterval = d }
-}
-
 // WithWorkers sets the number of worker processes a distributed execution
 // expects (0, the default, runs single-process).
 func WithWorkers(n int) Option {

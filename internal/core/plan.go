@@ -5,7 +5,6 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"time"
 
 	"repro/internal/dataflow"
 )
@@ -21,13 +20,12 @@ import (
 // plan; a worker whose locally built graph fingerprints differently refuses
 // to run rather than silently exchanging mismatched streams.
 type PlanSpec struct {
-	Name          string
-	BatchSize     int
-	BufferSize    int
-	FlushInterval time.Duration
-	NumKeyGroups  int
-	Chaining      bool
-	Nodes         []NodeSpec
+	Name         string
+	BatchSize    int
+	BufferSize   int
+	NumKeyGroups int
+	Chaining     bool
+	Nodes        []NodeSpec
 }
 
 // NodeSpec mirrors one graph vertex.
@@ -52,12 +50,11 @@ type EdgeSpec struct {
 // into the spec rather than carried separately.
 func SpecOf(g *dataflow.Graph, chaining bool) PlanSpec {
 	s := PlanSpec{
-		Name:          g.Name,
-		BatchSize:     g.BatchSize,
-		BufferSize:    g.BufferSize,
-		FlushInterval: g.FlushInterval,
-		NumKeyGroups:  g.NumKeyGroups,
-		Chaining:      chaining,
+		Name:         g.Name,
+		BatchSize:    g.BatchSize,
+		BufferSize:   g.BufferSize,
+		NumKeyGroups: g.NumKeyGroups,
+		Chaining:     chaining,
 	}
 	for _, n := range g.Nodes() {
 		ns := NodeSpec{

@@ -61,7 +61,6 @@ func TestExchangeOrderingPreservedUnderBatching(t *testing.T) {
 	for _, bs := range []int{1, 2, 64, 100000} {
 		g := NewGraph("order")
 		g.BatchSize = bs
-		g.FlushInterval = -1 // only size and control records may flush
 		src := g.AddSource("src", 1, func(sub, par int) SourceFunc {
 			return &GenSource{N: n, WatermarkEvery: every, Gen: func(i int64) Record {
 				return Data(i, 0, float64(i))
@@ -91,29 +90,40 @@ func TestExchangeOrderingPreservedUnderBatching(t *testing.T) {
 	}
 }
 
-// TestFlushIntervalBoundsLatency runs a slow unbounded source into a huge
-// batch with cadence watermarks effectively disabled: the only way records
-// can reach the sink is the periodic flusher. Without it the staging buffer
-// would strand every record until the batch filled (never, here).
-func TestFlushIntervalBoundsLatency(t *testing.T) {
-	g := NewGraph("flush")
+// TestEarlyFlushCrossesOperators runs a slow unbounded source through a
+// Rebalance into an unchained map, and on through a hash exchange into the
+// sink, with a batch size nothing fills and no watermarks. A record reaches
+// the sink only by early flushes: the source's before each Next that waits,
+// then the map's once it has consumed the short batch the source shipped.
+// Without the map's, every record would sit in its staging buffer for good.
+func TestEarlyFlushCrossesOperators(t *testing.T) {
+	g := NewGraph("early")
 	g.BatchSize = 1 << 20
-	g.FlushInterval = 5 * time.Millisecond
 	src := g.AddSource("src", 1, func(sub, par int) SourceFunc {
 		return &PacedSource{PerSec: 400, Inner: &GenSource{
 			N: -1, WatermarkEvery: 1 << 40,
-			Gen: func(i int64) Record { return Data(i, 0, float64(i)) },
+			Gen: func(i int64) Record { return Data(i, uint64(i), float64(i)) },
 		}}
 	})
+	m := g.AddOperator("map", 1, func() Operator {
+		return &MapOp{F: func(r Record) Record { return r }}
+	}, Edge{From: src, Part: Rebalance})
 	sink := &CollectSink{}
-	g.AddOperator("sink", 1, sink.Factory(), Edge{From: src, Part: Rebalance})
-	ctx, cancel := context.WithTimeout(context.Background(), 500*time.Millisecond)
-	defer cancel()
-	if err := NewJob(g).Run(ctx); err == nil {
-		t.Fatalf("unbounded job finished without error?")
-	}
-	if got := len(sink.Records()); got == 0 {
-		t.Fatalf("flusher shipped no records: staging buffer stranded the stream")
+	g.AddOperator("sink", 1, sink.Factory(), Edge{From: m, Part: HashPartition})
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() { done <- NewJob(g).Run(ctx) }()
+	defer func() {
+		cancel()
+		<-done
+	}()
+	const want = 20
+	deadline := time.Now().Add(5 * time.Second)
+	for len(sink.Records()) < want {
+		if time.Now().After(deadline) {
+			t.Fatalf("sink saw %d records in 5s, want %d: an early flush stopped at the map", len(sink.Records()), want)
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }
 
@@ -164,9 +174,9 @@ func TestKillAndRecoverAcrossBatchSizes(t *testing.T) {
 }
 
 // TestNoGoroutineLeakAfterCancelledCheckpointingJob cancels a checkpointing
-// job mid-flight — coordinator collecting acks, sources paced, flushers
-// ticking — and asserts every runtime goroutine (subtasks, flushers, the
-// coordinator) unwinds. Late acks after cancellation must be tolerated, not
+// job mid-flight — coordinator collecting acks, sources paced and flushing
+// before each wait — and asserts every runtime goroutine (one per subtask,
+// the coordinator) unwinds. Late acks after cancellation must be tolerated, not
 // waited on.
 func TestNoGoroutineLeakAfterCancelledCheckpointingJob(t *testing.T) {
 	before := gort.NumGoroutine()

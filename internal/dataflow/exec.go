@@ -226,19 +226,10 @@ func (rt *runtime) fail(err error) {
 
 // ---- batched exchange ------------------------------------------------------
 
-// Exchange tuning defaults. Records cross subtask boundaries in pooled
-// batches: a staged batch is shipped when it reaches the batch size, when the
-// flush interval elapses (bounding in-motion latency), and always before a
-// control record (watermark, barrier, end) so per-channel ordering and ABS
-// barrier alignment are preserved.
-const (
-	// DefaultBatchSize is the number of data records staged per exchange
-	// batch when Graph.BatchSize is unset.
-	DefaultBatchSize = 64
-	// DefaultFlushInterval bounds how long a staged record may wait before
-	// being shipped when Graph.FlushInterval is unset.
-	DefaultFlushInterval = 10 * time.Millisecond
-)
+// DefaultBatchSize is the number of data records staged per exchange batch
+// when Graph.BatchSize is unset. Records cross subtask boundaries in pooled
+// batches; record.go lists when a staged batch ships.
+const DefaultBatchSize = 64
 
 // BatchPool recycles exchange batches between senders and receivers. All
 // edges of a job share one pool, across the wire too: a transport returns a
@@ -283,21 +274,19 @@ func (bp *BatchPool) Put(b []Record) {
 func (bp *BatchPool) Allocated() int64 { return bp.allocated.Load() }
 
 // outputs routes a subtask's emissions to downstream channels through
-// per-edge, per-downstream-subtask staging buffers. The mutex covers the
-// staging state: the owning subtask goroutine appends and flushes on the hot
-// path, and the periodic flusher (startFlusher) ships half-full batches so a
-// quiet in-motion pipeline never strands records in a buffer.
+// per-edge, per-downstream-subtask staging buffers. Only the owning subtask
+// goroutine touches it: it stages and ships on the hot path, and at an early
+// flush (see runSource and runOperator) ships all it has staged, so a quiet
+// in-motion pipeline strands nothing in a buffer without a timer.
 type outputs struct {
-	ctx        context.Context
-	pool       *BatchPool
-	batchSize  int
-	flushEvery time.Duration
-	numGroups  int // key-group count for hash routing
+	ctx       context.Context
+	pool      *BatchPool
+	batchSize int
+	numGroups int // key-group count for hash routing
 
-	mu sync.Mutex
-	// Run-routing scratch (guarded by mu, reused across runs): the key hash
-	// per record — computed once and shared by every hash edge of the run —
-	// the destination slot per record for the edge being routed, and the
+	// Run-routing scratch (reused across runs): the key hash per record —
+	// computed once and shared by every hash edge of the run — the
+	// destination slot per record for the edge being routed, and the
 	// slot-grouped gather buffer whose contiguous segments append into the
 	// staged batches.
 	hashBuf []uint64
@@ -325,21 +314,21 @@ func (o *outputs) send(ch chan []Record, b []Record) bool {
 	}
 }
 
-// stageLocked appends one record to the slot's staged batch, shipping it when
+// stage appends one record to the slot's staged batch, shipping it when
 // full: how broadcast stages a control record behind the slot's data.
-func (o *outputs) stageLocked(e *outEdge, slot int, r Record) bool {
+func (o *outputs) stage(e *outEdge, slot int, r Record) bool {
 	if e.stage[slot] == nil {
 		e.stage[slot] = o.pool.Get()
 	}
 	e.stage[slot] = append(e.stage[slot], r)
 	if len(e.stage[slot]) >= o.batchSize {
-		return o.flushSlotLocked(e, slot)
+		return o.flushSlot(e, slot)
 	}
 	return true
 }
 
-// flushSlotLocked ships the slot's staged batch, if any.
-func (o *outputs) flushSlotLocked(e *outEdge, slot int) bool {
+// flushSlot ships the slot's staged batch, if any.
+func (o *outputs) flushSlot(e *outEdge, slot int) bool {
 	b := e.stage[slot]
 	if len(b) == 0 {
 		return true
@@ -354,10 +343,10 @@ func (o *outputs) flushSlotLocked(e *outEdge, slot int) bool {
 	return true
 }
 
-// stageRunLocked appends a slice of records destined for one slot to its
+// stageRun appends a slice of records destined for one slot to its
 // staged batch, shipping at the boundaries staging them one at a time would:
 // fill to batchSize, ship, continue.
-func (o *outputs) stageRunLocked(e *outEdge, slot int, recs []Record) bool {
+func (o *outputs) stageRun(e *outEdge, slot int, recs []Record) bool {
 	for len(recs) > 0 {
 		if e.stage[slot] == nil {
 			e.stage[slot] = o.pool.Get()
@@ -369,7 +358,7 @@ func (o *outputs) stageRunLocked(e *outEdge, slot int, recs []Record) bool {
 		e.stage[slot] = append(e.stage[slot], recs[:room]...)
 		recs = recs[room:]
 		if len(e.stage[slot]) >= o.batchSize {
-			if !o.flushSlotLocked(e, slot) {
+			if !o.flushSlot(e, slot) {
 				return false
 			}
 		}
@@ -377,7 +366,7 @@ func (o *outputs) stageRunLocked(e *outEdge, slot int, recs []Record) bool {
 	return true
 }
 
-// routeRunLocked stages a whole data run on one edge: bulk appends for the
+// routeRun stages a whole data run on one edge: bulk appends for the
 // single-destination partitionings, a strided gather for Rebalance, and for
 // HashPartition a counting sort over cached per-record hashes, so each
 // destination's records append in one contiguous slice. Hash routing goes via
@@ -385,18 +374,18 @@ func (o *outputs) stageRunLocked(e *outEdge, slot int, recs []Record) bool {
 // receiving a key is exactly the subtask owning its state's key group. Per
 // slot, record order is the run's and batches ship when they fill, so what a
 // channel carries does not depend on how the records were cut into runs.
-func (o *outputs) routeRunLocked(e *outEdge, b []Record) bool {
+func (o *outputs) routeRun(e *outEdge, b []Record) bool {
 	n := len(e.chans)
 	switch e.part {
 	case BroadcastPartition:
 		for slot := 0; slot < n; slot++ {
-			if !o.stageRunLocked(e, slot, b) {
+			if !o.stageRun(e, slot, b) {
 				return false
 			}
 		}
 	case HashPartition:
 		if n == 1 {
-			if !o.stageRunLocked(e, 0, b) {
+			if !o.stageRun(e, 0, b) {
 				return false
 			}
 			return true
@@ -440,7 +429,7 @@ func (o *outputs) routeRunLocked(e *outEdge, b []Record) bool {
 			if len(seg) == 0 {
 				continue
 			}
-			if !o.stageRunLocked(e, slot, seg) {
+			if !o.stageRun(e, slot, seg) {
 				return false
 			}
 		}
@@ -449,7 +438,7 @@ func (o *outputs) routeRunLocked(e *outEdge, b []Record) bool {
 	case Rebalance:
 		if n == 1 {
 			e.rr += len(b)
-			return o.stageRunLocked(e, 0, b)
+			return o.stageRun(e, 0, b)
 		}
 		// Record i goes to slot (rr+i)%n — gather each slot's stride so the
 		// per-slot sequences match the per-record round-robin exactly.
@@ -465,28 +454,26 @@ func (o *outputs) routeRunLocked(e *outEdge, b []Record) bool {
 			if len(seg) == 0 {
 				continue
 			}
-			if !o.stageRunLocked(e, slot, seg) {
+			if !o.stageRun(e, slot, seg) {
 				return false
 			}
 			clear(seg)
 		}
 		e.rr += len(b)
 	default: // Forward: the single peer slot
-		if !o.stageRunLocked(e, 0, b) {
+		if !o.stageRun(e, 0, b) {
 			return false
 		}
 	}
 	return true
 }
 
-// dataBatch routes a run of data records under a single staging-lock
-// acquisition — the chain's one exit into the exchange.
+// dataBatch routes a run of data records — the chain's one exit into the
+// exchange.
 func (o *outputs) dataBatch(b []Record) bool {
-	o.mu.Lock()
-	defer o.mu.Unlock()
 	o.hashBuf = o.hashBuf[:0]
 	for i := range o.edges {
-		if !o.routeRunLocked(&o.edges[i], b) {
+		if !o.routeRun(&o.edges[i], b) {
 			return false
 		}
 	}
@@ -499,15 +486,13 @@ func (o *outputs) dataBatch(b []Record) bool {
 // channel all data staged before the control arrives before it — the
 // ordering ABS barrier alignment and watermark semantics depend on.
 func (o *outputs) broadcast(r Record) bool {
-	o.mu.Lock()
-	defer o.mu.Unlock()
 	for i := range o.edges {
 		e := &o.edges[i]
 		for slot := range e.chans {
-			if !o.stageLocked(e, slot, r) {
+			if !o.stage(e, slot, r) {
 				return false
 			}
-			if !o.flushSlotLocked(e, slot) {
+			if !o.flushSlot(e, slot) {
 				return false
 			}
 		}
@@ -515,48 +500,17 @@ func (o *outputs) broadcast(r Record) bool {
 	return true
 }
 
-// flushAll ships every non-empty staged batch (the flusher's tick).
+// flushAll ships every non-empty staged batch: the early flush.
 func (o *outputs) flushAll() bool {
-	o.mu.Lock()
-	defer o.mu.Unlock()
 	for i := range o.edges {
 		e := &o.edges[i]
 		for slot := range e.chans {
-			if !o.flushSlotLocked(e, slot) {
+			if !o.flushSlot(e, slot) {
 				return false
 			}
 		}
 	}
 	return true
-}
-
-// startFlusher launches the periodic flush goroutine bounding how long a
-// record may sit in a staging buffer — the in-motion latency guard. It
-// no-ops for sinks (no edges) and when the interval is negative (disabled).
-// The returned stop function must be called before the subtask exits; the
-// goroutine is tracked by wg so Run cannot return while a flusher lives.
-func (o *outputs) startFlusher(wg *sync.WaitGroup) (stop func()) {
-	if o.flushEvery <= 0 || len(o.edges) == 0 {
-		return func() {}
-	}
-	done := make(chan struct{})
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		t := time.NewTicker(o.flushEvery)
-		defer t.Stop()
-		for {
-			select {
-			case <-done:
-				return
-			case <-o.ctx.Done():
-				return
-			case <-t.C:
-				o.flushAll()
-			}
-		}
-	}()
-	return func() { close(done) }
 }
 
 // ---- Run -------------------------------------------------------------------
@@ -632,14 +586,10 @@ func (j *Job) run(ctx context.Context, part *Participation) error {
 	}
 	rt.ackCh = make(chan ackMsg, rt.needAcks+16)
 
-	// Exchange configuration: batch size, flush interval, shared pool.
+	// Exchange configuration: batch size, shared pool.
 	batchSize := j.g.BatchSize
 	if batchSize <= 0 {
 		batchSize = DefaultBatchSize
-	}
-	flushEvery := j.g.FlushInterval
-	if flushEvery == 0 {
-		flushEvery = DefaultFlushInterval
 	}
 	pool := NewBatchPool(batchSize)
 	if transport != nil {
@@ -699,7 +649,7 @@ func (j *Job) run(ctx context.Context, part *Participation) error {
 
 	// outputsFor builds the outputs of chain-tail `tail` for subtask s.
 	outputsFor := func(tail *Node, s int) *outputs {
-		o := &outputs{ctx: runCtx, pool: pool, batchSize: batchSize, flushEvery: flushEvery, numGroups: numGroups}
+		o := &outputs{ctx: runCtx, pool: pool, batchSize: batchSize, numGroups: numGroups}
 		for _, consumer := range j.g.nodes {
 			if ci.head[consumer] != consumer {
 				continue
@@ -1023,12 +973,11 @@ func (j *Job) coordinate(rt *runtime, done chan struct{}) {
 // is injected between runs, where the snapshot is exact: src.Snapshot() is the
 // position after the last Next, and every record before it is through the
 // chain and in the exchange ahead of the barrier. A run never spans a call
-// that may wait: while the source reports MayWait the run capacity is one, so
-// a record in motion is in the staging buffers, under the flusher's latency
-// bound, the moment it is read.
+// that may wait: asked before each Next, a MayWaiter that answers true ends
+// the run there, and with the run handed over the subtask ships everything it
+// has staged (flushAll) before it makes the call.
 func runSource(rt *runtime, n *Node, subtask int, src SourceFunc, ch *chain, control chan int64, nm *nodeMetrics) error {
-	stopFlush := ch.out.startFlusher(&rt.wg)
-	defer stopFlush()
+	waiter, _ := src.(MayWaiter)
 	done := rt.ctx.Done()
 	run := make([]Record, 0, ch.out.batchSize)
 	for {
@@ -1060,14 +1009,18 @@ func runSource(rt *runtime, n *Node, subtask int, src SourceFunc, ch *chain, con
 			continue
 		default:
 		}
-		limit := cap(run)
-		if sourceMayWait(src) {
-			limit = 1
-		}
 		run = run[:0]
 		var ctrl Record // the control record that ended the run, if one did
 		ended := false
-		for len(run) < limit {
+		for len(run) < cap(run) {
+			if waiter != nil && waiter.MayWait() {
+				if len(run) > 0 {
+					break // hand the run over, then come back to wait
+				}
+				if !ch.out.flushAll() {
+					return nil
+				}
+			}
 			r, ok := src.Next()
 			if !ok {
 				ended = true
@@ -1127,8 +1080,6 @@ type inState struct {
 // index of channel i, surfaced to EdgeAware head operators (joins need to
 // know which side a record arrived on).
 func runOperator(rt *runtime, n *Node, subtask int, inputs []chan []Record, edges []int, ch *chain, nm *nodeMetrics) error {
-	stopFlush := ch.out.startFlusher(&rt.wg)
-	defer stopFlush()
 	pool := ch.out.pool
 	ins := make([]inState, len(inputs))
 	for i, c := range inputs {
@@ -1224,6 +1175,13 @@ func runOperator(rt *runtime, n *Node, subtask int, inputs []chan []Record, edge
 					nm.recordsIn.Add(int64(in.pos - start))
 				}
 				ch.dispatchRun(edges[idx], in.batch[start:in.pos])
+				// A batch of data alone, shorter than the batch size, was
+				// shipped early by an upstream about to wait: no other batch
+				// has that shape. Pass the flush on, so what it carried does
+				// not wait here either.
+				if start == 0 && in.pos == len(in.batch) && in.pos < ch.out.batchSize && !ch.out.flushAll() {
+					return true, nil
+				}
 			case KindWatermark:
 				if r.Ts > in.wm {
 					in.wm = r.Ts

@@ -2,7 +2,6 @@ package dataflow
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/state"
 )
@@ -92,11 +91,6 @@ type Graph struct {
 	// degenerates to per-record exchange (the ablation baseline). A purely
 	// physical knob: it never changes the logical plan or its results.
 	BatchSize int
-	// FlushInterval bounds how long a staged record may wait in an exchange
-	// buffer before being shipped — the in-motion latency guard. 0 uses
-	// DefaultFlushInterval; negative disables the periodic flusher (staged
-	// records then ship only on full batches and control records).
-	FlushInterval time.Duration
 	// NumKeyGroups is the number of key groups — the logical plan's unit of
 	// keyed-state partitioning and of hash routing (keys map to
 	// Hash64(key) % NumKeyGroups, key groups map to subtasks by contiguous
@@ -119,7 +113,7 @@ func (g *Graph) numKeyGroups() int {
 
 // NewGraph returns an empty job graph.
 func NewGraph(name string) *Graph {
-	return &Graph{Name: name, BufferSize: 128, BatchSize: DefaultBatchSize, FlushInterval: DefaultFlushInterval}
+	return &Graph{Name: name, BufferSize: 128, BatchSize: DefaultBatchSize}
 }
 
 // Nodes returns the nodes in insertion (topological) order.

@@ -187,8 +187,8 @@ func TestWindowStateGauges(t *testing.T) {
 }
 
 // TestSourceRunsMetric reads run lengths off node.<name>.runs: a source at
-// rest gathers full batches, and a source in motion (one whose Next may
-// wait) hands every record over on its own.
+// rest gathers full batches, and a source in motion ends a run wherever its
+// next Next may wait — at 100 records a second, after every record.
 func TestSourceRunsMetric(t *testing.T) {
 	gen := func(n int64) *GenSource {
 		return &GenSource{N: n, WatermarkEvery: 1 << 40, Gen: func(i int64) Record { return Data(i, uint64(i%3), 1.0) }}
@@ -199,7 +199,7 @@ func TestSourceRunsMetric(t *testing.T) {
 		records, runs int64
 	}{
 		{"generator", gen(100 * DefaultBatchSize), 100 * DefaultBatchSize, 100},
-		{"paced", &PacedSource{Inner: gen(50), PerSec: 1e6}, 50, 50},
+		{"paced", &PacedSource{Inner: gen(20), PerSec: 100}, 20, 20},
 	} {
 		reg := metrics.NewRegistry()
 		g := NewGraph("runs")

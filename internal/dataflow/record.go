@@ -18,34 +18,39 @@
 // and per downstream subtask, and a staged batch is shipped:
 //
 //   - when it reaches Graph.BatchSize records (default DefaultBatchSize),
-//   - when Graph.FlushInterval elapses (default DefaultFlushInterval) — the
-//     latency guard for in-motion sources, and
 //   - always before a control record: a watermark, checkpoint barrier or
 //     end marker is appended behind the staged data and the batch is
 //     shipped immediately, so per-channel ordering — and with it watermark
-//     monotonicity and ABS barrier alignment — is preserved exactly.
+//     monotonicity and ABS barrier alignment — is preserved exactly, and
+//   - at an early flush, where the subtask ships everything it has staged:
+//     a source subtask before it calls a Next that may wait (MayWaiter), and
+//     an operator subtask right after it has consumed an early-shipped
+//     batch, which is the only batch that holds data alone and is shorter
+//     than the batch size. A record in motion thus ships when its source
+//     goes quiet, with no timer and no second goroutine per subtask.
 //
-// Receivers return consumed batches to a shared sync.Pool. Batching is purely
-// physical — the logical plan and its results are identical at every batch
-// size; only the throughput/latency trade-off moves (bigger batches amortize
-// channel hops, the flush interval bounds how stale an in-motion record may
-// get).
+// What a batch holds therefore depends only on the data and on when
+// may-wait sources wait, never on a clock: a job whose sources never wait
+// ships the same batches on every run. Receivers return consumed batches to
+// a shared sync.Pool. Batching is purely physical — the logical plan and its
+// results are identical at every batch size; only the throughput/latency
+// trade-off moves (bigger batches amortize channel hops).
 //
 // # The operator contract: runs
 //
 // Data moves through a subtask in runs — contiguous sequences of data records
 // — and Operator.OnBatch, which takes one run and returns the records to
 // forward, is the only way data reaches an operator. There is no per-record
-// entry point: a record in motion is a run of one.
+// entry point: a lone record is a run of one.
 //
 // Where runs come from. A receiving subtask scans each inbound batch up to
 // the next control record and hands the data in between to its chain as one
 // run, so watermarks, barriers and end markers split runs and a run never
 // spans channels; alignment and event-time ordering are exactly what a record
 // at a time would give. A source subtask gathers what its source returns into
-// runs of up to the batch size — runs of one while the source says its Next
-// may wait (MayWaiter), so nothing read is held back behind a wait — and
-// hands each to the chain fused into it the same way. A head operator with
+// runs of up to the batch size — ending a run early where the source says
+// its next Next may wait (MayWaiter), so nothing read is held back behind a
+// wait — and hands each to the chain fused into it the same way. A head operator with
 // two inputs (EdgeAware) is told which edge each run arrived on.
 //
 // What OnBatch may do. The run is the operator's to overwrite: maps overwrite

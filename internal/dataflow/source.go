@@ -31,21 +31,16 @@ type SourceFunc interface {
 }
 
 // MayWaiter is an optional SourceFunc extension for sources in motion, whose
-// Next may wait (for the wall clock, a channel, a socket). The runtime asks
-// once per run; while MayWait reports true it hands every record downstream
-// the moment Next returns it, so none sits in a half-gathered run for as long
-// as the next call waits. The answer may change — a typed hybrid replays
-// history in full runs and reports true from the handoff on — but only at a
-// control record, where a run ends anyway. Sources without the method never
-// wait.
+// Next may wait (for the wall clock, a channel, a socket). MayWait is a probe
+// the runtime asks before each Next: true means this call may wait. The
+// runtime then ends the run it is gathering, hands it downstream and ships
+// everything the subtask has staged before making the call, so nothing read
+// sits behind a wait. Answer for the next call only — a channel source
+// reports an empty channel, a paced one a record not yet due — because each
+// true answer ships what is staged, and one that is always true ships every
+// record in a batch of its own. Sources without the method never wait.
 type MayWaiter interface {
 	MayWait() bool
-}
-
-// sourceMayWait reports whether a source declares that its Next may wait.
-func sourceMayWait(src SourceFunc) bool {
-	w, ok := src.(MayWaiter)
-	return ok && w.MayWait()
 }
 
 // Failable is an optional extension for sources whose input can fail
@@ -226,12 +221,21 @@ func (p *Pacer) Wait(perSec float64) {
 		p.start = time.Now()
 	}
 	if perSec > 0 {
-		due := p.start.Add(time.Duration(float64(p.count) / perSec * float64(time.Second)))
-		if d := time.Until(due); d > 0 {
+		if d := time.Until(p.next(perSec)); d > 0 {
 			time.Sleep(d)
 		}
 	}
 	p.count++
+}
+
+// Due reports whether the next emission is due, so Wait would not sleep.
+func (p *Pacer) Due(perSec float64) bool {
+	return perSec <= 0 || p.start.IsZero() || !time.Now().Before(p.next(perSec))
+}
+
+// next is when the next emission is due at the given rate (perSec > 0).
+func (p *Pacer) next(perSec float64) time.Time {
+	return p.start.Add(time.Duration(float64(p.count) / perSec * float64(time.Second)))
 }
 
 // Reset re-anchors the pacing schedule at the next Wait call.
@@ -255,8 +259,15 @@ func (p *PacedSource) Next() (Record, bool) {
 	return p.Inner.Next()
 }
 
-// MayWait implements MayWaiter: a paced Next sleeps until its record is due.
-func (p *PacedSource) MayWait() bool { return p.PerSec > 0 || sourceMayWait(p.Inner) }
+// MayWait implements MayWaiter: a paced Next sleeps while its record is not
+// yet due, and otherwise waits as long as the inner source's would.
+func (p *PacedSource) MayWait() bool {
+	if !p.pacer.Due(p.PerSec) {
+		return true
+	}
+	w, ok := p.Inner.(MayWaiter)
+	return ok && w.MayWait()
+}
 
 // Snapshot implements SourceFunc.
 func (p *PacedSource) Snapshot() ([]byte, error) { return p.Inner.Snapshot() }

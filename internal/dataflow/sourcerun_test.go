@@ -234,7 +234,6 @@ func pipelineGraph(srcs []*scriptSource, chain []int, batch int, taps *tapLog, o
 	par := len(srcs)
 	g := dataflow.NewGraph("runs")
 	g.BatchSize = batch
-	g.FlushInterval = -1 // batches ship full or behind a control record: what a channel carries is deterministic
 	n := g.AddSource("src", par, func(sub, _ int) dataflow.SourceFunc { return srcs[sub] })
 	for i, kind := range chain {
 		n = g.AddOperator(fmt.Sprintf("op%d-%s", i, opNames[kind]), par, opFactory(kind), dataflow.Edge{From: n, Part: dataflow.Forward})

@@ -182,9 +182,9 @@ func (r *pacedReader[T]) CanHandoff() bool { return readerCanHandoff(r.inner) }
 // CrossedHandoff delegates the handoff progress to the inner reader.
 func (r *pacedReader[T]) CrossedHandoff() bool { return readerCrossedHandoff(r.inner) }
 
-// MayWait declares the reader in motion: a paced Next sleeps until its
-// element is due.
-func (r *pacedReader[T]) MayWait() bool { return r.perSec > 0 || readerMayWait(r.inner) }
+// MayWait reports whether the next Next sleeps, its element not yet due, or
+// waits in the inner reader.
+func (r *pacedReader[T]) MayWait() bool { return !r.pacer.Due(r.perSec) || readerMayWait(r.inner) }
 
 func (r *pacedReader[T]) Err() error { return readerErr(r.inner) }
 
@@ -252,9 +252,8 @@ func (r *channelReader[T]) received(k Keyed[T], ok bool) (Keyed[T], ReadStatus) 
 	return k, ReadData
 }
 
-// MayWait declares the reader in motion: Next waits up to the idle poll on a
-// quiet channel.
-func (r *channelReader[T]) MayWait() bool { return true }
+// MayWait reports an empty channel, on which Next waits up to the idle poll.
+func (r *channelReader[T]) MayWait() bool { return len(r.c) == 0 }
 
 // SourceLocalOnly marks the reader as bound to this process: its feeding
 // channel has no existence in a worker, so distributed placement pins the
@@ -670,10 +669,16 @@ func (h *hybridReader[T]) CanHandoff() bool { return true }
 // subtasks keep pushing toward the global history maximum.
 func (h *hybridReader[T]) CrossedHandoff() bool { return h.inLive }
 
-// MayWait reports the phase: history replays in full runs, and from the
-// handoff on the reader is in motion whatever its live half declares (a
-// wrapper around it need not forward the trait).
-func (h *hybridReader[T]) MayWait() bool { return h.inLive || readerMayWait(h.history) }
+// MayWait forwards the answer of the phase's reader: the history's while it
+// replays, the live half's from the handoff on. A live half that declares
+// nothing (a wrapper that does not forward MayWait) never ends a run early:
+// its elements ship with its next ReadIdle or cadence watermark.
+func (h *hybridReader[T]) MayWait() bool {
+	if h.inLive {
+		return readerMayWait(h.live)
+	}
+	return readerMayWait(h.history)
+}
 
 func (h *hybridReader[T]) Snapshot() ([]byte, error) {
 	hist, err := h.history.Snapshot()

@@ -123,7 +123,13 @@
 // (MultiRestorer additionally lets a connector's state redistribute across
 // a different source parallelism, the way the file connectors do). The
 // source stage gathers elements into batch-sized runs, so a reader whose
-// Next may wait declares `MayWait() bool` (see Reader).
+// Next may wait declares `MayWait() bool` (see Reader): asked before each
+// call, it answers whether this call may wait, and a true answer ships what
+// the stage has gathered and staged first. Answer for the next call only —
+// an always-true answer ships every element in a batch of its own. A reader
+// that declares nothing is taken to wait from its first ReadIdle on; a
+// wrapper that does not forward the method (inside a Hybrid, say) ships its
+// elements with its next ReadIdle or cadence watermark.
 //
 // # Lowering
 //
@@ -142,20 +148,22 @@
 // than one channel hop per record, so at-rest replay (slices, JSONL, CSV)
 // runs at batch-engine speeds on the same pipelined engine. A staged batch
 // ships when it reaches WithBatchSize records (default DefaultBatchSize),
-// when WithFlushInterval elapses (default DefaultFlushInterval), and always
-// before a watermark, checkpoint barrier, or end-of-stream marker — control
-// records never overtake data, so event time and exactly-once snapshots
-// behave identically at every batch size. The knobs trade throughput
-// against freshness: bigger batches amortize exchange hops for data at
-// rest, while a shorter flush interval bounds how long an in-motion record
-// may wait in a half-full buffer. The logical plan never changes
-// (WithBatchSize(1) is the per-record ablation baseline).
+// always before a watermark, checkpoint barrier, or end-of-stream marker —
+// control records never overtake data, so event time and exactly-once
+// snapshots behave identically at every batch size — and at an early flush:
+// a source subtask ships everything it has staged before it calls a Next
+// that may wait, and an operator subtask that receives such an early,
+// short batch passes the flush on. A record in motion therefore ships when
+// its source goes quiet, with no timer to tune, and what each batch holds
+// depends on the data and on when sources wait, never on a clock. Bigger
+// batches amortize exchange hops for data at rest; the logical plan never
+// changes (WithBatchSize(1) is the per-record ablation baseline).
 //
 // # Operator chains run batch at a time
 //
 // The exchange is batched; so is execution. Every operator takes the data
 // between two control records of an inbound batch as one run, and there is
-// no per-record mode to switch to: a record in motion is a run of one. What
+// no per-record mode to switch to: a lone record is a run of one. What
 // a pipeline can observe of this is nothing — results, their order per key,
 // every checkpoint and what each channel carries are identical at any
 // WithBatchSize, and a snapshot taken at one batch size restores at another.

@@ -11,13 +11,9 @@ import (
 	"repro/internal/state"
 )
 
-// Exchange defaults, re-exported from the engine: records cross subtask
-// boundaries in pooled batches of DefaultBatchSize, and a staged record
-// waits at most DefaultFlushInterval before being shipped.
-const (
-	DefaultBatchSize     = dataflow.DefaultBatchSize
-	DefaultFlushInterval = dataflow.DefaultFlushInterval
-)
+// DefaultBatchSize is the exchange default, re-exported from the engine:
+// records cross subtask boundaries in pooled batches of this many records.
+const DefaultBatchSize = dataflow.DefaultBatchSize
 
 // DefaultNumKeyGroups is the key-group count of plans that do not set
 // WithNumKeyGroups — the granularity at which keyed state partitions,
@@ -98,13 +94,6 @@ func WithNumKeyGroups(n int) Option { return core.WithNumKeyGroups(n) }
 // exchange (the ablation baseline). Purely physical: the logical plan and
 // its results are identical at every batch size.
 func WithBatchSize(n int) Option { return core.WithBatchSize(n) }
-
-// WithFlushInterval bounds how long a record may wait in an exchange staging
-// buffer before being shipped downstream (default 10ms) — the latency lever
-// for in-motion sources, trading a little throughput for freshness. Negative
-// disables the periodic flush; batches then ship only when full or at
-// watermarks, barriers and end-of-stream.
-func WithFlushInterval(d time.Duration) Option { return core.WithFlushInterval(d) }
 
 // NewMemoryBackend returns an in-memory checkpoint backend retaining the
 // last `retain` snapshots (0 keeps all).

@@ -24,10 +24,10 @@ const (
 	// smaller timestamp.
 	ReadWatermark
 	// ReadIdle means no element is available right now; the runtime emits
-	// the current watermark and polls again. Readers should wait briefly
-	// before returning ReadIdle rather than spinning. Such a reader's Next
-	// may wait (see Reader); if it did not declare that, the runtime takes
-	// its first ReadIdle as the declaration.
+	// the current watermark and polls again. Readers should wait briefly,
+	// before returning ReadIdle or in the call after it, rather than spin.
+	// Such a reader's Next may wait (see Reader); if it did not declare
+	// that, the runtime takes its first ReadIdle as the declaration.
 	ReadIdle
 	// ReadEnd means the input is exhausted (bounded sources).
 	ReadEnd
@@ -56,10 +56,13 @@ const (
 // runs of up to the batch size before handing them downstream, so Next should
 // return without waiting. A reader in motion, whose Next may wait (for the
 // wall clock, a channel, a tail that has not grown), declares it with the
-// optional method `MayWait() bool`, asked once per run: while it reports true
-// every element goes downstream the moment Next returns it, and none is held
-// across a call that waits. The answer may change only where the reader
-// returns ReadHandoff (Hybrid: false during history, true from the handoff on).
+// optional method `MayWait() bool`, a probe asked before each call: true
+// means this call may wait, and the runtime then hands downstream the run it
+// has gathered and ships everything staged before making it. Answer for the
+// next call only (Channel: the channel is empty; Paced: the element is not
+// yet due), since every true ships the staged batches: a reader that always
+// answers true ships each element in a batch of its own. A reader that
+// declares nothing is taken to wait from its first ReadIdle on.
 type Reader[T any] interface {
 	// Next returns the next element and its status. The element is only
 	// meaningful for ReadData (a record) and ReadWatermark (Ts is the
@@ -198,6 +201,7 @@ func From[T any](env *Env, name string, src Source[T], opts ...SourceOption) *St
 		if readerCanHandoff(l.r) {
 			l.clock = clock
 		}
+		l.waiter, _ = r.(dataflow.MayWaiter)
 		l.readTraits()
 		return l
 	}
@@ -296,9 +300,10 @@ type loweredReader[T any] struct {
 	clock *stageClock // non-nil only for handoff-capable readers
 
 	// The reader's traits, cached so the per-record path asks it nothing.
-	unordered bool // Unordered: no cadence watermarks
-	crossed   bool // past the handoff of a handoff-capable reader
-	idled     bool // latched: the reader returned ReadIdle, so its Next may wait
+	unordered bool               // Unordered: no cadence watermarks
+	crossed   bool               // past the handoff of a handoff-capable reader
+	waiter    dataflow.MayWaiter // the reader's MayWait, if it declares one
+	idled     bool               // latched: a reader that declares nothing returned ReadIdle
 
 	maxTs     int64
 	haveTs    bool
@@ -369,9 +374,14 @@ func (l *loweredReader[T]) readTraits() {
 	l.crossed = l.clock != nil && readerCrossedHandoff(l.r)
 }
 
-// MayWait implements dataflow.MayWaiter by forwarding the reader's declaration;
-// a reader that has returned ReadIdle has waited, declared or not.
-func (l *loweredReader[T]) MayWait() bool { return l.idled || readerMayWait(l.r) }
+// MayWait implements dataflow.MayWaiter with the reader's own answer, or for
+// a reader that declares nothing, whether it has returned ReadIdle yet.
+func (l *loweredReader[T]) MayWait() bool {
+	if l.waiter != nil {
+		return l.waiter.MayWait()
+	}
+	return l.idled
+}
 
 // emitWM stamps a watermark on the wire, clamped so the source's event
 // time never regresses.

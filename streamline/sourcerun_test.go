@@ -13,7 +13,7 @@ import (
 // The source stage gathers elements into runs of up to the batch size, and a
 // run never spans a Next call that may wait. These tests run with a batch
 // size nothing ever fills, so an element that got held in a half-gathered
-// run — or in a staging buffer no flusher covers — would show.
+// run — or in a staging buffer nothing flushes — would show.
 
 // runMetered executes env's pipeline with a registry attached, the way
 // Env.Execute does without one, and returns the registry.
@@ -42,12 +42,16 @@ func awaitArrival(t *testing.T, at <-chan time.Time, sent time.Time, within time
 	}
 }
 
-// TestChannelNeverStrandsRecords is the typed twin of the engine's
-// TestFlushIntervalBoundsLatency: three elements, then silence. Each is its
-// own run, so all three are in the staging buffers when the flusher ticks.
+// TestChannelNeverStrandsRecords: three elements already in the channel,
+// then silence, then one more. The three form one run, handed over and
+// shipped before the Next that finds the channel empty waits; the lone
+// element is a run of its own, shipped before the Next after it waits.
 func TestChannelNeverStrandsRecords(t *testing.T) {
 	ch := make(chan streamline.Keyed[float64], 3)
-	env := streamline.New(streamline.WithParallelism(1), streamline.WithBatchSize(1<<20), streamline.WithFlushInterval(5*time.Millisecond))
+	for i := 0; i < 3; i++ {
+		ch <- streamline.Keyed[float64]{Ts: int64(i), Value: float64(i)}
+	}
+	env := streamline.New(streamline.WithParallelism(1), streamline.WithBatchSize(1<<20))
 	at := arrivals(streamline.FromChannel(env, "live", ch))
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -58,16 +62,15 @@ func TestChannelNeverStrandsRecords(t *testing.T) {
 	}()
 	sent := time.Now()
 	for i := 0; i < 3; i++ {
-		ch <- streamline.Keyed[float64]{Ts: int64(i), Value: float64(i)}
+		awaitArrival(t, at, sent, 2*time.Second) // job start-up included
 	}
-	for i := 0; i < 3; i++ {
-		// Flush interval (5ms) + idle poll (25ms), with room for a loaded machine.
-		awaitArrival(t, at, sent, 250*time.Millisecond)
-	}
+	sent = time.Now()
+	ch <- streamline.Keyed[float64]{Ts: 3, Value: 3}
+	awaitArrival(t, at, sent, 250*time.Millisecond)
 	cancel()
 	reg := <-done
-	if in, runs := reg.Counter("node.live.records_in").Value(), reg.Counter("node.live.runs").Value(); in != 3 || runs != 3 {
-		t.Fatalf("records_in = %d in %d runs, want 3 in 3: a live channel hands over every element on its own", in, runs)
+	if in, runs := reg.Counter("node.live.records_in").Value(), reg.Counter("node.live.runs").Value(); in != 4 || runs != 2 {
+		t.Fatalf("records_in = %d in %d runs, want 4 in 2: what the channel holds is one run, a lone element another", in, runs)
 	}
 }
 
@@ -101,11 +104,11 @@ func (s *blockingSource) Restore([]byte) error      { return nil }
 
 // TestUndeclaredBlockingReaderLatchesAfterFirstIdle: once a reader has
 // returned ReadIdle the runtime knows its Next waits, and stops gathering.
-// An element sent after that reaches the sink at the flusher's pace; held in
-// a run across the next Next it would take the reader's whole idle wait.
+// An element sent after that is handed over and shipped before the next Next;
+// held in a run across that call it would take the reader's whole idle wait.
 func TestUndeclaredBlockingReaderLatchesAfterFirstIdle(t *testing.T) {
 	src := &blockingSource{c: make(chan streamline.Keyed[float64]), idle: 400 * time.Millisecond, idled: make(chan struct{})}
-	env := streamline.New(streamline.WithParallelism(1), streamline.WithBatchSize(1<<20), streamline.WithFlushInterval(5*time.Millisecond))
+	env := streamline.New(streamline.WithParallelism(1), streamline.WithBatchSize(1<<20))
 	at := arrivals(streamline.From(env, "custom", src, streamline.WithSourceParallelism(1)))
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -124,7 +127,8 @@ func TestUndeclaredBlockingReaderLatchesAfterFirstIdle(t *testing.T) {
 }
 
 // TestHybridRunLengthAcrossHandoff: a hybrid replays its history in full
-// batches and hands over every live element on its own.
+// batches, and after the handoff gathers what its live channel holds into
+// one run, ended where the channel runs dry.
 func TestHybridRunLengthAcrossHandoff(t *testing.T) {
 	const batch, full, live = 16, 10, 5
 	history := make([]streamline.Keyed[float64], batch*full)
@@ -149,7 +153,7 @@ func TestHybridRunLengthAcrossHandoff(t *testing.T) {
 	if got := len(out.Records()); got != len(history)+live {
 		t.Fatalf("sink saw %d records, want %d", got, len(history)+live)
 	}
-	if got := reg.Counter("node.events.runs").Value(); got != full+live {
-		t.Fatalf("runs = %d, want %d full batches of history + %d live elements", got, full, live)
+	if got := reg.Counter("node.events.runs").Value(); got != full+1 {
+		t.Fatalf("runs = %d, want %d full batches of history + 1 run of the %d queued live elements", got, full, live)
 	}
 }

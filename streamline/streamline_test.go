@@ -348,8 +348,8 @@ func TestCheckpointingThroughTypedAPI(t *testing.T) {
 	}
 }
 
-// TestBatchSizeIsPhysicalOnly proves WithBatchSize/WithFlushInterval are
-// pure exchange knobs: typed pipelines build byte-identical logical plans at
+// TestBatchSizeIsPhysicalOnly proves WithBatchSize is a pure exchange
+// knob: typed pipelines build byte-identical logical plans at
 // every batch size, and the windowed results are identical whether records
 // cross exchanges one at a time (batch size 1), in small batches, or in the
 // default pooled batches.
@@ -386,8 +386,8 @@ func TestBatchSizeIsPhysicalOnly(t *testing.T) {
 		opts []streamline.Option
 	}{
 		{"batch=1", []streamline.Option{streamline.WithBatchSize(1)}},
-		{"batch=2/flush=1ms", []streamline.Option{streamline.WithBatchSize(2), streamline.WithFlushInterval(time.Millisecond)}},
-		{"batch=256/flush=off", []streamline.Option{streamline.WithBatchSize(256), streamline.WithFlushInterval(-1)}},
+		{"batch=2", []streamline.Option{streamline.WithBatchSize(2)}},
+		{"batch=256", []streamline.Option{streamline.WithBatchSize(256)}},
 	} {
 		t.Run(cfg.name, func(t *testing.T) {
 			env, out := build(cfg.opts...)

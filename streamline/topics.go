@@ -326,13 +326,14 @@ type topicFollowReader[T any] struct {
 	dec   jsonDecoder[T]
 	tr    *seglog.TailReader
 
-	inTail  bool
-	end     int64 // tail start = frozen view's next-offset; -1 until known
-	tailOff int64 // next offset the tail reads; -1 until the handoff
-	maxTs   int64
-	haveTs  bool
-	poll    time.Duration
-	err     error
+	inTail   bool
+	caughtUp bool  // the tail's last read found nothing: the next call backs off first
+	end      int64 // tail start = frozen view's next-offset; -1 until known
+	tailOff  int64 // next offset the tail reads; -1 until the handoff
+	maxTs    int64
+	haveTs   bool
+	poll     time.Duration
+	err      error
 }
 
 type topicFollowState struct {
@@ -396,14 +397,18 @@ func (r *topicFollowReader[T]) Next() (Keyed[T], ReadStatus) {
 		}
 		r.tr = tr
 	}
+	if r.caughtUp {
+		// The last read found the visible end: back off before reading
+		// again. ReadIdle came first, so nothing staged waited behind this.
+		r.caughtUp = false
+		time.Sleep(r.poll)
+	}
 	rec, ok, err := r.tr.Next()
 	if err != nil {
 		return r.fail(err)
 	}
 	if !ok {
-		// Caught up with the visible end; back off briefly before the
-		// runtime polls again.
-		time.Sleep(r.poll)
+		r.caughtUp = true
 		return Keyed[T]{}, ReadIdle
 	}
 	r.tailOff = r.tr.Pos()
@@ -421,9 +426,9 @@ func (r *topicFollowReader[T]) CanHandoff() bool { return true }
 // CrossedHandoff reports whether the reader is past the history phase.
 func (r *topicFollowReader[T]) CrossedHandoff() bool { return r.inTail }
 
-// MayWait reports the phase, like hybridReader: the tail backs off on a topic
-// that has not grown.
-func (r *topicFollowReader[T]) MayWait() bool { return r.inTail }
+// MayWait reports whether the next Next backs off: the tail's last read found
+// nothing.
+func (r *topicFollowReader[T]) MayWait() bool { return r.caughtUp }
 
 // Unordered reports the history scan's contract while replaying; the tail
 // emits in append order.
@@ -495,7 +500,7 @@ func (r *topicFollowReader[T]) RestoreAll(subtask, parallelism int, blobs map[in
 	r.inTail = allTail
 	r.end, r.tailOff = end, tailOff
 	r.maxTs, r.haveTs = maxTs, haveTs
-	r.err, r.tr = nil, nil
+	r.err, r.tr, r.caughtUp = nil, nil, false
 	return nil
 }
 
