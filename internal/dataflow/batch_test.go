@@ -94,8 +94,8 @@ func TestExchangeOrderingPreservedUnderBatching(t *testing.T) {
 // Rebalance into an unchained map, and on through a hash exchange into the
 // sink, with a batch size nothing fills and no watermarks. A record reaches
 // the sink only by early flushes: the source's before each Next that waits,
-// then the map's once it has consumed the short batch the source shipped.
-// Without the map's, every record would sit in its staging buffer for good.
+// then the map's once the source's flush marker reaches it. Without the
+// map's, every record would sit in its staging buffer for good.
 func TestEarlyFlushCrossesOperators(t *testing.T) {
 	g := NewGraph("early")
 	g.BatchSize = 1 << 20
@@ -110,6 +110,53 @@ func TestEarlyFlushCrossesOperators(t *testing.T) {
 	}, Edge{From: src, Part: Rebalance})
 	sink := &CollectSink{}
 	g.AddOperator("sink", 1, sink.Factory(), Edge{From: m, Part: HashPartition})
+	awaitSink(t, g, sink, 20)
+}
+
+// TestEarlyFlushAfterFullBatch is the case where the batch the source ships
+// before it waits is not short: the source emits exactly one batch's worth of
+// records without waiting, so it ships full, and the source's flush that
+// follows finds its staging buffer empty. The map downstream must still pass
+// the flush on, or its half-and-half hash split to the two sink subtasks
+// stays staged while the source idles. There are no watermarks to push it
+// out either: the idle source re-emits the same floor.
+func TestEarlyFlushAfterFullBatch(t *testing.T) {
+	const batch = 64
+	g := NewGraph("early-full")
+	g.BatchSize = batch
+	src := g.AddSource("src", 1, func(sub, par int) SourceFunc {
+		return &stallAfterSource{n: batch}
+	})
+	m := g.AddOperator("map", 1, func() Operator {
+		return &MapOp{F: func(r Record) Record { return r }}
+	}, Edge{From: src, Part: Rebalance})
+	sink := &CollectSink{}
+	g.AddOperator("sink", 2, sink.Factory(), Edge{From: m, Part: HashPartition})
+	awaitSink(t, g, sink, batch)
+}
+
+// stallAfterSource emits n records without waiting, then idles for good:
+// every later Next may wait, sleeps a millisecond and returns the same
+// watermark floor, as a caught-up reader does.
+type stallAfterSource struct{ n, i int64 }
+
+func (s *stallAfterSource) Next() (Record, bool) {
+	if s.i < s.n {
+		s.i++
+		return Data(s.i, uint64(s.i), float64(s.i)), true
+	}
+	time.Sleep(time.Millisecond)
+	return Watermark(math.MinInt64), true
+}
+
+func (s *stallAfterSource) MayWait() bool             { return s.i >= s.n }
+func (s *stallAfterSource) Snapshot() ([]byte, error) { return nil, nil }
+func (s *stallAfterSource) Restore([]byte) error      { return nil }
+
+// awaitSink runs g until sink holds want records, failing the test if they
+// have not all arrived within 5 s; the job is cancelled either way.
+func awaitSink(t *testing.T, g *Graph, sink *CollectSink, want int) {
+	t.Helper()
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() { done <- NewJob(g).Run(ctx) }()
@@ -117,11 +164,10 @@ func TestEarlyFlushCrossesOperators(t *testing.T) {
 		cancel()
 		<-done
 	}()
-	const want = 20
 	deadline := time.Now().Add(5 * time.Second)
 	for len(sink.Records()) < want {
 		if time.Now().After(deadline) {
-			t.Fatalf("sink saw %d records in 5s, want %d: an early flush stopped at the map", len(sink.Records()), want)
+			t.Fatalf("sink saw %d records in 5s, want %d: an early flush stopped short of the sink", len(sink.Records()), want)
 		}
 		time.Sleep(5 * time.Millisecond)
 	}

@@ -82,10 +82,9 @@ func (c *chain) dispatchRun(edge int, b []Record) {
 // processRun takes a run through the chain from the from-th operator on: each
 // operator transforms the whole run with one OnBatch call, what it emitted
 // through its collector goes downstream first, then the run it returned, and
-// the survivors exit into the exchange under a single staging-lock
-// acquisition. Operators may compact the run in place: its owner (the
-// receiver of a pooled batch, the source's scratch, an upstream collector)
-// does not read it again.
+// the survivors exit into the exchange in one dataBatch call. Operators may
+// compact the run in place: its owner (the receiver of a pooled batch, the
+// source's scratch, an upstream collector) does not read it again.
 func (c *chain) processRun(from int, b []Record) {
 	for i := from; i < len(c.ops) && len(b) > 0; i++ {
 		b = c.ops[i].OnBatch(b, c.colls[i])

@@ -276,8 +276,9 @@ func (bp *BatchPool) Allocated() int64 { return bp.allocated.Load() }
 // outputs routes a subtask's emissions to downstream channels through
 // per-edge, per-downstream-subtask staging buffers. Only the owning subtask
 // goroutine touches it: it stages and ships on the hot path, and at an early
-// flush (see runSource and runOperator) ships all it has staged, so a quiet
-// in-motion pipeline strands nothing in a buffer without a timer.
+// flush (see runSource and runOperator) sends a flush marker to every slot
+// it has sent data since the last one, so a quiet in-motion pipeline strands
+// nothing in a buffer without a timer.
 type outputs struct {
 	ctx       context.Context
 	pool      *BatchPool
@@ -301,6 +302,7 @@ type outEdge struct {
 	part   Partitioning
 	chans  []chan []Record // indexed by downstream subtask (this upstream's slot)
 	stage  [][]Record      // staged batch per slot; nil when empty
+	sent   []bool          // per slot: data staged since the last flush marker
 	rr     int             // per-edge round-robin cursor (Rebalance only)
 	queued *metrics.Gauge  // edge.<consumer>.<i>.queued_batches, nil without metrics
 }
@@ -314,17 +316,14 @@ func (o *outputs) send(ch chan []Record, b []Record) bool {
 	}
 }
 
-// stage appends one record to the slot's staged batch, shipping it when
-// full: how broadcast stages a control record behind the slot's data.
-func (o *outputs) stage(e *outEdge, slot int, r Record) bool {
+// shipWith appends a control record behind the slot's staged data and ships
+// the batch at once, so the control arrives after everything staged before it.
+func (o *outputs) shipWith(e *outEdge, slot int, r Record) bool {
 	if e.stage[slot] == nil {
 		e.stage[slot] = o.pool.Get()
 	}
 	e.stage[slot] = append(e.stage[slot], r)
-	if len(e.stage[slot]) >= o.batchSize {
-		return o.flushSlot(e, slot)
-	}
-	return true
+	return o.flushSlot(e, slot)
 }
 
 // flushSlot ships the slot's staged batch, if any.
@@ -347,6 +346,7 @@ func (o *outputs) flushSlot(e *outEdge, slot int) bool {
 // staged batch, shipping at the boundaries staging them one at a time would:
 // fill to batchSize, ship, continue.
 func (o *outputs) stageRun(e *outEdge, slot int, recs []Record) bool {
+	e.sent[slot] = true
 	for len(recs) > 0 {
 		if e.stage[slot] == nil {
 			e.stage[slot] = o.pool.Get()
@@ -489,10 +489,7 @@ func (o *outputs) broadcast(r Record) bool {
 	for i := range o.edges {
 		e := &o.edges[i]
 		for slot := range e.chans {
-			if !o.stage(e, slot, r) {
-				return false
-			}
-			if !o.flushSlot(e, slot) {
+			if !o.shipWith(e, slot, r) {
 				return false
 			}
 		}
@@ -500,12 +497,15 @@ func (o *outputs) broadcast(r Record) bool {
 	return true
 }
 
-// flushAll ships every non-empty staged batch: the early flush.
+// flushAll is the early flush: every slot sent data since its last flush
+// marker ships a new one, behind what it has staged or alone if that data
+// already shipped, so the marker reaches every consumer the data did.
 func (o *outputs) flushAll() bool {
 	for i := range o.edges {
 		e := &o.edges[i]
-		for slot := range e.chans {
-			if !o.flushSlot(e, slot) {
+		for slot, sent := range e.sent {
+			e.sent[slot] = false
+			if sent && !o.shipWith(e, slot, Record{Kind: KindFlush}) {
 				return false
 			}
 		}
@@ -675,7 +675,7 @@ func (j *Job) run(ctx context.Context, part *Participation) error {
 					// the observability seed for credit-based backpressure.
 					queued = j.reg.Gauge(fmt.Sprintf("edge.%s.%d.queued_batches", consumer.Name, ei))
 				}
-				o.edges = append(o.edges, outEdge{part: e.Part, chans: chans, stage: make([][]Record, len(chans)), queued: queued})
+				o.edges = append(o.edges, outEdge{part: e.Part, chans: chans, stage: make([][]Record, len(chans)), sent: make([]bool, len(chans)), queued: queued})
 			}
 		}
 		return o
@@ -974,8 +974,8 @@ func (j *Job) coordinate(rt *runtime, done chan struct{}) {
 // position after the last Next, and every record before it is through the
 // chain and in the exchange ahead of the barrier. A run never spans a call
 // that may wait: asked before each Next, a MayWaiter that answers true ends
-// the run there, and with the run handed over the subtask ships everything it
-// has staged (flushAll) before it makes the call.
+// the run there, and with the run handed over the subtask makes an early
+// flush (flushAll) before it makes the call.
 func runSource(rt *runtime, n *Node, subtask int, src SourceFunc, ch *chain, control chan int64, nm *nodeMetrics) error {
 	waiter, _ := src.(MayWaiter)
 	done := rt.ctx.Done()
@@ -1175,13 +1175,6 @@ func runOperator(rt *runtime, n *Node, subtask int, inputs []chan []Record, edge
 					nm.recordsIn.Add(int64(in.pos - start))
 				}
 				ch.dispatchRun(edges[idx], in.batch[start:in.pos])
-				// A batch of data alone, shorter than the batch size, was
-				// shipped early by an upstream about to wait: no other batch
-				// has that shape. Pass the flush on, so what it carried does
-				// not wait here either.
-				if start == 0 && in.pos == len(in.batch) && in.pos < ch.out.batchSize && !ch.out.flushAll() {
-					return true, nil
-				}
 			case KindWatermark:
 				if r.Ts > in.wm {
 					in.wm = r.Ts
@@ -1191,6 +1184,12 @@ func runOperator(rt *runtime, n *Node, subtask int, inputs []chan []Record, edge
 							return true, nil
 						}
 					}
+				}
+			case KindFlush:
+				// A source upstream is about to wait: pass the flush on, so
+				// nothing this subtask was sent waits here either.
+				if !ch.out.flushAll() {
+					return true, nil
 				}
 			case KindBarrier:
 				if aligning == 0 {

@@ -22,12 +22,13 @@
 //     end marker is appended behind the staged data and the batch is
 //     shipped immediately, so per-channel ordering — and with it watermark
 //     monotonicity and ABS barrier alignment — is preserved exactly, and
-//   - at an early flush, where the subtask ships everything it has staged:
-//     a source subtask before it calls a Next that may wait (MayWaiter), and
-//     an operator subtask right after it has consumed an early-shipped
-//     batch, which is the only batch that holds data alone and is shorter
-//     than the batch size. A record in motion thus ships when its source
-//     goes quiet, with no timer and no second goroutine per subtask.
+//   - at an early flush: a source subtask about to call a Next that may
+//     wait (MayWaiter) appends a flush marker (KindFlush) to every slot it
+//     has sent data since its last early flush — behind what is staged
+//     there, or alone if that data already shipped — and ships them, and an
+//     operator subtask that receives a marker does the same on its own
+//     outputs. A record in motion thus ships when its source goes quiet,
+//     with no timer and no second goroutine per subtask.
 //
 // What a batch holds therefore depends only on the data and on when
 // may-wait sources wait, never on a clock: a job whose sources never wait
@@ -82,9 +83,9 @@
 // watermark closing every open window of a subtask) therefore feeds
 // downstream in runs of at most the batch size while it is still emitting,
 // and a record emitted in motion is downstream no later than the call that
-// emitted it. Runs leave a chain for the exchange under one staging-lock
-// acquisition: hashed key by key, appended to each destination's staging
-// buffer in contiguous slices, shipped as each fills.
+// emitted it. Runs leave a chain for the exchange in one call: hashed key by
+// key, appended to each destination's staging buffer in contiguous slices,
+// shipped as each fills.
 //
 // # The splittable at-rest scan
 //
@@ -144,6 +145,10 @@ const (
 	KindBarrier
 	// KindEnd marks end-of-stream on a channel (bounded inputs).
 	KindEnd
+	// KindFlush marks an early flush: a source upstream is about to wait,
+	// so the receiver ships everything it has staged and passes the marker
+	// on to each consumer it has sent data since its last one.
+	KindFlush
 )
 
 // String implements fmt.Stringer.
@@ -157,6 +162,8 @@ func (k Kind) String() string {
 		return "barrier"
 	case KindEnd:
 		return "end"
+	case KindFlush:
+		return "flush"
 	}
 	return fmt.Sprintf("kind(%d)", uint8(k))
 }

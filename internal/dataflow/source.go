@@ -33,9 +33,10 @@ type SourceFunc interface {
 // MayWaiter is an optional SourceFunc extension for sources in motion, whose
 // Next may wait (for the wall clock, a channel, a socket). MayWait is a probe
 // the runtime asks before each Next: true means this call may wait. The
-// runtime then ends the run it is gathering, hands it downstream and ships
-// everything the subtask has staged before making the call, so nothing read
-// sits behind a wait. Answer for the next call only — a channel source
+// runtime then ends the run it is gathering, hands it downstream and makes
+// an early flush before the call: everything staged ships, and a flush marker
+// carries the flush on through every subtask the data went to, so nothing
+// read sits behind a wait. Answer for the next call only — a channel source
 // reports an empty channel, a paced one a record not yet due — because each
 // true answer ships what is staged, and one that is always true ships every
 // record in a batch of its own. Sources without the method never wait.
@@ -262,11 +263,8 @@ func (p *PacedSource) Next() (Record, bool) {
 // MayWait implements MayWaiter: a paced Next sleeps while its record is not
 // yet due, and otherwise waits as long as the inner source's would.
 func (p *PacedSource) MayWait() bool {
-	if !p.pacer.Due(p.PerSec) {
-		return true
-	}
 	w, ok := p.Inner.(MayWaiter)
-	return ok && w.MayWait()
+	return !p.pacer.Due(p.PerSec) || ok && w.MayWait()
 }
 
 // Snapshot implements SourceFunc.

@@ -193,7 +193,7 @@ func decodeBatch(data []byte, out []dataflow.Record) ([]dataflow.Record, error) 
 		if off >= len(data) {
 			return out, fmt.Errorf("wire batch: truncated at record %d", i)
 		}
-		if r.Kind = dataflow.Kind(data[off]); r.Kind > dataflow.KindEnd {
+		if r.Kind = dataflow.Kind(data[off]); r.Kind > dataflow.KindFlush {
 			return out, fmt.Errorf("wire batch: unknown record kind %d at record %d", r.Kind, i)
 		}
 		off++

@@ -67,6 +67,7 @@ func wireSamples() [][]dataflow.Record {
 		{dataflow.Watermark(150)},
 		{dataflow.Barrier(9)},
 		{dataflow.End()},
+		{dataflow.Data(110, 8, 1.5), {Kind: dataflow.KindFlush}},
 	}
 }
 

@@ -129,13 +129,13 @@ type pacedSource[T any] struct {
 }
 
 func (p pacedSource[T]) Open(sub, par int) Reader[T] {
-	return &pacedReader[T]{inner: p.inner.Open(sub, par), perSec: p.perSec}
+	return newPacedReader(p.inner.Open(sub, par), p.perSec)
 }
 
 // openShared implements sharedOpener by delegation: pacing owns no shared
 // state, the slot passes straight to the inner connector.
 func (p pacedSource[T]) openShared(slot *any, sub, par int) Reader[T] {
-	return &pacedReader[T]{inner: openSourceShared(p.inner, slot, sub, par), perSec: p.perSec}
+	return newPacedReader(openSourceShared(p.inner, slot, sub, par), p.perSec)
 }
 
 // PreferredParallelism implements ParallelismHinter by delegation: pacing
@@ -143,14 +143,21 @@ func (p pacedSource[T]) openShared(slot *any, sub, par int) Reader[T] {
 func (p pacedSource[T]) PreferredParallelism() int { return preferredParallelism(p.inner) }
 
 type pacedReader[T any] struct {
-	inner  Reader[T]
-	perSec float64
-	pacer  dataflow.Pacer
+	inner     Reader[T]
+	innerWait waitProbe
+	perSec    float64
+	pacer     dataflow.Pacer
+}
+
+func newPacedReader[T any](inner Reader[T], perSec float64) *pacedReader[T] {
+	return &pacedReader[T]{inner: inner, innerWait: probeWait(inner), perSec: perSec}
 }
 
 func (r *pacedReader[T]) Next() (Keyed[T], ReadStatus) {
 	r.pacer.Wait(r.perSec)
-	return r.inner.Next()
+	k, st := r.inner.Next()
+	r.innerWait.saw(st)
+	return k, st
 }
 
 func (r *pacedReader[T]) Snapshot() ([]byte, error) { return r.inner.Snapshot() }
@@ -184,7 +191,7 @@ func (r *pacedReader[T]) CrossedHandoff() bool { return readerCrossedHandoff(r.i
 
 // MayWait reports whether the next Next sleeps, its element not yet due, or
 // waits in the inner reader.
-func (r *pacedReader[T]) MayWait() bool { return !r.pacer.Due(r.perSec) || readerMayWait(r.inner) }
+func (r *pacedReader[T]) MayWait() bool { return !r.pacer.Due(r.perSec) || r.innerWait.mayWait() }
 
 func (r *pacedReader[T]) Err() error { return readerErr(r.inner) }
 
@@ -592,13 +599,16 @@ func (h hybridSource[T]) PreferredParallelism() int {
 type hybridReader[T any] struct {
 	history, live Reader[T]
 	historyBoxed  boxedReader // history's boxedReader side, if any
+	historyWait   waitProbe   // told no status: an undeclared history never waits
+	liveWait      waitProbe   // latches on the live half's ReadIdle
 	inLive        bool        // past the handoff
 	maxTs         int64
 	haveTs        bool
 }
 
 func newHybridReader[T any](history, live Reader[T]) *hybridReader[T] {
-	return &hybridReader[T]{history: history, live: live, historyBoxed: asBoxed(history)}
+	return &hybridReader[T]{history: history, live: live, historyBoxed: asBoxed(history),
+		historyWait: probeWait(history), liveWait: probeWait(live)}
 }
 
 type hybridReaderState struct {
@@ -611,7 +621,9 @@ type hybridReaderState struct {
 
 func (h *hybridReader[T]) Next() (Keyed[T], ReadStatus) {
 	if h.inLive {
-		return h.live.Next()
+		k, st := h.live.Next()
+		h.liveWait.saw(st)
+		return k, st
 	}
 	k, st := h.history.Next()
 	k.Ts, st = h.historyStep(k.Ts, st)
@@ -622,7 +634,9 @@ func (h *hybridReader[T]) Next() (Keyed[T], ReadStatus) {
 // an engine source (Topic, JSONL, CSV) forwarded in its boxed form.
 func (h *hybridReader[T]) nextBoxed() (dataflow.Record, ReadStatus) {
 	if h.inLive {
-		return boxedNext(h.live, nil)
+		r, st := boxedNext(h.live, nil)
+		h.liveWait.saw(st)
+		return r, st
 	}
 	r, st := boxedNext(h.history, h.historyBoxed)
 	r.Ts, st = h.historyStep(r.Ts, st)
@@ -670,14 +684,14 @@ func (h *hybridReader[T]) CanHandoff() bool { return true }
 func (h *hybridReader[T]) CrossedHandoff() bool { return h.inLive }
 
 // MayWait forwards the answer of the phase's reader: the history's while it
-// replays, the live half's from the handoff on. A live half that declares
-// nothing (a wrapper that does not forward MayWait) never ends a run early:
-// its elements ship with its next ReadIdle or cadence watermark.
+// replays (a paced history waits), the live half's from the handoff on. A live
+// half that declares nothing (a wrapper that does not forward MayWait) is
+// taken to wait from its first ReadIdle on, as it would be on its own.
 func (h *hybridReader[T]) MayWait() bool {
 	if h.inLive {
-		return readerMayWait(h.live)
+		return h.liveWait.mayWait()
 	}
-	return readerMayWait(h.history)
+	return h.historyWait.mayWait()
 }
 
 func (h *hybridReader[T]) Snapshot() ([]byte, error) {

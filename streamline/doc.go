@@ -127,9 +127,8 @@
 // call, it answers whether this call may wait, and a true answer ships what
 // the stage has gathered and staged first. Answer for the next call only —
 // an always-true answer ships every element in a batch of its own. A reader
-// that declares nothing is taken to wait from its first ReadIdle on; a
-// wrapper that does not forward the method (inside a Hybrid, say) ships its
-// elements with its next ReadIdle or cadence watermark.
+// that declares nothing is taken to wait from its first ReadIdle on — on its
+// own, as a Hybrid's live half, or wrapped by Paced.
 //
 // # Lowering
 //
@@ -152,8 +151,9 @@
 // control records never overtake data, so event time and exactly-once
 // snapshots behave identically at every batch size — and at an early flush:
 // a source subtask ships everything it has staged before it calls a Next
-// that may wait, and an operator subtask that receives such an early,
-// short batch passes the flush on. A record in motion therefore ships when
+// that may wait, with a flush marker to each subtask it has sent data since
+// its last one, and an operator subtask that receives the marker passes the
+// flush on the same way. A record in motion therefore ships when
 // its source goes quiet, with no timer to tune, and what each batch holds
 // depends on the data and on when sources wait, never on a clock. Bigger
 // batches amortize exchange hops for data at rest; the logical plan never

@@ -62,7 +62,8 @@ const (
 // next call only (Channel: the channel is empty; Paced: the element is not
 // yet due), since every true ships the staged batches: a reader that always
 // answers true ships each element in a batch of its own. A reader that
-// declares nothing is taken to wait from its first ReadIdle on.
+// declares nothing is taken to wait from its first ReadIdle on, also as the
+// live half of a Hybrid or the reader a Paced source wraps.
 type Reader[T any] interface {
 	// Next returns the next element and its status. The element is only
 	// meaningful for ReadData (a record) and ReadWatermark (Ts is the
@@ -201,7 +202,7 @@ func From[T any](env *Env, name string, src Source[T], opts ...SourceOption) *St
 		if readerCanHandoff(l.r) {
 			l.clock = clock
 		}
-		l.waiter, _ = r.(dataflow.MayWaiter)
+		l.wait = probeWait(r)
 		l.readTraits()
 		return l
 	}
@@ -300,10 +301,9 @@ type loweredReader[T any] struct {
 	clock *stageClock // non-nil only for handoff-capable readers
 
 	// The reader's traits, cached so the per-record path asks it nothing.
-	unordered bool               // Unordered: no cadence watermarks
-	crossed   bool               // past the handoff of a handoff-capable reader
-	waiter    dataflow.MayWaiter // the reader's MayWait, if it declares one
-	idled     bool               // latched: a reader that declares nothing returned ReadIdle
+	unordered bool      // Unordered: no cadence watermarks
+	crossed   bool      // past the handoff of a handoff-capable reader
+	wait      waitProbe // answers MayWait for the reader
 
 	maxTs     int64
 	haveTs    bool
@@ -360,11 +360,22 @@ func readerCrossedHandoff(r any) bool {
 	return false
 }
 
-// readerMayWait reports whether a reader declares that its Next may wait.
-func readerMayWait(r any) bool {
-	w, ok := r.(interface{ MayWait() bool })
-	return ok && w.MayWait()
+// waitProbe answers MayWait for a reader, resolved once when the reader is
+// opened: the reader's own probe if it declares one, otherwise the idle
+// latch, which saw sets at the first ReadIdle the reader returns.
+type waitProbe struct {
+	declared dataflow.MayWaiter
+	idled    bool // only for a reader that declares nothing
 }
+
+func probeWait(r any) waitProbe {
+	w, _ := r.(dataflow.MayWaiter)
+	return waitProbe{declared: w}
+}
+
+func (p *waitProbe) saw(st ReadStatus) { p.idled = p.idled || st == ReadIdle && p.declared == nil }
+
+func (p *waitProbe) mayWait() bool { return p.idled || p.declared != nil && p.declared.MayWait() }
 
 // readTraits re-reads the reader's order contract and handoff progress.
 // Both change only where the reader returns ReadHandoff or is restored, so
@@ -376,12 +387,7 @@ func (l *loweredReader[T]) readTraits() {
 
 // MayWait implements dataflow.MayWaiter with the reader's own answer, or for
 // a reader that declares nothing, whether it has returned ReadIdle yet.
-func (l *loweredReader[T]) MayWait() bool {
-	if l.waiter != nil {
-		return l.waiter.MayWait()
-	}
-	return l.idled
-}
+func (l *loweredReader[T]) MayWait() bool { return l.wait.mayWait() }
 
 // emitWM stamps a watermark on the wire, clamped so the source's event
 // time never regresses.
@@ -419,7 +425,7 @@ func (l *loweredReader[T]) Next() (dataflow.Record, bool) {
 		// Keep the runtime loop moving and event time visible while the
 		// input is quiet. An unordered reader's running max is not a sound
 		// promise mid-scan, so idling then just re-emits the current floor.
-		l.idled = true
+		l.wait.saw(st)
 		if l.unordered {
 			return l.emitWM(minInt64)
 		}

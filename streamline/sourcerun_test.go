@@ -106,24 +106,71 @@ func (s *blockingSource) Restore([]byte) error      { return nil }
 // returned ReadIdle the runtime knows its Next waits, and stops gathering.
 // An element sent after that is handed over and shipped before the next Next;
 // held in a run across that call it would take the reader's whole idle wait.
+// The latch holds too where the reader is a Hybrid's live half or wrapped by
+// an unthrottled Paced, since neither wrapper can answer for it.
 func TestUndeclaredBlockingReaderLatchesAfterFirstIdle(t *testing.T) {
-	src := &blockingSource{c: make(chan streamline.Keyed[float64]), idle: 400 * time.Millisecond, idled: make(chan struct{})}
-	env := streamline.New(streamline.WithParallelism(1), streamline.WithBatchSize(1<<20))
-	at := arrivals(streamline.From(env, "custom", src, streamline.WithSourceParallelism(1)))
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		runMetered(ctx, env)
-	}()
-	<-src.idled
-	for i := 0; i < 2; i++ {
-		src.c <- streamline.Keyed[float64]{Ts: int64(i), Value: float64(i)}
-		awaitArrival(t, at, time.Now(), 200*time.Millisecond)
+	for _, tc := range []struct {
+		name string
+		wrap func(streamline.Source[float64]) streamline.Source[float64]
+	}{
+		{"bare", func(s streamline.Source[float64]) streamline.Source[float64] { return s }},
+		{"hybrid-live", func(s streamline.Source[float64]) streamline.Source[float64] {
+			return streamline.Hybrid(streamline.KeyedSlice[float64](nil), s)
+		}},
+		{"paced-unthrottled", func(s streamline.Source[float64]) streamline.Source[float64] {
+			return streamline.Paced(s, 0)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			src := &blockingSource{c: make(chan streamline.Keyed[float64]), idle: 400 * time.Millisecond, idled: make(chan struct{})}
+			env := streamline.New(streamline.WithParallelism(1), streamline.WithBatchSize(1<<20))
+			at := arrivals(streamline.From(env, "custom", tc.wrap(src), streamline.WithSourceParallelism(1)))
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				runMetered(ctx, env)
+			}()
+			<-src.idled
+			for i := 0; i < 2; i++ {
+				src.c <- streamline.Keyed[float64]{Ts: int64(i), Value: float64(i)}
+				awaitArrival(t, at, time.Now(), 200*time.Millisecond)
+			}
+			cancel()
+			<-done
+		})
 	}
-	cancel()
-	<-done
+}
+
+// TestHybridPacedHistoryRunsAsDue: a paced history waits between elements
+// and the hybrid forwards that, so each element is a run of its own, handed
+// over before the wait for the next. Gathered instead, the whole history
+// would sit in one run until the handoff.
+func TestHybridPacedHistoryRunsAsDue(t *testing.T) {
+	const n, perSec = 5, 10 // 100 ms apart, so a late wake-up does not find the next one due
+	history := make([]streamline.Keyed[float64], n)
+	for i := range history {
+		history[i] = streamline.Keyed[float64]{Ts: int64(i), Value: float64(i)}
+	}
+	ch := make(chan streamline.Keyed[float64])
+	close(ch)
+	env := streamline.New(streamline.WithParallelism(1), streamline.WithBatchSize(1<<20))
+	src := streamline.From(env, "events", streamline.Hybrid(streamline.Paced(streamline.KeyedSlice(history), perSec), streamline.Channel(ch)),
+		streamline.WithSourceParallelism(1), streamline.WithWatermarkEvery(1<<40))
+	out := streamline.Collect(src, "out")
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	reg, err := runMetered(ctx, env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := len(out.Records()); got != n {
+		t.Fatalf("sink saw %d records, want %d", got, n)
+	}
+	if got := reg.Counter("node.events.runs").Value(); got != n {
+		t.Fatalf("runs = %d, want %d: one per paced history element", got, n)
+	}
 }
 
 // TestHybridRunLengthAcrossHandoff: a hybrid replays its history in full
