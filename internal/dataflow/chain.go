@@ -155,17 +155,15 @@ func (c *chain) snapshotAll(rt *runtime, ckpt int64) error {
 					rt.fail(fmt.Errorf("async snapshot %q/%d: %w", name, subtask, err))
 					return
 				}
-				msg := ackMsg{ckpt: ckpt, key: key, blob: blob, groups: groups}
 				select {
-				case rt.ackCh <- msg:
+				case rt.acks <- Ack{Ckpt: ckpt, Key: key, Blob: blob, Groups: groups}:
 				case <-rt.ctx.Done():
 				}
 			}()
 			continue
 		}
-		msg := ackMsg{ckpt: ckpt, key: key, blob: blob}
 		select {
-		case rt.ackCh <- msg:
+		case rt.acks <- Ack{Ckpt: ckpt, Key: key, Blob: blob}:
 		case <-rt.ctx.Done():
 			return rt.ctx.Err()
 		}

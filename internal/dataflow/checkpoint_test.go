@@ -249,3 +249,80 @@ func TestCheckpointOverheadIsBounded(t *testing.T) {
 		t.Fatalf("checkpointing changed results: %v vs %v", total(s1), total(s2))
 	}
 }
+
+// Checkpoints is what keeps restarted epochs sane: after a recovery the
+// control streams may still carry acks for a checkpoint the failed epoch
+// abandoned, and they must never pollute the snapshot being assembled.
+func TestCheckpointsDropStaleAndDuplicateAcks(t *testing.T) {
+	g := NewGraph("acks")
+	g.NumKeyGroups = 8
+	src := g.AddSource("src", 2, SliceSource(nil))
+	backend := state.NewMemoryBackend(0)
+	c := NewCheckpoints(g, backend, nil)
+	c.Resume(&state.Snapshot{CheckpointID: 4})
+	keyA := state.SubtaskKey{OperatorID: src.ID, Subtask: 0}
+	keyB := state.SubtaskKey{OperatorID: src.ID, Subtask: 1}
+	offer := func(a Ack) {
+		t.Helper()
+		if err := c.Offer(a); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	offer(Ack{Ckpt: 4, Key: keyA})
+	offer(Ack{Ckpt: 4, Key: keyB})
+	if c.Completed() != 0 {
+		t.Fatal("acks with no checkpoint in flight must be dropped")
+	}
+
+	id, ok := c.Begin()
+	if !ok || id != 5 {
+		t.Fatalf("Begin = (%d, %v), want (5, true): ids continue after the restored checkpoint", id, ok)
+	}
+	if _, ok := c.Begin(); ok {
+		t.Fatal("Begin must refuse while a checkpoint is in flight")
+	}
+	// Stale ack from checkpoint 4, abandoned by the previous epoch: dropped,
+	// and its blob must not leak into checkpoint 5.
+	offer(Ack{Ckpt: 4, Key: keyA, Blob: []byte("stale")})
+	offer(Ack{Ckpt: 5, Key: keyA, Blob: []byte("a"), Groups: map[int][]byte{3: []byte("ga")}})
+	// Duplicate (e.g. redelivered after a control hiccup): dropped, first
+	// blob wins.
+	offer(Ack{Ckpt: 5, Key: keyA, Blob: []byte("dup")})
+	if c.Completed() != 0 {
+		t.Fatal("stale and duplicate acks must not complete the snapshot")
+	}
+
+	offer(Ack{Ckpt: 5, Key: keyB, Blob: []byte("b")})
+	if c.Completed() != 1 {
+		t.Fatal("last subtask's ack must complete the snapshot")
+	}
+	snap, ok, _ := backend.Latest()
+	if !ok || snap.CheckpointID != 5 {
+		t.Fatalf("persisted snapshot = %v (present %v), want checkpoint 5", snap, ok)
+	}
+	if snap.NumKeyGroups != 8 {
+		t.Fatalf("NumKeyGroups = %d, want 8", snap.NumKeyGroups)
+	}
+	if got := string(snap.Get(keyA)); got != "a" {
+		t.Fatalf("subtask A blob = %q, want %q (stale/duplicate acks must not overwrite)", got, "a")
+	}
+	if got := string(snap.Get(keyB)); got != "b" {
+		t.Fatalf("subtask B blob = %q, want %q", got, "b")
+	}
+	if got := string(snap.GetGroup(state.GroupKey{OperatorID: src.ID, KeyGroup: 3})); got != "ga" {
+		t.Fatalf("key-group blob = %q, want %q", got, "ga")
+	}
+	offer(Ack{Ckpt: 5, Key: keyB, Blob: []byte("late")})
+	if id, ok := c.Begin(); !ok || id != 6 {
+		t.Fatalf("Begin after completion = (%d, %v), want (6, true)", id, ok)
+	}
+	offer(Ack{Ckpt: 5, Key: keyA, Blob: []byte("late")})
+	offer(Ack{Ckpt: 5, Key: keyB, Blob: []byte("late")})
+	if c.Completed() != 1 {
+		t.Fatal("acks after completion must be dropped")
+	}
+	if snap, _ := backend.Load(5); string(snap.Get(keyB)) != "b" {
+		t.Fatal("a late ack must not touch the persisted snapshot")
+	}
+}

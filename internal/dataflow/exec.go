@@ -23,8 +23,7 @@ type Job struct {
 	restore  *state.Snapshot
 	chaining bool
 	reg      *metrics.Registry
-
-	completed atomic.Int64
+	ckpts    *Checkpoints
 }
 
 // JobOption configures a Job.
@@ -45,11 +44,6 @@ func WithRestore(snap *state.Snapshot) JobOption {
 	return func(j *Job) { j.restore = snap }
 }
 
-// SetRestore installs a recovery snapshot after construction. Distributed
-// workers need this: the snapshot arrives over the wire with the plan, long
-// after the SPMD binary built its Job. Must be called before Run.
-func (j *Job) SetRestore(snap *state.Snapshot) { j.restore = snap }
-
 // WithChaining toggles operator chaining (fusing forward edges into a single
 // goroutine). Enabled by default; the E10 ablation turns it off.
 func WithChaining(on bool) JobOption {
@@ -60,9 +54,12 @@ func WithChaining(on bool) JobOption {
 // record counts ("node.<name>.records_in"), per-source run counts
 // ("node.<name>.runs": records_in/runs is the mean length of the runs the
 // source gathers — near the batch size at rest, one in motion), per-node
-// watermark progress ("node.<name>.watermark"), completed checkpoint count
-// ("job.checkpoints") and checkpoint end-to-end duration
-// ("job.checkpoint_nanos").
+// watermark progress ("node.<name>.watermark") and per-edge channel
+// occupancy ("edge.<consumer>.<i>.queued_batches"). A run that coordinates its
+// own checkpoints (Run with WithCheckpointing) also counts them
+// ("job.checkpoints") and times each from trigger to persisted
+// ("job.checkpoint_nanos"); a participant leaves both to its coordinator,
+// whose Checkpoints reports them.
 func WithMetrics(reg *metrics.Registry) JobOption {
 	return func(j *Job) { j.reg = reg }
 }
@@ -91,11 +88,12 @@ func NewJob(g *Graph, opts ...JobOption) *Job {
 	for _, o := range opts {
 		o(j)
 	}
+	j.ckpts = NewCheckpoints(g, j.backend, j.reg)
 	return j
 }
 
 // CompletedCheckpoints reports how many checkpoints were fully persisted.
-func (j *Job) CompletedCheckpoints() int64 { return j.completed.Load() }
+func (j *Job) CompletedCheckpoints() int64 { return j.ckpts.Completed() }
 
 // validateRestore checks that the recovery snapshot is compatible with this
 // job's physical plan. Keyed state (stored per key group) redistributes to
@@ -194,16 +192,6 @@ func buildChains(g *Graph, chaining bool) chainInfo {
 
 // ---- runtime structures ----------------------------------------------------
 
-type ackMsg struct {
-	ckpt int64
-	key  state.SubtaskKey
-	blob []byte
-	// groups carries a keyed operator's per-key-group blobs, produced by
-	// the asynchronous serialization phase; the ack is sent only once they
-	// have all been encoded.
-	groups map[int][]byte
-}
-
 type runtime struct {
 	ctx     context.Context
 	cancel  context.CancelFunc
@@ -211,9 +199,8 @@ type runtime struct {
 	err     error
 	wg      sync.WaitGroup
 
-	ackCh    chan ackMsg
+	acks     chan<- Ack
 	controls []chan int64 // one per source subtask: checkpoint triggers
-	needAcks int
 }
 
 func (rt *runtime) fail(err error) {
@@ -517,16 +504,64 @@ func (o *outputs) flushAll() bool {
 
 // Run executes the job until all sinks finish (bounded inputs) or the
 // context is cancelled (unbounded). It returns the first subtask error, or
-// ctx.Err() on cancellation, or nil on normal completion.
+// ctx.Err() on cancellation, or nil on normal completion. With
+// WithCheckpointing the job runs as its own and only participant beside its
+// coordinator (see coordinate).
 func (j *Job) Run(ctx context.Context) error {
-	return j.run(ctx, nil)
+	if j.backend == nil || j.interval <= 0 {
+		return j.run(ctx, &Participation{})
+	}
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	triggers, acks := make(chan int64), make(chan Ack, j.g.totalSubtasks()+16)
+	coordErr := make(chan error, 1)
+	go func() {
+		err := j.coordinate(ctx, triggers, acks)
+		if err != nil {
+			cancel()
+		}
+		coordErr <- err
+	}()
+	err := j.run(ctx, &Participation{Triggers: triggers, Acks: acks})
+	cancel()
+	if cerr := <-coordErr; cerr != nil {
+		return cerr
+	}
+	return err
 }
 
-// run is the shared execution core. part == nil is the local fast path: all
-// subtasks run here, exchange edges are direct Go channels, and the job owns
-// its checkpoint coordinator. With a Participation only the subtasks placed
-// on part.Self run, cross-participant edges go through part.Transport, and
-// checkpointing is driven externally (part.Triggers in, part.Acks out).
+// coordinate is a local run's checkpoint coordinator: every interval it
+// begins a checkpoint unless one is still in flight and triggers the sources
+// with it, and it offers every ack to the job's Checkpoints.
+func (j *Job) coordinate(ctx context.Context, triggers chan<- int64, acks <-chan Ack) error {
+	j.ckpts.Resume(j.restore)
+	ticker := time.NewTicker(j.interval)
+	defer ticker.Stop()
+	for {
+		select {
+		case <-ctx.Done():
+			return nil
+		case <-ticker.C:
+			if id, ok := j.ckpts.Begin(); ok {
+				select {
+				case triggers <- id:
+				case <-ctx.Done():
+					return nil
+				}
+			}
+		case a := <-acks:
+			if err := j.ckpts.Offer(a); err != nil {
+				return err
+			}
+		}
+	}
+}
+
+// run is the shared execution core. Only the subtasks placed on part.Self
+// run here — all of them when part.Placement is nil, the local case, where
+// every exchange edge is a direct Go channel; cross-participant edges go
+// through part.Transport. Checkpoint ids arrive on part.Triggers and subtask
+// acks leave on part.Acks (both nil: no checkpoints).
 func (j *Job) run(ctx context.Context, part *Participation) error {
 	if err := j.g.Validate(); err != nil {
 		return err
@@ -540,14 +575,7 @@ func (j *Job) run(ctx context.Context, part *Participation) error {
 	ci := buildChains(j.g, j.chaining)
 
 	// Placement helpers. In local mode every subtask is placed here.
-	self := 0
-	var placement Placement
-	var transport EdgeTransport
-	if part != nil {
-		self = part.Self
-		placement = part.Placement
-		transport = part.Transport
-	}
+	self, placement, transport := part.Self, part.Placement, part.Transport
 	partOf := func(n *Node, s int) int {
 		if placement == nil {
 			return self
@@ -571,20 +599,8 @@ func (j *Job) run(ctx context.Context, part *Participation) error {
 	}
 
 	runCtx, cancel := context.WithCancel(ctx)
-	rt := &runtime{ctx: runCtx, cancel: cancel}
+	rt := &runtime{ctx: runCtx, cancel: cancel, acks: part.Acks}
 	defer cancel()
-
-	// Count acks per checkpoint: every node snapshots per subtask. In
-	// participant mode only local subtasks ack here (the coordinator
-	// assembles the global set), so size the buffer to the local count.
-	for _, n := range j.g.nodes {
-		if part == nil {
-			rt.needAcks += n.Parallelism
-		} else {
-			rt.needAcks += len(localSubs(n))
-		}
-	}
-	rt.ackCh = make(chan ackMsg, rt.needAcks+16)
 
 	// Exchange configuration: batch size, shared pool.
 	batchSize := j.g.BatchSize
@@ -834,132 +850,38 @@ func (j *Job) run(ctx context.Context, part *Participation) error {
 		return launchErr
 	}
 
-	// Checkpoint coordination. Local mode owns the full loop; a participant
-	// instead receives externally injected triggers and forwards its local
-	// acks to the distributed coordinator for global assembly.
-	coordDone := make(chan struct{})
-	var auxWg sync.WaitGroup
-	if part == nil {
-		if j.backend != nil && j.interval > 0 {
-			go j.coordinate(rt, coordDone)
-		} else {
-			close(coordDone)
-		}
-	} else {
-		close(coordDone)
-		if part.Triggers != nil {
-			auxWg.Add(1)
-			go func() {
-				defer auxWg.Done()
-				for {
-					var id int64
-					select {
-					case <-runCtx.Done():
-						return
-					case id = <-part.Triggers:
-					}
-					for _, c := range rt.controls {
-						select {
-						case c <- id:
-						case <-runCtx.Done():
-							return
-						}
-					}
+	// Fan every checkpoint trigger out to the local sources; subtasks ack
+	// straight into part.Acks.
+	fanOut := make(chan struct{})
+	go func() {
+		defer close(fanOut)
+		for {
+			var id int64
+			select {
+			case <-runCtx.Done():
+				return
+			case id = <-part.Triggers:
+			}
+			for _, c := range rt.controls {
+				select {
+				case c <- id:
+				case <-runCtx.Done():
+					return
 				}
-			}()
+			}
 		}
-		if part.Acks != nil {
-			auxWg.Add(1)
-			go func() {
-				defer auxWg.Done()
-				for {
-					var a ackMsg
-					select {
-					case <-runCtx.Done():
-						return
-					case a = <-rt.ackCh:
-					}
-					select {
-					case part.Acks <- Ack{Ckpt: a.ckpt, Key: a.key, Blob: a.blob, Groups: a.groups}:
-					case <-runCtx.Done():
-						return
-					}
-				}
-			}()
-		}
-		if part.OnRunning != nil {
-			part.OnRunning()
-		}
+	}()
+	if part.OnRunning != nil {
+		part.OnRunning()
 	}
 
 	rt.wg.Wait()
 	cancel()
-	<-coordDone
-	auxWg.Wait()
+	<-fanOut
 	if rt.err != nil {
 		return rt.err
 	}
 	return ctx.Err()
-}
-
-// coordinate triggers periodic checkpoints and assembles completed
-// snapshots. One checkpoint is in flight at a time.
-func (j *Job) coordinate(rt *runtime, done chan struct{}) {
-	defer close(done)
-	ticker := time.NewTicker(j.interval)
-	defer ticker.Stop()
-	var nextID int64 = 1
-	if j.restore != nil {
-		nextID = j.restore.CheckpointID + 1
-	}
-	for {
-		select {
-		case <-rt.ctx.Done():
-			return
-		case <-ticker.C:
-		}
-		id := nextID
-		nextID++
-		ckptStart := time.Now()
-		// Trigger all sources.
-		for _, c := range rt.controls {
-			select {
-			case c <- id:
-			case <-rt.ctx.Done():
-				return
-			}
-		}
-		// Collect acks. Keyed operators ack only after their asynchronous
-		// serialization lands, so a completed checkpoint always holds every
-		// key group.
-		snap := state.NewSnapshot(id)
-		snap.NumKeyGroups = j.g.numKeyGroups()
-		got := 0
-		for got < rt.needAcks {
-			select {
-			case a := <-rt.ackCh:
-				if a.ckpt != id {
-					continue // stale ack from an abandoned checkpoint
-				}
-				snap.Put(a.key, a.blob)
-				for g, blob := range a.groups {
-					snap.PutGroup(state.GroupKey{OperatorID: a.key.OperatorID, KeyGroup: g}, blob)
-				}
-				got++
-			case <-rt.ctx.Done():
-				return
-			}
-		}
-		if err := j.backend.Persist(snap); err != nil {
-			rt.fail(fmt.Errorf("persist checkpoint %d: %w", id, err))
-			return
-		}
-		j.completed.Add(1)
-		if j.reg != nil {
-			j.reg.Counter("job.checkpoints").Inc()
-			j.reg.Histogram("job.checkpoint_nanos").Observe(time.Since(ckptStart).Nanoseconds())
-		}
-	}
 }
 
 // runSource drives a source subtask on the run-at-a-time path operator
@@ -994,9 +916,8 @@ func runSource(rt *runtime, n *Node, subtask int, src SourceFunc, ch *chain, con
 			if err != nil {
 				return fmt.Errorf("snapshot source %q/%d: %w", n.Name, subtask, err)
 			}
-			msg := ackMsg{ckpt: ckpt, key: state.SubtaskKey{OperatorID: n.ID, Subtask: subtask}, blob: blob}
 			select {
-			case rt.ackCh <- msg:
+			case rt.acks <- Ack{Ckpt: ckpt, Key: state.SubtaskKey{OperatorID: n.ID, Subtask: subtask}, Blob: blob}:
 			case <-done:
 				return nil
 			}

@@ -3,8 +3,6 @@ package dataflow
 import (
 	"context"
 	"sync"
-
-	"repro/internal/state"
 )
 
 // Distributed execution splits one job across participants: participant 0 is
@@ -98,31 +96,24 @@ func (t *ChanTransport) Outbound(ref ChannelRef, to, buf int) chan []Record {
 	return t.chanFor(ref, buf)
 }
 
-// Ack is one subtask's contribution to a checkpoint, surfaced to the
-// distributed coordinator through Participation.Acks. Fields mirror the
-// in-process ack: the per-subtask blob plus, for keyed operators, the
-// asynchronously encoded per-key-group blobs.
-type Ack struct {
-	Ckpt   int64
-	Key    state.SubtaskKey
-	Blob   []byte
-	Groups map[int][]byte
-}
-
 // Participation configures one participant's share of a distributed run.
+// Job.Run runs a local job as the only participant: no placement, no
+// transport.
 type Participation struct {
 	// Self is this participant's index (0 = coordinator).
 	Self int
 	// Placement assigns every (chain-head node, subtask) to a participant.
-	// All participants must use the identical map.
+	// All participants must use the identical map; nil places every subtask
+	// here.
 	Placement Placement
 	// Transport carries the exchange edges that cross participants.
 	Transport EdgeTransport
 	// Triggers delivers checkpoint IDs to inject as barriers at this
 	// participant's local sources. Nil when checkpointing is disabled.
 	Triggers <-chan int64
-	// Acks receives every local subtask's checkpoint acknowledgements for
-	// the coordinator to assemble. Nil when checkpointing is disabled.
+	// Acks is where every local subtask sends its checkpoint acks, for the
+	// coordinator to offer to its Checkpoints. Nil when checkpointing is
+	// disabled.
 	Acks chan<- Ack
 	// OnRunning, if set, is called once after every local subtask is built
 	// and launched — in particular after all inbound transport channels are
@@ -134,10 +125,10 @@ type Participation struct {
 // RunParticipant executes this participant's share of the job: only subtasks
 // the placement assigns to p.Self run locally, and cross-participant edges
 // flow through p.Transport. It returns when all local subtasks finish, the
-// context is cancelled, or a local subtask fails. Checkpoint coordination is
-// external: barriers are injected via p.Triggers and acknowledgements
-// surface on p.Acks (snapshot assembly and persistence are the distributed
-// coordinator's job, not this participant's).
+// context is cancelled, or a local subtask fails. Checkpoints are
+// coordinated elsewhere: barriers are injected via p.Triggers and local
+// subtasks ack on p.Acks; the coordinator hands those acks, and the other
+// participants', to the one Checkpoints that assembles and persists them.
 func (j *Job) RunParticipant(ctx context.Context, p *Participation) error {
 	return j.run(ctx, p)
 }
@@ -208,12 +199,3 @@ func ComputePlacement(g *Graph, chaining bool, workers int) Placement {
 	}
 	return pl
 }
-
-// TotalSubtasks counts subtasks across all nodes — the number of acks a
-// complete checkpoint must assemble (chained nodes share a goroutine but
-// still snapshot separately).
-func (g *Graph) TotalSubtasks() int { return g.totalSubtasks() }
-
-// KeyGroups returns the graph's normalized key-group count — distributed
-// snapshot assembly stamps it on the assembled state.Snapshot.
-func (g *Graph) KeyGroups() int { return g.numKeyGroups() }

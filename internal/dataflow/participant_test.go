@@ -10,12 +10,13 @@ import (
 )
 
 // runParticipants executes graphs[i] as participant i (0 = coordinator) over
-// a shared in-process ChanTransport, with a miniature checkpoint driver
-// standing in for the real distributed coordinator: trigger all sources,
-// assemble every subtask's ack into one snapshot, persist. Each participant
-// needs its own Graph instance (operator factories and sinks are per-job),
-// all built identically — the SPMD contract. partCtx, when non-nil, supplies
-// a private context for one participant (the kill tests cancel it).
+// a shared in-process ChanTransport, with the coordinator's checkpoint loop
+// in miniature: every interval, begin a checkpoint on the job's Checkpoints,
+// trigger every participant's sources with it, and offer it every ack. Each
+// participant needs its own Graph instance (operator factories and sinks are
+// per-job), all built identically — the SPMD contract. partCtx, when
+// non-nil, supplies a private context for one participant (the kill tests
+// cancel it).
 func runParticipants(ctx context.Context, graphs []*Graph, backend state.Backend, interval time.Duration, restore *state.Snapshot, partCtx func(i int) context.Context) []error {
 	workers := len(graphs) - 1
 	placement := ComputePlacement(graphs[0], true, workers)
@@ -74,53 +75,33 @@ func runParticipants(ctx context.Context, graphs []*Graph, backend state.Backend
 					return
 				}
 			}
-			needAcks := graphs[0].TotalSubtasks()
-			var nextID int64 = 1
-			if restore != nil {
-				nextID = restore.CheckpointID + 1
-			}
+			ckpts := NewCheckpoints(graphs[0], backend, nil)
+			ckpts.Resume(restore)
 			tick := time.NewTicker(interval)
 			defer tick.Stop()
 			for {
 				select {
 				case <-tick.C:
+					id, ok := ckpts.Begin()
+					if !ok {
+						continue
+					}
+					for i := range triggers {
+						select {
+						case triggers[i] <- id:
+						case <-done:
+							return
+						case <-cctx.Done():
+							return
+						}
+					}
+				case a := <-acks:
+					ckpts.Offer(a)
 				case <-done:
 					return
 				case <-cctx.Done():
 					return
 				}
-				id := nextID
-				nextID++
-				snap := state.NewSnapshot(id)
-				snap.NumKeyGroups = graphs[0].KeyGroups()
-				for i := range triggers {
-					select {
-					case triggers[i] <- id:
-					case <-done:
-						return
-					case <-cctx.Done():
-						return
-					}
-				}
-				got := 0
-				for got < needAcks {
-					select {
-					case a := <-acks:
-						if a.Ckpt != id {
-							continue
-						}
-						snap.Put(a.Key, a.Blob)
-						for kg, blob := range a.Groups {
-							snap.PutGroup(state.GroupKey{OperatorID: a.Key.OperatorID, KeyGroup: kg}, blob)
-						}
-						got++
-					case <-done:
-						return
-					case <-cctx.Done():
-						return
-					}
-				}
-				backend.Persist(snap)
 			}
 		}()
 	}

@@ -29,16 +29,25 @@ import (
 // scriptSource replays a fixed script of data and watermark records. Its
 // snapshot is the script position, so a restore resumes exactly; pauses makes
 // Next wait at the given positions, which is where the checkpoint triggers of
-// a running job land.
+// a running job land. While hold reports true, the source holds after each
+// watermark by emitting it again: event time stays where it is and no operator
+// has anything new to flush, but every repeat ends the source's run, so a
+// trigger waiting for the source lands there — a checkpointed run holds until
+// a checkpoint has completed however slow the machine is.
 type scriptSource struct {
 	recs   []dataflow.Record
 	pos    int
 	pauses map[int]bool
+	hold   func() bool
 }
 
 func (s *scriptSource) Next() (dataflow.Record, bool) {
 	if s.pos >= len(s.recs) {
 		return dataflow.Record{}, false
+	}
+	if s.hold != nil && s.pos > 0 && s.recs[s.pos-1].Kind == dataflow.KindWatermark && s.hold() {
+		time.Sleep(2 * time.Millisecond)
+		return s.recs[s.pos-1], true
 	}
 	if s.pauses[s.pos] {
 		time.Sleep(2 * time.Millisecond)
@@ -438,10 +447,10 @@ func TestRunsMatchRecordAtATime(t *testing.T) {
 		cadence := []int{3, 5, 10, 13, 50, 100}[rng.Intn(6)]
 		for _, par := range []int{1, 3} {
 			want := reference(t, n, cadence, par, chain)
-			sources := func(pauses map[int]bool) []*scriptSource {
+			sources := func(pauses map[int]bool, hold func() bool) []*scriptSource {
 				srcs := make([]*scriptSource, par)
 				for s := range srcs {
-					srcs[s] = &scriptSource{recs: script(n, cadence, s, par), pauses: pauses}
+					srcs[s] = &scriptSource{recs: script(n, cadence, s, par), pauses: pauses, hold: hold}
 				}
 				return srcs
 			}
@@ -454,7 +463,7 @@ func TestRunsMatchRecordAtATime(t *testing.T) {
 					name := fmt.Sprintf("seed %d chain %v cadence %d par %d batch %d chaining %v", seed, chain, cadence, par, batch, chaining)
 					taps := newTapLog()
 					out := newSinks()
-					g, _ := pipelineGraph(sources(nil), chain, batch, taps, out)
+					g, _ := pipelineGraph(sources(nil, nil), chain, batch, taps, out)
 					runJob(t, g, dataflow.WithChaining(chaining))
 					want.check(t, name, par, records(out))
 					for j := 0; j < par; j++ {
@@ -474,8 +483,9 @@ func TestRunsMatchRecordAtATime(t *testing.T) {
 					}
 
 					backend := state.NewMemoryBackend(0)
+					noCheckpoint := func() bool { _, ok, _ := backend.Latest(); return !ok }
 					out = newSinks()
-					g, sinkNodes := pipelineGraph(sources(pauses), chain, batch, newTapLog(), out)
+					g, sinkNodes := pipelineGraph(sources(pauses, noCheckpoint), chain, batch, newTapLog(), out)
 					job := runJob(t, g, dataflow.WithChaining(chaining), dataflow.WithCheckpointing(backend, 200*time.Microsecond))
 					want.check(t, name+" checkpointed", par, records(out))
 					if job.CompletedCheckpoints() == 0 {
@@ -487,7 +497,7 @@ func TestRunsMatchRecordAtATime(t *testing.T) {
 						t.Fatal(err)
 					}
 					restored := newSinks()
-					g2, _ := pipelineGraph(sources(nil), chain, batch, newTapLog(), restored)
+					g2, _ := pipelineGraph(sources(nil, nil), chain, batch, newTapLog(), restored)
 					runJob(t, g2, dataflow.WithChaining(chaining), dataflow.WithRestore(snap))
 					all := records(restored)
 					for i, node := range sinkNodes {

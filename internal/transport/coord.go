@@ -153,59 +153,17 @@ type event struct {
 	err error
 }
 
-// assembler accumulates per-subtask checkpoint acks into at most one
-// in-flight global snapshot. Stale acks — from a checkpoint abandoned on a
-// previous epoch, or still draining the control stream after a restart —
-// and duplicates are dropped; the snapshot completes when every subtask of
-// the whole job has acked.
-type assembler struct {
-	need      int
-	numGroups int
-	pending   *state.Snapshot
-	got       map[state.SubtaskKey]bool
-}
-
-// inFlight reports whether a checkpoint is still assembling.
-func (a *assembler) inFlight() bool { return a.pending != nil }
-
-// begin opens checkpoint id; offers for any other id are dropped.
-func (a *assembler) begin(id int64) {
-	a.pending = state.NewSnapshot(id)
-	a.pending.NumKeyGroups = a.numGroups
-	a.got = make(map[state.SubtaskKey]bool, a.need)
-}
-
-// offer merges one ack. It returns the completed snapshot once the last
-// subtask acks, nil otherwise.
-func (a *assembler) offer(ack dataflow.Ack) *state.Snapshot {
-	if a.pending == nil || ack.Ckpt != a.pending.CheckpointID {
-		return nil // stale ack from an abandoned checkpoint
-	}
-	if a.got[ack.Key] {
-		return nil
-	}
-	a.got[ack.Key] = true
-	a.pending.Put(ack.Key, ack.Blob)
-	for kg, blob := range ack.Groups {
-		a.pending.PutGroup(state.GroupKey{OperatorID: ack.Key.OperatorID, KeyGroup: kg}, blob)
-	}
-	if len(a.got) == a.need {
-		s := a.pending
-		a.pending, a.got = nil, nil
-		return s
-	}
-	return nil
-}
-
 // epoch is one execution attempt over an established set of worker control
 // connections: plan distribution, readiness barrier, checkpoint loop, and
 // teardown. A Supervisor runs a fresh epoch (with a fresh restore snapshot
 // and possibly different workers) after every failure it may restart.
 type epoch struct {
-	cfg       Config
-	workers   []*wconn
-	restore   *state.Snapshot
-	completed *atomic.Int64
+	cfg     Config
+	workers []*wconn
+	restore *state.Snapshot
+	// ckpts is the job's checkpoint coordinator, which outlives epochs: it
+	// keeps counting across restarts, and each epoch resumes its ids.
+	ckpts *dataflow.Checkpoints
 	// supervised rides in the plan: workers report failures as rejoinable.
 	// rejoinOnAbort rides in the abort stop: whether another epoch follows.
 	supervised    bool
@@ -416,31 +374,18 @@ func (ep *epoch) run(ctx context.Context) error {
 		ep.onStarted()
 	}
 
-	// Checkpoint machinery: at most one checkpoint in flight, assembled
-	// from the acks of every subtask in the whole job.
-	asm := &assembler{need: g.TotalSubtasks(), numGroups: g.KeyGroups()}
-	var nextID int64 = 1
-	if ep.restore != nil {
-		nextID = ep.restore.CheckpointID + 1
-	}
+	// Checkpoints: every subtask of the whole job acks into one snapshot,
+	// at most one in flight.
+	ep.ckpts.Resume(ep.restore)
 	var tick <-chan time.Time
 	if ep.cfg.Backend != nil && ep.cfg.Interval > 0 && failure == nil {
 		t := time.NewTicker(ep.cfg.Interval)
 		defer t.Stop()
 		tick = t.C
 	}
-	merge := func(a dataflow.Ack) {
-		snap := asm.offer(a)
-		if snap == nil {
-			return
-		}
-		if err := ep.cfg.Backend.Persist(snap); err != nil {
-			fail(fmt.Errorf("persist checkpoint %d: %w", snap.CheckpointID, err))
-			return
-		}
-		ep.completed.Add(1)
-		if reg != nil {
-			reg.Counter("job.checkpoints").Inc()
+	offer := func(a dataflow.Ack) {
+		if err := ep.ckpts.Offer(a); err != nil {
+			fail(err)
 		}
 	}
 
@@ -448,12 +393,10 @@ func (ep *epoch) run(ctx context.Context) error {
 	for failure == nil && !(localDone && doneWorkers == W) {
 		select {
 		case <-tick:
-			if asm.inFlight() {
+			id, ok := ep.ckpts.Begin()
+			if !ok {
 				continue // previous checkpoint still assembling
 			}
-			id := nextID
-			nextID++
-			asm.begin(id)
 			select {
 			case triggers <- id:
 			case <-ctx.Done():
@@ -466,10 +409,10 @@ func (ep *epoch) run(ctx context.Context) error {
 				}
 			}
 		case a := <-acks:
-			merge(a)
+			offer(a)
 		case ev := <-events:
 			if ev.err == nil && ev.msg.Kind == ctrlAck && ev.msg.Ack != nil {
-				merge(*ev.msg.Ack)
+				offer(*ev.msg.Ack)
 				continue
 			}
 			workerEvent(ev)

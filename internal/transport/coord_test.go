@@ -6,67 +6,7 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"repro/internal/dataflow"
-	"repro/internal/state"
 )
-
-// The assembler is what keeps restarted epochs sane: after a recovery the
-// control streams may still carry acks for a checkpoint the failed epoch
-// abandoned, and they must never pollute the snapshot being assembled.
-func TestAssemblerDropsStaleAndDuplicateAcks(t *testing.T) {
-	a := &assembler{need: 2, numGroups: 8}
-	keyA := state.SubtaskKey{OperatorID: 1, Subtask: 0}
-	keyB := state.SubtaskKey{OperatorID: 1, Subtask: 1}
-
-	if snap := a.offer(dataflow.Ack{Ckpt: 4, Key: keyA}); snap != nil {
-		t.Fatal("ack with no checkpoint in flight must be dropped")
-	}
-	if a.inFlight() {
-		t.Fatal("nothing was begun; no checkpoint should be in flight")
-	}
-
-	a.begin(5)
-	if !a.inFlight() {
-		t.Fatal("begin must open an in-flight checkpoint")
-	}
-	// Stale ack from checkpoint 4, abandoned by the previous epoch: dropped,
-	// and its blob must not leak into checkpoint 5.
-	if snap := a.offer(dataflow.Ack{Ckpt: 4, Key: keyA, Blob: []byte("stale")}); snap != nil {
-		t.Fatal("stale ack must not complete the snapshot")
-	}
-	if snap := a.offer(dataflow.Ack{Ckpt: 5, Key: keyA, Blob: []byte("a"), Groups: map[int][]byte{3: []byte("ga")}}); snap != nil {
-		t.Fatal("first of two subtasks must not complete the snapshot")
-	}
-	// Duplicate (e.g. redelivered after a control hiccup): dropped, first
-	// blob wins.
-	if snap := a.offer(dataflow.Ack{Ckpt: 5, Key: keyA, Blob: []byte("dup")}); snap != nil {
-		t.Fatal("duplicate ack must not complete the snapshot")
-	}
-
-	snap := a.offer(dataflow.Ack{Ckpt: 5, Key: keyB, Blob: []byte("b")})
-	if snap == nil {
-		t.Fatal("last subtask's ack must complete the snapshot")
-	}
-	if snap.CheckpointID != 5 {
-		t.Fatalf("CheckpointID = %d, want 5", snap.CheckpointID)
-	}
-	if got := string(snap.Get(keyA)); got != "a" {
-		t.Fatalf("subtask A blob = %q, want %q (stale/duplicate acks must not overwrite)", got, "a")
-	}
-	if got := string(snap.Get(keyB)); got != "b" {
-		t.Fatalf("subtask B blob = %q, want %q", got, "b")
-	}
-	if got := string(snap.GetGroup(state.GroupKey{OperatorID: 1, KeyGroup: 3})); got != "ga" {
-		t.Fatalf("key-group blob = %q, want %q", got, "ga")
-	}
-	if a.inFlight() {
-		t.Fatal("completion must clear the in-flight checkpoint")
-	}
-	if again := a.offer(dataflow.Ack{Ckpt: 5, Key: keyB, Blob: []byte("late")}); again != nil {
-		t.Fatal("acks after completion must be dropped")
-	}
-}
 
 func TestConfigHeartbeatDefaults(t *testing.T) {
 	if i, to := (Config{}).heartbeat(); i != DefaultHeartbeatInterval || to != DefaultHeartbeatTimeout {

@@ -6,9 +6,9 @@ import (
 	"math/rand"
 	"net"
 	"sync"
-	"sync/atomic"
 	"time"
 
+	"repro/internal/dataflow"
 	"repro/internal/state"
 )
 
@@ -105,9 +105,9 @@ type Supervisor struct {
 	Spawn func(ctx context.Context, addr string, n int) error
 	Reap  func()
 
-	completed atomic.Int64
-	mu        sync.Mutex
-	stats     []RestartStat
+	ckpts *dataflow.Checkpoints // nil for a local Supervisor: its runs count their own
+	mu    sync.Mutex
+	stats []RestartStat
 }
 
 // NewSupervisor binds the control listener (or adopts cfg.Listener) so
@@ -117,7 +117,8 @@ func NewSupervisor(cfg Config, pol SupervisionPolicy) (*Supervisor, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Supervisor{cfg: cfg, pol: pol.withDefaults(), ln: ln}, nil
+	ckpts := dataflow.NewCheckpoints(cfg.Graph, cfg.Backend, cfg.Registry)
+	return &Supervisor{cfg: cfg, pol: pol.withDefaults(), ln: ln, ckpts: ckpts}, nil
 }
 
 // NewLocalSupervisor supervises a job that runs in this process alone: run
@@ -132,7 +133,12 @@ func NewLocalSupervisor(pol SupervisionPolicy, backend state.Backend, restore *s
 func (s *Supervisor) Addr() string { return s.ln.Addr().String() }
 
 // CompletedCheckpoints reports how many snapshots all epochs persisted.
-func (s *Supervisor) CompletedCheckpoints() int64 { return s.completed.Load() }
+func (s *Supervisor) CompletedCheckpoints() int64 {
+	if s.ckpts == nil {
+		return 0
+	}
+	return s.ckpts.Completed()
+}
 
 // Stats returns one entry per restart attempt, in order: an attempt is
 // listed once it has restored or ended, so the entries agree with the
@@ -263,7 +269,7 @@ func (s *Supervisor) epochs(ctx context.Context) func(context.Context, int, *sta
 			cfg:           s.cfg,
 			workers:       workers,
 			restore:       restore,
-			completed:     &s.completed,
+			ckpts:         s.ckpts,
 			supervised:    !s.pol.Unsupervised,
 			rejoinOnAbort: attempt < s.pol.MaxRestarts,
 			onStarted:     func() { restored(len(workers)) },

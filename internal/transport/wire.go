@@ -1,8 +1,9 @@
 // Package transport carries STREAMLINE's distributed runtime: the TCP
 // exchange transport (Mesh) that ships batched records between worker
 // processes, the control protocol between a coordinator and its workers,
-// and the coordinator itself, which owns plan distribution, checkpoint
-// barrier injection, snapshot assembly and failure detection.
+// and the coordinator itself, which owns plan distribution, failure
+// detection and the job's checkpoints — triggered and assembled through
+// dataflow.Checkpoints, the same coordinator a local run uses.
 //
 // The execution model is SPMD (see internal/dataflow's participant model):
 // operator logic is closures and never crosses the wire. Every process

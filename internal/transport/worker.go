@@ -148,10 +148,10 @@ func RunWorker(ctx context.Context, coordAddr string, reg *metrics.Registry, bui
 	if reg != nil {
 		opts2 = append(opts2, dataflow.WithMetrics(reg))
 	}
-	jb := dataflow.NewJob(g, opts2...)
 	if p.Restore != nil {
-		jb.SetRestore(p.Restore)
+		opts2 = append(opts2, dataflow.WithRestore(p.Restore))
 	}
+	jb := dataflow.NewJob(g, opts2...)
 
 	// Control reader: start opens the dial gate, triggers inject barriers,
 	// stop (or a dropped connection) cancels the local share. Every Decode

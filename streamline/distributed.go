@@ -93,9 +93,12 @@ type DialPolicy = transport.DialPolicy
 func RegisterWireTypes(examples ...any) { transport.RegisterTypes(examples...) }
 
 // Metrics returns the environment's metrics registry (created on first
-// use). Distributed runs report per-edge transport gauges and counters
-// ("edge.<name>.<i>.queued_batches", "edge.<name>.<i>.tx_bytes") and
-// checkpoint counts into it.
+// use). Distributed runs report into it: the coordinator process's per-node
+// counters and per-edge transport gauges and counters
+// ("edge.<name>.<i>.queued_batches", "edge.<name>.<i>.tx_bytes"), and the
+// job's completed checkpoints ("job.checkpoints") and the duration of each
+// from trigger to persisted ("job.checkpoint_nanos"). A run without workers
+// attaches no registry yet.
 func (e *Env) Metrics() *metrics.Registry {
 	e.regOnce.Do(func() { e.reg = metrics.NewRegistry() })
 	return e.reg

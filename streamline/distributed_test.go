@@ -193,6 +193,44 @@ func TestDistributedWindowedAggregateMatchesLocal(t *testing.T) {
 	}
 }
 
+// --- Checkpoint metrics: the distributed coordinator reports what a local run does. ---
+
+func TestDistributedCheckpointMetrics(t *testing.T) {
+	backend, err := streamline.NewFileBackend(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	addrCh := make(chan string, 1)
+	env, _ := buildDistWindowed(2, 2, 12_000,
+		streamline.WithCheckpointing(backend, 10*time.Millisecond),
+		streamline.WithOnListen(func(a string) { addrCh <- a }))
+	wait := startWorkers(ctx, 2, addrCh, nil, func() *streamline.Env {
+		env, _ := buildDistWindowed(2, 2, 12_000, streamline.WithCheckpointing(backend, 10*time.Millisecond))
+		return env
+	})
+	if err := env.Execute(ctx); err != nil {
+		t.Fatalf("distributed execute: %v", err)
+	}
+	for i, err := range wait() {
+		if err != nil {
+			t.Fatalf("worker %d: %v", i+1, err)
+		}
+	}
+	completed := env.CompletedCheckpoints()
+	if completed == 0 {
+		t.Fatal("no checkpoint completed during a paced distributed run")
+	}
+	reg := env.Metrics()
+	if got := reg.Counter("job.checkpoints").Value(); got != completed {
+		t.Fatalf("job.checkpoints = %d, want %d (CompletedCheckpoints)", got, completed)
+	}
+	if got := reg.Histogram("job.checkpoint_nanos").Count(); got != completed {
+		t.Fatalf("job.checkpoint_nanos holds %d observations, want one per completed checkpoint (%d)", got, completed)
+	}
+}
+
 // --- Kill a worker mid-checkpoint, restore at a different worker count. ---
 
 func TestDistributedKillWorkerRestoreRescaled(t *testing.T) {
