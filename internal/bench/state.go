@@ -72,7 +72,7 @@ func encodeSyncWholeState(m map[uint64]float64) (int64, error) {
 // with a running-sum value, the KeyedReduce workload shape.
 func buildKeyedState(keys int) (*state.KeyedState, *state.MapCell[float64], map[uint64]float64) {
 	ks := state.NewKeyedState(state.DefaultNumKeyGroups, 0, state.DefaultNumKeyGroups)
-	cell := state.RegisterMap(ks, "acc", state.GobCodec[float64]())
+	cell := state.RegisterMap(ks, "acc", state.ValueCodec[float64]())
 	plain := make(map[uint64]float64, keys)
 	for i := 0; i < keys; i++ {
 		k := uint64(i)*2654435761 + 1

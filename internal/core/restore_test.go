@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -283,18 +284,21 @@ func TestExecuteRestoredRescaled(t *testing.T) {
 	}
 }
 
-// writeParentFixture regenerates testdata/parent_snapshot: run it at the
-// commit whose snapshots must stay restorable, never at the commit under test.
-var writeParentFixture = flag.Bool("write-parent-fixture", false, "rewrite testdata/parent_snapshot (run at the parent commit)")
+// writeParentFixture regenerates testdata/v1_snapshot: run it at the commit
+// whose checkpoint format the fixture pins, never at a commit under test.
+var writeParentFixture = flag.Bool("write-parent-fixture", false, "rewrite testdata/v1_snapshot (run at the commit that introduced its format)")
 
-// TestParentWrittenSnapshotRestores restores a checkpoint written by the
-// commit before the last snapshot converter was deleted (f52fe5e: file
+// TestParentWrittenSnapshotRestores restores a checkpoint of checkpoint file
+// format version 1 written by the commit that introduced that format (file
 // backend, window + reduce + combiner state, taken mid-stream with the
 // combiner table non-empty) and demands the output tail that commit produced
-// from the same snapshot: no state format moved since.
+// from the same snapshot: no state format moved since. The checkpoints of
+// the gob format before it — one from before the last snapshot converter was
+// deleted, one from before the slice timeline — are refused as an older
+// format, so nothing is restored from them.
 func TestParentWrittenSnapshotRestores(t *testing.T) {
 	const n = 6000
-	dir := filepath.Join("testdata", "parent_snapshot")
+	dir := filepath.Join("testdata", "v1_snapshot")
 	golden := filepath.Join(dir, "restored_output.golden")
 	build := func(perSec float64, backend state.Backend) (*Environment, []*dataflow.CollectSink) {
 		opts := []Option{WithParallelism(2), WithCombiner(CombinerOn)}
@@ -352,9 +356,9 @@ func TestParentWrittenSnapshotRestores(t *testing.T) {
 		if !ok || err != nil {
 			t.Fatalf("no checkpoint before the kill: %v", err)
 		}
-		files, _ := filepath.Glob(filepath.Join(dir, "chk-*.gob"))
+		files, _ := filepath.Glob(filepath.Join(dir, "chk-*.ckpt"))
 		for _, f := range files {
-			if f != filepath.Join(dir, fmt.Sprintf("chk-%012d.gob", snap.CheckpointID)) {
+			if f != filepath.Join(dir, fmt.Sprintf("chk-%012d.ckpt", snap.CheckpointID)) {
 				os.Remove(f)
 			}
 		}
@@ -387,24 +391,14 @@ func TestParentWrittenSnapshotRestores(t *testing.T) {
 		t.Fatalf("restored output differs from the parent's:\n got %d bytes\nwant %d bytes", len(got), len(want))
 	}
 
-	// A checkpoint of the same job written while the window operator still
-	// ran one Cutty engine per key (cell "engines", before the slice
-	// timeline) is refused when the operator opens, before any record
-	// reaches a sink.
-	old, err := state.NewFileBackend(filepath.Join("testdata", "pre_timeline_snapshot"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	snap, ok, err = old.Latest()
-	if !ok || err != nil {
-		t.Fatalf("pre-timeline fixture unreadable: ok=%v err=%v", ok, err)
-	}
-	env, sinks = build(0, nil)
-	err = env.ExecuteRestored(context.Background(), snap)
-	if err == nil || !strings.Contains(err.Error(), `cell "engines"`) || !strings.Contains(err.Error(), `"slices"`) {
-		t.Fatalf("restore of a pre-timeline snapshot = %v, want an error naming cells \"engines\" and \"slices\"", err)
-	}
-	if got := render(sinks); got != "\n" {
-		t.Fatalf("a refused restore delivered records:\n%s", got)
+	for _, old := range []string{"parent_snapshot", "pre_timeline_snapshot"} {
+		backend, err := state.NewFileBackend(filepath.Join("testdata", old))
+		if err != nil {
+			t.Fatal(err)
+		}
+		snap, ok, err := backend.Latest()
+		if ok || snap != nil || !errors.Is(err, state.ErrOlderFormat) || !strings.Contains(err.Error(), "older checkpoint format") {
+			t.Fatalf("%s: Latest = %v, %v, %v; want no snapshot and the older-format error", old, snap, ok, err)
+		}
 	}
 }

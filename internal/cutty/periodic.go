@@ -1,13 +1,14 @@
 package cutty
 
 import (
-	"encoding/gob"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"slices"
 
 	"repro/internal/agg"
 	"repro/internal/engine"
+	"repro/internal/state"
 )
 
 // maxWindowSlices bounds how many slices one window may span on a Timeline.
@@ -236,21 +237,74 @@ func floorDiv(a, b int64) int64 {
 	return q
 }
 
-// Decode reads one key's snapshot (gob of KeySlices) and validates it against
-// the timeline, so a malformed blob fails the restore instead of the fire
-// that would have indexed past its partials. It derives what is not stored:
-// the deadline, and with it the eviction of slices that were already dead.
-func (t *Timeline) Decode(dec *gob.Decoder) (*KeySlices, error) {
+// AppendKeySlices appends k's snapshot to b: Fired, the slice count and the
+// slice indexes as zigzag deltas (the first from zero), then the partial
+// count and each partial's V, M2 and N.
+func AppendKeySlices(b []byte, k *KeySlices) []byte {
+	b = binary.AppendVarint(b, k.Fired)
+	b = binary.AppendUvarint(b, uint64(len(k.Slots)))
+	prev := int64(0)
+	for _, slot := range k.Slots {
+		b = binary.AppendVarint(b, slot-prev)
+		prev = slot
+	}
+	b = binary.AppendUvarint(b, uint64(len(k.Parts)))
+	for _, p := range k.Parts {
+		b = binary.AppendVarint(state.AppendFloat64(state.AppendFloat64(b, p.V), p.M2), p.N)
+	}
+	return b
+}
+
+// Decode reads one key's snapshot (AppendKeySlices) from the front of b and
+// validates it against the timeline, so a malformed blob fails the restore
+// instead of the fire that would have indexed past its partials. It derives
+// what is not stored: the deadline, and with it the eviction of slices that
+// were already dead.
+func (t *Timeline) Decode(b []byte) (*KeySlices, []byte, error) {
 	k := new(KeySlices)
-	if err := dec.Decode(k); err != nil {
-		return nil, err
+	var err error
+	if k.Fired, b, err = state.ReadVarint(b); err != nil {
+		return nil, b, err
 	}
-	if len(k.Parts) != len(k.Slots)*len(t.fns) {
-		return nil, fmt.Errorf("cutty: %d partials for %d slices, want %d per slice (query set mismatch)", len(k.Parts), len(k.Slots), len(t.fns))
+	n, b, err := state.ReadCount(b, 1)
+	if err != nil {
+		return nil, b, err
 	}
-	for i, slot := range k.Slots {
-		if i > 0 && slot <= k.Slots[i-1] {
-			return nil, fmt.Errorf("cutty: slice indexes not ascending (%d after %d)", slot, k.Slots[i-1])
+	if n > 0 {
+		k.Slots = make([]int64, n)
+	}
+	for i := range k.Slots {
+		var slot int64
+		if slot, b, err = state.ReadVarint(b); err != nil {
+			return nil, b, err
+		}
+		if i > 0 {
+			if slot += k.Slots[i-1]; slot <= k.Slots[i-1] {
+				return nil, b, fmt.Errorf("cutty: slice indexes not ascending (%d after %d)", slot, k.Slots[i-1])
+			}
+		}
+		k.Slots[i] = slot
+	}
+	parts, b, err := state.ReadCount(b, 3)
+	if err != nil {
+		return nil, b, err
+	}
+	if parts != n*len(t.fns) {
+		return nil, b, fmt.Errorf("cutty: %d partials for %d slices, want %d per slice (query set mismatch)", parts, n, len(t.fns))
+	}
+	if parts > 0 {
+		k.Parts = make([]agg.Acc, parts)
+	}
+	for i := range k.Parts {
+		p := &k.Parts[i]
+		if p.V, b, err = state.ReadFloat64(b); err != nil {
+			return nil, b, err
+		}
+		if p.M2, b, err = state.ReadFloat64(b); err != nil {
+			return nil, b, err
+		}
+		if p.N, b, err = state.ReadVarint(b); err != nil {
+			return nil, b, err
 		}
 	}
 	// Slices outside the representable range hold elements OnElement would
@@ -259,5 +313,5 @@ func (t *Timeline) Decode(dec *gob.Decoder) (*KeySlices, error) {
 	hi, _ := slices.BinarySearch(k.Slots, t.maxTs/t.width+1)
 	k.Slots, k.Parts = k.Slots[lo:hi], k.Parts[lo*len(t.fns):hi*len(t.fns)]
 	t.fire(k, k.Fired)
-	return k, nil
+	return k, b, nil
 }

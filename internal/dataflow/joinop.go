@@ -1,7 +1,6 @@
 package dataflow
 
 import (
-	"encoding/gob"
 	"math"
 	"slices"
 
@@ -75,23 +74,17 @@ func NewWindowJoinOp(size int64) OperatorFactory {
 // Open implements Operator.
 func (j *WindowJoinOp) Open(ctx *OpContext) error {
 	j.ks = ctx.NewKeyedState()
-	j.wins = state.RegisterMap(j.ks, "wins", state.Codec[map[int64]joinSides]{
-		Encode: func(enc *gob.Encoder, m map[int64]joinSides) error { return enc.Encode(m) },
-		Decode: func(dec *gob.Decoder) (map[int64]joinSides, error) {
-			var m map[int64]joinSides
-			err := dec.Decode(&m)
-			return m, err
-		},
-		// Shallow copy: the slice headers are duplicated, and the buffers
-		// behind them are only ever appended to, never edited in place.
-		Clone: func(m map[int64]joinSides) map[int64]joinSides {
-			out := make(map[int64]joinSides, len(m))
-			for k, v := range m {
-				out[k] = v
-			}
-			return out
-		},
-	})
+	wins := state.ValueCodec[map[int64]joinSides]()
+	// Shallow copy: the slice headers are duplicated, and the buffers behind
+	// them are only ever appended to, never edited in place.
+	wins.Clone = func(m map[int64]joinSides) map[int64]joinSides {
+		out := make(map[int64]joinSides, len(m))
+		for k, v := range m {
+			out[k] = v
+		}
+		return out
+	}
+	j.wins = state.RegisterMap(j.ks, "wins", wins)
 	if err := ctx.RestoreKeyedState(j.ks); err != nil {
 		return err
 	}

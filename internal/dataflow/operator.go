@@ -226,7 +226,7 @@ var _ KeyedStateful = (*KeyedReduceOp)(nil)
 // Open implements Operator.
 func (k *KeyedReduceOp) Open(ctx *OpContext) error {
 	k.ks = ctx.NewKeyedState()
-	k.acc = state.RegisterMap(k.ks, "acc", state.GobCodec[float64]())
+	k.acc = state.RegisterMap(k.ks, "acc", state.ValueCodec[float64]())
 	return ctx.RestoreKeyedState(k.ks)
 }
 

@@ -3,6 +3,7 @@ package dataflow
 import (
 	"bytes"
 	"cmp"
+	"encoding/binary"
 	"encoding/gob"
 	"fmt"
 	"math"
@@ -105,10 +106,36 @@ type keyWindows interface {
 }
 
 // bufEntry is one buffered, not-yet-released element of a key's reorder
-// buffer (exported fields for gob).
+// buffer.
 type bufEntry struct {
 	Ts  int64
 	Val float64
+}
+
+// bufCodec encodes a reorder buffer as its length, then per entry the
+// timestamp as a zigzag delta from the one before and the value.
+var bufCodec = state.Codec[[]bufEntry]{
+	Append: func(b []byte, es []bufEntry) []byte {
+		b, prev := binary.AppendUvarint(b, uint64(len(es))), int64(0)
+		for _, e := range es {
+			b, prev = state.AppendFloat64(binary.AppendVarint(b, e.Ts-prev), e.Val), e.Ts
+		}
+		return b
+	},
+	Read: func(b []byte) ([]bufEntry, []byte, error) {
+		n, b, err := state.ReadCount(b, 2)
+		es, prev := make([]bufEntry, n), int64(0)
+		for i := 0; i < n && err == nil; i++ {
+			var d int64
+			if d, b, err = state.ReadVarint(b); err == nil {
+				prev += d
+				es[i].Ts = prev
+				es[i].Val, b, err = state.ReadFloat64(b)
+			}
+		}
+		return es, b, err
+	},
+	Clone: slices.Clone[[]bufEntry],
 }
 
 var _ Operator = (*WindowOp)(nil)
@@ -166,22 +193,22 @@ func (w *WindowOp) Open(ctx *OpContext) error {
 	if tl, ok := cutty.NewTimeline(w.emitResult, queries); ok {
 		w.timeline = tl
 		w.slices = state.RegisterMap(w.ks, "slices", state.Codec[*cutty.KeySlices]{
-			Encode: func(enc *gob.Encoder, k *cutty.KeySlices) error { return enc.Encode(k) },
-			Decode: tl.Decode,
+			Append: cutty.AppendKeySlices,
+			Read:   tl.Decode,
 			Clone:  (*cutty.KeySlices).Clone,
 		})
 	} else {
 		w.engines = state.RegisterMap(w.ks, "engines", state.Codec[*cutty.Engine]{
-			Encode: func(enc *gob.Encoder, e *cutty.Engine) error { return e.Snapshot(enc) },
-			Decode: func(dec *gob.Decoder) (*cutty.Engine, error) {
+			EncodeGob: func(enc *gob.Encoder, e *cutty.Engine) error { return e.Snapshot(enc) },
+			DecodeGob: func(dec *gob.Decoder) (*cutty.Engine, error) {
 				e := w.newEngine()
 				return e, e.Restore(dec)
 			},
 			Clone: w.cloneEngine,
 		})
 	}
-	w.buf = state.RegisterMap(w.ks, "buf", state.SliceCodec[bufEntry]())
-	w.wm = state.RegisterPerGroup(w.ks, "wm", int64(math.MinInt64), state.GobCodec[int64]())
+	w.buf = state.RegisterMap(w.ks, "buf", bufCodec)
+	w.wm = state.RegisterPerGroup(w.ks, "wm", int64(math.MinInt64), state.ValueCodec[int64]())
 	if ctx.Metrics != nil {
 		w.droppedCtr = ctx.Metrics.Counter("node." + ctx.NodeName + ".records_dropped_late")
 		w.keysGauge = ctx.Metrics.Gauge("node." + ctx.NodeName + ".window_keys")

@@ -1,6 +1,7 @@
 package dataflow
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"reflect"
@@ -363,9 +364,9 @@ func TestWindowOpEndOfStreamReleasesEveryBufferedKey(t *testing.T) {
 func emptyBufferBlob(t testing.TB) (group int, blob []byte) {
 	t.Helper()
 	ks := state.NewKeyedState(state.DefaultNumKeyGroups, 0, state.DefaultNumKeyGroups)
-	state.RegisterMap(ks, "slices", state.GobCodec[*cutty.KeySlices]())
-	buf := state.RegisterMap(ks, "buf", state.SliceCodec[bufEntry]())
-	state.RegisterPerGroup(ks, "wm", int64(5), state.GobCodec[int64]())
+	state.RegisterMap(ks, "slices", keySlicesWriter)
+	buf := state.RegisterMap(ks, "buf", bufCodec)
+	state.RegisterPerGroup(ks, "wm", int64(5), state.ValueCodec[int64]())
 	buf.Put(7, []bufEntry{})
 	group = state.KeyGroupFor(7, state.DefaultNumKeyGroups)
 	blob, err := ks.Capture().EncodeGroup(group)
@@ -399,15 +400,24 @@ func TestWindowOpRestoreDropsEmptyBuffer(t *testing.T) {
 	}
 }
 
+// keySlicesWriter writes the timeline layout's per-key snapshots without the
+// checks of the operator's own codec, which reads them with a Timeline.
+var keySlicesWriter = state.Codec[*cutty.KeySlices]{
+	Append: cutty.AppendKeySlices,
+	Read: func(b []byte) (*cutty.KeySlices, []byte, error) {
+		return nil, b, errors.New("write-only codec")
+	},
+}
+
 // keySlicesBlob encodes one key group holding the given per-key states in the
 // timeline layout's snapshot format, bypassing every check the operator's own
 // codec makes.
 func keySlicesBlob(t testing.TB, wm int64, keys map[uint64]*cutty.KeySlices) (group int, blob []byte) {
 	t.Helper()
 	ks := state.NewKeyedState(state.DefaultNumKeyGroups, 0, state.DefaultNumKeyGroups)
-	cell := state.RegisterMap(ks, "slices", state.GobCodec[*cutty.KeySlices]())
-	state.RegisterMap(ks, "buf", state.SliceCodec[bufEntry]())
-	state.RegisterPerGroup(ks, "wm", wm, state.GobCodec[int64]())
+	cell := state.RegisterMap(ks, "slices", keySlicesWriter)
+	state.RegisterMap(ks, "buf", bufCodec)
+	state.RegisterPerGroup(ks, "wm", wm, state.ValueCodec[int64]())
 	for key, k := range keys {
 		cell.Put(key, k)
 		group = state.KeyGroupFor(key, state.DefaultNumKeyGroups)
@@ -460,5 +470,25 @@ func TestWindowOpRestoreRejectsMalformedSlices(t *testing.T) {
 				t.Fatalf("%s: error %q does not name %s", name, err, part)
 			}
 		}
+	}
+}
+
+// TestWindowOpRefusesEngineLayout: a key group written while the operator
+// kept one cutty.Engine per key (cell "engines") does not restore into the
+// slice timeline's cells; the restore fails naming both before the operator
+// runs.
+func TestWindowOpRefusesEngineLayout(t *testing.T) {
+	engines := newWindowOp(t, oracleSpecs["session"]...)
+	engines.OnBatch([]Record{Data(5, 7, 1.0)}, nil)
+	engines.OnWatermark(6, &capCollector{})
+	if engines.engines == nil || engines.engines.Len() != 1 {
+		t.Fatal("the session query set no longer runs an engine per key")
+	}
+	group := state.KeyGroupFor(7, state.DefaultNumKeyGroups)
+	blob := captureGroups(t, engines)[group]
+	op := NewWindowOp(WindowQuery{Spec: window.Tumbling(10), Fn: agg.SumF64()})().(*WindowOp)
+	err := op.Open(&OpContext{RestoreGroups: map[int][]byte{group: blob}})
+	if err == nil || !strings.Contains(err.Error(), `cell "engines"`) || !strings.Contains(err.Error(), `"slices"`) {
+		t.Fatalf("restore of an engine-layout key group = %v, want an error naming cells \"engines\" and \"slices\"", err)
 	}
 }

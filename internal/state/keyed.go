@@ -1,11 +1,9 @@
 package state
 
 import (
-	"bytes"
-	"encoding/gob"
+	"encoding/binary"
 	"fmt"
 	"slices"
-	"sort"
 	"sync/atomic"
 )
 
@@ -64,49 +62,6 @@ func GroupRangeFor(numKeyGroups, parallelism, subtask int) (start, end int) {
 // hash-partitioned edges.
 func SubtaskForGroup(group, numKeyGroups, parallelism int) int {
 	return group * parallelism / numKeyGroups
-}
-
-// Codec serializes one cell value. Encode/Decode run inside a group blob's
-// gob stream; Clone deep-copies a value so a copy-on-write capture can keep
-// the original immutable while processing continues. A nil Clone declares
-// the value immutable or value-like (numbers, strings): captures then share
-// it without copying, and in-place mutation through GetMut is not needed.
-type Codec[V any] struct {
-	Encode func(enc *gob.Encoder, v V) error
-	Decode func(dec *gob.Decoder) (V, error)
-	Clone  func(v V) V
-}
-
-// GobCodec returns the codec for plainly gob-encodable value types with no
-// in-place mutation (Clone is nil).
-func GobCodec[V any]() Codec[V] {
-	return Codec[V]{
-		Encode: func(enc *gob.Encoder, v V) error { return enc.Encode(v) },
-		Decode: func(dec *gob.Decoder) (V, error) {
-			var v V
-			err := dec.Decode(&v)
-			return v, err
-		},
-	}
-}
-
-// SliceCodec returns the codec for append-only slice values: gob encoding
-// plus a Clone that copies the slice header and elements, so sorting or
-// compacting a slice in place (via GetMut) cannot reach into a capture.
-func SliceCodec[E any]() Codec[[]E] {
-	return Codec[[]E]{
-		Encode: func(enc *gob.Encoder, v []E) error { return enc.Encode(v) },
-		Decode: func(dec *gob.Decoder) ([]E, error) {
-			var v []E
-			err := dec.Decode(&v)
-			return v, err
-		},
-		Clone: func(v []E) []E {
-			out := make([]E, len(v))
-			copy(out, v)
-			return out
-		},
-	}
 }
 
 // KeyedState is an operator subtask's keyed state: a set of named cells
@@ -181,13 +136,14 @@ type keyedCell interface {
 	// captureCell freezes the cell's owned groups and returns an immutable
 	// per-group view for asynchronous serialization.
 	captureCell() capturedCell
-	// decodeGroup loads one group's portion of a snapshot blob.
-	decodeGroup(dec *gob.Decoder, group int) error
+	// decodeGroup loads the cell's section of one group's snapshot blob.
+	decodeGroup(section []byte, group int) error
 }
 
 // capturedCell is one cell's frozen view inside a Captured snapshot.
 type capturedCell interface {
-	encodeGroup(enc *gob.Encoder, group int) error
+	// appendGroup appends the cell's section of one group's blob to b.
+	appendGroup(b []byte, group int, e *blobEncoder) ([]byte, error)
 }
 
 // ---- MapCell ---------------------------------------------------------------
@@ -218,7 +174,7 @@ type MapCell[V any] struct {
 
 // RegisterMap registers a per-key cell on ks under the given name.
 func RegisterMap[V any](ks *KeyedState, name string, codec Codec[V]) *MapCell[V] {
-	if codec.Encode == nil || codec.Decode == nil {
+	if !codec.valid() {
 		panic(fmt.Sprintf("state: cell %q registered without codec", name))
 	}
 	c := &MapCell[V]{ks: ks, name: name, codec: codec, groups: make([]mapGroup[V], ks.end-ks.start)}
@@ -419,50 +375,66 @@ func (c *MapCell[V]) captureCell() capturedCell {
 	return cm
 }
 
-// encodeGroup writes one group's entries in ascending key order, so a
-// group's blob is a deterministic function of its contents.
-func (cm *capturedMap[V]) encodeGroup(enc *gob.Encoder, group int) error {
+// appendGroup writes one group's entries in ascending key order, so a
+// group's section is a deterministic function of its contents.
+func (cm *capturedMap[V]) appendGroup(b []byte, group int, e *blobEncoder) ([]byte, error) {
 	m := cm.maps[group-cm.start]
-	keys := make([]uint64, 0, len(m))
+	keys := e.keys[:0]
 	for k := range m {
 		keys = append(keys, k)
 	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	if err := enc.Encode(len(keys)); err != nil {
-		return err
-	}
+	slices.Sort(keys)
+	e.keys = keys
+	b = binary.AppendUvarint(b, uint64(len(keys)))
+	prev := uint64(0)
 	for _, k := range keys {
-		if err := enc.Encode(k); err != nil {
-			return err
-		}
-		if err := cm.cell.codec.Encode(enc, m[k]); err != nil {
-			return fmt.Errorf("cell %q key %#x: %w", cm.cell.name, k, err)
+		b = binary.AppendUvarint(b, k-prev)
+		prev = k
+	}
+	w := sectionWriter{buf: b}
+	for _, k := range keys {
+		if err := appendValue(&w, &cm.cell.codec, m[k]); err != nil {
+			return w.buf, fmt.Errorf("key %#x: %w", k, err)
 		}
 	}
-	return nil
+	return w.buf, nil
 }
 
-func (c *MapCell[V]) decodeGroup(dec *gob.Decoder, group int) error {
-	var n int
-	if err := dec.Decode(&n); err != nil {
+func (c *MapCell[V]) decodeGroup(section []byte, group int) error {
+	n, b, err := ReadCount(section, 1)
+	if err != nil {
 		return err
+	}
+	keys := make([]uint64, n)
+	var prev uint64
+	for i := range keys {
+		var d uint64
+		if d, b, err = ReadUvarint(b); err != nil {
+			return err
+		}
+		k := prev + d
+		if i > 0 && k <= prev {
+			return fmt.Errorf("keys not ascending after %#x", prev)
+		}
+		if KeyGroupFor(k, c.ks.numGroups) != group {
+			return fmt.Errorf("key %#x does not belong to key group %d", k, group)
+		}
+		keys[i], prev = k, k
 	}
 	g := &c.groups[group-c.ks.start]
 	if g.m == nil && n > 0 {
-		// n is read from the blob: presize by it only as far as a blob can
-		// plausibly hold, so a corrupt count cannot allocate on its own.
-		g.m = make(map[uint64]V, min(n, 1<<12))
+		g.m = make(map[uint64]V, n)
 	}
-	for i := 0; i < n; i++ {
-		var k uint64
-		if err := dec.Decode(&k); err != nil {
-			return err
-		}
-		v, err := c.codec.Decode(dec)
+	r := sectionReader{buf: b}
+	for _, k := range keys {
+		v, err := readValue(&r, &c.codec)
 		if err != nil {
-			return fmt.Errorf("cell %q key %#x: %w", c.name, k, err)
+			return fmt.Errorf("key %#x: %w", k, err)
 		}
 		g.m[k] = v
+	}
+	if len(r.buf) != 0 {
+		return fmt.Errorf("%d trailing bytes", len(r.buf))
 	}
 	return nil
 }
@@ -483,7 +455,7 @@ type GroupCell[V any] struct {
 // RegisterPerGroup registers a per-group scalar cell on ks, initialized to
 // init for every owned group.
 func RegisterPerGroup[V any](ks *KeyedState, name string, init V, codec Codec[V]) *GroupCell[V] {
-	if codec.Encode == nil || codec.Decode == nil {
+	if !codec.valid() {
 		panic(fmt.Sprintf("state: cell %q registered without codec", name))
 	}
 	c := &GroupCell[V]{ks: ks, name: name, codec: codec, vals: make([]V, ks.end-ks.start)}
@@ -527,14 +499,20 @@ func (c *GroupCell[V]) captureCell() capturedCell {
 	return &capturedGroup[V]{cell: c, start: c.ks.start, vals: vals}
 }
 
-func (cg *capturedGroup[V]) encodeGroup(enc *gob.Encoder, group int) error {
-	return cg.cell.codec.Encode(enc, cg.vals[group-cg.start])
+func (cg *capturedGroup[V]) appendGroup(b []byte, group int, _ *blobEncoder) ([]byte, error) {
+	w := sectionWriter{buf: b}
+	err := appendValue(&w, &cg.cell.codec, cg.vals[group-cg.start])
+	return w.buf, err
 }
 
-func (c *GroupCell[V]) decodeGroup(dec *gob.Decoder, group int) error {
-	v, err := c.codec.Decode(dec)
+func (c *GroupCell[V]) decodeGroup(section []byte, group int) error {
+	r := sectionReader{buf: section}
+	v, err := readValue(&r, &c.codec)
 	if err != nil {
-		return fmt.Errorf("cell %q: %w", c.name, err)
+		return err
+	}
+	if len(r.buf) != 0 {
+		return fmt.Errorf("%d trailing bytes", len(r.buf))
 	}
 	c.vals[group-c.ks.start] = v
 	return nil
@@ -581,20 +559,32 @@ func (c *Captured) Release() {
 // GroupRange returns the captured key-group range [start, end).
 func (c *Captured) GroupRange() (start, end int) { return c.start, c.end }
 
+// blobEncoder is the scratch one EncodeGroups call reuses across its groups.
+type blobEncoder struct {
+	keys []uint64 // a MapCell group's keys, sorted
+	sec  []byte   // the section of the cell being encoded
+	buf  []byte   // the blob of the group being encoded
+}
+
 // EncodeGroup serializes one key group of the view: every cell in
-// registration order, each prefixed with its name.
+// registration order, each its name and its section.
 func (c *Captured) EncodeGroup(group int) ([]byte, error) {
-	var buf bytes.Buffer
-	enc := gob.NewEncoder(&buf)
+	return c.encodeGroup(group, &blobEncoder{})
+}
+
+// encodeGroup writes the blob into e's scratch first, so the blob returned
+// is allocated once at its final size.
+func (c *Captured) encodeGroup(group int, e *blobEncoder) ([]byte, error) {
+	e.buf = e.buf[:0]
 	for i, cc := range c.cells {
-		if err := enc.Encode(c.names[i]); err != nil {
-			return nil, err
+		sec, err := cc.appendGroup(e.sec[:0], group, e)
+		if err != nil {
+			return nil, fmt.Errorf("cell %q: %w", c.names[i], err)
 		}
-		if err := cc.encodeGroup(enc, group); err != nil {
-			return nil, err
-		}
+		e.sec = sec
+		e.buf = appendBytes(appendBytes(e.buf, c.names[i]), sec)
 	}
-	return buf.Bytes(), nil
+	return slices.Clone(e.buf), nil
 }
 
 // EncodeGroups serializes every captured key group — the asynchronous phase
@@ -602,8 +592,9 @@ func (c *Captured) EncodeGroup(group int) ([]byte, error) {
 func (c *Captured) EncodeGroups() (map[int][]byte, error) {
 	defer c.Release()
 	out := make(map[int][]byte, c.end-c.start)
+	var e blobEncoder
 	for g := c.start; g < c.end; g++ {
-		blob, err := c.EncodeGroup(g)
+		blob, err := c.encodeGroup(g, &e)
 		if err != nil {
 			return nil, fmt.Errorf("state: encode key group %d: %w", g, err)
 		}
@@ -619,18 +610,25 @@ func (ks *KeyedState) RestoreGroup(group int, blob []byte) error {
 	if group < ks.start || group >= ks.end {
 		return fmt.Errorf("state: restore of key group %d outside owned range [%d,%d)", group, ks.start, ks.end)
 	}
-	dec := gob.NewDecoder(bytes.NewReader(blob))
 	for _, cell := range ks.cells {
-		var name string
-		if err := dec.Decode(&name); err != nil {
-			return fmt.Errorf("state: restore key group %d: %w", group, err)
+		name, rest, err := ReadBytes(blob)
+		if err != nil {
+			return fmt.Errorf("state: restore key group %d: cell name: %w", group, err)
 		}
-		if name != cell.cellName() {
+		if string(name) != cell.cellName() {
 			return fmt.Errorf("state: restore key group %d: cell %q in snapshot, %q registered (registration order changed, or a snapshot of an older format?)", group, name, cell.cellName())
 		}
-		if err := cell.decodeGroup(dec, group); err != nil {
-			return fmt.Errorf("state: restore key group %d: %w", group, err)
+		section, rest, err := ReadBytes(rest)
+		if err != nil {
+			return fmt.Errorf("state: restore key group %d: cell %q: %w", group, name, err)
 		}
+		if err := cell.decodeGroup(section, group); err != nil {
+			return fmt.Errorf("state: restore key group %d: cell %q: %w", group, name, err)
+		}
+		blob = rest
+	}
+	if len(blob) != 0 {
+		return fmt.Errorf("state: restore key group %d: %d trailing bytes after the last cell", group, len(blob))
 	}
 	return nil
 }

@@ -1,14 +1,23 @@
 package state
 
 import (
+	"slices"
 	"testing"
 )
+
+// intSlices is the codec of an append-only []int cell: a Clone that copies,
+// so in-place mutation through GetMut cannot reach into a capture.
+func intSlices() Codec[[]int] {
+	c := ValueCodec[[]int]()
+	c.Clone = slices.Clone[[]int]
+	return c
+}
 
 func newTestState(t *testing.T, numGroups, parallelism, subtask int) (*KeyedState, *MapCell[float64]) {
 	t.Helper()
 	start, end := GroupRangeFor(numGroups, parallelism, subtask)
 	ks := NewKeyedState(numGroups, start, end)
-	return ks, RegisterMap(ks, "acc", GobCodec[float64]())
+	return ks, RegisterMap(ks, "acc", ValueCodec[float64]())
 }
 
 func TestMapCellBasics(t *testing.T) {
@@ -101,7 +110,7 @@ func TestCaptureIsImmutable(t *testing.T) {
 // clone) once it has been released.
 func TestCaptureCloneOnMutableValues(t *testing.T) {
 	ks := NewKeyedState(2, 0, 2)
-	cell := RegisterMap(ks, "buf", SliceCodec[int]())
+	cell := RegisterMap(ks, "buf", intSlices())
 	cell.Put(1, []int{1, 2, 3})
 
 	captured := ks.Capture()
@@ -130,7 +139,7 @@ func TestCaptureCloneOnMutableValues(t *testing.T) {
 
 func TestPerGroupCellRoundTrip(t *testing.T) {
 	ks := NewKeyedState(4, 0, 4)
-	wm := RegisterPerGroup(ks, "wm", int64(-1), GobCodec[int64]())
+	wm := RegisterPerGroup(ks, "wm", int64(-1), ValueCodec[int64]())
 	if got := wm.Get(7); got != -1 {
 		t.Fatalf("init = %d", got)
 	}
@@ -140,7 +149,7 @@ func TestPerGroupCellRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	ks2 := NewKeyedState(4, 0, 4)
-	wm2 := RegisterPerGroup(ks2, "wm", int64(-1), GobCodec[int64]())
+	wm2 := RegisterPerGroup(ks2, "wm", int64(-1), ValueCodec[int64]())
 	for g, blob := range blobs {
 		if err := ks2.RestoreGroup(g, blob); err != nil {
 			t.Fatal(err)
@@ -161,7 +170,7 @@ func TestRescaleRedistribution(t *testing.T) {
 	for s := 0; s < 2; s++ {
 		start, end := GroupRangeFor(numGroups, 2, s)
 		ks := NewKeyedState(numGroups, start, end)
-		cell := RegisterMap(ks, "acc", GobCodec[float64]())
+		cell := RegisterMap(ks, "acc", ValueCodec[float64]())
 		for k := uint64(0); k < 200; k++ {
 			if g := KeyGroupFor(k, numGroups); g >= start && g < end {
 				cell.Put(k, float64(k)*2)
@@ -185,7 +194,7 @@ func TestRescaleRedistribution(t *testing.T) {
 		for s := 0; s < newPar; s++ {
 			start, end := GroupRangeFor(numGroups, newPar, s)
 			ks := NewKeyedState(numGroups, start, end)
-			cell := RegisterMap(ks, "acc", GobCodec[float64]())
+			cell := RegisterMap(ks, "acc", ValueCodec[float64]())
 			for g := start; g < end; g++ {
 				if err := ks.RestoreGroup(g, blobs[g]); err != nil {
 					t.Fatal(err)
@@ -212,18 +221,18 @@ func TestRescaleRedistribution(t *testing.T) {
 
 func TestRestoreRejectsCellMismatch(t *testing.T) {
 	ks := NewKeyedState(2, 0, 2)
-	RegisterMap(ks, "acc", GobCodec[float64]())
+	RegisterMap(ks, "acc", ValueCodec[float64]())
 	blobs, err := ks.Capture().EncodeGroups()
 	if err != nil {
 		t.Fatal(err)
 	}
 	ks2 := NewKeyedState(2, 0, 2)
-	RegisterMap(ks2, "other", GobCodec[float64]())
+	RegisterMap(ks2, "other", ValueCodec[float64]())
 	if err := ks2.RestoreGroup(0, blobs[0]); err == nil {
 		t.Fatalf("restore with renamed cell must fail")
 	}
 	ks3 := NewKeyedState(2, 0, 1)
-	RegisterMap(ks3, "acc", GobCodec[float64]())
+	RegisterMap(ks3, "acc", ValueCodec[float64]())
 	if err := ks3.RestoreGroup(1, blobs[1]); err == nil {
 		t.Fatalf("restore of un-owned group must fail")
 	}
@@ -232,7 +241,7 @@ func TestRestoreRejectsCellMismatch(t *testing.T) {
 func TestGroupBlobsAreDeterministic(t *testing.T) {
 	build := func() *Captured {
 		ks := NewKeyedState(1, 0, 1)
-		cell := RegisterMap(ks, "acc", GobCodec[float64]())
+		cell := RegisterMap(ks, "acc", ValueCodec[float64]())
 		// Insertion order differs; blobs must not.
 		for _, k := range []uint64{5, 1, 9, 3} {
 			cell.Put(k, float64(k))
@@ -259,7 +268,7 @@ func TestGroupBlobsAreDeterministic(t *testing.T) {
 // clone before in-place mutation reaches the shared array.
 func TestPutAliasedValueDoesNotGrantPrivacy(t *testing.T) {
 	ks := NewKeyedState(1, 0, 1)
-	cell := RegisterMap(ks, "buf", SliceCodec[int]())
+	cell := RegisterMap(ks, "buf", intSlices())
 	s := make([]int, 1, 4)
 	s[0] = 30
 	cell.Put(1, s)
@@ -276,7 +285,7 @@ func TestPutAliasedValueDoesNotGrantPrivacy(t *testing.T) {
 	captured.Release()
 
 	ks2 := NewKeyedState(1, 0, 1)
-	cell2 := RegisterMap(ks2, "buf", SliceCodec[int]())
+	cell2 := RegisterMap(ks2, "buf", intSlices())
 	if err := ks2.RestoreGroup(0, blob); err != nil {
 		t.Fatal(err)
 	}

@@ -7,7 +7,7 @@ import "testing"
 // observes it.
 func TestKeyRefMatchesCellAccess(t *testing.T) {
 	ks := NewKeyedState(8, 0, 8)
-	cell := RegisterMap(ks, "acc", GobCodec[float64]())
+	cell := RegisterMap(ks, "acc", ValueCodec[float64]())
 	ref := cell.RefFor(5)
 	if _, ok := ref.Get(); ok {
 		t.Fatalf("ref saw a value in an empty cell")
@@ -33,7 +33,7 @@ func TestKeyRefMatchesCellAccess(t *testing.T) {
 // must never see their later mutations.
 func TestKeyRefClonesDuringCapture(t *testing.T) {
 	ks := NewKeyedState(4, 0, 4)
-	cell := RegisterMap(ks, "buf", SliceCodec[int]())
+	cell := RegisterMap(ks, "buf", intSlices())
 	ref := cell.RefFor(1)
 	ref.Put([]int{1, 2, 3})
 
@@ -59,7 +59,7 @@ func TestKeyRefClonesDuringCapture(t *testing.T) {
 		t.Fatal(err)
 	}
 	ks2 := NewKeyedState(4, 0, 4)
-	cell2 := RegisterMap(ks2, "buf", SliceCodec[int]())
+	cell2 := RegisterMap(ks2, "buf", intSlices())
 	for group, blob := range blobs {
 		if err := ks2.RestoreGroup(group, blob); err != nil {
 			t.Fatal(err)

@@ -29,18 +29,24 @@
 //
 // A Backend persists completed snapshots — a consistent bundle of
 // per-subtask blobs (sources, non-keyed operator state) and per-key-group
-// blobs (keyed state) — either in memory (tests, benches) or on disk (gob
-// files), and serves the most recent readable one for recovery.
+// blobs (keyed state) — either in memory (tests, benches) or on disk (one
+// checksummed file per checkpoint, see FileBackend), and serves the most
+// recent readable one for recovery.
 package state
 
 import (
-	"bytes"
-	"encoding/gob"
+	"bufio"
+	"cmp"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 )
 
@@ -208,11 +214,39 @@ func (m *MemoryBackend) Load(id int64) (*Snapshot, error) {
 	return s, nil
 }
 
-// FileBackend persists each snapshot as a gob file in a directory.
+// FileBackend persists each snapshot as one file in a directory, in
+// checkpoint file format version 1:
+//
+//	magic      "STREAMLINE-CKPT\n"
+//	version    uvarint, 1
+//	id         varint checkpoint id, then uvarint NumKeyGroups
+//	entries    uvarint count, then per entry in (operator, subtask) order:
+//	           varint operator, varint subtask, uvarint length, the blob
+//	groups     the same for the key-group blobs, in (operator, group) order
+//	trailer    CRC-32C of every byte before it, 4 bytes little-endian
+//
+// A file is written to a temporary name, synced, renamed into place and its
+// directory synced, so a checkpoint Persist returned from survives a
+// machine crash; a torn or corrupted file fails its checksum and Latest
+// falls back to an older one. Files of the gob format this one replaced
+// (chk-*.gob) are refused with ErrOlderFormat: there is no converter.
 type FileBackend struct {
 	dir string
 	mu  sync.Mutex
 }
+
+// ErrOlderFormat is the error of a checkpoint file written in a format
+// before the current version; it cannot be restored.
+var ErrOlderFormat = errors.New("older checkpoint format")
+
+const (
+	fileMagic   = "STREAMLINE-CKPT\n"
+	fileVersion = 1
+	fileExt     = ".ckpt"
+	gobFileExt  = ".gob" // the format before version 1
+)
+
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // NewFileBackend returns a backend writing to dir, creating it if needed.
 func NewFileBackend(dir string) (*FileBackend, error) {
@@ -222,53 +256,103 @@ func NewFileBackend(dir string) (*FileBackend, error) {
 	return &FileBackend{dir: dir}, nil
 }
 
-type fileSnapshot struct {
-	CheckpointID int64
-	NumKeyGroups int
-	Keys         []SubtaskKey
-	Blobs        [][]byte
-	GroupKeys    []GroupKey
-	GroupBlobs   [][]byte
-}
-
 func (f *FileBackend) path(id int64) string {
-	return filepath.Join(f.dir, fmt.Sprintf("chk-%012d.gob", id))
+	return filepath.Join(f.dir, fmt.Sprintf("chk-%012d%s", id, fileExt))
 }
 
-// Persist implements Backend.
+// Persist implements Backend: the file is streamed to disk, and durable
+// when Persist returns nil.
 func (f *FileBackend) Persist(snap *Snapshot) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	fs := fileSnapshot{CheckpointID: snap.CheckpointID, NumKeyGroups: snap.NumKeyGroups}
-	for k, b := range snap.Entries {
-		fs.Keys = append(fs.Keys, k)
-		fs.Blobs = append(fs.Blobs, b)
+	final := f.path(snap.CheckpointID)
+	tmp := final + ".tmp"
+	if err := writeFile(tmp, snap); err != nil {
+		os.Remove(tmp)
+		return fmt.Errorf("state: write checkpoint %d: %w", snap.CheckpointID, err)
 	}
-	for k, b := range snap.Groups {
-		fs.GroupKeys = append(fs.GroupKeys, k)
-		fs.GroupBlobs = append(fs.GroupBlobs, b)
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(fs); err != nil {
-		return fmt.Errorf("state: encode checkpoint %d: %w", snap.CheckpointID, err)
-	}
-	tmp := f.path(snap.CheckpointID) + ".tmp"
-	if err := os.WriteFile(tmp, buf.Bytes(), 0o644); err != nil {
+	if err := os.Rename(tmp, final); err != nil {
 		return err
 	}
-	return os.Rename(tmp, f.path(snap.CheckpointID))
+	dir, err := os.Open(f.dir)
+	if err != nil {
+		return err
+	}
+	err = dir.Sync()
+	if cerr := dir.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}
+
+// writeFile streams snap into a new file at path and syncs it.
+func writeFile(path string, snap *Snapshot) error {
+	file, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	defer file.Close()
+	if err := writeSnapshot(file, snap); err != nil {
+		return err
+	}
+	if err := file.Sync(); err != nil {
+		return err
+	}
+	return file.Close()
+}
+
+// writeSnapshot streams snap's file bytes to w through one buffer; no
+// whole-snapshot copy is built.
+func writeSnapshot(w io.Writer, snap *Snapshot) error {
+	crc := crc32.New(castagnoli)
+	bw := bufio.NewWriterSize(io.MultiWriter(w, crc), 64<<10)
+	hdr := binary.AppendUvarint([]byte(fileMagic), fileVersion)
+	hdr = binary.AppendVarint(hdr, snap.CheckpointID)
+	bw.Write(binary.AppendUvarint(hdr, uint64(snap.NumKeyGroups)))
+	writeBlobs(bw, snap.Entries, func(k SubtaskKey) (int, int) { return k.OperatorID, k.Subtask })
+	writeBlobs(bw, snap.Groups, func(k GroupKey) (int, int) { return k.OperatorID, k.KeyGroup })
+	if err := bw.Flush(); err != nil {
+		return err
+	}
+	_, err := w.Write(binary.LittleEndian.AppendUint32(nil, crc.Sum32()))
+	return err
+}
+
+// writeBlobs writes a count and the blobs of m in the order of their keys'
+// (a, b) ids; w keeps the first write error for Flush to return.
+func writeBlobs[K comparable](w *bufio.Writer, m map[K][]byte, ids func(K) (int, int)) {
+	keys := make([]K, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	slices.SortFunc(keys, func(x, y K) int {
+		xa, xb := ids(x)
+		ya, yb := ids(y)
+		return cmp.Or(cmp.Compare(xa, ya), cmp.Compare(xb, yb))
+	})
+	var hdr [3 * binary.MaxVarintLen64]byte
+	w.Write(binary.AppendUvarint(hdr[:0], uint64(len(keys))))
+	for _, k := range keys {
+		a, b := ids(k)
+		blob := m[k]
+		w.Write(binary.AppendUvarint(binary.AppendVarint(binary.AppendVarint(hdr[:0], int64(a)), int64(b)), uint64(len(blob))))
+		w.Write(blob)
+	}
 }
 
 // Latest implements Backend: it walks the snapshot files newest-first and
 // returns the first one that reads and decodes cleanly. Corrupt newer files
 // are skipped — recovery falls back to the most recent *readable*
 // checkpoint instead of silently restarting from scratch — and the
-// corruption is surfaced through the error alongside the result.
+// corruption is surfaced through the error alongside the result. Files of an
+// older format are looked at only when no current one reads: a directory
+// holding only those restores nothing and says why, while one a job has
+// checkpointed into since restores its own checkpoints whatever their ids.
 func (f *FileBackend) Latest() (*Snapshot, bool, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	matches, err := filepath.Glob(filepath.Join(f.dir, "chk-*.gob"))
-	if err != nil || len(matches) == 0 {
+	matches, err := filepath.Glob(filepath.Join(f.dir, "chk-*"+fileExt))
+	if err != nil {
 		return nil, false, err
 	}
 	sort.Strings(matches)
@@ -281,6 +365,18 @@ func (f *FileBackend) Latest() (*Snapshot, bool, error) {
 		}
 		return snap, true, errors.Join(corrupt...)
 	}
+	older, err := filepath.Glob(filepath.Join(f.dir, "chk-*"+gobFileExt))
+	if err != nil {
+		return nil, false, err
+	}
+	if len(older) > 0 {
+		sort.Strings(older)
+		_, err := f.read(older[len(older)-1])
+		corrupt = append(corrupt, err)
+	}
+	if len(corrupt) == 0 {
+		return nil, false, nil
+	}
 	return nil, false, fmt.Errorf("state: no readable snapshot in %s: %w", f.dir, errors.Join(corrupt...))
 }
 
@@ -292,21 +388,85 @@ func (f *FileBackend) Load(id int64) (*Snapshot, error) {
 }
 
 func (f *FileBackend) read(path string) (*Snapshot, error) {
+	if strings.HasSuffix(path, gobFileExt) {
+		return nil, fmt.Errorf("state: %s: %w (gob, before format version %d); it cannot be restored, there is no converter", path, ErrOlderFormat, fileVersion)
+	}
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("state: read %s: %w", path, err)
 	}
-	var fs fileSnapshot
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&fs); err != nil {
-		return nil, fmt.Errorf("state: decode %s: %w", path, err)
-	}
-	snap := NewSnapshot(fs.CheckpointID)
-	snap.NumKeyGroups = fs.NumKeyGroups
-	for i, k := range fs.Keys {
-		snap.Put(k, fs.Blobs[i])
-	}
-	for i, k := range fs.GroupKeys {
-		snap.PutGroup(k, fs.GroupBlobs[i])
+	snap, err := decodeFile(data)
+	if err != nil {
+		return nil, fmt.Errorf("state: %s: %w", path, err)
 	}
 	return snap, nil
+}
+
+// decodeFile parses a checkpoint file after checking its checksum. The
+// snapshot's blobs are slices of data; an empty blob reads back as nil.
+func decodeFile(data []byte) (*Snapshot, error) {
+	if len(data) < len(fileMagic)+4 {
+		return nil, fmt.Errorf("truncated checkpoint file (%d bytes)", len(data))
+	}
+	if string(data[:len(fileMagic)]) != fileMagic {
+		return nil, errors.New("not a checkpoint file (no header)")
+	}
+	body := data[:len(data)-4]
+	if crc32.Checksum(body, castagnoli) != binary.LittleEndian.Uint32(data[len(body):]) {
+		return nil, errors.New("checksum mismatch: the file is torn or corrupt")
+	}
+	b := body[len(fileMagic):]
+	version, b, err := ReadUvarint(b)
+	if err != nil {
+		return nil, err
+	}
+	if version != fileVersion {
+		return nil, fmt.Errorf("checkpoint format version %d, this build reads version %d", version, fileVersion)
+	}
+	id, b, err := ReadVarint(b)
+	if err != nil {
+		return nil, err
+	}
+	numGroups, b, err := ReadUvarint(b)
+	if err != nil {
+		return nil, err
+	}
+	snap := &Snapshot{CheckpointID: id, NumKeyGroups: int(numGroups)}
+	if snap.Entries, b, err = readBlobs(b, func(a, b int) SubtaskKey { return SubtaskKey{a, b} }); err != nil {
+		return nil, fmt.Errorf("entries: %w", err)
+	}
+	if snap.Groups, b, err = readBlobs(b, func(a, b int) GroupKey { return GroupKey{a, b} }); err != nil {
+		return nil, fmt.Errorf("groups: %w", err)
+	}
+	if len(b) != 0 {
+		return nil, fmt.Errorf("%d trailing bytes", len(b))
+	}
+	return snap, nil
+}
+
+// readBlobs reads what writeBlobs wrote.
+func readBlobs[K comparable](b []byte, key func(a, b int) K) (map[K][]byte, []byte, error) {
+	n, b, err := ReadCount(b, 3)
+	if err != nil {
+		return nil, b, err
+	}
+	m := make(map[K][]byte, n)
+	for i := 0; i < n; i++ {
+		var a, c int64
+		var blob []byte
+		if a, b, err = ReadVarint(b); err != nil {
+			return nil, b, err
+		}
+		if c, b, err = ReadVarint(b); err != nil {
+			return nil, b, err
+		}
+		if blob, b, err = ReadBytes(b); err != nil {
+			return nil, b, err
+		}
+		if len(blob) == 0 {
+			blob = nil
+		}
+		m[key(int(a), int(c))] = blob
+	}
+	return m, b, nil
 }

@@ -2,7 +2,14 @@ package state
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"hash/crc32"
 	"os"
+	"path/filepath"
+	"reflect"
+	goruntime "runtime"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -190,6 +197,12 @@ func TestFileBackendGroupRoundTrip(t *testing.T) {
 	if len(groups) != 2 || !bytes.Equal(groups[3], []byte("g3")) {
 		t.Fatalf("GroupsOf = %v", groups)
 	}
+	// The blobs share the file's buffer; an append to one must not write
+	// over the next.
+	_ = append(groups[3], "XXXXXXXX"...)
+	if !bytes.Equal(groups[9], []byte("g9")) {
+		t.Fatalf("appending to group 3's blob overwrote group 9's: %q", groups[9])
+	}
 }
 
 // TestMemoryBackendRetainConcurrent hammers Persist and Latest from
@@ -241,4 +254,141 @@ func TestMemoryBackendRetainConcurrent(t *testing.T) {
 	if _, err := b.Load(198); err == nil {
 		t.Fatalf("retention kept more than 2 snapshots")
 	}
+}
+
+// TestFileBackendLatestSkipsTornFile: a newest file cut short or with one bit
+// flipped — what a crash or a bad disk leaves — fails its checksum, and Latest
+// returns the checkpoint before it.
+func TestFileBackendLatestSkipsTornFile(t *testing.T) {
+	for name, tear := range map[string]func([]byte) []byte{
+		"truncated":   func(b []byte) []byte { return b[:len(b)-7] },
+		"bit flipped": func(b []byte) []byte { b[len(b)/2] ^= 0x10; return b },
+	} {
+		b, err := NewFileBackend(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for id := int64(1); id <= 2; id++ {
+			s := sample(id)
+			s.PutGroup(GroupKey{OperatorID: 4, KeyGroup: 1}, bytes.Repeat([]byte{byte(id)}, 100))
+			if err := b.Persist(s); err != nil {
+				t.Fatal(err)
+			}
+		}
+		data, err := os.ReadFile(b.path(2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(b.path(2), tear(data), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		snap, ok, err := b.Latest()
+		if !ok || snap.CheckpointID != 1 {
+			t.Fatalf("%s: Latest = %+v, %v, want checkpoint 1", name, snap, ok)
+		}
+		if err == nil || !strings.Contains(err.Error(), "checksum") {
+			t.Fatalf("%s: Latest error = %v, want a checksum error", name, err)
+		}
+	}
+}
+
+// TestFileBackendRefusesOlderFormat: a gob-era checkpoint file is refused
+// with ErrOlderFormat, so a directory holding only such files restores
+// nothing and says why; a current-format checkpoint beside it restores
+// cleanly, though the leftover's id is higher — a job started fresh after
+// an upgrade numbers its checkpoints from 1 again.
+func TestFileBackendRefusesOlderFormat(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "chk-000000000009.gob"), []byte{0x0f, 0xff, 0x81}, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	b, err := NewFileBackend(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap, ok, err := b.Latest(); ok || snap != nil || !errors.Is(err, ErrOlderFormat) {
+		t.Fatalf("gob-era dir: Latest = %v, %v, %v; want no snapshot and ErrOlderFormat", snap, ok, err)
+	}
+	if err := b.Persist(sample(3)); err != nil {
+		t.Fatal(err)
+	}
+	if snap, ok, err := b.Latest(); !ok || snap.CheckpointID != 3 || err != nil {
+		t.Fatalf("mixed dir: Latest = %v, %v, %v; want checkpoint 3 and no error", snap, ok, err)
+	}
+}
+
+// TestFileBackendEmptyBlobReadsNil: an empty blob reads back as nil, as it
+// does from a MemoryBackend that was handed nil — a keyed operator takes any
+// non-nil per-subtask blob for keyed state of the pre-key-group format.
+func TestFileBackendEmptyBlobReadsNil(t *testing.T) {
+	b, err := NewFileBackend(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := NewSnapshot(1)
+	s.Put(SubtaskKey{OperatorID: 2, Subtask: 0}, nil)
+	s.Put(SubtaskKey{OperatorID: 2, Subtask: 1}, []byte{})
+	if err := b.Persist(s); err != nil {
+		t.Fatal(err)
+	}
+	got, err := b.Load(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got.Entries) != 2 || got.Get(SubtaskKey{2, 0}) != nil || got.Get(SubtaskKey{2, 1}) != nil {
+		t.Fatalf("entries = %#v, want two nil blobs", got.Entries)
+	}
+}
+
+// FuzzCheckpointFile parses arbitrary file bytes, as they are and with a valid
+// checksum appended so the parser behind the check is reached: an error or a
+// snapshot, never a panic, and never an allocation beyond a bound
+// proportional to the input. A snapshot that parses writes a file that parses
+// to the same snapshot.
+func FuzzCheckpointFile(f *testing.F) {
+	b, err := NewFileBackend(f.TempDir())
+	if err != nil {
+		f.Fatal(err)
+	}
+	s := sample(4)
+	s.NumKeyGroups = 128
+	s.Put(SubtaskKey{OperatorID: 3, Subtask: 1}, nil)
+	s.PutGroup(GroupKey{OperatorID: 5, KeyGroup: 17}, []byte("group"))
+	for _, snap := range []*Snapshot{NewSnapshot(1), s} {
+		if err := b.Persist(snap); err != nil {
+			f.Fatal(err)
+		}
+		data, err := os.ReadFile(b.path(snap.CheckpointID))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+		f.Add(data[:len(data)-4])
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		sum := binary.LittleEndian.AppendUint32(nil, crc32.Checksum(data, castagnoli))
+		for _, in := range [][]byte{data, append(bytes.Clone(data), sum...)} {
+			var before, after goruntime.MemStats
+			goruntime.ReadMemStats(&before)
+			snap, err := decodeFile(in)
+			goruntime.ReadMemStats(&after)
+			if got, bound := after.TotalAlloc-before.TotalAlloc, uint64(64<<10+64*len(in)); got > bound {
+				t.Fatalf("parsing %d bytes allocated %d, bound %d", len(in), got, bound)
+			}
+			if err != nil {
+				continue
+			}
+			var file bytes.Buffer
+			if err := writeSnapshot(&file, snap); err != nil {
+				t.Fatal(err)
+			}
+			again, err := decodeFile(file.Bytes())
+			if err != nil {
+				t.Fatalf("a parsed snapshot does not read back: %v", err)
+			}
+			if !reflect.DeepEqual(again, snap) {
+				t.Fatalf("read back %+v, want %+v", again, snap)
+			}
+		}
+	})
 }

@@ -5,12 +5,14 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/gob"
+	"errors"
 	"fmt"
 	"io"
 	"math"
 	"slices"
 
 	"repro/internal/dataflow"
+	"repro/internal/state"
 )
 
 // A wire batch is one []Record packed into bytes by hand. Letting gob
@@ -180,164 +182,128 @@ func appendBatch(buf []byte, recs []dataflow.Record) ([]byte, error) {
 // allocates in proportion to len(data), whatever record count the batch
 // claims.
 func decodeBatch(data []byte, out []dataflow.Record) ([]dataflow.Record, error) {
-	n, off, err := readUvarint(data, 0)
+	n, b, err := state.ReadCount(data, minRecordSize)
 	if err != nil {
-		return out, err
+		return out, fmt.Errorf("wire batch: %w", err)
 	}
-	if n > uint64(len(data)-off)/minRecordSize {
-		return out, fmt.Errorf("wire batch: %d records cannot fit in %d bytes", n, len(data)-off)
-	}
-	out = slices.Grow(out, int(n))
-	for i := uint64(0); i < n; i++ {
+	out = slices.Grow(out, n)
+	for i := 0; i < n; i++ {
 		var r dataflow.Record
-		if off >= len(data) {
+		if len(b) == 0 {
 			return out, fmt.Errorf("wire batch: truncated at record %d", i)
 		}
-		if r.Kind = dataflow.Kind(data[off]); r.Kind > dataflow.KindFlush {
+		if r.Kind = dataflow.Kind(b[0]); r.Kind > dataflow.KindFlush {
 			return out, fmt.Errorf("wire batch: unknown record kind %d at record %d", r.Kind, i)
 		}
-		off++
-		var ts int64
-		if ts, off, err = readVarint(data, off); err != nil {
-			return out, err
+		if r.Ts, b, err = state.ReadVarint(b[1:]); err != nil {
+			return out, fmt.Errorf("wire batch: timestamp of record %d: %w", i, err)
 		}
-		r.Ts = ts
-		var key uint64
-		if key, off, err = readUvarint(data, off); err != nil {
-			return out, err
+		if r.Key, b, err = state.ReadUvarint(b); err != nil {
+			return out, fmt.Errorf("wire batch: key of record %d: %w", i, err)
 		}
-		r.Key = key
-		if off >= len(data) {
+		if len(b) == 0 {
 			return out, fmt.Errorf("wire batch: truncated payload tag at record %d", i)
 		}
-		tag := data[off]
-		off++
+		tag := b[0]
+		b = b[1:]
 		switch tag {
 		case pNil:
 		case pFloat64:
-			var bits uint64
-			if bits, off, err = readFixed64(data, off); err != nil {
+			var v float64
+			if v, b, err = readFloat(b); err != nil {
 				return out, err
 			}
-			r.Value = math.Float64frombits(bits)
+			r.Value = v
 		case pInt64:
 			var v int64
-			if v, off, err = readVarint(data, off); err != nil {
-				return out, err
+			if v, b, err = state.ReadVarint(b); err != nil {
+				return out, fmt.Errorf("wire batch: record %d: %w", i, err)
 			}
 			r.Value = v
 		case pInt:
 			var v int64
-			if v, off, err = readVarint(data, off); err != nil {
-				return out, err
+			if v, b, err = state.ReadVarint(b); err != nil {
+				return out, fmt.Errorf("wire batch: record %d: %w", i, err)
 			}
 			r.Value = int(v)
 		case pUint64:
 			var v uint64
-			if v, off, err = readUvarint(data, off); err != nil {
-				return out, err
+			if v, b, err = state.ReadUvarint(b); err != nil {
+				return out, fmt.Errorf("wire batch: record %d: %w", i, err)
 			}
 			r.Value = v
 		case pString:
-			var ln uint64
-			if ln, off, err = readUvarint(data, off); err != nil {
-				return out, err
+			var p []byte
+			if p, b, err = state.ReadBytes(b); err != nil {
+				return out, fmt.Errorf("wire batch: string at record %d: %w", i, err)
 			}
-			if uint64(len(data)-off) < ln {
-				return out, fmt.Errorf("wire batch: truncated string at record %d", i)
-			}
-			r.Value = string(data[off : off+int(ln)])
-			off += int(ln)
+			r.Value = string(p)
 		case pBool:
-			if off >= len(data) {
+			if len(b) == 0 {
 				return out, fmt.Errorf("wire batch: truncated bool at record %d", i)
 			}
-			r.Value = data[off] != 0
-			off++
+			r.Value = b[0] != 0
+			b = b[1:]
 		case pWindowResult:
 			var w dataflow.WindowResult
 			var v int64
-			if v, off, err = readVarint(data, off); err != nil {
-				return out, err
+			if v, b, err = state.ReadVarint(b); err != nil {
+				return out, fmt.Errorf("wire batch: record %d: %w", i, err)
 			}
 			w.QueryID = int(v)
-			if w.Start, off, err = readVarint(data, off); err != nil {
+			if w.Start, b, err = state.ReadVarint(b); err != nil {
+				return out, fmt.Errorf("wire batch: record %d: %w", i, err)
+			}
+			if w.End, b, err = state.ReadVarint(b); err != nil {
+				return out, fmt.Errorf("wire batch: record %d: %w", i, err)
+			}
+			if w.Value, b, err = readFloat(b); err != nil {
 				return out, err
 			}
-			if w.End, off, err = readVarint(data, off); err != nil {
-				return out, err
-			}
-			var bits uint64
-			if bits, off, err = readFixed64(data, off); err != nil {
-				return out, err
-			}
-			w.Value = math.Float64frombits(bits)
-			if w.Count, off, err = readVarint(data, off); err != nil {
-				return out, err
+			if w.Count, b, err = state.ReadVarint(b); err != nil {
+				return out, fmt.Errorf("wire batch: record %d: %w", i, err)
 			}
 			r.Value = w
 		case pJoinedPair:
 			var j dataflow.JoinedPair
-			if j.WindowStart, off, err = readVarint(data, off); err != nil {
+			if j.WindowStart, b, err = state.ReadVarint(b); err != nil {
+				return out, fmt.Errorf("wire batch: record %d: %w", i, err)
+			}
+			if j.WindowEnd, b, err = state.ReadVarint(b); err != nil {
+				return out, fmt.Errorf("wire batch: record %d: %w", i, err)
+			}
+			if j.Left, b, err = readFloat(b); err != nil {
 				return out, err
 			}
-			if j.WindowEnd, off, err = readVarint(data, off); err != nil {
+			if j.Right, b, err = readFloat(b); err != nil {
 				return out, err
 			}
-			var bits uint64
-			if bits, off, err = readFixed64(data, off); err != nil {
-				return out, err
-			}
-			j.Left = math.Float64frombits(bits)
-			if bits, off, err = readFixed64(data, off); err != nil {
-				return out, err
-			}
-			j.Right = math.Float64frombits(bits)
 			r.Value = j
 		case pGob:
-			var ln uint64
-			if ln, off, err = readUvarint(data, off); err != nil {
-				return out, err
-			}
-			if uint64(len(data)-off) < ln {
-				return out, fmt.Errorf("wire batch: truncated gob payload at record %d", i)
+			var p []byte
+			if p, b, err = state.ReadBytes(b); err != nil {
+				return out, fmt.Errorf("wire batch: gob payload at record %d: %w", i, err)
 			}
 			var v any
-			if err := gob.NewDecoder(bytes.NewReader(data[off : off+int(ln)])).Decode(&v); err != nil {
+			if err := gob.NewDecoder(bytes.NewReader(p)).Decode(&v); err != nil {
 				return out, fmt.Errorf("wire batch: decode gob payload: %w", err)
 			}
 			r.Value = v
-			off += int(ln)
 		default:
 			return out, fmt.Errorf("wire batch: unknown payload tag %d at record %d", tag, i)
 		}
 		out = append(out, r)
 	}
-	if off != len(data) {
-		return out, fmt.Errorf("wire batch: %d trailing bytes", len(data)-off)
+	if len(b) != 0 {
+		return out, fmt.Errorf("wire batch: %d trailing bytes", len(b))
 	}
 	return out, nil
 }
 
-func readUvarint(data []byte, off int) (uint64, int, error) {
-	v, n := binary.Uvarint(data[off:])
-	if n <= 0 {
-		return 0, off, fmt.Errorf("wire batch: bad uvarint at offset %d", off)
+// readFloat decodes a little-endian float64 from the front of b.
+func readFloat(b []byte) (float64, []byte, error) {
+	if len(b) < 8 {
+		return 0, b, errors.New("wire batch: truncated float64")
 	}
-	return v, off + n, nil
-}
-
-func readVarint(data []byte, off int) (int64, int, error) {
-	v, n := binary.Varint(data[off:])
-	if n <= 0 {
-		return 0, off, fmt.Errorf("wire batch: bad varint at offset %d", off)
-	}
-	return v, off + n, nil
-}
-
-func readFixed64(data []byte, off int) (uint64, int, error) {
-	if len(data)-off < 8 {
-		return 0, off, fmt.Errorf("wire batch: truncated fixed64 at offset %d", off)
-	}
-	return binary.LittleEndian.Uint64(data[off : off+8]), off + 8, nil
+	return math.Float64frombits(binary.LittleEndian.Uint64(b)), b[8:], nil
 }

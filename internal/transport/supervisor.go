@@ -169,9 +169,12 @@ func (s *Supervisor) Run(ctx context.Context) error {
 	var failedAt time.Time
 	for attempt := 0; ; attempt++ {
 		// Each recovery resumes from the newest completed checkpoint —
-		// possibly one persisted by the attempt that just failed.
+		// possibly one persisted by the attempt that just failed. A
+		// backend that skipped unreadable newer files still returns the
+		// newest readable one, with their errors beside it; that one is
+		// resumed from, not a restart from scratch.
 		if attempt > 0 && s.cfg.Backend != nil {
-			if snap, ok, err := s.cfg.Backend.Latest(); err == nil && ok {
+			if snap, ok, _ := s.cfg.Backend.Latest(); ok {
 				restore = snap
 			}
 		}

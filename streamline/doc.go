@@ -225,7 +225,7 @@
 //	// Recovery: rebuild the identical pipeline at parallelism 4 and
 //	// resume from the latest readable on-disk snapshot.
 //	backend, _ = streamline.NewFileBackend("/var/lib/job/checkpoints")
-//	snap, ok, err := backend.Latest() // err surfaces skipped corrupt files
+//	snap, ok, err := backend.Latest() // err surfaces skipped corrupt files, or older-format ones if nothing reads
 //	env = streamline.New(streamline.WithParallelism(4),
 //		streamline.WithCheckpointing(backend, time.Second))
 //	buildPipeline(env)

@@ -5,6 +5,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -87,15 +89,49 @@ func (b *countingBackend) Persist(snap *streamline.Snapshot) error {
 	return err
 }
 
+// skippingBackend reports, beside every Latest it returns, that it skipped
+// an unreadable newer checkpoint — what a FileBackend does past a torn file.
+type skippingBackend struct{ streamline.Backend }
+
+func (b skippingBackend) Latest() (*streamline.Snapshot, bool, error) {
+	snap, ok, err := b.Backend.Latest()
+	return snap, ok, errors.Join(err, errors.New("skipped an unreadable newer checkpoint"))
+}
+
 // TestExecuteSupervisedLocalRecoversExactlyOnce: Execute under
 // WithSupervision with zero workers restores from the newest checkpoint and
 // re-executes in-process; the Collect sink must roll back to its
 // checkpointed length so every source position lands in the output exactly
 // once despite two mid-stream failures, and CompletedCheckpoints counts the
-// checkpoints of every attempt.
+// checkpoints of every attempt. Both restarts must resume from a checkpoint
+// also when the backend skipped a newer unreadable one on the way, and when
+// the checkpoint directory still holds a file of the older format with an
+// id above any the job reaches.
 func TestExecuteSupervisedLocalRecoversExactlyOnce(t *testing.T) {
+	for name, backend := range map[string]func(t *testing.T) streamline.Backend{
+		"memory": func(*testing.T) streamline.Backend { return streamline.NewMemoryBackend(0) },
+		"skipped newer checkpoint": func(*testing.T) streamline.Backend {
+			return skippingBackend{streamline.NewMemoryBackend(0)}
+		},
+		"file beside older format": func(t *testing.T) streamline.Backend {
+			dir := t.TempDir()
+			if err := os.WriteFile(filepath.Join(dir, "chk-000000000099.gob"), []byte{0x0f, 0xff, 0x81}, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			b, err := streamline.NewFileBackend(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return b
+		},
+	} {
+		t.Run(name, func(t *testing.T) { recoversExactlyOnce(t, backend(t)) })
+	}
+}
+
+func recoversExactlyOnce(t *testing.T, b streamline.Backend) {
 	const total, failAt = 800, 600
-	backend := &countingBackend{Backend: streamline.NewMemoryBackend(0)}
+	backend := &countingBackend{Backend: b}
 	var attempts atomic.Int32
 	src := &flakySource{total: total, failAt: failAt, failures: 2, attempts: &attempts, backend: backend}
 
