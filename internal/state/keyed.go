@@ -143,20 +143,21 @@ type keyedCell interface {
 // capturedCell is one cell's frozen view inside a Captured snapshot.
 type capturedCell interface {
 	// appendGroup appends the cell's section of one group's blob to b.
-	appendGroup(b []byte, group int, e *blobEncoder) ([]byte, error)
+	appendGroup(b []byte, group int) ([]byte, error)
 }
 
 // ---- MapCell ---------------------------------------------------------------
 
-// mapGroup is one key group of a MapCell. frozen marks the map as shared
-// with an in-flight capture: the next mutation clones it first. dirty lists
-// the keys whose values GetMut has cloned since the last capture — provably
-// un-aliased private copies — so in-place mutation clones each value at
-// most once per capture. Only GetMut's clone may mark a key dirty: a value
-// stored with Put can alias captured memory (an appended slice shares its
-// backing array with the captured header).
+// mapGroup is one key group of a MapCell: its table, and frozen, which
+// marks the table's slots as shared with an in-flight capture, so the next
+// mutation copies the slot slice first. dirty lists the keys whose values
+// GetMut has cloned since the last capture — provably un-aliased private
+// copies — so in-place mutation clones each value at most once per capture.
+// Only GetMut's clone may mark a key dirty: a value stored with Put can
+// alias captured memory (an appended slice shares its backing array with the
+// captured header).
 type mapGroup[V any] struct {
-	m      map[uint64]V
+	tab    table[V]
 	frozen bool
 	dirty  map[uint64]struct{}
 }
@@ -188,19 +189,17 @@ func (c *MapCell[V]) group(key uint64) *mapGroup[V] {
 	return &c.groups[c.ks.groupIndex(key)]
 }
 
-// thaw makes the group's map privately mutable. If a capture may still be
-// serializing (ks.active > 0) the map is cloned; once the capture has landed
-// the shared reference is gone and the map can be reused as-is.
+// thaw makes the group's table privately mutable. If a capture may still be
+// serializing (ks.active > 0) the slot slice is copied — one allocation and
+// a memory copy that keeps every key at its slot index; once the capture
+// has landed nothing else reads the slots and they are reused as they are.
+// The rest of the table header was copied by the capture itself.
 func (c *MapCell[V]) thaw(g *mapGroup[V]) {
 	if !g.frozen {
 		return
 	}
 	if c.ks.active.Load() > 0 {
-		m := make(map[uint64]V, len(g.m))
-		for k, v := range g.m {
-			m[k] = v
-		}
-		g.m = m
+		g.tab.slots = slices.Clone(g.tab.slots)
 	}
 	g.frozen = false
 }
@@ -219,34 +218,33 @@ func (c *MapCell[V]) markDirty(g *mapGroup[V], key uint64) {
 // Get returns the value stored under key. The value must not be mutated in
 // place — use GetMut for that.
 func (c *MapCell[V]) Get(key uint64) (V, bool) {
-	v, ok := c.group(key).m[key]
-	return v, ok
+	return c.group(key).tab.get(key)
 }
 
 // getMutIn is GetMut on an already-resolved group.
 func (c *MapCell[V]) getMutIn(g *mapGroup[V], key uint64) (V, bool) {
-	v, ok := g.m[key]
-	if !ok {
-		return v, false
+	p := g.tab.find(key)
+	if p == nil {
+		var zero V
+		return zero, false
 	}
-	c.thaw(g)
+	if g.frozen {
+		c.thaw(g)
+		p = g.tab.find(key)
+	}
 	if c.codec.Clone != nil && c.ks.active.Load() > 0 {
 		if _, private := g.dirty[key]; !private {
-			v = c.codec.Clone(v)
-			g.m[key] = v
+			*p = c.codec.Clone(*p)
 			c.markDirty(g, key)
 		}
 	}
-	return v, true
+	return *p, true
 }
 
 // putIn is Put on an already-resolved group.
 func (c *MapCell[V]) putIn(g *mapGroup[V], key uint64, v V) {
 	c.thaw(g)
-	if g.m == nil {
-		g.m = make(map[uint64]V)
-	}
-	g.m[key] = v
+	g.tab.put(key, v)
 	// Revoke any privacy granted by an earlier GetMut: the stored value's
 	// provenance is unknown, so the next GetMut must clone again.
 	delete(g.dirty, key)
@@ -274,42 +272,58 @@ func (c *MapCell[V]) Put(key uint64, v V) {
 func (c *MapCell[V]) Delete(key uint64) {
 	g := c.group(key)
 	c.thaw(g)
-	delete(g.m, key)
+	g.tab.delete(key)
 	delete(g.dirty, key)
 }
 
-// KeyRef is a resolved handle to one key's slot in a MapCell: the key-group
-// hash (Hash64 + range check) is paid once at RefFor, and every access
-// through the ref skips it. It is the run-scoped state access of vectorized
-// keyed operators, which touch each distinct key of a contiguous data run a
-// handful of times (load, fold, store) and would otherwise rehash on every
-// touch.
+// KeyRef is a resolved handle to one key in a MapCell: the key-group hash
+// (Hash64 + range check) and the probe for the key's slot are paid once at
+// RefFor, and every access through the ref skips them. It is the run-scoped
+// state access of vectorized keyed operators, which touch each distinct key
+// of a contiguous data run a handful of times (load, fold, store) and would
+// otherwise rehash on every touch.
 //
 // A ref stays valid for the cell's lifetime: groups are laid out once at
-// registration and never move. Every access re-reads the group's frozen
-// flag and the capture counter, so the copy-on-write discipline — thaw on
-// mutation, clone-on-GetMut during a capture window, privacy revocation on
-// Put — is byte-for-byte the MapCell's own; holding a ref across a barrier
-// is safe.
+// registration and never move. The cached slot is only a hint, checked on
+// every use: it is used while it still holds the ref's key and probed for
+// again otherwise (growth moves keys, and a delete can shift another key
+// into it; a thaw's copy keeps them in place). Every access re-reads the
+// group's frozen flag and the capture counter, so the copy-on-write
+// discipline — thaw on mutation, clone-on-GetMut during a capture window,
+// privacy revocation on Put — is byte-for-byte the MapCell's own; holding a
+// ref across a barrier is safe.
 type KeyRef[V any] struct {
-	c   *MapCell[V]
-	g   *mapGroup[V]
-	key uint64
+	c    *MapCell[V]
+	g    *mapGroup[V]
+	key  uint64
+	slot int // the key's slot at RefFor; -1 when the key was absent or 0
 }
 
-// RefFor resolves key's group once and returns the ref. Like every cell
-// access it panics on keys outside the owned range.
+// RefFor resolves key's group and slot once and returns the ref. Like every
+// cell access it panics on keys outside the owned range.
 func (c *MapCell[V]) RefFor(key uint64) KeyRef[V] {
-	return KeyRef[V]{c: c, g: c.group(key), key: key}
+	g := c.group(key)
+	return KeyRef[V]{c: c, g: g, key: key, slot: g.tab.slotOf(key)}
 }
 
 // Key returns the key the ref was resolved for.
 func (r KeyRef[V]) Key() uint64 { return r.key }
 
-// Get is MapCell.Get without the group hash.
+// cached returns the ref's slot while it still holds the ref's key.
+func (r *KeyRef[V]) cached() *slot[V] {
+	if s := r.g.tab.slots; uint(r.slot) < uint(len(s)) && s[r.slot].key == r.key {
+		return &s[r.slot]
+	}
+	return nil
+}
+
+// Get is MapCell.Get without the group hash and, while the cached slot
+// holds the key, without the probe.
 func (r KeyRef[V]) Get() (V, bool) {
-	v, ok := r.g.m[r.key]
-	return v, ok
+	if s := r.cached(); s != nil {
+		return s.val, true
+	}
+	return r.g.tab.get(r.key)
 }
 
 // GetMut is MapCell.GetMut without the group hash: it clones the value when
@@ -318,8 +332,16 @@ func (r KeyRef[V]) GetMut() (V, bool) {
 	return r.c.getMutIn(r.g, r.key)
 }
 
-// Put is MapCell.Put without the group hash.
+// Put is MapCell.Put without the group hash. A value with no Clone written
+// over the key's cached slot in a thawed group is a store and nothing else:
+// no privacy to revoke, no copy to make.
 func (r KeyRef[V]) Put(v V) {
+	if r.c.codec.Clone == nil && !r.g.frozen {
+		if s := r.cached(); s != nil {
+			s.val = v
+			return
+		}
+	}
 	r.c.putIn(r.g, r.key, v)
 }
 
@@ -327,17 +349,17 @@ func (r KeyRef[V]) Put(v V) {
 func (c *MapCell[V]) Len() int {
 	n := 0
 	for i := range c.groups {
-		n += len(c.groups[i].m)
+		n += c.groups[i].tab.len()
 	}
 	return n
 }
 
 // Range calls f for every (key, value) pair, iterating key groups in order
-// (map order within a group). Values are read-only; it stops when f returns
+// (slot order within a group). Values are read-only; it stops when f returns
 // false. The cell must not be mutated during Range.
 func (c *MapCell[V]) Range(f func(key uint64, v V) bool) {
 	for i := range c.groups {
-		for k, v := range c.groups[i].m {
+		for k, v := range c.groups[i].tab.all {
 			if !f(k, v) {
 				return
 			}
@@ -350,7 +372,7 @@ func (c *MapCell[V]) Range(f func(key uint64, v V) bool) {
 func (c *MapCell[V]) SortedKeys() []uint64 {
 	keys := make([]uint64, 0, c.Len())
 	for i := range c.groups {
-		for k := range c.groups[i].m {
+		for k := range c.groups[i].tab.all {
 			keys = append(keys, k)
 		}
 	}
@@ -358,17 +380,21 @@ func (c *MapCell[V]) SortedKeys() []uint64 {
 	return keys
 }
 
-// capturedMap is a MapCell's frozen per-group view.
+// capturedMap is a MapCell's frozen per-group view: a copy of each group's
+// table header, sharing the slots the live groups keep frozen. pairs and tmp
+// are the scratch appendGroup sorts a group's entries in.
 type capturedMap[V any] struct {
 	cell  *MapCell[V]
 	start int
-	maps  []map[uint64]V
+	tabs  []table[V]
+	pairs []slot[V]
+	tmp   []slot[V]
 }
 
 func (c *MapCell[V]) captureCell() capturedCell {
-	cm := &capturedMap[V]{cell: c, start: c.ks.start, maps: make([]map[uint64]V, len(c.groups))}
+	cm := &capturedMap[V]{cell: c, start: c.ks.start, tabs: make([]table[V], len(c.groups))}
 	for i := range c.groups {
-		cm.maps[i] = c.groups[i].m
+		cm.tabs[i] = c.groups[i].tab
 		c.groups[i].frozen = true
 		c.groups[i].dirty = nil
 	}
@@ -377,37 +403,38 @@ func (c *MapCell[V]) captureCell() capturedCell {
 
 // appendGroup writes one group's entries in ascending key order, so a
 // group's section is a deterministic function of its contents.
-func (cm *capturedMap[V]) appendGroup(b []byte, group int, e *blobEncoder) ([]byte, error) {
-	m := cm.maps[group-cm.start]
-	keys := e.keys[:0]
-	for k := range m {
-		keys = append(keys, k)
+func (cm *capturedMap[V]) appendGroup(b []byte, group int) ([]byte, error) {
+	pairs := cm.pairs[:0]
+	for k, v := range cm.tabs[group-cm.start].all {
+		pairs = append(pairs, slot[V]{k, v})
 	}
-	slices.Sort(keys)
-	e.keys = keys
-	b = binary.AppendUvarint(b, uint64(len(keys)))
+	pairs, cm.tmp = sortSlots(pairs, cm.tmp)
+	cm.pairs = pairs
+	b = binary.AppendUvarint(b, uint64(len(pairs)))
 	prev := uint64(0)
-	for _, k := range keys {
-		b = binary.AppendUvarint(b, k-prev)
-		prev = k
+	for _, p := range pairs {
+		b = binary.AppendUvarint(b, p.key-prev)
+		prev = p.key
 	}
 	w := sectionWriter{buf: b}
-	for _, k := range keys {
-		if err := appendValue(&w, &cm.cell.codec, m[k]); err != nil {
-			return w.buf, fmt.Errorf("key %#x: %w", k, err)
+	for _, p := range pairs {
+		if err := appendValue(&w, &cm.cell.codec, p.val); err != nil {
+			return w.buf, fmt.Errorf("key %#x: %w", p.key, err)
 		}
 	}
 	return w.buf, nil
 }
 
+// decodeGroup checks every key of the section before it sizes the group's
+// table for them, then reads the keys a second time beside their values.
 func (c *MapCell[V]) decodeGroup(section []byte, group int) error {
 	n, b, err := ReadCount(section, 1)
 	if err != nil {
 		return err
 	}
-	keys := make([]uint64, n)
+	keys := b
 	var prev uint64
-	for i := range keys {
+	for i := 0; i < n; i++ {
 		var d uint64
 		if d, b, err = ReadUvarint(b); err != nil {
 			return err
@@ -419,19 +446,20 @@ func (c *MapCell[V]) decodeGroup(section []byte, group int) error {
 		if KeyGroupFor(k, c.ks.numGroups) != group {
 			return fmt.Errorf("key %#x does not belong to key group %d", k, group)
 		}
-		keys[i], prev = k, k
+		prev = k
 	}
 	g := &c.groups[group-c.ks.start]
-	if g.m == nil && n > 0 {
-		g.m = make(map[uint64]V, n)
-	}
+	c.thaw(g)
+	g.tab.reserve(g.tab.len() + n)
 	r := sectionReader{buf: b}
-	for _, k := range keys {
+	for k := uint64(0); n > 0; n-- {
+		d, rest, _ := ReadUvarint(keys)
+		keys, k = rest, k+d
 		v, err := readValue(&r, &c.codec)
 		if err != nil {
 			return fmt.Errorf("key %#x: %w", k, err)
 		}
-		g.m[k] = v
+		g.tab.put(k, v)
 	}
 	if len(r.buf) != 0 {
 		return fmt.Errorf("%d trailing bytes", len(r.buf))
@@ -499,7 +527,7 @@ func (c *GroupCell[V]) captureCell() capturedCell {
 	return &capturedGroup[V]{cell: c, start: c.ks.start, vals: vals}
 }
 
-func (cg *capturedGroup[V]) appendGroup(b []byte, group int, _ *blobEncoder) ([]byte, error) {
+func (cg *capturedGroup[V]) appendGroup(b []byte, group int) ([]byte, error) {
 	w := sectionWriter{buf: b}
 	err := appendValue(&w, &cg.cell.codec, cg.vals[group-cg.start])
 	return w.buf, err
@@ -561,9 +589,8 @@ func (c *Captured) GroupRange() (start, end int) { return c.start, c.end }
 
 // blobEncoder is the scratch one EncodeGroups call reuses across its groups.
 type blobEncoder struct {
-	keys []uint64 // a MapCell group's keys, sorted
-	sec  []byte   // the section of the cell being encoded
-	buf  []byte   // the blob of the group being encoded
+	sec []byte // the section of the cell being encoded
+	buf []byte // the blob of the group being encoded
 }
 
 // EncodeGroup serializes one key group of the view: every cell in
@@ -577,7 +604,7 @@ func (c *Captured) EncodeGroup(group int) ([]byte, error) {
 func (c *Captured) encodeGroup(group int, e *blobEncoder) ([]byte, error) {
 	e.buf = e.buf[:0]
 	for i, cc := range c.cells {
-		sec, err := cc.appendGroup(e.sec[:0], group, e)
+		sec, err := cc.appendGroup(e.sec[:0], group)
 		if err != nil {
 			return nil, fmt.Errorf("cell %q: %w", c.names[i], err)
 		}

@@ -16,11 +16,15 @@
 //
 // Operators keep their per-key state in a KeyedState: named, typed cells
 // (MapCell for per-key values, GroupCell for per-group scalars) registered
-// in Open. At a checkpoint barrier the runtime takes a copy-on-write
-// Capture — flag flips and scalar copies, no serialization — and encodes
-// the view into group blobs on a separate goroutine while the operator
-// keeps processing; a mutation that would touch captured data clones it
-// first (the cell API's GetMut discipline). This is the "asynchronous
+// in Open. A MapCell keeps each key group in a flat open-addressing table
+// of (key, value) slots. At a checkpoint barrier the runtime takes a
+// copy-on-write Capture — a copy of each group's table header, a frozen
+// flag per group and scalar copies, no serialization — and encodes the view
+// into group blobs on a separate goroutine while the operator keeps
+// processing. The first mutation of a frozen group while the capture is in
+// flight copies the group's slot slice (one allocation, every key at its
+// old slot), and a value mutated in place is cloned first, once per capture
+// (the cell API's GetMut discipline). This is the "asynchronous
 // phase" of asynchronous barrier snapshotting: the barrier path blocks only
 // for the capture, and the checkpoint completes when every subtask's
 // serialization lands.
