@@ -174,9 +174,10 @@ func awaitSink(t *testing.T, g *Graph, sink *CollectSink, want int) {
 }
 
 // TestKillAndRecoverAcrossBatchSizes round-trips the checkpoint/recovery
-// suite with batching enabled at several batch sizes, including mid-batch
-// barrier interleavings (batch sizes 2 and 64 stage data around barriers;
-// batch size 1 degenerates to the per-record exchange).
+// suite with batching enabled at several batch sizes, including data staged
+// ahead of a barrier in the same batch (batch sizes 2 and 64 ship a barrier
+// behind the data staged before it; batch size 1 degenerates to the
+// per-record exchange).
 func TestKillAndRecoverAcrossBatchSizes(t *testing.T) {
 	const n = 6000
 	for _, bs := range []int{1, 2, 64} {

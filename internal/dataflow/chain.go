@@ -1,6 +1,7 @@
 package dataflow
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/metrics"
@@ -67,8 +68,8 @@ func (c *chain) build() {
 
 // dispatchRun hands one contiguous run of data records — never a control
 // record — to the chain, and is the one way data enters it: runOperator calls
-// it with each data run of an inbound batch and the logical edge it arrived
-// on, runSource with each run it gathered (edge 0).
+// it with the data of each inbound batch and the logical edge it arrived on,
+// runSource with each run it gathered (edge 0).
 func (c *chain) dispatchRun(edge int, b []Record) {
 	if c.edgeAware == nil {
 		c.processRun(0, b)
@@ -126,6 +127,19 @@ func (c *chain) finish() error {
 		}
 	}
 	c.out.broadcast(End())
+	return nil
+}
+
+// checkpoint is a subtask's step of checkpoint id: snapshot the chain, then
+// forward the barrier behind everything it emitted before it. A source takes
+// it between two runs, an operator when the gate completes the alignment.
+func (c *chain) checkpoint(rt *runtime, id int64) error {
+	if err := c.snapshotAll(rt, id); err != nil {
+		return err
+	}
+	if !c.out.broadcast(Barrier(id)) {
+		return context.Canceled // cancelled mid-broadcast: the subtask just stops
+	}
 	return nil
 }
 

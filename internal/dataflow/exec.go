@@ -7,7 +7,6 @@ import (
 	"math/rand/v2"
 	"reflect"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/metrics"
@@ -209,295 +208,6 @@ func (rt *runtime) fail(err error) {
 	}
 	rt.errOnce.Do(func() { rt.err = err })
 	rt.cancel()
-}
-
-// ---- batched exchange ------------------------------------------------------
-
-// DefaultBatchSize is the number of data records staged per exchange batch
-// when Graph.BatchSize is unset. Records cross subtask boundaries in pooled
-// batches; record.go lists when a staged batch ships.
-const DefaultBatchSize = 64
-
-// BatchPool recycles exchange batches between senders and receivers. All
-// edges of a job share one pool, across the wire too: a transport returns a
-// batch it has shipped to the pool and decodes a received one into a batch
-// from it (EdgeTransport.UsePool), so gets (staged + decoded) and puts
-// (consumed + shipped) balance on every participant.
-type BatchPool struct {
-	pool      sync.Pool
-	allocated atomic.Int64
-}
-
-// NewBatchPool returns a pool of batches with room for size records.
-func NewBatchPool(size int) *BatchPool {
-	bp := &BatchPool{}
-	bp.pool.New = func() any {
-		bp.allocated.Add(1)
-		b := make([]Record, 0, size)
-		return &b
-	}
-	return bp
-}
-
-// Get returns an empty batch.
-func (bp *BatchPool) Get() []Record {
-	return (*bp.pool.Get().(*[]Record))[:0]
-}
-
-// Put recycles a consumed batch. Entries are cleared first so the pool does
-// not pin record payloads across reuse.
-func (bp *BatchPool) Put(b []Record) {
-	if cap(b) == 0 {
-		return
-	}
-	b = b[:cap(b)]
-	clear(b)
-	b = b[:0]
-	bp.pool.Put(&b)
-}
-
-// Allocated reports how many batches the pool has had to allocate because
-// none was free. It stays flat on a job whose pool balances.
-func (bp *BatchPool) Allocated() int64 { return bp.allocated.Load() }
-
-// outputs routes a subtask's emissions to downstream channels through
-// per-edge, per-downstream-subtask staging buffers. Only the owning subtask
-// goroutine touches it: it stages and ships on the hot path, and at an early
-// flush (see runSource and runOperator) sends a flush marker to every slot
-// it has sent data since the last one, so a quiet in-motion pipeline strands
-// nothing in a buffer without a timer.
-type outputs struct {
-	ctx       context.Context
-	pool      *BatchPool
-	batchSize int
-	numGroups int // key-group count for hash routing
-
-	// Run-routing scratch (reused across runs): the key hash per record —
-	// computed once and shared by every hash edge of the run — the
-	// destination slot per record for the edge being routed, and the
-	// slot-grouped gather buffer whose contiguous segments append into the
-	// staged batches.
-	hashBuf []uint64
-	slotBuf []int32
-	segLen  []int32
-	segOff  []int32
-	gather  []Record
-	edges   []outEdge
-}
-
-type outEdge struct {
-	part   Partitioning
-	chans  []chan []Record // indexed by downstream subtask (this upstream's slot)
-	stage  [][]Record      // staged batch per slot; nil when empty
-	sent   []bool          // per slot: data staged since the last flush marker
-	rr     int             // per-edge round-robin cursor (Rebalance only)
-	queued *metrics.Gauge  // edge.<consumer>.<i>.queued_batches, nil without metrics
-}
-
-func (o *outputs) send(ch chan []Record, b []Record) bool {
-	select {
-	case ch <- b:
-		return true
-	case <-o.ctx.Done():
-		return false
-	}
-}
-
-// shipWith appends a control record behind the slot's staged data and ships
-// the batch at once, so the control arrives after everything staged before it.
-func (o *outputs) shipWith(e *outEdge, slot int, r Record) bool {
-	if e.stage[slot] == nil {
-		e.stage[slot] = o.pool.Get()
-	}
-	e.stage[slot] = append(e.stage[slot], r)
-	return o.flushSlot(e, slot)
-}
-
-// flushSlot ships the slot's staged batch, if any.
-func (o *outputs) flushSlot(e *outEdge, slot int) bool {
-	b := e.stage[slot]
-	if len(b) == 0 {
-		return true
-	}
-	e.stage[slot] = nil
-	if !o.send(e.chans[slot], b) {
-		return false
-	}
-	if e.queued != nil {
-		e.queued.Set(int64(len(e.chans[slot])))
-	}
-	return true
-}
-
-// stageRun appends a slice of records destined for one slot to its
-// staged batch, shipping at the boundaries staging them one at a time would:
-// fill to batchSize, ship, continue.
-func (o *outputs) stageRun(e *outEdge, slot int, recs []Record) bool {
-	e.sent[slot] = true
-	for len(recs) > 0 {
-		if e.stage[slot] == nil {
-			e.stage[slot] = o.pool.Get()
-		}
-		room := o.batchSize - len(e.stage[slot])
-		if room > len(recs) {
-			room = len(recs)
-		}
-		e.stage[slot] = append(e.stage[slot], recs[:room]...)
-		recs = recs[room:]
-		if len(e.stage[slot]) >= o.batchSize {
-			if !o.flushSlot(e, slot) {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// routeRun stages a whole data run on one edge: bulk appends for the
-// single-destination partitionings, a strided gather for Rebalance, and for
-// HashPartition a counting sort over cached per-record hashes, so each
-// destination's records append in one contiguous slice. Hash routing goes via
-// the key group, so routing and keyed-state partitioning agree: the subtask
-// receiving a key is exactly the subtask owning its state's key group. Per
-// slot, record order is the run's and batches ship when they fill, so what a
-// channel carries does not depend on how the records were cut into runs.
-func (o *outputs) routeRun(e *outEdge, b []Record) bool {
-	n := len(e.chans)
-	switch e.part {
-	case BroadcastPartition:
-		for slot := 0; slot < n; slot++ {
-			if !o.stageRun(e, slot, b) {
-				return false
-			}
-		}
-	case HashPartition:
-		if n == 1 {
-			if !o.stageRun(e, 0, b) {
-				return false
-			}
-			return true
-		}
-		if len(o.hashBuf) < len(b) {
-			// One hash per record per run: the first hash edge fills the
-			// cache, further hash edges of the same run reuse it (dataBatch
-			// truncates it between runs).
-			for i := len(o.hashBuf); i < len(b); i++ {
-				o.hashBuf = append(o.hashBuf, state.Hash64(b[i].Key))
-			}
-		}
-		o.slotBuf = o.slotBuf[:0]
-		o.segLen = o.segLen[:0]
-		o.segLen = append(o.segLen, make([]int32, n)...)
-		for i := range b {
-			g := int(o.hashBuf[i] % uint64(o.numGroups))
-			slot := int32(state.SubtaskForGroup(g, o.numGroups, n))
-			o.slotBuf = append(o.slotBuf, slot)
-			o.segLen[slot]++
-		}
-		o.segOff = o.segOff[:0]
-		total := int32(0)
-		for _, c := range o.segLen {
-			o.segOff = append(o.segOff, total)
-			total += c
-		}
-		if cap(o.gather) < len(b) {
-			o.gather = make([]Record, len(b))
-		} else {
-			o.gather = o.gather[:len(b)]
-		}
-		for i := range b {
-			slot := o.slotBuf[i]
-			o.gather[o.segOff[slot]] = b[i]
-			o.segOff[slot]++
-		}
-		for slot := 0; slot < n; slot++ {
-			end := o.segOff[slot]
-			seg := o.gather[end-o.segLen[slot] : end]
-			if len(seg) == 0 {
-				continue
-			}
-			if !o.stageRun(e, slot, seg) {
-				return false
-			}
-		}
-		// Don't pin shipped payloads in the scratch until the next run.
-		clear(o.gather)
-	case Rebalance:
-		if n == 1 {
-			e.rr += len(b)
-			return o.stageRun(e, 0, b)
-		}
-		// Record i goes to slot (rr+i)%n — gather each slot's stride so the
-		// per-slot sequences match the per-record round-robin exactly.
-		if cap(o.gather) < len(b) {
-			o.gather = make([]Record, 0, len(b))
-		}
-		for slot := 0; slot < n; slot++ {
-			first := ((slot-e.rr%n)%n + n) % n
-			seg := o.gather[:0]
-			for i := first; i < len(b); i += n {
-				seg = append(seg, b[i])
-			}
-			if len(seg) == 0 {
-				continue
-			}
-			if !o.stageRun(e, slot, seg) {
-				return false
-			}
-			clear(seg)
-		}
-		e.rr += len(b)
-	default: // Forward: the single peer slot
-		if !o.stageRun(e, 0, b) {
-			return false
-		}
-	}
-	return true
-}
-
-// dataBatch routes a run of data records — the chain's one exit into the
-// exchange.
-func (o *outputs) dataBatch(b []Record) bool {
-	o.hashBuf = o.hashBuf[:0]
-	for i := range o.edges {
-		if !o.routeRun(&o.edges[i], b) {
-			return false
-		}
-	}
-	return true
-}
-
-// broadcast delivers a control record (watermark/barrier/end) to every
-// downstream subtask of every edge. The control record is appended to each
-// slot's staged batch and the batch is shipped immediately, so on every
-// channel all data staged before the control arrives before it — the
-// ordering ABS barrier alignment and watermark semantics depend on.
-func (o *outputs) broadcast(r Record) bool {
-	for i := range o.edges {
-		e := &o.edges[i]
-		for slot := range e.chans {
-			if !o.shipWith(e, slot, r) {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// flushAll is the early flush: every slot sent data since its last flush
-// marker ships a new one, behind what it has staged or alone if that data
-// already shipped, so the marker reaches every consumer the data did.
-func (o *outputs) flushAll() bool {
-	for i := range o.edges {
-		e := &o.edges[i]
-		for slot, sent := range e.sent {
-			e.sent[slot] = false
-			if sent && !o.shipWith(e, slot, Record{Kind: KindFlush}) {
-				return false
-			}
-		}
-	}
-	return true
 }
 
 // ---- Run -------------------------------------------------------------------
@@ -921,11 +631,8 @@ func runSource(rt *runtime, n *Node, subtask int, src SourceFunc, ch *chain, con
 			case <-done:
 				return nil
 			}
-			if err := ch.snapshotAll(rt, ckpt); err != nil {
+			if err := ch.checkpoint(rt, ckpt); err != nil {
 				return err
-			}
-			if !ch.out.broadcast(Barrier(ckpt)) {
-				return nil
 			}
 			continue
 		default:
@@ -978,259 +685,32 @@ func runSource(rt *runtime, n *Node, subtask int, src SourceFunc, ch *chain, con
 	}
 }
 
-// inState tracks one input channel of an operator subtask. batch/pos hold
-// the received batch currently being consumed. Senders flush a control
-// record in the same send as the data staged before it, so a barrier is
-// last-in-batch by construction and blocking a channel mid-batch leaves no
-// remainder; the cursor still survives a block defensively, in case a
-// future sender ships controls mid-batch.
-type inState struct {
-	ch      chan []Record
-	wm      int64
-	ended   bool
-	blocked bool // barrier alignment
-	batch   []Record
-	pos     int
-}
-
-// runOperator drives an operator subtask: merge inputs, track watermarks,
-// align barriers, and finish when all inputs end. Inputs arrive as pooled
-// record batches; the loop walks each batch in order (per-channel order is
-// the sender's emission order), data runs going to the chain whole, and
-// returns consumed batches to the pool. edges[i] is the logical input-edge
-// index of channel i, surfaced to EdgeAware head operators (joins need to
-// know which side a record arrived on).
+// runOperator drives an operator subtask: it receives pooled record batches
+// from its input channels, hands each batch's data to the chain as one run,
+// and hands the control record that may end it to the subtask's gate, whose
+// answer it applies. A batch is zero or more data records, then at most one
+// control record — the exchange never ships another shape (record.go) — and
+// per-channel order is the sender's emission order. edges[i] is the logical
+// input-edge index of channel i, surfaced to EdgeAware head operators (joins
+// need to know which side a run arrived on).
 func runOperator(rt *runtime, n *Node, subtask int, inputs []chan []Record, edges []int, ch *chain, nm *nodeMetrics) error {
 	pool := ch.out.pool
-	ins := make([]inState, len(inputs))
-	for i, c := range inputs {
-		ins[i] = inState{ch: c, wm: math.MinInt64}
+	g := newGate(len(inputs))
+	var check func(int, Record, step, []int) error
+	if newGateCheck != nil {
+		check = newGateCheck(len(inputs))
 	}
-	curWM := int64(math.MinInt64)
-	var aligning int64 // current barrier id, 0 = none
-	var alignSeen int
-
-	activeDirty := true
-	var active []int
-	var cases []reflect.SelectCase
-
-	rebuild := func() {
-		active = active[:0]
-		for i := range ins {
-			if !ins[i].ended && !ins[i].blocked {
-				active = append(active, i)
-			}
-		}
-		cases = cases[:0]
-		cases = append(cases, reflect.SelectCase{Dir: reflect.SelectRecv, Chan: reflect.ValueOf(rt.ctx.Done())})
-		for _, i := range active {
-			cases = append(cases, reflect.SelectCase{Dir: reflect.SelectRecv, Chan: reflect.ValueOf(ins[i].ch)})
-		}
-		activeDirty = false
-	}
-
-	minWM := func() int64 {
-		m := int64(math.MaxInt64)
-		anyOpen := false
-		for i := range ins {
-			if ins[i].ended {
-				continue
-			}
-			anyOpen = true
-			if ins[i].wm < m {
-				m = ins[i].wm
-			}
-		}
-		if !anyOpen {
-			return math.MaxInt64
-		}
-		return m
-	}
-
-	completeBarrier := func(ckpt int64) error {
-		if err := ch.snapshotAll(rt, ckpt); err != nil {
-			return err
-		}
-		if !ch.out.broadcast(Barrier(ckpt)) {
-			return nil
-		}
-		for i := range ins {
-			ins[i].blocked = false
-		}
-		aligning = 0
-		alignSeen = 0
-		activeDirty = true
-		return nil
-	}
-
-	barriersNeeded := func() int {
-		need := 0
-		for i := range ins {
-			if !ins[i].ended {
-				need++
-			}
-		}
-		return need
-	}
-
-	// consume drains ins[idx]'s buffered batch from its cursor. It stops early
-	// when a barrier blocks the channel (the remainder is held) and returns
-	// stop=true when the subtask is finished (all inputs ended, or the job
-	// was cancelled mid-broadcast). records_in is bumped once per data run.
-	consume := func(idx int) (stop bool, err error) {
-		in := &ins[idx]
-		for in.pos < len(in.batch) {
-			r := in.batch[in.pos]
-			in.pos++
-			switch r.Kind {
-			case KindData:
-				// Extend the run across every contiguous data record: the
-				// whole run goes to the chain in one dispatchRun call.
-				// Control records are excluded, so they keep their place
-				// between the data before and after them.
-				start := in.pos - 1
-				for in.pos < len(in.batch) && in.batch[in.pos].Kind == KindData {
-					in.pos++
-				}
-				if nm != nil {
-					nm.recordsIn.Add(int64(in.pos - start))
-				}
-				ch.dispatchRun(edges[idx], in.batch[start:in.pos])
-			case KindWatermark:
-				if r.Ts > in.wm {
-					in.wm = r.Ts
-					if m := minWM(); m > curWM {
-						curWM = m
-						if !ch.advance(curWM) {
-							return true, nil
-						}
-					}
-				}
-			case KindFlush:
-				// A source upstream is about to wait: pass the flush on, so
-				// nothing this subtask was sent waits here either.
-				if !ch.out.flushAll() {
-					return true, nil
-				}
-			case KindBarrier:
-				if aligning == 0 {
-					aligning = r.Ts
-				}
-				if r.Ts != aligning {
-					continue // stale barrier from an abandoned checkpoint
-				}
-				in.blocked = true
-				alignSeen++
-				activeDirty = true
-				if alignSeen >= barriersNeeded() {
-					if err := completeBarrier(aligning); err != nil {
-						return true, err
-					}
-				}
-				if in.blocked {
-					// Alignment still pending. A barrier is last-in-batch by
-					// construction, so the batch is exhausted here and goes
-					// back to the pool (the next receive would otherwise
-					// overwrite it); the guard keeps any remainder — only
-					// possible with a mid-batch control — held until the
-					// barrier completes and unblocks the channel.
-					if in.pos >= len(in.batch) {
-						pool.Put(in.batch)
-						in.batch, in.pos = nil, 0
-					}
-					return false, nil
-				}
-			case KindEnd:
-				in.ended = true
-				in.blocked = false
-				activeDirty = true
-				if m := minWM(); m > curWM && m != math.MaxInt64 {
-					curWM = m
-					if !ch.advance(curWM) {
-						return true, nil
-					}
-				}
-				// An ended channel counts as having delivered any barrier.
-				if aligning != 0 && alignSeen >= barriersNeeded() {
-					if err := completeBarrier(aligning); err != nil {
-						return true, err
-					}
-				}
-				allEnded := true
-				for i := range ins {
-					if !ins[i].ended {
-						allEnded = false
-						break
-					}
-				}
-				if allEnded {
-					if !ch.advance(math.MaxInt64) {
-						return true, nil
-					}
-					return true, ch.finish()
-				}
-				// Nothing follows an end marker on its channel.
-				pool.Put(in.batch)
-				in.batch, in.pos = nil, 0
-				return false, nil
-			}
-		}
-		pool.Put(in.batch)
-		in.batch, in.pos = nil, 0
-		return false, nil
-	}
+	cases := []reflect.SelectCase{{Dir: reflect.SelectRecv, Chan: reflect.ValueOf(rt.ctx.Done())}}
 
 	for {
-		// Drain held batch remainders of channels that can progress before
-		// receiving anything new. With the control-last-in-batch invariant
-		// this scan finds nothing (blocked channels recycle their exhausted
-		// batch at the block point); it is the defensive half of the
-		// mid-batch cursor, and costs one O(#inputs) pass per batch.
-		progressed := false
-		for i := range ins {
-			in := &ins[i]
-			if !in.blocked && !in.ended && in.pos < len(in.batch) {
-				stop, err := consume(i)
-				if stop || err != nil {
-					return err
-				}
-				progressed = true
-				break
-			}
-		}
-		if progressed {
-			continue
-		}
-		if activeDirty {
-			rebuild()
-		}
-		if len(active) == 0 {
-			allEnded := true
-			for i := range ins {
-				if !ins[i].ended {
-					allEnded = false
-					break
-				}
-			}
-			if allEnded {
-				return ch.finish()
-			}
-			if rt.ctx.Err() != nil {
-				return nil // cancelled mid-alignment; not a deadlock
-			}
-			// All non-ended inputs are blocked on alignment but the barrier
-			// is incomplete — impossible unless every channel delivered it,
-			// which completeBarrier handles. Defensive:
-			return fmt.Errorf("dataflow: %q/%d deadlocked in barrier alignment", n.Name, subtask)
-		}
-
+		active := g.active
 		var idx int
 		var b []Record
 		if len(active) == 1 {
 			select {
 			case <-rt.ctx.Done():
 				return nil
-			case b = <-ins[active[0]].ch:
+			case b = <-inputs[active[0]]:
 				idx = active[0]
 			}
 		} else {
@@ -1249,11 +729,15 @@ func runOperator(rt *runtime, n *Node, subtask int, inputs []chan []Record, edge
 			for k := 0; k < len(active) && b == nil; k++ {
 				idx = active[(start+k)%len(active)]
 				select {
-				case b = <-ins[idx].ch:
+				case b = <-inputs[idx]:
 				default:
 				}
 			}
 			if b == nil {
+				cases = cases[:1]
+				for _, i := range active {
+					cases = append(cases, reflect.SelectCase{Dir: reflect.SelectRecv, Chan: reflect.ValueOf(inputs[i])})
+				}
 				chosen, val, _ := reflect.Select(cases)
 				if chosen == 0 {
 					return nil
@@ -1262,10 +746,44 @@ func runOperator(rt *runtime, n *Node, subtask int, inputs []chan []Record, edge
 				b = val.Interface().([]Record)
 			}
 		}
-		ins[idx].batch, ins[idx].pos = b, 0
-		stop, err := consume(idx)
-		if stop || err != nil {
-			return err
+
+		run, r := b, Record{}
+		if last := len(b) - 1; last >= 0 && b[last].Kind != KindData {
+			run, r = b[:last], b[last]
+		}
+		if len(run) > 0 {
+			if nm != nil {
+				nm.recordsIn.Add(int64(len(run)))
+			}
+			ch.dispatchRun(edges[idx], run)
+		}
+		pool.Put(b)
+		if r.Kind == KindData {
+			continue
+		}
+
+		st := g.control(idx, r)
+		if check != nil {
+			if err := check(idx, r, st, g.active); err != nil {
+				return fmt.Errorf("dataflow: %q/%d: %w", n.Name, subtask, err)
+			}
+		}
+		if st.flush && !ch.out.flushAll() {
+			return nil
+		}
+		if st.advance && !ch.advance(st.wm) {
+			return nil
+		}
+		if st.barrier != 0 {
+			if err := ch.checkpoint(rt, st.barrier); err != nil {
+				return err
+			}
+		}
+		if st.done {
+			if !ch.advance(math.MaxInt64) {
+				return nil
+			}
+			return ch.finish()
 		}
 	}
 }

@@ -44,11 +44,16 @@
 // forward, is the only way data reaches an operator. There is no per-record
 // entry point: a lone record is a run of one.
 //
-// Where runs come from. A receiving subtask scans each inbound batch up to
-// the next control record and hands the data in between to its chain as one
-// run, so watermarks, barriers and end markers split runs and a run never
-// spans channels; alignment and event-time ordering are exactly what a record
-// at a time would give. A source subtask gathers what its source returns into
+// Where runs come from. Every batch an exchange channel carries is zero or
+// more data records followed by at most one control record, which is last.
+// Two places enforce it: locally outputs.shipWith, the only way a control
+// record is staged, ships the batch behind it at once; on the wire the
+// transport's batch decoder refuses any other shape from a peer. A receiving
+// subtask therefore hands each inbound batch's data to its chain as one run
+// and its control record, if any, to its input gate (gate.go), so
+// watermarks, barriers and end markers split runs and a run never spans
+// channels; alignment and event-time ordering are exactly what a record at a
+// time would give. A source subtask gathers what its source returns into
 // runs of up to the batch size — ending a run early where the source says
 // its next Next may wait (MayWaiter), so nothing read is held back behind a
 // wait — and hands each to the chain fused into it the same way. A head operator with

@@ -180,7 +180,9 @@ func appendBatch(buf []byte, recs []dataflow.Record) ([]byte, error) {
 
 // decodeBatch decodes one wire batch, appending its records to out. It
 // allocates in proportion to len(data), whatever record count the batch
-// claims.
+// claims. A batch that is not zero or more data records and then at most one
+// control record is an error: no sender ships another shape, and a receiving
+// subtask reads only the last record of a batch as a control record.
 func decodeBatch(data []byte, out []dataflow.Record) ([]dataflow.Record, error) {
 	n, b, err := state.ReadCount(data, minRecordSize)
 	if err != nil {
@@ -194,6 +196,9 @@ func decodeBatch(data []byte, out []dataflow.Record) ([]dataflow.Record, error) 
 		}
 		if r.Kind = dataflow.Kind(b[0]); r.Kind > dataflow.KindFlush {
 			return out, fmt.Errorf("wire batch: unknown record kind %d at record %d", r.Kind, i)
+		}
+		if r.Kind != dataflow.KindData && i != n-1 {
+			return out, fmt.Errorf("wire batch: %v record %d of %d: a control record can only be last", r.Kind, i, n)
 		}
 		if r.Ts, b, err = state.ReadVarint(b[1:]); err != nil {
 			return out, fmt.Errorf("wire batch: timestamp of record %d: %w", i, err)

@@ -137,10 +137,29 @@ func TestWireDecodeAllocatesWhatArrived(t *testing.T) {
 	}
 }
 
+// TestWireBatchControlOnlyLast: a peer's batch with a control record
+// anywhere but last is refused, whatever follows the control.
+func TestWireBatchControlOnlyLast(t *testing.T) {
+	for _, batch := range [][]dataflow.Record{
+		{dataflow.Barrier(3), dataflow.Data(1, 2, 1.5)},
+		{dataflow.Data(1, 2, 1.5), dataflow.Watermark(9), dataflow.Data(2, 2, 2.5)},
+		{dataflow.End(), dataflow.End()},
+	} {
+		data, err := appendBatch(nil, batch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if b, err := decodeBatch(data, nil); err == nil {
+			t.Errorf("batch %v decoded as %v, want an error", batch, b)
+		}
+	}
+}
+
 // FuzzWireBatchDecode: arbitrary bytes decode to an error or a batch, never
-// a panic, and whatever decodes re-encodes to bytes that decode to the same
-// batch. Batches compare by their encoding, which is exact (float bits
-// included) where reflect.DeepEqual is not (NaN).
+// a panic; what decodes is zero or more data records and then at most one
+// control record, and re-encodes to bytes that decode to the same batch.
+// Batches compare by their encoding, which is exact (float bits included)
+// where reflect.DeepEqual is not (NaN).
 func FuzzWireBatchDecode(f *testing.F) {
 	RegisterTypes(customPayload{})
 	for _, batch := range wireSamples() {
@@ -161,6 +180,11 @@ func FuzzWireBatchDecode(f *testing.F) {
 		b, err := decodeBatch(data, nil)
 		if err != nil {
 			return
+		}
+		for i, r := range b[:max(len(b)-1, 0)] {
+			if r.Kind != dataflow.KindData {
+				t.Fatalf("decoded batch has %v record %d of %d: %+v", r.Kind, i, len(b), b)
+			}
 		}
 		enc, err := appendBatch(nil, b)
 		if err != nil {
