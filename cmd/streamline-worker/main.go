@@ -1,7 +1,8 @@
 // Command streamline-worker executes one worker's share of a distributed
-// STREAMLINE job. It dials the coordinator (cmd/streamline-coord), receives
-// the plan, rebuilds the named pipeline from the shared registry, verifies
-// the plan fingerprint, and runs its assigned subtasks over loopback TCP.
+// STREAMLINE job through streamline.RunWorker with the pipeline registry. It
+// dials the coordinator (cmd/streamline-coord), receives the plan, rebuilds
+// the named pipeline from the registry, verifies the plan fingerprint, and
+// runs its assigned subtasks over loopback TCP.
 //
 //	streamline-worker -coord 127.0.0.1:7171
 //
@@ -27,7 +28,7 @@ func main() {
 	flag.Parse()
 
 	pipelines.RegisterAll()
-	err := streamline.RunRegisteredWorkerLoop(context.Background(), *coord,
+	err := streamline.RunWorker(context.Background(), *coord, nil,
 		streamline.WithWorkerDialPolicy(streamline.DialPolicy{MaxWait: *dialTimeout}))
 	if err != nil {
 		log.Fatal(err)

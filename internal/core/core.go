@@ -107,14 +107,6 @@ func WithCheckpointing(b state.Backend, every time.Duration) Option {
 	}
 }
 
-// WithStateBackend sets the snapshot backend without enabling periodic
-// checkpoints — the recovery-side option: an environment that only restores
-// (ExecuteRestored) or that checkpoints on its own schedule pairs this with
-// WithCheckpointing on the writing side.
-func WithStateBackend(b state.Backend) Option {
-	return func(e *Environment) { e.backend = b }
-}
-
 // WithNumKeyGroups sets the plan's key-group count — the unit of keyed-state
 // partitioning and hash routing (default state.DefaultNumKeyGroups). A
 // logical-plan constant: results are identical at every value and any

@@ -42,8 +42,9 @@ func Build(name string, args []string, extra ...streamline.Option) (*streamline.
 	return nil, nil, fmt.Errorf("unknown pipeline %q (have %s)", name, strings.Join(Names(), ", "))
 }
 
-// RegisterAll registers every demo pipeline for RunRegisteredWorker, so a
-// generic worker binary can serve any of them.
+// RegisterAll registers every demo pipeline with streamline.RegisterPipeline,
+// so a generic worker binary — streamline.RunWorker with a nil builder — can
+// serve any of them.
 func RegisterAll() {
 	for _, name := range Names() {
 		name := name

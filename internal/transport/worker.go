@@ -19,8 +19,8 @@ import (
 // ErrRejoin marks a worker failure that is part of a supervised job's epoch
 // restart rather than the end of the job: the coordinator's supervisor is
 // about to run another epoch and this worker should redial. RunWorkerLoop
-// does exactly that; callers driving RunWorker directly test for it with
-// errors.Is.
+// (which streamline.RunWorker runs) does exactly that; callers driving
+// RunWorker directly test for it with errors.Is.
 var ErrRejoin = errors.New("transport: supervised epoch ended, worker should rejoin")
 
 // BuildFunc rebuilds the pipeline graph inside a worker process. SPMD:
@@ -31,7 +31,8 @@ var ErrRejoin = errors.New("transport: supervised epoch ended, worker should rej
 // must reproduce the coordinator's plan bit for bit.
 type BuildFunc func(pipeline string, args []string) (*dataflow.Graph, bool, error)
 
-// WorkerOption configures RunWorker / RunWorkerLoop.
+// WorkerOption configures RunWorker / RunWorkerLoop (streamline.WorkerOption
+// is this type).
 type WorkerOption func(*workerOpts)
 
 type workerOpts struct {
@@ -276,7 +277,8 @@ func RunWorker(ctx context.Context, coordAddr string, reg *metrics.Registry, bui
 // and redials the coordinator whenever the share ends with ErrRejoin — a
 // worker that survived another worker's crash rejoins the recovered epoch.
 // It returns when the job globally completes (nil), fails terminally, or
-// ctx is cancelled.
+// ctx is cancelled. Under an unsupervised coordinator no failure wraps
+// ErrRejoin, so it returns with its first share.
 func RunWorkerLoop(ctx context.Context, coordAddr string, reg *metrics.Registry, build BuildFunc, opts ...WorkerOption) error {
 	for {
 		err := RunWorker(ctx, coordAddr, reg, build, opts...)

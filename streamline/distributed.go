@@ -40,8 +40,8 @@ func WithListenAddr(addr string) Option { return core.WithListenAddr(addr) }
 func WithSelfSpawn() Option { return core.WithSelfSpawn() }
 
 // WithPipelineRef names the registered pipeline externally started generic
-// workers (RunRegisteredWorker) rebuild, with the arguments to rebuild it
-// from. Unnecessary with WithSelfSpawn.
+// workers (RunWorker with a nil builder) rebuild, with the arguments to
+// rebuild it from. Unnecessary with WithSelfSpawn.
 func WithPipelineRef(name string, args ...string) Option {
 	return core.WithPipelineRef(name, args...)
 }
@@ -256,59 +256,25 @@ func buildFromEnv(build func(pipeline string, args []string) (*Env, error)) tran
 	}
 }
 
-// RunWorker executes one worker's share of a distributed job, rebuilding
-// the pipeline with the given builder. It blocks until the share completes
-// or the job aborts. Tests use it to run workers in-process over real TCP;
-// cmd/streamline-worker wraps RunRegisteredWorker around it.
+// RunWorker serves one worker's share of a distributed job, rebuilding the
+// pipeline with build — nil means the RegisterPipeline registry, where the
+// coordinator's plan names the pipeline. Under a supervised coordinator the
+// worker redials and rejoins after every epoch restart; under an
+// unsupervised one the job ends with its one epoch. It returns when the job
+// completes (nil), fails terminally, or ctx is cancelled.
 func RunWorker(ctx context.Context, coordAddr string, build func(pipeline string, args []string) (*Env, error), opts ...WorkerOption) error {
-	reg := metrics.NewRegistry()
-	return transport.RunWorker(ctx, coordAddr, reg, buildFromEnv(build), resolveWorkerOptions(opts))
+	if build == nil {
+		build = registryBuilder
+	}
+	return transport.RunWorkerLoop(ctx, coordAddr, metrics.NewRegistry(), buildFromEnv(build), opts...)
 }
 
-// RunWorkerLoop is RunWorker for supervised jobs: the worker redials and
-// rejoins after every supervised epoch restart, returning only when the job
-// globally completes, fails terminally, or ctx is cancelled.
-func RunWorkerLoop(ctx context.Context, coordAddr string, build func(pipeline string, args []string) (*Env, error), opts ...WorkerOption) error {
-	reg := metrics.NewRegistry()
-	return transport.RunWorkerLoop(ctx, coordAddr, reg, buildFromEnv(build), resolveWorkerOptions(opts))
-}
-
-// RunRegisteredWorker is RunWorker against the pipeline registry: the
-// coordinator's plan names the pipeline, the registry builds it.
-func RunRegisteredWorker(ctx context.Context, coordAddr string, opts ...WorkerOption) error {
-	return RunWorker(ctx, coordAddr, registryBuilder, opts...)
-}
-
-// RunRegisteredWorkerLoop serves a supervised job across epochs: whenever
-// the worker's share ends because the coordinator is restarting the job, it
-// redials and rejoins the next epoch. It returns when the job globally
-// completes, fails terminally, or ctx is cancelled. Use it instead of
-// RunRegisteredWorker for workers of coordinators run WithSupervision.
-func RunRegisteredWorkerLoop(ctx context.Context, coordAddr string, opts ...WorkerOption) error {
-	reg := metrics.NewRegistry()
-	return transport.RunWorkerLoop(ctx, coordAddr, reg, buildFromEnv(registryBuilder), resolveWorkerOptions(opts))
-}
-
-// WorkerOption configures worker dialing behavior.
-type WorkerOption func(*workerConfig)
-
-type workerConfig struct {
-	dial DialPolicy
-}
+// WorkerOption configures RunWorker.
+type WorkerOption = transport.WorkerOption
 
 // WithWorkerDialPolicy sets the backoff policy workers use to dial (and,
 // under supervision, redial) the coordinator.
-func WithWorkerDialPolicy(p DialPolicy) WorkerOption {
-	return func(c *workerConfig) { c.dial = p }
-}
-
-func resolveWorkerOptions(opts []WorkerOption) transport.WorkerOption {
-	var c workerConfig
-	for _, f := range opts {
-		f(&c)
-	}
-	return transport.WithWorkerDialPolicy(c.dial)
-}
+func WithWorkerDialPolicy(p DialPolicy) WorkerOption { return transport.WithWorkerDialPolicy(p) }
 
 func registryBuilder(pipeline string, args []string) (*Env, error) {
 	pipelinesMu.RLock()

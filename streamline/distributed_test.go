@@ -16,11 +16,18 @@ import (
 )
 
 // startWorkers launches n in-process workers over real loopback TCP once
-// the coordinator address lands on addrCh. Each worker rebuilds the
-// pipeline with its own build() call — the SPMD contract, exercised inside
-// one test process. Worker n-1 runs under victimCtx so kill tests can take
-// it down; wait() returns every worker's error, indexed by worker.
+// the coordinator address lands on addrCh. Each worker runs RunWorker and
+// rebuilds the pipeline with its own build() call — the SPMD contract,
+// exercised inside one test process; under a supervised coordinator it
+// redials and rejoins across epoch restarts. A nil build leaves the
+// rebuilding to the RegisterPipeline registry. Worker n-1 runs under
+// victimCtx so kill tests can take it down; wait() returns every worker's
+// error, indexed by worker.
 func startWorkers(ctx context.Context, n int, addrCh <-chan string, victimCtx context.Context, build func() *streamline.Env) (wait func() []error) {
+	var rebuild func(string, []string) (*streamline.Env, error)
+	if build != nil {
+		rebuild = func(string, []string) (*streamline.Env, error) { return build(), nil }
+	}
 	errs := make([]error, n)
 	var wg sync.WaitGroup
 	wg.Add(n)
@@ -42,9 +49,8 @@ func startWorkers(ctx context.Context, n int, addrCh <-chan string, victimCtx co
 			}
 			go func() {
 				defer wg.Done()
-				errs[i] = streamline.RunWorker(wctx, addr, func(string, []string) (*streamline.Env, error) {
-					return build(), nil
-				})
+				errs[i] = streamline.RunWorker(wctx, addr, rebuild,
+					streamline.WithWorkerDialPolicy(streamline.DialPolicy{BaseDelay: 5 * time.Millisecond, MaxWait: 5 * time.Second}))
 			}()
 		}
 	}()
@@ -52,6 +58,28 @@ func startWorkers(ctx context.Context, n int, addrCh <-chan string, victimCtx co
 		wg.Wait()
 		return errs
 	}
+}
+
+// killOnFirstCheckpoint returns a context derived from ctx that is
+// cancelled as soon as backend holds a completed checkpoint: the victim
+// worker of a kill test runs under it.
+func killOnFirstCheckpoint(t *testing.T, ctx context.Context, backend streamline.Backend) context.Context {
+	victimCtx, kill := context.WithCancel(ctx)
+	t.Cleanup(kill)
+	go func() {
+		for {
+			if _, ok, _ := backend.Latest(); ok {
+				kill()
+				return
+			}
+			select {
+			case <-victimCtx.Done():
+				return
+			case <-time.After(2 * time.Millisecond):
+			}
+		}
+	}()
+	return victimCtx
 }
 
 // --- Wordcount: distributed output must be byte-identical to local. ---
@@ -251,21 +279,7 @@ func TestDistributedKillWorkerRestoreRescaled(t *testing.T) {
 	crashEnv, crashOut := buildDistWindowed(2, 2, 12_000,
 		streamline.WithCheckpointing(backend, 20*time.Millisecond),
 		streamline.WithOnListen(func(a string) { addrCh <- a }))
-	victimCtx, killVictim := context.WithCancel(ctx)
-	defer killVictim()
-	go func() {
-		for {
-			if _, ok, _ := backend.Latest(); ok {
-				killVictim()
-				return
-			}
-			select {
-			case <-victimCtx.Done():
-				return
-			case <-time.After(2 * time.Millisecond):
-			}
-		}
-	}()
+	victimCtx := killOnFirstCheckpoint(t, ctx, backend)
 	wait := startWorkers(ctx, 2, addrCh, victimCtx, func() *streamline.Env {
 		env, _ := buildDistWindowed(2, 2, 12_000,
 			streamline.WithCheckpointing(backend, 20*time.Millisecond))
@@ -299,10 +313,9 @@ func TestDistributedKillWorkerRestoreRescaled(t *testing.T) {
 	// redistributes across both rescales; counts stay exactly-once.
 	addrCh2 := make(chan string, 1)
 	resumeEnv, resumeOut := buildDistWindowed(3, 3, 0,
-		streamline.WithStateBackend(backend),
 		streamline.WithOnListen(func(a string) { addrCh2 <- a }))
 	wait2 := startWorkers(ctx, 3, addrCh2, nil, func() *streamline.Env {
-		env, _ := buildDistWindowed(3, 3, 0, streamline.WithStateBackend(backend))
+		env, _ := buildDistWindowed(3, 3, 0)
 		return env
 	})
 	if err := resumeEnv.ExecuteRestored(ctx, snap); err != nil {
@@ -359,21 +372,7 @@ func TestDistributedTopicSourceKillRestoreRescaled(t *testing.T) {
 	crashEnv, crashOut := build(4, 2, 9_000,
 		streamline.WithCheckpointing(backend, 15*time.Millisecond),
 		streamline.WithOnListen(func(a string) { addrCh <- a }))
-	victimCtx, killVictim := context.WithCancel(ctx)
-	defer killVictim()
-	go func() {
-		for {
-			if _, ok, _ := backend.Latest(); ok {
-				killVictim()
-				return
-			}
-			select {
-			case <-victimCtx.Done():
-				return
-			case <-time.After(2 * time.Millisecond):
-			}
-		}
-	}()
+	victimCtx := killOnFirstCheckpoint(t, ctx, backend)
 	wait := startWorkers(ctx, 2, addrCh, victimCtx, func() *streamline.Env {
 		env, _ := build(4, 2, 9_000, streamline.WithCheckpointing(backend, 15*time.Millisecond))
 		return env
@@ -392,10 +391,9 @@ func TestDistributedTopicSourceKillRestoreRescaled(t *testing.T) {
 	// splits redistribute across a different subtask count and worker set.
 	addrCh2 := make(chan string, 1)
 	resumeEnv, resumeOut := build(2, 3, 0,
-		streamline.WithStateBackend(backend),
 		streamline.WithOnListen(func(a string) { addrCh2 <- a }))
 	wait2 := startWorkers(ctx, 3, addrCh2, nil, func() *streamline.Env {
-		env, _ := build(2, 3, 0, streamline.WithStateBackend(backend))
+		env, _ := build(2, 3, 0)
 		return env
 	})
 	if err := resumeEnv.ExecuteRestored(ctx, snap); err != nil {

@@ -33,7 +33,7 @@
 // WithSourceParallelism, WithWatermarkEvery and WithWatermarkLag (event
 // time cadence and bounded-disorder allowance), and WithTimestamps (an
 // extractor re-stamping records with event time taken from the values).
-// FromChannel, FromJSONL and FromCSV are one-line sugar over From.
+// From is the one way to turn a connector into a stream.
 //
 // # The splittable at-rest scan
 //
@@ -300,9 +300,9 @@
 // process, the coordinator, over loopback/LAN TCP (see internal/transport).
 // Execution is SPMD: operator logic is closures and never crosses the wire,
 // so every participant rebuilds the identical pipeline from code — via
-// WithSelfSpawn (the coordinator re-executes its own binary), RunWorker (a
-// caller-supplied builder), or RunRegisteredWorker (a RegisterPipeline
-// registry keyed by WithPipelineRef) — and the coordinator ships only the
+// WithSelfSpawn (the coordinator re-executes its own binary) or RunWorker,
+// with a caller-supplied builder or, given nil, the RegisterPipeline
+// registry keyed by WithPipelineRef — and the coordinator ships only the
 // structural plan, a fingerprint both sides verify, the placement map, peer
 // addresses, and (on recovery) the restore snapshot. Exchange edges that
 // cross participants carry the same pooled record batches as the in-process
@@ -314,11 +314,12 @@
 // in the coordinator process — Channel, Hybrid's live phase) are pinned to
 // the coordinator, and everything else round-robins across the workers, so
 // Collect results always land in the coordinating process. The coordinator
-// also injects checkpoint barriers and assembles every participant's acks
-// into the same global snapshots a single-process run writes — a distributed
-// job checkpoints to the shared backend and ExecuteRestored resumes it at
-// ANY worker count, zero included, with keyed state and remaining scan
-// splits redistributing exactly as under a parallelism rescale. Without
+// also triggers checkpoints, and dataflow.Checkpoints, the checkpoint
+// coordinator a single-process run uses too, completes each one from every
+// participant's acks into the same global snapshot. A distributed job
+// checkpoints to the shared backend and ExecuteRestored resumes it at ANY
+// worker count, zero included, with keyed state and remaining scan splits
+// redistributing exactly as under a parallelism rescale. Without
 // supervision a lost worker connection aborts the job cleanly; restart from
 // the last snapshot to continue — or let supervision do it for you.
 //
@@ -335,9 +336,9 @@
 // respawns the full worker complement; with external workers it re-places
 // the dead worker's subtasks onto whoever redials within WithRejoinWindow
 // (graceful degradation — restore works at any worker count, so the job
-// continues on the survivors). External workers rejoin automatically when
-// run with RunWorkerLoop / RunRegisteredWorkerLoop instead of the one-shot
-// variants. Restarts are spaced by capped exponential backoff with jitter
+// continues on the survivors). External workers run with RunWorker rejoin
+// automatically; under an unsupervised coordinator the same call returns
+// when its one epoch ends. Restarts are spaced by capped exponential backoff with jitter
 // and bounded by WithSupervision's restart budget; when the budget is
 // exhausted the last failure surfaces, wrapped. RestartStats reports the
 // recovery trajectory — cause, detect and restore instants, and the

@@ -75,11 +75,6 @@ func WithCheckpointing(b Backend, every time.Duration) Option {
 	return core.WithCheckpointing(b, every)
 }
 
-// WithStateBackend sets the snapshot backend without enabling periodic
-// checkpoints — pair it with ExecuteRestored on the recovery side of a job
-// whose writing side ran WithCheckpointing.
-func WithStateBackend(b Backend) Option { return core.WithStateBackend(b) }
-
 // WithNumKeyGroups sets the plan's key-group count (default
 // DefaultNumKeyGroups) — the unit of keyed-state partitioning and hash
 // routing. Purely physical for results (identical at every value and any

@@ -186,7 +186,7 @@ func TestFusedChainCheckpointRestore(t *testing.T) {
 	if !ok {
 		t.Skip("no checkpoint before kill")
 	}
-	resumeEnv, resumeOut := build(0, streamline.WithStateBackend(backend))
+	resumeEnv, resumeOut := build(0)
 	if err := resumeEnv.ExecuteRestored(context.Background(), snap); err != nil {
 		t.Fatalf("restored run: %v", err)
 	}

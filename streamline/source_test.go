@@ -100,7 +100,7 @@ func TestChannelConnectorEndToEnd(t *testing.T) {
 		close(ch)
 	}()
 	env := streamline.New(streamline.WithParallelism(2))
-	src := streamline.FromChannel(env, "live", ch)
+	src := streamline.From(env, "live", streamline.Channel(ch))
 	keyed := streamline.KeyBy(src, "key", func(v float64) uint64 { return uint64(v) % 3 })
 	sums := streamline.ReduceByKey(keyed, "sum", func(acc, v float64) float64 { return acc + v }, false)
 	out := streamline.Collect(sums, "out")
@@ -154,7 +154,7 @@ func TestJSONLConnectorWithTimestamps(t *testing.T) {
 	path := writeJSONL(t, events)
 
 	env := streamline.New(streamline.WithParallelism(2))
-	src := streamline.FromJSONL[event](env, "history", path,
+	src := streamline.From(env, "history", streamline.JSONL[event](path),
 		streamline.WithTimestamps(func(e event) int64 { return e.TsMs }))
 	keyed := streamline.KeyByString(src, "name", func(e event) string { return e.Name })
 	vals := streamline.Map(keyed, "value", func(e event) float64 { return e.Value })
@@ -186,13 +186,13 @@ func TestCSVConnectorParsesRows(t *testing.T) {
 		value float64
 	}
 	env := streamline.New(streamline.WithParallelism(1))
-	src := streamline.FromCSV(env, "csv", path, true, func(r []string) (row, error) {
+	src := streamline.From(env, "csv", streamline.CSV(path, true, func(r []string) (row, error) {
 		var v float64
 		if _, err := fmt.Sscanf(r[1], "%g", &v); err != nil {
 			return row{}, err
 		}
 		return row{name: r[0], value: v}, nil
-	})
+	}))
 	keyed := streamline.KeyByString(src, "name", func(r row) string { return r.name })
 	vals := streamline.Map(keyed, "value", func(r row) float64 { return r.value })
 	sums := streamline.ReduceByKey(vals, "sum", func(acc, v float64) float64 { return acc + v }, false)
@@ -214,11 +214,11 @@ func TestCSVConnectorParseErrorFailsExecute(t *testing.T) {
 		t.Fatal(err)
 	}
 	env := streamline.New(streamline.WithParallelism(1))
-	src := streamline.FromCSV(env, "csv", path, false, func(r []string) (float64, error) {
+	src := streamline.From(env, "csv", streamline.CSV(path, false, func(r []string) (float64, error) {
 		var v float64
 		_, err := fmt.Sscanf(r[0], "%g", &v)
 		return v, err
-	})
+	}))
 	streamline.Sink(src, "out", func(streamline.Keyed[float64]) {})
 	if err := env.Execute(context.Background()); err == nil {
 		t.Fatalf("parse error must fail Execute")

@@ -2,6 +2,7 @@ package streamline_test
 
 import (
 	"context"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -52,7 +53,7 @@ func TestChannelNeverStrandsRecords(t *testing.T) {
 		ch <- streamline.Keyed[float64]{Ts: int64(i), Value: float64(i)}
 	}
 	env := streamline.New(streamline.WithParallelism(1), streamline.WithBatchSize(1<<20))
-	at := arrivals(streamline.FromChannel(env, "live", ch))
+	at := arrivals(streamline.From(env, "live", streamline.Channel(ch)))
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	done := make(chan *metrics.Registry, 1)
@@ -75,27 +76,40 @@ func TestChannelNeverStrandsRecords(t *testing.T) {
 }
 
 // blockingSource is a custom connector that breaks the may-wait contract the
-// way a first attempt would: its Next blocks for up to idle waiting for an
-// element, then returns ReadIdle — and it declares nothing.
+// way a first attempt would: its Next blocks waiting for an element and,
+// after a while without one, returns ReadIdle — and it declares nothing. The
+// first wait is short, so the runtime soon learns that Next waits; every
+// later one is long, so a run held across a Next shows as one more ReadIdle
+// before the element arrives, whatever the machine's load. Each element
+// leaves Next stamped with the ReadIdle count of that moment in its Value.
+// Closing stop ends the stream at once.
 type blockingSource struct {
 	c     chan streamline.Keyed[float64]
-	idle  time.Duration
+	stop  chan struct{}
 	idled chan struct{} // closed at the first ReadIdle
+	idles atomic.Int64  // ReadIdle returns so far
 }
 
 func (s *blockingSource) Open(sub, par int) streamline.Reader[float64] { return s }
 
 func (s *blockingSource) Next() (streamline.Keyed[float64], streamline.ReadStatus) {
+	wait := 10 * time.Millisecond
+	if s.idles.Load() > 0 {
+		wait = 2 * time.Second
+	}
+	timer := time.NewTimer(wait)
+	defer timer.Stop()
 	select {
 	case k := <-s.c:
+		k.Value = float64(s.idles.Load())
 		return k, streamline.ReadData
-	case <-time.After(s.idle):
-		select {
-		case <-s.idled:
-		default:
+	case <-timer.C:
+		if s.idles.Add(1) == 1 {
 			close(s.idled)
 		}
 		return streamline.Keyed[float64]{}, streamline.ReadIdle
+	case <-s.stop:
+		return streamline.Keyed[float64]{}, streamline.ReadEnd
 	}
 }
 
@@ -104,8 +118,10 @@ func (s *blockingSource) Restore([]byte) error      { return nil }
 
 // TestUndeclaredBlockingReaderLatchesAfterFirstIdle: once a reader has
 // returned ReadIdle the runtime knows its Next waits, and stops gathering.
-// An element sent after that is handed over and shipped before the next Next;
-// held in a run across that call it would take the reader's whole idle wait.
+// An element sent after that is handed over and shipped before the next
+// Next, so it reaches the sink while that Next still waits: the reader's
+// ReadIdle count at arrival is the one the element left Next with. Held in a
+// run across that call, it would arrive only after the wait's ReadIdle.
 // The latch holds too where the reader is a Hybrid's live half or wrapped by
 // an unthrottled Paced, since neither wrapper can answer for it.
 func TestUndeclaredBlockingReaderLatchesAfterFirstIdle(t *testing.T) {
@@ -122,9 +138,12 @@ func TestUndeclaredBlockingReaderLatchesAfterFirstIdle(t *testing.T) {
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			src := &blockingSource{c: make(chan streamline.Keyed[float64]), idle: 400 * time.Millisecond, idled: make(chan struct{})}
+			src := &blockingSource{c: make(chan streamline.Keyed[float64]), stop: make(chan struct{}), idled: make(chan struct{})}
 			env := streamline.New(streamline.WithParallelism(1), streamline.WithBatchSize(1<<20))
-			at := arrivals(streamline.From(env, "custom", tc.wrap(src), streamline.WithSourceParallelism(1)))
+			stream := streamline.From(env, "custom", tc.wrap(src), streamline.WithSourceParallelism(1))
+			arrived := make(chan [2]int64, 1) // the element's stamp, the count at arrival
+			streamline.Sink(streamline.KeyBy(stream, "key", func(v float64) uint64 { return uint64(v) }), "out",
+				func(k streamline.Keyed[float64]) { arrived <- [2]int64{int64(k.Value), src.idles.Load()} })
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
 			done := make(chan struct{})
@@ -134,10 +153,17 @@ func TestUndeclaredBlockingReaderLatchesAfterFirstIdle(t *testing.T) {
 			}()
 			<-src.idled
 			for i := 0; i < 2; i++ {
-				src.c <- streamline.Keyed[float64]{Ts: int64(i), Value: float64(i)}
-				awaitArrival(t, at, time.Now(), 200*time.Millisecond)
+				src.c <- streamline.Keyed[float64]{Ts: int64(i)}
+				select {
+				case got := <-arrived:
+					if got[0] != got[1] {
+						t.Fatalf("element %d left Next at ReadIdle count %d and reached the sink at %d: it was held across the reader's next Next", i, got[0], got[1])
+					}
+				case <-time.After(10 * time.Second):
+					t.Fatalf("element %d never reached the sink", i)
+				}
 			}
-			cancel()
+			close(src.stop)
 			<-done
 		})
 	}

@@ -510,7 +510,7 @@ func TestRescaleRecoveryTypedAPI(t *testing.T) {
 			if !ok {
 				t.Skip("no checkpoint before kill")
 			}
-			resumeEnv, resumeOut := build(restorePar, 0, streamline.WithStateBackend(backend))
+			resumeEnv, resumeOut := build(restorePar, 0)
 			if err := resumeEnv.ExecuteRestored(context.Background(), snap); err != nil {
 				t.Fatalf("restored run at parallelism %d: %v", restorePar, err)
 			}

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -234,42 +235,6 @@ func TestExecuteSupervisedLocalExhaustsBudget(t *testing.T) {
 	}
 }
 
-// startWorkerLoops is startWorkers for supervised jobs: each worker runs
-// RunWorkerLoop, so it redials and rejoins across epoch restarts. Worker
-// n-1 runs under victimCtx so the test can crash it.
-func startWorkerLoops(ctx context.Context, n int, addrCh <-chan string, victimCtx context.Context, build func() *streamline.Env) (wait func() []error) {
-	errCh := make(chan error, n)
-	go func() {
-		var addr string
-		select {
-		case addr = <-addrCh:
-		case <-ctx.Done():
-			for i := 0; i < n; i++ {
-				errCh <- ctx.Err()
-			}
-			return
-		}
-		for i := 0; i < n; i++ {
-			wctx := ctx
-			if victimCtx != nil && i == n-1 {
-				wctx = victimCtx
-			}
-			go func(wctx context.Context) {
-				errCh <- streamline.RunWorkerLoop(wctx, addr, func(string, []string) (*streamline.Env, error) {
-					return build(), nil
-				}, streamline.WithWorkerDialPolicy(streamline.DialPolicy{BaseDelay: 5 * time.Millisecond, MaxWait: 5 * time.Second}))
-			}(wctx)
-		}
-	}()
-	return func() []error {
-		errs := make([]error, n)
-		for i := range errs {
-			errs[i] = <-errCh
-		}
-		return errs
-	}
-}
-
 // TestExecuteSupervisedDistributedKillWorker: crash one of two workers
 // mid-checkpoint under load; Execute under WithSupervision and WithWorkers
 // restores the newest snapshot and degrades onto the surviving worker, and
@@ -290,22 +255,8 @@ func TestExecuteSupervisedDistributedKillWorker(t *testing.T) {
 		streamline.WithHeartbeat(20*time.Millisecond, 500*time.Millisecond),
 		streamline.WithRejoinWindow(500*time.Millisecond),
 		streamline.WithOnListen(func(a string) { addrCh <- a }))
-	victimCtx, killVictim := context.WithCancel(ctx)
-	defer killVictim()
-	go func() {
-		for {
-			if _, ok, _ := backend.Latest(); ok {
-				killVictim()
-				return
-			}
-			select {
-			case <-victimCtx.Done():
-				return
-			case <-time.After(2 * time.Millisecond):
-			}
-		}
-	}()
-	wait := startWorkerLoops(ctx, 2, addrCh, victimCtx, func() *streamline.Env {
+	victimCtx := killOnFirstCheckpoint(t, ctx, backend)
+	wait := startWorkers(ctx, 2, addrCh, victimCtx, func() *streamline.Env {
 		env, _ := buildDistWindowed(2, 2, 4_000, streamline.WithCheckpointing(backend, 15*time.Millisecond))
 		return env
 	})
@@ -329,4 +280,73 @@ func TestExecuteSupervisedDistributedKillWorker(t *testing.T) {
 	if got := renderWindows(supOut); got != want {
 		t.Fatalf("supervised recovery diverged from local run:\ngot:\n%s\nwant:\n%s", got, want)
 	}
+}
+
+// TestRunWorkerRegistryServesBothCoordinators: RunWorker with a nil builder
+// rebuilds the pipeline the coordinator's plan names from the
+// RegisterPipeline registry, with the plan's arguments, and the one entry
+// point serves both coordinator kinds. Unsupervised, every worker returns
+// nil when the job ends with its one epoch; supervised, the survivor of a
+// killed peer rejoins the restarted epoch and returns nil when the job ends.
+func TestRunWorkerRegistryServesBothCoordinators(t *testing.T) {
+	streamline.RegisterPipeline("registry-windowed", func(args []string) (*streamline.Env, error) {
+		pace, err := strconv.ParseFloat(args[0], 64)
+		if err != nil {
+			return nil, err
+		}
+		env, _ := buildDistWindowed(2, 2, pace)
+		return env, nil
+	})
+	localEnv, localOut := buildDistWindowed(2, 0, 0)
+	execute(t, localEnv.Execute)
+	want := renderWindows(localOut)
+
+	t.Run("unsupervised", func(t *testing.T) {
+		ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+		defer cancel()
+		addrCh := make(chan string, 1)
+		env, out := buildDistWindowed(2, 2, 0,
+			streamline.WithPipelineRef("registry-windowed", "0"),
+			streamline.WithOnListen(func(a string) { addrCh <- a }))
+		wait := startWorkers(ctx, 2, addrCh, nil, nil)
+		if err := env.Execute(ctx); err != nil {
+			t.Fatalf("distributed run: %v", err)
+		}
+		for i, err := range wait() {
+			if err != nil {
+				t.Fatalf("worker %d returned %v at the end of an unsupervised job, want nil", i+1, err)
+			}
+		}
+		if got := renderWindows(out); got != want {
+			t.Fatalf("distributed run diverged from local run:\ngot:\n%s\nwant:\n%s", got, want)
+		}
+	})
+
+	t.Run("supervised", func(t *testing.T) {
+		ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+		defer cancel()
+		backend := streamline.NewMemoryBackend(0)
+		addrCh := make(chan string, 1)
+		env, out := buildDistWindowed(2, 2, 4_000,
+			streamline.WithPipelineRef("registry-windowed", "4000"),
+			streamline.WithCheckpointing(backend, 15*time.Millisecond),
+			streamline.WithSupervision(6, 10*time.Millisecond, 50*time.Millisecond),
+			streamline.WithHeartbeat(20*time.Millisecond, 500*time.Millisecond),
+			streamline.WithRejoinWindow(500*time.Millisecond),
+			streamline.WithOnListen(func(a string) { addrCh <- a }))
+		wait := startWorkers(ctx, 2, addrCh, killOnFirstCheckpoint(t, ctx, backend), nil)
+		if err := env.Execute(ctx); err != nil {
+			t.Fatalf("supervised distributed run: %v", err)
+		}
+		errs := wait()
+		if len(env.RestartStats()) == 0 {
+			t.Skip("job finished before the kill on this machine")
+		}
+		if errs[0] != nil {
+			t.Fatalf("surviving worker returned %v at the end of a restarted job, want nil", errs[0])
+		}
+		if got := renderWindows(out); got != want {
+			t.Fatalf("supervised recovery diverged from local run:\ngot:\n%s\nwant:\n%s", got, want)
+		}
+	})
 }
