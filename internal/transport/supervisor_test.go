@@ -317,3 +317,78 @@ func TestSupervisorExhaustsRestartBudget(t *testing.T) {
 		t.Fatal("worker loop did not exit after the terminal stop")
 	}
 }
+
+// TestSurvivorRejoinsOnlyUnderSupervision: a worker that survives a peer's
+// crash runs RunWorker once and learns from its error whether the job goes
+// on. Under a supervised coordinator the error wraps ErrRejoin, so a loop
+// redials; under an unsupervised one it does not, so a loop returns with
+// the failed share instead of redialing a coordinator that has stopped.
+// The plan's Supervised flag and the abort's Rejoin flag both gate it; a
+// coordinator that sets both for an unsupervised job fails this test.
+func TestSurvivorRejoinsOnlyUnderSupervision(t *testing.T) {
+	for _, supervised := range []bool{false, true} {
+		name := "unsupervised"
+		if supervised {
+			name = "supervised"
+		}
+		t.Run(name, func(t *testing.T) {
+			ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+			defer cancel()
+			const events, pace = 12_000, 2_500.0
+			env, _ := soakEnv(events, pace)
+			sup, err := transport.NewSupervisor(transport.Config{
+				Graph:             env.Core().Graph(),
+				Chaining:          env.Core().Chaining(),
+				Workers:           2,
+				Backend:           streamline.NewMemoryBackend(0),
+				Interval:          10 * time.Millisecond,
+				HeartbeatInterval: 20 * time.Millisecond,
+				HeartbeatTimeout:  time.Second,
+			}, transport.SupervisionPolicy{Unsupervised: !supervised, RejoinWindow: time.Second})
+			if err != nil {
+				t.Fatal(err)
+			}
+			supErr := make(chan error, 1)
+			go func() { supErr <- sup.Run(ctx) }()
+
+			victimCtx, kill := context.WithCancel(ctx)
+			defer kill()
+			dial := transport.WithWorkerDialPolicy(transport.DialPolicy{BaseDelay: 5 * time.Millisecond, MaxWait: 5 * time.Second})
+			survivorErr, victimDone := make(chan error, 1), make(chan struct{})
+			go func() { survivorErr <- transport.RunWorker(ctx, sup.Addr(), nil, soakBuild(events, pace), dial) }()
+			go func() {
+				defer close(victimDone)
+				_ = transport.RunWorker(victimCtx, sup.Addr(), nil, soakBuild(events, pace), dial)
+			}()
+
+			for sup.CompletedCheckpoints() == 0 {
+				select {
+				case err := <-supErr:
+					t.Fatalf("job ended before the kill: %v", err)
+				case <-ctx.Done():
+					t.Fatal("no checkpoint completed")
+				case <-time.After(2 * time.Millisecond):
+				}
+			}
+			kill()
+			var werr error
+			select {
+			case werr = <-survivorErr:
+			case <-ctx.Done():
+				t.Fatal("survivor did not return after its peer's crash")
+			}
+			if werr == nil {
+				t.Fatal("survivor of a crashed epoch returned nil")
+			}
+			t.Logf("survivor: %v", werr)
+			if got := errors.Is(werr, transport.ErrRejoin); got != supervised {
+				t.Fatalf("survivor's error wraps ErrRejoin = %v under the %s coordinator, want %v: %v", got, name, supervised, werr)
+			}
+			cancel()
+			<-victimDone
+			if err := <-supErr; err == nil {
+				t.Fatalf("%s run reported success after a worker crash", name)
+			}
+		})
+	}
+}
