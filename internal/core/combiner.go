@@ -1,12 +1,13 @@
 package core
 
 import (
-	"bytes"
-	"encoding/gob"
+	"encoding/binary"
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 
 	"repro/internal/dataflow"
+	"repro/internal/state"
 )
 
 // CombinerOp is the optimizer's pre-aggregation operator: it sits on the
@@ -42,15 +43,6 @@ const combinerSampleSize = 512
 
 var _ dataflow.Operator = (*CombinerOp)(nil)
 
-type combinerState struct {
-	Decided bool
-	Enabled bool
-	Sampled int
-	Keys    []uint64
-	Accs    []float64
-	Ts      []int64
-}
-
 // Open implements dataflow.Operator.
 func (c *CombinerOp) Open(ctx *dataflow.OpContext) error {
 	c.table = make(map[uint64]combEntry)
@@ -64,14 +56,18 @@ func (c *CombinerOp) Open(ctx *dataflow.OpContext) error {
 	if ctx.Restore == nil {
 		return nil
 	}
-	var s combinerState
-	if err := gob.NewDecoder(bytes.NewReader(ctx.Restore)).Decode(&s); err != nil {
-		return fmt.Errorf("combiner restore: %w", err)
-	}
-	c.decided, c.enabled, c.sampled = s.Decided, s.Enabled, s.Sampled
-	for i, k := range s.Keys {
-		c.table[k] = combEntry{acc: s.Accs[i], ts: s.Ts[i]}
+	r := state.Cursor{B: ctx.Restore}
+	c.decided, c.enabled, c.sampled = r.Bool(), r.Bool(), int(r.Uvarint())
+	for n := r.Count(3); n > 0 && r.Err == nil; n-- {
+		k := r.Uvarint()
+		if _, dup := c.table[k]; dup {
+			return fmt.Errorf("combiner restore: key %#x twice", k)
+		}
+		c.table[k] = combEntry{acc: r.Float64(), ts: r.Varint()}
 		c.order = append(c.order, k)
+	}
+	if err := r.Done(); err != nil {
+		return fmt.Errorf("combiner restore: %w", err)
 	}
 	return nil
 }
@@ -148,24 +144,16 @@ func (c *CombinerOp) flush(out dataflow.Collector) {
 	c.order = c.order[:0]
 }
 
-// Snapshot implements dataflow.Operator.
+// Snapshot implements dataflow.Operator: the decided and enabled flags, the
+// sample count, then the table as a uvarint count and, in key order, each
+// key as a uvarint, its partial aggregate and its varint timestamp.
 func (c *CombinerOp) Snapshot() ([]byte, error) {
-	s := combinerState{Decided: c.decided, Enabled: c.enabled, Sampled: c.sampled}
-	keys := make([]uint64, 0, len(c.table))
-	for k := range c.table {
-		keys = append(keys, k)
+	b := binary.AppendUvarint(state.AppendBool(state.AppendBool(nil, c.decided), c.enabled), uint64(c.sampled))
+	b = binary.AppendUvarint(b, uint64(len(c.table)))
+	for _, k := range slices.Sorted(maps.Keys(c.table)) {
+		b = binary.AppendVarint(state.AppendFloat64(binary.AppendUvarint(b, k), c.table[k].acc), c.table[k].ts)
 	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	for _, k := range keys {
-		s.Keys = append(s.Keys, k)
-		s.Accs = append(s.Accs, c.table[k].acc)
-		s.Ts = append(s.Ts, c.table[k].ts)
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(s); err != nil {
-		return nil, fmt.Errorf("combiner snapshot: %w", err)
-	}
-	return buf.Bytes(), nil
+	return b, nil
 }
 
 // Finish implements dataflow.Operator.

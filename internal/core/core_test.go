@@ -1,7 +1,10 @@
 package core
 
 import (
+	"bytes"
 	"context"
+	"encoding/gob"
+	"fmt"
 	"math/rand"
 	"testing"
 	"time"
@@ -194,6 +197,48 @@ func TestCombinerAdaptiveDecision(t *testing.T) {
 	}
 	if unique {
 		t.Fatalf("combiner should disable on unique keys")
+	}
+}
+
+// TestCombinerRestoreRefusesMalformed: a combiner's snapshot restores to the
+// same table, and every blob that is not one — each strict prefix, a table
+// naming a key twice, and the blob of the gob encoding before it whose key
+// list outran its accumulators, which panicked Open — is refused with an
+// error.
+func TestCombinerRestoreRefusesMalformed(t *testing.T) {
+	c := &CombinerOp{F: func(a, v float64) float64 { return a + v }}
+	if err := c.Open(&dataflow.OpContext{}); err != nil {
+		t.Fatal(err)
+	}
+	c.OnBatch([]dataflow.Record{dataflow.Data(5, 9, 1.5), dataflow.Data(7, 3, 2.0), dataflow.Data(6, 9, 1.0)}, collectorFunc(func(dataflow.Record) {}))
+	blob, _ := c.Snapshot()
+	restored := &CombinerOp{F: c.F}
+	if err := restored.Open(&dataflow.OpContext{Restore: blob}); err != nil {
+		t.Fatal(err)
+	}
+	if again, _ := restored.Snapshot(); !bytes.Equal(again, blob) || restored.table[9] != (combEntry{acc: 2.5, ts: 6}) {
+		t.Fatalf("restored table %v snapshots to %x, want %x", restored.table, again, blob)
+	}
+	var gobEra bytes.Buffer
+	gob.NewEncoder(&gobEra).Encode(struct {
+		Decided, Enabled bool
+		Sampled          int
+		Keys             []uint64
+		Accs             []float64
+		Ts               []int64
+	}{true, true, 0, []uint64{1, 2}, []float64{1}, []int64{1}})
+	bad := map[string][]byte{
+		"key twice": {1, 1, 0, 2, 9, 0, 0, 9, 0, 0},
+		"gob era":   gobEra.Bytes(),
+	}
+	for n := range blob {
+		bad[fmt.Sprintf("prefix %d", n)] = blob[:n]
+	}
+	for name, in := range bad {
+		op := &CombinerOp{F: c.F}
+		if err := op.Open(&dataflow.OpContext{Restore: in}); err == nil {
+			t.Errorf("%s: %x restored", name, in)
+		}
 	}
 }
 

@@ -284,21 +284,24 @@ func TestExecuteRestoredRescaled(t *testing.T) {
 	}
 }
 
-// writeParentFixture regenerates testdata/v1_snapshot: run it at the commit
+// writeParentFixture regenerates testdata/v2_snapshot: run it at the commit
 // whose checkpoint format the fixture pins, never at a commit under test.
-var writeParentFixture = flag.Bool("write-parent-fixture", false, "rewrite testdata/v1_snapshot (run at the commit that introduced its format)")
+var writeParentFixture = flag.Bool("write-parent-fixture", false, "rewrite testdata/v2_snapshot (run at the commit that introduced its format)")
 
 // TestParentWrittenSnapshotRestores restores a checkpoint of checkpoint file
-// format version 1 written by the commit that introduced that format (file
-// backend, window + reduce + combiner state, taken mid-stream with the
-// combiner table non-empty) and demands the output tail that commit produced
-// from the same snapshot: no state format moved since. The checkpoints of
-// the gob format before it — one from before the last snapshot converter was
-// deleted, one from before the slice timeline — are refused as an older
-// format, so nothing is restored from them.
+// format version 2 (file backend, window + reduce + combiner state, taken
+// mid-stream with the combiner table non-empty) and demands the output tail
+// its golden pins: no state format moved since. The checkpoint holds the
+// state of testdata/v1_snapshot, the version-1 fixture written by the commit
+// that introduced version 1, with its gob-encoded source and combiner
+// sections re-encoded typed; the golden is v1_snapshot's, byte for byte. The
+// checkpoints of the formats before it — version 1, and the gob format
+// before that from before the last snapshot converter was deleted and from
+// before the slice timeline — are refused as an older format, so nothing is
+// restored from them.
 func TestParentWrittenSnapshotRestores(t *testing.T) {
 	const n = 6000
-	dir := filepath.Join("testdata", "v1_snapshot")
+	dir := filepath.Join("testdata", "v2_snapshot")
 	golden := filepath.Join(dir, "restored_output.golden")
 	build := func(perSec float64, backend state.Backend) (*Environment, []*dataflow.CollectSink) {
 		opts := []Option{WithParallelism(2), WithCombiner(CombinerOn)}
@@ -391,7 +394,7 @@ func TestParentWrittenSnapshotRestores(t *testing.T) {
 		t.Fatalf("restored output differs from the parent's:\n got %d bytes\nwant %d bytes", len(got), len(want))
 	}
 
-	for _, old := range []string{"parent_snapshot", "pre_timeline_snapshot"} {
+	for _, old := range []string{"v1_snapshot", "parent_snapshot", "pre_timeline_snapshot"} {
 		backend, err := state.NewFileBackend(filepath.Join("testdata", old))
 		if err != nil {
 			t.Fatal(err)

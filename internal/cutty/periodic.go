@@ -250,7 +250,7 @@ func AppendKeySlices(b []byte, k *KeySlices) []byte {
 	}
 	b = binary.AppendUvarint(b, uint64(len(k.Parts)))
 	for _, p := range k.Parts {
-		b = binary.AppendVarint(state.AppendFloat64(state.AppendFloat64(b, p.V), p.M2), p.N)
+		b = appendAcc(b, p)
 	}
 	return b
 }
@@ -261,51 +261,34 @@ func AppendKeySlices(b []byte, k *KeySlices) []byte {
 // what is not stored: the deadline, and with it the eviction of slices that
 // were already dead.
 func (t *Timeline) Decode(b []byte) (*KeySlices, []byte, error) {
-	k := new(KeySlices)
-	var err error
-	if k.Fired, b, err = state.ReadVarint(b); err != nil {
-		return nil, b, err
-	}
-	n, b, err := state.ReadCount(b, 1)
-	if err != nil {
-		return nil, b, err
-	}
-	if n > 0 {
+	c := state.Cursor{B: b}
+	k := &KeySlices{Fired: c.Varint()}
+	if n := c.Count(1); n > 0 {
 		k.Slots = make([]int64, n)
 	}
 	for i := range k.Slots {
-		var slot int64
-		if slot, b, err = state.ReadVarint(b); err != nil {
-			return nil, b, err
-		}
+		k.Slots[i] = c.Varint()
 		if i > 0 {
-			if slot += k.Slots[i-1]; slot <= k.Slots[i-1] {
-				return nil, b, fmt.Errorf("cutty: slice indexes not ascending (%d after %d)", slot, k.Slots[i-1])
+			if k.Slots[i] += k.Slots[i-1]; k.Slots[i] <= k.Slots[i-1] && c.Err == nil {
+				return nil, c.B, fmt.Errorf("cutty: slice indexes not ascending (%d after %d)", k.Slots[i], k.Slots[i-1])
 			}
 		}
-		k.Slots[i] = slot
 	}
-	parts, b, err := state.ReadCount(b, 3)
-	if err != nil {
-		return nil, b, err
+	parts := c.Count(3)
+	if c.Err != nil {
+		return nil, c.B, c.Err
 	}
-	if parts != n*len(t.fns) {
-		return nil, b, fmt.Errorf("cutty: %d partials for %d slices, want %d per slice (query set mismatch)", parts, n, len(t.fns))
+	if parts != len(k.Slots)*len(t.fns) {
+		return nil, c.B, fmt.Errorf("cutty: %d partials for %d slices, want %d per slice (query set mismatch)", parts, len(k.Slots), len(t.fns))
 	}
 	if parts > 0 {
 		k.Parts = make([]agg.Acc, parts)
 	}
 	for i := range k.Parts {
-		p := &k.Parts[i]
-		if p.V, b, err = state.ReadFloat64(b); err != nil {
-			return nil, b, err
-		}
-		if p.M2, b, err = state.ReadFloat64(b); err != nil {
-			return nil, b, err
-		}
-		if p.N, b, err = state.ReadVarint(b); err != nil {
-			return nil, b, err
-		}
+		k.Parts[i] = readAcc(&c)
+	}
+	if c.Err != nil {
+		return nil, c.B, c.Err
 	}
 	// Slices outside the representable range hold elements OnElement would
 	// have dropped; only a malformed blob carries them.
@@ -313,5 +296,5 @@ func (t *Timeline) Decode(b []byte) (*KeySlices, []byte, error) {
 	hi, _ := slices.BinarySearch(k.Slots, t.maxTs/t.width+1)
 	k.Slots, k.Parts = k.Slots[lo:hi], k.Parts[lo*len(t.fns):hi*len(t.fns)]
 	t.fire(k, k.Fired)
-	return k, b, nil
+	return k, c.B, nil
 }

@@ -2,156 +2,130 @@ package cutty
 
 import (
 	"cmp"
-	"encoding/gob"
+	"encoding/binary"
 	"fmt"
 	"slices"
 
 	"repro/internal/agg"
+	"repro/internal/state"
 	"repro/internal/window"
 )
 
-// Snapshot/Restore make the Cutty engine checkpointable, which is what the
-// dataflow layer's asynchronous barrier snapshotting needs to give windowed
-// aggregations exactly-once state (experiment E9).
+// AppendState/ReadState make the Cutty engine checkpointable, which is what
+// the dataflow layer's asynchronous barrier snapshotting needs to give
+// windowed aggregations exactly-once state (experiment E9).
 //
 // Protocol: the restoring side first reconstructs the engine with the same
 // AddQuery sequence (specs and functions are part of the job definition and
 // survive failures in the job graph, not in the snapshot), then calls
-// Restore. Only mutable state is serialized: the slice ring, the per-store
-// tree leaves, each query's open windows and — via window.Checkpointable —
-// each assigner's mutable fields.
+// ReadState. Only mutable state is encoded:
+//
+//	pos, curWM       varint each; cutPending a bool
+//	slices           varint base, uvarint count, per slice varint first
+//	                 timestamp and varint element count
+//	stores           uvarint count, in function-name order: the name, then
+//	                 a uvarint leaf count and per leaf its partial (appendAcc)
+//	queries          uvarint count, per query varint id, uvarint open-window
+//	                 count and per window, in id order, varint id and begin
+//	assigners        per query in query order, window.Checkpointable's state
 
-type engineState struct {
-	Pos        int64
-	CurWM      int64
-	CutPending bool
-	MetaBase   int64
-	MetaFirst  []int64
-	MetaCount  []int64
-	Stores     []storeState
-	Queries    []queryStateBlob
-}
-
-type storeState struct {
-	FnName string
-	Leaves []agg.Acc
-}
-
-type queryStateBlob struct {
-	ID        int
-	OpenIDs   []int64
-	OpenBegin []int64
-	MinBegin  int64
-}
-
-// Snapshot serializes the engine's mutable state.
-func (e *Engine) Snapshot(enc *gob.Encoder) error {
-	st := engineState{
-		Pos:        e.pos,
-		CurWM:      e.curWM,
-		CutPending: e.cutPending,
-		MetaBase:   e.meta.base,
-	}
+// AppendState appends the engine's mutable state to b.
+func (e *Engine) AppendState(b []byte) []byte {
+	b = state.AppendBool(binary.AppendVarint(binary.AppendVarint(b, e.pos), e.curWM), e.cutPending)
+	b = binary.AppendUvarint(binary.AppendVarint(b, e.meta.base), uint64(len(e.meta.items)))
 	for _, m := range e.meta.items {
-		st.MetaFirst = append(st.MetaFirst, m.firstTs)
-		st.MetaCount = append(st.MetaCount, m.count)
+		b = binary.AppendVarint(binary.AppendVarint(b, m.firstTs), m.count)
 	}
 	stores := slices.Clone(e.stores)
 	slices.SortFunc(stores, func(a, b *fnStore) int { return cmp.Compare(a.fn.Name, b.fn.Name) })
+	b = binary.AppendUvarint(b, uint64(len(stores)))
 	for _, s := range stores {
-		ss := storeState{FnName: s.fn.Name}
+		b = binary.AppendUvarint(state.AppendBytes(b, s.fn.Name), uint64(s.tree.Len()))
 		for i := 0; i < s.tree.Len(); i++ {
-			ss.Leaves = append(ss.Leaves, s.tree.Range(i, i+1))
+			b = appendAcc(b, s.tree.Range(i, i+1))
 		}
-		st.Stores = append(st.Stores, ss)
 	}
+	b = binary.AppendUvarint(b, uint64(len(e.queries)))
 	for _, q := range e.queries {
-		qb := queryStateBlob{ID: q.id}
 		wins := slices.Clone(q.open.live())
-		if len(wins) > 0 {
-			qb.MinBegin = wins[0].begin
-		}
 		slices.SortFunc(wins, func(a, b openWin) int { return cmp.Compare(a.id, b.id) })
+		b = binary.AppendUvarint(binary.AppendVarint(b, int64(q.id)), uint64(len(wins)))
 		for _, w := range wins {
-			qb.OpenIDs = append(qb.OpenIDs, w.id)
-			qb.OpenBegin = append(qb.OpenBegin, w.begin)
+			b = binary.AppendVarint(binary.AppendVarint(b, w.id), w.begin)
 		}
-		st.Queries = append(st.Queries, qb)
 	}
-	if err := enc.Encode(st); err != nil {
-		return fmt.Errorf("cutty: snapshot: %w", err)
-	}
-	// Assigner state, in query-id order.
 	for _, q := range e.queries {
-		ck, ok := q.assigner.(window.Checkpointable)
-		if !ok {
-			return fmt.Errorf("cutty: assigner of query %d is not checkpointable", q.id)
-		}
-		if err := ck.SaveState(enc); err != nil {
-			return fmt.Errorf("cutty: snapshot assigner %d: %w", q.id, err)
-		}
+		b = q.assigner.(window.Checkpointable).AppendState(b)
 	}
-	return nil
+	return b
 }
 
-// Restore loads state produced by Snapshot into an engine that was rebuilt
-// with the same AddQuery sequence.
-func (e *Engine) Restore(dec *gob.Decoder) error {
-	var st engineState
-	if err := dec.Decode(&st); err != nil {
-		return fmt.Errorf("cutty: restore: %w", err)
+// ReadState loads state produced by AppendState from the front of b into an
+// engine that was rebuilt with the same AddQuery sequence, and returns the
+// bytes after it.
+func (e *Engine) ReadState(b []byte) ([]byte, error) {
+	c := state.Cursor{B: b}
+	e.pos, e.curWM, e.cutPending = c.Varint(), c.Varint(), c.Bool()
+	e.meta = metaRing{base: c.Varint()}
+	e.meta.items = make([]sliceMeta, c.Count(2))
+	for i := range e.meta.items {
+		e.meta.items[i] = sliceMeta{firstTs: c.Varint(), count: c.Varint()}
 	}
-	if len(st.MetaCount) != len(st.MetaFirst) || len(st.Stores) != len(e.stores) {
-		return fmt.Errorf("cutty: restore: %d slice starts, %d slice counts, %d stores for %d functions (malformed or query set mismatch)",
-			len(st.MetaFirst), len(st.MetaCount), len(st.Stores), len(e.stores))
+	if n := c.Count(2); c.Err == nil && n != len(e.stores) {
+		return c.B, fmt.Errorf("cutty: restore: %d stores for %d functions (query set mismatch)", n, len(e.stores))
 	}
-	e.pos = st.Pos
-	e.curWM = st.CurWM
-	e.cutPending = st.CutPending
-	e.meta = metaRing{base: st.MetaBase}
-	for i := range st.MetaFirst {
-		e.meta.append(sliceMeta{firstTs: st.MetaFirst[i], count: st.MetaCount[i]})
-	}
-	for _, ss := range st.Stores {
-		s := e.store(ss.FnName)
-		if s == nil {
-			return fmt.Errorf("cutty: restore: no store for function %q (query set mismatch)", ss.FnName)
+	for range e.stores {
+		name := c.Bytes()
+		leaves := c.Count(3)
+		if c.Err != nil {
+			break
 		}
-		s.tree = agg.NewFlatFAT(s.fn.Identity, s.fn.Combine, len(ss.Leaves)+1)
-		for _, leaf := range ss.Leaves {
-			s.tree.Append(leaf)
+		s := e.store(string(name))
+		if s == nil {
+			return c.B, fmt.Errorf("cutty: restore: no store for function %q (query set mismatch)", name)
+		}
+		s.tree = agg.NewFlatFAT(s.fn.Identity, s.fn.Combine, leaves+1)
+		for ; leaves > 0; leaves-- {
+			s.tree.Append(readAcc(&c))
 		}
 	}
 	for _, s := range e.stores { // also catches a blob naming one store twice
-		if s.tree.Len() != len(st.MetaFirst) {
-			return fmt.Errorf("cutty: restore: %d partials of %q for %d slices", s.tree.Len(), s.fn.Name, len(st.MetaFirst))
+		if c.Err == nil && s.tree.Len() != len(e.meta.items) {
+			return c.B, fmt.Errorf("cutty: restore: %d partials of %q for %d slices", s.tree.Len(), s.fn.Name, len(e.meta.items))
 		}
 	}
-	for _, qb := range st.Queries {
-		q := e.query(qb.ID)
+	for n := c.Count(2); n > 0 && c.Err == nil; n-- {
+		id := c.Varint()
+		q := e.query(int(id))
 		if q == nil {
-			return fmt.Errorf("cutty: restore: query %d missing (query set mismatch)", qb.ID)
-		}
-		if len(qb.OpenBegin) != len(qb.OpenIDs) {
-			return fmt.Errorf("cutty: restore: query %d lists %d open windows and %d begins", qb.ID, len(qb.OpenIDs), len(qb.OpenBegin))
+			return c.B, fmt.Errorf("cutty: restore: query %d missing (query set mismatch)", id)
 		}
 		// The blob lists windows by id; the engine wants them in opening
 		// order, which is begin order (ties opened at the same element).
-		wins := make([]openWin, len(qb.OpenIDs))
-		for i, wid := range qb.OpenIDs {
-			wins[i] = openWin{id: wid, begin: qb.OpenBegin[i]}
+		wins := make([]openWin, c.Count(2))
+		for i := range wins {
+			wins[i] = openWin{id: c.Varint(), begin: c.Varint()}
 		}
 		slices.SortStableFunc(wins, func(a, b openWin) int { return cmp.Compare(a.begin, b.begin) })
 		q.open = winList{wins: wins}
 	}
 	for _, q := range e.queries {
-		ck, ok := q.assigner.(window.Checkpointable)
-		if !ok {
-			return fmt.Errorf("cutty: assigner of query %d is not checkpointable", q.id)
+		if c.Err != nil {
+			break
 		}
-		if err := ck.LoadState(dec); err != nil {
-			return fmt.Errorf("cutty: restore assigner %d: %w", q.id, err)
-		}
+		c.B, c.Err = q.assigner.(window.Checkpointable).ReadState(c.B)
 	}
-	return nil
+	if c.Err != nil {
+		return c.B, fmt.Errorf("cutty: restore: %w", c.Err)
+	}
+	return c.B, nil
+}
+
+// appendAcc and readAcc encode one partial aggregate.
+func appendAcc(b []byte, p agg.Acc) []byte {
+	return binary.AppendVarint(state.AppendFloat64(state.AppendFloat64(b, p.V), p.M2), p.N)
+}
+
+func readAcc(c *state.Cursor) agg.Acc {
+	return agg.Acc{V: c.Float64(), M2: c.Float64(), N: c.Varint()}
 }

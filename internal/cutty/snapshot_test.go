@@ -61,13 +61,9 @@ func TestSnapshotRestoreEquivalence(t *testing.T) {
 			first.OnWatermark(el.Ts)
 			first.OnElement(el.Ts, el.V)
 		}
-		var buf bytes.Buffer
-		if err := first.Snapshot(gob.NewEncoder(&buf)); err != nil {
-			t.Fatalf("trial %d: snapshot: %v", trial, err)
-		}
 		second := buildEngine(func(r engine.Result) { split = append(split, r) }, snapshotQueries(), t)
-		if err := second.Restore(gob.NewDecoder(&buf)); err != nil {
-			t.Fatalf("trial %d: restore: %v", trial, err)
+		if rest, err := second.ReadState(first.AppendState(nil)); err != nil || len(rest) != 0 {
+			t.Fatalf("trial %d: restore: %v, %d bytes left", trial, err, len(rest))
 		}
 		for _, el := range elems[cut:] {
 			second.OnWatermark(el.Ts)
@@ -98,25 +94,26 @@ func TestRestoreRejectsQueryMismatch(t *testing.T) {
 	e1 := buildEngine(func(engine.Result) {}, snapshotQueries(), t)
 	e1.OnWatermark(1)
 	e1.OnElement(1, 1)
-	var buf bytes.Buffer
-	if err := e1.Snapshot(gob.NewEncoder(&buf)); err != nil {
-		t.Fatal(err)
-	}
 	// Rebuild with a different (smaller) query set: must fail, not corrupt.
 	e2 := buildEngine(func(engine.Result) {}, snapshotQueries()[:1], t)
-	if err := e2.Restore(gob.NewDecoder(&buf)); err == nil {
+	if _, err := e2.ReadState(e1.AppendState(nil)); err == nil {
 		t.Fatalf("restore into mismatched engine should fail")
 	}
 }
 
 func TestSnapshotEmptyEngine(t *testing.T) {
 	e1 := buildEngine(func(engine.Result) {}, snapshotQueries(), t)
+	// The deprecated gob shim carries the typed bytes.
 	var buf bytes.Buffer
+	var blob []byte
 	if err := e1.Snapshot(gob.NewEncoder(&buf)); err != nil {
 		t.Fatal(err)
 	}
+	if err := gob.NewDecoder(&buf).Decode(&blob); err != nil || !bytes.Equal(blob, e1.AppendState(nil)) {
+		t.Fatalf("shim wrote %x (%v), want the typed state %x", blob, err, e1.AppendState(nil))
+	}
 	e2 := buildEngine(func(engine.Result) {}, snapshotQueries(), t)
-	if err := e2.Restore(gob.NewDecoder(&buf)); err != nil {
+	if _, err := e2.ReadState(blob); err != nil {
 		t.Fatal(err)
 	}
 	// Restored empty engine must still work.

@@ -325,31 +325,15 @@ func (s *FileScanSource) nextInSplit() (Record, bool, error) {
 
 // ---- snapshot / restore ----------------------------------------------------
 
-// Snapshot implements SourceFunc: the versioned split-scan state (see
+// Snapshot implements SourceFunc: the split-scan state (see
 // splitScanState). Restore Seeks, it does not re-scan.
 func (s *FileScanSource) Snapshot() ([]byte, error) {
 	s.flushMetrics()
-	st := splitScanState{V: splitStateVersion, Completed: s.completed, CurID: -1}
+	cur := pendingSplit{ID: -1}
 	if s.hasCur {
-		st.CurID = s.cur.split.ID
-		st.CurPath = s.cur.split.Path
-		st.CurOff = s.curOffset()
+		cur = pendingSplit{ID: s.cur.split.ID, Path: s.cur.split.Path, Off: s.curOffset()}
 	}
-	if s.Subtask == 0 {
-		// Like the completed-ID carry, subtask 0 keeps the restored
-		// in-flight cursors that no subtask has re-acquired yet alive in the
-		// checkpoint — otherwise a second recovery would re-scan those
-		// splits from their start. It also records the plan geometry, so a
-		// restore against differently-chopped inputs fails loudly instead of
-		// remapping split IDs onto different byte ranges.
-		st.Pending = s.Plan.pendingResumed()
-		sig, err := s.Plan.signature()
-		if err != nil {
-			return nil, err
-		}
-		st.Plan = sig
-	}
-	return encodeScanState(st)
+	return s.Plan.snapshot(s.Subtask, s.completed, cur)
 }
 
 var (

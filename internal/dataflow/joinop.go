@@ -1,6 +1,9 @@
 package dataflow
 
 import (
+	"encoding/binary"
+	"fmt"
+	"maps"
 	"math"
 	"slices"
 
@@ -51,12 +54,54 @@ type WindowJoinOp struct {
 	maps []map[int64]joinSides // dense key index -> the key's window map
 }
 
-// joinSides buffers one (key, window) bucket's values (exported fields for
-// gob). The slices are append-only between snapshots; structural changes go
-// through the outer map under GetMut.
+// joinSides buffers one (key, window) bucket's values. The slices are
+// append-only between snapshots; structural changes go through the outer
+// map under GetMut.
 type joinSides struct {
 	Left  []float64
 	Right []float64
+}
+
+// appendJoinWins encodes a key's windows in ascending start order: a
+// uvarint count, then per window its varint start and each side as a
+// uvarint count and AppendFloat64 values.
+func appendJoinWins(b []byte, m map[int64]joinSides) []byte {
+	b = binary.AppendUvarint(b, uint64(len(m)))
+	for _, start := range slices.Sorted(maps.Keys(m)) {
+		b = binary.AppendVarint(b, start)
+		for _, side := range [2][]float64{m[start].Left, m[start].Right} {
+			b = binary.AppendUvarint(b, uint64(len(side)))
+			for _, v := range side {
+				b = state.AppendFloat64(b, v)
+			}
+		}
+	}
+	return b
+}
+
+// readJoinWins reads what appendJoinWins wrote; starts must ascend.
+func readJoinWins(b []byte) (map[int64]joinSides, []byte, error) {
+	c := state.Cursor{B: b}
+	n := c.Count(3)
+	m := make(map[int64]joinSides, n)
+	prev := int64(math.MinInt64)
+	for i := 0; i < n && c.Err == nil; i++ {
+		start := c.Varint()
+		if i > 0 && start <= prev && c.Err == nil {
+			return nil, c.B, fmt.Errorf("join windows not ascending (%d after %d)", start, prev)
+		}
+		var sides [2][]float64
+		for s := range sides {
+			if k := c.Count(1); k > 0 {
+				sides[s] = make([]float64, k)
+			}
+			for j := range sides[s] {
+				sides[s][j] = c.Float64()
+			}
+		}
+		m[start], prev = joinSides{Left: sides[0], Right: sides[1]}, start
+	}
+	return m, c.B, c.Err
 }
 
 var _ Operator = (*WindowJoinOp)(nil)
@@ -74,17 +119,11 @@ func NewWindowJoinOp(size int64) OperatorFactory {
 // Open implements Operator.
 func (j *WindowJoinOp) Open(ctx *OpContext) error {
 	j.ks = ctx.NewKeyedState()
-	wins := state.ValueCodec[map[int64]joinSides]()
-	// Shallow copy: the slice headers are duplicated, and the buffers behind
-	// them are only ever appended to, never edited in place.
-	wins.Clone = func(m map[int64]joinSides) map[int64]joinSides {
-		out := make(map[int64]joinSides, len(m))
-		for k, v := range m {
-			out[k] = v
-		}
-		return out
-	}
-	j.wins = state.RegisterMap(j.ks, "wins", wins)
+	// Clone is a shallow copy: the slice headers are duplicated, and the
+	// buffers behind them are only ever appended to, never edited in place.
+	j.wins = state.RegisterMap(j.ks, "wins", state.Codec[map[int64]joinSides]{
+		Append: appendJoinWins, Read: readJoinWins, Clone: maps.Clone[map[int64]joinSides],
+	})
 	if err := ctx.RestoreKeyedState(j.ks); err != nil {
 		return err
 	}

@@ -181,8 +181,8 @@ type Record struct {
 	Ts int64
 	// Key is the partitioning key (meaningful after a KeyBy edge).
 	Key uint64
-	// Value is the payload. Values crossing a checkpointable operator's
-	// state must be gob-serializable.
+	// Value is the payload. A type the wire codec has no fast path for
+	// crosses processes through gob, so it must be gob-serializable.
 	Value any
 }
 

@@ -136,27 +136,17 @@ func (s *SplitScanSource) Next() (Record, bool) {
 	}
 }
 
-// Snapshot implements SourceFunc with the same versioned state as the file
-// scan (splitScanState): completed split IDs, the in-flight split's resume
+// Snapshot implements SourceFunc with the file scan's state
+// (splitScanState): completed split IDs, the in-flight split's resume
 // position, and — on subtask 0 — the restored-pending carry and the plan's
 // geometry signature.
 func (s *SplitScanSource) Snapshot() ([]byte, error) {
 	s.flushMetrics()
-	st := splitScanState{V: splitStateVersion, Completed: s.completed, CurID: -1}
+	cur := pendingSplit{ID: -1}
 	if s.hasCur {
-		st.CurID = s.cur.split.ID
-		st.CurPath = s.cur.split.Path
-		st.CurOff = s.Reader.Pos()
+		cur = pendingSplit{ID: s.cur.split.ID, Path: s.cur.split.Path, Off: s.Reader.Pos()}
 	}
-	if s.Subtask == 0 {
-		st.Pending = s.Plan.pendingResumed()
-		sig, err := s.Plan.signature()
-		if err != nil {
-			return nil, err
-		}
-		st.Plan = sig
-	}
-	return encodeScanState(st)
+	return s.Plan.snapshot(s.Subtask, s.completed, cur)
 }
 
 // Restore implements SourceFunc for single-subtask stages; multi-subtask

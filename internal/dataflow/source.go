@@ -1,10 +1,11 @@
 package dataflow
 
 import (
-	"bytes"
-	"encoding/gob"
+	"encoding/binary"
 	"fmt"
 	"time"
+
+	"repro/internal/state"
 )
 
 // SourceFunc produces the records of a source subtask. Implementations must
@@ -141,12 +142,6 @@ type GenSource struct {
 	pendingWM int64
 }
 
-type genSourceState struct {
-	Idx     int64
-	MaxTs   int64
-	SinceWM int64
-}
-
 // Next implements SourceFunc.
 func (g *GenSource) Next() (Record, bool) {
 	if g.havePend {
@@ -174,20 +169,23 @@ func (g *GenSource) Next() (Record, bool) {
 	return r, true
 }
 
-// Snapshot implements SourceFunc.
+// Snapshot implements SourceFunc: the next index, the maximum timestamp and
+// the records since the last watermark, as varints.
 func (g *GenSource) Snapshot() ([]byte, error) {
-	var buf bytes.Buffer
-	err := gob.NewEncoder(&buf).Encode(genSourceState{Idx: g.idx, MaxTs: g.maxTs, SinceWM: g.sinceWM})
-	return buf.Bytes(), err
+	return binary.AppendVarint(binary.AppendVarint(binary.AppendVarint(nil, g.idx), g.maxTs), g.sinceWM), nil
 }
 
-// Restore implements SourceFunc.
+// Restore implements SourceFunc. A negative index is refused.
 func (g *GenSource) Restore(blob []byte) error {
-	var s genSourceState
-	if err := gob.NewDecoder(bytes.NewReader(blob)).Decode(&s); err != nil {
+	c := state.Cursor{B: blob}
+	idx, maxTs, sinceWM := c.Varint(), c.Varint(), c.Varint()
+	if err := c.Done(); err != nil {
 		return fmt.Errorf("gen source restore: %w", err)
 	}
-	g.idx, g.maxTs, g.sinceWM, g.havePend = s.Idx, s.MaxTs, s.SinceWM, false
+	if idx < 0 {
+		return fmt.Errorf("gen source restore: negative index %d", idx)
+	}
+	g.idx, g.maxTs, g.sinceWM, g.havePend = idx, maxTs, sinceWM, false
 	return nil
 }
 

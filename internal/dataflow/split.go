@@ -2,7 +2,7 @@ package dataflow
 
 import (
 	"bytes"
-	"encoding/gob"
+	"encoding/binary"
 	"fmt"
 	"io"
 	"os"
@@ -10,6 +10,8 @@ import (
 	"sort"
 	"strings"
 	"sync"
+
+	"repro/internal/state"
 )
 
 // Splits are the unit of at-rest work: a byte range of one input file. The
@@ -406,25 +408,31 @@ func (p *ScanPlan) Splits() ([]Split, error) {
 
 // ---- snapshot format -------------------------------------------------------
 
-// splitScanState is the versioned snapshot of one FileScanSource subtask
-// (format version 2). Completed lists the split IDs this subtask fully
+// splitScanState is the snapshot of one scan subtask (FileScanSource,
+// SplitScanSource). Completed lists the split IDs this subtask fully
 // consumed (subtask 0 additionally re-carries the IDs completed before the
 // last restore, so consecutive restores never resurrect finished splits);
-// Cur* is the in-flight split and the absolute byte offset of its next
-// unread record — the position restore Seeks to. Pending (subtask 0 only)
-// carries the restored in-flight cursors still sitting unacquired in the
-// shared queue: without it, a checkpoint taken between a restore and the
-// cursor's re-acquisition would forget the resume offset and a second
+// Cur is the in-flight split (ID -1: none) and the absolute byte offset of
+// its next unread record — the position restore Seeks to. Pending (subtask
+// 0 only) carries the restored in-flight cursors still sitting unacquired
+// in the shared queue: without it, a checkpoint taken between a restore and
+// the cursor's re-acquisition would forget the resume offset and a second
 // recovery would re-scan the split from its start, duplicating records.
 // Plan (subtask 0 only) fingerprints the split geometry the IDs refer to;
 // restore refuses to reuse IDs against a plan that chops the input
 // differently.
+//
+// Its encoding, which carries no version of its own (the checkpoint file's
+// is the one format version):
+//
+//	completed  uvarint count, varint split IDs
+//	cur        a pendingSplit: varint ID, path, varint offset
+//	pending    uvarint count, pendingSplits
+//	plan       bool; if set, varint split size, uvarint file count, and per
+//	           file its path, varint size and varint split count
 type splitScanState struct {
-	V         int
 	Completed []int
-	CurID     int // -1: no split in flight
-	CurPath   string
-	CurOff    int64
+	Cur       pendingSplit
 	Pending   []pendingSplit
 	Plan      *scanPlanSig
 }
@@ -504,38 +512,76 @@ func sigsEqual(a, b *scanPlanSig) bool {
 	return true
 }
 
-// splitStateVersion is the source-snapshot format version, and the only one
-// restore accepts: version 0 (or no V field at all) is the pre-split row
-// cursor, which fails restore with errOlderScanState.
-const splitStateVersion = 2
-
-// errOlderScanState is the restore error for a pre-split source snapshot.
-var errOlderScanState = fmt.Errorf("scan restore: source snapshot written by an older format (pre-split row cursor); this binary restores format %d only", splitStateVersion)
-
-// decodeScanState decodes a source snapshot blob of the current version.
-func decodeScanState(blob []byte) (splitScanState, error) {
-	var s splitScanState
-	if err := gob.NewDecoder(bytes.NewReader(blob)).Decode(&s); err != nil {
-		// A pre-split row cursor ({Next}) shares no field with this format,
-		// which gob reports as no fields matched.
-		if strings.Contains(err.Error(), "no fields matched") {
-			return splitScanState{}, errOlderScanState
+func (s *splitScanState) append(b []byte) []byte {
+	b = binary.AppendUvarint(b, uint64(len(s.Completed)))
+	for _, id := range s.Completed {
+		b = binary.AppendVarint(b, int64(id))
+	}
+	b = binary.AppendUvarint(s.Cur.append(b), uint64(len(s.Pending)))
+	for _, p := range s.Pending {
+		b = p.append(b)
+	}
+	b = state.AppendBool(b, s.Plan != nil)
+	if s.Plan != nil {
+		b = binary.AppendUvarint(binary.AppendVarint(b, s.Plan.SplitSize), uint64(len(s.Plan.Files)))
+		for _, f := range s.Plan.Files {
+			b = binary.AppendVarint(binary.AppendVarint(state.AppendBytes(b, f.Path), f.Size), int64(f.Splits))
 		}
-		return splitScanState{}, fmt.Errorf("scan restore: %w", err)
 	}
-	switch s.V {
-	case splitStateVersion:
-		return s, nil
-	case 0:
-		return splitScanState{}, errOlderScanState
-	}
-	return splitScanState{}, fmt.Errorf("scan restore: unknown snapshot version %d; this binary restores format %d only", s.V, splitStateVersion)
+	return b
 }
 
-func encodeScanState(s splitScanState) ([]byte, error) {
-	var buf bytes.Buffer
-	err := gob.NewEncoder(&buf).Encode(s)
-	return buf.Bytes(), err
+func (p pendingSplit) append(b []byte) []byte {
+	return binary.AppendVarint(state.AppendBytes(binary.AppendVarint(b, int64(p.ID)), p.Path), p.Off)
+}
+
+func readPendingSplit(c *state.Cursor) pendingSplit {
+	return pendingSplit{ID: int(c.Varint()), Path: string(c.Bytes()), Off: c.Varint()}
+}
+
+// decodeScanState decodes a scan subtask's snapshot blob.
+func decodeScanState(blob []byte) (splitScanState, error) {
+	c := state.Cursor{B: blob}
+	s := splitScanState{Completed: make([]int, c.Count(1))}
+	for i := range s.Completed {
+		s.Completed[i] = int(c.Varint())
+	}
+	s.Cur = readPendingSplit(&c)
+	s.Pending = make([]pendingSplit, c.Count(3))
+	for i := range s.Pending {
+		s.Pending[i] = readPendingSplit(&c)
+	}
+	if c.Bool() {
+		s.Plan = &scanPlanSig{SplitSize: c.Varint()}
+		s.Plan.Files = make([]scanFileSig, c.Count(3))
+		for i := range s.Plan.Files {
+			s.Plan.Files[i] = scanFileSig{Path: string(c.Bytes()), Size: c.Varint(), Splits: int(c.Varint())}
+		}
+	}
+	if err := c.Done(); err != nil {
+		return splitScanState{}, fmt.Errorf("scan restore: %w", err)
+	}
+	return s, nil
+}
+
+// snapshot encodes a scan subtask's state: its completed splits, its split
+// in flight, and — on subtask 0 — the restored in-flight cursors no subtask
+// has re-acquired yet and the plan's geometry. Like the completed-ID carry,
+// subtask 0 keeps those cursors alive in the checkpoint, or a second
+// recovery would re-scan their splits from the start; the geometry makes a
+// restore against differently-chopped inputs fail loudly instead of
+// remapping split IDs onto different byte ranges.
+func (p *ScanPlan) snapshot(subtask int, completed []int, cur pendingSplit) ([]byte, error) {
+	st := splitScanState{Completed: completed, Cur: cur}
+	if subtask == 0 {
+		st.Pending = p.pendingResumed()
+		sig, err := p.signature()
+		if err != nil {
+			return nil, err
+		}
+		st.Plan = sig
+	}
+	return st.append(nil), nil
 }
 
 // restoreFrom rebuilds the plan's queue from the snapshot blobs of every
@@ -599,8 +645,8 @@ func (p *ScanPlan) restoreFrom(blobs map[int][]byte) error {
 		for _, id := range s.Completed {
 			done[id] = true
 		}
-		if s.CurID >= 0 {
-			noteInflight(pendingSplit{ID: s.CurID, Path: s.CurPath, Off: s.CurOff})
+		if s.Cur.ID >= 0 {
+			noteInflight(s.Cur)
 		}
 		for _, c := range s.Pending {
 			noteInflight(c)

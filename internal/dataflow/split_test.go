@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/gob"
-	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -19,9 +18,11 @@ import (
 	"repro/internal/window"
 )
 
-// parentScanState is splitScanState as earlier binaries wrote it: the same
-// version 2 plus a Legacy field (-1 in split mode) that restore must ignore.
-type parentScanState struct {
+// gobScanState is the scan state as binaries before checkpoint file format
+// 2 gob-encoded it: a version field (2; a blob without one was a pre-split
+// row cursor), the in-flight split in three fields and, in the parent, a
+// Legacy field.
+type gobScanState struct {
 	V         int
 	Completed []int
 	CurID     int
@@ -41,9 +42,8 @@ func gobBytes(t *testing.T, v any) []byte {
 	return buf.Bytes()
 }
 
-// parentBlob consumes n records from src and re-encodes its snapshot through
-// parentScanState, as an earlier binary would have written it.
-func parentBlob(t *testing.T, src SourceFunc, n int) []byte {
+// consumedBlob consumes n records from src and returns its snapshot.
+func consumedBlob(t *testing.T, src SourceFunc, n int) []byte {
 	t.Helper()
 	for i := 0; i < n; i++ {
 		if _, ok := src.Next(); !ok {
@@ -54,19 +54,28 @@ func parentBlob(t *testing.T, src SourceFunc, n int) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := decodeScanState(blob)
+	return blob
+}
+
+// parentBlob re-encodes the snapshot consumedBlob takes as the parent's gob
+// encoding wrote it.
+func parentBlob(t *testing.T, src SourceFunc, n int) []byte {
+	t.Helper()
+	st, err := decodeScanState(consumedBlob(t, src, n))
 	if err != nil {
 		t.Fatal(err)
 	}
-	return gobBytes(t, parentScanState{V: st.V, Completed: st.Completed, CurID: st.CurID,
-		CurPath: st.CurPath, CurOff: st.CurOff, Pending: st.Pending, Plan: st.Plan, Legacy: -1})
+	return gobBytes(t, gobScanState{V: 2, Completed: st.Completed, CurID: st.Cur.ID,
+		CurPath: st.Cur.Path, CurOff: st.Cur.Off, Pending: st.Pending, Plan: st.Plan, Legacy: -1})
 }
 
-// Split scans restore one snapshot format. A pre-split row cursor ({Next})
-// or a version-0 blob fails with the older-format error — not gob's "no
-// fields matched" — a future version fails with the unknown-version error,
-// and a version-2 blob still carrying the Legacy field restores and resumes
-// at its recorded offset, for the file scan and the fixed-split scan alike.
+// Split scans restore one snapshot format, the typed state of checkpoint
+// file format 2, and it carries no version of its own. Every blob of the gob
+// encoding before it — a pre-split row cursor, a version-0 or future-version
+// state, and a version-2 state as the parent wrote it — is refused with a
+// scan-restore error instead of being read as a position; the current blob
+// restores and resumes at its recorded offset, for the file scan and the
+// fixed-split scan alike.
 func TestScanSnapshotFormatRestore(t *testing.T) {
 	_, mkLines := mkLinePlan(t, 20, 0)
 	in := &fakeSplitInput{recBytes: 10, files: []fakeFile{{path: "seg-a", recs: 20}}}
@@ -83,22 +92,22 @@ func TestScanSnapshotFormatRestore(t *testing.T) {
 		}, "seg-a#7"},
 	} {
 		t.Run(src.name, func(t *testing.T) {
-			parent := parentBlob(t, src.mk(), 7)
 			for _, tc := range []struct {
-				name, wantErr string
-				blob          []byte
+				name string
+				blob []byte
 			}{
-				{"pre-split row cursor", "older format", gobBytes(t, struct{ Next int64 }{Next: 7})},
-				{"version 0", "older format", gobBytes(t, splitScanState{CurID: -1})},
-				{"unknown version", "unknown snapshot version 99", gobBytes(t, splitScanState{V: 99, CurID: -1})},
-				{"parent-written version 2", "", parent},
+				{"pre-split row cursor", gobBytes(t, struct{ Next int64 }{Next: 7})},
+				{"version 0", gobBytes(t, gobScanState{CurID: -1})},
+				{"unknown version", gobBytes(t, gobScanState{V: 99, CurID: -1})},
+				{"parent-written version 2", parentBlob(t, src.mk(), 7)},
+				{"current", consumedBlob(t, src.mk(), 7)},
 			} {
 				t.Run(tc.name, func(t *testing.T) {
 					restored := src.mk()
 					err := restored.Restore(tc.blob)
-					if tc.wantErr != "" {
-						if err == nil || !strings.Contains(err.Error(), tc.wantErr) || strings.Contains(err.Error(), "no fields matched") {
-							t.Fatalf("restore = %v, want the %q error", err, tc.wantErr)
+					if tc.name != "current" {
+						if err == nil || !strings.Contains(err.Error(), "scan restore") {
+							t.Fatalf("restore = %v, want a scan-restore error", err)
 						}
 						return
 					}
@@ -115,60 +124,14 @@ func TestScanSnapshotFormatRestore(t *testing.T) {
 	}
 }
 
-// A snapshot an earlier binary wrote (version 2 still carrying the Legacy
-// field) restores to the right row: the reader emits exactly the rows after
-// the recorded offset, and a snapshot taken after that restore keeps
-// round-tripping to the position the scan reached.
-func TestLegacySnapshotRestoresToTheRightRow(t *testing.T) {
-	_, mkPlan := mkLinePlan(t, 20, 0)
-	mk := func() *FileScanSource {
-		return &FileScanSource{Plan: mkPlan(), Subtask: 0, Parallelism: 1, DecodeLine: lineDecode}
-	}
-	src := mk()
-	if err := src.Restore(parentBlob(t, mk(), 7)); err != nil {
-		t.Fatal(err)
-	}
-	data, _ := drainData(t, src, 100)
-	if len(data) != 13 {
-		t.Fatalf("restored parent snapshot emitted %d rows, want 13 (rows 7..19)", len(data))
-	}
-	for i, r := range data {
-		if want := fmt.Sprintf("v%d", 7+i); r.Value.(string) != want {
-			t.Fatalf("row %d = %q, want %q", i, r.Value, want)
-		}
-	}
-
-	src2 := mk()
-	if err := src2.Restore(parentBlob(t, mk(), 0)); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 5; i++ {
-		if _, ok := src2.Next(); !ok {
-			t.Fatalf("ended early")
-		}
-	}
-	blob, err := src2.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	src3 := mk()
-	if err := src3.Restore(blob); err != nil {
-		t.Fatal(err)
-	}
-	rest, _ := drainData(t, src3, 100)
-	if len(rest) != 15 || rest[0].Value.(string) != "v5" {
-		t.Fatalf("round-tripped parent state resumed at %v (%d rows), want v5 (15 rows)", rest[0].Value, len(rest))
-	}
-}
-
-// A multi-subtask pre-split snapshot no longer restores each subtask's row
-// stripe: RestoreAll refuses it with the older-format error at the
-// checkpoint's parallelism and at a rescaled one alike, and one pre-split
-// blob beside a current one is not skipped over.
+// A multi-subtask pre-split snapshot does not restore each subtask's row
+// stripe: RestoreAll refuses it at the checkpoint's parallelism and at a
+// rescaled one alike, and one pre-split blob beside a current one is not
+// skipped over.
 func TestLegacySnapshotMultiSubtaskAndRescaleRejection(t *testing.T) {
 	_, mkPlan := mkLinePlan(t, 20, 0)
 	cursor := func(next int64) []byte { return gobBytes(t, struct{ Next int64 }{Next: next}) }
-	current := parentBlob(t, &FileScanSource{Plan: mkPlan(), Subtask: 0, Parallelism: 1, DecodeLine: lineDecode}, 6)
+	current := consumedBlob(t, &FileScanSource{Plan: mkPlan(), Subtask: 0, Parallelism: 1, DecodeLine: lineDecode}, 6)
 	for _, tc := range []struct {
 		name  string
 		blobs map[int][]byte
@@ -179,8 +142,8 @@ func TestLegacySnapshotMultiSubtaskAndRescaleRejection(t *testing.T) {
 		for _, par := range []int{2, 4} {
 			for sub := 0; sub < par; sub++ {
 				src := &FileScanSource{Plan: mkPlan(), Subtask: sub, Parallelism: par, DecodeLine: lineDecode}
-				if err := src.RestoreAll(sub, par, tc.blobs); !errors.Is(err, errOlderScanState) {
-					t.Fatalf("%s blobs, subtask %d/%d: restore = %v, want the older-format error", tc.name, sub, par, err)
+				if err := src.RestoreAll(sub, par, tc.blobs); err == nil || !strings.Contains(err.Error(), "scan restore") {
+					t.Fatalf("%s blobs, subtask %d/%d: restore = %v, want a scan-restore error", tc.name, sub, par, err)
 				}
 			}
 		}
@@ -483,17 +446,5 @@ func TestRestoreRejectsChangedPlanGeometry(t *testing.T) {
 	}
 	if err := same.Restore(blob); err != nil {
 		t.Fatalf("restore with unchanged inputs failed: %v", err)
-	}
-}
-
-// The versioned decoder must reject snapshots from a future format rather
-// than silently misreading them.
-func TestScanStateUnknownVersionRejected(t *testing.T) {
-	blob, err := encodeScanState(splitScanState{V: 99, CurID: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := decodeScanState(blob); err == nil || !strings.Contains(err.Error(), "version") {
-		t.Fatalf("decode of version 99 = %v, want a version error", err)
 	}
 }

@@ -586,3 +586,35 @@ func BenchmarkWindowOpWatermark(b *testing.B) {
 type countCollector struct{ n int }
 
 func (c *countCollector) Collect(Record) { c.n++ }
+
+// BenchmarkWindowOpSessionCOW is the engine layout's copy-on-write cost: a
+// session window over 1 000 keys, each holding one open session. An
+// iteration takes a capture, buffers one element per key and releases all
+// of them with one watermark — every key's engine is cloned (cloneEngine)
+// before its first mutation under the capture — then lets the capture go.
+// ns/key is the iteration's cost per key.
+func BenchmarkWindowOpSessionCOW(b *testing.B) {
+	const keys = 1000
+	op := NewWindowOp(WindowQuery{Spec: window.Session(5), Fn: agg.SumF64()})().(*WindowOp)
+	if err := op.Open(&OpContext{}); err != nil {
+		b.Fatal(err)
+	}
+	out, run, ts := &countCollector{}, make([]Record, keys), int64(0)
+	step := func() {
+		ts += 10 // each element opens a session and the watermark closes the one before
+		for k := range run {
+			run[k] = Data(ts, uint64(k), 1.0)
+		}
+		op.OnBatch(run, out)
+		op.OnWatermark(ts, out)
+	}
+	step()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c := op.ks.Capture()
+		step()
+		c.Release()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*keys), "ns/key")
+}

@@ -1,10 +1,8 @@
 package dataflow
 
 import (
-	"bytes"
 	"cmp"
 	"encoding/binary"
-	"encoding/gob"
 	"fmt"
 	"math"
 	"slices"
@@ -74,6 +72,7 @@ type WindowOp struct {
 	timeline    *cutty.Timeline
 	slices      *state.MapCell[*cutty.KeySlices]
 	engines     *state.MapCell[*cutty.Engine]
+	cloneBuf    []byte // cloneEngine's scratch
 	buf         *state.MapCell[[]bufEntry]
 	wm          *state.GroupCell[int64]
 	release     timerIndex // buffered key -> its earliest buffered timestamp
@@ -158,17 +157,15 @@ func (w *WindowOp) newEngine() *cutty.Engine {
 	return e
 }
 
-// cloneEngine deep-copies an engine via its snapshot codec — the
+// cloneEngine deep-copies an engine through its typed state — the
 // copy-on-write path taken when a key is mutated while its captured state
-// is still being serialized.
+// is still being serialized. The encoding goes through one scratch buffer
+// the operator reuses.
 func (w *WindowOp) cloneEngine(e *cutty.Engine) *cutty.Engine {
-	var buf bytes.Buffer
-	if err := e.Snapshot(gob.NewEncoder(&buf)); err != nil {
-		panic(fmt.Sprintf("dataflow: window engine clone (snapshot): %v", err))
-	}
+	w.cloneBuf = e.AppendState(w.cloneBuf[:0])
 	ne := w.newEngine()
-	if err := ne.Restore(gob.NewDecoder(bytes.NewReader(buf.Bytes()))); err != nil {
-		panic(fmt.Sprintf("dataflow: window engine clone (restore): %v", err))
+	if _, err := ne.ReadState(w.cloneBuf); err != nil {
+		panic(fmt.Sprintf("dataflow: window engine clone: %v", err))
 	}
 	return ne
 }
@@ -199,10 +196,11 @@ func (w *WindowOp) Open(ctx *OpContext) error {
 		})
 	} else {
 		w.engines = state.RegisterMap(w.ks, "engines", state.Codec[*cutty.Engine]{
-			EncodeGob: func(enc *gob.Encoder, e *cutty.Engine) error { return e.Snapshot(enc) },
-			DecodeGob: func(dec *gob.Decoder) (*cutty.Engine, error) {
+			Append: func(b []byte, e *cutty.Engine) []byte { return e.AppendState(b) },
+			Read: func(b []byte) (*cutty.Engine, []byte, error) {
 				e := w.newEngine()
-				return e, e.Restore(dec)
+				rest, err := e.ReadState(b)
+				return e, rest, err
 			},
 			Clone: w.cloneEngine,
 		})

@@ -2,10 +2,8 @@ package state
 
 import (
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"math/bits"
 )
@@ -19,19 +17,16 @@ import (
 // and nothing after the last cell. A MapCell section is its key count, the
 // keys in ascending order as uvarint deltas (the first from zero), then one
 // value per key in key order; a GroupCell section is its one value. A value
-// is its codec's typed encoding, or — for a value type with none — a gob
-// stream that carries every value of the section, so the type is described
-// once per section, not once per value. Every count and length a decoder
-// reads is checked against the bytes left before anything is allocated by
-// it.
+// is its codec's typed encoding, which must read back exactly its own bytes.
+// Every count and length a decoder reads is checked against the bytes left
+// before anything is allocated by it.
 
-// Codec serializes one cell value. A value type with a typed encoding sets
-// Append and Read; one without sets EncodeGob and DecodeGob instead, which
-// write to and read from the section's one gob stream. Clone deep-copies a
-// value so a copy-on-write capture can keep the original immutable while
-// processing continues; a nil Clone declares the value immutable or
-// value-like (numbers, strings): captures then share it without copying, and
-// in-place mutation through GetMut is not needed.
+// Codec serializes one cell value: Append writes its typed encoding, Read
+// takes it back. Clone deep-copies a value so a copy-on-write capture can
+// keep the original immutable while processing continues; a nil Clone
+// declares the value immutable or value-like (numbers, strings): captures
+// then share it without copying, and in-place mutation through GetMut is
+// not needed.
 type Codec[V any] struct {
 	// Append appends v's encoding to b.
 	Append func(b []byte, v V) []byte
@@ -40,19 +35,15 @@ type Codec[V any] struct {
 	// allocating by it.
 	Read func(b []byte) (V, []byte, error)
 
-	EncodeGob func(enc *gob.Encoder, v V) error
-	DecodeGob func(dec *gob.Decoder) (V, error)
-
 	Clone func(v V) V
 }
 
-func (c *Codec[V]) valid() bool {
-	return (c.Append != nil && c.Read != nil) || (c.EncodeGob != nil && c.DecodeGob != nil)
-}
+func (c *Codec[V]) valid() bool { return c.Append != nil && c.Read != nil }
 
-// ValueCodec returns the codec of a value type with no in-place mutation
-// (Clone is nil), chosen by the type: the typed encodings of float64 and
-// int64, gob for any other type.
+// ValueCodec returns the codec of float64 or int64 cell values, which need
+// no Clone. Any other value type has none: the zero Codec is returned, and
+// registering a cell with it panics — such a type brings its own Append and
+// Read.
 func ValueCodec[V any]() Codec[V] {
 	var zero V
 	switch any(zero).(type) {
@@ -61,14 +52,7 @@ func ValueCodec[V any]() Codec[V] {
 	case int64:
 		return any(Codec[int64]{Append: binary.AppendVarint, Read: ReadVarint}).(Codec[V])
 	}
-	return Codec[V]{
-		EncodeGob: func(enc *gob.Encoder, v V) error { return enc.Encode(v) },
-		DecodeGob: func(dec *gob.Decoder) (V, error) {
-			var v V
-			err := dec.Decode(&v)
-			return v, err
-		},
-	}
+	return Codec[V]{}
 }
 
 // GobCodec is ValueCodec under its name from before the typed encodings.
@@ -76,9 +60,8 @@ func ValueCodec[V any]() Codec[V] {
 // Deprecated: use ValueCodec.
 func GobCodec[V any]() Codec[V] { return ValueCodec[V]() }
 
-// AppendFloat64 appends v the way gob writes a float: the IEEE bits with
-// their bytes reversed, as a uvarint, so integral values and zero take one
-// to three bytes.
+// AppendFloat64 appends v's IEEE bits with their bytes reversed, as a
+// uvarint, so integral values and zero take one to three bytes.
 func AppendFloat64(b []byte, v float64) []byte {
 	return binary.AppendUvarint(b, bits.ReverseBytes64(math.Float64bits(v)))
 }
@@ -134,100 +117,84 @@ func ReadBytes(b []byte) ([]byte, []byte, error) {
 	return rest[:n:n], rest[n:], nil
 }
 
-// appendBytes appends p with its uvarint length.
-func appendBytes[S ~string | ~[]byte](b []byte, p S) []byte {
+// AppendBytes appends p with its uvarint length.
+func AppendBytes[S ~string | ~[]byte](b []byte, p S) []byte {
 	return append(binary.AppendUvarint(b, uint64(len(p))), p...)
 }
 
-// sectionWriter appends a cell section's values to buf. A codec without a
-// typed encoding writes through the section's one gob stream, opened by its
-// first value.
-type sectionWriter struct {
-	buf []byte
-	gob *gob.Encoder
+// AppendBool appends v as one byte, 0 or 1.
+func AppendBool(b []byte, v bool) []byte {
+	if v {
+		return append(b, 1)
+	}
+	return append(b, 0)
 }
 
-func (w *sectionWriter) Write(p []byte) (int, error) {
-	w.buf = append(w.buf, p...)
-	return len(p), nil
+// Cursor reads a typed encoding field by field from the front of B, with
+// the bounded readers above. The first error sticks: every later read
+// returns a zero value, so a decoder reads all its fields and checks Err —
+// or Done — once at its end.
+type Cursor struct {
+	B   []byte
+	Err error
 }
 
-func appendValue[V any](w *sectionWriter, c *Codec[V], v V) error {
-	if c.Append != nil {
-		w.buf = c.Append(w.buf, v)
+func (c *Cursor) take(v uint64, rest []byte, err error) uint64 {
+	if c.Err != nil {
+		return 0
+	}
+	if c.Err = err; err != nil {
+		return 0
+	}
+	c.B = rest
+	return v
+}
+
+// Uvarint reads a uvarint.
+func (c *Cursor) Uvarint() uint64 { return c.take(ReadUvarint(c.B)) }
+
+// Varint reads a zigzag varint.
+func (c *Cursor) Varint() int64 {
+	v, rest, err := ReadVarint(c.B)
+	return int64(c.take(uint64(v), rest, err))
+}
+
+// Float64 reads an AppendFloat64 value.
+func (c *Cursor) Float64() float64 { return math.Float64frombits(bits.ReverseBytes64(c.Uvarint())) }
+
+// Bool reads an AppendBool value; any byte but 0 or 1 is an error.
+func (c *Cursor) Bool() bool {
+	v := c.Uvarint()
+	if v > 1 && c.Err == nil {
+		c.Err = fmt.Errorf("bool encoded as %d", v)
+	}
+	return v == 1
+}
+
+// Count reads an element count as ReadCount does, checked against elements
+// of at least min bytes each.
+func (c *Cursor) Count(min int) int {
+	n, rest, err := ReadCount(c.B, min)
+	return int(c.take(uint64(n), rest, err))
+}
+
+// Bytes reads an AppendBytes value; the bytes alias B, as ReadBytes's do,
+// and an empty value reads as nil.
+func (c *Cursor) Bytes() []byte {
+	n := c.Count(1)
+	if n == 0 {
 		return nil
 	}
-	if w.gob == nil {
-		w.gob = gob.NewEncoder(w)
-	}
-	return c.EncodeGob(w.gob, v)
+	p := c.B[:n:n]
+	c.B = c.B[n:]
+	return p
 }
 
-// sectionReader reads a cell section's values from buf. It is an
-// io.ByteReader, so a gob stream opened on it reads exactly its own
-// messages and no further.
-type sectionReader struct {
-	buf []byte
-	gob *gob.Decoder
-}
-
-func (r *sectionReader) Read(p []byte) (int, error) {
-	if len(r.buf) == 0 {
-		return 0, io.EOF
+// Done returns the first error, or one naming the bytes left over after the
+// last field.
+func (c *Cursor) Done() error {
+	if c.Err == nil && len(c.B) != 0 {
+		c.Err = fmt.Errorf("%d trailing bytes", len(c.B))
 	}
-	n := copy(p, r.buf)
-	r.buf = r.buf[n:]
-	return n, nil
-}
-
-func (r *sectionReader) ReadByte() (byte, error) {
-	if len(r.buf) == 0 {
-		return 0, io.EOF
-	}
-	c := r.buf[0]
-	r.buf = r.buf[1:]
-	return c, nil
-}
-
-func readValue[V any](r *sectionReader, c *Codec[V]) (V, error) {
-	if c.Read != nil {
-		v, rest, err := c.Read(r.buf)
-		r.buf = rest
-		return v, err
-	}
-	if r.gob == nil {
-		// The rest of the section is the gob stream: check that every
-		// message's length prefix fits before gob allocates by it.
-		if err := checkGobFrames(r.buf); err != nil {
-			var zero V
-			return zero, err
-		}
-		r.gob = gob.NewDecoder(r)
-	}
-	return c.DecodeGob(r.gob)
-}
-
-// checkGobFrames walks a gob stream's message lengths — gob's unsigned
-// integer encoding: one byte below 0x80, else the negated byte count and
-// that many big-endian bytes — and checks that each message fits in what is
-// left of b.
-func checkGobFrames(b []byte) error {
-	for len(b) > 0 {
-		n, w := uint64(b[0]), 1
-		if n >= 0x80 {
-			w = 1 - int(int8(b[0]))
-			if w > 9 || w > len(b) {
-				return errors.New("gob stream: bad message length")
-			}
-			n = 0
-			for _, c := range b[1:w] {
-				n = n<<8 | uint64(c)
-			}
-		}
-		if n > uint64(len(b)-w) {
-			return fmt.Errorf("gob stream: message of %d bytes, %d left", n, len(b)-w)
-		}
-		b = b[w+int(n):]
-	}
-	return nil
+	return c.Err
 }

@@ -89,33 +89,17 @@ func TestGroupBlobRoundTrip(t *testing.T) {
 	}
 }
 
-// TestGroupBlobGobSection: a value type with no typed encoding travels as one
-// gob stream per cell section, so its type is described once per section.
-func TestGroupBlobGobSection(t *testing.T) {
-	type pair struct{ A, B int64 }
-	build := func(n int) []byte {
-		ks := NewKeyedState(1, 0, 1)
-		cell := RegisterMap(ks, "pairs", ValueCodec[pair]())
-		for k := 0; k < n; k++ {
-			cell.Put(uint64(k), pair{int64(k), -int64(k)})
-		}
-		blob, err := ks.Capture().EncodeGroup(0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return blob
+// TestCursorErrorSticks: the first bad field's error sticks — every later
+// read is a zero value and Done reports it — and Done names bytes left over
+// after clean reads.
+func TestCursorErrorSticks(t *testing.T) {
+	c := Cursor{B: []byte{2, 1, 1, 'a'}}
+	if c.Bool() || c.Uvarint() != 0 || c.Bytes() != nil || c.Done() == nil || !strings.Contains(c.Err.Error(), "bool encoded as 2") {
+		t.Fatalf("after a bad bool: %+v", c)
 	}
-	one, many := build(1), build(101)
-	if per := (len(many) - len(one)) / 100; per > 12 {
-		t.Fatalf("each further gob value costs %d bytes; the type is described again per value", per)
-	}
-	ks := NewKeyedState(1, 0, 1)
-	cell := RegisterMap(ks, "pairs", ValueCodec[pair]())
-	if err := ks.RestoreGroup(0, many); err != nil {
-		t.Fatal(err)
-	}
-	if v, _ := cell.Get(100); cell.Len() != 101 || v != (pair{100, -100}) {
-		t.Fatalf("restored %d pairs, key 100 = %v", cell.Len(), v)
+	c = Cursor{B: append(AppendBool(AppendBytes(nil, "ab"), true), 7)}
+	if string(c.Bytes()) != "ab" || !c.Bool() || c.Done() == nil || c.Err.Error() != "1 trailing bytes" {
+		t.Fatalf("clean reads then a byte left: %+v", c)
 	}
 }
 
@@ -144,21 +128,15 @@ func TestGroupBlobRejectsMalformed(t *testing.T) {
 			t.Errorf("%s: restore = %v, want an error containing %q", name, err, tc.want)
 		}
 	}
-
-	// A gob section whose first message claims a megabyte is refused before
-	// gob allocates for it.
-	ksGob := NewKeyedState(1, 0, 1)
-	RegisterPerGroup(ksGob, "s", "", ValueCodec[string]())
-	lying := []byte{1, 's', 4, 0xfd, 0x10, 0x00, 0x00}
-	if err := ksGob.RestoreGroup(0, lying); err == nil || !strings.Contains(err.Error(), "gob stream") {
-		t.Errorf("gob message past the end: restore = %v", err)
-	}
 }
 
 // FuzzKeyedGroupDecode restores an arbitrary blob into a float64 MapCell and
 // an int64 GroupCell: an error or a value, never a panic, and never an
 // allocation beyond a bound proportional to the input. What restores
-// re-encodes to a blob that restores and re-encodes to itself.
+// re-encodes to a blob that restores and re-encodes to itself. Besides the
+// blobs of fuzzBlobs, testdata/fuzz holds a session window's key group (one
+// engine per key) and a window join's, which internal/dataflow's
+// TestStateFuzzSeedsAreCurrent writes.
 func FuzzKeyedGroupDecode(f *testing.F) {
 	for i, blob := range fuzzBlobs(f) {
 		f.Add(uint8(i%4), blob)

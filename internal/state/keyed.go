@@ -143,7 +143,7 @@ type keyedCell interface {
 // capturedCell is one cell's frozen view inside a Captured snapshot.
 type capturedCell interface {
 	// appendGroup appends the cell's section of one group's blob to b.
-	appendGroup(b []byte, group int) ([]byte, error)
+	appendGroup(b []byte, group int) []byte
 }
 
 // ---- MapCell ---------------------------------------------------------------
@@ -403,7 +403,7 @@ func (c *MapCell[V]) captureCell() capturedCell {
 
 // appendGroup writes one group's entries in ascending key order, so a
 // group's section is a deterministic function of its contents.
-func (cm *capturedMap[V]) appendGroup(b []byte, group int) ([]byte, error) {
+func (cm *capturedMap[V]) appendGroup(b []byte, group int) []byte {
 	pairs := cm.pairs[:0]
 	for k, v := range cm.tabs[group-cm.start].all {
 		pairs = append(pairs, slot[V]{k, v})
@@ -416,13 +416,10 @@ func (cm *capturedMap[V]) appendGroup(b []byte, group int) ([]byte, error) {
 		b = binary.AppendUvarint(b, p.key-prev)
 		prev = p.key
 	}
-	w := sectionWriter{buf: b}
 	for _, p := range pairs {
-		if err := appendValue(&w, &cm.cell.codec, p.val); err != nil {
-			return w.buf, fmt.Errorf("key %#x: %w", p.key, err)
-		}
+		b = cm.cell.codec.Append(b, p.val)
 	}
-	return w.buf, nil
+	return b
 }
 
 // decodeGroup checks every key of the section before it sizes the group's
@@ -451,18 +448,17 @@ func (c *MapCell[V]) decodeGroup(section []byte, group int) error {
 	g := &c.groups[group-c.ks.start]
 	c.thaw(g)
 	g.tab.reserve(g.tab.len() + n)
-	r := sectionReader{buf: b}
 	for k := uint64(0); n > 0; n-- {
 		d, rest, _ := ReadUvarint(keys)
 		keys, k = rest, k+d
-		v, err := readValue(&r, &c.codec)
-		if err != nil {
+		var v V
+		if v, b, err = c.codec.Read(b); err != nil {
 			return fmt.Errorf("key %#x: %w", k, err)
 		}
 		g.tab.put(k, v)
 	}
-	if len(r.buf) != 0 {
-		return fmt.Errorf("%d trailing bytes", len(r.buf))
+	if len(b) != 0 {
+		return fmt.Errorf("%d trailing bytes", len(b))
 	}
 	return nil
 }
@@ -527,20 +523,17 @@ func (c *GroupCell[V]) captureCell() capturedCell {
 	return &capturedGroup[V]{cell: c, start: c.ks.start, vals: vals}
 }
 
-func (cg *capturedGroup[V]) appendGroup(b []byte, group int) ([]byte, error) {
-	w := sectionWriter{buf: b}
-	err := appendValue(&w, &cg.cell.codec, cg.vals[group-cg.start])
-	return w.buf, err
+func (cg *capturedGroup[V]) appendGroup(b []byte, group int) []byte {
+	return cg.cell.codec.Append(b, cg.vals[group-cg.start])
 }
 
 func (c *GroupCell[V]) decodeGroup(section []byte, group int) error {
-	r := sectionReader{buf: section}
-	v, err := readValue(&r, &c.codec)
+	v, rest, err := c.codec.Read(section)
 	if err != nil {
 		return err
 	}
-	if len(r.buf) != 0 {
-		return fmt.Errorf("%d trailing bytes", len(r.buf))
+	if len(rest) != 0 {
+		return fmt.Errorf("%d trailing bytes", len(rest))
 	}
 	c.vals[group-c.ks.start] = v
 	return nil
@@ -594,38 +587,32 @@ type blobEncoder struct {
 }
 
 // EncodeGroup serializes one key group of the view: every cell in
-// registration order, each its name and its section.
+// registration order, each its name and its section. Typed encodings do not
+// fail; the error is always nil.
 func (c *Captured) EncodeGroup(group int) ([]byte, error) {
-	return c.encodeGroup(group, &blobEncoder{})
+	return c.encodeGroup(group, &blobEncoder{}), nil
 }
 
 // encodeGroup writes the blob into e's scratch first, so the blob returned
 // is allocated once at its final size.
-func (c *Captured) encodeGroup(group int, e *blobEncoder) ([]byte, error) {
+func (c *Captured) encodeGroup(group int, e *blobEncoder) []byte {
 	e.buf = e.buf[:0]
 	for i, cc := range c.cells {
-		sec, err := cc.appendGroup(e.sec[:0], group)
-		if err != nil {
-			return nil, fmt.Errorf("cell %q: %w", c.names[i], err)
-		}
-		e.sec = sec
-		e.buf = appendBytes(appendBytes(e.buf, c.names[i]), sec)
+		e.sec = cc.appendGroup(e.sec[:0], group)
+		e.buf = AppendBytes(AppendBytes(e.buf, c.names[i]), e.sec)
 	}
-	return slices.Clone(e.buf), nil
+	return slices.Clone(e.buf)
 }
 
 // EncodeGroups serializes every captured key group — the asynchronous phase
-// of a snapshot — and releases the capture.
+// of a snapshot — and releases the capture. The error is always nil, as
+// EncodeGroup's.
 func (c *Captured) EncodeGroups() (map[int][]byte, error) {
 	defer c.Release()
 	out := make(map[int][]byte, c.end-c.start)
 	var e blobEncoder
 	for g := c.start; g < c.end; g++ {
-		blob, err := c.encodeGroup(g, &e)
-		if err != nil {
-			return nil, fmt.Errorf("state: encode key group %d: %w", g, err)
-		}
-		out[g] = blob
+		out[g] = c.encodeGroup(g, &e)
 	}
 	return out, nil
 }

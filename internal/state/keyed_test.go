@@ -1,17 +1,8 @@
 package state
 
 import (
-	"slices"
 	"testing"
 )
-
-// intSlices is the codec of an append-only []int cell: a Clone that copies,
-// so in-place mutation through GetMut cannot reach into a capture.
-func intSlices() Codec[[]int] {
-	c := ValueCodec[[]int]()
-	c.Clone = slices.Clone[[]int]
-	return c
-}
 
 func newTestState(t *testing.T, numGroups, parallelism, subtask int) (*KeyedState, *MapCell[float64]) {
 	t.Helper()
@@ -110,7 +101,7 @@ func TestCaptureIsImmutable(t *testing.T) {
 // clone) once it has been released.
 func TestCaptureCloneOnMutableValues(t *testing.T) {
 	ks := NewKeyedState(2, 0, 2)
-	cell := RegisterMap(ks, "buf", intSlices())
+	cell := RegisterMap(ks, "buf", intsCodec())
 	cell.Put(1, []int{1, 2, 3})
 
 	captured := ks.Capture()
@@ -268,7 +259,7 @@ func TestGroupBlobsAreDeterministic(t *testing.T) {
 // clone before in-place mutation reaches the shared array.
 func TestPutAliasedValueDoesNotGrantPrivacy(t *testing.T) {
 	ks := NewKeyedState(1, 0, 1)
-	cell := RegisterMap(ks, "buf", intSlices())
+	cell := RegisterMap(ks, "buf", intsCodec())
 	s := make([]int, 1, 4)
 	s[0] = 30
 	cell.Put(1, s)
@@ -285,7 +276,7 @@ func TestPutAliasedValueDoesNotGrantPrivacy(t *testing.T) {
 	captured.Release()
 
 	ks2 := NewKeyedState(1, 0, 1)
-	cell2 := RegisterMap(ks2, "buf", intSlices())
+	cell2 := RegisterMap(ks2, "buf", intsCodec())
 	if err := ks2.RestoreGroup(0, blob); err != nil {
 		t.Fatal(err)
 	}

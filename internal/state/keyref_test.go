@@ -33,7 +33,7 @@ func TestKeyRefMatchesCellAccess(t *testing.T) {
 // must never see their later mutations.
 func TestKeyRefClonesDuringCapture(t *testing.T) {
 	ks := NewKeyedState(4, 0, 4)
-	cell := RegisterMap(ks, "buf", intSlices())
+	cell := RegisterMap(ks, "buf", intsCodec())
 	ref := cell.RefFor(1)
 	ref.Put([]int{1, 2, 3})
 
@@ -59,7 +59,7 @@ func TestKeyRefClonesDuringCapture(t *testing.T) {
 		t.Fatal(err)
 	}
 	ks2 := NewKeyedState(4, 0, 4)
-	cell2 := RegisterMap(ks2, "buf", intSlices())
+	cell2 := RegisterMap(ks2, "buf", intsCodec())
 	for group, blob := range blobs {
 		if err := ks2.RestoreGroup(group, blob); err != nil {
 			t.Fatal(err)

@@ -85,13 +85,13 @@ func (o oracle) clone() oracle {
 // blobs encodes the oracle's state the way a capture must: per group, each
 // cell's name and section, a section being the key count, the ascending
 // keys as deltas and the values in key order. It shares only the value
-// codecs and appendBytes with the code under test.
+// codecs and AppendBytes with the code under test.
 func (o oracle) blobs() map[int][]byte {
 	out := make(map[int][]byte, fuzzGroups)
 	for g := 0; g < fuzzGroups; g++ {
 		var blob []byte
-		blob = appendBytes(appendBytes(blob, "f"), section(o.f, g, AppendFloat64))
-		blob = appendBytes(appendBytes(blob, "s"), section(o.s, g, intsCodec().Append))
+		blob = AppendBytes(AppendBytes(blob, "f"), section(o.f, g, AppendFloat64))
+		blob = AppendBytes(AppendBytes(blob, "s"), section(o.s, g, intsCodec().Append))
 		out[g] = blob
 	}
 	return out

@@ -219,10 +219,10 @@ func (m *MemoryBackend) Load(id int64) (*Snapshot, error) {
 }
 
 // FileBackend persists each snapshot as one file in a directory, in
-// checkpoint file format version 1:
+// checkpoint file format version 2:
 //
 //	magic      "STREAMLINE-CKPT\n"
-//	version    uvarint, 1
+//	version    uvarint, 2
 //	id         varint checkpoint id, then uvarint NumKeyGroups
 //	entries    uvarint count, then per entry in (operator, subtask) order:
 //	           varint operator, varint subtask, uvarint length, the blob
@@ -232,8 +232,11 @@ func (m *MemoryBackend) Load(id int64) (*Snapshot, error) {
 // A file is written to a temporary name, synced, renamed into place and its
 // directory synced, so a checkpoint Persist returned from survives a
 // machine crash; a torn or corrupted file fails its checksum and Latest
-// falls back to an older one. Files of the gob format this one replaced
-// (chk-*.gob) are refused with ErrOlderFormat: there is no converter.
+// falls back to an older one. The version is the one format version of
+// every blob inside, source and operator state included: no section carries
+// its own. Files of an older version — version 1, whose source, combiner,
+// window-engine and join sections were gob, and the gob files before it
+// (chk-*.gob) — are refused with ErrOlderFormat: there is no converter.
 type FileBackend struct {
 	dir string
 	mu  sync.Mutex
@@ -245,7 +248,7 @@ var ErrOlderFormat = errors.New("older checkpoint format")
 
 const (
 	fileMagic   = "STREAMLINE-CKPT\n"
-	fileVersion = 1
+	fileVersion = 2
 	fileExt     = ".ckpt"
 	gobFileExt  = ".gob" // the format before version 1
 )
@@ -348,10 +351,13 @@ func writeBlobs[K comparable](w *bufio.Writer, m map[K][]byte, ids func(K) (int,
 // returns the first one that reads and decodes cleanly. Corrupt newer files
 // are skipped — recovery falls back to the most recent *readable*
 // checkpoint instead of silently restarting from scratch — and the
-// corruption is surfaced through the error alongside the result. Files of an
-// older format are looked at only when no current one reads: a directory
-// holding only those restores nothing and says why, while one a job has
-// checkpointed into since restores its own checkpoints whatever their ids.
+// corruption is surfaced through the error alongside the result. A file of
+// an older format never shadows a current one: a version-1 .ckpt file is
+// skipped like a corrupt one, its ErrOlderFormat joined into the error, and
+// gob-era files are looked at only when no .ckpt file reads. A directory
+// holding only older files restores nothing and says why, while one a job
+// has checkpointed into since restores its own checkpoints whatever their
+// ids.
 func (f *FileBackend) Latest() (*Snapshot, bool, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -393,7 +399,7 @@ func (f *FileBackend) Load(id int64) (*Snapshot, error) {
 
 func (f *FileBackend) read(path string) (*Snapshot, error) {
 	if strings.HasSuffix(path, gobFileExt) {
-		return nil, fmt.Errorf("state: %s: %w (gob, before format version %d); it cannot be restored, there is no converter", path, ErrOlderFormat, fileVersion)
+		return nil, fmt.Errorf("state: %s: %w (gob, before format version 1); it cannot be restored, there is no converter", path, ErrOlderFormat)
 	}
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -423,6 +429,9 @@ func decodeFile(data []byte) (*Snapshot, error) {
 	version, b, err := ReadUvarint(b)
 	if err != nil {
 		return nil, err
+	}
+	if version < fileVersion {
+		return nil, fmt.Errorf("%w (version %d); this build reads version %d, there is no converter", ErrOlderFormat, version, fileVersion)
 	}
 	if version != fileVersion {
 		return nil, fmt.Errorf("checkpoint format version %d, this build reads version %d", version, fileVersion)

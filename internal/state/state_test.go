@@ -292,11 +292,13 @@ func TestFileBackendLatestSkipsTornFile(t *testing.T) {
 	}
 }
 
-// TestFileBackendRefusesOlderFormat: a gob-era checkpoint file is refused
-// with ErrOlderFormat, so a directory holding only such files restores
-// nothing and says why; a current-format checkpoint beside it restores
-// cleanly, though the leftover's id is higher — a job started fresh after
-// an upgrade numbers its checkpoints from 1 again.
+// TestFileBackendRefusesOlderFormat: a gob-era checkpoint file and a file
+// of format version 1 are refused with ErrOlderFormat, so a directory
+// holding only such files restores nothing and says why. Neither shadows the
+// current-format checkpoints beside it, though their ids are higher — a job
+// started fresh after an upgrade numbers its checkpoints from 1 again: Latest
+// returns the newest current one, and names a skipped version-1 file in its
+// error.
 func TestFileBackendRefusesOlderFormat(t *testing.T) {
 	dir := t.TempDir()
 	if err := os.WriteFile(filepath.Join(dir, "chk-000000000009.gob"), []byte{0x0f, 0xff, 0x81}, 0o644); err != nil {
@@ -309,11 +311,41 @@ func TestFileBackendRefusesOlderFormat(t *testing.T) {
 	if snap, ok, err := b.Latest(); ok || snap != nil || !errors.Is(err, ErrOlderFormat) {
 		t.Fatalf("gob-era dir: Latest = %v, %v, %v; want no snapshot and ErrOlderFormat", snap, ok, err)
 	}
-	if err := b.Persist(sample(3)); err != nil {
+	for id := int64(3); id <= 4; id++ {
+		if err := b.Persist(sample(id)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if snap, ok, err := b.Latest(); !ok || snap.CheckpointID != 4 || err != nil {
+		t.Fatalf("gob-era file beside version 2: Latest = %v, %v, %v; want checkpoint 4 and no error", snap, ok, err)
+	}
+
+	// A version-1 file: a current file with its version byte set back and
+	// its checksum recomputed.
+	v1 := func(id int64) []byte {
+		var file bytes.Buffer
+		if err := writeSnapshot(&file, sample(id)); err != nil {
+			t.Fatal(err)
+		}
+		data := file.Bytes()[:file.Len()-4]
+		data[len(fileMagic)] = 1
+		return binary.LittleEndian.AppendUint32(data, crc32.Checksum(data, castagnoli))
+	}
+	if err := os.WriteFile(b.path(12), v1(12), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if snap, ok, err := b.Latest(); !ok || snap.CheckpointID != 3 || err != nil {
-		t.Fatalf("mixed dir: Latest = %v, %v, %v; want checkpoint 3 and no error", snap, ok, err)
+	if snap, ok, err := b.Latest(); !ok || snap.CheckpointID != 4 || !errors.Is(err, ErrOlderFormat) {
+		t.Fatalf("version 1 beside version 2: Latest = %v, %v, %v; want checkpoint 4 and ErrOlderFormat", snap, ok, err)
+	}
+	only, err := NewFileBackend(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(only.path(12), v1(12), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if snap, ok, err := only.Latest(); ok || snap != nil || !errors.Is(err, ErrOlderFormat) {
+		t.Fatalf("version-1 dir: Latest = %v, %v, %v; want no snapshot and ErrOlderFormat", snap, ok, err)
 	}
 }
 
@@ -344,7 +376,10 @@ func TestFileBackendEmptyBlobReadsNil(t *testing.T) {
 // checksum appended so the parser behind the check is reached: an error or a
 // snapshot, never a panic, and never an allocation beyond a bound
 // proportional to the input. A snapshot that parses writes a file that parses
-// to the same snapshot.
+// to the same snapshot. Besides the files written here, testdata/fuzz holds
+// a checkpoint with a generator's and a split scan's source entries and a
+// session window's and a window join's key groups, which internal/dataflow's
+// TestStateFuzzSeedsAreCurrent writes.
 func FuzzCheckpointFile(f *testing.F) {
 	b, err := NewFileBackend(f.TempDir())
 	if err != nil {

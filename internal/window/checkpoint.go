@@ -1,136 +1,110 @@
 package window
 
-import "encoding/gob"
+import (
+	"encoding/binary"
+
+	"repro/internal/state"
+)
 
 // Checkpointable is implemented by assigners whose mutable state can be
 // saved and restored across failures. The recovery path first reconstructs
 // the assigner from its Spec factory (which carries the immutable
-// parameters and any closures) and then calls LoadState, so only mutable
-// fields are serialized.
+// parameters and any closures) and then calls ReadState, so only mutable
+// fields are encoded. AppendState appends the typed encoding of those
+// fields to b; ReadState reads exactly that encoding from the front of b
+// and returns the bytes after it, or an error for bytes it cannot take.
 type Checkpointable interface {
-	SaveState(enc *gob.Encoder) error
-	LoadState(dec *gob.Decoder) error
+	AppendState(b []byte) []byte
+	ReadState(b []byte) ([]byte, error)
 }
 
-type slidingState struct {
-	Open        []int64
-	NextStart   int64
-	Initialized bool
-}
-
-// SaveState implements Checkpointable.
-func (a *slidingAssigner) SaveState(enc *gob.Encoder) error {
-	return enc.Encode(slidingState{Open: a.open, NextStart: a.nextStart, Initialized: a.initialized})
-}
-
-// LoadState implements Checkpointable.
-func (a *slidingAssigner) LoadState(dec *gob.Decoder) error {
-	var s slidingState
-	if err := dec.Decode(&s); err != nil {
-		return err
+// appendStarts and readStarts encode a list of window starts.
+func appendStarts(b []byte, starts []int64) []byte {
+	b = binary.AppendUvarint(b, uint64(len(starts)))
+	for _, s := range starts {
+		b = binary.AppendVarint(b, s)
 	}
-	a.open, a.nextStart, a.initialized = s.Open, s.NextStart, s.Initialized
-	return nil
+	return b
 }
 
-type sessionState struct {
-	Active bool
-	Start  int64
-	LastTs int64
-}
-
-// SaveState implements Checkpointable.
-func (a *sessionAssigner) SaveState(enc *gob.Encoder) error {
-	return enc.Encode(sessionState{Active: a.active, Start: a.start, LastTs: a.lastTs})
-}
-
-// LoadState implements Checkpointable.
-func (a *sessionAssigner) LoadState(dec *gob.Decoder) error {
-	var s sessionState
-	if err := dec.Decode(&s); err != nil {
-		return err
+func readStarts(c *state.Cursor) []int64 {
+	starts := make([]int64, c.Count(1))
+	for i := range starts {
+		starts[i] = c.Varint()
 	}
-	a.active, a.start, a.lastTs = s.Active, s.Start, s.LastTs
-	return nil
+	return starts
 }
 
-type countState struct {
-	Open []int64
+// AppendState implements Checkpointable.
+func (a *slidingAssigner) AppendState(b []byte) []byte {
+	b = appendStarts(b, a.open)
+	return state.AppendBool(binary.AppendVarint(b, a.nextStart), a.initialized)
 }
 
-// SaveState implements Checkpointable.
-func (a *countAssigner) SaveState(enc *gob.Encoder) error {
-	return enc.Encode(countState{Open: a.open})
+// ReadState implements Checkpointable.
+func (a *slidingAssigner) ReadState(b []byte) ([]byte, error) {
+	c := state.Cursor{B: b}
+	a.open, a.nextStart, a.initialized = readStarts(&c), c.Varint(), c.Bool()
+	return c.B, c.Err
 }
 
-// LoadState implements Checkpointable.
-func (a *countAssigner) LoadState(dec *gob.Decoder) error {
-	var s countState
-	if err := dec.Decode(&s); err != nil {
-		return err
-	}
-	a.open = s.Open
-	return nil
+// AppendState implements Checkpointable.
+func (a *sessionAssigner) AppendState(b []byte) []byte {
+	b = binary.AppendVarint(state.AppendBool(b, a.active), a.start)
+	return binary.AppendVarint(b, a.lastTs)
 }
 
-type punctuationState struct {
-	Active bool
-	Start  int64
+// ReadState implements Checkpointable.
+func (a *sessionAssigner) ReadState(b []byte) ([]byte, error) {
+	c := state.Cursor{B: b}
+	a.active, a.start, a.lastTs = c.Bool(), c.Varint(), c.Varint()
+	return c.B, c.Err
 }
 
-// SaveState implements Checkpointable.
-func (a *punctuationAssigner) SaveState(enc *gob.Encoder) error {
-	return enc.Encode(punctuationState{Active: a.active, Start: a.start})
+// AppendState implements Checkpointable.
+func (a *countAssigner) AppendState(b []byte) []byte { return appendStarts(b, a.open) }
+
+// ReadState implements Checkpointable.
+func (a *countAssigner) ReadState(b []byte) ([]byte, error) {
+	c := state.Cursor{B: b}
+	a.open = readStarts(&c)
+	return c.B, c.Err
 }
 
-// LoadState implements Checkpointable.
-func (a *punctuationAssigner) LoadState(dec *gob.Decoder) error {
-	var s punctuationState
-	if err := dec.Decode(&s); err != nil {
-		return err
-	}
-	a.active, a.start = s.Active, s.Start
-	return nil
+// AppendState implements Checkpointable.
+func (a *punctuationAssigner) AppendState(b []byte) []byte {
+	return binary.AppendVarint(state.AppendBool(b, a.active), a.start)
 }
 
-type deltaState struct {
-	Active bool
-	Start  int64
-	Ref    float64
+// ReadState implements Checkpointable.
+func (a *punctuationAssigner) ReadState(b []byte) ([]byte, error) {
+	c := state.Cursor{B: b}
+	a.active, a.start = c.Bool(), c.Varint()
+	return c.B, c.Err
 }
 
-// SaveState implements Checkpointable.
-func (a *deltaAssigner) SaveState(enc *gob.Encoder) error {
-	return enc.Encode(deltaState{Active: a.active, Start: a.start, Ref: a.ref})
+// AppendState implements Checkpointable.
+func (a *deltaAssigner) AppendState(b []byte) []byte {
+	b = binary.AppendVarint(state.AppendBool(b, a.active), a.start)
+	return state.AppendFloat64(b, a.ref)
 }
 
-// LoadState implements Checkpointable.
-func (a *deltaAssigner) LoadState(dec *gob.Decoder) error {
-	var s deltaState
-	if err := dec.Decode(&s); err != nil {
-		return err
-	}
-	a.active, a.start, a.ref = s.Active, s.Start, s.Ref
-	return nil
+// ReadState implements Checkpointable.
+func (a *deltaAssigner) ReadState(b []byte) ([]byte, error) {
+	c := state.Cursor{B: b}
+	a.active, a.start, a.ref = c.Bool(), c.Varint(), c.Float64()
+	return c.B, c.Err
 }
 
-type sessionMaxState struct {
-	Active bool
-	Start  int64
-	LastTs int64
+// AppendState implements Checkpointable.
+func (a *sessionMaxAssigner) AppendState(b []byte) []byte {
+	b = binary.AppendVarint(state.AppendBool(b, a.active), a.start)
+	return binary.AppendVarint(b, a.lastTs)
 }
 
-// SaveState implements Checkpointable.
-func (a *sessionMaxAssigner) SaveState(enc *gob.Encoder) error {
-	return enc.Encode(sessionMaxState{Active: a.active, Start: a.start, LastTs: a.lastTs})
-}
-
-// LoadState implements Checkpointable.
-func (a *sessionMaxAssigner) LoadState(dec *gob.Decoder) error {
-	var s sessionMaxState
-	if err := dec.Decode(&s); err != nil {
-		return err
-	}
-	a.active, a.start, a.lastTs = s.Active, s.Start, s.LastTs
-	return nil
+// ReadState implements Checkpointable.
+func (a *sessionMaxAssigner) ReadState(b []byte) ([]byte, error) {
+	c := state.Cursor{B: b}
+	a.active, a.start, a.lastTs = c.Bool(), c.Varint(), c.Varint()
+	return c.B, c.Err
 }

@@ -1,8 +1,6 @@
 package window
 
 import (
-	"bytes"
-	"encoding/gob"
 	"math"
 	"math/rand"
 	"testing"
@@ -64,13 +62,13 @@ func TestAssignerCheckpointEquivalence(t *testing.T) {
 			if !ok {
 				t.Fatalf("%s: assigner not checkpointable", spec.Name)
 			}
-			var buf bytes.Buffer
-			if err := ck.SaveState(gob.NewEncoder(&buf)); err != nil {
-				t.Fatalf("%s: save: %v", spec.Name, err)
-			}
+			// Behind a prefix and before a suffix: ReadState takes exactly
+			// the bytes AppendState wrote.
+			blob := append(ck.AppendState([]byte("prefix")), "suffix"...)
 			a2 := spec.Factory()
-			if err := a2.(Checkpointable).LoadState(gob.NewDecoder(&buf)); err != nil {
-				t.Fatalf("%s: load: %v", spec.Name, err)
+			rest, err := a2.(Checkpointable).ReadState(blob[len("prefix"):])
+			if err != nil || string(rest) != "suffix" {
+				t.Fatalf("%s: read = %q, %v; want the suffix left", spec.Name, rest, err)
 			}
 			feed(a2, events[cut:])
 			split := ctx.out
@@ -89,12 +87,16 @@ func TestAssignerCheckpointEquivalence(t *testing.T) {
 	}
 }
 
-func TestLoadStateRejectsGarbage(t *testing.T) {
+// TestReadStateRejectsGarbage: no input and a truncated encoding are
+// refused, never read as some state.
+func TestReadStateRejectsGarbage(t *testing.T) {
 	for _, spec := range checkpointSpecs() {
-		a := spec.Factory()
-		ck := a.(Checkpointable)
-		if err := ck.LoadState(gob.NewDecoder(bytes.NewReader([]byte("not gob")))); err == nil {
-			t.Errorf("%s: garbage accepted", spec.Name)
+		ck := spec.Factory().(Checkpointable)
+		blob := ck.AppendState(nil)
+		for name, in := range map[string][]byte{"empty": nil, "truncated": blob[:len(blob)-1]} {
+			if _, err := spec.Factory().(Checkpointable).ReadState(in); err == nil {
+				t.Errorf("%s: %s accepted", spec.Name, name)
+			}
 		}
 	}
 }

@@ -1,8 +1,10 @@
 package window
 
 import (
-	"encoding/gob"
+	"encoding/binary"
 	"math"
+
+	"repro/internal/state"
 )
 
 // TimeOrCount returns a spec for multi-measure windows, one of the window
@@ -77,24 +79,15 @@ func (a *timeOrCountAssigner) NextTime() int64 {
 	return a.start + a.maxDur
 }
 
-type timeOrCountState struct {
-	Active   bool
-	Start    int64
-	StartPos int64
-	Count    int64
+// AppendState implements Checkpointable.
+func (a *timeOrCountAssigner) AppendState(b []byte) []byte {
+	b = binary.AppendVarint(state.AppendBool(b, a.active), a.start)
+	return binary.AppendVarint(binary.AppendVarint(b, a.startPos), a.count)
 }
 
-// SaveState implements Checkpointable.
-func (a *timeOrCountAssigner) SaveState(enc *gob.Encoder) error {
-	return enc.Encode(timeOrCountState{Active: a.active, Start: a.start, StartPos: a.startPos, Count: a.count})
-}
-
-// LoadState implements Checkpointable.
-func (a *timeOrCountAssigner) LoadState(dec *gob.Decoder) error {
-	var s timeOrCountState
-	if err := dec.Decode(&s); err != nil {
-		return err
-	}
-	a.active, a.start, a.startPos, a.count = s.Active, s.Start, s.StartPos, s.Count
-	return nil
+// ReadState implements Checkpointable.
+func (a *timeOrCountAssigner) ReadState(b []byte) ([]byte, error) {
+	c := state.Cursor{B: b}
+	a.active, a.start, a.startPos, a.count = c.Bool(), c.Varint(), c.Varint(), c.Varint()
+	return c.B, c.Err
 }

@@ -1,8 +1,6 @@
 package window
 
 import (
-	"bytes"
-	"encoding/gob"
 	"math"
 	"math/rand"
 	"testing"
@@ -12,12 +10,8 @@ import (
 // can advance time on the copy without disturbing the stream under test.
 func cloneAssigner(t *testing.T, spec Spec, a Assigner) Assigner {
 	t.Helper()
-	var buf bytes.Buffer
-	if err := a.(Checkpointable).SaveState(gob.NewEncoder(&buf)); err != nil {
-		t.Fatal(err)
-	}
 	c := spec.Factory()
-	if err := c.(Checkpointable).LoadState(gob.NewDecoder(&buf)); err != nil {
+	if _, err := c.(Checkpointable).ReadState(a.(Checkpointable).AppendState(nil)); err != nil {
 		t.Fatal(err)
 	}
 	return c

@@ -2,12 +2,13 @@ package streamline
 
 import (
 	"bytes"
-	"encoding/gob"
+	"encoding/binary"
 	"fmt"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/dataflow"
+	"repro/internal/state"
 )
 
 // Built-in connectors. Each returns a Source[T] for From; they compose —
@@ -611,12 +612,23 @@ func newHybridReader[T any](history, live Reader[T]) *hybridReader[T] {
 		historyWait: probeWait(history), liveWait: probeWait(live)}
 }
 
+// hybridReaderState is the hybrid's snapshot: the phase flag, the history
+// maximum as a varint and a bool, then the history's and the live half's
+// blobs.
 type hybridReaderState struct {
-	Live    bool
-	MaxTs   int64
-	HaveTs  bool
-	History []byte
-	LivePos []byte
+	live         bool
+	maxTs        int64
+	haveTs       bool
+	history, pos []byte
+}
+
+func readHybridState(blob []byte) (hybridReaderState, error) {
+	c := state.Cursor{B: blob}
+	s := hybridReaderState{c.Bool(), c.Varint(), c.Bool(), c.Bytes(), c.Bytes()}
+	if err := c.Done(); err != nil {
+		return s, fmt.Errorf("hybrid restore: %w", err)
+	}
+	return s, nil
 }
 
 func (h *hybridReader[T]) Next() (Keyed[T], ReadStatus) {
@@ -703,25 +715,22 @@ func (h *hybridReader[T]) Snapshot() ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("hybrid live snapshot: %w", err)
 	}
-	var buf bytes.Buffer
-	err = gob.NewEncoder(&buf).Encode(hybridReaderState{
-		Live: h.inLive, MaxTs: h.maxTs, HaveTs: h.haveTs, History: hist, LivePos: live,
-	})
-	return buf.Bytes(), err
+	b := state.AppendBool(binary.AppendVarint(state.AppendBool(nil, h.inLive), h.maxTs), h.haveTs)
+	return state.AppendBytes(state.AppendBytes(b, hist), live), nil
 }
 
 func (h *hybridReader[T]) Restore(blob []byte) error {
-	var s hybridReaderState
-	if err := gob.NewDecoder(bytes.NewReader(blob)).Decode(&s); err != nil {
-		return fmt.Errorf("hybrid restore: %w", err)
+	s, err := readHybridState(blob)
+	if err != nil {
+		return err
 	}
-	if err := h.history.Restore(s.History); err != nil {
+	if err := h.history.Restore(s.history); err != nil {
 		return fmt.Errorf("hybrid history restore: %w", err)
 	}
-	if err := h.live.Restore(s.LivePos); err != nil {
+	if err := h.live.Restore(s.pos); err != nil {
 		return fmt.Errorf("hybrid live restore: %w", err)
 	}
-	h.inLive, h.maxTs, h.haveTs = s.Live, s.MaxTs, s.HaveTs
+	h.inLive, h.maxTs, h.haveTs = s.live, s.maxTs, s.haveTs
 	return nil
 }
 
@@ -742,19 +751,19 @@ func (h *hybridReader[T]) RestoreAll(subtask, parallelism int, blobs map[int][]b
 	var maxTs int64
 	haveTs := false
 	for sub, blob := range blobs {
-		var s hybridReaderState
-		if err := gob.NewDecoder(bytes.NewReader(blob)).Decode(&s); err != nil {
-			return fmt.Errorf("hybrid restore: %w", err)
+		s, err := readHybridState(blob)
+		if err != nil {
+			return err
 		}
-		hist[sub] = s.History
-		live[sub] = s.LivePos
-		if s.Live {
+		hist[sub] = s.history
+		live[sub] = s.pos
+		if s.live {
 			anyLive = true
 		} else {
 			allLive = false
 		}
-		if s.HaveTs && (!haveTs || s.MaxTs > maxTs) {
-			maxTs, haveTs = s.MaxTs, true
+		if s.haveTs && (!haveTs || s.maxTs > maxTs) {
+			maxTs, haveTs = s.maxTs, true
 		}
 	}
 	if err := restoreReaderAll(h.history, subtask, parallelism, hist); err != nil {
@@ -854,18 +863,19 @@ func restoreReaderAll[T any](r Reader[T], subtask, parallelism int, blobs map[in
 
 // ---- cursor encoding ------------------------------------------------------
 
-// encodeCursor serializes a single position counter — the snapshot format
-// shared by the index-addressed readers.
-func encodeCursor(idx int64) ([]byte, error) {
-	var buf bytes.Buffer
-	err := gob.NewEncoder(&buf).Encode(idx)
-	return buf.Bytes(), err
-}
+// encodeCursor serializes a single position counter as a varint — the
+// snapshot format shared by the index-addressed readers.
+func encodeCursor(idx int64) ([]byte, error) { return binary.AppendVarint(nil, idx), nil }
 
+// decodeCursor reads an encodeCursor blob; a negative position is refused.
 func decodeCursor(blob []byte) (int64, error) {
-	var idx int64
-	if err := gob.NewDecoder(bytes.NewReader(blob)).Decode(&idx); err != nil {
+	c := state.Cursor{B: blob}
+	idx := c.Varint()
+	if err := c.Done(); err != nil {
 		return 0, fmt.Errorf("source cursor restore: %w", err)
+	}
+	if idx < 0 {
+		return 0, fmt.Errorf("source cursor restore: negative position %d", idx)
 	}
 	return idx, nil
 }

@@ -97,12 +97,13 @@ func NewMemoryBackend(retain int) Backend { return state.NewMemoryBackend(retain
 // NewFileBackend returns a durable checkpoint backend persisting each
 // snapshot as a file under dir (created if needed) — the backend to use
 // when a job must survive process restarts or restore at a different
-// parallelism in a new process. A file is in checkpoint format version 1,
+// parallelism in a new process. A file is in checkpoint format version 2,
 // checksummed and synced to disk before Persist returns; a torn or corrupt
 // newest file is skipped for the one before it. Checkpoints written before
-// version 1 (gob files, chk-*.gob) are refused with an "older checkpoint
-// format" error: there is no converter, so such a job starts over, and its
-// new checkpoints restore beside the old files whatever their ids.
+// version 2 (version-1 chk-*.ckpt files and gob files, chk-*.gob) are
+// refused with an "older checkpoint format" error: there is no converter,
+// so such a job starts over, and its new checkpoints restore beside the old
+// files whatever their ids.
 func NewFileBackend(dir string) (Backend, error) { return state.NewFileBackend(dir) }
 
 // New returns an empty pipeline environment.

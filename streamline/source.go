@@ -1,12 +1,12 @@
 package streamline
 
 import (
-	"bytes"
-	"encoding/gob"
+	"encoding/binary"
 	"fmt"
 	"sync/atomic"
 
 	"repro/internal/dataflow"
+	"repro/internal/state"
 )
 
 // ReadStatus is what a Reader's Next call reports about its input — the
@@ -319,14 +319,31 @@ type loweredReader[T any] struct {
 	atRestHave bool
 }
 
+// loweredReaderState is the adapter's snapshot: its watermark bookkeeping
+// as varints and bools in field order, then the reader's own blob.
 type loweredReaderState struct {
-	MaxTs      int64
-	HaveTs     bool
-	SinceWM    int64
-	WMFloor    int64
-	AtRestMax  int64
-	AtRestHave bool
-	Inner      []byte
+	maxTs      int64
+	haveTs     bool
+	sinceWM    int64
+	wmFloor    int64
+	atRestMax  int64
+	atRestHave bool
+	inner      []byte
+}
+
+func (s *loweredReaderState) append(b []byte) []byte {
+	b = binary.AppendVarint(state.AppendBool(binary.AppendVarint(b, s.maxTs), s.haveTs), s.sinceWM)
+	b = state.AppendBool(binary.AppendVarint(binary.AppendVarint(b, s.wmFloor), s.atRestMax), s.atRestHave)
+	return state.AppendBytes(b, s.inner)
+}
+
+func readLoweredState(blob []byte) (loweredReaderState, error) {
+	c := state.Cursor{B: blob}
+	s := loweredReaderState{c.Varint(), c.Bool(), c.Varint(), c.Varint(), c.Varint(), c.Bool(), c.Bytes()}
+	if err := c.Done(); err != nil {
+		return s, fmt.Errorf("source restore: %w", err)
+	}
+	return s, nil
 }
 
 const minInt64 = -1 << 63
@@ -521,28 +538,24 @@ func (l *loweredReader[T]) Snapshot() ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	var buf bytes.Buffer
-	err = gob.NewEncoder(&buf).Encode(loweredReaderState{
-		MaxTs: l.maxTs, HaveTs: l.haveTs, SinceWM: l.sinceWM, WMFloor: l.wmFloor,
-		AtRestMax: l.atRestMax, AtRestHave: l.atRestHave, Inner: inner,
-	})
-	return buf.Bytes(), err
+	s := loweredReaderState{l.maxTs, l.haveTs, l.sinceWM, l.wmFloor, l.atRestMax, l.atRestHave, inner}
+	return s.append(nil), nil
 }
 
 // Restore implements dataflow.SourceFunc. A pending cadence watermark is
 // dropped, like GenSource's.
 func (l *loweredReader[T]) Restore(blob []byte) error {
-	var s loweredReaderState
-	if err := gob.NewDecoder(bytes.NewReader(blob)).Decode(&s); err != nil {
-		return fmt.Errorf("source restore: %w", err)
-	}
-	if err := l.r.Restore(s.Inner); err != nil {
+	s, err := readLoweredState(blob)
+	if err != nil {
 		return err
 	}
-	l.maxTs, l.haveTs, l.sinceWM, l.wmFloor, l.havePend = s.MaxTs, s.HaveTs, s.SinceWM, s.WMFloor, false
-	l.atRestMax, l.atRestHave = s.AtRestMax, s.AtRestHave
-	if l.clock != nil && s.AtRestHave {
-		l.clock.advance(s.AtRestMax)
+	if err := l.r.Restore(s.inner); err != nil {
+		return err
+	}
+	l.maxTs, l.haveTs, l.sinceWM, l.wmFloor, l.havePend = s.maxTs, s.haveTs, s.sinceWM, s.wmFloor, false
+	l.atRestMax, l.atRestHave = s.atRestMax, s.atRestHave
+	if l.clock != nil && s.atRestHave {
+		l.clock.advance(s.atRestMax)
 	}
 	l.readTraits()
 	return nil
@@ -558,11 +571,11 @@ func (l *loweredReader[T]) RestoreAll(subtask, parallelism int, blobs map[int][]
 	inner := make(map[int][]byte, len(blobs))
 	states := make(map[int]loweredReaderState, len(blobs))
 	for sub, blob := range blobs {
-		var s loweredReaderState
-		if err := gob.NewDecoder(bytes.NewReader(blob)).Decode(&s); err != nil {
-			return fmt.Errorf("source restore: %w", err)
+		s, err := readLoweredState(blob)
+		if err != nil {
+			return err
 		}
-		inner[sub] = s.Inner
+		inner[sub] = s.inner
 		states[sub] = s
 	}
 	if err := restoreReaderAll(l.r, subtask, parallelism, inner); err != nil {
@@ -573,8 +586,8 @@ func (l *loweredReader[T]) RestoreAll(subtask, parallelism int, blobs map[int][]
 	l.wmFloor = minInt64
 	l.atRestMax, l.atRestHave = 0, false
 	if s, ok := states[subtask]; ok && parallelism == len(blobs) {
-		l.maxTs, l.haveTs, l.sinceWM, l.wmFloor = s.MaxTs, s.HaveTs, s.SinceWM, s.WMFloor
-		l.atRestMax, l.atRestHave = s.AtRestMax, s.AtRestHave
+		l.maxTs, l.haveTs, l.sinceWM, l.wmFloor = s.maxTs, s.haveTs, s.sinceWM, s.wmFloor
+		l.atRestMax, l.atRestHave = s.atRestMax, s.atRestHave
 	}
 	// Reseed the stage clock with every old subtask's *at-rest* high-water
 	// mark: records consumed before the crash are not replayed, so without
@@ -586,8 +599,8 @@ func (l *loweredReader[T]) RestoreAll(subtask, parallelism int, blobs map[int][]
 	// same set in is idempotent.
 	if l.clock != nil {
 		for _, s := range states {
-			if s.AtRestHave {
-				l.clock.advance(s.AtRestMax)
+			if s.atRestHave {
+				l.clock.advance(s.atRestMax)
 			}
 		}
 	}

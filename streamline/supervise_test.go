@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -106,8 +107,8 @@ func (b skippingBackend) Latest() (*streamline.Snapshot, bool, error) {
 // once despite two mid-stream failures, and CompletedCheckpoints counts the
 // checkpoints of every attempt. Both restarts must resume from a checkpoint
 // also when the backend skipped a newer unreadable one on the way, and when
-// the checkpoint directory still holds a file of the older format with an
-// id above any the job reaches.
+// the checkpoint directory still holds files of older formats — gob-era and
+// checkpoint file format 1 — with ids above any the job reaches.
 func TestExecuteSupervisedLocalRecoversExactlyOnce(t *testing.T) {
 	for name, backend := range map[string]func(t *testing.T) streamline.Backend{
 		"memory": func(*testing.T) streamline.Backend { return streamline.NewMemoryBackend(0) },
@@ -119,9 +120,19 @@ func TestExecuteSupervisedLocalRecoversExactlyOnce(t *testing.T) {
 			if err := os.WriteFile(filepath.Join(dir, "chk-000000000099.gob"), []byte{0x0f, 0xff, 0x81}, 0o644); err != nil {
 				t.Fatal(err)
 			}
+			// An empty checkpoint 98 of format version 1: header, version,
+			// id, key groups, no entries, no groups, then its CRC-32C.
+			v1 := append([]byte("STREAMLINE-CKPT\n"), 1, 0xc4, 0x01, 0, 0, 0)
+			v1 = binary.LittleEndian.AppendUint32(v1, crc32.Checksum(v1, crc32.MakeTable(crc32.Castagnoli)))
+			if err := os.WriteFile(filepath.Join(dir, "chk-000000000098.ckpt"), v1, 0o644); err != nil {
+				t.Fatal(err)
+			}
 			b, err := streamline.NewFileBackend(dir)
 			if err != nil {
 				t.Fatal(err)
+			}
+			if _, ok, err := b.Latest(); ok || err == nil || !strings.Contains(err.Error(), "older checkpoint format (version 1)") {
+				t.Fatalf("before the run: Latest = %v, %v; want the version-1 file refused", ok, err)
 			}
 			return b
 		},

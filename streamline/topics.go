@@ -1,8 +1,7 @@
 package streamline
 
 import (
-	"bytes"
-	"encoding/gob"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"sync/atomic"
@@ -11,6 +10,7 @@ import (
 	"repro/internal/dataflow"
 	"repro/internal/metrics"
 	"repro/internal/seglog"
+	"repro/internal/state"
 )
 
 // Embedded history store: append-only segment-log topics. A TopicStore is a
@@ -336,15 +336,6 @@ type topicFollowReader[T any] struct {
 	err      error
 }
 
-type topicFollowState struct {
-	Tail    bool
-	End     int64
-	TailOff int64
-	MaxTs   int64
-	HaveTs  bool
-	Hist    []byte
-}
-
 func (r *topicFollowReader[T]) fail(err error) (Keyed[T], ReadStatus) {
 	r.err = err
 	return Keyed[T]{}, ReadEnd
@@ -454,11 +445,10 @@ func (r *topicFollowReader[T]) Snapshot() ([]byte, error) {
 	if tailOff < 0 {
 		tailOff = end
 	}
-	var buf bytes.Buffer
-	err = gob.NewEncoder(&buf).Encode(topicFollowState{
-		Tail: r.inTail, End: end, TailOff: tailOff, MaxTs: r.maxTs, HaveTs: r.haveTs, Hist: hist,
-	})
-	return buf.Bytes(), err
+	// The phase flag, the frozen view's end, the tail offset, the maximum
+	// timestamp and its flag, then the history scan's blob.
+	b := binary.AppendVarint(binary.AppendVarint(state.AppendBool(nil, r.inTail), end), tailOff)
+	return state.AppendBytes(state.AppendBool(binary.AppendVarint(b, r.maxTs), r.haveTs), hist), nil
 }
 
 func (r *topicFollowReader[T]) Restore(blob []byte) error {
@@ -476,22 +466,15 @@ func (r *topicFollowReader[T]) RestoreAll(subtask, parallelism int, blobs map[in
 	var maxTs int64
 	haveTs := false
 	for sub, blob := range blobs {
-		var s topicFollowState
-		if err := gob.NewDecoder(bytes.NewReader(blob)).Decode(&s); err != nil {
-			return fmt.Errorf("topic %q restore: %w", r.topic, err)
+		c := state.Cursor{B: blob} // as Snapshot wrote it
+		tail, sEnd, sTailOff, sMaxTs, sHaveTs := c.Bool(), c.Varint(), c.Varint(), c.Varint(), c.Bool()
+		if hist[sub] = c.Bytes(); c.Done() != nil {
+			return fmt.Errorf("topic %q restore: %w", r.topic, c.Err)
 		}
-		hist[sub] = s.Hist
-		if !s.Tail {
-			allTail = false
-		}
-		if s.End > end {
-			end = s.End
-		}
-		if s.TailOff > tailOff {
-			tailOff = s.TailOff
-		}
-		if s.HaveTs && (!haveTs || s.MaxTs > maxTs) {
-			maxTs, haveTs = s.MaxTs, true
+		allTail = allTail && tail
+		end, tailOff = max(end, sEnd), max(tailOff, sTailOff)
+		if sHaveTs && (!haveTs || sMaxTs > maxTs) {
+			maxTs, haveTs = sMaxTs, true
 		}
 	}
 	if err := restoreReaderAll(r.hist, subtask, parallelism, hist); err != nil {
