@@ -31,6 +31,7 @@ type CombinerOp struct {
 	decided bool
 	enabled bool
 	sampled int
+	since   int // sampled at the restore: unique holds the keys sampled after it
 	unique  map[uint64]struct{}
 }
 
@@ -58,6 +59,7 @@ func (c *CombinerOp) Open(ctx *dataflow.OpContext) error {
 	}
 	r := state.Cursor{B: ctx.Restore}
 	c.decided, c.enabled, c.sampled = r.Bool(), r.Bool(), int(r.Uvarint())
+	c.since = c.sampled
 	for n := r.Count(3); n > 0 && r.Err == nil; n-- {
 		k := r.Uvarint()
 		if _, dup := c.table[k]; dup {
@@ -83,8 +85,17 @@ func (c *CombinerOp) fold(r dataflow.Record, out dataflow.Collector) {
 		c.sampled++
 		c.unique[r.Key] = struct{}{}
 		if c.sampled >= combinerSampleSize {
-			// Duplicate ratio above ~2x means combining pays for itself.
-			c.enabled = len(c.unique)*2 <= c.sampled
+			// Duplicate ratio above ~2x means combining pays for itself. A
+			// snapshot keeps the sample's count but not its keys, so a
+			// restored sample is judged on the records sampled since the
+			// restore: the decision falls where it would have without the
+			// restore. Fewer than an eighth of the sample are too few to
+			// judge alone; their keys are then weighed against all of it.
+			n := c.sampled - c.since
+			if n < combinerSampleSize/8 {
+				n = c.sampled
+			}
+			c.enabled = len(c.unique)*2 <= n
 			c.decided = true
 			c.unique = nil
 		}

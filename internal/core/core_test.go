@@ -200,6 +200,35 @@ func TestCombinerAdaptiveDecision(t *testing.T) {
 	}
 }
 
+// TestCombinerJudgesSampleSinceRestore: a snapshot keeps the sample's count
+// but not its key set, so a combiner restored mid-sample judges the records
+// sampled since the restore instead of weighing their keys against every
+// record sampled: an all-unique stream still turns combining off, at the
+// record where it would have without the restore.
+func TestCombinerJudgesSampleSinceRestore(t *testing.T) {
+	sum := func(a, v float64) float64 { return a + v }
+	drop := collectorFunc(func(dataflow.Record) {})
+	c := &CombinerOp{F: sum, Adaptive: true}
+	if err := c.Open(&dataflow.OpContext{}); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 300; i++ {
+		c.OnBatch([]dataflow.Record{dataflow.Data(int64(i), uint64(i), 1.0)}, drop)
+	}
+	blob, _ := c.Snapshot()
+	restored := &CombinerOp{F: sum, Adaptive: true}
+	if err := restored.Open(&dataflow.OpContext{Restore: blob}); err != nil {
+		t.Fatal(err)
+	}
+	for i := 300; i < combinerSampleSize; i++ {
+		restored.OnBatch([]dataflow.Record{dataflow.Data(int64(i), uint64(i), 1.0)}, drop)
+	}
+	if !restored.decided || restored.Enabled() {
+		t.Fatalf("after a restore mid-sample and %d more unique keys: decided %v, enabled %v; want combining off",
+			combinerSampleSize-300, restored.decided, restored.Enabled())
+	}
+}
+
 // TestCombinerRestoreRefusesMalformed: a combiner's snapshot restores to the
 // same table, and every blob that is not one — each strict prefix, a table
 // naming a key twice, and the blob of the gob encoding before it whose key

@@ -44,14 +44,16 @@ type WindowJoinOp struct {
 
 	ks   *state.KeyedState
 	wins *state.MapCell[map[int64]joinSides]
-	// timers holds each key's earliest window end, so a watermark visits
-	// only the keys with a window to fire. Derived: rebuilt from the keyed
-	// state on Open, kept current by OnBatchEdge and the fire pass.
+	// timers holds each key at or before its earliest window end, so a
+	// watermark visits only the keys with a window to fire. Derived: rebuilt
+	// from the keyed state on Open, kept current by OnBatchEdge and the fire
+	// pass. Every entry is an open window's end, so expire checks none.
 	timers timerIndex
 
 	// Run scratch (see OnBatchEdge), reused across calls.
-	kt   keyTable
-	maps []map[int64]joinSides // dense key index -> the key's window map
+	kt     keyTable
+	maps   []map[int64]joinSides // dense key index -> the key's window map
+	starts []int64               // OnWatermark's: a due key's closing windows
 }
 
 // joinSides buffers one (key, window) bucket's values. The slices are
@@ -129,8 +131,8 @@ func (j *WindowJoinOp) Open(ctx *OpContext) error {
 	}
 	j.timers.init(ctx)
 	j.wins.Range(func(key uint64, m map[int64]joinSides) bool {
-		for start := range m {
-			j.timers.arm(key, start+j.Size) // the earliest end wins
+		if len(m) > 0 {
+			j.timers.arm(key, slices.Min(slices.Collect(maps.Keys(m)))+j.Size)
 		}
 		return true
 	})
@@ -188,31 +190,43 @@ func (j *WindowJoinOp) OnBatchEdge(edge int, b []Record, _ Collector) []Record {
 			bkt.Right = append(bkt.Right, v)
 		}
 		m[start] = bkt
-		if !open { // only a new window can move the key's earliest end
+		// Only a new window that ends before every other window of the key
+		// moves its timer; otherwise the key holds an entry at or before it.
+		if !open && earliest(m, start) {
 			j.timers.arm(r.Key, start+j.Size)
 		}
 	}
 	return nil
 }
 
+// earliest reports whether no window of m starts before start.
+func earliest(m map[int64]joinSides, start int64) bool {
+	for s := range m {
+		if s < start {
+			return false
+		}
+	}
+	return true
+}
+
 // OnWatermark implements Operator: fire every window whose end has passed,
 // keys ascending and a key's windows by start. Only keys with a due window
 // are visited, so a watermark that closes nothing costs O(1).
 func (j *WindowJoinOp) OnWatermark(wm int64, out Collector) {
-	due := j.timers.expire(wm)
+	due := j.timers.expire(wm, nil)
 	for _, key := range due {
 		m, _ := j.wins.GetMut(key)
-		starts := make([]int64, 0, len(m))
+		j.starts = j.starts[:0]
 		next := int64(math.MaxInt64) // earliest end among the windows that stay
 		for start := range m {
 			if end := start + j.Size; end <= wm {
-				starts = append(starts, start)
+				j.starts = append(j.starts, start)
 			} else {
 				next = min(next, end)
 			}
 		}
-		slices.Sort(starts)
-		for _, start := range starts {
+		slices.Sort(j.starts)
+		for _, start := range j.starts {
 			b := m[start]
 			delete(m, start)
 			for _, l := range b.Left {

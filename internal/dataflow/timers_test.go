@@ -472,9 +472,10 @@ func TestWindowJoinTimerIndexMatchesScan(t *testing.T) {
 	}
 }
 
-// TestTimerIndex pins the index's own rules: one live deadline per key, an
-// earlier deadline supersedes, a later one is ignored, expired keys come back
-// disarmed and in ascending order.
+// TestTimerIndex pins the index's own rules: every arm is an entry, a
+// deadline of MaxInt64 is never armed, expire pops the entries it has
+// reached, drops the ones its check rejects and returns the other entries'
+// keys once each, ascending, and compaction bounds what no watermark pops.
 func TestTimerIndex(t *testing.T) {
 	var ti timerIndex
 	ti.init(&OpContext{})
@@ -482,21 +483,331 @@ func TestTimerIndex(t *testing.T) {
 	ti.arm(3, 30)
 	ti.arm(5, 10)
 	ti.arm(9, math.MaxInt64) // nothing pending: never armed
-	ti.arm(7, 20)            // earlier: supersedes the entry at 30
-	ti.arm(7, 25)            // later than armed: ignored
-	if got := ti.expire(9); len(got) != 0 {
+	ti.arm(7, 20)            // earlier: the entry at 30 stays behind
+	ti.arm(5, 10)            // a second entry at the same deadline
+	if got := ti.expire(9, nil); len(got) != 0 {
 		t.Fatalf("expire(9) = %v, want nothing", got)
 	}
-	if got := ti.expire(20); !reflect.DeepEqual(got, []uint64{5, 7}) {
-		t.Fatalf("expire(20) = %v, want [5 7]", got)
+	if got := ti.expire(20, nil); !reflect.DeepEqual(got, []uint64{5, 7}) {
+		t.Fatalf("expire(20) = %v, want [5 7] once each", got)
 	}
-	ti.arm(7, 30) // re-armed beside its superseded entry at 30
-	if got := ti.expire(math.MaxInt64); !reflect.DeepEqual(got, []uint64{3, 7}) {
-		t.Fatalf("expire(max) = %v, want [3 7] once each", got)
+	// Key 7 is re-armed at 25 and key 3 is gone: 7's entry at 30 is
+	// superseded by the one at 25, and 3's stands for nothing.
+	ti.arm(7, 25)
+	next := map[uint64]int64{7: 25}
+	stands := func(key uint64, at int64) bool {
+		n, ok := next[key]
+		return ok && at <= n
 	}
-	if len(ti.heap) != 0 || len(ti.armed) != 0 {
-		t.Fatalf("index not empty: %d entries, %d armed", len(ti.heap), len(ti.armed))
+	if got := ti.expire(30, stands); !reflect.DeepEqual(got, []uint64{7}) {
+		t.Fatalf("expire(30) = %v, want [7] once", got)
 	}
+	if len(ti.heap) != 0 {
+		t.Fatalf("index not empty: %d entries", len(ti.heap))
+	}
+	// No watermark pops them, but a thousand arms of two keys leave the heap
+	// no bigger than its compaction threshold, and each key's earliest entry.
+	for i := range int64(1000) {
+		ti.arm(1, 5000-i)
+		ti.arm(2, 6000-i)
+	}
+	if len(ti.heap) > 2*2+64+1 {
+		t.Fatalf("%d entries for 2 keys", len(ti.heap))
+	}
+	if got := ti.expire(4001, nil); !reflect.DeepEqual(got, []uint64{1}) {
+		t.Fatalf("expire(4001) = %v, want [1]", got)
+	}
+}
+
+// refTimerIndex is the timer index as it was with its per-key map, the
+// reference of TestTimerIndexModel: armed holds each key's one live deadline,
+// an arm at or after it is ignored, an earlier one supersedes it, and an entry
+// that no longer matches it is dropped when the watermark reaches it.
+type refTimerIndex struct {
+	entries []timer
+	armed   map[uint64]int64
+}
+
+func (r *refTimerIndex) arm(key uint64, at int64) {
+	if cur, ok := r.armed[key]; at == math.MaxInt64 || ok && cur <= at {
+		return
+	}
+	r.armed[key] = at
+	r.entries = append(r.entries, timer{at: at, key: key})
+}
+
+func (r *refTimerIndex) expire(wm int64) []uint64 {
+	var due []uint64
+	kept := r.entries[:0]
+	for _, e := range r.entries {
+		if e.at > wm {
+			kept = append(kept, e)
+		} else if at, ok := r.armed[e.key]; ok && at == e.at {
+			delete(r.armed, e.key)
+			due = append(due, e.key)
+		}
+	}
+	r.entries = kept
+	slices.Sort(due)
+	return due
+}
+
+// timerModel drives the map-free index and refTimerIndex side by side, the
+// way the operators drive their indexes. Its keys are the caller's state:
+// for the release index a reorder buffer (ts in arrival order), for a fire
+// index a set of pending deadlines, NextFire being the least.
+type timerModel struct {
+	rng  *rand.Rand
+	ti   timerIndex
+	ref  refTimerIndex
+	keys map[uint64][]int64
+	// wm is the last expire's watermark and nextWM the coming one: a release
+	// runs at a watermark, before its expire, so it folds timestamps
+	// in (wm, nextWM].
+	wm, nextWM int64
+	// arms counts the index's arms since the last expire. behind holds, for
+	// every arm that moved an armed key's deadline earlier and every armed
+	// key released by a fold, the deadline the key had: the entry left behind
+	// lingers until a watermark reaches it.
+	arms   int
+	behind []int64
+	engine bool // the engine's schedules: expire checks, no deadline bound
+}
+
+func (m *timerModel) arm(key uint64, at int64) {
+	m.ti.arm(key, at)
+	if at != math.MaxInt64 {
+		m.arms++
+	}
+}
+
+func (m *timerModel) next(key uint64) int64 {
+	if ds, ok := m.keys[key]; ok && len(ds) > 0 {
+		return slices.Min(ds)
+	}
+	return math.MaxInt64
+}
+
+// stands is WindowOp's timerStands on the model's state.
+func (m *timerModel) stands(key uint64, at int64) bool {
+	_, ok := m.keys[key]
+	return ok && at <= m.next(key)
+}
+
+// checkBound asserts that entries left behind do not pile up. A fold adds at
+// most one entry, and a watermark — expire and the re-arms of the keys it
+// returned — none. On the release and timeline schedules, moreover, the index
+// holds at most one entry per key the reference holds armed, one per arm
+// since the last expire, and one per entry left behind at a deadline no
+// watermark has reached. The engine's schedules have no such deadline: an
+// entry left behind below a deadline that grew returns its key early, and
+// the key's re-arm takes its place until a watermark reaches both of the
+// key's entries at once.
+func (m *timerModel) checkBound(t *testing.T, where string, before, added int) {
+	t.Helper()
+	if n := len(m.ti.heap); n > before+added {
+		t.Fatalf("%s: %d entries outstanding, %d before the step", where, n, before)
+	}
+	m.behind = slices.DeleteFunc(m.behind, func(d int64) bool { return d <= m.wm })
+	if limit := len(m.ref.armed) + m.arms + len(m.behind); !m.engine && len(m.ti.heap) > limit {
+		t.Fatalf("%s: %d entries outstanding, limit %d (%d keys armed, %d arms since the last expire, %d left behind)",
+			where, len(m.ti.heap), limit, len(m.ref.armed), m.arms, len(m.behind))
+	}
+}
+
+// TestTimerIndexModel runs random arm/fold/expire schedules against the
+// reference, for the three ways the operators use the index:
+//
+//   - release: WindowOp's reorder buffers. A run arms its key only when it
+//     brings an element earlier than the buffer's first; a release that
+//     leaves a remainder re-arms it. expire checks nothing.
+//   - timeline: WindowOp's fire index on the slice timeline. A key's
+//     deadlines are window ends: a fold (a release into the key at the coming
+//     watermark) fires those it reaches and adds one, a fire visit drops
+//     those the watermark reached. The caller arms after a visit only when
+//     NextFire moved earlier than it was, or the key was just returned or is
+//     new. expire checks nothing.
+//   - engine: the same, plus folds that move a deadline later without firing
+//     it (a session that grows) and folds that fire everything and release
+//     the key (a count window that closed); expire checks each popped entry
+//     against the key's NextFire, as timerStands does.
+//
+// Every watermark must return the keys due by the reference's rules,
+// ascending and once each: exactly the reference's keys for release and
+// timeline. On the engine's schedules a key whose deadline grew past an entry
+// left behind by an earlier one may come back early, with nothing due, as a
+// grown key's own entry does in the reference; and a released key's entry is
+// dropped where the reference would visit the key for nothing. Every key
+// with something due must come back in every mode, and entries left behind
+// must stay within checkBound's limits.
+func TestTimerIndexModel(t *testing.T) {
+	const keys, steps = 48, 3000
+	for _, mode := range []string{"release", "timeline", "engine"} {
+		for seed := int64(1); seed <= 5; seed++ {
+			m := &timerModel{
+				rng:    rand.New(rand.NewSource(seed)),
+				ref:    refTimerIndex{armed: map[uint64]int64{}},
+				keys:   map[uint64][]int64{},
+				engine: mode == "engine",
+			}
+			returned := 0
+			for step := 0; step < steps; step++ {
+				where := fmt.Sprintf("%s seed %d step %d", mode, seed, step)
+				key, before := uint64(m.rng.Intn(keys)), len(m.ti.heap)
+				if m.rng.Intn(4) > 0 { // a fold
+					if mode == "release" {
+						m.foldBuffer(key)
+					} else {
+						m.foldDeadlines(key)
+					}
+					m.checkBound(t, where, before, 1)
+					continue
+				}
+				m.wm = m.nextWM
+				m.nextWM += int64(m.rng.Intn(12))
+				var got []uint64
+				if m.engine {
+					got = m.ti.expire(m.wm, m.stands)
+				} else {
+					got = m.ti.expire(m.wm, nil)
+				}
+				got = slices.Clone(got)
+				want := m.ref.expire(m.wm)
+				m.arms = 0
+				if !slices.IsSorted(got) || len(slices.Compact(slices.Clone(got))) != len(got) {
+					t.Fatalf("%s: expire(%d) = %v, not ascending once each", where, m.wm, got)
+				}
+				for key := range m.keys {
+					if m.due(key, mode) && !slices.Contains(got, key) {
+						t.Fatalf("%s: expire(%d) = %v misses key %d, which is due", where, m.wm, got, key)
+					}
+				}
+				if mode == "engine" {
+					for _, key := range got {
+						if !slices.Contains(want, key) && m.due(key, mode) {
+							t.Fatalf("%s: key %d returned, due, but not by the reference", where, key)
+						}
+					}
+					for _, key := range want {
+						if _, ok := m.keys[key]; ok && !slices.Contains(got, key) {
+							t.Fatalf("%s: expire(%d) = %v misses key %d, which the reference returns", where, m.wm, got, key)
+						}
+					}
+				} else if !slices.Equal(got, want) {
+					t.Fatalf("%s: expire(%d) = %v, reference %v", where, m.wm, got, want)
+				}
+				returned += len(got)
+				for _, key := range got {
+					if mode == "release" {
+						m.release(key)
+					} else {
+						m.fire(key)
+					}
+				}
+				m.checkBound(t, where, before, 0)
+			}
+			if returned < steps/4 {
+				t.Fatalf("%s seed %d: schedule too thin: %d keys returned", mode, seed, returned)
+			}
+		}
+	}
+}
+
+// due reports whether key has something to do at the model's watermark.
+func (m *timerModel) due(key uint64, mode string) bool {
+	if mode == "release" {
+		return slices.ContainsFunc(m.keys[key], func(ts int64) bool { return ts <= m.wm })
+	}
+	return m.next(key) <= m.wm
+}
+
+// foldBuffer appends a run of elements newer than the watermark to key's
+// buffer, arming as WindowOp.OnBatch does.
+func (m *timerModel) foldBuffer(key uint64) {
+	run := make([]int64, 1+m.rng.Intn(4))
+	for i := range run {
+		run[i] = m.wm + 1 + int64(m.rng.Intn(30))
+	}
+	buf := m.keys[key]
+	if first := slices.Min(run); len(buf) == 0 || first < buf[0] {
+		if len(buf) > 0 {
+			m.behind = append(m.behind, buf[0])
+		}
+		m.arm(key, first)
+		m.ref.arm(key, first)
+	}
+	m.keys[key] = append(buf, run...)
+}
+
+// release releases key's elements the watermark has reached, re-arming a
+// remainder as WindowOp.OnWatermark does.
+func (m *timerModel) release(key uint64) {
+	buf := m.keys[key]
+	slices.Sort(buf)
+	i := 0
+	for i < len(buf) && buf[i] <= m.wm {
+		i++
+	}
+	if i == len(buf) {
+		delete(m.keys, key)
+		return
+	}
+	m.keys[key] = buf[i:]
+	m.arm(key, buf[i])
+	m.ref.arm(key, buf[i])
+}
+
+// foldDeadlines is a release into key at a timestamp the coming watermark
+// has reached and the last one had not: it fires the deadlines the timestamp
+// reaches and adds one after it; growing, it instead moves a deadline later,
+// and closing, it fires them all and adds none. The caller's leave follows:
+// the reference arms NextFire, the index only an earlier one.
+func (m *timerModel) foldDeadlines(key uint64) {
+	if m.nextWM == m.wm {
+		return // a watermark that does not advance releases nothing
+	}
+	prev := m.next(key)
+	ts := m.wm + 1 + m.rng.Int63n(m.nextWM-m.wm)
+	ds := m.keys[key]
+	switch c := m.rng.Intn(8); {
+	case m.engine && c == 0 && len(ds) > 0:
+		i := m.rng.Intn(len(ds))
+		ds[i] += 1 + int64(m.rng.Intn(30))
+	case m.engine && c == 1:
+		ds = ds[:0]
+	default:
+		ds = slices.DeleteFunc(ds, func(d int64) bool { return d <= ts })
+		ds = append(ds, ts+1+int64(m.rng.Intn(40)))
+	}
+	if len(ds) == 0 {
+		delete(m.keys, key) // released: nothing pending, its entry left behind
+		if prev != math.MaxInt64 {
+			m.behind = append(m.behind, prev)
+		}
+		return
+	}
+	m.keys[key] = ds
+	n := m.next(key)
+	m.ref.arm(key, n)
+	if n < prev {
+		if prev != math.MaxInt64 {
+			m.behind = append(m.behind, prev)
+		}
+		m.arm(key, n)
+	}
+}
+
+// fire is a fire visit of a key expire returned: the deadlines the watermark
+// reached fire, and the key is re-armed at its NextFire or released.
+func (m *timerModel) fire(key uint64) {
+	ds := slices.DeleteFunc(m.keys[key], func(d int64) bool { return d <= m.wm })
+	if len(ds) == 0 {
+		delete(m.keys, key)
+		return
+	}
+	m.keys[key] = ds
+	m.arm(key, m.next(key))
+	m.ref.arm(key, m.next(key))
 }
 
 // BenchmarkWindowOpWatermark drives the window operator the way a saturated
@@ -513,22 +824,35 @@ func TestTimerIndex(t *testing.T) {
 // drift apart: the watermark is the lagging one's, so some two thousand keys
 // stay buffered while a watermark releases a few dozen — with the release
 // index that cost follows the keys released, not the keys buffered.
-// buffered-keys/watermark and released-keys/watermark report both.
+// buffered-keys/watermark and released-keys/watermark report both. The
+// sessions case runs the engine layout (a 50 ms session window) over keys
+// that churn: a record's key is one of the 1 000 numbered from its
+// millisecond on, so a key lives for a second of event time and is never
+// seen again. Its sessions close, its engine goes idle and is released, so
+// live-keys/watermark — keys holding window state — and ns/watermark stay
+// flat however long it runs. timer-entries/watermark counts both indexes'
+// entries.
 func BenchmarkWindowOpWatermark(b *testing.B) {
 	for _, bc := range []struct {
 		name    string
 		keys    int
 		capture bool
 		ahead   int64 // event-time lead of the second upstream; 0 = one upstream
+		churn   bool  // sessions over churning keys instead of the windows queries
 	}{
-		{"100keys", 100, false, 0},
-		{"10000keys", 10_000, false, 0},
-		{"10000keys/capture-active", 10_000, true, 0},
-		{"10000keys/two-upstreams", 10_000, false, 1000},
+		{"100keys", 100, false, 0, false},
+		{"10000keys", 10_000, false, 0, false},
+		{"10000keys/capture-active", 10_000, true, 0, false},
+		{"10000keys/two-upstreams", 10_000, false, 1000, false},
+		{"sessions/churning-keys", 1000, false, 0, true},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			keys := bc.keys
-			op := NewWindowOp(windowsQueries(1)...)().(*WindowOp)
+			queries := windowsQueries(1)
+			if bc.churn {
+				queries = []WindowQuery{{Spec: window.Session(50), Fn: agg.SumF64()}}
+			}
+			op := NewWindowOp(queries...)().(*WindowOp)
 			reg := metrics.NewRegistry()
 			if err := op.Open(&OpContext{NodeName: "win", Metrics: reg}); err != nil {
 				b.Fatal(err)
@@ -536,7 +860,7 @@ func BenchmarkWindowOpWatermark(b *testing.B) {
 			const lag = 20 // ms of disorder, and the watermark's distance behind
 			rng := rand.New(rand.NewSource(1))
 			out, run, next := &countCollector{}, make([]Record, 64), int64(0)
-			var buffered, released int
+			var buffered, released, live, entries int
 			step := func(key func() uint64) time.Duration {
 				for j := range run {
 					ts := max(next/10-rng.Int63n(lag), 0) // 10 records per event-time ms
@@ -552,16 +876,23 @@ func BenchmarkWindowOpWatermark(b *testing.B) {
 				d := time.Since(start)
 				buffered += op.buf.Len()
 				released += len(op.release.due)
+				live += int(op.liveKeys)
+				entries += len(op.timers.heap) + len(op.release.heap)
 				return d
 			}
-			for next < int64(2*keys) {
-				step(func() uint64 { return uint64(next % int64(keys)) })
-			}
+			warm := func() uint64 { return uint64(next % int64(keys)) }
 			// P(rank k) ~ 1/k: the hottest hundredth of the keys takes half the records.
 			zipf := func() uint64 { return uint64(math.Pow(float64(keys), rng.Float64())) - 1 }
+			if bc.churn {
+				zipf = func() uint64 { return uint64(next/10 + rng.Int63n(int64(keys))) }
+				warm = zipf
+			}
+			for next < int64(2*keys) {
+				step(warm)
+			}
 			fired := reg.Counter("node.win.keys_fired")
 			firedBefore := fired.Value()
-			buffered, released = 0, 0
+			buffered, released, live, entries = 0, 0, 0, 0
 			b.ReportAllocs()
 			b.ResetTimer()
 			var inWatermark time.Duration
@@ -579,6 +910,8 @@ func BenchmarkWindowOpWatermark(b *testing.B) {
 			b.ReportMetric(float64(fired.Value()-firedBefore)/float64(b.N), "keys/watermark")
 			b.ReportMetric(float64(buffered)/float64(b.N), "buffered-keys/watermark")
 			b.ReportMetric(float64(released)/float64(b.N), "released-keys/watermark")
+			b.ReportMetric(float64(live)/float64(b.N), "live-keys/watermark")
+			b.ReportMetric(float64(entries)/float64(b.N), "timer-entries/watermark")
 		})
 	}
 }

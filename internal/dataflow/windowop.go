@@ -52,17 +52,20 @@ type WindowQuery struct {
 // capture) and restores at any parallelism.
 //
 // A watermark visits only the keys with an element or a window due, through
-// two timerIndexes. release holds each buffered key at its earliest buffered
-// timestamp, so a watermark releases the keys it has reached and never looks
-// at the ones whose elements are all still ahead of it. timers holds each key
-// at the smallest watermark at which its window state would emit anything
-// (NextFire), so a watermark advances only the keys it has reached — the rest
-// catch up lazily, when their next element or deadline arrives. The
-// invariants: for every key not released at wm, every buffered element is
-// newer than wm; for every key not fired at wm, NextFire() > wm, so visiting
-// it would emit nothing. Both indexes are derived from the keyed state and
-// not checkpointed (a restore at another parallelism regroups the keys
-// anyway): Open rebuilds them from the restored buffers and window state.
+// two timerIndexes. release holds each buffered key at or before its
+// earliest buffered timestamp, so a watermark releases the keys it has
+// reached and never looks at the ones whose elements are all still ahead of
+// it. timers holds each key at or before the smallest watermark at which its
+// window state would emit anything (NextFire), so a watermark advances only
+// the keys it has reached — the rest catch up lazily, when their next
+// element or deadline arrives. Neither is looked up: a key is armed only
+// when its deadline moved earlier (OnBatch, leave), it is new, or its index
+// just returned it. The invariants: for every key not released at wm, every
+// buffered element is newer than wm; for every key not fired at wm,
+// NextFire() > wm, so visiting it would emit nothing. Both indexes are
+// derived from the keyed state and not checkpointed (a restore at another
+// parallelism regroups the keys anyway): Open rebuilds them from the
+// restored buffers and window state.
 type WindowOp struct {
 	Queries []WindowQuery
 
@@ -215,9 +218,8 @@ func (w *WindowOp) Open(ctx *OpContext) error {
 	if err := ctx.RestoreKeyedState(w.ks); err != nil {
 		return err
 	}
-	// The release index counts nothing: the node's watermarks / keys_fired
-	// are the timer index's.
-	w.release = timerIndex{armed: make(map[uint64]int64)}
+	// The release index counts nothing (no init): the node's watermarks /
+	// keys_fired are the timer index's.
 	for _, key := range w.buf.SortedKeys() {
 		if entries, _ := w.buf.Get(key); len(entries) == 0 {
 			w.buf.Delete(key) // a blob may hold an empty buffer; nothing to release
@@ -230,7 +232,7 @@ func (w *WindowOp) Open(ctx *OpContext) error {
 	w.liveKeys = int64(len(restored))
 	for _, key := range restored {
 		kw, _ := w.visit(key)
-		w.leave(key, kw, 0)
+		w.leave(key, kw, 0, math.MaxInt64)
 	}
 	return nil
 }
@@ -319,11 +321,9 @@ func (w *WindowOp) OnBatch(b []Record, _ Collector) []Record {
 		// COW-safe here; sorting and compacting in OnWatermark go through
 		// GetMut.
 		ref.Put(append(entries, keep...))
-		// A key's release deadline is at most its first buffered element (a
-		// remainder is sorted when released, and arming only lowers it), so
-		// an append that brings nothing earlier leaves it standing without a
-		// lookup in the index — a lookup per key per run that costs an
-		// at-rest replay, which releases nothing until its end, ~5 % CPU.
+		// The key holds a release entry at or before its first buffered
+		// element (a remainder is sorted when released): only an earlier
+		// element needs one.
 		if len(entries) == 0 || first < entries[0].Ts {
 			w.release.arm(key, first)
 		}
@@ -377,7 +377,11 @@ func (w *WindowOp) visit(key uint64) (keyWindows, int) {
 // engine (engine layout) — its state is released. A key that returns starts
 // over: every later element is newer than the release watermark, so no
 // window fires twice.
-func (w *WindowOp) leave(key uint64, kw keyWindows, had int) {
+//
+// armed bounds the key's timer entry: its NextFire when the visit began, or
+// math.MaxInt64 for a key the index does not hold (new, or just expired).
+// Only a NextFire earlier than that needs an entry.
+func (w *WindowOp) leave(key uint64, kw keyWindows, had int, armed int64) {
 	w.liveSlices += int64(kw.Slices() - had)
 	next := kw.NextFire()
 	switch {
@@ -386,10 +390,25 @@ func (w *WindowOp) leave(key uint64, kw keyWindows, had int) {
 	case w.timeline == nil && kw.(*cutty.Engine).Idle():
 		w.engines.Delete(key)
 	default:
-		w.timers.arm(key, next)
+		if next < armed {
+			w.timers.arm(key, next)
+		}
 		return
 	}
 	w.liveKeys--
+}
+
+// timerStands is the fire index's check of a popped entry. On the timeline a
+// deadline is a window end, pending until the key is advanced past it, so
+// every popped entry's key is due or was just released past it. An engine's
+// deadline can move later without firing (a growing session) or go with an
+// idle engine: its entry stands while it is not later than NextFire.
+func (w *WindowOp) timerStands(key uint64, at int64) bool {
+	if w.timeline != nil {
+		return true
+	}
+	e, ok := w.engines.Get(key)
+	return ok && at <= e.NextFire()
 }
 
 func byTs(a, b bufEntry) int { return cmp.Compare(a.Ts, b.Ts) }
@@ -411,7 +430,7 @@ func byTs(a, b bufEntry) int { return cmp.Compare(a.Ts, b.Ts) }
 // or due, not every key — pays its copy-on-write clone once.
 func (w *WindowOp) OnWatermark(wm int64, out Collector) {
 	w.out = out
-	released := w.release.expire(wm)
+	released := w.release.expire(wm, nil)
 	if wm == math.MaxInt64 {
 		released = w.buf.SortedKeys() // also a key holding only ts MaxInt64, never armed
 	}
@@ -424,6 +443,7 @@ func (w *WindowOp) OnWatermark(wm int64, out Collector) {
 			slices.SortStableFunc(entries, byTs)
 		}
 		kw, had := w.visit(key)
+		armed := kw.NextFire()
 		i := 0
 		for ; i < len(entries) && entries[i].Ts <= wm; i++ {
 			kw.OnWatermark(entries[i].Ts)
@@ -435,18 +455,18 @@ func (w *WindowOp) OnWatermark(wm int64, out Collector) {
 			w.buf.Put(key, entries[i:])
 			w.release.arm(key, entries[i].Ts)
 		}
-		w.leave(key, kw, had)
+		w.leave(key, kw, had, armed)
 	}
 	var fired []uint64
 	if wm == math.MaxInt64 {
 		fired = w.keys()
 	} else {
-		fired = w.timers.expire(wm)
+		fired = w.timers.expire(wm, w.timerStands)
 	}
 	for _, key := range fired {
 		kw, had := w.visit(key)
 		kw.OnWatermark(wm)
-		w.leave(key, kw, had)
+		w.leave(key, kw, had, math.MaxInt64)
 	}
 	w.timers.count(len(fired))
 	w.wm.SetAll(wm)
