@@ -11,8 +11,9 @@
 // fed through a composable Source[T] connector API — slices and files for
 // data at rest, channels and generators for data in motion, and the Hybrid
 // connector for the paper's headline scenario, replaying stored history and
-// seamlessly continuing on the live stream. Everything lowers onto the
-// untyped record engine in internal/core and internal/dataflow. Programs
+// seamlessly continuing on the live stream. Every typed operator lowers
+// straight onto the untyped record engine's plan (internal/dataflow's
+// Graph). Programs
 // written against it — all examples/ and the CLIs — never perform a type
 // assertion; the optimizer (operator chaining, adaptive combiner insertion,
 // Cutty multi-query window sharing, architecture-sized parallelism) applies

@@ -1,4 +1,4 @@
-package core
+package core_test
 
 import (
 	"bytes"
@@ -9,13 +9,15 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/agg"
 	"repro/internal/dataflow"
-	"repro/internal/state"
-	"repro/internal/window"
+	"repro/streamline"
 )
 
-func execute(t *testing.T, env *Environment) {
+// These tests drive the unified model through streamline, the one plan
+// builder, and the combiner through dataflow.CombinerOp, the operator the
+// builder inserts before a hash shuffle.
+
+func execute(t *testing.T, env *streamline.Env) {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
@@ -24,30 +26,41 @@ func execute(t *testing.T, env *Environment) {
 	}
 }
 
-func genRecords(n int) []dataflow.Record {
-	recs := make([]dataflow.Record, n)
+func genRecords(n int) []streamline.Keyed[float64] {
+	recs := make([]streamline.Keyed[float64], n)
 	for i := range recs {
-		recs[i] = dataflow.Data(int64(i), uint64(i%5), float64(i))
+		recs[i] = streamline.Keyed[float64]{Ts: int64(i), Key: uint64(i % 5), Value: float64(i)}
 	}
 	return recs
 }
 
+// records is a bounded stream of genRecords(n) at the Env's parallelism.
+func records(env *streamline.Env, name string, n int) *streamline.Stream[float64] {
+	return streamline.From(env, name, streamline.KeyedSlice(genRecords(n)))
+}
+
+// byKey keys a stream by the key its source stamped.
+func byKey[T any](s *streamline.Stream[T]) *streamline.Stream[T] {
+	return streamline.KeyByRecord(s, "key", func(k streamline.Keyed[T]) uint64 { return k.Key })
+}
+
+func sum(acc, v float64) float64 { return acc + v }
+
+func sums(out *streamline.Results[float64]) map[uint64]float64 {
+	got := map[uint64]float64{}
+	for _, k := range out.Records() {
+		got[k.Key] += k.Value
+	}
+	return got
+}
+
 func TestBatchWordCountStyle(t *testing.T) {
-	env := NewEnvironment(WithParallelism(2))
-	sink := env.FromRecords("src", genRecords(100)).
-		Map("inc", func(r dataflow.Record) dataflow.Record {
-			r.Value = r.Value.(float64) + 0
-			return r
-		}).
-		KeyBy("key", func(r dataflow.Record) uint64 { return r.Key }).
-		ReduceByKey("sum", func(acc, v float64) float64 { return acc + v }, false).
-		Collect("out")
+	env := streamline.New(streamline.WithParallelism(2))
+	inc := streamline.Map(records(env, "src", 100), "inc", func(v float64) float64 { return v + 0 })
+	out := streamline.Collect(streamline.ReduceByKey(byKey(inc), "sum", sum, false), "out")
 	execute(t, env)
 
-	got := map[uint64]float64{}
-	for _, r := range sink.Records() {
-		got[r.Key] += r.Value.(float64)
-	}
+	got := sums(out)
 	want := map[uint64]float64{}
 	for i := 0; i < 100; i++ {
 		want[uint64(i%5)] += float64(i)
@@ -64,26 +77,19 @@ func TestBatchWordCountStyle(t *testing.T) {
 // collection or a generator-driven stream.
 func TestBatchStreamEquivalence(t *testing.T) {
 	build := func(fromGen bool) map[uint64]float64 {
-		env := NewEnvironment(WithParallelism(2))
-		var s *Stream
+		env := streamline.New(streamline.WithParallelism(2))
+		var s *streamline.Stream[float64]
 		if fromGen {
-			s = env.FromGenerator("gen", 2, 200, func(sub, par int, i int64) dataflow.Record {
+			s = streamline.From(env, "gen", streamline.Generator(200, func(sub, par int, i int64) streamline.Keyed[float64] {
 				global := i*int64(par) + int64(sub)
-				return dataflow.Data(global, uint64(global%5), float64(global))
-			})
+				return streamline.Keyed[float64]{Ts: global, Key: uint64(global % 5), Value: float64(global)}
+			}), streamline.WithSourceParallelism(2))
 		} else {
-			s = env.FromRecords("slice", genRecords(200))
+			s = records(env, "slice", 200)
 		}
-		sink := s.
-			KeyBy("key", func(r dataflow.Record) uint64 { return r.Key }).
-			ReduceByKey("sum", func(acc, v float64) float64 { return acc + v }, false).
-			Collect("out")
+		out := streamline.Collect(streamline.ReduceByKey(byKey(s), "sum", sum, false), "out")
 		execute(t, env)
-		got := map[uint64]float64{}
-		for _, r := range sink.Records() {
-			got[r.Key] += r.Value.(float64)
-		}
-		return got
+		return sums(out)
 	}
 	batch := build(false)
 	stream := build(true)
@@ -98,21 +104,19 @@ func TestBatchStreamEquivalence(t *testing.T) {
 }
 
 func TestWindowAggregateMultiQuery(t *testing.T) {
-	env := NewEnvironment(WithParallelism(2))
-	sink := env.FromGenerator("gen", 1, 300, func(sub, par int, i int64) dataflow.Record {
-		return dataflow.Data(i, uint64(i%2), float64(1))
-	}).
-		KeyBy("key", func(r dataflow.Record) uint64 { return r.Key }).
-		WindowAggregate("win",
-			WindowedQuery{Window: window.Tumbling(30), Fn: agg.SumF64()},
-			WindowedQuery{Window: window.Sliding(60, 30), Fn: agg.CountF64()},
-		).
-		Collect("out")
+	env := streamline.New(streamline.WithParallelism(2))
+	src := streamline.From(env, "gen", streamline.Generator(300, func(sub, par int, i int64) streamline.Keyed[float64] {
+		return streamline.Keyed[float64]{Ts: i, Key: uint64(i % 2), Value: 1}
+	}), streamline.WithSourceParallelism(1))
+	out := streamline.Collect(streamline.WindowAggregate(byKey(src), "win",
+		streamline.Query(streamline.Tumbling(30), streamline.Sum()),
+		streamline.Query(streamline.Sliding(60, 30), streamline.Count()),
+	), "out")
 	execute(t, env)
 
 	perQuery := map[int]int{}
-	for _, r := range sink.Records() {
-		wr := r.Value.(dataflow.WindowResult)
+	for _, k := range out.Records() {
+		wr := k.Value
 		perQuery[wr.QueryID]++
 		switch wr.QueryID {
 		case 0:
@@ -131,19 +135,16 @@ func TestWindowAggregateMultiQuery(t *testing.T) {
 }
 
 func TestWindowAggregateRequiresKeyed(t *testing.T) {
-	env := NewEnvironment()
-	env.FromRecords("src", genRecords(10)).
-		WindowAggregate("win", WindowedQuery{Window: window.Tumbling(5), Fn: agg.SumF64()})
+	env := streamline.New()
+	streamline.WindowAggregate(records(env, "src", 10), "win", streamline.Query(streamline.Tumbling(5), streamline.Sum()))
 	if err := env.Execute(context.Background()); err == nil {
 		t.Fatalf("unkeyed WindowAggregate must fail at build")
 	}
 }
 
 func TestWindowAggregateRequiresQueries(t *testing.T) {
-	env := NewEnvironment()
-	env.FromRecords("src", genRecords(10)).
-		KeyBy("k", func(r dataflow.Record) uint64 { return r.Key }).
-		WindowAggregate("win")
+	env := streamline.New()
+	streamline.WindowAggregate(byKey(records(env, "src", 10)), "win")
 	if err := env.Execute(context.Background()); err == nil {
 		t.Fatalf("WindowAggregate without queries must fail at build")
 	}
@@ -151,31 +152,29 @@ func TestWindowAggregateRequiresQueries(t *testing.T) {
 
 // Combiner correctness: all three modes must agree.
 func TestCombinerModesAgree(t *testing.T) {
-	results := map[CombinerMode]map[uint64]float64{}
-	for _, mode := range []CombinerMode{CombinerOff, CombinerOn, CombinerAuto} {
-		env := NewEnvironment(WithParallelism(2), WithCombiner(mode))
-		sink := env.FromRecords("src", genRecords(500)).
-			KeyBy("key", func(r dataflow.Record) uint64 { return r.Key }).
-			ReduceByKey("sum", func(acc, v float64) float64 { return acc + v }, false).
-			Collect("out")
+	results := map[streamline.CombinerMode]map[uint64]float64{}
+	for _, mode := range []streamline.CombinerMode{streamline.CombinerOff, streamline.CombinerOn, streamline.CombinerAuto} {
+		env := streamline.New(streamline.WithParallelism(2), streamline.WithCombiner(mode))
+		out := streamline.Collect(streamline.ReduceByKey(byKey(records(env, "src", 500)), "sum", sum, false), "out")
 		execute(t, env)
-		got := map[uint64]float64{}
-		for _, r := range sink.Records() {
-			got[r.Key] += r.Value.(float64)
-		}
-		results[mode] = got
+		results[mode] = sums(out)
 	}
-	for k, v := range results[CombinerOff] {
-		if results[CombinerOn][k] != v || results[CombinerAuto][k] != v {
-			t.Fatalf("key %d: off=%v on=%v auto=%v", k, v, results[CombinerOn][k], results[CombinerAuto][k])
+	off, on, auto := results[streamline.CombinerOff], results[streamline.CombinerOn], results[streamline.CombinerAuto]
+	for k, v := range off {
+		if on[k] != v || auto[k] != v {
+			t.Fatalf("key %d: off=%v on=%v auto=%v", k, v, on[k], auto[k])
 		}
 	}
 }
 
+// combinerSampleSize is how many records an adaptive dataflow.CombinerOp
+// samples before it decides.
+const combinerSampleSize = 512
+
 // Adaptive combiner decision: skewed keys -> enabled, unique keys -> disabled.
 func TestCombinerAdaptiveDecision(t *testing.T) {
 	runSample := func(gen func(i int) dataflow.Record) bool {
-		c := &CombinerOp{F: func(a, v float64) float64 { return a + v }, Adaptive: true}
+		c := &dataflow.CombinerOp{F: sum, Adaptive: true}
 		if err := c.Open(&dataflow.OpContext{}); err != nil {
 			t.Fatal(err)
 		}
@@ -206,9 +205,8 @@ func TestCombinerAdaptiveDecision(t *testing.T) {
 // record sampled: an all-unique stream still turns combining off, at the
 // record where it would have without the restore.
 func TestCombinerJudgesSampleSinceRestore(t *testing.T) {
-	sum := func(a, v float64) float64 { return a + v }
 	drop := collectorFunc(func(dataflow.Record) {})
-	c := &CombinerOp{F: sum, Adaptive: true}
+	c := &dataflow.CombinerOp{F: sum, Adaptive: true}
 	if err := c.Open(&dataflow.OpContext{}); err != nil {
 		t.Fatal(err)
 	}
@@ -216,16 +214,19 @@ func TestCombinerJudgesSampleSinceRestore(t *testing.T) {
 		c.OnBatch([]dataflow.Record{dataflow.Data(int64(i), uint64(i), 1.0)}, drop)
 	}
 	blob, _ := c.Snapshot()
-	restored := &CombinerOp{F: sum, Adaptive: true}
+	restored := &dataflow.CombinerOp{F: sum, Adaptive: true}
 	if err := restored.Open(&dataflow.OpContext{Restore: blob}); err != nil {
 		t.Fatal(err)
 	}
 	for i := 300; i < combinerSampleSize; i++ {
 		restored.OnBatch([]dataflow.Record{dataflow.Data(int64(i), uint64(i), 1.0)}, drop)
 	}
-	if !restored.decided || restored.Enabled() {
-		t.Fatalf("after a restore mid-sample and %d more unique keys: decided %v, enabled %v; want combining off",
-			combinerSampleSize-300, restored.decided, restored.Enabled())
+	// A combiner that decided against combining hands every run back whole;
+	// one still sampling forwards the run record by record and returns none.
+	run := []dataflow.Record{dataflow.Data(combinerSampleSize, combinerSampleSize, 1.0)}
+	if whole := restored.OnBatch(run, drop); len(whole) != 1 || restored.Enabled() {
+		t.Fatalf("after a restore mid-sample and %d more unique keys: run returned %d of 1, enabled %v; want combining off",
+			combinerSampleSize-300, len(whole), restored.Enabled())
 	}
 }
 
@@ -235,18 +236,21 @@ func TestCombinerJudgesSampleSinceRestore(t *testing.T) {
 // list outran its accumulators, which panicked Open — is refused with an
 // error.
 func TestCombinerRestoreRefusesMalformed(t *testing.T) {
-	c := &CombinerOp{F: func(a, v float64) float64 { return a + v }}
+	c := &dataflow.CombinerOp{F: sum}
 	if err := c.Open(&dataflow.OpContext{}); err != nil {
 		t.Fatal(err)
 	}
 	c.OnBatch([]dataflow.Record{dataflow.Data(5, 9, 1.5), dataflow.Data(7, 3, 2.0), dataflow.Data(6, 9, 1.0)}, collectorFunc(func(dataflow.Record) {}))
 	blob, _ := c.Snapshot()
-	restored := &CombinerOp{F: c.F}
+	restored := &dataflow.CombinerOp{F: c.F}
 	if err := restored.Open(&dataflow.OpContext{Restore: blob}); err != nil {
 		t.Fatal(err)
 	}
-	if again, _ := restored.Snapshot(); !bytes.Equal(again, blob) || restored.table[9] != (combEntry{acc: 2.5, ts: 6}) {
-		t.Fatalf("restored table %v snapshots to %x, want %x", restored.table, again, blob)
+	again, _ := restored.Snapshot()
+	var table []dataflow.Record
+	restored.Finish(collectorFunc(func(r dataflow.Record) { table = append(table, r) }))
+	if want := []dataflow.Record{dataflow.Data(7, 3, 2.0), dataflow.Data(6, 9, 2.5)}; !bytes.Equal(again, blob) || fmt.Sprint(table) != fmt.Sprint(want) {
+		t.Fatalf("restored table %v snapshots to %x, want %v and %x", table, again, want, blob)
 	}
 	var gobEra bytes.Buffer
 	gob.NewEncoder(&gobEra).Encode(struct {
@@ -264,7 +268,7 @@ func TestCombinerRestoreRefusesMalformed(t *testing.T) {
 		bad[fmt.Sprintf("prefix %d", n)] = blob[:n]
 	}
 	for name, in := range bad {
-		op := &CombinerOp{F: c.F}
+		op := &dataflow.CombinerOp{F: c.F}
 		if err := op.Open(&dataflow.OpContext{Restore: in}); err == nil {
 			t.Errorf("%s: %x restored", name, in)
 		}
@@ -276,20 +280,18 @@ type collectorFunc func(dataflow.Record)
 func (f collectorFunc) Collect(r dataflow.Record) { f(r) }
 
 func TestUnionMergesStreams(t *testing.T) {
-	env := NewEnvironment(WithParallelism(1))
-	a := env.FromRecords("a", genRecords(30))
-	b := env.FromRecords("b", genRecords(40))
-	sink := a.Union("u", b).Collect("out")
+	env := streamline.New(streamline.WithParallelism(1))
+	out := streamline.Collect(streamline.Union(records(env, "a", 30), "u", records(env, "b", 40)), "out")
 	execute(t, env)
-	if got := len(sink.Records()); got != 70 {
+	if got := len(out.Records()); got != 70 {
 		t.Fatalf("union saw %d records, want 70", got)
 	}
 }
 
 func TestSinkFunc(t *testing.T) {
-	env := NewEnvironment(WithParallelism(1))
+	env := streamline.New(streamline.WithParallelism(1))
 	var n int
-	env.FromRecords("src", genRecords(25)).Sink("count", func(dataflow.Record) { n++ })
+	streamline.Sink(records(env, "src", 25), "count", func(streamline.Keyed[float64]) { n++ })
 	execute(t, env)
 	if n != 25 {
 		t.Fatalf("sink saw %d records", n)
@@ -297,19 +299,17 @@ func TestSinkFunc(t *testing.T) {
 }
 
 func TestCheckpointingThroughCoreAPI(t *testing.T) {
-	backend := state.NewMemoryBackend(0)
-	env := NewEnvironment(WithParallelism(1), WithCheckpointing(backend, 20*time.Millisecond))
-	sink := env.FromPacedGenerator("gen", 1, 3000, 15000, func(sub, par int, i int64) dataflow.Record {
-		return dataflow.Data(i, uint64(i%3), float64(1))
-	}).
-		KeyBy("key", func(r dataflow.Record) uint64 { return r.Key }).
-		ReduceByKey("sum", func(acc, v float64) float64 { return acc + v }, false).
-		Collect("out")
+	backend := streamline.NewMemoryBackend(0)
+	env := streamline.New(streamline.WithParallelism(1), streamline.WithCheckpointing(backend, 20*time.Millisecond))
+	src := streamline.From(env, "gen", streamline.Paced(streamline.Generator(3000, func(sub, par int, i int64) streamline.Keyed[float64] {
+		return streamline.Keyed[float64]{Ts: i, Key: uint64(i % 3), Value: 1}
+	}), 15000), streamline.WithSourceParallelism(1))
+	out := streamline.Collect(streamline.ReduceByKey(byKey(src), "sum", sum, false), "out")
 	execute(t, env)
 	if env.CompletedCheckpoints() == 0 {
 		t.Fatalf("no checkpoints completed")
 	}
-	if len(sink.Records()) == 0 {
+	if len(out.Records()) == 0 {
 		t.Fatalf("no output")
 	}
 	if _, ok, _ := backend.Latest(); !ok {
@@ -317,31 +317,39 @@ func TestCheckpointingThroughCoreAPI(t *testing.T) {
 	}
 }
 
+// TestEnvironmentDefaults reads an Env's defaults back through its Core
+// view: parallelism sized to the machine, chaining on, and the adaptive
+// combiner in front of every reduce.
 func TestEnvironmentDefaults(t *testing.T) {
-	env := NewEnvironment()
-	if env.parallelism < 1 || env.parallelism > 4 {
-		t.Fatalf("default parallelism = %d, want within [1,4]", env.parallelism)
+	env := streamline.New()
+	streamline.ReduceByKey(byKey(records(env, "src", 10)), "sum", sum, false)
+	view := env.Core()
+	nodes := view.Graph().Nodes()
+	if p := nodes[0].Parallelism; p < 1 || p > 4 {
+		t.Fatalf("default parallelism = %d, want within [1,4]", p)
 	}
-	if !env.chaining {
+	if !view.Chaining() {
 		t.Fatalf("chaining should default on")
 	}
-	if env.combiner != CombinerAuto {
-		t.Fatalf("combiner should default to auto")
+	if b, every := view.Backend(); b != nil || every != 0 || view.BuildErr() != nil {
+		t.Fatalf("a default Env has backend %v every %v and build error %v", b, every, view.BuildErr())
+	}
+	if comb, ok := nodes[2].NewOperator().(*dataflow.CombinerOp); !ok || !comb.Adaptive || nodes[2].Name != "sum-combine" {
+		t.Fatalf("combiner should default to auto: node %q runs %T", nodes[2].Name, nodes[2].NewOperator())
 	}
 }
 
 func TestFilterFlatMapThroughCore(t *testing.T) {
-	env := NewEnvironment(WithParallelism(1))
-	sink := env.FromRecords("src", genRecords(60)).
-		Filter("odd", func(r dataflow.Record) bool { return int64(r.Value.(float64))%2 == 1 }).
-		FlatMap("triple", func(r dataflow.Record, out dataflow.Collector) {
-			for k := 0; k < 3; k++ {
-				out.Collect(r)
-			}
-		}).
-		Collect("out")
+	env := streamline.New(streamline.WithParallelism(1))
+	odd := streamline.Filter(records(env, "src", 60), "odd", func(v float64) bool { return int64(v)%2 == 1 })
+	triple := streamline.FlatMap(odd, "triple", func(v float64, em streamline.Emitter[float64]) {
+		for k := 0; k < 3; k++ {
+			em.Emit(v)
+		}
+	})
+	out := streamline.Collect(triple, "out")
 	execute(t, env)
-	if got := len(sink.Records()); got != 90 { // 30 odds * 3
+	if got := len(out.Records()); got != 90 { // 30 odds * 3
 		t.Fatalf("got %d records, want 90", got)
 	}
 }

@@ -1,30 +1,30 @@
-package core
+package core_test
 
 import (
 	"context"
 	"testing"
 
-	"repro/internal/dataflow"
+	"repro/streamline"
 )
 
 func TestJoinWindowThroughCore(t *testing.T) {
-	env := NewEnvironment(WithParallelism(2))
-	impressions := env.FromGenerator("imps", 1, 90, func(sub, par int, i int64) dataflow.Record {
-		return dataflow.Data(i, uint64(i%3), float64(1))
-	}).KeyBy("k", func(r dataflow.Record) uint64 { return r.Key })
-	costs := env.FromGenerator("costs", 1, 30, func(sub, par int, i int64) dataflow.Record {
-		return dataflow.Data(i*3, uint64(i%3), float64(2))
-	}).KeyBy("k", func(r dataflow.Record) uint64 { return r.Key })
+	env := streamline.New(streamline.WithParallelism(2))
+	gen := func(name string, n, step int64, v float64) *streamline.Stream[float64] {
+		return byKey(streamline.From(env, name, streamline.Generator(n, func(sub, par int, i int64) streamline.Keyed[float64] {
+			return streamline.Keyed[float64]{Ts: i * step, Key: uint64(i % 3), Value: v}
+		}), streamline.WithSourceParallelism(1)))
+	}
+	impressions := gen("imps", 90, 1, 1)
+	costs := gen("costs", 30, 3, 2)
 
-	sink := impressions.JoinWindow("join", costs, 30).Collect("out")
+	out := streamline.Collect(streamline.JoinWindow(impressions, "join", costs, 30), "out")
 	execute(t, env)
 
 	// Per window [w, w+30) and key k: lefts = 10 (30 ts, every 3rd key),
 	// rights = #i with i*3 in window and i%3==k.
 	count := 0
-	for _, r := range sink.Records() {
-		p := r.Value.(dataflow.JoinedPair)
-		if p.Left != 1 || p.Right != 2 {
+	for _, k := range out.Records() {
+		if p := k.Value; p.Left != 1 || p.Right != 2 {
 			t.Fatalf("bad pair %+v", p)
 		}
 		count++
@@ -54,10 +54,8 @@ func TestJoinWindowThroughCore(t *testing.T) {
 }
 
 func TestJoinWindowRequiresKeyed(t *testing.T) {
-	env := NewEnvironment()
-	a := env.FromRecords("a", genRecords(10))
-	b := env.FromRecords("b", genRecords(10))
-	a.JoinWindow("j", b, 10)
+	env := streamline.New()
+	streamline.JoinWindow(records(env, "a", 10), "j", records(env, "b", 10), 10)
 	if err := env.Execute(context.Background()); err == nil {
 		t.Fatalf("unkeyed join must fail at build")
 	}

@@ -1,4 +1,4 @@
-package core
+package core_test
 
 import (
 	"context"
@@ -17,56 +17,33 @@ import (
 	"repro/internal/dataflow"
 	"repro/internal/state"
 	"repro/internal/window"
+	"repro/streamline"
 )
 
-// Kill/restore through the public core API: the pipeline is rebuilt from
-// its definition and resumed from the last checkpoint; dedup'd window
-// results must equal a failure-free run.
-func TestExecuteRestoredEquivalence(t *testing.T) {
-	const n = 5000
-	build := func(paced bool, backend state.Backend) (*Environment, *dataflow.CollectSink) {
-		opts := []Option{WithParallelism(2)}
-		if backend != nil {
-			opts = append(opts, WithCheckpointing(backend, 20*time.Millisecond))
+// windows merges window results by (key, window start): results of windows
+// a restored run replays overwrite the crashed run's (idempotent).
+func windows(outs ...*streamline.Results[streamline.WindowResult]) map[[2]int64]float64 {
+	res := map[[2]int64]float64{}
+	for _, out := range outs {
+		for _, k := range out.Records() {
+			res[[2]int64{int64(k.Key), k.Value.Start}] = k.Value.Value
 		}
-		env := NewEnvironment(opts...)
-		var src *Stream
-		gen := func(sub, par int, i int64) dataflow.Record {
-			global := i*int64(par) + int64(sub)
-			return dataflow.Data(global, uint64(global%4), float64(1))
-		}
-		if paced {
-			src = env.FromPacedGenerator("gen", 2, n, 10_000, gen)
-		} else {
-			src = env.FromGenerator("gen", 2, n, gen)
-		}
-		sink := src.
-			KeyBy("k", func(r dataflow.Record) uint64 { return r.Key }).
-			WindowAggregate("win",
-				WindowedQuery{Window: window.Tumbling(100), Fn: agg.SumF64()},
-			).
-			Collect("out")
-		return env, sink
 	}
-	collect := func(s *dataflow.CollectSink) map[[2]int64]float64 {
-		out := map[[2]int64]float64{}
-		for _, r := range s.Records() {
-			wr := r.Value.(dataflow.WindowResult)
-			out[[2]int64{int64(r.Key), wr.Start}] = wr.Value
-		}
-		return out
-	}
+	return res
+}
 
-	refEnv, refSink := build(false, nil)
-	if err := refEnv.Execute(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	want := collect(refSink)
+// tumbling100 sums a keyed stream into tumbling windows of 100 ticks.
+func tumbling100(s *streamline.Stream[float64]) *streamline.Results[streamline.WindowResult] {
+	return streamline.Collect(streamline.WindowAggregate(s, "win",
+		streamline.Query(streamline.Tumbling(100), streamline.Sum())), "out")
+}
 
-	backend := state.NewMemoryBackend(0)
-	crashEnv, crashSink := build(true, backend)
+// crash runs env until a kill 120 ms in and returns the newest checkpoint;
+// it skips the test when the job finished first or checkpointed nothing.
+func crash(t *testing.T, env *streamline.Env, backend streamline.Backend) *streamline.Snapshot {
+	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Millisecond)
-	err := crashEnv.Execute(ctx)
+	err := env.Execute(ctx)
 	cancel()
 	if err == nil {
 		t.Skip("job finished before kill on this machine")
@@ -75,17 +52,11 @@ func TestExecuteRestoredEquivalence(t *testing.T) {
 	if !ok {
 		t.Skip("no checkpoint before kill")
 	}
-	// Rebuild the pipeline from its definition and resume from the
-	// snapshot; results of replayed windows overwrite the crash run's
-	// (sinks are per-environment, so the two result sets are merged).
-	resumeEnv, sink2 := build(false, backend)
-	if err := resumeEnv.ExecuteRestored(context.Background(), snap); err != nil {
-		t.Fatalf("restored run: %v", err)
-	}
-	got := collect(crashSink)
-	for k, v := range collect(sink2) {
-		got[k] = v // replayed windows overwrite (idempotent)
-	}
+	return snap
+}
+
+func sameWindows(t *testing.T, got, want map[[2]int64]float64) {
+	t.Helper()
 	if len(got) != len(want) {
 		t.Fatalf("got %d windows, want %d", len(got), len(want))
 	}
@@ -96,15 +67,65 @@ func TestExecuteRestoredEquivalence(t *testing.T) {
 	}
 }
 
+// checkpointed is the Env options of a run at the given parallelism,
+// checkpointing every 20 ms when backend is set.
+func checkpointed(parallelism int, backend streamline.Backend) []streamline.Option {
+	opts := []streamline.Option{streamline.WithParallelism(parallelism)}
+	if backend != nil {
+		opts = append(opts, streamline.WithCheckpointing(backend, 20*time.Millisecond))
+	}
+	return opts
+}
+
+// generator is a bounded generator over two subtasks, keyed by global%keys,
+// paced at 10k records per second per subtask when paced is set.
+func generator(env *streamline.Env, n int64, keys int64, paced bool) *streamline.Stream[float64] {
+	var src streamline.Source[float64] = streamline.Generator(n, func(sub, par int, i int64) streamline.Keyed[float64] {
+		global := i*int64(par) + int64(sub)
+		return streamline.Keyed[float64]{Ts: global, Key: uint64(global % keys), Value: 1}
+	})
+	if paced {
+		src = streamline.Paced(src, 10_000)
+	}
+	return byKey(streamline.From(env, "gen", src, streamline.WithSourceParallelism(2)))
+}
+
+// Kill/restore through the public API: the pipeline is rebuilt from its
+// definition and resumed from the last checkpoint; dedup'd window results
+// must equal a failure-free run.
+func TestExecuteRestoredEquivalence(t *testing.T) {
+	const n = 5000
+	build := func(paced bool, backend streamline.Backend) (*streamline.Env, *streamline.Results[streamline.WindowResult]) {
+		env := streamline.New(checkpointed(2, backend)...)
+		return env, tumbling100(generator(env, n, 4, paced))
+	}
+
+	refEnv, refOut := build(false, nil)
+	execute(t, refEnv)
+	want := windows(refOut)
+
+	backend := streamline.NewMemoryBackend(0)
+	crashEnv, crashOut := build(true, backend)
+	snap := crash(t, crashEnv, backend)
+	// Rebuild the pipeline from its definition and resume from the
+	// snapshot; results of replayed windows overwrite the crash run's
+	// (sinks are per-environment, so the two result sets are merged).
+	resumeEnv, out2 := build(false, backend)
+	if err := resumeEnv.ExecuteRestored(context.Background(), snap); err != nil {
+		t.Fatalf("restored run: %v", err)
+	}
+	sameWindows(t, windows(crashOut, out2), want)
+}
+
 // TestExecuteRestoredRescaledFileSource kills a checkpointing pipeline whose
 // source is a splittable file scan at parallelism 2 and recovers it with the
-// source at parallelism 1 and at 4 through the core lowering: the snapshot's
-// split state redistributes across the new source subtasks (seek-based
-// resume, no re-scan), the keyed window state redistributes by key group,
-// and the deduplicated window results must equal a failure-free run.
+// source at parallelism 1 and at 4: the snapshot's split state redistributes
+// across the new source subtasks (seek-based resume, no re-scan), the keyed
+// window state redistributes by key group, and the deduplicated window
+// results must equal a failure-free run.
 func TestExecuteRestoredRescaledFileSource(t *testing.T) {
 	const n = 6000
-	path := filepath.Join(t.TempDir(), "history.txt")
+	path := filepath.Join(t.TempDir(), "history.csv")
 	f, err := os.Create(path)
 	if err != nil {
 		t.Fatal(err)
@@ -115,86 +136,38 @@ func TestExecuteRestoredRescaledFileSource(t *testing.T) {
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
-	decode := func(line []byte, off int64) (dataflow.Record, bool, error) {
-		i, err := strconv.ParseInt(string(line), 10, 64)
-		if err != nil {
-			return dataflow.Record{}, false, err
-		}
-		return dataflow.Data(i, uint64(i%5), 1.0), true, nil
+	parse := func(row []string) (float64, error) {
+		i, err := strconv.ParseInt(row[0], 10, 64)
+		return float64(i), err
 	}
-	build := func(srcPar int, perSec float64, backend state.Backend) (*Environment, *dataflow.CollectSink) {
-		opts := []Option{WithParallelism(2)}
-		if backend != nil {
-			opts = append(opts, WithCheckpointing(backend, 20*time.Millisecond))
+	build := func(srcPar int, perSec float64, backend streamline.Backend) (*streamline.Env, *streamline.Results[streamline.WindowResult]) {
+		env := streamline.New(checkpointed(2, backend)...)
+		src := streamline.CSV(path, false, parse, streamline.WithSplitSize(2048))
+		if perSec > 0 {
+			src = streamline.Paced(src, perSec)
 		}
-		env := NewEnvironment(opts...)
-		var plan *dataflow.ScanPlan // one per execution, shared by its subtasks
-		src := env.FromSource("scan", srcPar, func(sub, par int) dataflow.SourceFunc {
-			if sub == 0 {
-				plan = &dataflow.ScanPlan{Inputs: []string{path}, SplitSize: 2048}
-			}
-			scan := &dataflow.FileScanSource{Plan: plan, Subtask: sub, Parallelism: par, DecodeLine: decode}
-			if perSec > 0 {
-				return &dataflow.PacedSource{PerSec: perSec, Inner: scan}
-			}
-			return scan
-		})
-		sink := src.
-			KeyBy("k", func(r dataflow.Record) uint64 { return r.Key }).
-			WindowAggregate("win",
-				WindowedQuery{Window: window.Tumbling(100), Fn: agg.SumF64()},
-			).
-			Collect("out")
-		return env, sink
-	}
-	collect := func(sinks ...*dataflow.CollectSink) map[[2]int64]float64 {
-		out := map[[2]int64]float64{}
-		for _, s := range sinks {
-			for _, r := range s.Records() {
-				wr := r.Value.(dataflow.WindowResult)
-				out[[2]int64{int64(r.Key), wr.Start}] = wr.Value
-			}
-		}
-		return out
+		scan := streamline.From(env, "scan", src, streamline.WithSourceParallelism(srcPar),
+			streamline.WithTimestamps(func(v float64) int64 { return int64(v) }))
+		return env, tumbling100(streamline.KeyBy(scan, "k", func(v float64) uint64 { return uint64(v) % 5 }))
 	}
 
-	refEnv, refSink := build(2, 0, nil)
-	if err := refEnv.Execute(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	want := collect(refSink)
+	refEnv, refOut := build(2, 0, nil)
+	execute(t, refEnv)
+	want := windows(refOut)
 	if len(want) == 0 {
 		t.Fatalf("reference run produced no windows")
 	}
 
 	for _, restorePar := range []int{1, 4} {
-		restorePar := restorePar
 		t.Run(fmt.Sprintf("source-to-parallelism-%d", restorePar), func(t *testing.T) {
-			backend := state.NewMemoryBackend(0)
-			crashEnv, crashSink := build(2, 12_000, backend)
-			ctx, cancel := context.WithTimeout(context.Background(), 120*time.Millisecond)
-			err := crashEnv.Execute(ctx)
-			cancel()
-			if err == nil {
-				t.Skip("job finished before kill on this machine")
-			}
-			snap, ok, _ := backend.Latest()
-			if !ok {
-				t.Skip("no checkpoint before kill")
-			}
-			resumeEnv, sink2 := build(restorePar, 0, backend)
+			backend := streamline.NewMemoryBackend(0)
+			crashEnv, crashOut := build(2, 12_000, backend)
+			snap := crash(t, crashEnv, backend)
+			resumeEnv, out2 := build(restorePar, 0, backend)
 			if err := resumeEnv.ExecuteRestored(context.Background(), snap); err != nil {
 				t.Fatalf("restored run with source parallelism %d: %v", restorePar, err)
 			}
-			got := collect(crashSink, sink2)
-			if len(got) != len(want) {
-				t.Fatalf("got %d windows, want %d", len(got), len(want))
-			}
-			for k, v := range want {
-				if got[k] != v {
-					t.Fatalf("window %v = %v, want %v", k, got[k], v)
-				}
-			}
+			sameWindows(t, windows(crashOut, out2), want)
 		})
 	}
 }
@@ -208,78 +181,28 @@ func TestExecuteRestoredRescaledFileSource(t *testing.T) {
 // TestExecuteRestoredRescaledFileSource).
 func TestExecuteRestoredRescaled(t *testing.T) {
 	const n = 5000
-	build := func(parallelism int, paced bool, backend state.Backend) (*Environment, *dataflow.CollectSink) {
-		opts := []Option{WithParallelism(parallelism)}
-		if backend != nil {
-			opts = append(opts, WithCheckpointing(backend, 20*time.Millisecond))
-		}
-		env := NewEnvironment(opts...)
-		var src *Stream
-		gen := func(sub, par int, i int64) dataflow.Record {
-			global := i*int64(par) + int64(sub)
-			return dataflow.Data(global, uint64(global%6), float64(1))
-		}
-		if paced {
-			src = env.FromPacedGenerator("gen", 2, n, 10_000, gen)
-		} else {
-			src = env.FromGenerator("gen", 2, n, gen)
-		}
-		sink := src.
-			KeyBy("k", func(r dataflow.Record) uint64 { return r.Key }).
-			WindowAggregate("win",
-				WindowedQuery{Window: window.Tumbling(100), Fn: agg.SumF64()},
-			).
-			Collect("out")
-		return env, sink
-	}
-	collect := func(sinks ...*dataflow.CollectSink) map[[2]int64]float64 {
-		out := map[[2]int64]float64{}
-		for _, s := range sinks {
-			for _, r := range s.Records() {
-				wr := r.Value.(dataflow.WindowResult)
-				out[[2]int64{int64(r.Key), wr.Start}] = wr.Value
-			}
-		}
-		return out
+	build := func(parallelism int, paced bool, backend streamline.Backend) (*streamline.Env, *streamline.Results[streamline.WindowResult]) {
+		env := streamline.New(checkpointed(parallelism, backend)...)
+		return env, tumbling100(generator(env, n, 6, paced))
 	}
 
-	refEnv, refSink := build(2, false, nil)
-	if err := refEnv.Execute(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	want := collect(refSink)
+	refEnv, refOut := build(2, false, nil)
+	execute(t, refEnv)
+	want := windows(refOut)
 
 	for _, restorePar := range []int{1, 4} {
-		restorePar := restorePar
 		t.Run(fmt.Sprintf("to-parallelism-%d", restorePar), func(t *testing.T) {
-			backend := state.NewMemoryBackend(0)
-			crashEnv, crashSink := build(2, true, backend)
-			ctx, cancel := context.WithTimeout(context.Background(), 120*time.Millisecond)
-			err := crashEnv.Execute(ctx)
-			cancel()
-			if err == nil {
-				t.Skip("job finished before kill on this machine")
-			}
-			snap, ok, _ := backend.Latest()
-			if !ok {
-				t.Skip("no checkpoint before kill")
-			}
+			backend := streamline.NewMemoryBackend(0)
+			crashEnv, crashOut := build(2, true, backend)
+			snap := crash(t, crashEnv, backend)
 			// Rebuild the same logical pipeline at a different parallelism
-			// and resume: WithRestore works because keyed state is stored
+			// and resume: the restore works because keyed state is stored
 			// per key group, not per subtask.
-			resumeEnv, sink2 := build(restorePar, false, backend)
+			resumeEnv, out2 := build(restorePar, false, backend)
 			if err := resumeEnv.ExecuteRestored(context.Background(), snap); err != nil {
 				t.Fatalf("restored run at parallelism %d: %v", restorePar, err)
 			}
-			got := collect(crashSink, sink2)
-			if len(got) != len(want) {
-				t.Fatalf("got %d windows, want %d", len(got), len(want))
-			}
-			for k, v := range want {
-				if got[k] != v {
-					t.Fatalf("window %v = %v, want %v", k, got[k], v)
-				}
-			}
+			sameWindows(t, windows(crashOut, out2), want)
 		})
 	}
 }
@@ -303,29 +226,43 @@ func TestParentWrittenSnapshotRestores(t *testing.T) {
 	const n = 6000
 	dir := filepath.Join("testdata", "v2_snapshot")
 	golden := filepath.Join(dir, "restored_output.golden")
-	build := func(perSec float64, backend state.Backend) (*Environment, []*dataflow.CollectSink) {
-		opts := []Option{WithParallelism(2), WithCombiner(CombinerOn)}
-		if backend != nil {
-			opts = append(opts, WithCheckpointing(backend, 20*time.Millisecond))
+	// The fixture's source states are dataflow.GenSource encodings, so the
+	// plan is built on the graph by hand, node for node as the untyped
+	// builder that wrote the fixture built it: generator, key map, window
+	// and its sink, then the combiner, the reduce and its sink.
+	build := func(perSec float64) (*dataflow.Graph, []*dataflow.CollectSink) {
+		g := dataflow.NewGraph("streamline")
+		src := g.AddSource("gen", 2, func(sub, par int) dataflow.SourceFunc {
+			gen := &dataflow.GenSource{N: n / int64(par), Gen: func(i int64) dataflow.Record {
+				global := i*int64(par) + int64(sub)
+				return dataflow.Data(global, uint64(global%5), float64(global%7))
+			}}
+			if perSec > 0 {
+				return &dataflow.PacedSource{PerSec: perSec, Inner: gen}
+			}
+			return gen
+		})
+		forward := func(in *dataflow.Node, name string, f dataflow.OperatorFactory) *dataflow.Node {
+			return g.AddOperator(name, 2, f, dataflow.Edge{From: in, Part: dataflow.Forward})
 		}
-		env := NewEnvironment(opts...)
-		gen := func(sub, par int, i int64) dataflow.Record {
-			global := i*int64(par) + int64(sub)
-			return dataflow.Data(global, uint64(global%5), float64(global%7))
+		hash := func(in *dataflow.Node, name string, f dataflow.OperatorFactory) *dataflow.Node {
+			return g.AddOperator(name, 2, f, dataflow.Edge{From: in, Part: dataflow.HashPartition})
 		}
-		var src *Stream
-		if perSec > 0 {
-			src = env.FromPacedGenerator("gen", 2, n, perSec, gen)
-		} else {
-			src = env.FromGenerator("gen", 2, n, gen)
+		collect := func(in *dataflow.Node, name string) *dataflow.CollectSink {
+			sink := &dataflow.CollectSink{}
+			g.AddOperator(name, 1, sink.Factory(), dataflow.Edge{From: in, Part: dataflow.Rebalance}).Pinned = true
+			return sink
 		}
-		keyed := src.KeyBy("k", func(r dataflow.Record) uint64 { return r.Key })
-		win := keyed.WindowAggregate("win",
-			WindowedQuery{Window: window.Tumbling(100), Fn: agg.SumF64()},
-			WindowedQuery{Window: window.Sliding(200, 50), Fn: agg.SumF64()},
-		).Collect("win-out")
-		sum := keyed.ReduceByKey("sum", func(a, v float64) float64 { return a + v }, false).Collect("sum-out")
-		return env, []*dataflow.CollectSink{win, sum}
+		keyed := forward(src, "k", func() dataflow.Operator {
+			return &dataflow.MapOp{F: func(r dataflow.Record) dataflow.Record { return r }}
+		})
+		win := collect(hash(keyed, "win", dataflow.NewWindowOp(
+			dataflow.WindowQuery{Spec: window.Tumbling(100), Fn: agg.SumF64()},
+			dataflow.WindowQuery{Spec: window.Sliding(200, 50), Fn: agg.SumF64()},
+		)), "win-out")
+		comb := forward(keyed, "sum-combine", func() dataflow.Operator { return &dataflow.CombinerOp{F: sum, FlushEvery: 1024} })
+		total := collect(hash(comb, "sum", func() dataflow.Operator { return &dataflow.KeyedReduceOp{F: sum} }), "sum-out")
+		return g, []*dataflow.CollectSink{win, total}
 	}
 	// The sinks merge two upstream subtasks, so order across keys is not
 	// fixed; the multiset of results is.
@@ -348,9 +285,9 @@ func TestParentWrittenSnapshotRestores(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		env, _ := build(10_000, backend)
+		g, _ := build(10_000)
 		ctx, cancel := context.WithTimeout(context.Background(), 150*time.Millisecond)
-		err = env.Execute(ctx)
+		err = dataflow.NewJob(g, dataflow.WithCheckpointing(backend, 20*time.Millisecond)).Run(ctx)
 		cancel()
 		if err == nil {
 			t.Fatal("job finished before the kill; nothing mid-stream to restore")
@@ -365,8 +302,8 @@ func TestParentWrittenSnapshotRestores(t *testing.T) {
 				os.Remove(f)
 			}
 		}
-		resume, sinks := build(0, nil)
-		if err := resume.ExecuteRestored(context.Background(), snap); err != nil {
+		resume, sinks := build(0)
+		if err := dataflow.NewJob(resume, dataflow.WithRestore(snap)).Run(context.Background()); err != nil {
 			t.Fatal(err)
 		}
 		if err := os.WriteFile(golden, []byte(render(sinks)), 0o644); err != nil {
@@ -386,8 +323,8 @@ func TestParentWrittenSnapshotRestores(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	env, sinks := build(0, nil)
-	if err := env.ExecuteRestored(context.Background(), snap); err != nil {
+	g, sinks := build(0)
+	if err := dataflow.NewJob(g, dataflow.WithRestore(snap)).Run(context.Background()); err != nil {
 		t.Fatalf("restore of the parent's snapshot: %v", err)
 	}
 	if got := render(sinks); got != string(want) {

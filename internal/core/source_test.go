@@ -1,29 +1,25 @@
-package core
+package core_test
 
 import (
 	"testing"
 
-	"repro/internal/dataflow"
+	"repro/streamline"
 )
 
-// FromRecords must honor the environment's default parallelism — the slice
-// source round-robins across subtasks, so pinning it to 1 wasted the
-// machine.
+// sourceParallelism is the parallelism of env's plan's first node.
+func sourceParallelism(env *streamline.Env) int { return env.Core().Graph().Nodes()[0].Parallelism }
+
+// A slice source must honor the environment's default parallelism — it
+// round-robins across subtasks, so pinning it to 1 wasted the machine.
 func TestFromRecordsHonorsEnvParallelism(t *testing.T) {
-	env := NewEnvironment(WithParallelism(3))
-	s := env.FromRecords("src", genRecords(30))
-	if got := s.node.Parallelism; got != 3 {
-		t.Fatalf("FromRecords parallelism = %d, want env default 3", got)
+	env := streamline.New(streamline.WithParallelism(3))
+	s := records(env, "src", 30)
+	if got := sourceParallelism(env); got != 3 {
+		t.Fatalf("slice source parallelism = %d, want env default 3", got)
 	}
-	sink := s.
-		KeyBy("key", func(r dataflow.Record) uint64 { return r.Key }).
-		ReduceByKey("sum", func(acc, v float64) float64 { return acc + v }, false).
-		Collect("out")
+	out := streamline.Collect(streamline.ReduceByKey(byKey(s), "sum", sum, false), "out")
 	execute(t, env)
-	got := map[uint64]float64{}
-	for _, r := range sink.Records() {
-		got[r.Key] += r.Value.(float64)
-	}
+	got := sums(out)
 	want := map[uint64]float64{}
 	for i := 0; i < 30; i++ {
 		want[uint64(i%5)] += float64(i)
@@ -35,20 +31,35 @@ func TestFromRecordsHonorsEnvParallelism(t *testing.T) {
 	}
 }
 
-// FromSource is the single lowering entry point: a custom factory plugs in
+// countSource is a connector written outside the package: a custom Source
+// plugs into From like the built-in ones.
+type countSource struct{ n int64 }
+
+func (c countSource) Open(sub, par int) streamline.Reader[float64] { return &countReader{n: c.n} }
+
+type countReader struct{ n, i int64 }
+
+func (r *countReader) Next() (streamline.Keyed[float64], streamline.ReadStatus) {
+	if r.i >= r.n {
+		return streamline.Keyed[float64]{}, streamline.ReadEnd
+	}
+	r.i++
+	return streamline.Keyed[float64]{Ts: r.i, Key: uint64(r.i), Value: float64(r.i)}, streamline.ReadData
+}
+
+func (r *countReader) Snapshot() ([]byte, error) { return nil, nil }
+func (r *countReader) Restore([]byte) error      { return nil }
+
+// From is the single source entry point: a custom connector plugs in
 // directly, and explicit parallelism overrides the environment default.
 func TestFromSourcePluggableFactory(t *testing.T) {
-	env := NewEnvironment(WithParallelism(2))
-	s := env.FromSource("chan", 1, func(sub, par int) dataflow.SourceFunc {
-		return &dataflow.GenSource{N: 10, Gen: func(i int64) dataflow.Record {
-			return dataflow.Data(i, uint64(i), float64(i))
-		}}
-	})
-	if got := s.node.Parallelism; got != 1 {
+	env := streamline.New(streamline.WithParallelism(2))
+	s := streamline.From(env, "chan", streamline.Source[float64](countSource{n: 10}), streamline.WithSourceParallelism(1))
+	if got := sourceParallelism(env); got != 1 {
 		t.Fatalf("explicit parallelism = %d, want 1", got)
 	}
 	var n int
-	s.Sink("count", func(dataflow.Record) { n++ })
+	streamline.Sink(s, "count", func(streamline.Keyed[float64]) { n++ })
 	execute(t, env)
 	if n != 10 {
 		t.Fatalf("sink saw %d records, want 10", n)

@@ -1,4 +1,4 @@
-package core
+package dataflow
 
 import (
 	"encoding/binary"
@@ -6,7 +6,6 @@ import (
 	"maps"
 	"slices"
 
-	"repro/internal/dataflow"
 	"repro/internal/state"
 )
 
@@ -42,10 +41,10 @@ type combEntry struct {
 
 const combinerSampleSize = 512
 
-var _ dataflow.Operator = (*CombinerOp)(nil)
+var _ Operator = (*CombinerOp)(nil)
 
-// Open implements dataflow.Operator.
-func (c *CombinerOp) Open(ctx *dataflow.OpContext) error {
+// Open implements Operator.
+func (c *CombinerOp) Open(ctx *OpContext) error {
 	c.table = make(map[uint64]combEntry)
 	c.unique = make(map[uint64]struct{})
 	if c.FlushEvery <= 0 {
@@ -75,7 +74,7 @@ func (c *CombinerOp) Open(ctx *dataflow.OpContext) error {
 }
 
 // fold takes one record: pass-throughs and table flushes emit through out.
-func (c *CombinerOp) fold(r dataflow.Record, out dataflow.Collector) {
+func (c *CombinerOp) fold(r Record, out Collector) {
 	v, ok := r.Value.(float64)
 	if !ok {
 		out.Collect(r)
@@ -125,11 +124,11 @@ func (c *CombinerOp) fold(r dataflow.Record, out dataflow.Collector) {
 	}
 }
 
-// OnBatch implements dataflow.Operator: the fold applied over the run in
+// OnBatch implements Operator: the fold applied over the run in
 // order, everything it emits going through out. A combiner that decided
 // against combining holds nothing and forwards every record, so it returns
 // the run whole and the run enters the exchange as one.
-func (c *CombinerOp) OnBatch(b []dataflow.Record, out dataflow.Collector) []dataflow.Record {
+func (c *CombinerOp) OnBatch(b []Record, out Collector) []Record {
 	if c.decided && !c.enabled {
 		return b
 	}
@@ -139,23 +138,23 @@ func (c *CombinerOp) OnBatch(b []dataflow.Record, out dataflow.Collector) []data
 	return nil
 }
 
-// OnWatermark implements dataflow.Operator: flush so that downstream
+// OnWatermark implements Operator: flush so that downstream
 // event-time processing (window release) sees all data at or below the
 // watermark.
-func (c *CombinerOp) OnWatermark(wm int64, out dataflow.Collector) {
+func (c *CombinerOp) OnWatermark(wm int64, out Collector) {
 	c.flush(out)
 }
 
-func (c *CombinerOp) flush(out dataflow.Collector) {
+func (c *CombinerOp) flush(out Collector) {
 	for _, k := range c.order {
 		e := c.table[k]
-		out.Collect(dataflow.Data(e.ts, k, e.acc))
+		out.Collect(Data(e.ts, k, e.acc))
 	}
 	c.table = make(map[uint64]combEntry)
 	c.order = c.order[:0]
 }
 
-// Snapshot implements dataflow.Operator: the decided and enabled flags, the
+// Snapshot implements Operator: the decided and enabled flags, the
 // sample count, then the table as a uvarint count and, in key order, each
 // key as a uvarint, its partial aggregate and its varint timestamp.
 func (c *CombinerOp) Snapshot() ([]byte, error) {
@@ -167,8 +166,8 @@ func (c *CombinerOp) Snapshot() ([]byte, error) {
 	return b, nil
 }
 
-// Finish implements dataflow.Operator.
-func (c *CombinerOp) Finish(out dataflow.Collector) {
+// Finish implements Operator.
+func (c *CombinerOp) Finish(out Collector) {
 	c.flush(out)
 }
 

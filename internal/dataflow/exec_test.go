@@ -282,6 +282,17 @@ func TestGraphValidation(t *testing.T) {
 			g.AddSource("s", 0, SliceSource(nil))
 			return g
 		},
+		"edge-from-another-graph": func() *Graph {
+			other := NewGraph("other")
+			other.AddSource("o0", 1, SliceSource(nil))
+			foreign := other.AddSource("o1", 1, SliceSource(nil))
+			g := NewGraph("bad")
+			g.AddSource("s", 1, SliceSource(nil))
+			g.AddSource("t", 1, SliceSource(nil))
+			g.AddOperator("u", 1, func() Operator { return &MapOp{F: func(r Record) Record { return r }} },
+				Edge{From: foreign, Part: Rebalance})
+			return g
+		},
 	}
 	for name, mk := range cases {
 		if err := mk().Validate(); err == nil {

@@ -134,9 +134,9 @@ func (g *Graph) AddOperator(name string, parallelism int, f OperatorFactory, in 
 }
 
 // Validate checks structural invariants: sources have no inputs, operators
-// have at least one, Forward edges connect equal parallelism, nodes are
-// topologically ordered (edges only point backwards), and parallelism is
-// positive.
+// have at least one, every edge reads a node of this graph, Forward edges
+// connect equal parallelism, nodes are topologically ordered (edges only
+// point backwards), and parallelism is positive.
 func (g *Graph) Validate() error {
 	for _, n := range g.nodes {
 		if n.Parallelism <= 0 {
@@ -155,6 +155,11 @@ func (g *Graph) Validate() error {
 		for _, e := range n.In {
 			if e.From == nil {
 				return fmt.Errorf("dataflow: node %q has nil upstream", n.Name)
+			}
+			if e.From.ID < 0 || e.From.ID >= len(g.nodes) || g.nodes[e.From.ID] != e.From {
+				// A stream of another pipeline environment: nothing would
+				// ever run its node, and this one would wait on it forever.
+				return fmt.Errorf("dataflow: node %q reads %q, a node of another graph", n.Name, e.From.Name)
 			}
 			if e.From.ID >= n.ID {
 				return fmt.Errorf("dataflow: edge %q -> %q violates topological order (cycles are not supported)",

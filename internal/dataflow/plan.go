@@ -1,12 +1,10 @@
-package core
+package dataflow
 
 import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-
-	"repro/internal/dataflow"
 )
 
 // PlanSpec is the structural identity of a physical plan — everything about
@@ -48,7 +46,7 @@ type EdgeSpec struct {
 // SpecOf extracts the structural spec of a graph. Chaining is part of the
 // physical plan (it decides which edges exist at runtime), so it is folded
 // into the spec rather than carried separately.
-func SpecOf(g *dataflow.Graph, chaining bool) PlanSpec {
+func SpecOf(g *Graph, chaining bool) PlanSpec {
 	s := PlanSpec{
 		Name:         g.Name,
 		BatchSize:    g.BatchSize,

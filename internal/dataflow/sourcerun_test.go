@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"repro/internal/agg"
-	"repro/internal/core"
 	"repro/internal/dataflow"
 	"repro/internal/state"
 	"repro/internal/window"
@@ -117,7 +116,7 @@ func opFactory(kind int) dataflow.OperatorFactory {
 			}}
 		}
 	case opCombiner:
-		return func() dataflow.Operator { return &core.CombinerOp{F: sum, FlushEvery: 5} }
+		return func() dataflow.Operator { return &dataflow.CombinerOp{F: sum, FlushEvery: 5} }
 	case opUniqueKeys:
 		return func() dataflow.Operator {
 			return &dataflow.MapOp{F: func(r dataflow.Record) dataflow.Record {
@@ -125,7 +124,7 @@ func opFactory(kind int) dataflow.OperatorFactory {
 			}}
 		}
 	default:
-		return func() dataflow.Operator { return &core.CombinerOp{F: sum, Adaptive: true} }
+		return func() dataflow.Operator { return &dataflow.CombinerOp{F: sum, Adaptive: true} }
 	}
 }
 

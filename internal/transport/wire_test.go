@@ -14,7 +14,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/dataflow"
 	"repro/internal/state"
 )
@@ -216,9 +215,9 @@ func TestControlRoundTrip(t *testing.T) {
 		{Kind: ctrlHello, Addr: "127.0.0.1:4242"},
 		{Kind: ctrlPlan, Plan: &planMsg{
 			Self: 2, Workers: 3,
-			Spec: core.PlanSpec{Name: "wordcount", BatchSize: 64, Nodes: []core.NodeSpec{
+			Spec: dataflow.PlanSpec{Name: "wordcount", BatchSize: 64, Nodes: []dataflow.NodeSpec{
 				{ID: 1, Name: "src", Parallelism: 2, Source: true},
-				{ID: 2, Name: "sink", Parallelism: 1, Pinned: true, In: []core.EdgeSpec{{From: 1, Part: 2}}},
+				{ID: 2, Name: "sink", Parallelism: 1, Pinned: true, In: []dataflow.EdgeSpec{{From: 1, Part: 2}}},
 			}},
 			Fingerprint: "abc123",
 			Placement:   dataflow.Placement{1: {1, 2}, 2: {0}},

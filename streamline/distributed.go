@@ -9,7 +9,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/dataflow"
 	"repro/internal/metrics"
 	"repro/internal/transport"
@@ -25,31 +24,31 @@ const WorkerEnvVar = "STREAMLINE_WORKER"
 // WithWorkers makes Execute split the job across n worker processes plus
 // the coordinator (this process, which keeps all sinks and live local
 // sources). n == 0 (the default) runs single-process.
-func WithWorkers(n int) Option { return core.WithWorkers(n) }
+func WithWorkers(n int) Option { return func(e *Env) { e.workers = n } }
 
 // WithListenAddr sets the coordinator's control listen address for
 // distributed runs (default: an ephemeral loopback port). Use a fixed
 // address when workers are started externally, e.g. "127.0.0.1:7171".
-func WithListenAddr(addr string) Option { return core.WithListenAddr(addr) }
+func WithListenAddr(addr string) Option { return func(e *Env) { e.listenAddr = addr } }
 
 // WithSelfSpawn makes a distributed Execute start its own workers by
 // re-executing the current binary with WorkerEnvVar set. The re-executed
 // process runs the same main, builds the same pipeline, and its Execute
 // call becomes the worker share — after which the child process exits
 // rather than returning into a main that expects results.
-func WithSelfSpawn() Option { return core.WithSelfSpawn() }
+func WithSelfSpawn() Option { return func(e *Env) { e.selfSpawn = true } }
 
 // WithPipelineRef names the registered pipeline externally started generic
 // workers (RunWorker with a nil builder) rebuild, with the arguments to
 // rebuild it from. Unnecessary with WithSelfSpawn.
 func WithPipelineRef(name string, args ...string) Option {
-	return core.WithPipelineRef(name, args...)
+	return func(e *Env) { e.pipeline, e.pipeArgs = name, args }
 }
 
 // WithOnListen registers a callback invoked with the coordinator's bound
 // control address once it is listening — the way to learn an ephemeral
 // port so externally started workers (or test goroutines) can dial in.
-func WithOnListen(f func(addr string)) Option { return core.WithOnListen(f) }
+func WithOnListen(f func(addr string)) Option { return func(e *Env) { e.onListen = f } }
 
 // WithSupervision makes Execute self-healing: on any failure — worker
 // crash, lost or blackholed connection, local error — it reloads the newest
@@ -61,7 +60,16 @@ func WithOnListen(f func(addr string)) Option { return core.WithOnListen(f) }
 // delay before the first restart (doubling per consecutive restart, with
 // jitter) and the delay cap.
 func WithSupervision(maxRestarts int, backoff ...time.Duration) Option {
-	return core.WithSupervision(maxRestarts, backoff...)
+	return func(e *Env) {
+		e.supervise = true
+		e.policy.MaxRestarts = maxRestarts
+		if len(backoff) > 0 {
+			e.policy.BaseBackoff = backoff[0]
+		}
+		if len(backoff) > 1 {
+			e.policy.MaxBackoff = backoff[1]
+		}
+	}
 }
 
 // WithHeartbeat tunes distributed failure detection: coordinator and
@@ -69,13 +77,13 @@ func WithSupervision(maxRestarts int, backoff ...time.Duration) Option {
 // timeout a dead peer — including the hung-but-open TCP case a plain
 // connection drop never reports. Defaults: 1s interval, 4s timeout.
 func WithHeartbeat(interval, timeout time.Duration) Option {
-	return core.WithHeartbeat(interval, timeout)
+	return func(e *Env) { e.hbInterval, e.hbTimeout = interval, timeout }
 }
 
 // WithRejoinWindow bounds how long a supervised recovery waits for the full
 // worker complement to redial before degrading onto the survivors
 // (default 3s; self-spawn mode always respawns the full complement).
-func WithRejoinWindow(d time.Duration) Option { return core.WithRejoinWindow(d) }
+func WithRejoinWindow(d time.Duration) Option { return func(e *Env) { e.policy.RejoinWindow = d } }
 
 // RestartStat is one supervised restart attempt: cause, detect and restore
 // instants, the Downtime between them (detect→restored MTTR), the recovered
@@ -123,8 +131,8 @@ func (e *Env) RestartStats() []RestartStat { return e.restartStats }
 // as the coordinator of WithWorkers workers, supervised only under
 // WithSupervision.
 func (e *Env) execute(ctx context.Context, snap *Snapshot) error {
-	if err := e.core.BuildErr(); err != nil {
-		return err
+	if e.buildErr != nil {
+		return e.buildErr
 	}
 	if addr := os.Getenv(WorkerEnvVar); addr != "" {
 		// Self-spawned child: this very code built the identical pipeline,
@@ -133,7 +141,7 @@ func (e *Env) execute(ctx context.Context, snap *Snapshot) error {
 		// is clean — the supervising parent respawns a fresh process per
 		// epoch rather than having children redial.
 		err := transport.RunWorker(ctx, addr, e.Metrics(), func(string, []string) (*dataflow.Graph, bool, error) {
-			return e.core.Graph(), e.core.Chaining(), nil
+			return e.graph, e.chaining, nil
 		})
 		if err != nil && !errors.Is(err, transport.ErrRejoin) {
 			fmt.Fprintln(os.Stderr, "streamline worker:", err)
@@ -141,46 +149,33 @@ func (e *Env) execute(ctx context.Context, snap *Snapshot) error {
 		}
 		os.Exit(0)
 	}
-	supervised, maxRestarts, backoffBase, backoffMax := e.core.Supervision()
-	workers := e.core.Workers()
-	if workers <= 0 && !supervised {
-		if snap != nil {
-			return e.core.ExecuteRestored(ctx, snap)
-		}
-		return e.core.Execute(ctx)
+	if e.workers <= 0 && !e.supervise {
+		return e.runLocal(ctx, snap)
 	}
-	pol := transport.SupervisionPolicy{
-		Unsupervised: !supervised,
-		MaxRestarts:  maxRestarts,
-		BaseBackoff:  backoffBase,
-		MaxBackoff:   backoffMax,
-		RejoinWindow: e.core.RejoinWindow(),
-	}
-	backend, every := e.core.Backend()
-	if workers <= 0 {
+	pol := e.policy
+	pol.Unsupervised = !e.supervise
+	if e.workers <= 0 {
 		// The graph re-executes in-process, so Collect sinks roll back to
 		// their checkpointed length and exactly-once output holds across
 		// restarts.
-		sup := transport.NewLocalSupervisor(pol, backend, snap, e.core.ExecuteRestored)
+		sup := transport.NewLocalSupervisor(pol, e.backend, snap, e.runLocal)
 		err := sup.Run(ctx)
 		e.restartStats = sup.Stats()
 		return err
 	}
-	pipeline, args := e.core.PipelineRef()
-	hbInterval, hbTimeout := e.core.Heartbeat()
 	sup, err := transport.NewSupervisor(transport.Config{
-		Graph:             e.core.Graph(),
-		Chaining:          e.core.Chaining(),
-		Workers:           workers,
-		Backend:           backend,
-		Interval:          every,
+		Graph:             e.graph,
+		Chaining:          e.chaining,
+		Workers:           e.workers,
+		Backend:           e.backend,
+		Interval:          e.ckptEvery,
 		Restore:           snap,
-		Pipeline:          pipeline,
-		Args:              args,
+		Pipeline:          e.pipeline,
+		Args:              e.pipeArgs,
 		Registry:          e.Metrics(),
-		ListenAddr:        e.core.ListenAddr(),
-		HeartbeatInterval: hbInterval,
-		HeartbeatTimeout:  hbTimeout,
+		ListenAddr:        e.listenAddr,
+		HeartbeatInterval: e.hbInterval,
+		HeartbeatTimeout:  e.hbTimeout,
 	}, pol)
 	if err != nil {
 		return err
@@ -188,7 +183,7 @@ func (e *Env) execute(ctx context.Context, snap *Snapshot) error {
 	// Spawn/Reap run sequentially on the supervisor's goroutine: each epoch
 	// respawns the full complement after waiting out the previous one.
 	var procs []*exec.Cmd
-	if e.core.SelfSpawn() {
+	if e.selfSpawn {
 		sup.Reap = func() {
 			for _, c := range procs {
 				c.Process.Kill()
@@ -210,11 +205,11 @@ func (e *Env) execute(ctx context.Context, snap *Snapshot) error {
 			return nil
 		}
 	}
-	if f := e.core.OnListen(); f != nil {
-		f(sup.Addr())
+	if e.onListen != nil {
+		e.onListen(sup.Addr())
 	}
 	runErr := sup.Run(ctx)
-	e.core.NoteDistributedCheckpoints(sup.CompletedCheckpoints())
+	e.completed += sup.CompletedCheckpoints()
 	e.restartStats = sup.Stats()
 	// Children exit on their own once their share (or the abort) lands: Run
 	// has closed every control connection by now, which unblocks them.
@@ -249,10 +244,10 @@ func buildFromEnv(build func(pipeline string, args []string) (*Env, error)) tran
 		if err != nil {
 			return nil, false, err
 		}
-		if err := env.core.BuildErr(); err != nil {
-			return nil, false, err
+		if env.buildErr != nil {
+			return nil, false, env.buildErr
 		}
-		return env.core.Graph(), env.core.Chaining(), nil
+		return env.graph, env.chaining, nil
 	}
 }
 

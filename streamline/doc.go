@@ -132,13 +132,14 @@
 //
 // # Lowering
 //
-// Every typed operator and connector lowers onto the untyped record engine
-// in internal/core and internal/dataflow, boxing values at operator
-// boundaries. The facade therefore inherits the optimizer unchanged:
-// operator chaining, adaptive combiner insertion before hash shuffles,
-// architecture-sized parallelism, and Cutty multi-query window sharing all
-// fire exactly as they do for hand-built untyped plans — a typed layer
-// compiled onto an untyped dataflow, in the tradition of Flink's
+// Every typed operator and connector lowers straight onto the untyped record
+// engine: each adds its node to the Env's plan, an internal/dataflow Graph,
+// boxing values at operator boundaries. There is no second builder in
+// between, so the optimizer is part of the lowering: stage fusion, operator
+// chaining, adaptive combiner insertion before hash shuffles,
+// architecture-sized parallelism, and Cutty multi-query window sharing fire
+// exactly as they would for a plan built node by node on the engine — a
+// typed layer compiled onto an untyped dataflow, in the tradition of Flink's
 // TypeInformation machinery.
 //
 // # The batched exchange

@@ -2,6 +2,7 @@ package streamline
 
 import (
 	"context"
+	"runtime"
 	"sync"
 	"time"
 
@@ -9,6 +10,7 @@ import (
 	"repro/internal/dataflow"
 	"repro/internal/metrics"
 	"repro/internal/state"
+	"repro/internal/transport"
 )
 
 // DefaultBatchSize is the exchange default, re-exported from the engine:
@@ -20,10 +22,37 @@ const DefaultBatchSize = dataflow.DefaultBatchSize
 // checkpoints and redistributes across rescales.
 const DefaultNumKeyGroups = state.DefaultNumKeyGroups
 
-// Env owns a pipeline under construction and its execution options. It is a
-// thin typed veneer over core.Environment; one Env builds one job.
+// Env owns a pipeline under construction — the engine plan the typed
+// operators lower onto — and its execution options. One Env builds one job.
 type Env struct {
-	core *core.Environment
+	graph       *dataflow.Graph
+	parallelism int
+	chaining    bool
+	combiner    CombinerMode
+	backend     state.Backend
+	ckptEvery   time.Duration
+	// buildErr is the first pipeline construction error; Execute returns it.
+	buildErr error
+
+	// job is the last local run; completed counts the checkpoints the runs
+	// before it and every distributed run persisted (CompletedCheckpoints).
+	job       *dataflow.Job
+	completed int64
+
+	// Distributed execution (WithWorkers and the options beside it).
+	workers    int
+	listenAddr string
+	selfSpawn  bool
+	pipeline   string
+	pipeArgs   []string
+	onListen   func(addr string)
+	hbInterval time.Duration
+	hbTimeout  time.Duration
+
+	// supervise turns on WithSupervision; policy holds its budget, pacing
+	// and rejoin window.
+	supervise bool
+	policy    transport.SupervisionPolicy
 
 	// reg is the lazily created metrics registry (see Metrics); regOnce
 	// guards its creation.
@@ -36,20 +65,19 @@ type Env struct {
 }
 
 // Option configures an Env at construction.
-type Option = core.Option
+type Option func(*Env)
 
 // CombinerMode controls automatic pre-aggregation before hash shuffles.
-type CombinerMode = core.CombinerMode
+type CombinerMode uint8
 
-// Combiner modes, re-exported so pipelines need only this package.
 const (
 	// CombinerAuto samples the key distribution at runtime and enables
 	// combining when it is profitable (the default).
-	CombinerAuto = core.CombinerAuto
+	CombinerAuto CombinerMode = iota
 	// CombinerOn always pre-aggregates.
-	CombinerOn = core.CombinerOn
+	CombinerOn
 	// CombinerOff never pre-aggregates (ablation baseline).
-	CombinerOff = core.CombinerOff
+	CombinerOff
 )
 
 // Backend persists checkpoints for exactly-once recovery.
@@ -61,18 +89,18 @@ type Snapshot = state.Snapshot
 
 // WithParallelism sets the default operator parallelism. Zero (default)
 // means "adapt to the architecture": the machine's CPU count, capped at 4.
-func WithParallelism(p int) Option { return core.WithParallelism(p) }
+func WithParallelism(p int) Option { return func(e *Env) { e.parallelism = p } }
 
 // WithChaining toggles operator chaining (default on).
-func WithChaining(on bool) Option { return core.WithChaining(on) }
+func WithChaining(on bool) Option { return func(e *Env) { e.chaining = on } }
 
 // WithCombiner sets the combiner mode (default CombinerAuto).
-func WithCombiner(m CombinerMode) Option { return core.WithCombiner(m) }
+func WithCombiner(m CombinerMode) Option { return func(e *Env) { e.combiner = m } }
 
 // WithCheckpointing enables asynchronous barrier snapshots on the given
 // backend at the given interval.
 func WithCheckpointing(b Backend, every time.Duration) Option {
-	return core.WithCheckpointing(b, every)
+	return func(e *Env) { e.backend, e.ckptEvery = b, every }
 }
 
 // WithNumKeyGroups sets the plan's key-group count (default
@@ -81,14 +109,14 @@ func WithCheckpointing(b Backend, every time.Duration) Option {
 // parallelism) but a plan constant for recovery: a checkpoint restores only
 // into a plan with the same value. Pick it comfortably above the largest
 // parallelism the job may ever rescale to and keep it.
-func WithNumKeyGroups(n int) Option { return core.WithNumKeyGroups(n) }
+func WithNumKeyGroups(n int) Option { return func(e *Env) { e.graph.NumKeyGroups = n } }
 
 // WithBatchSize sets how many records the exchange layer stages per batch
 // before shipping it across a subtask boundary (default 64). Bigger batches
 // amortize channel hops and raise throughput; 1 degenerates to per-record
 // exchange (the ablation baseline). Purely physical: the logical plan and
 // its results are identical at every batch size.
-func WithBatchSize(n int) Option { return core.WithBatchSize(n) }
+func WithBatchSize(n int) Option { return func(e *Env) { e.graph.BatchSize = n } }
 
 // NewMemoryBackend returns an in-memory checkpoint backend retaining the
 // last `retain` snapshots (0 keeps all).
@@ -108,7 +136,22 @@ func NewFileBackend(dir string) (Backend, error) { return state.NewFileBackend(d
 
 // New returns an empty pipeline environment.
 func New(opts ...Option) *Env {
-	return &Env{core: core.NewEnvironment(opts...)}
+	e := &Env{graph: dataflow.NewGraph("streamline"), chaining: true}
+	for _, o := range opts {
+		o(e)
+	}
+	if e.parallelism <= 0 {
+		// "adopted to ... the architecture": size to the machine.
+		e.parallelism = min(runtime.NumCPU(), 4)
+	}
+	return e
+}
+
+// fail records a pipeline construction error; Execute returns the first.
+func (e *Env) fail(err error) {
+	if e.buildErr == nil {
+		e.buildErr = err
+	}
 }
 
 // Execute runs the pipeline to completion (bounded sources) or until the
@@ -128,11 +171,36 @@ func (e *Env) ExecuteRestored(ctx context.Context, snap *Snapshot) error {
 	return e.execute(ctx, snap)
 }
 
-// CompletedCheckpoints reports how many checkpoints this Env's runs
-// persisted, every attempt of a supervised run included.
-func (e *Env) CompletedCheckpoints() int64 { return e.core.CompletedCheckpoints() }
+// runLocal runs the plan in this process alone, from snap (nil: from
+// scratch).
+func (e *Env) runLocal(ctx context.Context, snap *Snapshot) error {
+	opts := []dataflow.JobOption{dataflow.WithRestore(snap), dataflow.WithChaining(e.chaining)}
+	if e.backend != nil {
+		opts = append(opts, dataflow.WithCheckpointing(e.backend, e.ckptEvery))
+	}
+	if e.job != nil {
+		e.completed += e.job.CompletedCheckpoints()
+	}
+	e.job = dataflow.NewJob(e.graph, opts...)
+	return e.job.Run(ctx)
+}
 
-// Core exposes the untyped lowering environment this Env builds onto —
-// the escape hatch for diagnostics, plan inspection, and tests that
-// compare typed plans against hand-built untyped ones.
-func (e *Env) Core() *core.Environment { return e.core }
+// CompletedCheckpoints reports how many checkpoints this Env's runs
+// persisted, every attempt of a supervised run and every distributed run
+// included.
+func (e *Env) CompletedCheckpoints() int64 {
+	if e.job == nil {
+		return e.completed
+	}
+	return e.completed + e.job.CompletedCheckpoints()
+}
+
+// Core returns a read-only view of the Env's plan and the options a job
+// built from it runs with.
+//
+// Deprecated: the benchmark module (benchmark/insitu.go and
+// benchmark/dist.go) and internal/bench's recover report still read the
+// plan through it; the view goes when they stop.
+func (e *Env) Core() *core.Environment {
+	return core.View(e.graph, e.chaining, e.buildErr, e.backend, e.ckptEvery)
+}

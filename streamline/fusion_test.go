@@ -42,7 +42,7 @@ func buildFusedPipeline(n int64, opts ...streamline.Option) (*streamline.Env, *s
 // fingerprints must match across processes of a distributed run).
 func TestStageFusionPlanShape(t *testing.T) {
 	fusedEnv, _ := buildFusedPipeline(10)
-	fusedPlan := planString(fusedEnv.Core().Graph())
+	fusedPlan := planString(graphOf(fusedEnv))
 	if !strings.Contains(fusedPlan, "scale+band+split+final") {
 		t.Fatalf("fused plan lacks the concatenated stage node:\n%s", fusedPlan)
 	}
@@ -55,7 +55,7 @@ func TestStageFusionPlanShape(t *testing.T) {
 	}
 
 	againEnv, _ := buildFusedPipeline(10)
-	if again := planString(againEnv.Core().Graph()); again != fusedPlan {
+	if again := planString(graphOf(againEnv)); again != fusedPlan {
 		t.Fatalf("fused plan is not deterministic:\nfirst:\n%s\nsecond:\n%s", fusedPlan, again)
 	}
 }
@@ -113,7 +113,7 @@ func TestStageFusionStopsAtBranches(t *testing.T) {
 	right := streamline.Map(shared, "right", func(v float64) float64 { return v * 3 })
 	lo := streamline.Collect(left, "lo")
 	ro := streamline.Collect(right, "ro")
-	plan := planString(env.Core().Graph())
+	plan := planString(graphOf(env))
 	if !strings.Contains(plan, "shared/") {
 		t.Fatalf("branch point was fused away:\n%s", plan)
 	}
@@ -161,7 +161,7 @@ func TestFusedChainCheckpointRestore(t *testing.T) {
 	}
 
 	refEnv, refOut := build(0)
-	if plan := planString(refEnv.Core().Graph()); !strings.Contains(plan, "scale+keep+final") {
+	if plan := planString(graphOf(refEnv)); !strings.Contains(plan, "scale+keep+final") {
 		t.Fatalf("recovery pipeline is not fused:\n%s", plan)
 	}
 	execute(t, refEnv.Execute)

@@ -8,7 +8,7 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/core"
+	"repro/internal/dataflow"
 	"repro/internal/pipelines"
 	"repro/streamline"
 )
@@ -23,7 +23,7 @@ var writePlans = flag.Bool("write-plans", false, "rewrite testdata/plans.golden 
 func renderPlan(env *streamline.Env) string {
 	g, chaining := streamline.PlanOf(env)
 	var b strings.Builder
-	fmt.Fprintf(&b, "fingerprint %s\n", core.SpecOf(g, chaining).Fingerprint())
+	fmt.Fprintf(&b, "fingerprint %s\n", dataflow.SpecOf(g, chaining).Fingerprint())
 	for _, n := range g.Nodes() {
 		var v any
 		if n.NewSource != nil {
@@ -66,28 +66,21 @@ func planReduce(env *streamline.Env) {
 	streamline.Collect(sums, "out")
 }
 
-// goldenPlans is every plan the golden pins: each registered pipeline, and a
-// table that reaches every typed builder and every option that shapes a plan.
-func goldenPlans(t *testing.T) []struct {
+type namedPlan struct {
 	name string
 	env  *streamline.Env
-} {
-	var plans []struct {
-		name string
-		env  *streamline.Env
-	}
-	add := func(name string, env *streamline.Env) {
-		plans = append(plans, struct {
-			name string
-			env  *streamline.Env
-		}{name, env})
-	}
+}
+
+// goldenPlans is every plan the golden pins: each registered pipeline, and a
+// table that reaches every typed builder and every option that shapes a plan.
+func goldenPlans(t *testing.T) []namedPlan {
+	var plans []namedPlan
 	for _, name := range pipelines.Names() {
 		env, _, err := pipelines.Build(name, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		add("pipeline "+name, env)
+		plans = append(plans, namedPlan{"pipeline " + name, env})
 	}
 	table := []struct {
 		name  string
@@ -170,7 +163,7 @@ func goldenPlans(t *testing.T) []struct {
 	for _, c := range table {
 		env := streamline.New(append([]streamline.Option{streamline.WithParallelism(2)}, c.opts...)...)
 		c.build(env)
-		add(c.name, env)
+		plans = append(plans, namedPlan{c.name, env})
 	}
 	return plans
 }

@@ -172,9 +172,9 @@ func From[T any](env *Env, name string, src Source[T], opts ...SourceOption) *St
 	if cfg.ts != nil {
 		f, ok := cfg.ts.(func(T) int64)
 		if !ok {
-			env.core.Fail(fmt.Errorf("streamline: From %q: WithTimestamps extractor is %T, want func(%s) int64",
+			env.fail(fmt.Errorf("streamline: From %q: WithTimestamps extractor is %T, want func(%s) int64",
 				name, cfg.ts, typeName[T]()))
-			return &Stream[T]{env: env, inner: env.core.FromSource(name, cfg.parallelism, emptySourceFactory)}
+			return fromFactory[T](env, name, cfg.parallelism, emptySourceFactory)
 		}
 		ts = f
 	}
@@ -206,7 +206,16 @@ func From[T any](env *Env, name string, src Source[T], opts ...SourceOption) *St
 		l.readTraits()
 		return l
 	}
-	return &Stream[T]{env: env, inner: env.core.FromSource(name, cfg.parallelism, factory)}
+	return fromFactory[T](env, name, cfg.parallelism, factory)
+}
+
+// fromFactory adds a source node building one reader per subtask with f;
+// parallelism <= 0 runs it at the Env's default.
+func fromFactory[T any](env *Env, name string, parallelism int, f dataflow.SourceFactory) *Stream[T] {
+	if parallelism <= 0 {
+		parallelism = env.parallelism
+	}
+	return &Stream[T]{env: env, node: env.graph.AddSource(name, parallelism, f)}
 }
 
 // preferredParallelism reads a source's parallelism hint, if it carries one.

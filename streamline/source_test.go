@@ -10,15 +10,14 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/dataflow"
 	"repro/streamline"
 )
 
 // The acceptance bar of the connector API: From with the Slice connector
-// must build the exact same job graph as the untyped substrate's
-// FromRecords, and compute the same sums — a typed source is a lowering, not
-// a parallel code path.
+// must build the exact same job graph as an engine slice source hand-built
+// at the Env's parallelism, and compute the same sums — a typed source is a
+// lowering, not a parallel code path.
 func TestSliceConnectorPlanIdentity(t *testing.T) {
 	items := []float64{1, 2, 3, 4, 5, 6, 7}
 	typedEnv := streamline.New(streamline.WithParallelism(2))
@@ -27,24 +26,29 @@ func TestSliceConnectorPlanIdentity(t *testing.T) {
 	typedOut := streamline.Collect(streamline.ReduceByKey(keyed, "sum",
 		func(acc, v float64) float64 { return acc + v }, false), "out")
 
-	untypedEnv := core.NewEnvironment(core.WithParallelism(2))
 	recs := make([]dataflow.Record, len(items))
 	for i, v := range items {
 		recs[i] = dataflow.Data(int64(i), 0, v)
 	}
-	untypedOut := untypedEnv.FromRecords("src", recs).
-		KeyBy("key", func(r dataflow.Record) uint64 { return uint64(r.Value.(float64)) % 2 }).
-		ReduceByKey("sum", func(acc, v float64) float64 { return acc + v }, false).
-		Collect("out")
+	sum := func(acc, v float64) float64 { return acc + v }
+	untypedGraph, untypedOut := handGraph(func(g *dataflow.Graph) *dataflow.Node {
+		keyed := handKeyBy(g, g.AddSource("src", 2, dataflow.SliceSource(recs)), "key",
+			func(r dataflow.Record) uint64 { return uint64(r.Value.(float64)) % 2 })
+		comb := handForward(g, keyed, "sum-combine", func() dataflow.Operator {
+			return &dataflow.CombinerOp{F: sum, FlushEvery: 1024, Adaptive: true}
+		})
+		return g.AddOperator("sum", 2, func() dataflow.Operator { return &dataflow.KeyedReduceOp{F: sum} },
+			dataflow.Edge{From: comb, Part: dataflow.HashPartition})
+	})
 
-	typedPlan := planString(typedEnv.Core().Graph())
-	untypedPlan := planString(untypedEnv.Graph())
+	typedPlan := planString(graphOf(typedEnv))
+	untypedPlan := planString(untypedGraph)
 	if typedPlan != untypedPlan {
-		t.Fatalf("plans differ:\nFrom+Slice:\n%s\nFromRecords:\n%s", typedPlan, untypedPlan)
+		t.Fatalf("plans differ:\nFrom+Slice:\n%s\nhand-built:\n%s", typedPlan, untypedPlan)
 	}
 
 	execute(t, typedEnv.Execute)
-	execute(t, untypedEnv.Execute)
+	runGraph(t, untypedGraph)
 	got, want := map[uint64]float64{}, map[uint64]float64{}
 	for _, k := range typedOut.Records() {
 		got[k.Key] += k.Value
@@ -62,31 +66,26 @@ func TestSliceConnectorPlanIdentity(t *testing.T) {
 	}
 }
 
-// The Generator and Paced connectors likewise lower to the plans of the
-// untyped generator sources, at the parallelism WithSourceParallelism names.
+// The Generator and Paced connectors likewise lower to the plans of engine
+// generator sources, at the parallelism WithSourceParallelism names.
 func TestGeneratorConnectorPlanIdentity(t *testing.T) {
 	gen := func(sub, par int, i int64) streamline.Keyed[float64] {
 		return streamline.Keyed[float64]{Ts: i, Value: float64(i)}
 	}
-	untypedGen := func(sub, par int, i int64) dataflow.Record { return dataflow.Data(i, 0, float64(i)) }
+	untypedGen := func(i int64) dataflow.Record { return dataflow.Data(i, 0, float64(i)) }
 	typed := func(src streamline.Source[float64], par int) string {
 		env := streamline.New(streamline.WithParallelism(2))
 		streamline.Collect(streamline.From(env, "gen", src, streamline.WithSourceParallelism(par)), "out")
-		return planString(env.Core().Graph())
+		return planString(graphOf(env))
 	}
-	untyped := func(build func(env *core.Environment) *core.Stream) string {
-		env := core.NewEnvironment(core.WithParallelism(2))
-		build(env).Collect("out")
-		return planString(env.Graph())
+	untyped := func(par int) string {
+		g, _ := handGraph(func(g *dataflow.Graph) *dataflow.Node { return handGen(g, "gen", par, 100, untypedGen) })
+		return planString(g)
 	}
-	if got, want := typed(streamline.Generator(100, gen), 1), untyped(func(env *core.Environment) *core.Stream {
-		return env.FromGenerator("gen", 1, 100, untypedGen)
-	}); got != want {
+	if got, want := typed(streamline.Generator(100, gen), 1), untyped(1); got != want {
 		t.Fatalf("generator plans differ:\n%s\nvs\n%s", got, want)
 	}
-	if got, want := typed(streamline.Paced(streamline.Generator(100, gen), 1e6), 2), untyped(func(env *core.Environment) *core.Stream {
-		return env.FromPacedGenerator("gen", 2, 100, 1e6, untypedGen)
-	}); got != want {
+	if got, want := typed(streamline.Paced(streamline.Generator(100, gen), 1e6), 2), untyped(2); got != want {
 		t.Fatalf("paced plans differ:\n%s\nvs\n%s", got, want)
 	}
 }
@@ -626,7 +625,7 @@ func TestChannelConnectorHintsSingleSubtask(t *testing.T) {
 		env := streamline.New(streamline.WithParallelism(4))
 		src := build(env)
 		streamline.Sink(src, "out", func(streamline.Keyed[float64]) {})
-		for _, n := range env.Core().Graph().Nodes() {
+		for _, n := range graphOf(env).Nodes() {
 			if n.Name == name {
 				return n.Parallelism
 			}

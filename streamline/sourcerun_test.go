@@ -20,7 +20,7 @@ import (
 // Env.Execute does without one, and returns the registry.
 func runMetered(ctx context.Context, env *streamline.Env) (*metrics.Registry, error) {
 	reg := metrics.NewRegistry()
-	return reg, dataflow.NewJob(env.Core().Graph(), dataflow.WithMetrics(reg)).Run(ctx)
+	return reg, dataflow.NewJob(graphOf(env), dataflow.WithMetrics(reg)).Run(ctx)
 }
 
 // arrivals is a sink that reports each element's arrival.

@@ -7,7 +7,6 @@ import (
 	goruntime "runtime"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/dataflow"
 )
 
@@ -31,7 +30,7 @@ func (r restoreAll) Restore(blob []byte) error {
 }
 
 // combinerState restores a combiner through Open, where its state arrives.
-type combinerState struct{ *core.CombinerOp }
+type combinerState struct{ *dataflow.CombinerOp }
 
 func (c combinerState) Restore(blob []byte) error {
 	return c.Open(&dataflow.OpContext{Restore: blob})
@@ -101,7 +100,7 @@ func sourceStateTargets(tb testing.TB) []func() restorable {
 			return &dataflow.GenSource{N: 40, Gen: func(i int64) dataflow.Record { return dataflow.Data(i, uint64(i), 1.0) }}
 		},
 		func() restorable {
-			c := &core.CombinerOp{F: func(a, v float64) float64 { return a + v }}
+			c := &dataflow.CombinerOp{F: func(a, v float64) float64 { return a + v }}
 			if err := c.Open(&dataflow.OpContext{}); err != nil {
 				tb.Fatal(err)
 			}

@@ -1,9 +1,9 @@
 package streamline
 
 import (
+	"fmt"
 	"strings"
 
-	"repro/internal/core"
 	"repro/internal/dataflow"
 )
 
@@ -23,8 +23,9 @@ type Keyed[T any] struct {
 // Stream is a typed handle to one stage of a pipeline — the unified
 // abstraction over data at rest and data in motion. All transformations
 // derive new streams; none execute until Env.Execute. Each typed operator
-// lowers to the untyped record plan, so the optimizer (chaining, combiner
-// insertion, Cutty sharing) applies unchanged.
+// lowers to a node of the Env's engine plan (a dataflow.Graph of untyped
+// records), so the optimizer (chaining, combiner insertion, Cutty sharing)
+// applies to every typed pipeline alike.
 //
 // Lowering is deferred for the stateless stages (Map, Filter, FlatMap): a
 // run of adjacent stages fuses into one lowered operator whose composed
@@ -36,10 +37,14 @@ type Keyed[T any] struct {
 type Stream[T any] struct {
 	env *Env
 
-	// inner is the lowered engine stream. It is set at construction for
-	// materialized streams (sources, shuffles) and memoized by lower() for
-	// deferred stages.
-	inner *core.Stream
+	// node is the stream's node in the engine plan. It is set at
+	// construction for materialized streams (sources, shuffles) and memoized
+	// by lower() for deferred stages.
+	node *dataflow.Node
+	// keyed reports that the stream's records carry a partitioning key
+	// (after KeyBy or a keyed operator): WindowAggregate and JoinWindow
+	// require it. Stateless stages keep their input's.
+	keyed bool
 	// parent and stage describe a deferred stateless stage: stage applied to
 	// parent's elements. nil once lowered or for materialized streams.
 	parent fusible
@@ -74,9 +79,9 @@ type fuseStage struct {
 	// entry binds the run's single unbox: it turns the fully composed head
 	// emitFn into the lowered operator's per-record function.
 	entry func(em any) func(dataflow.Record, dataflow.Collector)
-	// direct is the stage-per-node lowering, used for runs of one: a lone
+	// direct is the stage-per-node operator, used for runs of one: a lone
 	// stage has nothing to fuse with and needs no composed closure.
-	direct func(base *core.Stream) *core.Stream
+	direct dataflow.OperatorFactory
 }
 
 // fusible is the type-erased view of a Stream[T] the fusion walk uses to
@@ -85,7 +90,7 @@ type fuseStage struct {
 type fusible interface {
 	noteConsumer()
 	consumerCount() int
-	lowerAny() *core.Stream
+	lowerAny() *dataflow.Node
 	// pendingRun returns the stream's deferred stage and parent, reporting
 	// false once lowered or for materialized streams.
 	pendingRun() (*fuseStage, fusible, bool)
@@ -93,12 +98,12 @@ type fusible interface {
 
 func (s *Stream[T]) noteConsumer()      { s.consumers++ }
 func (s *Stream[T]) consumerCount() int { return s.consumers }
-func (s *Stream[T]) lowerAny() *core.Stream {
+func (s *Stream[T]) lowerAny() *dataflow.Node {
 	return s.lower()
 }
 
 func (s *Stream[T]) pendingRun() (*fuseStage, fusible, bool) {
-	if s.inner != nil || s.stage == nil {
+	if s.node != nil || s.stage == nil {
 		return nil, nil, false
 	}
 	return s.stage, s.parent, true
@@ -107,9 +112,9 @@ func (s *Stream[T]) pendingRun() (*fuseStage, fusible, bool) {
 // lower materializes the stream into the engine plan, fusing the maximal run
 // of pending single-consumer stages ending here into one operator. The
 // result is memoized: every consumer of this handle shares the lowered node.
-func (s *Stream[T]) lower() *core.Stream {
-	if s.inner != nil {
-		return s.inner
+func (s *Stream[T]) lower() *dataflow.Node {
+	if s.node != nil {
+		return s.node
 	}
 	// Collect the run tail-first: s's own stage, then ancestors while they
 	// are unmaterialized stages feeding only this run.
@@ -123,10 +128,10 @@ func (s *Stream[T]) lower() *core.Stream {
 		stages = append(stages, st)
 		base = p
 	}
-	cb := base.lowerAny()
+	bn := base.lowerAny()
 	if len(stages) == 1 {
-		s.inner = s.stage.direct(cb)
-		return s.inner
+		s.node = s.env.forward(bn, s.stage.name, s.stage.direct)
+		return s.node
 	}
 	var em any = emitFn[T](boxEmit[T])
 	names := make([]string, len(stages))
@@ -135,14 +140,34 @@ func (s *Stream[T]) lower() *core.Stream {
 		names[len(stages)-1-i] = st.name
 	}
 	head := stages[len(stages)-1]
-	s.inner = cb.FlatMap(strings.Join(names, "+"), head.entry(em))
-	return s.inner
+	f := head.entry(em)
+	s.node = s.env.forward(bn, strings.Join(names, "+"), func() dataflow.Operator {
+		return &dataflow.FlatMapOp{F: f}
+	})
+	return s.node
+}
+
+// forward appends an operator reading n over a forward edge at n's
+// parallelism — a stage that keeps its input's partitioning, which chaining
+// fuses into n's subtasks.
+func (e *Env) forward(n *dataflow.Node, name string, f dataflow.OperatorFactory) *dataflow.Node {
+	return e.graph.AddOperator(name, n.Parallelism, f, dataflow.Edge{From: n, Part: dataflow.Forward})
+}
+
+// terminal appends a sink operator at parallelism 1 reading s over a
+// rebalance edge. A sink observes results in the submitting process (a
+// caller's function or buffer, a topic store's files), so in distributed
+// execution its node is pinned there.
+func (s *Stream[T]) terminal(name string, f dataflow.OperatorFactory) {
+	s.noteConsumer()
+	n := s.env.graph.AddOperator(name, 1, f, dataflow.Edge{From: s.lower(), Part: dataflow.Rebalance})
+	n.Pinned = true
 }
 
 // derive creates the typed handle of a deferred stage over parent.
 func derive[U, T any](parent *Stream[T], st *fuseStage) *Stream[U] {
 	parent.noteConsumer()
-	return &Stream[U]{env: parent.env, parent: parent, stage: st}
+	return &Stream[U]{env: parent.env, keyed: parent.keyed, parent: parent, stage: st}
 }
 
 // box converts a typed record to the engine representation.
@@ -157,12 +182,6 @@ func unbox[T any](r dataflow.Record) Keyed[T] {
 	return Keyed[T]{Ts: r.Ts, Key: r.Key, Value: r.Value.(T)}
 }
 
-// Inner exposes the untyped stream this handle lowers to (diagnostics and
-// interop with internal/core builders). Calling it materializes the handle,
-// so pending stages upstream fuse up to this point and later consumers build
-// on the lowered node.
-func (s *Stream[T]) Inner() *core.Stream { return s.lower() }
-
 // Map derives a stream by applying f to every element. Timestamps and keys
 // are preserved.
 func Map[T, U any](s *Stream[T], name string, f func(T) U) *Stream[U] {
@@ -175,11 +194,11 @@ func Map[T, U any](s *Stream[T], name string, f func(T) U) *Stream[U] {
 			})
 		},
 		entry: entryFor[T],
-		direct: func(base *core.Stream) *core.Stream {
-			return base.Map(name, func(r dataflow.Record) dataflow.Record {
+		direct: func() dataflow.Operator {
+			return &dataflow.MapOp{F: func(r dataflow.Record) dataflow.Record {
 				r.Value = f(r.Value.(T))
 				return r
-			})
+			}}
 		},
 	})
 }
@@ -197,10 +216,10 @@ func Filter[T any](s *Stream[T], name string, f func(T) bool) *Stream[T] {
 			})
 		},
 		entry: entryFor[T],
-		direct: func(base *core.Stream) *core.Stream {
-			return base.Filter(name, func(r dataflow.Record) bool {
+		direct: func() dataflow.Operator {
+			return &dataflow.FilterOp{F: func(r dataflow.Record) bool {
 				return f(r.Value.(T))
-			})
+			}}
 		},
 	})
 }
@@ -243,10 +262,10 @@ func FlatMap[T, U any](s *Stream[T], name string, f func(T, Emitter[U])) *Stream
 			})
 		},
 		entry: entryFor[T],
-		direct: func(base *core.Stream) *core.Stream {
-			return base.FlatMap(name, func(r dataflow.Record, out dataflow.Collector) {
+		direct: func() dataflow.Operator {
+			return &dataflow.FlatMapOp{F: func(r dataflow.Record, out dataflow.Collector) {
 				f(r.Value.(T), Emitter[U]{ts: r.Ts, key: r.Key, out: out, emit: boxEmit[U]})
-			})
+			}}
 		},
 	})
 }
@@ -254,22 +273,28 @@ func FlatMap[T, U any](s *Stream[T], name string, f func(T, Emitter[U])) *Stream
 // KeyBy re-keys every element with keyFn. The next shuffling transformation
 // (ReduceByKey, WindowAggregate, JoinWindow) partitions by this key.
 func KeyBy[T any](s *Stream[T], name string, keyFn func(T) uint64) *Stream[T] {
-	s.noteConsumer()
-	inner := s.lower().KeyBy(name, func(r dataflow.Record) uint64 {
-		return keyFn(r.Value.(T))
+	return s.keyBy(name, func(r dataflow.Record) dataflow.Record {
+		r.Key = keyFn(r.Value.(T))
+		return r
 	})
-	return &Stream[T]{env: s.env, inner: inner}
+}
+
+// keyBy appends the re-keying stage f, a map that sets every record's key.
+// The next shuffling transformation partitions by this key.
+func (s *Stream[T]) keyBy(name string, f func(dataflow.Record) dataflow.Record) *Stream[T] {
+	s.noteConsumer()
+	n := s.env.forward(s.lower(), name, func() dataflow.Operator { return &dataflow.MapOp{F: f} })
+	return &Stream[T]{env: s.env, node: n, keyed: true}
 }
 
 // KeyByRecord re-keys every element with keyFn, which sees the full Keyed
 // record — timestamp and currently stamped key included. Use it when the
 // source already stamps a meaningful key; KeyBy is the value-only form.
 func KeyByRecord[T any](s *Stream[T], name string, keyFn func(Keyed[T]) uint64) *Stream[T] {
-	s.noteConsumer()
-	inner := s.lower().KeyBy(name, func(r dataflow.Record) uint64 {
-		return keyFn(unbox[T](r))
+	return s.keyBy(name, func(r dataflow.Record) dataflow.Record {
+		r.Key = keyFn(unbox[T](r))
+		return r
 	})
-	return &Stream[T]{env: s.env, inner: inner}
 }
 
 // KeyByString re-keys every element by hashing the string keyFn extracts
@@ -289,7 +314,19 @@ func KeyOf(s string) uint64 { return dataflow.KeyOf(s) }
 // environment's CombinerMode.
 func ReduceByKey(s *Stream[float64], name string, f func(acc, v float64) float64, emitEach bool) *Stream[float64] {
 	s.noteConsumer()
-	return &Stream[float64]{env: s.env, inner: s.lower().ReduceByKey(name, f, emitEach)}
+	env, up := s.env, s.lower()
+	// Combiner insertion: pre-aggregate on the producer side of the hash
+	// shuffle so the shuffle moves partial aggregates, not raw records.
+	if env.combiner != CombinerOff {
+		adaptive := env.combiner == CombinerAuto
+		up = env.forward(up, name+"-combine", func() dataflow.Operator {
+			return &dataflow.CombinerOp{F: f, FlushEvery: 1024, Adaptive: adaptive}
+		})
+	}
+	n := env.graph.AddOperator(name, env.parallelism, func() dataflow.Operator {
+		return &dataflow.KeyedReduceOp{F: f, EmitEach: emitEach}
+	}, dataflow.Edge{From: up, Part: dataflow.HashPartition})
+	return &Stream[float64]{env: env, node: n, keyed: true}
 }
 
 // JoinedPair is one match of a windowed equi-join: the left and right
@@ -310,37 +347,54 @@ type JoinedPair[L, R any] struct {
 func JoinWindow(s *Stream[float64], name string, other *Stream[float64], size int64) *Stream[JoinedPair[float64, float64]] {
 	s.noteConsumer()
 	other.noteConsumer()
-	joined := s.lower().JoinWindow(name, other.lower(), size)
+	env, left, right := s.env, s.lower(), other.lower()
+	if !s.keyed || !other.keyed {
+		env.fail(fmt.Errorf("streamline: JoinWindow %q requires both streams keyed (call KeyBy first)", name))
+		return &Stream[JoinedPair[float64, float64]]{env: env, node: left}
+	}
+	joined := env.graph.AddOperator(name, env.parallelism, dataflow.NewWindowJoinOp(size),
+		dataflow.Edge{From: left, Part: dataflow.HashPartition},
+		dataflow.Edge{From: right, Part: dataflow.HashPartition},
+	)
 	// Rebox the engine's pair type into the typed pair on a chained edge.
-	inner := joined.Map(name+"-typed", func(r dataflow.Record) dataflow.Record {
-		p := r.Value.(dataflow.JoinedPair)
-		r.Value = JoinedPair[float64, float64]{
-			WindowStart: p.WindowStart,
-			WindowEnd:   p.WindowEnd,
-			Left:        p.Left,
-			Right:       p.Right,
-		}
-		return r
+	n := env.forward(joined, name+"-typed", func() dataflow.Operator {
+		return &dataflow.MapOp{F: func(r dataflow.Record) dataflow.Record {
+			p := r.Value.(dataflow.JoinedPair)
+			r.Value = JoinedPair[float64, float64]{
+				WindowStart: p.WindowStart,
+				WindowEnd:   p.WindowEnd,
+				Left:        p.Left,
+				Right:       p.Right,
+			}
+			return r
+		}}
 	})
-	return &Stream[JoinedPair[float64, float64]]{env: s.env, inner: inner}
+	return &Stream[JoinedPair[float64, float64]]{env: env, node: n, keyed: true}
 }
 
 // Union merges this stream with others of the same element type (no
 // ordering guarantee).
 func Union[T any](s *Stream[T], name string, others ...*Stream[T]) *Stream[T] {
 	s.noteConsumer()
-	rest := make([]*core.Stream, len(others))
+	// The others lower before s, so pending stages land in the plan in the
+	// order they always have: the node IDs are part of the fingerprint.
+	edges := make([]dataflow.Edge, 1+len(others))
 	for i, o := range others {
 		o.noteConsumer()
-		rest[i] = o.lower()
+		edges[1+i] = dataflow.Edge{From: o.lower(), Part: dataflow.Rebalance}
 	}
-	return &Stream[T]{env: s.env, inner: s.lower().Union(name, rest...)}
+	edges[0] = dataflow.Edge{From: s.lower(), Part: dataflow.Rebalance}
+	n := s.env.graph.AddOperator(name, s.env.parallelism, func() dataflow.Operator {
+		return &dataflow.MapOp{F: func(r dataflow.Record) dataflow.Record { return r }}
+	}, edges...)
+	return &Stream[T]{env: s.env, node: n}
 }
 
 // Sink terminates the stream invoking f for every element.
 func Sink[T any](s *Stream[T], name string, f func(Keyed[T])) {
-	s.noteConsumer()
-	s.lower().Sink(name, func(r dataflow.Record) { f(unbox[T](r)) })
+	s.terminal(name, func() dataflow.Operator {
+		return &dataflow.FuncSink{F: func(r dataflow.Record) { f(unbox[T](r)) }}
+	})
 }
 
 // Results holds the records a Collect terminal gathered; read it after
@@ -361,6 +415,7 @@ func (c *Results[T]) Records() []Keyed[T] {
 
 // Collect terminates the stream into an in-memory Results handle.
 func Collect[T any](s *Stream[T], name string) *Results[T] {
-	s.noteConsumer()
-	return &Results[T]{sink: s.lower().Collect(name)}
+	sink := &dataflow.CollectSink{}
+	s.terminal(name, sink.Factory())
+	return &Results[T]{sink: sink}
 }

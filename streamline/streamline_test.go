@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"repro/internal/agg"
-	"repro/internal/core"
 	"repro/internal/dataflow"
 	"repro/internal/window"
 	"repro/streamline"
@@ -38,6 +37,51 @@ func planString(g *dataflow.Graph) string {
 	return b.String()
 }
 
+// graphOf returns the engine plan an Env has built.
+func graphOf(env *streamline.Env) *dataflow.Graph {
+	g, _ := streamline.PlanOf(env)
+	return g
+}
+
+// handGraph builds an engine plan node by node, the way the typed lowering
+// must: build adds everything up to the last stage, and handGraph ends the
+// plan in an "out" collect sink at parallelism 1 behind a rebalance edge.
+func handGraph(build func(g *dataflow.Graph) *dataflow.Node) (*dataflow.Graph, *dataflow.CollectSink) {
+	g := dataflow.NewGraph("streamline")
+	sink := &dataflow.CollectSink{}
+	g.AddOperator("out", 1, sink.Factory(), dataflow.Edge{From: build(g), Part: dataflow.Rebalance}).Pinned = true
+	return g, sink
+}
+
+// handGen adds a generator source of n records split across par subtasks.
+func handGen(g *dataflow.Graph, name string, par int, n int64, gen func(i int64) dataflow.Record) *dataflow.Node {
+	return g.AddSource(name, par, func(sub, p int) dataflow.SourceFunc {
+		c := n / int64(p)
+		if int64(sub) < n%int64(p) {
+			c++
+		}
+		return &dataflow.GenSource{N: c, Gen: gen}
+	})
+}
+
+// handForward adds an operator over a forward edge at its input's
+// parallelism.
+func handForward(g *dataflow.Graph, in *dataflow.Node, name string, f dataflow.OperatorFactory) *dataflow.Node {
+	return g.AddOperator(name, in.Parallelism, f, dataflow.Edge{From: in, Part: dataflow.Forward})
+}
+
+// handKeyBy adds the re-keying map the typed KeyBy lowers to.
+func handKeyBy(g *dataflow.Graph, in *dataflow.Node, name string, key func(dataflow.Record) uint64) *dataflow.Node {
+	return handForward(g, in, name, func() dataflow.Operator {
+		return &dataflow.MapOp{F: func(r dataflow.Record) dataflow.Record { r.Key = key(r); return r }}
+	})
+}
+
+func runGraph(t *testing.T, g *dataflow.Graph) {
+	t.Helper()
+	execute(t, dataflow.NewJob(g).Run)
+}
+
 // buildTypedWindowed is the quickstart-shaped pipeline on the typed API:
 // generator -> keyBy -> two-query window aggregate -> collect.
 func buildTypedWindowed(n int64) (*streamline.Env, *streamline.Results[streamline.WindowResult]) {
@@ -54,20 +98,17 @@ func buildTypedWindowed(n int64) (*streamline.Env, *streamline.Results[streamlin
 	return env, streamline.Collect(win, "out")
 }
 
-// buildUntypedWindowed is the identical pipeline hand-built on the untyped
-// internal/core API.
-func buildUntypedWindowed(n int64) (*core.Environment, *dataflow.CollectSink) {
-	env := core.NewEnvironment(core.WithParallelism(2))
-	sink := env.FromGenerator("gen", 1, n, func(sub, par int, i int64) dataflow.Record {
-		return dataflow.Data(i, 0, float64(i))
-	}).
-		KeyBy("key", func(r dataflow.Record) uint64 { return uint64(r.Value.(float64)) % 5 }).
-		WindowAggregate("win",
-			core.WindowedQuery{Window: window.Tumbling(30), Fn: agg.SumF64()},
-			core.WindowedQuery{Window: window.Sliding(60, 30), Fn: agg.CountF64()},
-		).
-		Collect("out")
-	return env, sink
+// buildUntypedWindowed is the identical pipeline hand-built on the engine's
+// graph.
+func buildUntypedWindowed(n int64) (*dataflow.Graph, *dataflow.CollectSink) {
+	return handGraph(func(g *dataflow.Graph) *dataflow.Node {
+		src := handGen(g, "gen", 1, n, func(i int64) dataflow.Record { return dataflow.Data(i, 0, float64(i)) })
+		keyed := handKeyBy(g, src, "key", func(r dataflow.Record) uint64 { return uint64(r.Value.(float64)) % 5 })
+		return g.AddOperator("win", 2, dataflow.NewWindowOp(
+			dataflow.WindowQuery{Spec: window.Tumbling(30), Fn: agg.SumF64()},
+			dataflow.WindowQuery{Spec: window.Sliding(60, 30), Fn: agg.CountF64()},
+		), dataflow.Edge{From: keyed, Part: dataflow.HashPartition})
+	})
 }
 
 type resultKey struct {
@@ -76,9 +117,9 @@ type resultKey struct {
 }
 
 // TestTypedUntypedEquivalence runs the quickstart pipeline through both the
-// typed facade and the untyped substrate and asserts identical window
-// results AND identical plans — so chaining, combiner decisions, and Cutty
-// window sharing fire the same way for both.
+// typed API and a graph hand-built on the engine and asserts identical
+// window results AND identical plans — so chaining, combiner decisions, and
+// Cutty window sharing fire the same way for both.
 func TestTypedUntypedEquivalence(t *testing.T) {
 	const n = 300
 
@@ -89,8 +130,8 @@ func TestTypedUntypedEquivalence(t *testing.T) {
 		typed[resultKey{key: k.Key, wr: k.Value}]++
 	}
 
-	untypedEnv, untypedSink := buildUntypedWindowed(n)
-	execute(t, untypedEnv.Execute)
+	untypedGraph, untypedSink := buildUntypedWindowed(n)
+	runGraph(t, untypedGraph)
 	untyped := map[resultKey]int{}
 	for _, r := range untypedSink.Records() {
 		untyped[resultKey{key: r.Key, wr: r.Value.(streamline.WindowResult)}]++
@@ -112,8 +153,8 @@ func TestTypedUntypedEquivalence(t *testing.T) {
 	// (same nodes, parallelism, partitioning), so the optimizer sees no
 	// difference. In particular both plans share one window operator for the
 	// two queries (Cutty sharing).
-	typedPlan := planString(typedEnv.Core().Graph())
-	untypedPlan := planString(untypedEnv.Graph())
+	typedPlan := planString(graphOf(typedEnv))
+	untypedPlan := planString(untypedGraph)
 	if typedPlan != untypedPlan {
 		t.Fatalf("plans differ:\ntyped:\n%s\nuntyped:\n%s", typedPlan, untypedPlan)
 	}
@@ -122,9 +163,9 @@ func TestTypedUntypedEquivalence(t *testing.T) {
 	}
 }
 
-// TestTypedUntypedCombinerParity asserts that the optimizer's combiner
-// insertion fires identically for typed and untyped reduce pipelines: same
-// plan (including the sum-combine node) and same sums.
+// TestTypedUntypedCombinerParity asserts that the typed reduce lowers to
+// the plan of a hand-built one with the combiner in front of the shuffle:
+// same plan (including the sum-combine node) and same sums.
 func TestTypedUntypedCombinerParity(t *testing.T) {
 	const n = 500
 
@@ -138,17 +179,20 @@ func TestTypedUntypedCombinerParity(t *testing.T) {
 	typedOut := streamline.Collect(sums, "out")
 	execute(t, typedEnv.Execute)
 
-	untypedEnv := core.NewEnvironment(core.WithParallelism(2), core.WithCombiner(core.CombinerOn))
-	untypedSink := untypedEnv.FromGenerator("gen", 1, n, func(sub, par int, i int64) dataflow.Record {
-		return dataflow.Data(i, 0, float64(i))
-	}).
-		KeyBy("key", func(r dataflow.Record) uint64 { return uint64(r.Value.(float64)) % 5 }).
-		ReduceByKey("sum", func(acc, v float64) float64 { return acc + v }, false).
-		Collect("out")
-	execute(t, untypedEnv.Execute)
+	sum := func(acc, v float64) float64 { return acc + v }
+	untypedGraph, untypedSink := handGraph(func(g *dataflow.Graph) *dataflow.Node {
+		src := handGen(g, "gen", 1, n, func(i int64) dataflow.Record { return dataflow.Data(i, 0, float64(i)) })
+		keyed := handKeyBy(g, src, "key", func(r dataflow.Record) uint64 { return uint64(r.Value.(float64)) % 5 })
+		comb := handForward(g, keyed, "sum-combine", func() dataflow.Operator {
+			return &dataflow.CombinerOp{F: sum, FlushEvery: 1024}
+		})
+		return g.AddOperator("sum", 2, func() dataflow.Operator { return &dataflow.KeyedReduceOp{F: sum} },
+			dataflow.Edge{From: comb, Part: dataflow.HashPartition})
+	})
+	runGraph(t, untypedGraph)
 
-	typedPlan := planString(typedEnv.Core().Graph())
-	untypedPlan := planString(untypedEnv.Graph())
+	typedPlan := planString(graphOf(typedEnv))
+	untypedPlan := planString(untypedGraph)
 	if typedPlan != untypedPlan {
 		t.Fatalf("plans differ:\ntyped:\n%s\nuntyped:\n%s", typedPlan, untypedPlan)
 	}
@@ -188,12 +232,65 @@ func TestBoundedUnboundedSamePlan(t *testing.T) {
 		win := streamline.WindowAggregate(keyed, "win",
 			streamline.Query(streamline.Tumbling(50), streamline.Avg()))
 		streamline.Sink(win, "out", func(streamline.Keyed[streamline.WindowResult]) {})
-		return planString(env.Core().Graph())
+		return planString(graphOf(env))
 	}
 	bounded := build(200)
 	unbounded := build(-1) // never executed; the plan is what matters
 	if bounded != unbounded {
 		t.Fatalf("bounded and unbounded plans differ:\nbounded:\n%s\nunbounded:\n%s", bounded, unbounded)
+	}
+}
+
+// TestStreamOfAnotherEnvRefused: a stream built on one Env and consumed on
+// another is a build error at Execute, naming both nodes. Before the graph
+// refused such an edge, the foreign source never ran and Execute waited on
+// it until the context ended.
+func TestStreamOfAnotherEnvRefused(t *testing.T) {
+	gen := streamline.Generator(10, func(sub, par int, i int64) streamline.Keyed[float64] {
+		return streamline.Keyed[float64]{Ts: i, Key: uint64(i), Value: 1}
+	})
+	for name, c := range map[string]struct {
+		build func(env, other *streamline.Env)
+		want  string
+	}{
+		"union": {func(env, other *streamline.Env) {
+			streamline.Collect(streamline.Union(streamline.From(env, "a", gen), "u", streamline.From(other, "b", gen)), "out")
+		}, `node "u" reads "b", a node of another graph`},
+		"join": {func(env, other *streamline.Env) {
+			key := func(v float64) uint64 { return uint64(v) }
+			left := streamline.KeyBy(streamline.From(env, "a", gen), "ka", key)
+			right := streamline.KeyBy(streamline.From(other, "b", gen), "kb", key)
+			streamline.Collect(streamline.JoinWindow(left, "j", right, 5), "out")
+		}, `node "j" reads "kb", a node of another graph`},
+	} {
+		t.Run(name, func(t *testing.T) {
+			env := streamline.New(streamline.WithParallelism(1))
+			c.build(env, streamline.New(streamline.WithParallelism(1)))
+			ctx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
+			defer cancel()
+			err := env.Execute(ctx)
+			if err == nil || ctx.Err() != nil || !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("Execute = %v (context: %v); want %q", err, ctx.Err(), c.want)
+			}
+		})
+	}
+}
+
+// TestUnionLowersInPlanOrder: Union lowers its other inputs' pending
+// stages before its first input's, the node order every plan built so far
+// has, so fingerprints of such plans do not move.
+func TestUnionLowersInPlanOrder(t *testing.T) {
+	env := streamline.New(streamline.WithParallelism(2))
+	gen := streamline.Generator(10, func(sub, par int, i int64) streamline.Keyed[float64] {
+		return streamline.Keyed[float64]{Ts: i, Value: float64(i)}
+	})
+	id := func(v float64) float64 { return v }
+	a := streamline.Map(streamline.From(env, "a", gen), "ma", id)
+	b := streamline.Map(streamline.From(env, "b", gen), "mb", id)
+	streamline.Collect(streamline.Union(a, "u", b), "out")
+	want := "a/p2\nb/p2\nmb/p2 <-forward- b\nma/p2 <-forward- a\nu/p2 <-rebalance- ma <-rebalance- mb\nout/p1 <-rebalance- u\n"
+	if got := planString(graphOf(env)); got != want {
+		t.Fatalf("plan:\n%s\nwant:\n%s", got, want)
 	}
 }
 
@@ -371,7 +468,7 @@ func TestBatchSizeIsPhysicalOnly(t *testing.T) {
 	}
 
 	refEnv, refOut := build()
-	refPlan := planString(refEnv.Core().Graph())
+	refPlan := planString(graphOf(refEnv))
 	execute(t, refEnv.Execute)
 	ref := map[resultKey]int{}
 	for _, k := range refOut.Records() {
@@ -391,7 +488,7 @@ func TestBatchSizeIsPhysicalOnly(t *testing.T) {
 	} {
 		t.Run(cfg.name, func(t *testing.T) {
 			env, out := build(cfg.opts...)
-			if plan := planString(env.Core().Graph()); plan != refPlan {
+			if plan := planString(graphOf(env)); plan != refPlan {
 				t.Fatalf("batch options changed the logical plan:\nref:\n%s\ngot:\n%s", refPlan, plan)
 			}
 			execute(t, env.Execute)

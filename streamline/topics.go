@@ -510,8 +510,7 @@ func (r *topicFollowReader[T]) Err() error {
 // holds within a checkpoint/restore lineage; a re-run from scratch appends
 // after the topic's existing records.
 func Persist[T any](s *Stream[T], store *TopicStore, topic string) {
-	s.noteConsumer()
-	s.lower().SinkOperator("persist("+topic+")", func() dataflow.Operator {
+	s.terminal("persist("+topic+")", func() dataflow.Operator {
 		return &persistOp{store: store.s, topic: topic}
 	})
 }

@@ -66,7 +66,7 @@ func TestTopicFollowBurstShipsInFullRuns(t *testing.T) {
 	reg := metrics.NewRegistry()
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
-	go func() { done <- dataflow.NewJob(env.Core().Graph(), dataflow.WithMetrics(reg)).Run(ctx) }()
+	go func() { done <- dataflow.NewJob(env.graph, dataflow.WithMetrics(reg)).Run(ctx) }()
 	defer func() {
 		cancel()
 		<-done
