@@ -43,6 +43,11 @@ const combinerSampleSize = 512
 
 var _ Operator = (*CombinerOp)(nil)
 
+// Config implements Configured.
+func (c *CombinerOp) Config() string {
+	return fmt.Sprintf("flush=%d adaptive=%v", c.FlushEvery, c.Adaptive)
+}
+
 // Open implements Operator.
 func (c *CombinerOp) Open(ctx *OpContext) error {
 	c.table = make(map[uint64]combEntry)

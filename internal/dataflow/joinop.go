@@ -56,6 +56,9 @@ type WindowJoinOp struct {
 	starts []int64               // OnWatermark's: a due key's closing windows
 }
 
+// Config implements Configured.
+func (j *WindowJoinOp) Config() string { return fmt.Sprintf("size=%d", j.Size) }
+
 // joinSides buffers one (key, window) bucket's values. The slices are
 // append-only between snapshots; structural changes go through the outer
 // map under GetMut.

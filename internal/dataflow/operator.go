@@ -221,6 +221,11 @@ type KeyedReduceOp struct {
 	refs []state.KeyRef[float64] // dense index -> resolved cell slot
 }
 
+// Config implements Configured.
+func (o *KeyedReduceOp) Config() string {
+	return fmt.Sprintf("init=%v emit-each=%v", o.Init, o.EmitEach)
+}
+
 var _ KeyedStateful = (*KeyedReduceOp)(nil)
 
 // Open implements Operator.

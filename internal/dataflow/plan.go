@@ -26,7 +26,7 @@ type PlanSpec struct {
 	Nodes        []NodeSpec
 }
 
-// NodeSpec mirrors one graph vertex.
+// NodeSpec mirrors one graph vertex; Config is empty but for Configured ones.
 type NodeSpec struct {
 	ID          int
 	Name        string
@@ -34,6 +34,14 @@ type NodeSpec struct {
 	Source      bool
 	Pinned      bool
 	In          []EdgeSpec
+	Config      string `json:",omitempty"`
+}
+
+// Configured is an operator whose settings decide what it computes. Config
+// renders them for the plan spec, so a participant whose operator is
+// configured otherwise than its coordinator's refuses the plan.
+type Configured interface {
+	Config() string
 }
 
 // EdgeSpec mirrors one incoming edge: the upstream node ID and the
@@ -43,9 +51,9 @@ type EdgeSpec struct {
 	Part uint8
 }
 
-// SpecOf extracts the structural spec of a graph. Chaining is part of the
-// physical plan (it decides which edges exist at runtime), so it is folded
-// into the spec rather than carried separately.
+// SpecOf extracts the spec of a graph (each operator instantiated once for
+// its Config). Chaining is part of the physical plan (it decides which edges
+// exist at runtime), so it is folded into the spec, not carried separately.
 func SpecOf(g *Graph, chaining bool) PlanSpec {
 	s := PlanSpec{
 		Name:         g.Name,
@@ -61,6 +69,11 @@ func SpecOf(g *Graph, chaining bool) PlanSpec {
 			Parallelism: n.Parallelism,
 			Source:      n.NewSource != nil,
 			Pinned:      n.Pinned,
+		}
+		if n.NewOperator != nil {
+			if c, ok := n.NewOperator().(Configured); ok {
+				ns.Config = c.Config()
+			}
 		}
 		for _, e := range n.In {
 			ns.In = append(ns.In, EdgeSpec{From: e.From.ID, Part: uint8(e.Part)})

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"strings"
 
 	"repro/internal/agg"
 	"repro/internal/cutty"
@@ -96,6 +97,15 @@ type WindowOp struct {
 	segLen []int32    // per dense key: element count in the run
 	segOff []int32    // per dense key: gather cursor (segment end after fill)
 	gather []bufEntry // run elements grouped by key, record order within a key
+}
+
+// Config implements Configured: each query's window and aggregate.
+func (w *WindowOp) Config() string {
+	var b strings.Builder
+	for _, q := range w.Queries {
+		fmt.Fprintf(&b, "%s(%d,%d,%s)/%s;", q.Spec.Name, q.Spec.Size, q.Spec.Slide, q.Spec.Args, q.Fn.Name)
+	}
+	return b.String()
 }
 
 // keyWindows is one key's window state while OnWatermark visits it: the key's

@@ -19,7 +19,7 @@
 // boundaries (Flush), so a reader below the visible size always sees whole,
 // valid frames. The fsync policy (Options.Fsync) decides when visible bytes
 // are forced to disk: never (OS decides; Sync and segment rolls still
-// sync), on every append, or at a bounded interval. Checkpoint-integrated
+// sync), on every append (once per AppendRun), or at a bounded interval. Checkpoint-integrated
 // sinks call Sync at every snapshot regardless, so a checkpointed
 // high-water offset is always durable.
 //
@@ -75,7 +75,7 @@ const (
 	// valid record), but checkpointed offsets stay durable because
 	// checkpoint sinks call Sync explicitly.
 	FsyncNever FsyncPolicy = iota
-	// FsyncAlways syncs after every append — no loss window, slowest.
+	// FsyncAlways syncs before each Append or AppendRun returns — slowest.
 	FsyncAlways
 	// FsyncInterval syncs when Options.FsyncEvery has elapsed since the
 	// last sync, bounding the loss window by time.
@@ -89,7 +89,7 @@ type Options struct {
 	// (<= 0 uses DefaultSegmentBytes).
 	SegmentBytes int64
 	// SegmentAge additionally rolls a non-empty active segment older than
-	// this (checked on append; 0 disables time-based roll).
+	// this (checked once per Append or AppendRun; 0 disables time-based roll).
 	SegmentAge time.Duration
 	// RetainBytes deletes the oldest sealed segments while the topic
 	// exceeds this total size (0 retains everything).

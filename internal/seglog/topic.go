@@ -36,7 +36,9 @@ type Topic struct {
 	lastIdxPos  int64 // position of the newest index entry (-1: none yet)
 	openedAt    time.Time
 	lastSync    time.Time
-	frame       []byte // append scratch
+	frame       []byte              // append scratch
+	idxF        *os.File            // the active segment's .idx, opened at its first entry
+	idxEntry    [idxEntryBytes]byte // index write scratch
 
 	// per-topic observability (the store's registry)
 	mAppB, mAppR   *metrics.Counter
@@ -131,8 +133,12 @@ func openTopic(s *Store, name string) (*Topic, error) {
 }
 
 // openWriter (re)opens the write handle on the active segment, positioned
-// at its valid end.
+// at its valid end, and closes the index handle it kept for the previous one
+// (the next index entry reopens the file).
 func (t *Topic) openWriter() error {
+	if err := t.closeIndexLocked(); err != nil {
+		return fmt.Errorf("seglog: topic %q: index: %w", t.name, err)
+	}
 	g := t.active()
 	f, err := os.OpenFile(g.path, os.O_WRONLY|os.O_CREATE, 0o644)
 	if err != nil {
@@ -158,14 +164,29 @@ func (t *Topic) active() *segment { return t.segs[len(t.segs)-1] }
 // Name returns the topic's name.
 func (t *Topic) Name() string { return t.name }
 
-// Append writes one record and returns its logical offset. The record
-// becomes durable according to the store's fsync policy; it becomes visible
-// to readers at the next Flush/Sync (or when the writer's buffer fills a
-// whole frame boundary behind a later append's flush).
+// Entry is one record of a run handed to AppendRun.
+type Entry struct {
+	Ts      int64
+	Key     uint64
+	Payload []byte
+}
+
+// Append writes one record and returns its logical offset: AppendRun with a
+// run of one.
 func (t *Topic) Append(ts int64, key uint64, payload []byte) (int64, error) {
-	if int64(len(payload)) > MaxRecordBytes {
-		return 0, fmt.Errorf("seglog: topic %q: payload of %d bytes exceeds %d", t.name, len(payload), MaxRecordBytes)
-	}
+	run := [1]Entry{{Ts: ts, Key: key, Payload: payload}}
+	return t.AppendRun(run[:])
+}
+
+// AppendRun writes a run of records in order under one lock and returns the
+// offset of its first. Frames, index entries and size-based rolls are placed
+// per record, as by one Append each. Durability and the time-based roll act
+// per run: SegmentAge is checked before the first record, the fsync policy
+// after the last (FsyncAlways syncs once, before AppendRun returns). Records
+// become visible to readers at the next Flush/Sync (or when the writer's
+// buffer fills a whole frame boundary behind a later append's flush). If
+// record k fails, records before k are appended and none after.
+func (t *Topic) AppendRun(run []Entry) (int64, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.closed {
@@ -178,61 +199,89 @@ func (t *Topic) Append(ts int64, key uint64, payload []byte) (int64, error) {
 			return 0, err
 		}
 	}
+	first := t.next
+	var bytes int64
+	var err error
+	for i := 0; i < len(run) && err == nil; i++ {
+		var n int64
+		n, err = t.appendLocked(&run[i])
+		bytes += n
+	}
+	if t.next == first {
+		return first, err
+	}
+	t.mAppR.Add(t.next - first)
+	t.mAppB.Add(bytes)
+	t.mRetB.Set(t.totalBytesLocked())
+	var serr error
+	switch t.opts.Fsync {
+	case FsyncAlways:
+		serr = t.syncLocked()
+	case FsyncInterval:
+		if time.Since(t.lastSync) >= t.opts.fsyncEvery() {
+			serr = t.syncLocked()
+		}
+	}
+	if err == nil {
+		err = serr
+	}
+	return first, err
+}
+
+// appendLocked writes one record's index entry (when due) and frame, and
+// rolls the segment when it is full. It returns the frame's size once the
+// frame is written.
+func (t *Topic) appendLocked(e *Entry) (int64, error) {
+	if int64(len(e.Payload)) > MaxRecordBytes {
+		return 0, fmt.Errorf("seglog: topic %q: payload of %d bytes exceeds %d", t.name, len(e.Payload), MaxRecordBytes)
+	}
 	g := t.active()
 	if t.lastIdxPos < 0 || t.size-t.lastIdxPos >= t.opts.indexEvery() {
 		g.idx = append(g.idx, indexEntry{Off: t.next, Pos: t.size})
 		t.lastIdxPos = t.size
-		var e8 [idxEntryBytes]byte
-		binary.LittleEndian.PutUint64(e8[0:8], uint64(t.next))
-		binary.LittleEndian.PutUint64(e8[8:16], uint64(t.size))
-		if err := appendFile(g.idxPath(), e8[:]); err != nil {
+		if err := t.writeIndexEntryLocked(g); err != nil {
 			return 0, fmt.Errorf("seglog: topic %q: index: %w", t.name, err)
 		}
 	}
-	t.frame = appendFrame(t.frame[:0], ts, key, payload)
+	t.frame = appendFrame(t.frame[:0], e.Ts, e.Key, e.Payload)
 	if _, err := t.w.Write(t.frame); err != nil {
 		return 0, fmt.Errorf("seglog: topic %q: %w", t.name, err)
 	}
-	off := t.next
+	n := int64(len(t.frame))
 	t.next++
-	t.size += int64(len(t.frame))
-	t.mAppR.Inc()
-	t.mAppB.Add(int64(len(t.frame)))
-	t.mRetB.Set(t.totalBytesLocked())
-	switch t.opts.Fsync {
-	case FsyncAlways:
-		if err := t.syncLocked(); err != nil {
-			return 0, err
-		}
-	case FsyncInterval:
-		if time.Since(t.lastSync) >= t.opts.fsyncEvery() {
-			if err := t.syncLocked(); err != nil {
-				return 0, err
-			}
-		}
-	}
+	t.size += n
 	if t.size >= t.opts.segmentBytes() {
-		if err := t.rollLocked(); err != nil {
-			return 0, err
-		}
+		return n, t.rollLocked()
 	}
-	return off, nil
+	return n, nil
 }
 
-// appendFile appends raw bytes to a file, creating it if needed. Index
-// writes go through here: they are tiny, rare (one per IndexEvery bytes of
-// frames) and advisory, so a plain O_APPEND write keeps the writer state
-// simple.
-func appendFile(path string, data []byte) error {
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_APPEND, 0o644)
-	if err != nil {
-		return err
+// writeIndexEntryLocked appends the active segment's newest index entry to
+// its .idx file, unbuffered: entries are tiny, rare (one per IndexEvery bytes
+// of frames) and advisory. The handle stays open until openWriter (a roll or
+// a truncation) or close.
+func (t *Topic) writeIndexEntryLocked(g *segment) error {
+	if t.idxF == nil {
+		f, err := os.OpenFile(g.idxPath(), os.O_WRONLY|os.O_CREATE|os.O_APPEND, 0o644)
+		if err != nil {
+			return err
+		}
+		t.idxF = f
 	}
-	_, werr := f.Write(data)
-	if cerr := f.Close(); werr == nil {
-		werr = cerr
+	e := g.idx[len(g.idx)-1]
+	binary.LittleEndian.PutUint64(t.idxEntry[0:8], uint64(e.Off))
+	binary.LittleEndian.PutUint64(t.idxEntry[8:16], uint64(e.Pos))
+	_, err := t.idxF.Write(t.idxEntry[:])
+	return err
+}
+
+func (t *Topic) closeIndexLocked() error {
+	if t.idxF == nil {
+		return nil
 	}
-	return werr
+	err := t.idxF.Close()
+	t.idxF = nil
+	return err
 }
 
 // flushLocked pushes buffered frames to the OS and advances the visible
@@ -531,6 +580,9 @@ func (t *Topic) close() error {
 	}
 	err := t.syncLocked()
 	if cerr := t.f.Close(); err == nil && cerr != nil {
+		err = cerr
+	}
+	if cerr := t.closeIndexLocked(); err == nil && cerr != nil {
 		err = cerr
 	}
 	t.closed = true

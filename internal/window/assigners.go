@@ -1,6 +1,9 @@
 package window
 
-import "math"
+import (
+	"fmt"
+	"math"
+)
 
 // Tumbling returns a spec for non-overlapping time windows of the given
 // size: [k*size, (k+1)*size).
@@ -110,6 +113,7 @@ func Session(gap int64) Spec {
 	}
 	return Spec{
 		Name:    "session",
+		Args:    fmt.Sprint(gap),
 		Factory: func() Assigner { return &sessionAssigner{gap: gap} },
 	}
 }
@@ -155,6 +159,7 @@ func CountTumbling(n int64) Spec {
 	}
 	return Spec{
 		Name:    "count",
+		Args:    fmt.Sprint(n),
 		Factory: func() Assigner { return &countAssigner{size: n, every: n} },
 	}
 }
@@ -167,6 +172,7 @@ func CountSliding(n, every int64) Spec {
 	}
 	return Spec{
 		Name:    "count-sliding",
+		Args:    fmt.Sprint(n, every),
 		Factory: func() Assigner { return &countAssigner{size: n, every: every} },
 	}
 }
@@ -253,6 +259,7 @@ func Delta(threshold float64) Spec {
 	}
 	return Spec{
 		Name:    "delta",
+		Args:    fmt.Sprint(threshold),
 		Factory: func() Assigner { return &deltaAssigner{threshold: threshold} },
 	}
 }
@@ -295,6 +302,7 @@ func SessionWithMaxDuration(gap, maxDur int64) Spec {
 	}
 	return Spec{
 		Name:    "session-maxdur",
+		Args:    fmt.Sprint(gap, maxDur),
 		Factory: func() Assigner { return &sessionMaxAssigner{gap: gap, maxDur: maxDur} },
 	}
 }

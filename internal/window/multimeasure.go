@@ -2,6 +2,7 @@ package window
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math"
 
 	"repro/internal/state"
@@ -20,6 +21,7 @@ func TimeOrCount(maxDur, maxCount int64) Spec {
 	}
 	return Spec{
 		Name:    "time-or-count",
+		Args:    fmt.Sprint(maxDur, maxCount),
 		Factory: func() Assigner { return &timeOrCountAssigner{maxDur: maxDur, maxCount: maxCount} },
 	}
 }

@@ -92,6 +92,10 @@ type Spec struct {
 	// tumbling); zero otherwise.
 	Size  int64
 	Slide int64
+	// Args are the constructor's other arguments as fmt.Sprint prints them
+	// (a session's gap, a count window's length), so that two specs built
+	// with different arguments are told apart by the plan fingerprint.
+	Args string
 }
 
 // IsPeriodic reports whether the spec describes a periodic time window.

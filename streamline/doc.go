@@ -98,7 +98,7 @@
 // topic already holds.
 //
 // Payloads are JSON, at rest and on the way back in: Persist writes each
-// element with json.Marshal, and Topic and JSONL decode a document into T
+// element as json.Marshal's bytes, and Topic and JSONL decode a document into T
 // with the semantics of json.Unmarshal into a zero T — for every T, every
 // payload and every error, whoever wrote the bytes (tags, case-insensitive
 // key matching, unknown keys, null, escapes and duplicate keys included).
@@ -114,8 +114,12 @@
 // pointer, slice, map, array or interface, is embedded, carries a ",string"
 // or "-" tag or a tag name outside plain ASCII, has two fields whose names
 // differ only by case, or implements json.Unmarshaler or
-// encoding.TextUnmarshaler (time.Time does). There is nothing to configure:
-// the choice follows from the type and from each document's bytes.
+// encoding.TextUnmarshaler (time.Time does). Persist runs the same list the
+// other way for those types, minus any json.Marshaler or
+// encoding.TextMarshaler, omitempty or omitzero tag, or name with '<', '>' or
+// '&'; json.Marshal writes every other type, and a value that needs escaping
+// or is a NaN or infinite float (an error there). There is nothing to
+// configure: the choice follows from the type and from each value or document.
 //
 // Custom connectors implement Source[T]/Reader[T] directly: Next reports
 // elements plus a ReadStatus (data, watermark, idle, end, handoff), and

@@ -11,16 +11,18 @@ import (
 	"unsafe"
 )
 
-// The at-rest decode: Topic and JSONL payloads are JSON documents decoded
-// into T. encoding/json is the definition of that decode — and, per record,
-// a reflective walk with a validating pre-scan and a heap-allocated target.
-// For the payload types the engine actually replays (flat structs of numbers
-// and strings) jsonDecoder compiles the walk once per T into a plan: a list
-// of (json name, field offset, kind). The plan decodes the payloads it can
-// reproduce bit for bit and refuses every other one, which then takes
-// json.Unmarshal on a fresh zero T — so results and errors are
-// encoding/json's by construction, for every T and every payload. All of the
-// package's unsafe lives in this file.
+// The at-rest payload: Topic and JSONL decode JSON documents into T, and
+// Persist writes them. encoding/json is the definition of both directions —
+// and, per record, a reflective walk (with, to decode, a validating pre-scan
+// and a heap-allocated target). For the payload types the engine actually
+// replays (flat structs of numbers and strings) the walk is compiled once
+// per T into a plan: a list of (json name, field offset, kind). The plan
+// decodes the payloads it can reproduce bit for bit and refuses every other
+// one, which then takes json.Unmarshal on a fresh zero T; it encodes the
+// values whose json.Marshal bytes it can reproduce and hands every other
+// one to json.Marshal. So results and errors are encoding/json's by
+// construction, for every T, payload and value. All of the package's unsafe
+// lives in this file.
 
 // jsonDecoder decodes JSON payloads into T. The zero value always takes
 // encoding/json; newJSONDecoder adds the plan when T has one.
@@ -47,6 +49,30 @@ func (d jsonDecoder[T]) decode(data []byte) (T, error) {
 	return v, err
 }
 
+// newJSONEncoder returns Persist's encode for T: it appends json.Marshal(v)'s
+// bytes to b, through the plan when T has one that encodes, or returns b as
+// it was with encoding/json's error. v must hold a T.
+func newJSONEncoder[T any]() func(b []byte, v any) ([]byte, error) {
+	plan := compileJSONPlan(reflect.TypeFor[T]())
+	if plan != nil && plan.decodeOnly {
+		plan = nil
+	}
+	return func(b []byte, v any) ([]byte, error) {
+		if plan != nil {
+			t := v.(T)
+			if out, ok := plan.encode(b, unsafe.Pointer(&t)); ok {
+				return out, nil
+			}
+			// The refused attempt may have appended some bytes: start over.
+		}
+		data, err := json.Marshal(v)
+		if err != nil {
+			return b, err
+		}
+		return append(b, data...), nil
+	}
+}
+
 type jsonKind uint8
 
 const (
@@ -66,12 +92,18 @@ type jsonPlan struct {
 	kind   jsonKind
 	bits   uint8      // width of an int, uint or float
 	fields []jsonPlan // kind == jsonStruct
+	key    string     // `"name":`, as encoding/json writes the key
+	// decodeOnly: json.Marshal writes this type or a field's through a
+	// Marshaler, or omits an empty field, or escapes a name.
+	decodeOnly bool
 }
 
 var (
 	jsonUnmarshalerType = reflect.TypeFor[json.Unmarshaler]()
 	textUnmarshalerType = reflect.TypeFor[encoding.TextUnmarshaler]()
 	jsonNumberType      = reflect.TypeFor[json.Number]()
+	jsonMarshalerType   = reflect.TypeFor[json.Marshaler]()
+	textMarshalerType   = reflect.TypeFor[encoding.TextMarshaler]()
 )
 
 // compileJSONPlan returns the plan for t, or nil when decoding t needs
@@ -92,6 +124,7 @@ func (p *jsonPlan) compile(t reflect.Type) bool {
 	if pt.Implements(jsonUnmarshalerType) || pt.Implements(textUnmarshalerType) || t == jsonNumberType {
 		return false
 	}
+	p.decodeOnly = pt.Implements(jsonMarshalerType) || pt.Implements(textMarshalerType)
 	switch t.Kind() {
 	case reflect.Bool:
 		p.kind = jsonBool
@@ -114,13 +147,14 @@ func (p *jsonPlan) compile(t reflect.Type) bool {
 			if !sf.IsExported() {
 				continue // encoding/json never sees it
 			}
-			name, ok := jsonFieldName(sf)
+			name, omit, ok := jsonFieldName(sf)
 			fold := strings.ToLower(name)
-			f := jsonPlan{name: name, offset: sf.Offset}
+			f := jsonPlan{name: name, offset: sf.Offset, key: `"` + name + `":`}
 			if !ok || folded[fold] || !f.compile(sf.Type) {
 				return false
 			}
 			folded[fold] = true
+			p.decodeOnly = p.decodeOnly || f.decodeOnly || omit || strings.ContainsAny(name, "<>&")
 			p.fields = append(p.fields, f)
 		}
 	default:
@@ -129,24 +163,26 @@ func (p *jsonPlan) compile(t reflect.Type) bool {
 	return true
 }
 
-// jsonFieldName returns the object key encoding/json uses for sf, or false
-// when the tag asks for anything but a plain name: "-", the ",string" (or an
-// unknown) option, or a name outside the ASCII set that needs neither
-// escaping in a payload nor Unicode case folding to match.
-func jsonFieldName(sf reflect.StructField) (string, bool) {
+// jsonFieldName returns the object key encoding/json uses for sf and
+// whether the tag omits the field when empty, or false when the tag asks for
+// anything but a plain name: "-", the ",string" (or an unknown) option, or a
+// name outside the ASCII set that needs neither JSON escaping in a payload
+// nor Unicode case folding to match.
+func jsonFieldName(sf reflect.StructField) (name string, omit, ok bool) {
 	name, opts, _ := strings.Cut(sf.Tag.Get("json"), ",")
 	for opts != "" {
 		var o string
 		o, opts, _ = strings.Cut(opts, ",")
 		if o != "omitempty" && o != "omitzero" {
-			return "", false
+			return "", false, false
 		}
+		omit = true
 	}
 	if name == "" {
 		name = sf.Name
 	}
 	if name == "-" {
-		return "", false
+		return "", false, false
 	}
 	for i := 0; i < len(name); i++ {
 		c := name[i]
@@ -154,10 +190,10 @@ func jsonFieldName(sf reflect.StructField) (string, bool) {
 		case 'a' <= c && c <= 'z', 'A' <= c && c <= 'Z', '0' <= c && c <= '9':
 		case strings.IndexByte("!#$%&()*+-./:;<=>?@[]^_{|}~ ", c) >= 0:
 		default:
-			return "", false
+			return "", false, false
 		}
 	}
-	return name, true
+	return name, omit, true
 }
 
 // decode parses data as exactly one value of the plan's shape into dst,
@@ -349,4 +385,98 @@ func scanJSONNumber(data []byte, i int) int {
 		}
 	}
 	return end
+}
+
+// encode appends the JSON encoding of the value at src, which must be of the
+// plan's type, to b: json.Marshal's bytes. False means the value is one the
+// plan does not reproduce — a NaN or infinite float (an error there) or a
+// string encoding/json escapes; the returned bytes are then garbage.
+func (p *jsonPlan) encode(b []byte, src unsafe.Pointer) ([]byte, bool) {
+	switch p.kind {
+	case jsonStruct:
+		b = append(b, '{')
+		for i := range p.fields {
+			f := &p.fields[i]
+			if i > 0 {
+				b = append(b, ',')
+			}
+			var ok bool
+			if b, ok = f.encode(append(b, f.key...), unsafe.Add(src, f.offset)); !ok {
+				return b, false
+			}
+		}
+		return append(b, '}'), true
+	case jsonString:
+		s := *(*string)(src)
+		if !plainJSONString(s) {
+			return b, false
+		}
+		return append(append(append(b, '"'), s...), '"'), true
+	case jsonBool:
+		return strconv.AppendBool(b, *(*bool)(src)), true
+	}
+	var word uint64 // the value's bits, in the low p.bits
+	switch p.bits {
+	case 8:
+		word = uint64(*(*uint8)(src))
+	case 16:
+		word = uint64(*(*uint16)(src))
+	case 32:
+		word = uint64(*(*uint32)(src))
+	default:
+		word = *(*uint64)(src)
+	}
+	switch p.kind {
+	case jsonInt:
+		shift := 64 - p.bits
+		return strconv.AppendInt(b, int64(word<<shift)>>shift, 10), true
+	case jsonUint:
+		return strconv.AppendUint(b, word, 10), true
+	}
+	f := math.Float64frombits(word)
+	if p.bits == 32 {
+		f = float64(math.Float32frombits(uint32(word)))
+	}
+	if math.IsNaN(f) || math.IsInf(f, 0) {
+		return b, false
+	}
+	// An integer below 2^24 (2^53 at 64 bits), -0 aside, is its own
+	// shortest %f form, which strconv's integer path writes faster.
+	abs, format := math.Abs(f), byte('f')
+	if n := int64(f); float64(n) == f && (n != 0 || !math.Signbit(f)) && (abs < 1<<24 || p.bits == 64 && abs < 1<<53) {
+		return strconv.AppendInt(b, n, 10), true
+	}
+	// Otherwise encoding/json's format switch: %f, or %e outside
+	// [1e-6, 1e21) as compared at the field's width, with a one-digit
+	// negative exponent unpadded.
+	if abs != 0 && (p.bits == 64 && (abs < 1e-6 || abs >= 1e21) || p.bits == 32 && (float32(abs) < 1e-6 || float32(abs) >= 1e21)) {
+		format = 'e'
+	}
+	b = strconv.AppendFloat(b, f, format, -1, int(p.bits))
+	if n := len(b); format == 'e' && n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+		b[n-2] = b[n-1]
+		b = b[:n-1]
+	}
+	return b, true
+}
+
+// plainJSONString reports whether encoding/json writes s as its own bytes
+// between quotes: valid UTF-8 with no control byte, quote, backslash, '<',
+// '>' or '&', and neither U+2028 nor U+2029.
+func plainJSONString(s string) bool {
+	for i := 0; i < len(s); {
+		if c := s[i]; c < utf8.RuneSelf {
+			if c < ' ' || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+				return false
+			}
+			i++
+			continue
+		}
+		r, size := utf8.DecodeRuneInString(s[i:])
+		if r == utf8.RuneError && size == 1 || r == '\u2028' || r == '\u2029' {
+			return false
+		}
+		i += size
+	}
+	return true
 }

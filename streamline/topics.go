@@ -2,7 +2,6 @@ package streamline
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"sync/atomic"
 	"time"
@@ -500,28 +499,33 @@ func (r *topicFollowReader[T]) Err() error {
 // ---- persist sink ----------------------------------------------------------
 
 // Persist terminates the stream into a segment-log topic: every record is
-// appended as one JSON document (json.Marshal of the element) with its event
+// appended as one JSON document, json.Marshal's bytes for the element (see
+// the package doc for the types that skip reflection), with its event
 // timestamp and key, replayable later with Topic or by anything that reads
-// JSON. The sink runs at parallelism 1 (one writer per topic)
-// and participates in checkpointing: each snapshot syncs the topic and
-// records its high-water offset, and a restore truncates the topic back to
-// that offset before appending — records written after the checkpoint are
-// not duplicated (the no-double-append contract). Exactly-once therefore
-// holds within a checkpoint/restore lineage; a re-run from scratch appends
-// after the topic's existing records.
+// JSON. The sink runs at parallelism 1 (one writer per topic), appends each
+// run under one topic lock, and participates in checkpointing: each
+// snapshot syncs the topic and records its high-water offset, and a restore
+// truncates the topic back to that offset before appending — records
+// written after the checkpoint are not duplicated (the no-double-append
+// contract). Exactly-once therefore holds within a checkpoint/restore
+// lineage; a re-run from scratch appends after the topic's existing records.
 func Persist[T any](s *Stream[T], store *TopicStore, topic string) {
+	encode := newJSONEncoder[T]()
 	s.terminal("persist("+topic+")", func() dataflow.Operator {
-		return &persistOp{store: store.s, topic: topic}
+		return &persistOp{store: store.s, topic: topic, encode: encode}
 	})
 }
 
 // persistOp is the stateful sink operator behind Persist.
 type persistOp struct {
 	dataflow.Base
-	store *seglog.Store
-	topic string
-	t     *seglog.Topic
-	err   error
+	store  *seglog.Store
+	topic  string
+	encode func(b []byte, v any) ([]byte, error) // appends v's payload
+	t      *seglog.Topic
+	buf    []byte         // the run's payloads, reused
+	run    []seglog.Entry // the run, reused; payloads alias buf
+	err    error
 }
 
 func (p *persistOp) Open(ctx *dataflow.OpContext) error {
@@ -544,22 +548,31 @@ func (p *persistOp) Open(ctx *dataflow.OpContext) error {
 	return nil
 }
 
-// OnBatch appends the run in order. After the first failure nothing more is
-// written: the topic must not hold records past a gap.
+// OnBatch encodes the run, then appends it in order. When record k fails to
+// encode, records before k are appended and nothing more is written: the
+// topic must not hold records past a gap.
 func (p *persistOp) OnBatch(b []dataflow.Record, _ dataflow.Collector) []dataflow.Record {
-	for i := 0; i < len(b) && p.err == nil; i++ {
-		p.err = p.append(b[i])
+	if p.err != nil {
+		return nil
 	}
-	return nil
-}
-
-func (p *persistOp) append(r dataflow.Record) error {
-	data, err := json.Marshal(r.Value)
-	if err != nil {
-		return fmt.Errorf("persist %q: encode: %w", p.topic, err)
+	p.buf, p.run = p.buf[:0], p.run[:0]
+	var encErr error
+	for _, r := range b {
+		start := len(p.buf)
+		if p.buf, encErr = p.encode(p.buf, r.Value); encErr != nil {
+			encErr = fmt.Errorf("persist %q: encode: %w", p.topic, encErr)
+			break
+		}
+		// A slice of an outgrown buffer keeps its bytes: append copies.
+		p.run = append(p.run, seglog.Entry{Ts: r.Ts, Key: r.Key, Payload: p.buf[start:]})
 	}
-	if _, err := p.t.Append(r.Ts, r.Key, data); err != nil {
-		return fmt.Errorf("persist %q: %w", p.topic, err)
+	if len(p.run) > 0 {
+		if _, err := p.t.AppendRun(p.run); err != nil {
+			p.err = fmt.Errorf("persist %q: %w", p.topic, err)
+		}
+	}
+	if p.err == nil {
+		p.err = encErr
 	}
 	return nil
 }

@@ -603,6 +603,36 @@ func BenchmarkTopicNext(b *testing.B) {
 	reportPerRecord(b)
 }
 
+// BenchmarkPersist is the write side of BenchmarkTopicNext: a Persist job
+// appends the same event-shaped records to a fresh topic — payload encode
+// plus segment-log append, per record.
+func BenchmarkPersist(b *testing.B) {
+	store := openTopicStore(b)
+	events := mkEvents(benchRecords, 1_700_000_000_000)
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		env := streamline.New(streamline.WithParallelism(1))
+		src := streamline.From(env, "events", streamline.Slice(events),
+			streamline.WithSourceParallelism(1),
+			streamline.WithTimestamps(func(e event) int64 { return e.TsMs }))
+		topic := fmt.Sprintf("events-%d", i)
+		streamline.Persist(src, store, topic)
+		if err := env.Execute(ctx); err != nil {
+			b.Fatal(err)
+		}
+		tp, err := store.Store().Topic(topic)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if n := tp.NextOffset(); n != benchRecords {
+			b.Fatalf("topic %s holds %d records, want %d", topic, n, benchRecords)
+		}
+	}
+	reportPerRecord(b)
+}
+
 // BenchmarkJSONLNext is the same drain over a JSONL file: line scan plus
 // payload decode.
 func BenchmarkJSONLNext(b *testing.B) {
