@@ -114,12 +114,12 @@
 // pointer, slice, map, array or interface, is embedded, carries a ",string"
 // or "-" tag or a tag name outside plain ASCII, has two fields whose names
 // differ only by case, or implements json.Unmarshaler or
-// encoding.TextUnmarshaler (time.Time does). Persist runs the same list the
-// other way for those types, minus any json.Marshaler or
-// encoding.TextMarshaler, omitempty or omitzero tag, or name with '<', '>' or
-// '&'; json.Marshal writes every other type, and a value that needs escaping
-// or is a NaN or infinite float (an error there). There is nothing to
-// configure: the choice follows from the type and from each value or document.
+// encoding.TextUnmarshaler (time.Time does). Persist's encode runs the
+// compiled list the other way for the same types, less a json.Marshaler or
+// encoding.TextMarshaler, an omitempty or omitzero tag, or a name with '<',
+// '>' or '&'; json.Marshal writes every other type, and any value that needs
+// escaping or is a NaN or infinite float (an error there). There is nothing
+// to configure: the choice follows from the type and each value or document.
 //
 // Custom connectors implement Source[T]/Reader[T] directly: Next reports
 // elements plus a ReadStatus (data, watermark, idle, end, handoff), and
