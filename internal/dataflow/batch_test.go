@@ -5,9 +5,11 @@ import (
 	"math"
 	gort "runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/state"
 )
 
@@ -90,17 +92,19 @@ func TestExchangeOrderingPreservedUnderBatching(t *testing.T) {
 	}
 }
 
-// TestEarlyFlushCrossesOperators runs a slow unbounded source through a
+// TestEarlyFlushCrossesOperators runs a paced unbounded source through a
 // Rebalance into an unchained map, and on through a hash exchange into the
 // sink, with a batch size nothing fills and no watermarks. A record reaches
 // the sink only by early flushes: the source's before each Next that waits,
 // then the map's once the source's flush marker reaches it. Without the
-// map's, every record would sit in its staging buffer for good.
+// map's, every record would sit in its staging buffer for good. The job's
+// clock is manual and moves one pacing step whenever the source waits.
 func TestEarlyFlushCrossesOperators(t *testing.T) {
+	const want, perSec = 20, 400
 	g := NewGraph("early")
 	g.BatchSize = 1 << 20
 	src := g.AddSource("src", 1, func(sub, par int) SourceFunc {
-		return &PacedSource{PerSec: 400, Inner: &GenSource{
+		return &PacedSource{PerSec: perSec, Inner: &GenSource{
 			N: -1, WatermarkEvery: 1 << 40,
 			Gen: func(i int64) Record { return Data(i, uint64(i), float64(i)) },
 		}}
@@ -108,9 +112,10 @@ func TestEarlyFlushCrossesOperators(t *testing.T) {
 	m := g.AddOperator("map", 1, func() Operator {
 		return &MapOp{F: func(r Record) Record { return r }}
 	}, Edge{From: src, Part: Rebalance})
-	sink := &CollectSink{}
-	g.AddOperator("sink", 1, sink.Factory(), Edge{From: m, Part: HashPartition})
-	awaitSink(t, g, sink, 20)
+	sink, all := countingSink(want)
+	g.AddOperator("sink", 1, sink, Edge{From: m, Part: HashPartition})
+	clk := clock.NewManual(time.Unix(0, 0))
+	clk.Drive(time.Second/perSec, func() { awaitSink(t, g, all, WithClock(clk)) })
 }
 
 // TestEarlyFlushAfterFullBatch is the case where the batch the source ships
@@ -130,13 +135,13 @@ func TestEarlyFlushAfterFullBatch(t *testing.T) {
 	m := g.AddOperator("map", 1, func() Operator {
 		return &MapOp{F: func(r Record) Record { return r }}
 	}, Edge{From: src, Part: Rebalance})
-	sink := &CollectSink{}
-	g.AddOperator("sink", 2, sink.Factory(), Edge{From: m, Part: HashPartition})
-	awaitSink(t, g, sink, batch)
+	sink, all := countingSink(batch)
+	g.AddOperator("sink", 2, sink, Edge{From: m, Part: HashPartition})
+	awaitSink(t, g, all)
 }
 
 // stallAfterSource emits n records without waiting, then idles for good:
-// every later Next may wait, sleeps a millisecond and returns the same
+// every later Next may wait, yields the processor and returns the same
 // watermark floor, as a caught-up reader does.
 type stallAfterSource struct{ n, i int64 }
 
@@ -145,7 +150,7 @@ func (s *stallAfterSource) Next() (Record, bool) {
 		s.i++
 		return Data(s.i, uint64(s.i), float64(s.i)), true
 	}
-	time.Sleep(time.Millisecond)
+	gort.Gosched()
 	return Watermark(math.MinInt64), true
 }
 
@@ -153,23 +158,35 @@ func (s *stallAfterSource) MayWait() bool             { return s.i >= s.n }
 func (s *stallAfterSource) Snapshot() ([]byte, error) { return nil, nil }
 func (s *stallAfterSource) Restore([]byte) error      { return nil }
 
-// awaitSink runs g until sink holds want records, failing the test if they
-// have not all arrived within 5 s; the job is cancelled either way.
-func awaitSink(t *testing.T, g *Graph, sink *CollectSink, want int) {
+// countingSink returns a sink whose subtasks count the records they receive
+// together, and a channel closed once want have arrived.
+func countingSink(want int64) (OperatorFactory, <-chan struct{}) {
+	var n atomic.Int64
+	all := make(chan struct{})
+	return func() Operator {
+		return &FuncSink{F: func(Record) {
+			if n.Add(1) == want {
+				close(all)
+			}
+		}}
+	}, all
+}
+
+// awaitSink runs g until all is closed, failing the test if that has not
+// happened within 5 s; the job is cancelled either way.
+func awaitSink(t *testing.T, g *Graph, all <-chan struct{}, opts ...JobOption) {
 	t.Helper()
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
-	go func() { done <- NewJob(g).Run(ctx) }()
+	go func() { done <- NewJob(g, opts...).Run(ctx) }()
 	defer func() {
 		cancel()
 		<-done
 	}()
-	deadline := time.Now().Add(5 * time.Second)
-	for len(sink.Records()) < want {
-		if time.Now().After(deadline) {
-			t.Fatalf("sink saw %d records in 5s, want %d: an early flush stopped short of the sink", len(sink.Records()), want)
-		}
-		time.Sleep(5 * time.Millisecond)
+	select {
+	case <-all:
+	case <-time.After(5 * time.Second):
+		t.Fatalf("the sink did not see every record within 5s: an early flush stopped short of it")
 	}
 }
 
@@ -264,7 +281,7 @@ func TestNoGoroutineLeakAfterCancelledCheckpointingJob(t *testing.T) {
 
 // TestCancelStopsGatheringSource: a source that never waits and never ends
 // polls for cancellation once per run, so the job is gone well within 100ms
-// of cancel().
+// of cancel(), which comes once the sink has seen a thousand records.
 func TestCancelStopsGatheringSource(t *testing.T) {
 	g := NewGraph("cancel")
 	src := g.AddSource("src", 2, func(sub, par int) SourceFunc {
@@ -273,11 +290,12 @@ func TestCancelStopsGatheringSource(t *testing.T) {
 	m := g.AddOperator("map", 2, func() Operator {
 		return &MapOp{F: func(r Record) Record { return r }}
 	}, Edge{From: src, Part: Forward})
-	g.AddOperator("sink", 2, func() Operator { return &FuncSink{F: func(Record) {}} }, Edge{From: m, Part: HashPartition})
+	sink, running := countingSink(1000)
+	g.AddOperator("sink", 2, sink, Edge{From: m, Part: HashPartition})
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() { done <- NewJob(g).Run(ctx) }()
-	time.Sleep(50 * time.Millisecond)
+	<-running
 	cancel()
 	cancelled := time.Now()
 	select {

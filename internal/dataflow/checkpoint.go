@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/metrics"
 	"repro/internal/state"
 )
@@ -36,14 +37,16 @@ type Checkpoints struct {
 	next      int64
 	pending   *state.Snapshot // the checkpoint in flight, nil when none is
 	got       map[state.SubtaskKey]bool
+	clk       clock.Clock
 	began     time.Time
 	completed atomic.Int64
 }
 
 // NewCheckpoints returns the checkpoint coordinator of g's job, persisting to
-// backend and reporting into reg unless it is nil. Ids start at 1.
-func NewCheckpoints(g *Graph, backend state.Backend, reg *metrics.Registry) *Checkpoints {
-	return &Checkpoints{backend: backend, reg: reg, need: g.totalSubtasks(), numGroups: g.numKeyGroups(), next: 1}
+// backend, reporting into reg unless it is nil and timing checkpoints on clk
+// (nil: clock.Real). Ids start at 1.
+func NewCheckpoints(g *Graph, backend state.Backend, reg *metrics.Registry, clk clock.Clock) *Checkpoints {
+	return &Checkpoints{backend: backend, reg: reg, clk: clock.Or(clk), need: g.totalSubtasks(), numGroups: g.numKeyGroups(), next: 1}
 }
 
 // Resume starts a run from restore (nil: from scratch): the next checkpoint
@@ -64,7 +67,7 @@ func (c *Checkpoints) Begin() (int64, bool) {
 	c.pending = state.NewSnapshot(c.next)
 	c.pending.NumKeyGroups = c.numGroups
 	c.got = make(map[state.SubtaskKey]bool, c.need)
-	c.began = time.Now()
+	c.began = c.clk.Now()
 	c.next++
 	return c.pending.CheckpointID, true
 }
@@ -91,7 +94,7 @@ func (c *Checkpoints) Offer(a Ack) error {
 	c.completed.Add(1)
 	if c.reg != nil {
 		c.reg.Counter("job.checkpoints").Inc()
-		c.reg.Histogram("job.checkpoint_nanos").Observe(time.Since(c.began).Nanoseconds())
+		c.reg.Histogram("job.checkpoint_nanos").Observe(c.clk.Now().Sub(c.began).Nanoseconds())
 	}
 	return nil
 }

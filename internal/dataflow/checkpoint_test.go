@@ -6,6 +6,8 @@ import (
 	"time"
 
 	"repro/internal/agg"
+	"repro/internal/clock"
+	"repro/internal/metrics"
 	"repro/internal/state"
 	"repro/internal/window"
 )
@@ -258,7 +260,7 @@ func TestCheckpointsDropStaleAndDuplicateAcks(t *testing.T) {
 	g.NumKeyGroups = 8
 	src := g.AddSource("src", 2, SliceSource(nil))
 	backend := state.NewMemoryBackend(0)
-	c := NewCheckpoints(g, backend, nil)
+	c := NewCheckpoints(g, backend, nil, nil)
 	c.Resume(&state.Snapshot{CheckpointID: 4})
 	keyA := state.SubtaskKey{OperatorID: src.ID, Subtask: 0}
 	keyB := state.SubtaskKey{OperatorID: src.ID, Subtask: 1}
@@ -324,5 +326,38 @@ func TestCheckpointsDropStaleAndDuplicateAcks(t *testing.T) {
 	}
 	if snap, _ := backend.Load(5); string(snap.Get(keyB)) != "b" {
 		t.Fatal("a late ack must not touch the persisted snapshot")
+	}
+}
+
+// TestCheckpointDurationIsClockTime: job.checkpoint_nanos observes exactly
+// the clock time from Begin to the ack that completes the checkpoint —
+// neither the first ack nor anything after the last counts.
+func TestCheckpointDurationIsClockTime(t *testing.T) {
+	g := NewGraph("duration")
+	src := g.AddSource("src", 2, SliceSource(nil))
+	clk := clock.NewManual(time.Unix(0, 0))
+	reg := metrics.NewRegistry()
+	c := NewCheckpoints(g, state.NewMemoryBackend(0), reg, clk)
+	c.Resume(nil)
+	h := reg.Histogram("job.checkpoint_nanos")
+	for i, d := range []time.Duration{40*time.Millisecond + 7, 3 * time.Second} {
+		clk.Advance(time.Hour) // between checkpoints: not counted
+		id, ok := c.Begin()
+		if !ok {
+			t.Fatalf("checkpoint %d did not begin", i+1)
+		}
+		clk.Advance(d / 2)
+		for sub := 0; sub < 2; sub++ {
+			if err := c.Offer(Ack{Ckpt: id, Key: state.SubtaskKey{OperatorID: src.ID, Subtask: sub}}); err != nil {
+				t.Fatal(err)
+			}
+			clk.Advance(d - d/2)
+		}
+		if h.Count() != int64(i+1) || h.Max() != int64(d) {
+			t.Fatalf("checkpoint %d took %v of clock time, histogram reads count %d max %v", i+1, d, h.Count(), time.Duration(h.Max()))
+		}
+	}
+	if h.Min() != int64(40*time.Millisecond+7) {
+		t.Fatalf("first checkpoint recorded as %v, want 40.000000007ms", time.Duration(h.Min()))
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/metrics"
 	"repro/internal/state"
 )
@@ -23,6 +24,7 @@ type Job struct {
 	chaining bool
 	reg      *metrics.Registry
 	ckpts    *Checkpoints
+	clk      clock.Clock
 }
 
 // JobOption configures a Job.
@@ -63,6 +65,13 @@ func WithMetrics(reg *metrics.Registry) JobOption {
 	return func(j *Job) { j.reg = reg }
 }
 
+// WithClock sets the clock of the job's control plane: the checkpoint
+// interval and its duration, and (OpContext.Clock) its sources' idle polls,
+// back-offs and pacing. Nil or unset means clock.Real.
+func WithClock(c clock.Clock) JobOption {
+	return func(j *Job) { j.clk = c }
+}
+
 // nodeMetrics caches a node's instruments so the hot path avoids registry
 // lookups.
 type nodeMetrics struct {
@@ -87,7 +96,8 @@ func NewJob(g *Graph, opts ...JobOption) *Job {
 	for _, o := range opts {
 		o(j)
 	}
-	j.ckpts = NewCheckpoints(g, j.backend, j.reg)
+	j.clk = clock.Or(j.clk)
+	j.ckpts = NewCheckpoints(g, j.backend, j.reg, j.clk)
 	return j
 }
 
@@ -245,13 +255,13 @@ func (j *Job) Run(ctx context.Context) error {
 // with it, and it offers every ack to the job's Checkpoints.
 func (j *Job) coordinate(ctx context.Context, triggers chan<- int64, acks <-chan Ack) error {
 	j.ckpts.Resume(j.restore)
-	ticker := time.NewTicker(j.interval)
+	ticker := j.clk.NewTicker(j.interval)
 	defer ticker.Stop()
 	for {
 		select {
 		case <-ctx.Done():
 			return nil
-		case <-ticker.C:
+		case <-ticker.C():
 			if id, ok := j.ckpts.Begin(); ok {
 				select {
 				case triggers <- id:
@@ -476,7 +486,7 @@ func (j *Job) run(ctx context.Context, part *Participation) error {
 					Parallelism: cn.Parallelism, NumKeyGroups: numGroups,
 					Metrics: j.reg, Restore: restoreBlob(cn, s),
 					RestoreGroups: restoreGroups(cn, s),
-					LocalSubtasks: locals,
+					LocalSubtasks: locals, Clock: j.clk,
 				}); err != nil {
 					launchErr = fmt.Errorf("open %q/%d: %w", cn.Name, s, err)
 					break
@@ -494,7 +504,7 @@ func (j *Job) run(ctx context.Context, part *Participation) error {
 					so.OpenSource(&OpContext{
 						NodeID: n.ID, NodeName: n.Name, Subtask: s,
 						Parallelism: n.Parallelism, NumKeyGroups: numGroups,
-						Metrics: j.reg, LocalSubtasks: locals,
+						Metrics: j.reg, LocalSubtasks: locals, Clock: j.clk,
 					})
 				}
 				// Sources restore from the node-wide blob set: splittable

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sync"
 
+	"repro/internal/clock"
 	"repro/internal/metrics"
 	"repro/internal/state"
 )
@@ -34,6 +35,8 @@ type OpContext struct {
 	// partition work that would otherwise be claimed twice across
 	// participants of a distributed run.
 	LocalSubtasks []int
+	// Clock is the job's control-plane clock (WithClock); nil: clock.Real.
+	Clock clock.Clock
 }
 
 // NewKeyedState builds the subtask's keyed-state container for the plan's

@@ -75,7 +75,7 @@ func runParticipants(ctx context.Context, graphs []*Graph, backend state.Backend
 					return
 				}
 			}
-			ckpts := NewCheckpoints(graphs[0], backend, nil)
+			ckpts := NewCheckpoints(graphs[0], backend, nil, nil)
 			ckpts.Resume(restore)
 			tick := time.NewTicker(interval)
 			defer tick.Stop()

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/state"
 )
 
@@ -204,32 +205,35 @@ func SliceSource(recs []Record) SourceFactory {
 	}
 }
 
-// Pacer throttles emissions to approximately perSec per second of wall
-// clock, sleeping until the next emission is due. The schedule is anchored
-// at the first Wait call; Reset re-anchors it (after a recovery restore,
-// pacing must restart from the resume point, not replay the old schedule).
+// Pacer throttles emissions to perSec per second of its Clock (nil:
+// clock.Real): the n-th after the first Wait call is due n/perSec after it.
+// Reset re-anchors the schedule (after a recovery restore, pacing must
+// restart from the resume point, not replay the old schedule).
 type Pacer struct {
+	Clock clock.Clock
 	start time.Time
 	count int64
+	timer clock.Timer // one per pacer, reset for every wait
 }
 
-// Wait sleeps until the next emission is due at the given rate. perSec <= 0
+// Wait blocks until the next emission is due at the given rate. perSec <= 0
 // waits nothing.
 func (p *Pacer) Wait(perSec float64) {
+	clk := clock.Or(p.Clock)
 	if p.start.IsZero() {
-		p.start = time.Now()
+		p.start = clk.Now()
 	}
 	if perSec > 0 {
-		if d := time.Until(p.next(perSec)); d > 0 {
-			time.Sleep(d)
+		if d := p.next(perSec).Sub(clk.Now()); d > 0 {
+			<-clock.Reset(clk, &p.timer, d)
 		}
 	}
 	p.count++
 }
 
-// Due reports whether the next emission is due, so Wait would not sleep.
+// Due reports whether the next emission is due, so Wait would not block.
 func (p *Pacer) Due(perSec float64) bool {
-	return perSec <= 0 || p.start.IsZero() || !time.Now().Before(p.next(perSec))
+	return perSec <= 0 || p.start.IsZero() || !clock.Or(p.Clock).Now().Before(p.next(perSec))
 }
 
 // next is when the next emission is due at the given rate (perSec > 0).
@@ -238,13 +242,10 @@ func (p *Pacer) next(perSec float64) time.Time {
 }
 
 // Reset re-anchors the pacing schedule at the next Wait call.
-func (p *Pacer) Reset() { *p = Pacer{} }
+func (p *Pacer) Reset() { p.start, p.count = time.Time{}, 0 }
 
-// Started reports whether the pacer has begun its schedule (diagnostics).
-func (p *Pacer) Started() bool { return !p.start.IsZero() }
-
-// PacedSource throttles an inner SourceFunc to approximately PerSec records
-// per second (wall clock), used by the latency experiments.
+// PacedSource throttles an inner SourceFunc to PerSec records per second of
+// the job's clock.
 type PacedSource struct {
 	Inner  SourceFunc
 	PerSec float64
@@ -283,8 +284,9 @@ func (p *PacedSource) RestoreAll(subtask, parallelism int, blobs map[int][]byte)
 	return RestoreSource(p.Inner, subtask, parallelism, blobs)
 }
 
-// OpenSource implements SourceOpener by delegation.
+// OpenSource implements SourceOpener: pacing runs on the job's clock.
 func (p *PacedSource) OpenSource(ctx *OpContext) {
+	p.pacer.Clock = ctx.Clock
 	if o, ok := p.Inner.(SourceOpener); ok {
 		o.OpenSource(ctx)
 	}

@@ -8,6 +8,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/clock"
 )
 
 // drainData pulls from a source until end of stream, returning the data
@@ -59,18 +61,30 @@ func TestGenSourcePendingWatermarkDroppedOnRestore(t *testing.T) {
 }
 
 // PacedSource restore must re-anchor the pacing schedule: after recovery
-// the source emits at PerSec from the resume point instead of sleeping (or
+// the source emits at PerSec from the resume point instead of waiting (or
 // bursting) to catch up with the pre-crash schedule.
 func TestPacedSourceRestoreResetsPacing(t *testing.T) {
+	const perSec = 8
+	clk := clock.NewManual(time.Unix(0, 0))
 	inner := &GenSource{N: 1000, Gen: func(i int64) Record { return Data(i, 0, float64(i)) }}
-	src := &PacedSource{Inner: inner, PerSec: 1_000_000}
-	for i := 0; i < 100; i++ {
+	src := &PacedSource{Inner: inner, PerSec: perSec}
+	src.OpenSource(&OpContext{Clock: clk})
+	next := func() {
+		t.Helper()
+		if src.MayWait() {
+			t.Fatalf("record %d is not due at %v", src.pacer.count, clk.Now().Sub(time.Unix(0, 0)))
+		}
 		if _, ok := src.Next(); !ok {
 			t.Fatalf("source ended early")
 		}
 	}
-	if !src.pacer.Started() {
-		t.Fatalf("pacer did not start its schedule")
+	next() // anchors the schedule
+	clk.Advance(99 * time.Second / perSec)
+	for i := 1; i < 100; i++ {
+		next()
+	}
+	if !src.MayWait() {
+		t.Fatalf("record 100 is due before 100/%d s", perSec)
 	}
 	blob, err := src.Snapshot()
 	if err != nil {
@@ -79,19 +93,43 @@ func TestPacedSourceRestoreResetsPacing(t *testing.T) {
 	if err := src.Restore(blob); err != nil {
 		t.Fatal(err)
 	}
-	if src.pacer.Started() || src.pacer.count != 0 {
-		t.Fatalf("restore did not reset pacing: started=%v count=%d", src.pacer.Started(), src.pacer.count)
+	if !src.pacer.start.IsZero() || src.pacer.count != 0 {
+		t.Fatalf("restore did not reset pacing: start=%v count=%d", src.pacer.start, src.pacer.count)
 	}
-	// And the restored schedule must not make the next record wait for the
-	// 100 pre-restore slots: at 10 rec/s that would be 10s; fresh pacing
-	// emits the first record immediately.
-	src.PerSec = 10
-	start := time.Now()
-	if _, ok := src.Next(); !ok {
-		t.Fatalf("source ended early after restore")
+	// The restored schedule does not make the next record wait for the
+	// pre-restore slots: fresh pacing emits it at once, the clock unmoved.
+	next()
+}
+
+// TestPacerDueAtNOverPerSec: the n-th element after the anchor is due
+// exactly n/perSec after it, and not 1ns before; Wait blocks until then.
+func TestPacerDueAtNOverPerSec(t *testing.T) {
+	const perSec = 8 // n/8 s is a whole number of nanoseconds
+	start := time.Unix(0, 0)
+	clk := clock.NewManual(start)
+	p := Pacer{Clock: clk}
+	p.Wait(perSec) // element 0 anchors the schedule
+	step := time.Second / perSec
+	for n := 1; n <= 20; n++ {
+		clk.Advance(step - 1)
+		if p.Due(perSec) {
+			t.Fatalf("element %d due at %v, 1ns before %d/%d s", n, clk.Now().Sub(start), n, perSec)
+		}
+		clk.Advance(1)
+		if !p.Due(perSec) {
+			t.Fatalf("element %d not due at %d/%d s", n, n, perSec)
+		}
+		p.Wait(perSec) // due: returns at once
 	}
-	if el := time.Since(start); el > 2*time.Second {
-		t.Fatalf("first post-restore record took %v; pacing replayed the old schedule", el)
+	woke := make(chan time.Time)
+	go func() {
+		p.Wait(perSec)
+		woke <- clk.Now()
+	}()
+	clk.BlockUntil(1)
+	clk.Advance(step)
+	if at := <-woke; !at.Equal(start.Add(21 * step)) {
+		t.Fatalf("Wait for element 21 returned at %v, want %v", at.Sub(start), 21*step)
 	}
 }
 

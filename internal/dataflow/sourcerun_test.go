@@ -7,12 +7,14 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sort"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/agg"
+	"repro/internal/clock"
 	"repro/internal/dataflow"
 	"repro/internal/state"
 	"repro/internal/window"
@@ -26,10 +28,12 @@ import (
 // say what the keyed stages behind the exchange must produce.
 
 // scriptSource replays a fixed script of data and watermark records. Its
-// snapshot is the script position, so a restore resumes exactly; pauses makes
-// Next wait at the given positions, which is where the checkpoint triggers of
-// a running job land. While hold reports true, the source holds after each
-// watermark by emitting it again: event time stays where it is and no operator
+// snapshot is the script position, so a restore resumes exactly. A
+// checkpointed job runs on a manual clock that only its sources move: pauses
+// names the positions where Next advances it by one checkpoint interval, so
+// the job's ticker fires there and a trigger lands soon after. While hold
+// reports true, the source holds after each watermark by emitting it again,
+// advancing the clock each time: event time stays where it is and no operator
 // has anything new to flush, but every repeat ends the source's run, so a
 // trigger waiting for the source lands there — a checkpointed run holds until
 // a checkpoint has completed however slow the machine is.
@@ -38,18 +42,24 @@ type scriptSource struct {
 	pos    int
 	pauses map[int]bool
 	hold   func() bool
+	clk    *clock.Manual
 }
+
+// ckptInterval is the checkpoint interval of the jobs scriptSources drive.
+const ckptInterval = time.Millisecond
 
 func (s *scriptSource) Next() (dataflow.Record, bool) {
 	if s.pos >= len(s.recs) {
 		return dataflow.Record{}, false
 	}
 	if s.hold != nil && s.pos > 0 && s.recs[s.pos-1].Kind == dataflow.KindWatermark && s.hold() {
-		time.Sleep(2 * time.Millisecond)
+		s.clk.Advance(ckptInterval)
+		runtime.Gosched()
 		return s.recs[s.pos-1], true
 	}
 	if s.pauses[s.pos] {
-		time.Sleep(2 * time.Millisecond)
+		s.clk.Advance(ckptInterval)
+		runtime.Gosched()
 	}
 	s.pos++
 	return s.recs[s.pos-1], true
@@ -423,9 +433,9 @@ func runJob(t *testing.T, g *dataflow.Graph, opts ...dataflow.JobOption) *datafl
 // plus what the restored run adds.
 func TestRunsMatchRecordAtATime(t *testing.T) {
 	const n = 3000
-	clock := time.Now().UnixNano()
-	t.Logf("clock seed %d", clock)
-	for _, seed := range []int64{1, 2, 3, clock} {
+	timeSeed := time.Now().UnixNano()
+	t.Logf("clock seed %d", timeSeed)
+	for _, seed := range []int64{1, 2, 3, timeSeed} {
 		rng := rand.New(rand.NewSource(seed))
 		// At most one combiner per chain: a restored combiner flushes in key
 		// order, not first-seen order, which a second one behind it would
@@ -446,10 +456,11 @@ func TestRunsMatchRecordAtATime(t *testing.T) {
 		cadence := []int{3, 5, 10, 13, 50, 100}[rng.Intn(6)]
 		for _, par := range []int{1, 3} {
 			want := reference(t, n, cadence, par, chain)
+			clk := clock.NewManual(time.Unix(0, 0))
 			sources := func(pauses map[int]bool, hold func() bool) []*scriptSource {
 				srcs := make([]*scriptSource, par)
 				for s := range srcs {
-					srcs[s] = &scriptSource{recs: script(n, cadence, s, par), pauses: pauses, hold: hold}
+					srcs[s] = &scriptSource{recs: script(n, cadence, s, par), pauses: pauses, hold: hold, clk: clk}
 				}
 				return srcs
 			}
@@ -485,7 +496,7 @@ func TestRunsMatchRecordAtATime(t *testing.T) {
 					noCheckpoint := func() bool { _, ok, _ := backend.Latest(); return !ok }
 					out = newSinks()
 					g, sinkNodes := pipelineGraph(sources(pauses, noCheckpoint), chain, batch, newTapLog(), out)
-					job := runJob(t, g, dataflow.WithChaining(chaining), dataflow.WithCheckpointing(backend, 200*time.Microsecond))
+					job := runJob(t, g, dataflow.WithChaining(chaining), dataflow.WithCheckpointing(backend, ckptInterval), dataflow.WithClock(clk))
 					want.check(t, name+" checkpointed", par, records(out))
 					if job.CompletedCheckpoints() == 0 {
 						t.Fatalf("%s: no checkpoint completed", name)

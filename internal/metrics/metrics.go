@@ -1,7 +1,9 @@
 // Package metrics provides lightweight, allocation-free instrumentation
 // primitives used throughout the STREAMLINE runtime and its benchmark
 // harness: counters, gauges, meters (rates), log-bucketed histograms and
-// stopwatches, plus a named registry that can render itself as a table.
+// stopwatches, plus a named registry of counters, gauges and histograms that
+// can render itself as a table. Meters and stopwatches read time through
+// internal/clock (clock.Real outside tests); nothing else here reads a clock.
 //
 // All primitives are safe for concurrent use.
 package metrics
@@ -14,6 +16,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/clock"
 )
 
 // Counter is a monotonically increasing event counter.
@@ -59,25 +63,22 @@ func (g *Gauge) Max(v int64) {
 	}
 }
 
-// Meter measures a rate of events over wall-clock time.
+// Meter measures a rate of events over the time of its clock.
 type Meter struct {
 	count atomic.Int64
-	start atomic.Int64 // unix nanos
+	clk   clock.Clock
+	start time.Time
 }
 
 // NewMeter returns a meter whose window starts now.
-func NewMeter() *Meter {
-	m := &Meter{}
-	m.start.Store(time.Now().UnixNano())
-	return m
-}
+func NewMeter() *Meter { return &Meter{clk: clock.Real{}, start: clock.Real{}.Now()} }
 
 // Mark records n events.
 func (m *Meter) Mark(n int64) { m.count.Add(n) }
 
 // Rate returns events per second since the meter started.
 func (m *Meter) Rate() float64 {
-	elapsed := time.Duration(time.Now().UnixNano() - m.start.Load())
+	elapsed := m.clk.Now().Sub(m.start)
 	if elapsed <= 0 {
 		return 0
 	}
@@ -205,20 +206,22 @@ func (h *Histogram) Quantile(q float64) int64 {
 }
 
 // Stopwatch measures elapsed time with Start/Stop pairs feeding a Histogram.
+// The zero value times on clock.Real.
 type Stopwatch struct {
 	hist Histogram
+	clk  clock.Clock
 }
 
 // Time runs fn and records its duration.
 func (s *Stopwatch) Time(fn func()) {
-	t0 := time.Now()
+	t0 := clock.Or(s.clk).Now()
 	fn()
-	s.hist.Observe(time.Since(t0).Nanoseconds())
+	s.ObserveSince(t0)
 }
 
 // ObserveSince records the time elapsed since t0.
 func (s *Stopwatch) ObserveSince(t0 time.Time) {
-	s.hist.Observe(time.Since(t0).Nanoseconds())
+	s.hist.Observe(clock.Or(s.clk).Now().Sub(t0).Nanoseconds())
 }
 
 // Hist exposes the underlying histogram.
@@ -229,7 +232,6 @@ type Registry struct {
 	mu       sync.Mutex
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
-	meters   map[string]*Meter
 	hists    map[string]*Histogram
 }
 
@@ -238,7 +240,6 @@ func NewRegistry() *Registry {
 	return &Registry{
 		counters: make(map[string]*Counter),
 		gauges:   make(map[string]*Gauge),
-		meters:   make(map[string]*Meter),
 		hists:    make(map[string]*Histogram),
 	}
 }
@@ -267,18 +268,6 @@ func (r *Registry) Gauge(name string) *Gauge {
 	return g
 }
 
-// Meter returns the named meter, creating it on first use.
-func (r *Registry) Meter(name string) *Meter {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	m, ok := r.meters[name]
-	if !ok {
-		m = NewMeter()
-		r.meters[name] = m
-	}
-	return m
-}
-
 // Histogram returns the named histogram, creating it on first use.
 func (r *Registry) Histogram(name string) *Histogram {
 	r.mu.Lock()
@@ -301,9 +290,6 @@ func (r *Registry) WriteTo(w io.Writer) (int64, error) {
 	}
 	for name, g := range r.gauges {
 		lines = append(lines, fmt.Sprintf("gauge    %-40s %d", name, g.Value()))
-	}
-	for name, m := range r.meters {
-		lines = append(lines, fmt.Sprintf("meter    %-40s %.0f/s (n=%d)", name, m.Rate(), m.Count()))
 	}
 	for name, h := range r.hists {
 		lines = append(lines, fmt.Sprintf("hist     %-40s n=%d mean=%.0f p50<=%d p99<=%d max=%d",

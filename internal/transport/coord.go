@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/dataflow"
 	"repro/internal/metrics"
 	"repro/internal/state"
@@ -55,6 +56,9 @@ type Config struct {
 	// liveness defaults (zero: DefaultHeartbeat*).
 	HeartbeatInterval time.Duration
 	HeartbeatTimeout  time.Duration
+	// Clock times checkpoints, restarts and the local participant's job
+	// (nil: clock.Real); socket deadlines and heartbeats stay real.
+	Clock clock.Clock
 }
 
 // heartbeat resolves the liveness settings, defaulting the timeout to four
@@ -280,7 +284,7 @@ func (ep *epoch) run(ctx context.Context) error {
 	triggers := make(chan int64, 16)
 	acks := make(chan dataflow.Ack, 256)
 	running := make(chan struct{})
-	opts := []dataflow.JobOption{dataflow.WithChaining(ep.cfg.Chaining)}
+	opts := []dataflow.JobOption{dataflow.WithChaining(ep.cfg.Chaining), dataflow.WithClock(ep.cfg.Clock)}
 	if reg != nil {
 		opts = append(opts, dataflow.WithMetrics(reg))
 	}
@@ -319,7 +323,7 @@ func (ep *epoch) run(ctx context.Context) error {
 	fail := func(err error) {
 		if failure == nil {
 			failure = err
-			ep.failedAt = time.Now()
+			ep.failedAt = ep.cfg.Clock.Now()
 		}
 	}
 	workerEvent := func(ev event) {
@@ -378,9 +382,9 @@ func (ep *epoch) run(ctx context.Context) error {
 	ep.ckpts.Resume(ep.restore)
 	var tick <-chan time.Time
 	if ep.cfg.Backend != nil && ep.cfg.Interval > 0 && failure == nil {
-		t := time.NewTicker(ep.cfg.Interval)
+		t := ep.cfg.Clock.NewTicker(ep.cfg.Interval)
 		defer t.Stop()
-		tick = t.C
+		tick = t.C()
 	}
 	offer := func(a dataflow.Ack) {
 		if err := ep.ckpts.Offer(a); err != nil {

@@ -2,10 +2,13 @@ package transport
 
 import (
 	"context"
+	"errors"
 	"net"
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/clock"
 )
 
 func TestConfigHeartbeatDefaults(t *testing.T) {
@@ -36,36 +39,44 @@ func TestBackoffDelayCappedExponentialWithJitter(t *testing.T) {
 	}
 }
 
+// TestDialRetrySucceedsAfterCoordinatorAppears: the first dial finds
+// nothing listening and DialRetry pauses; the listener binds during the
+// pause, and the retry after it connects.
 func TestDialRetrySucceedsAfterCoordinatorAppears(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	addr := ln.Addr().String()
-	ln.Close() // nothing listening yet: the first dials must fail and retry
+	ln.Close() // nothing listening yet: the first dial must fail and retry
 
-	ready := make(chan net.Listener, 1)
+	const base = 5 * time.Millisecond
+	clk := clock.NewManual(time.Unix(0, 0))
+	type result struct {
+		conn net.Conn
+		err  error
+	}
+	res := make(chan result, 1)
 	go func() {
-		time.Sleep(80 * time.Millisecond)
-		ln2, err := net.Listen("tcp", addr)
-		if err != nil {
-			close(ready)
-			return
-		}
-		ready <- ln2
+		conn, err := DialRetry(context.Background(), clk, addr, DialPolicy{BaseDelay: base, MaxWait: 5 * time.Second})
+		res <- result{conn, err}
 	}()
-	conn, err := DialRetry(context.Background(), addr, DialPolicy{BaseDelay: 5 * time.Millisecond, MaxWait: 5 * time.Second})
+	clk.BlockUntil(1) // the first attempt failed: DialRetry pauses
+	ln2, err := net.Listen("tcp", addr)
 	if err != nil {
-		t.Fatalf("DialRetry: %v", err)
+		t.Skipf("the address was taken meanwhile: %v", err)
 	}
-	conn.Close()
-	if ln2, ok := <-ready; ok {
-		ln2.Close()
-	} else {
-		t.Fatal("late listener failed to bind")
+	defer ln2.Close()
+	clk.Advance(base) // the first pause is at most BaseDelay
+	r := <-res
+	if r.err != nil {
+		t.Fatalf("DialRetry: %v", r.err)
 	}
+	r.conn.Close()
 }
 
+// TestDialRetryExhaustsBudget: against a dead address DialRetry keeps
+// pausing and retrying until MaxWait has passed on its clock, and not before.
 func TestDialRetryExhaustsBudget(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -74,19 +85,25 @@ func TestDialRetryExhaustsBudget(t *testing.T) {
 	addr := ln.Addr().String()
 	ln.Close()
 
-	start := time.Now()
-	_, err = DialRetry(context.Background(), addr, DialPolicy{BaseDelay: 5 * time.Millisecond, MaxDelay: 20 * time.Millisecond, MaxWait: 100 * time.Millisecond})
+	pol := DialPolicy{BaseDelay: 5 * time.Millisecond, MaxDelay: 20 * time.Millisecond, MaxWait: 100 * time.Millisecond}
+	clk := clock.NewManual(time.Unix(0, 0))
+	start := clk.Now()
+	clk.Drive(time.Millisecond, func() {
+		_, err = DialRetry(context.Background(), clk, addr, pol)
+	})
 	if err == nil {
 		t.Fatal("dialing a dead address must fail once the budget is spent")
 	}
 	if !strings.Contains(err.Error(), "retries exhausted") {
 		t.Fatalf("error %q does not mention the exhausted retry budget", err)
 	}
-	if elapsed := time.Since(start); elapsed > 5*time.Second {
-		t.Fatalf("budget of 100ms took %v to exhaust", elapsed)
+	if spent := clk.Now().Sub(start); spent < pol.MaxWait || spent > pol.MaxWait+pol.MaxDelay {
+		t.Fatalf("a budget of %v was exhausted after %v of its clock", pol.MaxWait, spent)
 	}
 }
 
+// TestDialRetryHonorsContext: a cancellation ends the pause between two
+// attempts at once; the clock never moves.
 func TestDialRetryHonorsContext(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -95,16 +112,21 @@ func TestDialRetryHonorsContext(t *testing.T) {
 	addr := ln.Addr().String()
 	ln.Close()
 
+	clk := clock.NewManual(time.Unix(0, 0))
 	ctx, cancel := context.WithCancel(context.Background())
+	res := make(chan error, 1)
 	go func() {
-		time.Sleep(20 * time.Millisecond)
-		cancel()
+		_, err := DialRetry(ctx, clk, addr, DialPolicy{BaseDelay: 5 * time.Millisecond, MaxWait: 30 * time.Second})
+		res <- err
 	}()
-	start := time.Now()
-	if _, err := DialRetry(ctx, addr, DialPolicy{BaseDelay: 5 * time.Millisecond, MaxWait: 30 * time.Second}); err == nil {
-		t.Fatal("cancelled dial must fail")
-	}
-	if elapsed := time.Since(start); elapsed > 5*time.Second {
-		t.Fatalf("cancellation took %v to take effect", elapsed)
+	clk.BlockUntil(1)
+	cancel()
+	select {
+	case err := <-res:
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("cancelled dial returned %v, want context.Canceled", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("cancellation did not end the pause")
 	}
 }

@@ -6,6 +6,8 @@ import (
 	"math/rand"
 	"net"
 	"time"
+
+	"repro/internal/clock"
 )
 
 // DialPolicy shapes DialRetry's capped exponential backoff. The zero value
@@ -43,10 +45,11 @@ func (p DialPolicy) withDefaults() DialPolicy {
 // exponential backoff plus jitter until the policy's MaxWait budget or the
 // context expires. It is the one dial helper every transport component
 // shares: the worker binary's initial dial, self-spawned workers, supervised
-// rejoins, and mesh peer connections.
-func DialRetry(ctx context.Context, addr string, p DialPolicy) (net.Conn, error) {
+// rejoins, and mesh peer connections. The budget and pauses run on clk.
+func DialRetry(ctx context.Context, clk clock.Clock, addr string, p DialPolicy) (net.Conn, error) {
 	p = p.withDefaults()
-	deadline := time.Now().Add(p.MaxWait)
+	clk = clock.Or(clk)
+	deadline := clk.Now().Add(p.MaxWait)
 	var d net.Dialer
 	delay := p.BaseDelay
 	for {
@@ -57,18 +60,16 @@ func DialRetry(ctx context.Context, addr string, p DialPolicy) (net.Conn, error)
 		if ctx.Err() != nil {
 			return nil, fmt.Errorf("transport: dial %s: %w", addr, ctx.Err())
 		}
-		if time.Now().After(deadline) {
+		if !clk.Now().Before(deadline) {
 			return nil, fmt.Errorf("transport: dial %s: retries exhausted after %v: %w", addr, p.MaxWait, err)
 		}
 		// Equal jitter: half deterministic, half uniform.
 		sleep := delay/2 + time.Duration(rand.Int63n(int64(delay/2)+1))
-		if until := time.Until(deadline); sleep > until {
+		if until := deadline.Sub(clk.Now()); sleep > until {
 			sleep = until
 		}
-		select {
-		case <-time.After(sleep):
-		case <-ctx.Done():
-			return nil, fmt.Errorf("transport: dial %s: %w", addr, ctx.Err())
+		if err := clock.Sleep(ctx, clk, sleep); err != nil {
+			return nil, fmt.Errorf("transport: dial %s: %w", addr, err)
 		}
 		if delay *= 2; delay > p.MaxDelay {
 			delay = p.MaxDelay

@@ -185,7 +185,7 @@ func (m *Mesh) writeLoop(ref dataflow.ChannelRef, to int, feeder chan []dataflow
 	// Every peer's data listener is bound before its address travels in the
 	// plan, so retries only cover transient refusals (SYN backlog overflow
 	// under a thundering-herd epoch start); the budget stays short.
-	conn, err := DialRetry(m.ctx, addr, DialPolicy{MaxWait: 2 * time.Second})
+	conn, err := DialRetry(m.ctx, nil, addr, DialPolicy{MaxWait: 2 * time.Second})
 	if err != nil {
 		m.fail(fmt.Errorf("transport: dial participant %d: %w", to, err))
 		m.discard(feeder)

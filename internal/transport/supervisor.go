@@ -8,6 +8,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/dataflow"
 	"repro/internal/state"
 )
@@ -117,16 +118,17 @@ func NewSupervisor(cfg Config, pol SupervisionPolicy) (*Supervisor, error) {
 	if err != nil {
 		return nil, err
 	}
-	ckpts := dataflow.NewCheckpoints(cfg.Graph, cfg.Backend, cfg.Registry)
+	cfg.Clock = clock.Or(cfg.Clock)
+	ckpts := dataflow.NewCheckpoints(cfg.Graph, cfg.Backend, cfg.Registry, cfg.Clock)
 	return &Supervisor{cfg: cfg, pol: pol.withDefaults(), ln: ln, ckpts: ckpts}, nil
 }
 
 // NewLocalSupervisor supervises a job that runs in this process alone: run
 // executes one attempt from restore (nil: from scratch), and a restart
-// resumes from the newest checkpoint in backend. It binds no socket and has
-// no Addr.
-func NewLocalSupervisor(pol SupervisionPolicy, backend state.Backend, restore *state.Snapshot, run func(ctx context.Context, restore *state.Snapshot) error) *Supervisor {
-	return &Supervisor{cfg: Config{Backend: backend, Restore: restore}, pol: pol.withDefaults(), local: run}
+// resumes from the newest checkpoint in backend. Restarts are paced on clk
+// (nil: clock.Real). It binds no socket and has no Addr.
+func NewLocalSupervisor(pol SupervisionPolicy, backend state.Backend, restore *state.Snapshot, clk clock.Clock, run func(ctx context.Context, restore *state.Snapshot) error) *Supervisor {
+	return &Supervisor{cfg: Config{Backend: backend, Restore: restore, Clock: clock.Or(clk)}, pol: pol.withDefaults(), local: run}
 }
 
 // Addr returns the control-plane address workers dial (and redial).
@@ -198,7 +200,7 @@ func (s *Supervisor) Run(ctx context.Context) error {
 			}
 		}
 		restored := func(workers int) {
-			stat.Workers, stat.RestoredAt = workers, time.Now()
+			stat.Workers, stat.RestoredAt = workers, s.cfg.Clock.Now()
 			stat.Downtime = stat.RestoredAt.Sub(stat.FailedAt)
 			record()
 		}
@@ -215,9 +217,7 @@ func (s *Supervisor) Run(ctx context.Context) error {
 		if attempt >= s.pol.MaxRestarts {
 			return fmt.Errorf("supervision: restart budget (%d) exhausted: %w", s.pol.MaxRestarts, err)
 		}
-		select {
-		case <-time.After(backoffDelay(s.pol, attempt)):
-		case <-ctx.Done():
+		if clock.Sleep(ctx, s.cfg.Clock, backoffDelay(s.pol, attempt)) != nil {
 			return err
 		}
 	}
@@ -228,7 +228,7 @@ func (s *Supervisor) Run(ctx context.Context) error {
 func (s *Supervisor) runLocal(ctx context.Context, _ int, restore *state.Snapshot, restored func(workers int)) (time.Time, error) {
 	restored(0)
 	err := s.local(ctx, restore)
-	return time.Now(), err
+	return s.cfg.Clock.Now(), err
 }
 
 // epochs starts the accept pump and returns the attempt function that runs
@@ -258,14 +258,14 @@ func (s *Supervisor) epochs(ctx context.Context) func(context.Context, int, *sta
 				s.Reap()
 			}
 			if err := s.Spawn(ctx, s.Addr(), s.cfg.Workers); err != nil {
-				return time.Now(), err
+				return s.cfg.Clock.Now(), err
 			}
 		}
 		// Degradation applies only to recovering epochs with external
 		// workers: attempt 0 and self-spawn mode wait for full strength.
 		workers, err := s.gather(ctx, conns, attempt > 0 && s.Spawn == nil)
 		if err != nil {
-			return time.Now(), err
+			return s.cfg.Clock.Now(), err
 		}
 		defer closeWorkers(workers)
 		ep := &epoch{
@@ -292,7 +292,9 @@ func (s *Supervisor) gather(ctx context.Context, conns chan net.Conn, degrade bo
 	_, hbTimeout := s.cfg.heartbeat()
 	var window <-chan time.Time
 	if degrade {
-		window = time.After(s.pol.RejoinWindow)
+		t := s.cfg.Clock.NewTimer(s.pol.RejoinWindow)
+		defer t.Stop()
+		window = t.C()
 	}
 	var ws []*wconn
 	for len(ws) < s.cfg.Workers {

@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"repro/internal/chaos"
+	"repro/internal/clock"
 	"repro/internal/dataflow"
 	"repro/internal/transport"
 	"repro/streamline"
@@ -260,25 +261,31 @@ func failingEnv() *streamline.Env {
 // TestSupervisorExhaustsRestartBudget: a permanent failure must not retry
 // forever — after MaxRestarts failed recoveries the final error surfaces,
 // wrapped with the budget, and the last epoch tells its workers not to
-// rejoin.
+// rejoin. The supervisor and the worker run on one manual clock that moves
+// only while something waits on it, so no backoff, rejoin beat or dial
+// pause waits in real time. (That the backoff waits on the clock at all is
+// TestExecuteSupervisedLocalExhaustsBudget's exact check, in streamline.)
 func TestSupervisorExhaustsRestartBudget(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
 
 	env := failingEnv()
+	clk := clock.NewManual(time.Unix(0, 0))
 	cfg := transport.Config{
 		Graph:             env.Core().Graph(),
 		Chaining:          env.Core().Chaining(),
 		Workers:           1,
 		HeartbeatInterval: 20 * time.Millisecond,
 		HeartbeatTimeout:  time.Second,
+		Clock:             clk,
 	}
-	sup, err := transport.NewSupervisor(cfg, transport.SupervisionPolicy{
+	pol := transport.SupervisionPolicy{
 		MaxRestarts:  2,
 		BaseBackoff:  5 * time.Millisecond,
 		MaxBackoff:   20 * time.Millisecond,
 		RejoinWindow: 2 * time.Second,
-	})
+	}
+	sup, err := transport.NewSupervisor(cfg, pol)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,11 +298,19 @@ func TestSupervisorExhaustsRestartBudget(t *testing.T) {
 		defer close(workerDone)
 		// After the final epoch the listener closes; a worker that raced the
 		// terminal stop gives up via its dial budget, so either exit is fine.
-		_ = transport.RunWorkerLoop(ctx, sup.Addr(), nil, build,
+		_ = transport.RunWorkerLoop(ctx, sup.Addr(), nil, build, transport.WorkerClock(clk),
 			transport.WithWorkerDialPolicy(transport.DialPolicy{BaseDelay: 5 * time.Millisecond, MaxWait: time.Second}))
 	}()
 
-	runErr := sup.Run(ctx)
+	var runErr error
+	clk.Drive(pol.MaxBackoff, func() {
+		runErr = sup.Run(ctx)
+		select {
+		case <-workerDone:
+		case <-time.After(30 * time.Second):
+			t.Error("worker loop did not exit after the terminal stop")
+		}
+	})
 	if runErr == nil {
 		t.Fatal("a permanently failing job must not report success")
 	}
@@ -310,11 +325,6 @@ func TestSupervisorExhaustsRestartBudget(t *testing.T) {
 	}
 	if n := sup.CompletedCheckpoints(); n != 0 {
 		t.Fatalf("no backend was configured, yet %d checkpoints completed", n)
-	}
-	select {
-	case <-workerDone:
-	case <-time.After(30 * time.Second):
-		t.Fatal("worker loop did not exit after the terminal stop")
 	}
 }
 

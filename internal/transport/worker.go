@@ -11,6 +11,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/dataflow"
 	"repro/internal/metrics"
 )
@@ -36,6 +37,7 @@ type WorkerOption func(*workerOpts)
 
 type workerOpts struct {
 	dial DialPolicy
+	clk  clock.Clock // dial pauses, the rejoin beat and the job's clock; set only by tests
 }
 
 // WithWorkerDialPolicy sets the backoff policy for dialing (and, under
@@ -67,7 +69,7 @@ func RunWorker(ctx context.Context, coordAddr string, reg *metrics.Registry, bui
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
-	conn, err := DialRetry(ctx, coordAddr, o.dial)
+	conn, err := DialRetry(ctx, o.clk, coordAddr, o.dial)
 	if err != nil {
 		return fmt.Errorf("worker: dial coordinator: %w", err)
 	}
@@ -144,7 +146,7 @@ func RunWorker(ctx context.Context, coordAddr string, reg *metrics.Registry, bui
 	triggers := make(chan int64, 16)
 	acks := make(chan dataflow.Ack, 256)
 
-	opts2 := []dataflow.JobOption{dataflow.WithChaining(chaining)}
+	opts2 := []dataflow.JobOption{dataflow.WithChaining(chaining), dataflow.WithClock(o.clk)}
 	if reg != nil {
 		opts2 = append(opts2, dataflow.WithMetrics(reg))
 	}
@@ -279,6 +281,7 @@ func RunWorker(ctx context.Context, coordAddr string, reg *metrics.Registry, bui
 // ctx is cancelled. Under an unsupervised coordinator no failure wraps
 // ErrRejoin, so it returns with its first share.
 func RunWorkerLoop(ctx context.Context, coordAddr string, reg *metrics.Registry, build BuildFunc, opts ...WorkerOption) error {
+	clk := resolveWorkerOpts(opts).clk
 	for {
 		err := RunWorker(ctx, coordAddr, reg, build, opts...)
 		if err == nil || !errors.Is(err, ErrRejoin) {
@@ -286,9 +289,7 @@ func RunWorkerLoop(ctx context.Context, coordAddr string, reg *metrics.Registry,
 		}
 		// Give the supervisor a beat to tear the failed epoch down;
 		// DialRetry's backoff absorbs the rest of its restart delay.
-		select {
-		case <-time.After(10 * time.Millisecond):
-		case <-ctx.Done():
+		if clock.Sleep(ctx, clk, 10*time.Millisecond) != nil {
 			return err
 		}
 	}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/dataflow"
 	"repro/internal/state"
 )
@@ -191,8 +192,11 @@ func (r *pacedReader[T]) RestoreAll(subtask, parallelism int, blobs map[int][]by
 	return restoreReaderAll(r.inner, subtask, parallelism, blobs)
 }
 
-// OpenSource forwards the runtime's per-subtask context to the inner reader.
-func (r *pacedReader[T]) OpenSource(ctx *dataflow.OpContext) { openReader(r.inner, ctx) }
+// OpenSource paces on the job's clock and forwards ctx to the inner reader.
+func (r *pacedReader[T]) OpenSource(ctx *dataflow.OpContext) {
+	r.pacer.Clock = ctx.Clock
+	openReader(r.inner, ctx)
+}
 
 // Unordered delegates the order contract to the inner reader.
 func (r *pacedReader[T]) Unordered() bool { return readerUnordered(r.inner) }
@@ -233,8 +237,11 @@ type channelSource[T any] struct {
 }
 
 func (s channelSource[T]) Open(sub, par int) Reader[T] {
-	return &channelReader[T]{c: s.c, poll: 25 * time.Millisecond}
+	return &channelReader[T]{c: s.c}
 }
+
+// channelPoll is how long a Channel reader waits before it reports ReadIdle.
+const channelPoll = 25 * time.Millisecond
 
 // PreferredParallelism implements ParallelismHinter: a shared channel only
 // keeps event time sound with a single subtask.
@@ -242,28 +249,31 @@ func (channelSource[T]) PreferredParallelism() int { return 1 }
 
 type channelReader[T any] struct {
 	c       <-chan Keyed[T]
-	poll    time.Duration
 	emitted int64
+	clk     clock.Clock // the job's, from OpenSource (nil: clock.Real)
+	idle    clock.Timer // one per reader, reset for every idle wait
 }
 
 func (r *channelReader[T]) Next() (Keyed[T], ReadStatus) {
 	// Fast path: a busy producer keeps the channel non-empty, so the idle
-	// timer (an allocation per call) is only armed when it is actually
-	// needed.
+	// timer is only armed when it is actually needed.
 	select {
 	case k, ok := <-r.c:
 		return r.received(k, ok)
 	default:
 	}
-	timer := time.NewTimer(r.poll)
-	defer timer.Stop()
+	idle := clock.Reset(r.clk, &r.idle, channelPoll)
 	select {
 	case k, ok := <-r.c:
+		r.idle.Stop()
 		return r.received(k, ok)
-	case <-timer.C:
+	case <-idle:
 		return Keyed[T]{}, ReadIdle
 	}
 }
+
+// OpenSource takes the job's clock for the idle poll.
+func (r *channelReader[T]) OpenSource(ctx *dataflow.OpContext) { r.clk = ctx.Clock }
 
 func (r *channelReader[T]) received(k Keyed[T], ok bool) (Keyed[T], ReadStatus) {
 	if !ok {
@@ -273,7 +283,7 @@ func (r *channelReader[T]) received(k Keyed[T], ok bool) (Keyed[T], ReadStatus) 
 	return k, ReadData
 }
 
-// MayWait reports an empty channel, on which Next waits up to the idle poll.
+// MayWait reports an empty channel, on which Next waits up to channelPoll.
 func (r *channelReader[T]) MayWait() bool { return len(r.c) == 0 }
 
 // SourceLocalOnly marks the reader as bound to this process: its feeding

@@ -158,7 +158,7 @@ func (e *Env) execute(ctx context.Context, snap *Snapshot) error {
 		// The graph re-executes in-process, so Collect sinks roll back to
 		// their checkpointed length and exactly-once output holds across
 		// restarts.
-		sup := transport.NewLocalSupervisor(pol, e.backend, snap, e.runLocal)
+		sup := transport.NewLocalSupervisor(pol, e.backend, snap, e.clk, e.runLocal)
 		err := sup.Run(ctx)
 		e.restartStats = sup.Stats()
 		return err
@@ -176,6 +176,7 @@ func (e *Env) execute(ctx context.Context, snap *Snapshot) error {
 		ListenAddr:        e.listenAddr,
 		HeartbeatInterval: e.hbInterval,
 		HeartbeatTimeout:  e.hbTimeout,
+		Clock:             e.clk,
 	}, pol)
 	if err != nil {
 		return err

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/core"
 	"repro/internal/dataflow"
 	"repro/internal/metrics"
@@ -62,6 +63,8 @@ type Env struct {
 	// restartStats is the recovery trajectory of the last supervised run
 	// (see RestartStats).
 	restartStats []RestartStat
+
+	clk clock.Clock // every run's job and supervisor clock; set by a test hook
 }
 
 // Option configures an Env at construction.
@@ -174,7 +177,7 @@ func (e *Env) ExecuteRestored(ctx context.Context, snap *Snapshot) error {
 // runLocal runs the plan in this process alone, from snap (nil: from
 // scratch).
 func (e *Env) runLocal(ctx context.Context, snap *Snapshot) error {
-	opts := []dataflow.JobOption{dataflow.WithRestore(snap), dataflow.WithChaining(e.chaining)}
+	opts := []dataflow.JobOption{dataflow.WithRestore(snap), dataflow.WithChaining(e.chaining), dataflow.WithClock(e.clk)}
 	if e.backend != nil {
 		opts = append(opts, dataflow.WithCheckpointing(e.backend, e.ckptEvery))
 	}

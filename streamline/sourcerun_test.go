@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/dataflow"
 	"repro/internal/metrics"
 	"repro/streamline"
@@ -18,26 +19,23 @@ import (
 
 // runMetered executes env's pipeline with a registry attached, the way
 // Env.Execute does without one, and returns the registry.
-func runMetered(ctx context.Context, env *streamline.Env) (*metrics.Registry, error) {
+func runMetered(ctx context.Context, env *streamline.Env, opts ...dataflow.JobOption) (*metrics.Registry, error) {
 	reg := metrics.NewRegistry()
-	return reg, dataflow.NewJob(graphOf(env), dataflow.WithMetrics(reg)).Run(ctx)
+	return reg, dataflow.NewJob(graphOf(env), append(opts, dataflow.WithMetrics(reg))...).Run(ctx)
 }
 
 // arrivals is a sink that reports each element's arrival.
-func arrivals(s *streamline.Stream[float64]) <-chan time.Time {
-	at := make(chan time.Time, 16)
+func arrivals(s *streamline.Stream[float64]) <-chan struct{} {
+	at := make(chan struct{}, 16)
 	keyed := streamline.KeyBy(s, "key", func(v float64) uint64 { return uint64(v) }) // a real exchange before the sink
-	streamline.Sink(keyed, "out", func(streamline.Keyed[float64]) { at <- time.Now() })
+	streamline.Sink(keyed, "out", func(streamline.Keyed[float64]) { at <- struct{}{} })
 	return at
 }
 
-func awaitArrival(t *testing.T, at <-chan time.Time, sent time.Time, within time.Duration) {
+func awaitArrival(t *testing.T, at <-chan struct{}) {
 	t.Helper()
 	select {
-	case got := <-at:
-		if d := got.Sub(sent); d > within {
-			t.Fatalf("element reached the sink %v after it was sent, want within %v", d, within)
-		}
+	case <-at:
 	case <-time.After(5 * time.Second):
 		t.Fatalf("element never reached the sink")
 	}
@@ -46,7 +44,9 @@ func awaitArrival(t *testing.T, at <-chan time.Time, sent time.Time, within time
 // TestChannelNeverStrandsRecords: three elements already in the channel,
 // then silence, then one more. The three form one run, handed over and
 // shipped before the Next that finds the channel empty waits; the lone
-// element is a run of its own, shipped before the Next after it waits.
+// element is a run of its own, shipped before the Next after it waits. The
+// job's clock stays frozen, so the reader's idle poll never ends a wait:
+// every element arrives on its own.
 func TestChannelNeverStrandsRecords(t *testing.T) {
 	ch := make(chan streamline.Keyed[float64], 3)
 	for i := 0; i < 3; i++ {
@@ -54,21 +54,23 @@ func TestChannelNeverStrandsRecords(t *testing.T) {
 	}
 	env := streamline.New(streamline.WithParallelism(1), streamline.WithBatchSize(1<<20))
 	at := arrivals(streamline.From(env, "live", streamline.Channel(ch)))
+	clk := clock.NewManual(time.Unix(0, 0))
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	done := make(chan *metrics.Registry, 1)
 	go func() {
-		reg, _ := runMetered(ctx, env)
+		reg, _ := runMetered(ctx, env, dataflow.WithClock(clk))
 		done <- reg
 	}()
-	sent := time.Now()
 	for i := 0; i < 3; i++ {
-		awaitArrival(t, at, sent, 2*time.Second) // job start-up included
+		awaitArrival(t, at)
 	}
-	sent = time.Now()
+	clk.BlockUntil(1) // the reader waits on the empty channel
 	ch <- streamline.Keyed[float64]{Ts: 3, Value: 3}
-	awaitArrival(t, at, sent, 250*time.Millisecond)
+	awaitArrival(t, at)
+	clk.BlockUntil(1) // and waits again: end that wait so the job sees the cancel
 	cancel()
+	clk.Advance(streamline.ChannelPoll)
 	reg := <-done
 	if in, runs := reg.Counter("node.live.records_in").Value(), reg.Counter("node.live.runs").Value(); in != 4 || runs != 2 {
 		t.Fatalf("records_in = %d in %d runs, want 4 in 2: what the channel holds is one run, a lone element another", in, runs)
@@ -172,9 +174,10 @@ func TestUndeclaredBlockingReaderLatchesAfterFirstIdle(t *testing.T) {
 // TestHybridPacedHistoryRunsAsDue: a paced history waits between elements
 // and the hybrid forwards that, so each element is a run of its own, handed
 // over before the wait for the next. Gathered instead, the whole history
-// would sit in one run until the handoff.
+// would sit in one run until the handoff. The job's clock is manual and
+// moves one pacing step each time the history waits.
 func TestHybridPacedHistoryRunsAsDue(t *testing.T) {
-	const n, perSec = 5, 10 // 100 ms apart, so a late wake-up does not find the next one due
+	const n, perSec = 5, 10
 	history := make([]streamline.Keyed[float64], n)
 	for i := range history {
 		history[i] = streamline.Keyed[float64]{Ts: int64(i), Value: float64(i)}
@@ -185,10 +188,23 @@ func TestHybridPacedHistoryRunsAsDue(t *testing.T) {
 	src := streamline.From(env, "events", streamline.Hybrid(streamline.Paced(streamline.KeyedSlice(history), perSec), streamline.Channel(ch)),
 		streamline.WithSourceParallelism(1), streamline.WithWatermarkEvery(1<<40))
 	out := streamline.Collect(src, "out")
+	clk := clock.NewManual(time.Unix(0, 0))
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	reg, err := runMetered(ctx, env)
-	if err != nil {
+	var reg *metrics.Registry
+	done := make(chan error, 1)
+	go func() {
+		var err error
+		reg, err = runMetered(ctx, env, dataflow.WithClock(clk))
+		done <- err
+	}()
+	// Elements 1 to n-1 wait a step each, and the history waits one more
+	// before its reader reports the end.
+	for i := 0; i < n; i++ {
+		clk.BlockUntil(1)
+		clk.Advance(time.Second / perSec)
+	}
+	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
 	if got := len(out.Records()); got != n {

@@ -8,12 +8,14 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/clock"
 	"repro/streamline"
 )
 
@@ -50,7 +52,7 @@ func (r *flakyReader) Next() (streamline.Keyed[float64], streamline.ReadStatus) 
 		}
 		// No checkpoint to resume from yet; stall until one completes so the
 		// failure always tests a mid-stream recovery.
-		time.Sleep(time.Millisecond)
+		runtime.Gosched()
 		return streamline.Keyed[float64]{}, streamline.ReadIdle
 	}
 	if r.pos >= r.total {
@@ -217,18 +219,27 @@ func (r *brokenReader) Snapshot() ([]byte, error) { return nil, nil }
 func (r *brokenReader) Restore([]byte) error      { return nil }
 func (r *brokenReader) Err() error                { return errors.New("injected permanent failure") }
 
+// TestExecuteSupervisedLocalExhaustsBudget: the local supervision loop
+// retries a permanent failure once and then surfaces it. Its backoff runs on
+// the Env's clock: a manual one that moves by the policy's MaxBackoff
+// whenever something waits on it, so the one restart's downtime is exactly
+// that step.
 func TestExecuteSupervisedLocalExhaustsBudget(t *testing.T) {
+	const maxBackoff = 5 * time.Millisecond
 	var attempts atomic.Int32
 	env := streamline.New(
 		streamline.WithParallelism(1),
-		streamline.WithSupervision(1, time.Millisecond, 5*time.Millisecond),
+		streamline.WithSupervision(1, time.Millisecond, maxBackoff),
 	)
 	stream := streamline.From(env, "broken", brokenSource{attempts: &attempts}, streamline.WithSourceParallelism(1))
 	streamline.Collect(stream, "out")
+	clk := clock.NewManual(time.Unix(0, 0))
+	streamline.SetClock(env, clk)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	err := env.Execute(ctx)
+	var err error
+	clk.Drive(maxBackoff, func() { err = env.Execute(ctx) })
 	if err == nil {
 		t.Fatal("a permanently failing job must not report success")
 	}
@@ -241,8 +252,12 @@ func TestExecuteSupervisedLocalExhaustsBudget(t *testing.T) {
 	if got := attempts.Load(); got != 2 {
 		t.Fatalf("source opened %d times, want 2 (initial + one restart)", got)
 	}
-	if stats := env.RestartStats(); len(stats) != 1 {
+	stats := env.RestartStats()
+	if len(stats) != 1 {
 		t.Fatalf("recorded %d restarts, want 1: %+v", len(stats), stats)
+	}
+	if stats[0].Downtime != maxBackoff {
+		t.Fatalf("the restart's downtime on the Env's clock is %v, want the one %v step its backoff waited", stats[0].Downtime, maxBackoff)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/dataflow"
 	"repro/internal/metrics"
 	"repro/internal/seglog"
@@ -235,9 +236,12 @@ func (t *topicSource[T]) open(st *topicScanState, sub, par int) Reader[T] {
 	}
 	return &topicFollowReader[T]{
 		store: t.store, topic: t.topic, st: st, hist: hist, dec: dec,
-		end: -1, tailOff: -1, poll: 10 * time.Millisecond,
+		end: -1, tailOff: -1,
 	}
 }
+
+// followPoll is how long a followed topic's tail backs off once caught up.
+const followPoll = 10 * time.Millisecond
 
 // errReader fails a misconfigured source: Next ends the stream immediately
 // and Err surfaces the reason when the runtime inspects it at end of stream.
@@ -331,8 +335,9 @@ type topicFollowReader[T any] struct {
 	tailOff  int64 // next offset the tail reads; -1 until the handoff
 	maxTs    int64
 	haveTs   bool
-	poll     time.Duration
 	err      error
+	clk      clock.Clock // the job's, from OpenSource (nil: clock.Real)
+	backoff  clock.Timer // one per reader, reset for every back-off
 }
 
 func (r *topicFollowReader[T]) fail(err error) (Keyed[T], ReadStatus) {
@@ -391,7 +396,7 @@ func (r *topicFollowReader[T]) Next() (Keyed[T], ReadStatus) {
 		// The last read found the visible end: back off before reading
 		// again. ReadIdle came first, so nothing staged waited behind this.
 		r.caughtUp = false
-		time.Sleep(r.poll)
+		<-clock.Reset(r.clk, &r.backoff, followPoll)
 	}
 	rec, ok, err := r.tr.Next()
 	if err != nil {
@@ -486,8 +491,11 @@ func (r *topicFollowReader[T]) RestoreAll(subtask, parallelism int, blobs map[in
 	return nil
 }
 
-// OpenSource forwards the runtime's per-subtask context to the history scan.
-func (r *topicFollowReader[T]) OpenSource(ctx *dataflow.OpContext) { openReader(r.hist, ctx) }
+// OpenSource takes the job's clock and forwards ctx to the history scan.
+func (r *topicFollowReader[T]) OpenSource(ctx *dataflow.OpContext) {
+	r.clk = ctx.Clock
+	openReader(r.hist, ctx)
+}
 
 func (r *topicFollowReader[T]) Err() error {
 	if r.err != nil {
