@@ -4,9 +4,8 @@
 // model claims to survive — connection drops, added latency, and the nasty
 // one, the hung-but-open connection (blackhole): reads see silence until
 // their deadline, writes succeed into the void, exactly what a partitioned
-// or wedged peer looks like to TCP. A Killer normalizes "kill this worker"
-// across in-process workers (context cancellation) and real processes
-// (SIGKILL).
+// or wedged peer looks like to TCP. A Killer kills in-process workers by
+// name (context cancellation).
 package chaos
 
 import (
@@ -151,19 +150,16 @@ func (c *Conn) SetDeadline(t time.Time) error {
 	return c.Conn.SetDeadline(t)
 }
 
-// Killer normalizes killing workers across the two ways soak harnesses run
-// them: in-process worker loops registered with a cancel function, and real
-// processes registered with a pid (killed with SIGKILL — no goodbye on the
-// control plane, exactly like a crash).
+// Killer kills in-process worker loops by name: each is registered with
+// the cancel function of its context.
 type Killer struct {
 	mu      sync.Mutex
 	cancels map[string]context.CancelFunc
-	pids    map[string]int
 }
 
 // NewKiller returns an empty Killer.
 func NewKiller() *Killer {
-	return &Killer{cancels: map[string]context.CancelFunc{}, pids: map[string]int{}}
+	return &Killer{cancels: map[string]context.CancelFunc{}}
 }
 
 // RegisterCancel makes name killable by cancelling its context.
@@ -173,28 +169,14 @@ func (k *Killer) RegisterCancel(name string, cancel context.CancelFunc) {
 	k.cancels[name] = cancel
 }
 
-// RegisterPid makes name killable with SIGKILL.
-func (k *Killer) RegisterPid(name string, pid int) {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	k.pids[name] = pid
-}
-
 // Kill terminates the named victim; unknown names are a no-op (the victim
 // already died of natural causes).
 func (k *Killer) Kill(name string) {
 	k.mu.Lock()
 	cancel := k.cancels[name]
-	pid, hasPid := k.pids[name]
 	delete(k.cancels, name)
-	delete(k.pids, name)
 	k.mu.Unlock()
 	if cancel != nil {
 		cancel()
-	}
-	if hasPid {
-		if p, err := os.FindProcess(pid); err == nil {
-			p.Kill()
-		}
 	}
 }

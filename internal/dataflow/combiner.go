@@ -32,6 +32,7 @@ type CombinerOp struct {
 	sampled int
 	since   int // sampled at the restore: unique holds the keys sampled after it
 	unique  map[uint64]struct{}
+	box     Boxer[float64]
 }
 
 type combEntry struct {
@@ -153,9 +154,9 @@ func (c *CombinerOp) OnWatermark(wm int64, out Collector) {
 func (c *CombinerOp) flush(out Collector) {
 	for _, k := range c.order {
 		e := c.table[k]
-		out.Collect(Data(e.ts, k, e.acc))
+		out.Collect(Data(e.ts, k, c.box.Box(e.acc)))
 	}
-	c.table = make(map[uint64]combEntry)
+	clear(c.table)
 	c.order = c.order[:0]
 }
 

@@ -486,7 +486,7 @@ func (j *Job) run(ctx context.Context, part *Participation) error {
 					Parallelism: cn.Parallelism, NumKeyGroups: numGroups,
 					Metrics: j.reg, Restore: restoreBlob(cn, s),
 					RestoreGroups: restoreGroups(cn, s),
-					LocalSubtasks: locals, Clock: j.clk,
+					LocalSubtasks: locals, Clock: j.clk, Done: runCtx.Done(),
 				}); err != nil {
 					launchErr = fmt.Errorf("open %q/%d: %w", cn.Name, s, err)
 					break
@@ -505,6 +505,7 @@ func (j *Job) run(ctx context.Context, part *Participation) error {
 						NodeID: n.ID, NodeName: n.Name, Subtask: s,
 						Parallelism: n.Parallelism, NumKeyGroups: numGroups,
 						Metrics: j.reg, LocalSubtasks: locals, Clock: j.clk,
+						Done: runCtx.Done(),
 					})
 				}
 				// Sources restore from the node-wide blob set: splittable

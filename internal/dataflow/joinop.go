@@ -54,6 +54,7 @@ type WindowJoinOp struct {
 	kt     keyTable
 	maps   []map[int64]joinSides // dense key index -> the key's window map
 	starts []int64               // OnWatermark's: a due key's closing windows
+	box    Boxer[JoinedPair]
 }
 
 // Config implements Configured.
@@ -234,9 +235,9 @@ func (j *WindowJoinOp) OnWatermark(wm int64, out Collector) {
 			delete(m, start)
 			for _, l := range b.Left {
 				for _, r := range b.Right {
-					out.Collect(Data(start+j.Size-1, key, JoinedPair{
+					out.Collect(Data(start+j.Size-1, key, j.box.Box(JoinedPair{
 						WindowStart: start, WindowEnd: start + j.Size, Left: l, Right: r,
-					}))
+					})))
 				}
 			}
 		}

@@ -37,6 +37,10 @@ type OpContext struct {
 	LocalSubtasks []int
 	// Clock is the job's control-plane clock (WithClock); nil: clock.Real.
 	Clock clock.Clock
+	// Done is closed when the run is cancelled; nil never closes. A source
+	// that waits on Clock also selects on it, so a cancelled job does not
+	// wait for its next element to be due.
+	Done <-chan struct{}
 }
 
 // NewKeyedState builds the subtask's keyed-state container for the plan's
@@ -222,6 +226,7 @@ type KeyedReduceOp struct {
 	kt   keyTable
 	accs []float64               // dense index -> running accumulator
 	refs []state.KeyRef[float64] // dense index -> resolved cell slot
+	box  Boxer[float64]
 }
 
 // Config implements Configured.
@@ -270,7 +275,7 @@ func (k *KeyedReduceOp) OnBatch(b []Record, _ Collector) []Record {
 		acc := k.F(k.accs[idx], v)
 		k.accs[idx] = acc
 		if k.EmitEach {
-			b[keep] = Data(b[i].Ts, b[i].Key, acc)
+			b[keep] = Data(b[i].Ts, b[i].Key, k.box.Box(acc))
 			keep++
 		}
 	}
@@ -290,7 +295,7 @@ func (k *KeyedReduceOp) Finish(out Collector) {
 	}
 	for _, key := range k.acc.SortedKeys() {
 		v, _ := k.acc.Get(key)
-		out.Collect(Data(0, key, v))
+		out.Collect(Data(0, key, k.box.Box(v)))
 	}
 }
 

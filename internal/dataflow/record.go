@@ -182,7 +182,10 @@ type Record struct {
 	// Key is the partitioning key (meaningful after a KeyBy edge).
 	Key uint64
 	// Value is the payload. A type the wire codec has no fast path for
-	// crosses processes through gob, so it must be gob-serializable.
+	// crosses processes through gob, so it must be gob-serializable. The
+	// engine boxes payloads through a Boxer, so payloads boxed by the same
+	// subtask may share a slab: a payload is immutable, and one kept pins
+	// its slab (at most DefaultBatchSize values of its type).
 	Value any
 }
 

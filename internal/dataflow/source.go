@@ -208,9 +208,11 @@ func SliceSource(recs []Record) SourceFactory {
 // Pacer throttles emissions to perSec per second of its Clock (nil:
 // clock.Real): the n-th after the first Wait call is due n/perSec after it.
 // Reset re-anchors the schedule (after a recovery restore, pacing must
-// restart from the resume point, not replay the old schedule).
+// restart from the resume point, not replay the old schedule). Once Done
+// (the run's, OpContext.Done) is closed, Wait no longer waits.
 type Pacer struct {
 	Clock clock.Clock
+	Done  <-chan struct{}
 	start time.Time
 	count int64
 	timer clock.Timer // one per pacer, reset for every wait
@@ -225,7 +227,11 @@ func (p *Pacer) Wait(perSec float64) {
 	}
 	if perSec > 0 {
 		if d := p.next(perSec).Sub(clk.Now()); d > 0 {
-			<-clock.Reset(clk, &p.timer, d)
+			select {
+			case <-clock.Reset(clk, &p.timer, d):
+			case <-p.Done:
+				p.timer.Stop()
+			}
 		}
 	}
 	p.count++
@@ -286,7 +292,7 @@ func (p *PacedSource) RestoreAll(subtask, parallelism int, blobs map[int][]byte)
 
 // OpenSource implements SourceOpener: pacing runs on the job's clock.
 func (p *PacedSource) OpenSource(ctx *OpContext) {
-	p.pacer.Clock = ctx.Clock
+	p.pacer.Clock, p.pacer.Done = ctx.Clock, ctx.Done
 	if o, ok := p.Inner.(SourceOpener); ok {
 		o.OpenSource(ctx)
 	}

@@ -20,18 +20,24 @@ const DefaultBatchSize = 64
 // edges of a job share one pool, across the wire too: a transport returns a
 // batch it has shipped to the pool and decodes a received one into a batch
 // from it (EdgeTransport.UsePool), so gets (staged + decoded) and puts
-// (consumed + shipped) balance on every participant.
+// (consumed + shipped) balance on every participant. A batch travels through
+// the pool in a *[]Record carrier, and carriers are pooled too, so a balanced
+// Get and Put allocate nothing.
 type BatchPool struct {
-	pool      sync.Pool
+	pool      sync.Pool // *[]Record holding a batch
+	carriers  sync.Pool // empty *[]Record
 	allocated atomic.Int64
 }
 
-// NewBatchPool returns a pool of batches with room for size records.
+// NewBatchPool returns a pool of batches for size records. A new batch has
+// room for at most DefaultBatchSize of them and grows as it is filled: the
+// stager ships by length, so a large batch size costs memory only where
+// batches fill.
 func NewBatchPool(size int) *BatchPool {
 	bp := &BatchPool{}
 	bp.pool.New = func() any {
 		bp.allocated.Add(1)
-		b := make([]Record, 0, size)
+		b := make([]Record, 0, min(size, DefaultBatchSize))
 		return &b
 	}
 	return bp
@@ -39,7 +45,11 @@ func NewBatchPool(size int) *BatchPool {
 
 // Get returns an empty batch.
 func (bp *BatchPool) Get() []Record {
-	return (*bp.pool.Get().(*[]Record))[:0]
+	c := bp.pool.Get().(*[]Record)
+	b := (*c)[:0]
+	*c = nil
+	bp.carriers.Put(c)
+	return b
 }
 
 // Put recycles a consumed batch. Entries are cleared first so the pool does
@@ -48,10 +58,13 @@ func (bp *BatchPool) Put(b []Record) {
 	if cap(b) == 0 {
 		return
 	}
-	b = b[:cap(b)]
-	clear(b)
-	b = b[:0]
-	bp.pool.Put(&b)
+	clear(b[:cap(b)])
+	c, _ := bp.carriers.Get().(*[]Record)
+	if c == nil {
+		c = new([]Record)
+	}
+	*c = b[:0]
+	bp.pool.Put(c)
 }
 
 // Allocated reports how many batches the pool has had to allocate because

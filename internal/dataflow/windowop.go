@@ -82,6 +82,7 @@ type WindowOp struct {
 	release     timerIndex // buffered key -> its earliest buffered timestamp
 	timers      timerIndex // key -> its window state's NextFire
 	curKey      uint64
+	box         Boxer[WindowResult]
 	droppedLate int64
 	droppedCtr  *metrics.Counter
 
@@ -184,13 +185,13 @@ func (w *WindowOp) cloneEngine(e *cutty.Engine) *cutty.Engine {
 }
 
 func (w *WindowOp) emitResult(r engine.Result) {
-	w.out.Collect(Data(r.End, w.curKey, WindowResult{
+	w.out.Collect(Data(r.End, w.curKey, w.box.Box(WindowResult{
 		QueryID: r.QueryID,
 		Start:   r.Start,
 		End:     r.End,
 		Value:   r.Value,
 		Count:   r.Count,
-	}))
+	})))
 }
 
 // Open implements Operator.

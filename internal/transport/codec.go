@@ -50,13 +50,13 @@ func readRef(r io.ByteReader) (dataflow.ChannelRef, error) {
 }
 
 // writeFrame writes one frame: the wire batch's byte length as a uvarint,
-// then the batch.
-func writeFrame(w io.Writer, batch []byte) error {
+// then the batch. The length is encoded into w's own free space, so a frame
+// allocates nothing.
+func writeFrame(w *bufio.Writer, batch []byte) error {
 	if len(batch) > maxFrameSize {
 		return fmt.Errorf("a %d-byte batch exceeds the %d-byte frame limit", len(batch), maxFrameSize)
 	}
-	var hdr [binary.MaxVarintLen64]byte
-	if _, err := w.Write(binary.AppendUvarint(hdr[:0], uint64(len(batch)))); err != nil {
+	if _, err := w.Write(binary.AppendUvarint(w.AvailableBuffer(), uint64(len(batch)))); err != nil {
 		return err
 	}
 	_, err := w.Write(batch)
@@ -178,12 +178,26 @@ func appendBatch(buf []byte, recs []dataflow.Record) ([]byte, error) {
 	return buf, nil
 }
 
-// decodeBatch decodes one wire batch, appending its records to out. It
-// allocates in proportion to len(data), whatever record count the batch
-// claims. A batch that is not zero or more data records and then at most one
-// control record is an error: no sender ships another shape, and a receiving
-// subtask reads only the last record of a batch as a control record.
-func decodeBatch(data []byte, out []dataflow.Record) ([]dataflow.Record, error) {
+// payloadBoxers box the payloads of one connection's fast-path tags (a
+// bool's box is static, a gob payload's is gob's). A connection's read loop
+// owns one set.
+type payloadBoxers struct {
+	f64    dataflow.Boxer[float64]
+	i64    dataflow.Boxer[int64]
+	i      dataflow.Boxer[int]
+	u64    dataflow.Boxer[uint64]
+	str    dataflow.Boxer[string]
+	window dataflow.Boxer[dataflow.WindowResult]
+	pair   dataflow.Boxer[dataflow.JoinedPair]
+}
+
+// decodeBatch decodes one wire batch, appending its records to out and
+// boxing their payloads through bx. It allocates in proportion to len(data),
+// whatever record count the batch claims. A batch that is not zero or more
+// data records and then at most one control record is an error: no sender
+// ships another shape, and a receiving subtask reads only the last record of
+// a batch as a control record.
+func decodeBatch(data []byte, out []dataflow.Record, bx *payloadBoxers) ([]dataflow.Record, error) {
 	n, b, err := state.ReadCount(data, minRecordSize)
 	if err != nil {
 		return out, fmt.Errorf("wire batch: %w", err)
@@ -218,31 +232,31 @@ func decodeBatch(data []byte, out []dataflow.Record) ([]dataflow.Record, error) 
 			if v, b, err = readFloat(b); err != nil {
 				return out, err
 			}
-			r.Value = v
+			r.Value = bx.f64.Box(v)
 		case pInt64:
 			var v int64
 			if v, b, err = state.ReadVarint(b); err != nil {
 				return out, fmt.Errorf("wire batch: record %d: %w", i, err)
 			}
-			r.Value = v
+			r.Value = bx.i64.Box(v)
 		case pInt:
 			var v int64
 			if v, b, err = state.ReadVarint(b); err != nil {
 				return out, fmt.Errorf("wire batch: record %d: %w", i, err)
 			}
-			r.Value = int(v)
+			r.Value = bx.i.Box(int(v))
 		case pUint64:
 			var v uint64
 			if v, b, err = state.ReadUvarint(b); err != nil {
 				return out, fmt.Errorf("wire batch: record %d: %w", i, err)
 			}
-			r.Value = v
+			r.Value = bx.u64.Box(v)
 		case pString:
 			var p []byte
 			if p, b, err = state.ReadBytes(b); err != nil {
 				return out, fmt.Errorf("wire batch: string at record %d: %w", i, err)
 			}
-			r.Value = string(p)
+			r.Value = bx.str.Box(string(p))
 		case pBool:
 			if len(b) == 0 {
 				return out, fmt.Errorf("wire batch: truncated bool at record %d", i)
@@ -268,7 +282,7 @@ func decodeBatch(data []byte, out []dataflow.Record) ([]dataflow.Record, error) 
 			if w.Count, b, err = state.ReadVarint(b); err != nil {
 				return out, fmt.Errorf("wire batch: record %d: %w", i, err)
 			}
-			r.Value = w
+			r.Value = bx.window.Box(w)
 		case pJoinedPair:
 			var j dataflow.JoinedPair
 			if j.WindowStart, b, err = state.ReadVarint(b); err != nil {
@@ -283,7 +297,7 @@ func decodeBatch(data []byte, out []dataflow.Record) ([]dataflow.Record, error) 
 			if j.Right, b, err = readFloat(b); err != nil {
 				return out, err
 			}
-			r.Value = j
+			r.Value = bx.pair.Box(j)
 		case pGob:
 			var p []byte
 			if p, b, err = state.ReadBytes(b); err != nil {

@@ -288,11 +288,12 @@ func (m *Mesh) readLoop(conn net.Conn) {
 		return
 	}
 	var buf []byte
+	var bx payloadBoxers
 	for {
 		var b []dataflow.Record
 		buf, err = readFrame(br, buf)
 		if err == nil {
-			b, err = decodeBatch(buf, pool.Get())
+			b, err = decodeBatch(buf, pool.Get(), &bx)
 		}
 		if err != nil {
 			if !m.benign(err) {

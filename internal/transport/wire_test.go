@@ -117,7 +117,7 @@ func TestWireDecodeAllocatesWhatArrived(t *testing.T) {
 			data = append(data, 0)
 		}
 		var err error
-		if b := allocated(func() { _, err = decodeBatch(data, nil) }); b > 64<<10 {
+		if b := allocated(func() { _, err = decodeBatch(data, nil, &payloadBoxers{}) }); b > 64<<10 {
 			t.Errorf("a batch claiming %d records allocated %d bytes", n, b)
 		}
 		if err == nil {
@@ -148,7 +148,7 @@ func TestWireBatchControlOnlyLast(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if b, err := decodeBatch(data, nil); err == nil {
+		if b, err := decodeBatch(data, nil, &payloadBoxers{}); err == nil {
 			t.Errorf("batch %v decoded as %v, want an error", batch, b)
 		}
 	}
@@ -176,7 +176,7 @@ func FuzzWireBatchDecode(f *testing.F) {
 		f.Add(data)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		b, err := decodeBatch(data, nil)
+		b, err := decodeBatch(data, nil, &payloadBoxers{})
 		if err != nil {
 			return
 		}
@@ -189,7 +189,7 @@ func FuzzWireBatchDecode(f *testing.F) {
 		if err != nil {
 			t.Fatalf("decoded batch does not encode: %v", err)
 		}
-		again, err := decodeBatch(enc, nil)
+		again, err := decodeBatch(enc, nil, &payloadBoxers{})
 		if err != nil {
 			t.Fatalf("re-encoded batch does not decode: %v", err)
 		}
@@ -255,5 +255,57 @@ func TestControlRoundTrip(t *testing.T) {
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("msg %d = %+v, want %+v", i, got, want)
 		}
+	}
+}
+
+// TestWireDecodeBoxesPerSlab: a frame of 64 float records decodes with one
+// allocation, the slab its payloads are boxed into, and decodes to what was
+// sent.
+func TestWireDecodeBoxesPerSlab(t *testing.T) {
+	batch := make([]dataflow.Record, dataflow.DefaultBatchSize)
+	for i := range batch {
+		batch[i] = dataflow.Data(int64(i), uint64(i), float64(i)+0.5)
+	}
+	data, err := appendBatch(nil, batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var bx payloadBoxers
+	out := make([]dataflow.Record, 0, len(batch))
+	if n := testing.AllocsPerRun(100, func() { out, err = decodeBatch(data, out[:0], &bx) }); n > 1 {
+		t.Fatalf("decoding %d float records allocated %v times, want at most 1", len(batch), n)
+	}
+	if err != nil || !reflect.DeepEqual(out, batch) {
+		t.Fatalf("decoded %+v, %v; want %+v", out, err, batch)
+	}
+}
+
+// TestWriteFrameAllocatesNothing: the length prefix is encoded into the
+// writer's own buffer, and the frame's bytes are the uvarint length and the
+// batch.
+func TestWriteFrameAllocatesNothing(t *testing.T) {
+	batch := bytes.Repeat([]byte{7}, 300)
+	var sink bytes.Buffer
+	w := bufio.NewWriterSize(&sink, 64<<10)
+	if n := testing.AllocsPerRun(100, func() {
+		if err := writeFrame(w, batch); err != nil {
+			t.Fatal(err)
+		}
+		if w.Available() < 4<<10 {
+			w.Reset(io.Discard)
+		}
+	}); n != 0 {
+		t.Fatalf("writeFrame allocated %v times per frame, want 0", n)
+	}
+	sink.Reset()
+	w.Reset(&sink)
+	if err := writeFrame(w, batch); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if want := append(binary.AppendUvarint(nil, uint64(len(batch))), batch...); !bytes.Equal(sink.Bytes(), want) {
+		t.Fatalf("frame bytes = % x, want % x", sink.Bytes(), want)
 	}
 }

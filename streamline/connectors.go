@@ -192,9 +192,10 @@ func (r *pacedReader[T]) RestoreAll(subtask, parallelism int, blobs map[int][]by
 	return restoreReaderAll(r.inner, subtask, parallelism, blobs)
 }
 
-// OpenSource paces on the job's clock and forwards ctx to the inner reader.
+// OpenSource paces on the job's clock, until the run's end, and forwards ctx
+// to the inner reader.
 func (r *pacedReader[T]) OpenSource(ctx *dataflow.OpContext) {
-	r.pacer.Clock = ctx.Clock
+	r.pacer.Clock, r.pacer.Done = ctx.Clock, ctx.Done
 	openReader(r.inner, ctx)
 }
 
@@ -250,8 +251,9 @@ func (channelSource[T]) PreferredParallelism() int { return 1 }
 type channelReader[T any] struct {
 	c       <-chan Keyed[T]
 	emitted int64
-	clk     clock.Clock // the job's, from OpenSource (nil: clock.Real)
-	idle    clock.Timer // one per reader, reset for every idle wait
+	clk     clock.Clock     // the job's, from OpenSource (nil: clock.Real)
+	done    <-chan struct{} // the run's, from OpenSource: ends an idle wait
+	idle    clock.Timer     // one per reader, reset for every idle wait
 }
 
 func (r *channelReader[T]) Next() (Keyed[T], ReadStatus) {
@@ -269,11 +271,14 @@ func (r *channelReader[T]) Next() (Keyed[T], ReadStatus) {
 		return r.received(k, ok)
 	case <-idle:
 		return Keyed[T]{}, ReadIdle
+	case <-r.done:
+		r.idle.Stop()
+		return Keyed[T]{}, ReadIdle
 	}
 }
 
-// OpenSource takes the job's clock for the idle poll.
-func (r *channelReader[T]) OpenSource(ctx *dataflow.OpContext) { r.clk = ctx.Clock }
+// OpenSource takes the job's clock for the idle poll and the run's end.
+func (r *channelReader[T]) OpenSource(ctx *dataflow.OpContext) { r.clk, r.done = ctx.Clock, ctx.Done }
 
 func (r *channelReader[T]) received(k Keyed[T], ok bool) (Keyed[T], ReadStatus) {
 	if !ok {
@@ -402,6 +407,7 @@ func (j *jsonlSource[T]) Open(sub, par int) Reader[T] {
 
 func (j *jsonlSource[T]) open(plan *dataflow.ScanPlan, sub, par int) Reader[T] {
 	dec := newJSONDecoder[T]()
+	var box dataflow.Boxer[T]
 	return &funcReader[T]{src: &dataflow.FileScanSource{
 		Plan: plan, Subtask: sub, Parallelism: par,
 		DecodeLine: func(line []byte, off int64) (dataflow.Record, bool, error) {
@@ -412,7 +418,7 @@ func (j *jsonlSource[T]) open(plan *dataflow.ScanPlan, sub, par int) Reader[T] {
 			if err != nil {
 				return dataflow.Record{}, false, fmt.Errorf("decode %s: %w", typeName[T](), err)
 			}
-			return dataflow.Data(off, 0, v), true, nil
+			return dataflow.Data(off, 0, box.Box(v)), true, nil
 		},
 	}}
 }
@@ -462,6 +468,7 @@ func (c *csvSource[T]) Open(sub, par int) Reader[T] {
 }
 
 func (c *csvSource[T]) open(plan *dataflow.ScanPlan, sub, par int) Reader[T] {
+	var box dataflow.Boxer[T]
 	return &funcReader[T]{src: &dataflow.FileScanSource{
 		Plan: plan, Subtask: sub, Parallelism: par,
 		DecodeRow: func(row []string, off int64) (dataflow.Record, error) {
@@ -469,7 +476,7 @@ func (c *csvSource[T]) open(plan *dataflow.ScanPlan, sub, par int) Reader[T] {
 			if err != nil {
 				return dataflow.Record{}, err
 			}
-			return dataflow.Data(off, 0, v), nil
+			return dataflow.Data(off, 0, box.Box(v)), nil
 		},
 	}}
 }
@@ -517,8 +524,9 @@ func asBoxed(r any) boxedReader {
 }
 
 // boxedNext reads r's next element in boxed form: through b, r's own
-// boxedReader side, when it has one, boxing Next's element otherwise.
-func boxedNext[T any](r Reader[T], b boxedReader) (dataflow.Record, ReadStatus) {
+// boxedReader side, when it has one, boxing Next's element with box
+// otherwise.
+func boxedNext[T any](r Reader[T], b boxedReader, box *dataflow.Boxer[T]) (dataflow.Record, ReadStatus) {
 	if b != nil {
 		return b.nextBoxed()
 	}
@@ -526,7 +534,7 @@ func boxedNext[T any](r Reader[T], b boxedReader) (dataflow.Record, ReadStatus) 
 	if st != ReadData {
 		return dataflow.Record{Ts: k.Ts}, st
 	}
-	return box(k), ReadData
+	return dataflow.Data(k.Ts, k.Key, box.Box(k.Value)), ReadData
 }
 
 func (f *funcReader[T]) Snapshot() ([]byte, error) { return f.src.Snapshot() }
@@ -628,6 +636,7 @@ type hybridReader[T any] struct {
 	inLive        bool        // past the handoff
 	maxTs         int64
 	haveTs        bool
+	box           dataflow.Boxer[T] // boxes what a typed half returns
 }
 
 func newHybridReader[T any](history, live Reader[T]) *hybridReader[T] {
@@ -669,11 +678,11 @@ func (h *hybridReader[T]) Next() (Keyed[T], ReadStatus) {
 // an engine source (Topic, JSONL, CSV) forwarded in its boxed form.
 func (h *hybridReader[T]) nextBoxed() (dataflow.Record, ReadStatus) {
 	if h.inLive {
-		r, st := boxedNext(h.live, nil)
+		r, st := boxedNext(h.live, nil, &h.box)
 		h.liveWait.saw(st)
 		return r, st
 	}
-	r, st := boxedNext(h.history, h.historyBoxed)
+	r, st := boxedNext(h.history, h.historyBoxed, &h.box)
 	r.Ts, st = h.historyStep(r.Ts, st)
 	return r, st
 }

@@ -326,6 +326,8 @@ type loweredReader[T any] struct {
 	// after a restore would promise the live maximum with no lag allowance.
 	atRestMax  int64
 	atRestHave bool
+
+	box dataflow.Boxer[T] // boxes the typed reader's elements
 }
 
 // loweredReaderState is the adapter's snapshot: its watermark bookkeeping
@@ -538,7 +540,7 @@ func (l *loweredReader[T]) Next() (dataflow.Record, bool) {
 	if l.boxed != nil {
 		return dataflow.Data(k.Ts, k.Key, boxed), true
 	}
-	return box(k), true
+	return dataflow.Data(k.Ts, k.Key, l.box.Box(k.Value)), true
 }
 
 // Snapshot implements dataflow.SourceFunc.

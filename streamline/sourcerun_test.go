@@ -2,6 +2,7 @@ package streamline_test
 
 import (
 	"context"
+	"errors"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -244,5 +245,50 @@ func TestHybridRunLengthAcrossHandoff(t *testing.T) {
 	}
 	if got := reg.Counter("node.events.runs").Value(); got != full+1 {
 		t.Fatalf("runs = %d, want %d full batches of history + 1 run of the %d queued live elements", got, full, live)
+	}
+}
+
+// TestCancelEndsSourceWaits: a job cancelled while its source waits on the
+// clock returns without the clock moving — a paced source waiting for its
+// next element (at 0.1 elements per second, 10 s of the clock), a followed
+// topic's tail in its back-off after finding nothing, and a Channel's idle
+// poll of an empty channel.
+func TestCancelEndsSourceWaits(t *testing.T) {
+	store, err := streamline.OpenTopicStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	for name, src := range map[string]streamline.Source[float64]{
+		"paced":   streamline.Paced(streamline.Slice([]float64{1, 2, 3}), 0.1),
+		"follow":  streamline.Topic[float64](store, "ticks", streamline.WithFollow()),
+		"channel": streamline.Channel(make(chan streamline.Keyed[float64])),
+	} {
+		t.Run(name, func(t *testing.T) {
+			env := streamline.New(streamline.WithParallelism(1))
+			streamline.Collect(streamline.From(env, "src", src, streamline.WithSourceParallelism(1)), "out")
+			clk := clock.NewManual(time.Unix(0, 0))
+			streamline.SetClock(env, clk)
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			done := make(chan error, 1)
+			go func() { done <- env.Execute(ctx) }()
+			clk.BlockUntil(1)
+			start := clk.Now()
+			cancel()
+			select {
+			case err := <-done:
+				if err != nil && !errors.Is(err, context.Canceled) {
+					t.Fatalf("Execute returned %v, want nil or context.Canceled", err)
+				}
+			case <-time.After(10 * time.Second):
+				clk.Advance(time.Hour) // let the job go before the test fails
+				<-done
+				t.Fatal("Execute did not return after cancel while the clock stood still")
+			}
+			if !clk.Now().Equal(start) {
+				t.Fatalf("the clock moved from %v to %v", start, clk.Now())
+			}
+		})
 	}
 }

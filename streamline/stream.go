@@ -31,6 +31,7 @@ type Keyed[T any] struct {
 // run of adjacent stages fuses into one lowered operator whose composed
 // closure keeps the value in its concrete type across stages — one unbox at
 // chain entry, one box at chain exit, instead of a box/unbox pair per stage.
+// Each subtask composes its own closure around its own dataflow.Boxer.
 // The fused node's name concatenates the stage names with "+", so plan
 // fingerprints stay deterministic; fusion never crosses KeyBy, window, join,
 // union, sink, or exchange boundaries.
@@ -58,14 +59,17 @@ type Stream[T any] struct {
 
 // emitFn is the typed hot-path signature fused stages compose: one call per
 // element, with the collector threaded as a parameter so the composed
-// closures are built once at lowering — never per record.
+// closures are built once per subtask — never per record.
 type emitFn[T any] func(ts int64, key uint64, v T, out dataflow.Collector)
 
-// boxEmit is the terminal emitFn of a fused run: it boxes the typed value
-// into an engine record. One generic instantiation per element type, bound
-// once at lowering.
-func boxEmit[U any](ts int64, key uint64, v U, out dataflow.Collector) {
-	out.Collect(dataflow.Data(ts, key, v))
+// emitBoxed returns the terminal emitFn of a fused run or a lone FlatMap: it
+// boxes the typed value into an engine record through a boxer of its own, so
+// each operator instance (one subtask) calls it once.
+func emitBoxed[U any]() emitFn[U] {
+	var box dataflow.Boxer[U]
+	return func(ts int64, key uint64, v U, out dataflow.Collector) {
+		out.Collect(dataflow.Data(ts, key, box.Box(v)))
+	}
 }
 
 // fuseStage is one deferred stateless stage. compose and entry are
@@ -133,16 +137,18 @@ func (s *Stream[T]) lower() *dataflow.Node {
 		s.node = s.env.forward(bn, s.stage.name, s.stage.direct)
 		return s.node
 	}
-	var em any = emitFn[T](boxEmit[T])
 	names := make([]string, len(stages))
 	for i, st := range stages {
-		em = st.compose(em)
 		names[len(stages)-1-i] = st.name
 	}
 	head := stages[len(stages)-1]
-	f := head.entry(em)
 	s.node = s.env.forward(bn, strings.Join(names, "+"), func() dataflow.Operator {
-		return &dataflow.FlatMapOp{F: f}
+		// Each subtask composes its own chain around its own boxer.
+		var em any = emitBoxed[T]()
+		for _, st := range stages {
+			em = st.compose(em)
+		}
+		return &dataflow.FlatMapOp{F: head.entry(em)}
 	})
 	return s.node
 }
@@ -170,11 +176,6 @@ func derive[U, T any](parent *Stream[T], st *fuseStage) *Stream[U] {
 	return &Stream[U]{env: parent.env, keyed: parent.keyed, parent: parent, stage: st}
 }
 
-// box converts a typed record to the engine representation.
-func box[T any](k Keyed[T]) dataflow.Record {
-	return dataflow.Data(k.Ts, k.Key, k.Value)
-}
-
 // unbox converts an engine record back to its typed form. It panics on a
 // payload of the wrong type, which indicates a bug in the lowering layer —
 // typed plans never mix payload types on one edge.
@@ -195,8 +196,9 @@ func Map[T, U any](s *Stream[T], name string, f func(T) U) *Stream[U] {
 		},
 		entry: entryFor[T],
 		direct: func() dataflow.Operator {
+			var box dataflow.Boxer[U]
 			return &dataflow.MapOp{F: func(r dataflow.Record) dataflow.Record {
-				r.Value = f(r.Value.(T))
+				r.Value = box.Box(f(r.Value.(T)))
 				return r
 			}}
 		},
@@ -263,8 +265,9 @@ func FlatMap[T, U any](s *Stream[T], name string, f func(T, Emitter[U])) *Stream
 		},
 		entry: entryFor[T],
 		direct: func() dataflow.Operator {
+			emit := emitBoxed[U]()
 			return &dataflow.FlatMapOp{F: func(r dataflow.Record, out dataflow.Collector) {
-				f(r.Value.(T), Emitter[U]{ts: r.Ts, key: r.Key, out: out, emit: boxEmit[U]})
+				f(r.Value.(T), Emitter[U]{ts: r.Ts, key: r.Key, out: out, emit: emit})
 			}}
 		},
 	})
@@ -358,14 +361,15 @@ func JoinWindow(s *Stream[float64], name string, other *Stream[float64], size in
 	)
 	// Rebox the engine's pair type into the typed pair on a chained edge.
 	n := env.forward(joined, name+"-typed", func() dataflow.Operator {
+		var box dataflow.Boxer[JoinedPair[float64, float64]]
 		return &dataflow.MapOp{F: func(r dataflow.Record) dataflow.Record {
 			p := r.Value.(dataflow.JoinedPair)
-			r.Value = JoinedPair[float64, float64]{
+			r.Value = box.Box(JoinedPair[float64, float64]{
 				WindowStart: p.WindowStart,
 				WindowEnd:   p.WindowEnd,
 				Left:        p.Left,
 				Right:       p.Right,
-			}
+			})
 			return r
 		}}
 	})

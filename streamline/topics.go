@@ -262,6 +262,7 @@ type topicSplitReader[T any] struct {
 	dec     jsonDecoder[T]
 	rr      *seglog.RangeReader
 	lastPos int64
+	box     dataflow.Boxer[T]
 }
 
 func (r *topicSplitReader[T]) OpenSplit(sp dataflow.Split, resumeAt int64) error {
@@ -291,7 +292,7 @@ func (r *topicSplitReader[T]) NextInSplit() (dataflow.Record, bool, error) {
 	if err != nil {
 		return dataflow.Record{}, false, fmt.Errorf("topic %q offset %d: decode %s: %w", r.topic, rec.Offset, typeName[T](), err)
 	}
-	return dataflow.Data(rec.Ts, rec.Key, v), true, nil
+	return dataflow.Data(rec.Ts, rec.Key, r.box.Box(v)), true, nil
 }
 
 func (r *topicSplitReader[T]) Pos() int64 {
@@ -336,8 +337,9 @@ type topicFollowReader[T any] struct {
 	maxTs    int64
 	haveTs   bool
 	err      error
-	clk      clock.Clock // the job's, from OpenSource (nil: clock.Real)
-	backoff  clock.Timer // one per reader, reset for every back-off
+	clk      clock.Clock     // the job's, from OpenSource (nil: clock.Real)
+	done     <-chan struct{} // the run's, from OpenSource: ends a back-off
+	backoff  clock.Timer     // one per reader, reset for every back-off
 }
 
 func (r *topicFollowReader[T]) fail(err error) (Keyed[T], ReadStatus) {
@@ -395,8 +397,13 @@ func (r *topicFollowReader[T]) Next() (Keyed[T], ReadStatus) {
 	if r.caughtUp {
 		// The last read found the visible end: back off before reading
 		// again. ReadIdle came first, so nothing staged waited behind this.
+		select {
+		case <-clock.Reset(r.clk, &r.backoff, followPoll):
+		case <-r.done:
+			r.backoff.Stop()
+			return Keyed[T]{}, ReadIdle
+		}
 		r.caughtUp = false
-		<-clock.Reset(r.clk, &r.backoff, followPoll)
 	}
 	rec, ok, err := r.tr.Next()
 	if err != nil {
@@ -491,9 +498,10 @@ func (r *topicFollowReader[T]) RestoreAll(subtask, parallelism int, blobs map[in
 	return nil
 }
 
-// OpenSource takes the job's clock and forwards ctx to the history scan.
+// OpenSource takes the job's clock and the run's end, and forwards ctx to
+// the history scan.
 func (r *topicFollowReader[T]) OpenSource(ctx *dataflow.OpContext) {
-	r.clk = ctx.Clock
+	r.clk, r.done = ctx.Clock, ctx.Done
 	openReader(r.hist, ctx)
 }
 

@@ -81,9 +81,8 @@ func TestTopicFollowBurstShipsInFullRuns(t *testing.T) {
 	if got := reg.Counter("node.follow.runs").Value() - runs; got != 3 {
 		t.Fatalf("the burst of %d came in %d runs, want 3 (%d, %d and %d)", burst, got, batch, batch, burst-2*batch)
 	}
-	// The tail is back in its back-off: end it so the job sees the cancel.
+	// The tail is back in its back-off, which a cancel ends.
 	clk.BlockUntil(1)
 	cancel()
-	clk.Advance(followPoll)
 	<-done
 }
