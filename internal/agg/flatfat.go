@@ -1,5 +1,7 @@
 package agg
 
+import "slices"
+
 // FlatFAT is a flat fixed-capacity aggregate tree (Tangwongsan et al.,
 // "General Incremental Sliding-Window Aggregation", VLDB 2015) extended with
 // ring-buffer semantics and arbitrary range queries.
@@ -39,6 +41,15 @@ func NewFlatFAT[A any](identity A, combine func(a, b A) A, initialCap int) *Flat
 		t.tree[i] = identity
 	}
 	return t
+}
+
+// Clone returns an independent copy of the tree: the same leaves in the same
+// physical layout, so every range query on it combines exactly as the
+// original's does.
+func (t *FlatFAT[A]) Clone() FlatFAT[A] {
+	c := *t
+	c.tree, c.valid = slices.Clone(t.tree), slices.Clone(t.valid)
+	return c
 }
 
 // Len returns the number of leaves currently stored.

@@ -65,8 +65,12 @@ func (r *metaRing) at(abs int64) *sliceMeta {
 func (r *metaRing) append(m sliceMeta) { r.items = append(r.items, m) }
 
 func (r *metaRing) popFront() {
-	r.items = r.items[1:]
 	r.base++
+	if len(r.items) == 1 {
+		r.items = r.items[:0] // keep the array for the next slice
+		return
+	}
+	r.items = r.items[1:]
 	// Reclaim the unreachable prefix once it dominates the backing array.
 	if cap(r.items) > 64 && len(r.items) < cap(r.items)/4 {
 		fresh := make([]sliceMeta, len(r.items))
@@ -92,7 +96,7 @@ func (r *metaRing) firstAtOrAfter(fromAbs, cutoff int64) int64 {
 // partials, shared by every query using the same function name.
 type fnStore struct {
 	fn   *agg.FnF64
-	tree *agg.FlatFAT[agg.Acc]
+	tree agg.FlatFAT[agg.Acc]
 	refs int
 }
 
@@ -104,7 +108,7 @@ type openWin struct {
 type queryState struct {
 	id       int
 	assigner window.Assigner
-	store    *fnStore
+	store    int // index in Engine.stores
 	open     winList
 }
 
@@ -163,16 +167,17 @@ type Engine struct {
 	pos     int64
 	curWM   int64
 	nextQID int
-	// queries (ascending id) and stores are lists in insertion order, not
-	// maps: the per-element and per-watermark paths iterate them (Go map
-	// iteration re-seeds its random start on every call, a real cost when
-	// OnElement and OnWatermark run once per record), dispatch — and
+	// queries (ascending id) and stores are lists of values in insertion
+	// order, not maps: the per-element and per-watermark paths iterate them
+	// (Go map iteration re-seeds its random start on every call, a real cost
+	// when OnElement and OnWatermark run once per record), dispatch — and
 	// therefore emission order under multiple queries — is deterministic,
 	// and with one engine per key a pair of maps per engine would be a
-	// visible share of a window operator's memory. Lookups by id or function
+	// visible share of a window operator's memory; as values they are also
+	// one allocation each when Clone copies them. Lookups by id or function
 	// name scan; they happen on AddQuery, RemoveQuery and Restore only.
-	queries []*queryState
-	stores  []*fnStore
+	queries []queryState
+	stores  []fnStore
 
 	meta       metaRing
 	cutPending bool
@@ -212,68 +217,85 @@ func (e *Engine) AddQuery(q engine.Query) (int, error) {
 	if q.Fn == nil || q.Window.Factory == nil {
 		return 0, fmt.Errorf("cutty: query requires a window spec and an aggregate function")
 	}
-	st := e.store(q.Fn.Name)
-	if st == nil {
-		st = &fnStore{fn: q.Fn, tree: agg.NewFlatFAT(q.Fn.Identity, q.Fn.Combine, 16)}
+	si := e.store(q.Fn.Name)
+	if si < 0 {
+		si = len(e.stores)
+		e.stores = append(e.stores, fnStore{fn: q.Fn, tree: *agg.NewFlatFAT(q.Fn.Identity, q.Fn.Combine, 16)})
 		// Align the new tree with the existing slice ring: identity
 		// partials for slices that predate the query (its windows can only
 		// begin at future slices, so these leaves are never queried).
 		for i := int64(0); i < e.meta.len(); i++ {
-			st.tree.Append(q.Fn.Identity)
+			e.stores[si].tree.Append(q.Fn.Identity)
 		}
-		e.stores = append(e.stores, st)
 	}
-	st.refs++
+	e.stores[si].refs++
 	id := e.nextQID
 	e.nextQID++
-	qs := &queryState{
+	e.queries = append(e.queries, queryState{
 		id:       id,
 		assigner: q.Window.Factory(),
-		store:    st,
-	}
-	e.queries = append(e.queries, qs)
+		store:    si,
+	})
 	return id, nil
 }
 
-// store returns the shared state of the aggregate function name, or nil.
-func (e *Engine) store(name string) *fnStore {
-	for _, st := range e.stores {
-		if st.fn.Name == name {
-			return st
-		}
-	}
-	return nil
+// store returns the index of the aggregate function name's shared state, or
+// -1.
+func (e *Engine) store(name string) int {
+	return slices.IndexFunc(e.stores, func(st fnStore) bool { return st.fn.Name == name })
 }
 
-// query returns the registered query id, or nil.
-func (e *Engine) query(id int) *queryState {
-	for _, q := range e.queries {
-		if q.id == id {
-			return q
-		}
-	}
-	return nil
+// query returns the index of the registered query id, or -1.
+func (e *Engine) query(id int) int {
+	return slices.IndexFunc(e.queries, func(q queryState) bool { return q.id == id })
 }
 
 // RemoveQuery implements engine.Engine.
 func (e *Engine) RemoveQuery(id int) {
-	q := e.query(id)
-	if q == nil {
+	qi := e.query(id)
+	if qi < 0 {
 		return
 	}
-	e.queries = slices.DeleteFunc(e.queries, func(qs *queryState) bool { return qs == q })
-	q.store.refs--
-	if q.store.refs == 0 {
-		e.stores = slices.DeleteFunc(e.stores, func(st *fnStore) bool { return st == q.store })
+	si := e.queries[qi].store
+	e.queries = slices.Delete(e.queries, qi, qi+1)
+	if e.stores[si].refs--; e.stores[si].refs == 0 {
+		e.stores = slices.Delete(e.stores, si, si+1)
+		for i := range e.queries {
+			if e.queries[i].store > si {
+				e.queries[i].store--
+			}
+		}
 	}
 	e.evict()
+}
+
+// Clone returns an independent deep copy of the engine — the slice ring,
+// each store's tree in its physical layout, each query's open windows and
+// its assigner's state — emitting to the same function. It is the
+// copy-on-write copy of a key whose captured state is still being
+// serialized, and answers every later call exactly as the original would.
+func (e *Engine) Clone() *Engine {
+	c := *e
+	c.meta.items = slices.Clone(e.meta.items)
+	c.stores = slices.Clone(e.stores)
+	for i := range c.stores {
+		c.stores[i].tree = e.stores[i].tree.Clone()
+	}
+	c.queries = slices.Clone(e.queries)
+	for i := range c.queries {
+		q := &c.queries[i]
+		q.open = winList{wins: slices.Clone(q.open.live())}
+		q.assigner = q.assigner.(window.Checkpointable).Clone()
+	}
+	return &c
 }
 
 // OnElement implements engine.Engine.
 func (e *Engine) OnElement(ts int64, v float64) {
 	// 1. Let every query's window function observe the element first; any
 	//    Open cuts a slice boundary immediately before it.
-	for _, q := range e.queries {
+	for i := range e.queries {
+		q := &e.queries[i]
 		e.active = q
 		q.assigner.OnElement(ts, e.pos, v, (*ctx)(e))
 	}
@@ -282,13 +304,15 @@ func (e *Engine) OnElement(ts int64, v float64) {
 	//    once per distinct aggregate function — this is the shared work.
 	if e.cutPending || e.meta.len() == 0 {
 		e.meta.append(sliceMeta{firstTs: ts, count: 1})
-		for _, st := range e.stores {
+		for i := range e.stores {
+			st := &e.stores[i]
 			st.tree.Append(st.fn.Lift(v))
 		}
 		e.cutPending = false
 	} else {
 		e.meta.at(e.meta.nextAbs()-1).count++
-		for _, st := range e.stores {
+		for i := range e.stores {
+			st := &e.stores[i]
 			st.tree.UpdateBack(st.fn.Combine(st.tree.Back(), st.fn.Lift(v)))
 		}
 	}
@@ -302,7 +326,8 @@ func (e *Engine) OnWatermark(wm int64) {
 		return
 	}
 	e.curWM = wm
-	for _, q := range e.queries {
+	for i := range e.queries {
+		q := &e.queries[i]
 		e.active = q
 		q.assigner.OnTime(wm, (*ctx)(e))
 	}
@@ -320,8 +345,8 @@ func (e *Engine) OnWatermark(wm int64) {
 // path, so no assigner ever observes time running backwards.
 func (e *Engine) NextFire() int64 {
 	next := int64(math.MaxInt64)
-	for _, q := range e.queries {
-		next = min(next, q.assigner.NextTime())
+	for i := range e.queries {
+		next = min(next, e.queries[i].assigner.NextTime())
 	}
 	return next
 }
@@ -330,8 +355,8 @@ func (e *Engine) NextFire() int64 {
 // function stores.
 func (e *Engine) StoredPartials() int {
 	n := 0
-	for _, st := range e.stores {
-		n += st.tree.Len()
+	for i := range e.stores {
+		n += e.stores[i].tree.Len()
 	}
 	return n
 }
@@ -350,8 +375,8 @@ func (e *Engine) Idle() bool {
 	if e.meta.len() > 0 || e.cutPending {
 		return false
 	}
-	for _, q := range e.queries {
-		if len(q.open.live()) > 0 {
+	for i := range e.queries {
+		if len(e.queries[i].open.live()) > 0 {
 			return false
 		}
 	}
@@ -402,7 +427,7 @@ func (c *ctx) close(i int, end, toAbs int64) {
 	q := e.active
 	w := q.open.live()[i]
 	q.open.remove(i)
-	st := q.store
+	st := &e.stores[q.store]
 	lo := w.begin - e.meta.base
 	hi := toAbs - e.meta.base
 	var acc agg.Acc
@@ -427,16 +452,16 @@ func (c *ctx) close(i int, end, toAbs int64) {
 // forces a cut before the next element.
 func (e *Engine) evict() {
 	minNeeded := int64(math.MaxInt64)
-	for _, q := range e.queries {
-		if open := q.open.live(); len(open) > 0 {
+	for i := range e.queries {
+		if open := e.queries[i].open.live(); len(open) > 0 {
 			minNeeded = min(minNeeded, open[0].begin)
 		}
 	}
 	for e.meta.len() > 0 && e.meta.base < minNeeded {
 		last := e.meta.len() == 1
 		e.meta.popFront()
-		for _, st := range e.stores {
-			st.tree.EvictFront()
+		for i := range e.stores {
+			e.stores[i].tree.EvictFront()
 		}
 		if last {
 			e.cutPending = false // next element starts a fresh slice anyway

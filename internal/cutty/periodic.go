@@ -82,6 +82,12 @@ func NewKeySlices() *KeySlices {
 	return &KeySlices{Fired: math.MinInt64, next: math.MaxInt64}
 }
 
+// Reset returns k to the state NewKeySlices builds, keeping the arrays of
+// its slot and partial slices for the next key that takes it over.
+func (k *KeySlices) Reset() {
+	*k = KeySlices{Fired: math.MinInt64, Slots: k.Slots[:0], Parts: k.Parts[:0], next: math.MaxInt64}
+}
+
 // Clone deep-copies the state.
 func (k *KeySlices) Clone() *KeySlices {
 	c := *k

@@ -37,7 +37,7 @@ func (e *Engine) AppendState(b []byte) []byte {
 		b = binary.AppendVarint(binary.AppendVarint(b, m.firstTs), m.count)
 	}
 	stores := slices.Clone(e.stores)
-	slices.SortFunc(stores, func(a, b *fnStore) int { return cmp.Compare(a.fn.Name, b.fn.Name) })
+	slices.SortFunc(stores, func(a, b fnStore) int { return cmp.Compare(a.fn.Name, b.fn.Name) })
 	b = binary.AppendUvarint(b, uint64(len(stores)))
 	for _, s := range stores {
 		b = binary.AppendUvarint(state.AppendBytes(b, s.fn.Name), uint64(s.tree.Len()))
@@ -80,11 +80,12 @@ func (e *Engine) ReadState(b []byte) ([]byte, error) {
 		if c.Err != nil {
 			break
 		}
-		s := e.store(string(name))
-		if s == nil {
+		si := e.store(string(name))
+		if si < 0 {
 			return c.B, fmt.Errorf("cutty: restore: no store for function %q (query set mismatch)", name)
 		}
-		s.tree = agg.NewFlatFAT(s.fn.Identity, s.fn.Combine, leaves+1)
+		s := &e.stores[si]
+		s.tree = *agg.NewFlatFAT(s.fn.Identity, s.fn.Combine, leaves+1)
 		for ; leaves > 0; leaves-- {
 			s.tree.Append(readAcc(&c))
 		}
@@ -96,10 +97,11 @@ func (e *Engine) ReadState(b []byte) ([]byte, error) {
 	}
 	for n := c.Count(2); n > 0 && c.Err == nil; n-- {
 		id := c.Varint()
-		q := e.query(int(id))
-		if q == nil {
+		qi := e.query(int(id))
+		if qi < 0 {
 			return c.B, fmt.Errorf("cutty: restore: query %d missing (query set mismatch)", id)
 		}
+		q := &e.queries[qi]
 		// The blob lists windows by id; the engine wants them in opening
 		// order, which is begin order (ties opened at the same element).
 		wins := make([]openWin, c.Count(2))

@@ -5,6 +5,7 @@ import (
 	"encoding/gob"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/agg"
@@ -126,5 +127,56 @@ func TestSnapshotEmptyEngine(t *testing.T) {
 	e2.OnWatermark(math.MaxInt64)
 	if len(got) == 0 {
 		t.Fatalf("restored engine produced no results")
+	}
+}
+
+// TestEngineCloneIsIndependent: a clone taken anywhere in a stream encodes
+// as its original does; running the clone on leaves the original's state
+// untouched; and the clone emits exactly what the original would have,
+// under every assigner there is.
+func TestEngineCloneIsIndependent(t *testing.T) {
+	queries := append(snapshotQueries(),
+		engine.Query{Window: window.Punctuation(func(v float64) bool { return v == 9 }), Fn: agg.SumF64()},
+		engine.Query{Window: window.Delta(4), Fn: agg.MinF64()},
+		engine.Query{Window: window.SessionWithMaxDuration(5, 12), Fn: agg.SumF64()},
+		engine.Query{Window: window.TimeOrCount(15, 6), Fn: agg.MaxF64()},
+		engine.Query{Window: window.CountSliding(6, 2), Fn: agg.CountF64()},
+	)
+	rng := rand.New(rand.NewSource(29))
+	for trial := 0; trial < 10; trial++ {
+		elems := make([]window.Element, 200+rng.Intn(200))
+		var ts int64
+		for i := range elems {
+			ts += rng.Int63n(4)
+			elems[i] = window.Element{Ts: ts, V: float64(rng.Intn(10))}
+		}
+		cut := 1 + rng.Intn(len(elems)-1)
+		var out []engine.Result
+		run := func(e *Engine, elems []window.Element) []engine.Result {
+			from := len(out)
+			for _, el := range elems {
+				e.OnWatermark(el.Ts)
+				e.OnElement(el.Ts, el.V)
+			}
+			e.OnWatermark(math.MaxInt64)
+			return out[from:]
+		}
+		orig := buildEngine(func(r engine.Result) { out = append(out, r) }, queries, t)
+		for _, el := range elems[:cut] {
+			orig.OnWatermark(el.Ts)
+			orig.OnElement(el.Ts, el.V)
+		}
+		at := orig.AppendState(nil)
+		clone := orig.Clone()
+		if got := clone.AppendState(nil); !bytes.Equal(got, at) {
+			t.Fatalf("trial %d: the clone encodes as\n%x\nits original as\n%x", trial, got, at)
+		}
+		fromClone := run(clone, elems[cut:])
+		if got := orig.AppendState(nil); !bytes.Equal(got, at) {
+			t.Fatalf("trial %d: running the clone changed its original's state", trial)
+		}
+		if want := run(orig, elems[cut:]); !slices.Equal(fromClone, want) {
+			t.Fatalf("trial %d (cut %d): the clone emitted\n%+v\nits original\n%+v", trial, cut, fromClone, want)
+		}
 	}
 }

@@ -1,6 +1,8 @@
 package dataflow
 
 import (
+	"context"
+	goruntime "runtime"
 	"runtime/debug"
 	"testing"
 
@@ -118,5 +120,70 @@ func TestWindowOpFiringAllocatesPerSlab(t *testing.T) {
 	}
 	if n > 2 {
 		t.Fatalf("firing %d windows allocated %v times, want at most 2", keys, n)
+	}
+}
+
+// Keys whose buffers a watermark empties and whose slices it evicts give
+// both back, and take them again when they return: after a warm-up, a run
+// and the watermark that fires it allocate nothing but the results' slab.
+func TestWindowOpRecyclesKeyState(t *testing.T) {
+	const keys = DefaultBatchSize
+	op := newWindowOp(t, WindowQuery{Spec: window.Tumbling(10), Fn: agg.SumF64()})
+	out := &discardCollector{}
+	run, at := make([]Record, keys), int64(0)
+	step := func() {
+		for k := range run {
+			run[k] = Data(at+1+int64(k%8), uint64(k), 1.5)
+		}
+		op.OnBatch(run, out)
+		at += 10 // the end of the one window every key is in
+		op.OnWatermark(at, out)
+	}
+	for range 4 {
+		step()
+	}
+	before := out.n
+	n := testing.AllocsPerRun(100, step)
+	if fired := (out.n - before) / 101; fired != keys {
+		t.Fatalf("a watermark fired %d windows, want %d", fired, keys)
+	}
+	if b, s := op.buf.Len(), op.slices.Len(); b != 0 || s != 0 {
+		t.Fatalf("%d buffers and %d keys' slices left after the watermark, want none", b, s)
+	}
+	if n > 1 {
+		t.Fatalf("a run of %d returning keys and its watermark allocated %v times, want at most 1", keys, n)
+	}
+}
+
+// A fan-in subtask of two inputs that finds both empty sleeps in a plain
+// select: waking it allocates nothing. Each wake is an empty batch, which
+// the subtask receives and drops without touching the pool. AllocsPerRun
+// runs on one P, so yielding after a send lets the subtask run until it
+// sleeps again, and every wake takes the sleeping path.
+func TestFanInWakeAllocatesNothing(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	rt := &runtime{ctx: ctx, cancel: cancel}
+	ch := &chain{
+		nodes: []*Node{{Name: "fanin"}},
+		ops:   []Operator{&runCapture{}},
+		out:   &outputs{ctx: ctx, pool: NewBatchPool(DefaultBatchSize), batchSize: DefaultBatchSize},
+	}
+	ch.build()
+	inputs := []chan []Record{make(chan []Record), make(chan []Record)}
+	done := make(chan error, 1)
+	go func() { done <- runOperator(rt, ch.nodes[0], 0, inputs, []int{0, 1}, ch, nil) }()
+	empty, wakes := []Record{}, 0
+	n := testing.AllocsPerRun(200, func() {
+		inputs[wakes%2] <- empty
+		wakes++
+		goruntime.Gosched()
+	})
+	cancel()
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if n != 0 {
+		t.Fatalf("waking a two-input subtask allocated %v times, want 0", n)
 	}
 }

@@ -725,12 +725,15 @@ func runOperator(rt *runtime, n *Node, subtask int, inputs []chan []Record, edge
 				idx = active[0]
 			}
 		} else {
-			// Fan-in: sweep the active channels with non-blocking receives
-			// and pay for the reflective select (and its boxed batch header)
-			// only when all are empty and the subtask has to sleep. The sweep
-			// starts at a random channel, as select does: no input starves,
-			// and a strict rotation, which locks the producers into step with
-			// the consumer, measured 10-30% slower on keyed windows.
+			// Fan-in: sweep the active channels with non-blocking receives,
+			// and sleep only when all are empty — for two inputs (two
+			// upstream subtasks, a join's two sides) in a plain select,
+			// which allocates nothing, for more in a reflective select,
+			// which allocates and boxes the batch header on every wake. The
+			// sweep starts at a random channel and select picks uniformly
+			// among the ready ones: no input starves, and a strict rotation,
+			// which locks the producers into step with the consumer,
+			// measured 10-30% slower on keyed windows.
 			select {
 			case <-rt.ctx.Done():
 				return nil
@@ -744,7 +747,18 @@ func runOperator(rt *runtime, n *Node, subtask int, inputs []chan []Record, edge
 				default:
 				}
 			}
-			if b == nil {
+			switch {
+			case b != nil:
+			case len(active) == 2:
+				select {
+				case <-rt.ctx.Done():
+					return nil
+				case b = <-inputs[active[0]]:
+					idx = active[0]
+				case b = <-inputs[active[1]]:
+					idx = active[1]
+				}
+			default:
 				cases = cases[:1]
 				for _, i := range active {
 					cases = append(cases, reflect.SelectCase{Dir: reflect.SelectRecv, Chan: reflect.ValueOf(inputs[i])})

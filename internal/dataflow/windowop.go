@@ -67,6 +67,24 @@ type WindowQuery struct {
 // derived from the keyed state and not checkpointed (a restore at another
 // parallelism regroups the keys anyway): Open rebuilds them from the
 // restored buffers and window state.
+//
+// A key gives memory back as it goes: its reorder buffer when a watermark
+// releases the last element in it, and on the timeline its KeySlices when
+// the last slice is evicted. Each goes on a free list the subtask owns
+// (spares), and the next key that needs a buffer or a KeySlices takes one
+// from there. A buffer a watermark releases in part is compacted to the
+// front of its array, unless its remainder is longer than both the released
+// prefix and spareBufCap: that copy would cost more than the release, and
+// the remainder is resliced. Reuse and compaction write into memory a cell
+// held, so they happen only while no capture is serializing
+// (KeyedState.Capturing); during a capture a key gives nothing back and a
+// remainder is resliced, as copy-on-write requires. A spare was given back
+// while no capture existed and is in no cell, so a key may take one at any
+// time. The lists are bounded: a buffer of more than spareBufCap entries —
+// a key that buffered through a stretch without watermarks, such as a
+// history replay — is left to the collector, and each list holds at most
+// spareBudget bytes, counted from capacities. No spare reaches a
+// checkpoint: a cell never holds an empty buffer.
 type WindowOp struct {
 	Queries []WindowQuery
 
@@ -76,15 +94,19 @@ type WindowOp struct {
 	timeline    *cutty.Timeline
 	slices      *state.MapCell[*cutty.KeySlices]
 	engines     *state.MapCell[*cutty.Engine]
-	cloneBuf    []byte // cloneEngine's scratch
 	buf         *state.MapCell[[]bufEntry]
 	wm          *state.GroupCell[int64]
 	release     timerIndex // buffered key -> its earliest buffered timestamp
 	timers      timerIndex // key -> its window state's NextFire
 	curKey      uint64
+	curSlices   *cutty.KeySlices // the visited key's slices (timeline layout)
 	box         Boxer[WindowResult]
 	droppedLate int64
 	droppedCtr  *metrics.Counter
+
+	// What keys gave back, for the next key that needs it.
+	spareBufs   spares[[]bufEntry]
+	spareSlices spares[*cutty.KeySlices]
 
 	// State size — keys holding window state and their slices, kept by visit
 	// and leave — and what of it this subtask has added to the node's gauges.
@@ -119,11 +141,59 @@ type keyWindows interface {
 }
 
 // bufEntry is one buffered, not-yet-released element of a key's reorder
-// buffer.
+// buffer. A key's buffer is in the buf cell from its first element until a
+// watermark releases its last; its array may then serve another key (see
+// WindowOp).
 type bufEntry struct {
 	Ts  int64
 	Val float64
 }
+
+// The bound on what a subtask keeps of the window state its keys gave back:
+// a reorder buffer of at most spareBufCap entries is kept, a larger one is
+// not, and each spare list holds at most spareBudget bytes.
+const (
+	spareBufCap = 16
+	spareBudget = 1 << 20
+)
+
+// spares is a stack of window state keys gave back, holding at most
+// spareBudget bytes as size counts them.
+type spares[T any] struct {
+	vals  []T
+	bytes int
+	size  func(T) int
+}
+
+// put keeps v if the budget has room for it.
+func (s *spares[T]) put(v T) {
+	if n := s.size(v); s.bytes+n <= spareBudget {
+		s.vals = append(s.vals, v)
+		s.bytes += n
+	}
+}
+
+// take returns the spare put last, or the zero T when there is none.
+func (s *spares[T]) take() T {
+	var zero T
+	n := len(s.vals) - 1
+	if n < 0 {
+		return zero
+	}
+	v := s.vals[n]
+	s.vals[n] = zero // the list must not pin what a key holds now
+	s.vals = s.vals[:n]
+	s.bytes -= s.size(v)
+	return v
+}
+
+// bufBytes and sliceBytes are what a spare counts against spareBudget: its
+// arrays and its place on the list (a slice header; a pointer and the
+// KeySlices, whose slots are one int64 each and whose partials an agg.Acc
+// of three words).
+func bufBytes(b []bufEntry) int { return 24 + 16*cap(b) }
+
+func sliceBytes(k *cutty.KeySlices) int { return 8 + 64 + 8*cap(k.Slots) + 24*cap(k.Parts) }
 
 // bufCodec encodes a reorder buffer as its length, then per entry the
 // timestamp as a zigzag delta from the one before and the value.
@@ -171,19 +241,6 @@ func (w *WindowOp) newEngine() *cutty.Engine {
 	return e
 }
 
-// cloneEngine deep-copies an engine through its typed state — the
-// copy-on-write path taken when a key is mutated while its captured state
-// is still being serialized. The encoding goes through one scratch buffer
-// the operator reuses.
-func (w *WindowOp) cloneEngine(e *cutty.Engine) *cutty.Engine {
-	w.cloneBuf = e.AppendState(w.cloneBuf[:0])
-	ne := w.newEngine()
-	if _, err := ne.ReadState(w.cloneBuf); err != nil {
-		panic(fmt.Sprintf("dataflow: window engine clone: %v", err))
-	}
-	return ne
-}
-
 func (w *WindowOp) emitResult(r engine.Result) {
 	w.out.Collect(Data(r.End, w.curKey, w.box.Box(WindowResult{
 		QueryID: r.QueryID,
@@ -216,10 +273,11 @@ func (w *WindowOp) Open(ctx *OpContext) error {
 				rest, err := e.ReadState(b)
 				return e, rest, err
 			},
-			Clone: w.cloneEngine,
+			Clone: (*cutty.Engine).Clone,
 		})
 	}
 	w.buf = state.RegisterMap(w.ks, "buf", bufCodec)
+	w.spareBufs.size, w.spareSlices.size = bufBytes, sliceBytes
 	w.wm = state.RegisterPerGroup(w.ks, "wm", int64(math.MinInt64), state.ValueCodec[int64]())
 	if ctx.Metrics != nil {
 		w.droppedCtr = ctx.Metrics.Counter("node." + ctx.NodeName + ".records_dropped_late")
@@ -326,11 +384,14 @@ func (w *WindowOp) OnBatch(b []Record, _ Collector) []Record {
 			continue
 		}
 		ref := w.buf.RefFor(key)
-		entries, _ := ref.Get()
+		entries, ok := ref.Get()
+		if !ok {
+			entries = w.spareBufs.take() // in no cell: no capture sees it
+		}
 		// Appending never mutates the visible prefix, so a captured view of
 		// the old slice header stays intact and Get+Put (not GetMut) is
-		// COW-safe here; sorting and compacting in OnWatermark go through
-		// GetMut.
+		// COW-safe here; sorting in OnWatermark goes through GetMut, and it
+		// compacts in place only while no capture exists.
 		ref.Put(append(entries, keep...))
 		// The key holds a release entry at or before its first buffered
 		// element (a remainder is sorted when released): only an earlier
@@ -361,8 +422,9 @@ func (w *WindowOp) keys() []uint64 {
 }
 
 // visit returns key's window state for mutation (while a capture serializes,
-// a private copy: two slice copies for a timeline key, a snapshot round trip
-// for an engine), creating it on demand, and how many slices it holds.
+// a private copy: two slice copies for a timeline key, a deep copy of an
+// engine), creating it on demand — on the timeline from a spare KeySlices
+// when there is one — and how many slices it holds.
 func (w *WindowOp) visit(key uint64) (keyWindows, int) {
 	w.curKey = key
 	if w.timeline == nil {
@@ -376,18 +438,21 @@ func (w *WindowOp) visit(key uint64) (keyWindows, int) {
 	}
 	k, ok := w.slices.GetMut(key)
 	if !ok {
-		k = cutty.NewKeySlices()
+		if k = w.spareSlices.take(); k == nil {
+			k = cutty.NewKeySlices()
+		}
 		w.slices.Put(key, k)
 		w.liveKeys++
 	}
+	w.curSlices = k
 	return w.timeline.Visit(k), len(k.Slots)
 }
 
 // leave ends a visit that found the key holding had slices: the key's timer
 // is re-armed, or — nothing pending, no slice left (timeline layout), an idle
-// engine (engine layout) — its state is released. A key that returns starts
-// over: every later element is newer than the release watermark, so no
-// window fires twice.
+// engine (engine layout) — its state is released, a KeySlices to the spares
+// while no capture exists. A key that returns starts over: every later
+// element is newer than the release watermark, so no window fires twice.
 //
 // armed bounds the key's timer entry: its NextFire when the visit began, or
 // math.MaxInt64 for a key the index does not hold (new, or just expired).
@@ -398,6 +463,10 @@ func (w *WindowOp) leave(key uint64, kw keyWindows, had int, armed int64) {
 	switch {
 	case w.timeline != nil && next == math.MaxInt64:
 		w.slices.Delete(key)
+		if !w.ks.Capturing() {
+			w.curSlices.Reset()
+			w.spareSlices.put(w.curSlices)
+		}
 	case w.timeline == nil && kw.(*cutty.Engine).Idle():
 		w.engines.Delete(key)
 	default:
@@ -438,7 +507,8 @@ func byTs(a, b bufEntry) int { return cmp.Compare(a.Ts, b.Ts) }
 // The results must be out before the runtime forwards the watermark
 // downstream, or a downstream event-time operator would drop them as late.
 // While a snapshot capture is serializing, each key touched — released into
-// or due, not every key — pays its copy-on-write clone once.
+// or due, not every key — pays its copy-on-write clone once, and a released
+// buffer is neither kept nor compacted in place (see WindowOp).
 func (w *WindowOp) OnWatermark(wm int64, out Collector) {
 	w.out = out
 	released := w.release.expire(wm, nil)
@@ -462,9 +532,20 @@ func (w *WindowOp) OnWatermark(wm int64, out Collector) {
 		}
 		if i == len(entries) {
 			w.buf.Delete(key)
+			if cap(entries) <= spareBufCap && !w.ks.Capturing() {
+				w.spareBufs.put(entries[:0])
+			}
 		} else {
-			w.buf.Put(key, entries[i:])
 			w.release.arm(key, entries[i].Ts)
+			// The remainder moves to the front of the array unless a capture
+			// may share the front, or copying it would cost more than the
+			// release did: a long remainder is resliced, as during a capture.
+			if rest := len(entries) - i; rest <= max(i, spareBufCap) && !w.ks.Capturing() {
+				entries = entries[:copy(entries, entries[i:])]
+			} else {
+				entries = entries[i:]
+			}
+			w.buf.Put(key, entries)
 		}
 		w.leave(key, kw, had, armed)
 	}

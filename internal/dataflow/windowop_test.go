@@ -492,3 +492,87 @@ func TestWindowOpRefusesEngineLayout(t *testing.T) {
 		t.Fatalf("restore of an engine-layout key group = %v, want an error naming cells \"engines\" and \"slices\"", err)
 	}
 }
+
+// TestWindowOpCaptureSurvivesRecycling: while a capture serializes, a key
+// whose buffer a watermark empties, one whose buffer it empties in part and
+// keys whose slices it evicts give nothing back and compact nothing in place,
+// so new keys fed after them cannot write into what the capture encodes: the
+// capture's groups are the bytes an encode at capture time produced. The
+// operator's results are those of one that was never captured.
+func TestWindowOpCaptureSurvivesRecycling(t *testing.T) {
+	q := WindowQuery{Spec: window.Tumbling(10), Fn: agg.SumF64()}
+	op, plain := newWindowOp(t, q), newWindowOp(t, q)
+	got, want := &collectList{}, &collectList{}
+	feed := func(run []Record, wm int64) {
+		op.OnBatch(append([]Record{}, run...), nil)
+		plain.OnBatch(append([]Record{}, run...), nil)
+		op.OnWatermark(wm, got)
+		plain.OnWatermark(wm, want)
+	}
+	// Key 3 holds a slice of [10,20) and no buffer; key 1 buffers two
+	// elements of that window, key 2 one of it and one of the next.
+	feed([]Record{Data(11, 3, 7.0)}, 15)
+	feed([]Record{Data(16, 1, 1.0), Data(17, 1, 2.0), Data(16, 2, 3.0), Data(25, 2, 4.0)}, 15)
+
+	atCapture, err := op.KeyedState().Capture().EncodeGroups()
+	if err != nil {
+		t.Fatal(err)
+	}
+	captured := op.KeyedState().Capture()
+	// Releases key 1 whole and key 2 in part, and fires [10,20) for keys 1,
+	// 2 and 3, which evicts every slice they hold; then new keys arrive.
+	feed(nil, 20)
+	feed([]Record{Data(21, 4, 5.0), Data(22, 4, 6.0), Data(23, 5, 7.0), Data(24, 6, 8.0)}, 22)
+	groups, err := captured.EncodeGroups()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(groups, atCapture) {
+		t.Fatal("the captured groups changed after the capture: recycled or compacted state was shared with it")
+	}
+	feed(nil, math.MaxInt64)
+	if !reflect.DeepEqual(got.recs, want.recs) {
+		t.Fatalf("results under a capture diverged\n got %+v\nwant %+v", got.recs, want.recs)
+	}
+}
+
+// TestWindowOpSpareRetentionBounded: the spare lists keep only small
+// buffers and stay within their byte budget. 1 000 keys buffer 200 elements
+// each, as through a history replay with no watermark, and 5 000 keys 16
+// each; one watermark releases them all and evicts every slice.
+func TestWindowOpSpareRetentionBounded(t *testing.T) {
+	op := newWindowOp(t, WindowQuery{Spec: window.Tumbling(10), Fn: agg.SumF64()})
+	var run []Record
+	for k := range 1000 {
+		for i := range 200 {
+			run = append(run, Data(int64(i), uint64(k), 1.0))
+		}
+	}
+	for k := range 5000 {
+		for i := range spareBufCap {
+			run = append(run, Data(int64(i), uint64(1000+k), 1.0))
+		}
+	}
+	op.OnBatch(run, nil)
+	op.OnWatermark(300, &discardCollector{})
+	if b, s := op.buf.Len(), op.slices.Len(); b != 0 || s != 0 {
+		t.Fatalf("%d buffers and %d keys' slices left after the watermark, want none", b, s)
+	}
+	if len(op.spareBufs.vals) == 0 || len(op.spareSlices.vals) == 0 {
+		t.Fatalf("%d spare buffers and %d spare slices kept, want some of each", len(op.spareBufs.vals), len(op.spareSlices.vals))
+	}
+	heldBufs, heldSlices := 0, 0
+	for _, b := range op.spareBufs.vals {
+		if cap(b) > spareBufCap {
+			t.Fatalf("a spare buffer holds %d entries, more than %d", cap(b), spareBufCap)
+		}
+		heldBufs += bufBytes(b)
+	}
+	for _, k := range op.spareSlices.vals {
+		heldSlices += sliceBytes(k)
+	}
+	if heldBufs != op.spareBufs.bytes || heldSlices != op.spareSlices.bytes || max(heldBufs, heldSlices) > spareBudget {
+		t.Fatalf("spares hold %d bytes of buffers and %d of slices, counted %d and %d, budget %d each",
+			heldBufs, heldSlices, op.spareBufs.bytes, op.spareSlices.bytes, spareBudget)
+	}
+}

@@ -104,6 +104,13 @@ func NewKeyedState(numKeyGroups, start, end int) *KeyedState {
 	}
 }
 
+// Capturing reports whether a capture's serialization may still be reading
+// the cells. While it does, a stored value may be shared with the captured
+// view and is mutated only through GetMut's copy; while it does not, every
+// stored value is private to the subtask goroutine (see thaw), so a value an
+// operator takes out of a cell may be mutated in place or reused.
+func (ks *KeyedState) Capturing() bool { return ks.active.Load() > 0 }
+
 // NumKeyGroups returns the plan's key-group count.
 func (ks *KeyedState) NumKeyGroups() int { return ks.numGroups }
 

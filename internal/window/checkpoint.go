@@ -2,6 +2,7 @@ package window
 
 import (
 	"encoding/binary"
+	"slices"
 
 	"repro/internal/state"
 )
@@ -13,9 +14,13 @@ import (
 // fields are encoded. AppendState appends the typed encoding of those
 // fields to b; ReadState reads exactly that encoding from the front of b
 // and returns the bytes after it, or an error for bytes it cannot take.
+// Clone returns an independent assigner with the same parameters and state
+// — the copy-on-write copy of a window engine whose captured state is still
+// being serialized — without going through the encoding.
 type Checkpointable interface {
 	AppendState(b []byte) []byte
 	ReadState(b []byte) ([]byte, error)
+	Clone() Assigner
 }
 
 // appendStarts and readStarts encode a list of window starts.
@@ -35,6 +40,13 @@ func readStarts(c *state.Cursor) []int64 {
 	return starts
 }
 
+// Clone implements Checkpointable.
+func (a *slidingAssigner) Clone() Assigner {
+	c := *a
+	c.open = slices.Clone(a.open)
+	return &c
+}
+
 // AppendState implements Checkpointable.
 func (a *slidingAssigner) AppendState(b []byte) []byte {
 	b = appendStarts(b, a.open)
@@ -47,6 +59,9 @@ func (a *slidingAssigner) ReadState(b []byte) ([]byte, error) {
 	a.open, a.nextStart, a.initialized = readStarts(&c), c.Varint(), c.Bool()
 	return c.B, c.Err
 }
+
+// Clone implements Checkpointable.
+func (a *sessionAssigner) Clone() Assigner { c := *a; return &c }
 
 // AppendState implements Checkpointable.
 func (a *sessionAssigner) AppendState(b []byte) []byte {
@@ -61,6 +76,13 @@ func (a *sessionAssigner) ReadState(b []byte) ([]byte, error) {
 	return c.B, c.Err
 }
 
+// Clone implements Checkpointable.
+func (a *countAssigner) Clone() Assigner {
+	c := *a
+	c.open = slices.Clone(a.open)
+	return &c
+}
+
 // AppendState implements Checkpointable.
 func (a *countAssigner) AppendState(b []byte) []byte { return appendStarts(b, a.open) }
 
@@ -70,6 +92,9 @@ func (a *countAssigner) ReadState(b []byte) ([]byte, error) {
 	a.open = readStarts(&c)
 	return c.B, c.Err
 }
+
+// Clone implements Checkpointable.
+func (a *punctuationAssigner) Clone() Assigner { c := *a; return &c }
 
 // AppendState implements Checkpointable.
 func (a *punctuationAssigner) AppendState(b []byte) []byte {
@@ -83,6 +108,9 @@ func (a *punctuationAssigner) ReadState(b []byte) ([]byte, error) {
 	return c.B, c.Err
 }
 
+// Clone implements Checkpointable.
+func (a *deltaAssigner) Clone() Assigner { c := *a; return &c }
+
 // AppendState implements Checkpointable.
 func (a *deltaAssigner) AppendState(b []byte) []byte {
 	b = binary.AppendVarint(state.AppendBool(b, a.active), a.start)
@@ -95,6 +123,9 @@ func (a *deltaAssigner) ReadState(b []byte) ([]byte, error) {
 	a.active, a.start, a.ref = c.Bool(), c.Varint(), c.Float64()
 	return c.B, c.Err
 }
+
+// Clone implements Checkpointable.
+func (a *sessionMaxAssigner) Clone() Assigner { c := *a; return &c }
 
 // AppendState implements Checkpointable.
 func (a *sessionMaxAssigner) AppendState(b []byte) []byte {

@@ -81,6 +81,9 @@ func (a *timeOrCountAssigner) NextTime() int64 {
 	return a.start + a.maxDur
 }
 
+// Clone implements Checkpointable.
+func (a *timeOrCountAssigner) Clone() Assigner { c := *a; return &c }
+
 // AppendState implements Checkpointable.
 func (a *timeOrCountAssigner) AppendState(b []byte) []byte {
 	b = binary.AppendVarint(state.AppendBool(b, a.active), a.start)
