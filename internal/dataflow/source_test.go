@@ -148,6 +148,18 @@ func lineDecode(line []byte, off int64) (Record, bool, error) {
 	return Data(off, 0, string(line)), true, nil
 }
 
+// lineScan builds one subtask of a scan over line files.
+func lineScan(plan *ScanPlan, sub, par int, decode LineDecode) SourceFunc {
+	return &FileScanSource{Plan: plan, Subtask: sub, Parallelism: par, DecodeLine: decode}
+}
+
+// csvScan builds one subtask of a scan over CSV files; header skips the
+// first row of every file.
+func csvScan(plan *ScanPlan, sub, par int, header bool, decode RowDecode) SourceFunc {
+	plan.CSV, plan.Header = true, header
+	return &FileScanSource{Plan: plan, Subtask: sub, Parallelism: par, DecodeRow: decode}
+}
+
 // mkLinePlan writes n "v<i>" lines and returns the file path and a fresh
 // split plan over it at the given split size.
 func mkLinePlan(t *testing.T, n int, splitSize int64) (string, func() *ScanPlan) {
