@@ -183,8 +183,7 @@ func scanFactory(path string, splitSize int64, words bool) dataflow.SourceFactor
 			plan = &dataflow.ScanPlan{Inputs: []string{path}, SplitSize: splitSize}
 		}
 		var acc, batch int64
-		src := &dataflow.FileScanSource{Plan: plan, Subtask: sub, Parallelism: par}
-		src.DecodeLine = func(line []byte, off int64) (dataflow.Record, bool, error) {
+		decode := func(line []byte, off int64) (dataflow.Record, bool, error) {
 			if words {
 				acc += countWords(line)
 			} else {
@@ -198,7 +197,8 @@ func scanFactory(path string, splitSize int64, words bool) dataflow.SourceFactor
 			}
 			return dataflow.Record{}, false, nil
 		}
-		return src
+		return &dataflow.SplitScanSource{Plan: plan, Subtask: sub, Parallelism: par,
+			Reader: &dataflow.LineReader{Decode: decode}}
 	}
 }
 
@@ -249,10 +249,10 @@ func scanRestore(path string, lines, size int64) ([]ScanRestoreRun, error) {
 	keepAll := func(line []byte, off int64) (dataflow.Record, bool, error) {
 		return dataflow.Data(off, 0, 1.0), true, nil
 	}
-	mk := func() *dataflow.FileScanSource {
-		return &dataflow.FileScanSource{
+	mk := func() *dataflow.SplitScanSource {
+		return &dataflow.SplitScanSource{
 			Plan:    &dataflow.ScanPlan{Inputs: []string{path}, SplitSize: size/8 + 1},
-			Subtask: 0, Parallelism: 1, DecodeLine: keepAll,
+			Subtask: 0, Parallelism: 1, Reader: &dataflow.LineReader{Decode: keepAll},
 		}
 	}
 	resumeAt := lines * 7 / 8

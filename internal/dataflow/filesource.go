@@ -5,20 +5,17 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
+	"math"
 	"os"
-
-	"repro/internal/metrics"
 )
 
 // File sources bring data at rest into the engine as plain streams that end —
 // the same code path as data in motion. The unit of work is the byte-range
-// Split (see split.go): each subtask pulls splits from the stage's shared
-// ScanPlan, scans its split with a reused buffer, and snapshots
-// (split id, byte offset), so restore Seeks straight to the position instead
-// of re-reading the file from the start. Because any subtask can process any
-// split, the snapshot state is not positional and a recovered job may run
-// the source at a different parallelism — the remaining splits simply
-// redistribute.
+// Split (see split.go), and the scan is a SplitScanSource (segscan.go) over
+// a LineReader or a CSVReader: each subtask pulls splits from the stage's
+// shared ScanPlan, its reader scans the split with a reused buffer, and the
+// snapshot holds (split id, byte offset), so restore Seeks straight to the
+// position instead of re-reading the file from the start.
 
 // maxLineBytes bounds a single line (4 MiB).
 const maxLineBytes = 4 << 20
@@ -32,137 +29,114 @@ type LineDecode func(line []byte, off int64) (r Record, keep bool, err error)
 // row's first byte in its file. The row slice is only valid during the call.
 type RowDecode func(row []string, off int64) (r Record, err error)
 
-// FileScanSource is one subtask of a splittable at-rest scan. Exactly one of
-// DecodeLine / DecodeRow must be set, matching the plan's mode (DecodeRow
-// requires Plan.CSV). All subtasks of a stage must share the same Plan.
-type FileScanSource struct {
-	Plan                 *ScanPlan
-	Subtask, Parallelism int
-	DecodeLine           LineDecode
-	DecodeRow            RowDecode
-
-	err  error
-	done bool
-
-	// current split
-	cur      splitCursor
-	hasCur   bool
-	startOff int64 // where consumption of cur began (metrics)
-	f        *os.File
-	path     string // path f is open on
-	rd       *bufio.Reader
-	cr       *csv.Reader
-	base     int64 // absolute offset cr started at (CSV mode)
-	off      int64 // absolute offset of the next unread byte (line mode)
-	lineBuf  []byte
-
-	completed []int
-
-	// scan observability (OpenSource): counters are per source node, deltas
-	// are accumulated locally and flushed at split boundaries and snapshots.
-	mRecords, mBytes, mSplits          *metrics.Counter
-	pendRecords, pendBytes, pendSplits int64
+// LineReader is the SplitReader of a scan over line files: every line is
+// one Decode call.
+type LineReader struct {
+	Decode LineDecode
+	fileCursor
 }
 
-// OpenSource implements SourceOpener: the runtime hands the subtask's
-// OpContext before restore and the first Next, and the scan registers its
-// per-node observability counters on it.
-func (s *FileScanSource) OpenSource(ctx *OpContext) {
-	s.Plan.SetOwnedSubtasks(ctx.LocalSubtasks, ctx.Parallelism)
-	if ctx.Metrics == nil {
-		return
-	}
-	s.mRecords = ctx.Metrics.Counter("node." + ctx.NodeName + ".records_out")
-	s.mBytes = ctx.Metrics.Counter("node." + ctx.NodeName + ".bytes_scanned")
-	s.mSplits = ctx.Metrics.Counter("node." + ctx.NodeName + ".splits_completed")
+// CSVReader is the SplitReader of a scan over CSV files: every row is one
+// Decode call, rows may vary in width, and Header skips the first row of
+// every file. Its ScanPlan sets CSV, so that a file with quoted fields,
+// whose rows may span lines, scans as one split.
+type CSVReader struct {
+	Decode RowDecode
+	Header bool
+	fileCursor
+	cr   *csv.Reader
+	base int64 // absolute offset of cr's InputOffset 0
+
+	hdrPath string // the file hdrOff belongs to
+	hdrOff  int64  // offset of that file's first row
 }
 
-// flushMetrics publishes the locally accumulated counter deltas.
-func (s *FileScanSource) flushMetrics() {
-	if s.mRecords != nil && s.pendRecords != 0 {
-		s.mRecords.Add(s.pendRecords)
-		s.pendRecords = 0
-	}
-	if s.mBytes != nil && s.pendBytes != 0 {
-		s.mBytes.Add(s.pendBytes)
-		s.pendBytes = 0
-	}
-	if s.mSplits != nil && s.pendSplits != 0 {
-		s.mSplits.Add(s.pendSplits)
-		s.pendSplits = 0
-	}
-}
+// fileCursor is the byte cursor both file readers share: one open file, a
+// reused 64 KiB read buffer, the absolute offset of the next unread byte and
+// the open split's bytes_scanned credit.
+type fileCursor struct {
+	f       *os.File
+	path    string // path f is open on
+	rd      *bufio.Reader
+	off     int64
+	lineBuf []byte
 
-// Unordered reports that a split scan does not emit records in timestamp
-// order: splits are assigned dynamically, so one subtask's stream may jump
-// backward in file position between splits. Event time over a split scan is
-// closed out at end of stream (or a composite's handoff watermark), not by
-// in-flight cadence watermarks.
-func (s *FileScanSource) Unordered() bool { return true }
-
-// Err implements Failable.
-func (s *FileScanSource) Err() error { return s.err }
-
-func (s *FileScanSource) fail(err error) (Record, bool) {
-	s.err = err
-	s.closeFile()
-	return Record{}, false
-}
-
-func (s *FileScanSource) closeFile() {
-	if s.f != nil {
-		s.f.Close()
-		s.f, s.path, s.cr = nil, "", nil
-	}
+	end      int64 // the open split's End
+	startOff int64 // where consumption of the open split began
+	credit   int64 // bytes to report at the next Bytes call
 }
 
 // openAt positions the reader at the absolute offset in path, reusing the
 // open file handle when the path matches.
-func (s *FileScanSource) openAt(path string, off int64) error {
-	if s.f == nil || s.path != path {
-		s.closeFile()
+func (c *fileCursor) openAt(path string, off int64) error {
+	if c.f == nil || c.path != path {
+		c.Close()
 		f, err := os.Open(path)
 		if err != nil {
 			return err
 		}
-		s.f = f
-		s.path = path
+		c.f, c.path = f, path
 	}
-	if _, err := s.f.Seek(off, io.SeekStart); err != nil {
+	if _, err := c.f.Seek(off, io.SeekStart); err != nil {
 		return err
 	}
-	if s.rd == nil {
-		s.rd = bufio.NewReaderSize(s.f, 64*1024)
+	if c.rd == nil {
+		c.rd = bufio.NewReaderSize(c.f, 64*1024)
 	} else {
-		s.rd.Reset(s.f)
+		c.rd.Reset(c.f)
 	}
-	s.cr = nil
-	s.off = off
+	c.off = off
 	return nil
 }
 
-// readLine reads one line at s.off, returning its start offset and the line
+// open positions the cursor at the split's first record. A fresh split
+// (resumeAt < 0) aligns: reading starts at Start-1 and the partial line is
+// discarded (it belongs to the split it starts in), the standard byte-range
+// alignment trick; a resumed split Seeks straight to the recorded record
+// boundary — the O(remaining split) restore path.
+func (c *fileCursor) open(sp Split, resumeAt int64) error {
+	c.end, c.credit = sp.End, 0
+	// startOff anchors the bytes_scanned accounting: fresh splits count from
+	// their range start (splits tile the input, so the per-node sum equals
+	// the total input size), resumed splits from the resume position.
+	switch {
+	case resumeAt >= 0:
+		c.startOff = resumeAt
+		return c.openAt(sp.Path, resumeAt)
+	case sp.Start == 0:
+		c.startOff = 0
+		return c.openAt(sp.Path, 0)
+	}
+	c.startOff = sp.Start
+	if err := c.openAt(sp.Path, sp.Start-1); err != nil {
+		return err
+	}
+	_, _, _, err := c.readLine()
+	return err
+}
+
+// readLine reads one line at c.off, returning its start offset and the line
 // without its newline (a trailing \r is stripped, like bufio.Scanner).
 // ok=false means clean end of file.
-func (s *FileScanSource) readLine() (line []byte, start int64, ok bool, err error) {
-	start = s.off
-	s.lineBuf = s.lineBuf[:0]
+func (c *fileCursor) readLine() (line []byte, start int64, ok bool, err error) {
+	start = c.off
+	c.lineBuf = c.lineBuf[:0]
 	for {
-		chunk, rerr := s.rd.ReadSlice('\n')
-		s.off += int64(len(chunk))
+		chunk, rerr := c.rd.ReadSlice('\n')
+		c.off += int64(len(chunk))
 		if rerr == bufio.ErrBufferFull {
-			if len(s.lineBuf)+len(chunk) > maxLineBytes {
+			if len(c.lineBuf)+len(chunk) > maxLineBytes {
 				return nil, start, false, fmt.Errorf("line at offset %d exceeds %d bytes", start, maxLineBytes)
 			}
-			s.lineBuf = append(s.lineBuf, chunk...)
+			c.lineBuf = append(c.lineBuf, chunk...)
 			continue
 		}
 		if rerr != nil && rerr != io.EOF {
 			return nil, start, false, rerr
 		}
-		if len(s.lineBuf) > 0 {
-			s.lineBuf = append(s.lineBuf, chunk...)
-			line = s.lineBuf
+		if len(c.lineBuf) > 0 {
+			c.lineBuf = append(c.lineBuf, chunk...)
+			line = c.lineBuf
 		} else {
 			line = chunk
 		}
@@ -179,191 +153,131 @@ func (s *FileScanSource) readLine() (line []byte, start int64, ok bool, err erro
 	}
 }
 
-// openSplit positions the reader at the split's first record. A fresh split
-// (offset < 0) aligns: reading starts at Start-1 and the partial line is
-// discarded (it belongs to the split it starts in), the standard byte-range
-// alignment trick; a resumed split Seeks straight to the recorded record
-// boundary — the O(remaining split) restore path.
-func (s *FileScanSource) openSplit(c splitCursor) error {
-	s.cur, s.hasCur = c, true
-	sp := c.split
-	// startOff anchors the bytes_scanned accounting: fresh splits count from
-	// their range start (splits tile the input, so the per-node sum equals
-	// the total input size), resumed splits from the resume position.
-	if c.offset >= 0 {
-		if err := s.openAt(sp.Path, c.offset); err != nil {
-			return err
-		}
-		s.startOff = c.offset
-	} else if sp.Start == 0 {
-		if err := s.openAt(sp.Path, 0); err != nil {
-			return err
-		}
-		s.startOff = 0
-	} else {
-		if err := s.openAt(sp.Path, sp.Start-1); err != nil {
-			return err
-		}
-		if _, _, _, err := s.readLine(); err != nil {
-			return err
-		}
-		s.startOff = sp.Start
-	}
-	if s.Plan.CSV {
-		// The alignment path reads through the buffered reader, which may
-		// have pulled the file position ahead of s.off; re-anchor the file
-		// before handing it to the CSV parser, whose InputOffset is relative
-		// to this base.
-		if _, err := s.f.Seek(s.off, io.SeekStart); err != nil {
-			return err
-		}
-		s.base = s.off
-		s.cr = csv.NewReader(s.f)
-		s.cr.FieldsPerRecord = -1
-		if s.Plan.Header && s.off == 0 {
-			if _, err := s.cr.Read(); err != nil && err != io.EOF {
-				return fmt.Errorf("header: %w", err)
-			}
-		}
-	}
-	return nil
-}
-
-// curOffset returns the absolute offset of the next unread record of the
-// current split.
-func (s *FileScanSource) curOffset() int64 {
-	if s.Plan.CSV && s.cr != nil {
-		return s.base + s.cr.InputOffset()
-	}
-	return s.off
-}
-
-// completeSplit retires the current split.
-func (s *FileScanSource) completeSplit() {
-	s.completed = append(s.completed, s.cur.split.ID)
-	s.pendSplits++
-	s.pendBytes += s.cur.split.End - s.startOff
-	s.hasCur = false
-	s.flushMetrics()
-}
-
-// Next implements SourceFunc.
-func (s *FileScanSource) Next() (Record, bool) {
-	if s.err != nil || s.done {
-		return Record{}, false
-	}
-	for {
-		if !s.hasCur {
-			c, ok, err := s.Plan.acquire()
-			if err != nil {
-				return s.fail(err)
-			}
-			if !ok {
-				s.done = true
-				s.closeFile()
-				s.flushMetrics()
-				return Record{}, false
-			}
-			if err := s.openSplit(c); err != nil {
-				return s.fail(fmt.Errorf("scan %q split %d: %w", c.split.Path, c.split.ID, err))
-			}
-		}
-		r, ok, err := s.nextInSplit()
-		if err != nil {
-			return s.fail(err)
-		}
-		if ok {
-			s.pendRecords++
-			return r, true
-		}
-		s.completeSplit()
-	}
-}
-
-// nextInSplit emits the next record of the current split; ok=false means the
-// split is exhausted (a record starting before End is consumed entirely,
-// even when it extends past it).
-func (s *FileScanSource) nextInSplit() (Record, bool, error) {
-	sp := s.cur.split
-	if s.Plan.CSV {
-		start := s.base + s.cr.InputOffset()
-		if start >= sp.End {
-			return Record{}, false, nil
-		}
-		row, err := s.cr.Read()
-		if err == io.EOF {
-			return Record{}, false, nil
-		}
-		if err != nil {
-			return Record{}, false, fmt.Errorf("csv %q: %w", sp.Path, err)
-		}
-		r, derr := s.DecodeRow(row, start)
-		if derr != nil {
-			return Record{}, false, fmt.Errorf("csv %q offset %d: %w", sp.Path, start, derr)
-		}
-		return r, true, nil
-	}
-	for s.off < sp.End {
-		line, start, ok, err := s.readLine()
-		if err != nil {
-			return Record{}, false, fmt.Errorf("scan %q: %w", sp.Path, err)
-		}
-		if !ok {
-			return Record{}, false, nil
-		}
-		r, keep, derr := s.DecodeLine(line, start)
-		if derr != nil {
-			return Record{}, false, fmt.Errorf("scan %q offset %d: %w", sp.Path, start, derr)
-		}
-		if !keep {
-			continue
-		}
-		return r, true, nil
-	}
+// exhausted ends the open split: its whole range, from where consumption
+// began, is credited to bytes_scanned.
+func (c *fileCursor) exhausted() (Record, bool, error) {
+	c.credit = c.end - c.startOff
 	return Record{}, false, nil
 }
 
-// ---- snapshot / restore ----------------------------------------------------
-
-// Snapshot implements SourceFunc: the split-scan state (see
-// splitScanState). Restore Seeks, it does not re-scan.
-func (s *FileScanSource) Snapshot() ([]byte, error) {
-	s.flushMetrics()
-	cur := pendingSplit{ID: -1}
-	if s.hasCur {
-		cur = pendingSplit{ID: s.cur.split.ID, Path: s.cur.split.Path, Off: s.curOffset()}
-	}
-	return s.Plan.snapshot(s.Subtask, s.completed, cur)
+// Bytes implements SplitReader: a split's bytes are credited once, when it
+// is exhausted.
+func (c *fileCursor) Bytes() int64 {
+	n := c.credit
+	c.credit = 0
+	return n
 }
 
-var (
-	_ MultiRestorable = (*FileScanSource)(nil)
-	_ SourceOpener    = (*FileScanSource)(nil)
-	_ Failable        = (*FileScanSource)(nil)
-)
-
-// Restore implements SourceFunc for a single-subtask stage; it is shorthand
-// for RestoreAll with only this subtask's blob. Stages with more than one
-// subtask must restore through RestoreAll so the shared plan sees every
-// subtask's completed and in-flight splits.
-func (s *FileScanSource) Restore(blob []byte) error {
-	return s.RestoreAll(s.Subtask, s.Parallelism, map[int][]byte{s.Subtask: blob})
+// Close implements SplitReader.
+func (c *fileCursor) Close() error {
+	if c.f == nil {
+		return nil
+	}
+	err := c.f.Close()
+	c.f, c.path = nil, ""
+	return err
 }
 
-// RestoreAll implements MultiRestorable: blobs carries the snapshot of every
-// subtask of the checkpointing job, keyed by its old subtask index. The
-// shared plan rebuilds the split queue once (pending = planned − completed,
-// in-flight splits resume at their byte offsets), so the restoring stage may
-// run at any parallelism.
-func (s *FileScanSource) RestoreAll(subtask, parallelism int, blobs map[int][]byte) error {
-	if subtask != s.Subtask || parallelism != s.Parallelism {
-		return fmt.Errorf("scan restore: RestoreAll(%d/%d) does not match the reader's subtask %d/%d", subtask, parallelism, s.Subtask, s.Parallelism)
+// OpenSplit implements SplitReader.
+func (r *LineReader) OpenSplit(sp Split, resumeAt int64) error { return r.open(sp, resumeAt) }
+
+// Pos implements SplitReader: the absolute offset of the next unread line.
+func (r *LineReader) Pos() int64 { return r.off }
+
+// NextInSplit implements SplitReader: a line starting before End is consumed
+// entirely, even when it extends past it.
+func (r *LineReader) NextInSplit() (Record, bool, error) {
+	for r.off < r.end {
+		line, start, ok, err := r.readLine()
+		if err != nil {
+			return Record{}, false, err
+		}
+		if !ok {
+			break
+		}
+		rec, keep, err := r.Decode(line, start)
+		if err != nil {
+			return Record{}, false, fmt.Errorf("offset %d: %w", start, err)
+		}
+		if keep {
+			return rec, true, nil
+		}
 	}
-	if err := s.Plan.restoreFrom(blobs); err != nil {
+	return r.exhausted()
+}
+
+// OpenSplit implements SplitReader. The CSV parser reads through the
+// cursor's buffer, so it starts exactly where alignment left off.
+func (r *CSVReader) OpenSplit(sp Split, resumeAt int64) error {
+	if err := r.open(sp, resumeAt); err != nil {
 		return err
 	}
-	s.closeFile()
-	s.err, s.done, s.hasCur = nil, false, false
-	s.completed = s.Plan.restoredCarry(s.Subtask)
+	if r.Header && r.hdrPath != sp.Path {
+		// The header is the file's first row, wherever the empty lines
+		// before it put it: the split it starts in skips it.
+		r.hdrPath = sp.Path
+		r.hdrOff = skipEmptyLines(bufio.NewReaderSize(io.NewSectionReader(r.f, 0, math.MaxInt64), 512))
+	}
+	r.base = r.off
+	r.cr = csv.NewReader(r.rd)
+	r.cr.FieldsPerRecord = -1
 	return nil
+}
+
+// Pos implements SplitReader: the absolute offset just past the last row
+// read.
+func (r *CSVReader) Pos() int64 { return r.base + r.cr.InputOffset() }
+
+// NextInSplit implements SplitReader: a row starting before End is consumed
+// entirely, even when it extends past it.
+func (r *CSVReader) NextInSplit() (Record, bool, error) {
+	for {
+		r.base += skipEmptyLines(r.rd)
+		start := r.Pos()
+		if start >= r.end {
+			return r.exhausted()
+		}
+		row, err := r.cr.Read()
+		if err == io.EOF {
+			return r.exhausted()
+		}
+		if err != nil {
+			return Record{}, false, fmt.Errorf("offset %d: %w", start, err)
+		}
+		if r.Header && start == r.hdrOff {
+			continue
+		}
+		rec, err := r.Decode(row, start)
+		if err != nil {
+			return Record{}, false, fmt.Errorf("offset %d: %w", start, err)
+		}
+		return rec, true, nil
+	}
+}
+
+// skipEmptyLines consumes the empty lines at rd's position that the CSV
+// parser skips ("\n", "\r\n", and "\r" at the end of the input) and returns
+// their length. What it leaves is the next row's first byte: the offset that
+// decides which split the row belongs to.
+func skipEmptyLines(rd *bufio.Reader) int64 {
+	var n int64
+	for {
+		// Peek is short only at the end of the input, or on a read error,
+		// which the parser's Read then reports.
+		b, _ := rd.Peek(2)
+		k := 0
+		switch {
+		case len(b) > 0 && b[0] == '\n':
+			k = 1
+		case len(b) == 2 && b[0] == '\r' && b[1] == '\n':
+			k = 2
+		case len(b) == 1 && b[0] == '\r':
+			k = 1
+		}
+		if k == 0 {
+			return n
+		}
+		rd.Discard(k)
+		n += int64(k)
+	}
 }

@@ -94,7 +94,8 @@
 //
 // # The splittable at-rest scan
 //
-// Data at rest enters through FileScanSource: files are chopped into
+// Data at rest enters through SplitScanSource, the one scan loop for files
+// (a LineReader or a CSVReader) and topic replay: files are chopped into
 // newline-aligned byte-range Splits (quote-aware for CSV) by a ScanPlan
 // shared across the source stage's subtasks, and the plan's queue assigns
 // splits dynamically — a subtask that finishes early pulls the next pending
@@ -105,10 +106,10 @@
 // position instead of re-reading, and — because the state is a work set,
 // not a position per subtask — a recovered job may run the source at a
 // different parallelism (MultiRestorable): the remaining splits simply
-// redistribute. The split state has one format (splitScanState, version 2);
-// a blob of any other version fails restore. Split assignment carries no
-// timestamp order, so file sources emit no in-flight watermarks; bounded
-// scans close out event time at end of stream.
+// redistribute. The split state has one format (splitScanState, that of
+// checkpoint file format 2); a blob of any other encoding fails restore.
+// Split assignment carries no timestamp order, so split scans emit no
+// in-flight watermarks; bounded scans close out event time at end of stream.
 //
 // # Keyed state: key groups and asynchronous snapshots
 //

@@ -6,13 +6,13 @@ import (
 	"repro/internal/metrics"
 )
 
-// SplitScanSource generalizes the splittable at-rest scan beyond plain
-// files: any input that can open a byte-range split and iterate records
-// plugs into the same ScanPlan machinery — dynamic split assignment,
-// (split id, position) snapshots, seek-based restore at any parallelism.
-// The segment-log topic source is the first such input; its plan uses
-// ScanPlan.FixedSplits because topic segments are not expanded from the
-// filesystem.
+// SplitScanSource is the one splittable at-rest scan: any input that can
+// open a byte-range split and iterate records plugs into the same ScanPlan
+// machinery — dynamic split assignment, (split id, position) snapshots,
+// seek-based restore at any parallelism. Files are read by a LineReader or a
+// CSVReader (filesource.go); segment-log topics by streamline's topic
+// reader, whose plan uses ScanPlan.FixedSplits because topic segments are
+// not expanded from the filesystem.
 
 // SplitReader is the per-subtask reader a SplitScanSource drives. OpenSplit
 // positions the reader on a split: resumeAt < 0 means a fresh split (align
@@ -28,7 +28,8 @@ type SplitReader interface {
 	// Pos is the resume position of the next unread record, in whatever
 	// coordinate OpenSplit accepts as resumeAt.
 	Pos() int64
-	// Bytes reports the input bytes consumed since the last call (metrics).
+	// Bytes reports the input bytes to credit to bytes_scanned since the
+	// last call; the scan asks at a split's end and at a snapshot.
 	Bytes() int64
 	Close() error
 }
@@ -57,8 +58,9 @@ var (
 	_ Failable        = (*SplitScanSource)(nil)
 )
 
-// OpenSource implements SourceOpener: registers the scan's per-node
-// observability counters (same series as the file scan).
+// OpenSource implements SourceOpener: the runtime hands the subtask's
+// OpContext before restore and the first Next, and the scan registers its
+// per-node observability counters on it.
 func (s *SplitScanSource) OpenSource(ctx *OpContext) {
 	s.Plan.SetOwnedSubtasks(ctx.LocalSubtasks, ctx.Parallelism)
 	if ctx.Metrics == nil {
@@ -69,23 +71,22 @@ func (s *SplitScanSource) OpenSource(ctx *OpContext) {
 	s.mSplits = ctx.Metrics.Counter("node." + ctx.NodeName + ".splits_completed")
 }
 
+// flushMetrics publishes the locally accumulated counter deltas.
 func (s *SplitScanSource) flushMetrics() {
-	if s.mRecords != nil && s.pendRecords != 0 {
-		s.mRecords.Add(s.pendRecords)
-		s.pendRecords = 0
+	if s.mRecords == nil {
+		return // OpenSource registers all three counters or none
 	}
-	if s.mBytes != nil && s.pendBytes != 0 {
-		s.mBytes.Add(s.pendBytes)
-		s.pendBytes = 0
-	}
-	if s.mSplits != nil && s.pendSplits != 0 {
-		s.mSplits.Add(s.pendSplits)
-		s.pendSplits = 0
-	}
+	s.mRecords.Add(s.pendRecords)
+	s.mBytes.Add(s.pendBytes)
+	s.mSplits.Add(s.pendSplits)
+	s.pendRecords, s.pendBytes, s.pendSplits = 0, 0, 0
 }
 
-// Unordered: dynamic split assignment may jump backward in position between
-// splits, like the file scan.
+// Unordered reports that a split scan does not emit records in timestamp
+// order: splits are assigned dynamically, so one subtask's stream may jump
+// backward in position between splits. Event time over a split scan is
+// closed out at end of stream (or a composite's handoff watermark), not by
+// in-flight cadence watermarks.
 func (s *SplitScanSource) Unordered() bool { return true }
 
 // Err implements Failable.
@@ -125,7 +126,6 @@ func (s *SplitScanSource) Next() (Record, bool) {
 		}
 		if ok {
 			s.pendRecords++
-			s.pendBytes += s.Reader.Bytes()
 			return r, true
 		}
 		s.completed = append(s.completed, s.cur.split.ID)
@@ -136,11 +136,12 @@ func (s *SplitScanSource) Next() (Record, bool) {
 	}
 }
 
-// Snapshot implements SourceFunc with the file scan's state
-// (splitScanState): completed split IDs, the in-flight split's resume
-// position, and — on subtask 0 — the restored-pending carry and the plan's
-// geometry signature.
+// Snapshot implements SourceFunc with the scan state (splitScanState):
+// completed split IDs, the in-flight split's resume position, and — on
+// subtask 0 — the restored-pending carry and the plan's geometry signature.
+// Restore Seeks, it does not re-scan.
 func (s *SplitScanSource) Snapshot() ([]byte, error) {
+	s.pendBytes += s.Reader.Bytes()
 	s.flushMetrics()
 	cur := pendingSplit{ID: -1}
 	if s.hasCur {
@@ -158,7 +159,8 @@ func (s *SplitScanSource) Restore(blob []byte) error {
 // RestoreAll implements MultiRestorable: the shared plan rebuilds the split
 // queue once from every subtask's blob (pending = planned − completed,
 // in-flight splits resume at their recorded positions), so the restoring
-// stage may run at any parallelism.
+// stage may run at any parallelism. The reader's open split, if any, is
+// closed.
 func (s *SplitScanSource) RestoreAll(subtask, parallelism int, blobs map[int][]byte) error {
 	if subtask != s.Subtask || parallelism != s.Parallelism {
 		return fmt.Errorf("scan restore: RestoreAll(%d/%d) does not match the reader's subtask %d/%d", subtask, parallelism, s.Subtask, s.Parallelism)
@@ -166,6 +168,7 @@ func (s *SplitScanSource) RestoreAll(subtask, parallelism int, blobs map[int][]b
 	if err := s.Plan.restoreFrom(blobs); err != nil {
 		return err
 	}
+	s.Reader.Close()
 	s.err, s.done, s.hasCur = nil, false, false
 	s.completed = s.Plan.restoredCarry(s.Subtask)
 	return nil

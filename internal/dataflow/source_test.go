@@ -149,15 +149,15 @@ func lineDecode(line []byte, off int64) (Record, bool, error) {
 }
 
 // lineScan builds one subtask of a scan over line files.
-func lineScan(plan *ScanPlan, sub, par int, decode LineDecode) SourceFunc {
-	return &FileScanSource{Plan: plan, Subtask: sub, Parallelism: par, DecodeLine: decode}
+func lineScan(plan *ScanPlan, sub, par int, decode LineDecode) *SplitScanSource {
+	return &SplitScanSource{Plan: plan, Subtask: sub, Parallelism: par, Reader: &LineReader{Decode: decode}}
 }
 
 // csvScan builds one subtask of a scan over CSV files; header skips the
 // first row of every file.
-func csvScan(plan *ScanPlan, sub, par int, header bool, decode RowDecode) SourceFunc {
-	plan.CSV, plan.Header = true, header
-	return &FileScanSource{Plan: plan, Subtask: sub, Parallelism: par, DecodeRow: decode}
+func csvScan(plan *ScanPlan, sub, par int, header bool, decode RowDecode) *SplitScanSource {
+	plan.CSV = true
+	return &SplitScanSource{Plan: plan, Subtask: sub, Parallelism: par, Reader: &CSVReader{Decode: decode, Header: header}}
 }
 
 // mkLinePlan writes n "v<i>" lines and returns the file path and a fresh
@@ -183,9 +183,9 @@ func TestFileScanSourcePartitionsLinesAcrossSubtasks(t *testing.T) {
 	if splits, err := plan.Splits(); err != nil || len(splits) < 3 {
 		t.Fatalf("splits = %v (err %v), want several small splits", splits, err)
 	}
-	readers := []*FileScanSource{
-		{Plan: plan, Subtask: 0, Parallelism: 2, DecodeLine: lineDecode},
-		{Plan: plan, Subtask: 1, Parallelism: 2, DecodeLine: lineDecode},
+	readers := []*SplitScanSource{
+		lineScan(plan, 0, 2, lineDecode),
+		lineScan(plan, 1, 2, lineDecode),
 	}
 	seen := map[string]int{}
 	perSub := make([]int, 2)
@@ -226,7 +226,7 @@ func TestFileScanSourcePartitionsLinesAcrossSubtasks(t *testing.T) {
 // exactly-once union, and timestamps carry the line byte offsets.
 func TestFileScanSourceSnapshotRestoreResumes(t *testing.T) {
 	_, mkPlan := mkLinePlan(t, 20, 32)
-	src := &FileScanSource{Plan: mkPlan(), Subtask: 0, Parallelism: 1, DecodeLine: lineDecode}
+	src := lineScan(mkPlan(), 0, 1, lineDecode)
 	var first []Record
 	for i := 0; i < 7; i++ {
 		r, ok := src.Next()
@@ -239,7 +239,7 @@ func TestFileScanSourceSnapshotRestoreResumes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resumed := &FileScanSource{Plan: mkPlan(), Subtask: 0, Parallelism: 1, DecodeLine: lineDecode}
+	resumed := lineScan(mkPlan(), 0, 1, lineDecode)
 	if err := resumed.Restore(blob); err != nil {
 		t.Fatal(err)
 	}
@@ -273,7 +273,7 @@ func TestFileScanSourceSplitAlignment(t *testing.T) {
 	path := writeTempFile(t, "ragged.txt", b.String())
 	for _, splitSize := range []int64{1, 7, 16, 33, 1 << 20} {
 		plan := &ScanPlan{Inputs: []string{path}, SplitSize: splitSize}
-		src := &FileScanSource{Plan: plan, Subtask: 0, Parallelism: 1, DecodeLine: lineDecode}
+		src := lineScan(plan, 0, 1, lineDecode)
 		data, _ := drainData(t, src, 1000)
 		if err := src.Err(); err != nil {
 			t.Fatal(err)
@@ -297,13 +297,13 @@ func TestLineFileSourceDecodeErrorFailsJob(t *testing.T) {
 	path := writeTempFile(t, "bad.txt", "ok\nBOOM\nok\n")
 	g := NewGraph("files")
 	src := g.AddSource("lines", 1, func(sub, par int) SourceFunc {
-		return &FileScanSource{Plan: &ScanPlan{Inputs: []string{path}}, Subtask: sub, Parallelism: par,
-			DecodeLine: func(line []byte, off int64) (Record, bool, error) {
+		return lineScan(&ScanPlan{Inputs: []string{path}}, sub, par,
+			func(line []byte, off int64) (Record, bool, error) {
 				if string(line) == "BOOM" {
 					return Record{}, false, fmt.Errorf("corrupt line")
 				}
 				return Data(off, 0, string(line)), true, nil
-			}}
+			})
 	})
 	sink := &CollectSink{}
 	g.AddOperator("sink", 1, sink.Factory(), Edge{From: src, Part: Rebalance})
@@ -322,13 +322,11 @@ func TestCSVFileSourceReadsAndRestores(t *testing.T) {
 		"30,c,3.5\n" +
 		"40,d,4.5\n"
 	path := writeTempFile(t, "data.csv", content)
-	mk := func() *FileScanSource {
-		return &FileScanSource{
-			Plan:    &ScanPlan{Inputs: []string{path}, CSV: true, Header: true},
-			Subtask: 0, Parallelism: 1,
-			DecodeRow: func(row []string, off int64) (Record, error) {
+	mk := func() *SplitScanSource {
+		return csvScan(&ScanPlan{Inputs: []string{path}}, 0, 1, true,
+			func(row []string, off int64) (Record, error) {
 				return Data(off, 0, row[1]), nil
-			}}
+			})
 	}
 	data, _ := drainData(t, mk(), 100)
 	if len(data) != 4 {
@@ -381,10 +379,9 @@ func TestCSVScanQuoteAwareSplitting(t *testing.T) {
 	}
 
 	for name, plan := range map[string]*ScanPlan{"plain": plainPlan, "quoted": quotedPlan} {
-		src := &FileScanSource{Plan: plan, Subtask: 0, Parallelism: 1,
-			DecodeRow: func(row []string, off int64) (Record, error) {
-				return Data(off, 0, row[1]), nil
-			}}
+		src := csvScan(plan, 0, 1, false, func(row []string, off int64) (Record, error) {
+			return Data(off, 0, row[1]), nil
+		})
 		data, _ := drainData(t, src, 1000)
 		if err := src.Err(); err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -420,7 +417,7 @@ func TestScanPlanDirectoryAndGlobInputs(t *testing.T) {
 	} {
 		t.Run(name, func(t *testing.T) {
 			plan := &ScanPlan{Inputs: []string{input}}
-			src := &FileScanSource{Plan: plan, Subtask: 0, Parallelism: 1, DecodeLine: lineDecode}
+			src := lineScan(plan, 0, 1, lineDecode)
 			data, _ := drainData(t, src, 100)
 			if err := src.Err(); err != nil {
 				t.Fatal(err)
@@ -436,8 +433,8 @@ func TestCSVFileSourceMissingFileFailsJob(t *testing.T) {
 	g := NewGraph("missing")
 	path := filepath.Join(t.TempDir(), "nope.csv")
 	src := g.AddSource("csv", 1, func(sub, par int) SourceFunc {
-		return &FileScanSource{Plan: &ScanPlan{Inputs: []string{path}, CSV: true}, Subtask: sub, Parallelism: par,
-			DecodeRow: func(row []string, off int64) (Record, error) { return Data(off, 0, row), nil }}
+		return csvScan(&ScanPlan{Inputs: []string{path}}, sub, par, false,
+			func(row []string, off int64) (Record, error) { return Data(off, 0, row), nil })
 	})
 	sink := &CollectSink{}
 	g.AddOperator("sink", 1, sink.Factory(), Edge{From: src, Part: Rebalance})
@@ -456,15 +453,13 @@ func TestFileSourceSnapshotAfterEndRecordsEndPosition(t *testing.T) {
 	csvPath := writeTempFile(t, "done.csv", "1,a\n2,b\n")
 	sources := map[string]func() SourceFunc{
 		"line": func() SourceFunc {
-			return &FileScanSource{Plan: &ScanPlan{Inputs: []string{linePath}},
-				Subtask: 0, Parallelism: 1, DecodeLine: lineDecode}
+			return lineScan(&ScanPlan{Inputs: []string{linePath}}, 0, 1, lineDecode)
 		},
 		"csv": func() SourceFunc {
-			return &FileScanSource{Plan: &ScanPlan{Inputs: []string{csvPath}, CSV: true},
-				Subtask: 0, Parallelism: 1,
-				DecodeRow: func(row []string, off int64) (Record, error) {
+			return csvScan(&ScanPlan{Inputs: []string{csvPath}}, 0, 1, false,
+				func(row []string, off int64) (Record, error) {
 					return Data(off, 0, row[1]), nil
-				}}
+				})
 		},
 	}
 	for name, mk := range sources {

@@ -73,8 +73,6 @@ type ScanPlan struct {
 	// seek-based restore still works there, since snapshots record row
 	// boundaries.
 	CSV bool
-	// Header marks the first row of every CSV file as a header to skip.
-	Header bool
 
 	// FixedSplits, when set, replaces filesystem planning entirely: the plan
 	// calls it once for the split list instead of expanding Inputs. Sources
@@ -408,10 +406,10 @@ func (p *ScanPlan) Splits() ([]Split, error) {
 
 // ---- snapshot format -------------------------------------------------------
 
-// splitScanState is the snapshot of one scan subtask (FileScanSource,
-// SplitScanSource). Completed lists the split IDs this subtask fully
-// consumed (subtask 0 additionally re-carries the IDs completed before the
-// last restore, so consecutive restores never resurrect finished splits);
+// splitScanState is the snapshot of one SplitScanSource subtask. Completed
+// lists the split IDs this subtask fully consumed (subtask 0 additionally
+// re-carries the IDs completed before the last restore, so consecutive
+// restores never resurrect finished splits);
 // Cur is the in-flight split (ID -1: none) and the absolute byte offset of
 // its next unread record — the position restore Seeks to. Pending (subtask
 // 0 only) carries the restored in-flight cursors still sitting unacquired

@@ -85,7 +85,7 @@ func TestScanSnapshotFormatRestore(t *testing.T) {
 		record string // the value of record 7
 	}{
 		{"file", func() SourceFunc {
-			return &FileScanSource{Plan: mkLines(), Subtask: 0, Parallelism: 1, DecodeLine: lineDecode}
+			return lineScan(mkLines(), 0, 1, lineDecode)
 		}, "v7"},
 		{"fixed-split", func() SourceFunc {
 			return &SplitScanSource{Plan: fakePlan(in, 0), Subtask: 0, Parallelism: 1, Reader: &fakeSplitReader{in: in}}
@@ -131,7 +131,7 @@ func TestScanSnapshotFormatRestore(t *testing.T) {
 func TestLegacySnapshotMultiSubtaskAndRescaleRejection(t *testing.T) {
 	_, mkPlan := mkLinePlan(t, 20, 0)
 	cursor := func(next int64) []byte { return gobBytes(t, struct{ Next int64 }{Next: next}) }
-	current := consumedBlob(t, &FileScanSource{Plan: mkPlan(), Subtask: 0, Parallelism: 1, DecodeLine: lineDecode}, 6)
+	current := consumedBlob(t, lineScan(mkPlan(), 0, 1, lineDecode), 6)
 	for _, tc := range []struct {
 		name  string
 		blobs map[int][]byte
@@ -141,7 +141,7 @@ func TestLegacySnapshotMultiSubtaskAndRescaleRejection(t *testing.T) {
 	} {
 		for _, par := range []int{2, 4} {
 			for sub := 0; sub < par; sub++ {
-				src := &FileScanSource{Plan: mkPlan(), Subtask: sub, Parallelism: par, DecodeLine: lineDecode}
+				src := lineScan(mkPlan(), sub, par, lineDecode)
 				if err := src.RestoreAll(sub, par, tc.blobs); err == nil || !strings.Contains(err.Error(), "scan restore") {
 					t.Fatalf("%s blobs, subtask %d/%d: restore = %v, want a scan-restore error", tc.name, sub, par, err)
 				}
@@ -156,9 +156,9 @@ func TestLegacySnapshotMultiSubtaskAndRescaleRejection(t *testing.T) {
 func TestSplitSnapshotsRedistributeAcrossParallelism(t *testing.T) {
 	_, mkPlan := mkLinePlan(t, 60, 48)
 	plan := mkPlan()
-	old := []*FileScanSource{
-		{Plan: plan, Subtask: 0, Parallelism: 2, DecodeLine: lineDecode},
-		{Plan: plan, Subtask: 1, Parallelism: 2, DecodeLine: lineDecode},
+	old := []*SplitScanSource{
+		lineScan(plan, 0, 2, lineDecode),
+		lineScan(plan, 1, 2, lineDecode),
 	}
 	seen := map[string]int{}
 	for i := 0; i < 18; i++ { // partial, interleaved consumption
@@ -178,9 +178,9 @@ func TestSplitSnapshotsRedistributeAcrossParallelism(t *testing.T) {
 	}
 
 	newPlan := mkPlan()
-	var readers []*FileScanSource
+	var readers []*SplitScanSource
 	for sub := 0; sub < 4; sub++ {
-		r := &FileScanSource{Plan: newPlan, Subtask: sub, Parallelism: 4, DecodeLine: lineDecode}
+		r := lineScan(newPlan, sub, 4, lineDecode)
 		if err := r.RestoreAll(sub, 4, blobs); err != nil {
 			t.Fatal(err)
 		}
@@ -209,9 +209,9 @@ func TestSplitSnapshotsRedistributeAcrossParallelism(t *testing.T) {
 func TestPendingResumedSplitSurvivesSecondRestore(t *testing.T) {
 	_, mkPlan := mkLinePlan(t, 60, 48)
 	plan := mkPlan()
-	old := []*FileScanSource{
-		{Plan: plan, Subtask: 0, Parallelism: 2, DecodeLine: lineDecode},
-		{Plan: plan, Subtask: 1, Parallelism: 2, DecodeLine: lineDecode},
+	old := []*SplitScanSource{
+		lineScan(plan, 0, 2, lineDecode),
+		lineScan(plan, 1, 2, lineDecode),
 	}
 	seen := map[string]int{}
 	for i := 0; i < 20; i++ { // both subtasks end up mid-split
@@ -233,7 +233,7 @@ func TestPendingResumedSplitSurvivesSecondRestore(t *testing.T) {
 	// First recovery at parallelism 1: re-acquire one of the resumed
 	// cursors (3 records), then checkpoint while the other still sits
 	// unacquired in the queue.
-	r1 := &FileScanSource{Plan: mkPlan(), Subtask: 0, Parallelism: 1, DecodeLine: lineDecode}
+	r1 := lineScan(mkPlan(), 0, 1, lineDecode)
 	if err := r1.RestoreAll(0, 1, blobs1); err != nil {
 		t.Fatal(err)
 	}
@@ -252,7 +252,7 @@ func TestPendingResumedSplitSurvivesSecondRestore(t *testing.T) {
 	// Second recovery, from the post-restore checkpoint: the union of
 	// everything consumed before each crash and everything emitted now must
 	// cover the 60 lines exactly once.
-	r2 := &FileScanSource{Plan: mkPlan(), Subtask: 0, Parallelism: 1, DecodeLine: lineDecode}
+	r2 := lineScan(mkPlan(), 0, 1, lineDecode)
 	if err := r2.RestoreAll(0, 1, map[int][]byte{0: blob2}); err != nil {
 		t.Fatal(err)
 	}
@@ -289,7 +289,7 @@ func TestScanMetricsSumAcrossSubtasks(t *testing.T) {
 	g := NewGraph("scan-metrics")
 	plan := &ScanPlan{Inputs: []string{path}, SplitSize: 512}
 	src := g.AddSource("scan", 4, func(sub, par int) SourceFunc {
-		return &FileScanSource{Plan: plan, Subtask: sub, Parallelism: par, DecodeLine: lineDecode}
+		return lineScan(plan, sub, par, lineDecode)
 	})
 	sink := &CollectSink{}
 	g.AddOperator("sink", 1, sink.Factory(), Edge{From: src, Part: Rebalance})
@@ -330,7 +330,7 @@ func buildScanRecoveryGraph(path string, srcPar int, perSec float64, sink *Colle
 		if sub == 0 {
 			plan = &ScanPlan{Inputs: []string{path}, SplitSize: 2048}
 		}
-		inner := &FileScanSource{Plan: plan, Subtask: sub, Parallelism: par, DecodeLine: decode}
+		inner := lineScan(plan, sub, par, decode)
 		if perSec > 0 {
 			return &PacedSource{PerSec: perSec, Inner: inner}
 		}
@@ -409,8 +409,7 @@ func TestRestoreRejectsChangedPlanGeometry(t *testing.T) {
 	if err := os.WriteFile(path, []byte(b.String()), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	src := &FileScanSource{Plan: &ScanPlan{Inputs: []string{dir}, SplitSize: 32},
-		Subtask: 0, Parallelism: 1, DecodeLine: lineDecode}
+	src := lineScan(&ScanPlan{Inputs: []string{dir}, SplitSize: 32}, 0, 1, lineDecode)
 	for i := 0; i < 5; i++ {
 		if _, ok := src.Next(); !ok {
 			t.Fatalf("ended early")
@@ -422,8 +421,7 @@ func TestRestoreRejectsChangedPlanGeometry(t *testing.T) {
 	}
 
 	// Different split size: same bytes, different chopping.
-	resized := &FileScanSource{Plan: &ScanPlan{Inputs: []string{dir}, SplitSize: 64},
-		Subtask: 0, Parallelism: 1, DecodeLine: lineDecode}
+	resized := lineScan(&ScanPlan{Inputs: []string{dir}, SplitSize: 64}, 0, 1, lineDecode)
 	if err := resized.Restore(blob); err == nil || !strings.Contains(err.Error(), "split size changed") {
 		t.Fatalf("restore with a different split size = %v, want a geometry error", err)
 	}
@@ -432,15 +430,13 @@ func TestRestoreRejectsChangedPlanGeometry(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, "added.txt"), []byte("x\ny\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	grown := &FileScanSource{Plan: &ScanPlan{Inputs: []string{dir}, SplitSize: 32},
-		Subtask: 0, Parallelism: 1, DecodeLine: lineDecode}
+	grown := lineScan(&ScanPlan{Inputs: []string{dir}, SplitSize: 32}, 0, 1, lineDecode)
 	if err := grown.Restore(blob); err == nil || !strings.Contains(err.Error(), "changed since the checkpoint") {
 		t.Fatalf("restore after the input set grew = %v, want a geometry error", err)
 	}
 
 	// Unchanged inputs restore fine.
-	same := &FileScanSource{Plan: &ScanPlan{Inputs: []string{dir}, SplitSize: 32},
-		Subtask: 0, Parallelism: 1, DecodeLine: lineDecode}
+	same := lineScan(&ScanPlan{Inputs: []string{dir}, SplitSize: 32}, 0, 1, lineDecode)
 	if err := os.Remove(filepath.Join(dir, "added.txt")); err != nil {
 		t.Fatal(err)
 	}

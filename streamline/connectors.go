@@ -370,57 +370,28 @@ func resolveFileOpts(opts []FileOption) fileConfig {
 // not O(file) — and may restore at a different source parallelism, with the
 // pending splits redistributed.
 func JSONL[T any](input string, opts ...FileOption) Source[T] {
-	return &jsonlSource[T]{input: input, cfg: resolveFileOpts(opts)}
-}
-
-type jsonlSource[T any] struct {
-	input string
-	cfg   fileConfig
-	plan  *dataflow.ScanPlan
-}
-
-func (j *jsonlSource[T]) newPlan() *dataflow.ScanPlan {
-	return &dataflow.ScanPlan{Inputs: []string{j.input}, SplitSize: j.cfg.splitSize}
-}
-
-// openShared implements sharedOpener: the stage's slot holds the scan plan
-// (split assigner) shared by its subtasks, so the connector value itself
-// stays reusable across environments.
-func (j *jsonlSource[T]) openShared(slot *any, sub, par int) Reader[T] {
-	if sub == 0 || *slot == nil {
-		*slot = j.newPlan()
-	}
-	return j.open((*slot).(*dataflow.ScanPlan), sub, par)
-}
-
-func (j *jsonlSource[T]) Open(sub, par int) Reader[T] {
-	// Direct-use fallback: the connector holds the shared plan itself.
-	// Subtask 0 is opened first (the runtime builds subtasks in order), so
-	// every execution starts from a freshly planned scan — but one connector
-	// value then serves one execution at a time; From's slot path lifts that
-	// restriction.
-	if sub == 0 || j.plan == nil {
-		j.plan = j.newPlan()
-	}
-	return j.open(j.plan, sub, par)
-}
-
-func (j *jsonlSource[T]) open(plan *dataflow.ScanPlan, sub, par int) Reader[T] {
-	dec := newJSONDecoder[T]()
-	var box dataflow.Boxer[T]
-	return &funcReader[T]{src: &dataflow.FileScanSource{
-		Plan: plan, Subtask: sub, Parallelism: par,
-		DecodeLine: func(line []byte, off int64) (dataflow.Record, bool, error) {
-			if len(bytes.TrimSpace(line)) == 0 {
-				return dataflow.Record{}, false, nil
-			}
-			v, err := dec.decode(line)
-			if err != nil {
-				return dataflow.Record{}, false, fmt.Errorf("decode %s: %w", typeName[T](), err)
-			}
-			return dataflow.Data(off, 0, box.Box(v)), true, nil
+	cfg := resolveFileOpts(opts)
+	return &scanSource[T, *dataflow.ScanPlan]{
+		fresh: func() *dataflow.ScanPlan {
+			return &dataflow.ScanPlan{Inputs: []string{input}, SplitSize: cfg.splitSize}
 		},
-	}}
+		reader: func(plan *dataflow.ScanPlan, sub, par int) Reader[T] {
+			dec := newJSONDecoder[T]()
+			var box dataflow.Boxer[T]
+			return newScanReader[T](plan, sub, par, &dataflow.LineReader{
+				Decode: func(line []byte, off int64) (dataflow.Record, bool, error) {
+					if len(bytes.TrimSpace(line)) == 0 {
+						return dataflow.Record{}, false, nil
+					}
+					v, err := dec.decode(line)
+					if err != nil {
+						return dataflow.Record{}, false, fmt.Errorf("decode %s: %w", typeName[T](), err)
+					}
+					return dataflow.Data(off, 0, box.Box(v)), true, nil
+				},
+			})
+		},
+	}
 }
 
 // CSV returns a bounded source reading rows from CSV files at rest, parsed
@@ -436,74 +407,84 @@ func (j *jsonlSource[T]) open(plan *dataflow.ScanPlan, sub, par int) Reader[T] {
 // file count); seek-based restore works either way, since snapshots record
 // row boundaries.
 func CSV[T any](input string, skipHeader bool, parse func(row []string) (T, error), opts ...FileOption) Source[T] {
-	return &csvSource[T]{input: input, skipHeader: skipHeader, parse: parse, cfg: resolveFileOpts(opts)}
-}
-
-type csvSource[T any] struct {
-	input      string
-	skipHeader bool
-	parse      func(row []string) (T, error)
-	cfg        fileConfig
-	plan       *dataflow.ScanPlan
-}
-
-func (c *csvSource[T]) newPlan() *dataflow.ScanPlan {
-	return &dataflow.ScanPlan{Inputs: []string{c.input}, SplitSize: c.cfg.splitSize, CSV: true, Header: c.skipHeader}
-}
-
-// openShared implements sharedOpener, like jsonlSource's.
-func (c *csvSource[T]) openShared(slot *any, sub, par int) Reader[T] {
-	if sub == 0 || *slot == nil {
-		*slot = c.newPlan()
-	}
-	return c.open((*slot).(*dataflow.ScanPlan), sub, par)
-}
-
-func (c *csvSource[T]) Open(sub, par int) Reader[T] {
-	// Direct-use fallback; see jsonlSource.Open.
-	if sub == 0 || c.plan == nil {
-		c.plan = c.newPlan()
-	}
-	return c.open(c.plan, sub, par)
-}
-
-func (c *csvSource[T]) open(plan *dataflow.ScanPlan, sub, par int) Reader[T] {
-	var box dataflow.Boxer[T]
-	return &funcReader[T]{src: &dataflow.FileScanSource{
-		Plan: plan, Subtask: sub, Parallelism: par,
-		DecodeRow: func(row []string, off int64) (dataflow.Record, error) {
-			v, err := c.parse(row)
-			if err != nil {
-				return dataflow.Record{}, err
-			}
-			return dataflow.Data(off, 0, box.Box(v)), nil
+	cfg := resolveFileOpts(opts)
+	return &scanSource[T, *dataflow.ScanPlan]{
+		fresh: func() *dataflow.ScanPlan {
+			return &dataflow.ScanPlan{Inputs: []string{input}, SplitSize: cfg.splitSize, CSV: true}
 		},
-	}}
+		reader: func(plan *dataflow.ScanPlan, sub, par int) Reader[T] {
+			var box dataflow.Boxer[T]
+			return newScanReader[T](plan, sub, par, &dataflow.CSVReader{
+				Header: skipHeader,
+				Decode: func(row []string, off int64) (dataflow.Record, error) {
+					v, err := parse(row)
+					if err != nil {
+						return dataflow.Record{}, err
+					}
+					return dataflow.Data(off, 0, box.Box(v)), nil
+				},
+			})
+		},
+	}
 }
 
-// funcReader bridges an engine-level SourceFunc whose data records carry T
-// payloads into a typed Reader, forwarding the optional source capabilities
-// (failure reporting, multi-blob restore, scan metrics, order contract).
-type funcReader[T any] struct {
-	src dataflow.SourceFunc
+// scanSource is the Source of the splittable connectors — JSONL, CSV and
+// Topic. The subtasks of a stage open their readers over one shared state,
+// the scan plan with its split queue, which fresh makes anew for every
+// execution.
+type scanSource[T, S any] struct {
+	fresh  func() S
+	reader func(st S, sub, par int) Reader[T]
+	hint   int // PreferredParallelism
+	direct any // the shared state of direct use (Open)
 }
 
-func (f *funcReader[T]) Next() (Keyed[T], ReadStatus) {
-	r, st := f.nextBoxed()
+// openShared implements sharedOpener: the stage's slot holds the shared
+// state, so the connector value itself stays reusable across environments.
+// Subtask 0 is opened first (the runtime builds subtasks in order), so every
+// execution starts from a freshly planned scan.
+func (s *scanSource[T, S]) openShared(slot *any, sub, par int) Reader[T] {
+	if sub == 0 || *slot == nil {
+		*slot = s.fresh()
+	}
+	return s.reader((*slot).(S), sub, par)
+}
+
+// Open is the direct-use fallback: the connector holds the shared state
+// itself, so one connector value serves one execution at a time; From's
+// slot path lifts that restriction.
+func (s *scanSource[T, S]) Open(sub, par int) Reader[T] { return s.openShared(&s.direct, sub, par) }
+
+// PreferredParallelism implements ParallelismHinter.
+func (s *scanSource[T, S]) PreferredParallelism() int { return s.hint }
+
+// scanReader is the typed Reader of one subtask of a split scan. Its data
+// records carry T payloads, boxed by the scan's decoder; every capability
+// (failure reporting, multi-blob restore, scan metrics, order contract) is
+// the scan's own.
+type scanReader[T any] struct {
+	src *dataflow.SplitScanSource
+}
+
+// newScanReader opens one subtask of the split scan of plan that r reads.
+func newScanReader[T any](plan *dataflow.ScanPlan, sub, par int, r dataflow.SplitReader) *scanReader[T] {
+	return &scanReader[T]{src: &dataflow.SplitScanSource{Plan: plan, Subtask: sub, Parallelism: par, Reader: r}}
+}
+
+func (s *scanReader[T]) Next() (Keyed[T], ReadStatus) {
+	r, st := s.nextBoxed()
 	if st != ReadData {
 		return Keyed[T]{Ts: r.Ts}, st
 	}
 	return unbox[T](r), ReadData
 }
 
-// nextBoxed implements boxedReader: the engine source's record as it is.
-func (f *funcReader[T]) nextBoxed() (dataflow.Record, ReadStatus) {
-	r, ok := f.src.Next()
-	switch {
-	case !ok:
+// nextBoxed implements boxedReader: the scan's record as it is. A split
+// scan emits data records only.
+func (s *scanReader[T]) nextBoxed() (dataflow.Record, ReadStatus) {
+	r, ok := s.src.Next()
+	if !ok {
 		return dataflow.Record{}, ReadEnd
-	case r.Kind == dataflow.KindWatermark:
-		return r, ReadWatermark
 	}
 	return r, ReadData
 }
@@ -537,44 +518,26 @@ func boxedNext[T any](r Reader[T], b boxedReader, box *dataflow.Boxer[T]) (dataf
 	return dataflow.Data(k.Ts, k.Key, box.Box(k.Value)), ReadData
 }
 
-func (f *funcReader[T]) Snapshot() ([]byte, error) { return f.src.Snapshot() }
+func (s *scanReader[T]) Snapshot() ([]byte, error) { return s.src.Snapshot() }
 
-func (f *funcReader[T]) Restore(blob []byte) error { return f.src.Restore(blob) }
+func (s *scanReader[T]) Restore(blob []byte) error { return s.src.Restore(blob) }
 
-// RestoreAll implements MultiRestorer by handing the node-wide blob set to
-// the engine source (splittable scans redistribute; anything else falls back
-// to the positional per-subtask restore).
-func (f *funcReader[T]) RestoreAll(subtask, parallelism int, blobs map[int][]byte) error {
-	return dataflow.RestoreSource(f.src, subtask, parallelism, blobs)
+// RestoreAll implements MultiRestorer: the scan redistributes the splits of
+// every old subtask's blob.
+func (s *scanReader[T]) RestoreAll(subtask, parallelism int, blobs map[int][]byte) error {
+	return s.src.RestoreAll(subtask, parallelism, blobs)
 }
 
-// OpenSource forwards the runtime's per-subtask context (metrics registry)
-// to the engine source.
-func (f *funcReader[T]) OpenSource(ctx *dataflow.OpContext) {
-	if o, ok := f.src.(dataflow.SourceOpener); ok {
-		o.OpenSource(ctx)
-	}
-}
+// OpenSource hands the runtime's per-subtask context (metrics registry) to
+// the scan.
+func (s *scanReader[T]) OpenSource(ctx *dataflow.OpContext) { s.src.OpenSource(ctx) }
 
-// Unordered reports whether the wrapped source emits out of timestamp order
-// (splittable scans do); the source stage then defers event time to the
-// end-of-stream close-out instead of cadence watermarks.
-func (f *funcReader[T]) Unordered() bool {
-	if u, ok := f.src.(interface{ Unordered() bool }); ok {
-		return u.Unordered()
-	}
-	return false
-}
+// Unordered reports that a split scan emits out of timestamp order: the
+// source stage defers event time to the end-of-stream close-out instead of
+// cadence watermarks.
+func (s *scanReader[T]) Unordered() bool { return s.src.Unordered() }
 
-// SourceLocalOnly delegates the local-only property to the wrapped source.
-func (f *funcReader[T]) SourceLocalOnly() bool { return readerLocalOnly(f.src) }
-
-func (f *funcReader[T]) Err() error {
-	if fail, ok := f.src.(dataflow.Failable); ok {
-		return fail.Err()
-	}
-	return nil
-}
+func (s *scanReader[T]) Err() error { return s.src.Err() }
 
 // ---- hybrid (at rest → in motion) -----------------------------------------
 

@@ -103,12 +103,15 @@ func TestLoweredReaderWatermarkPassThrough(t *testing.T) {
 	}
 }
 
-// boxedSource is an engine source handing out one pre-boxed record forever.
-type boxedSource struct{ rec dataflow.Record }
+// boxedSplitReader is a split reader handing out one pre-boxed record
+// forever.
+type boxedSplitReader struct{ rec dataflow.Record }
 
-func (s *boxedSource) Next() (dataflow.Record, bool) { return s.rec, true }
-func (s *boxedSource) Snapshot() ([]byte, error)     { return nil, nil }
-func (s *boxedSource) Restore([]byte) error          { return nil }
+func (r *boxedSplitReader) OpenSplit(dataflow.Split, int64) error       { return nil }
+func (r *boxedSplitReader) NextInSplit() (dataflow.Record, bool, error) { return r.rec, true, nil }
+func (r *boxedSplitReader) Pos() int64                                  { return 0 }
+func (r *boxedSplitReader) Bytes() int64                                { return 0 }
+func (r *boxedSplitReader) Close() error                                { return nil }
 
 // A reader that sits on an engine source (Topic, JSONL, CSV) holds its
 // elements boxed already: the source stage passes the record through — alone
@@ -116,7 +119,10 @@ func (s *boxedSource) Restore([]byte) error          { return nil }
 // The extractor still sees the typed value.
 func TestLoweredReaderTakesBoxedRecordsAsTheyAre(t *testing.T) {
 	type payload struct{ A, B, C int64 }
-	engine := &funcReader[payload]{src: &boxedSource{rec: dataflow.Data(7, 9, payload{A: 41})}}
+	plan := &dataflow.ScanPlan{FixedSplits: func() ([]dataflow.Split, error) {
+		return []dataflow.Split{{Path: "boxed", End: 1}}, nil
+	}}
+	engine := newScanReader[payload](plan, 0, 1, &boxedSplitReader{rec: dataflow.Data(7, 9, payload{A: 41})})
 	live := make(chan Keyed[payload])
 	for name, r := range map[string]Reader[payload]{
 		"engine source":           engine,

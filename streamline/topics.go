@@ -148,14 +148,19 @@ func Topic[T any](store *TopicStore, topic string, opts ...TopicOption) Source[T
 	for _, o := range opts {
 		o.applyTopic(&cfg)
 	}
-	return &topicSource[T]{store: store, topic: topic, cfg: cfg}
-}
-
-type topicSource[T any] struct {
-	store *TopicStore
-	topic string
-	cfg   topicConfig
-	state *topicScanState
+	src := &scanSource[T, *topicScanState]{
+		fresh: func() *topicScanState { return newTopicScanState(store, topic, cfg.splitSize) },
+		reader: func(st *topicScanState, sub, par int) Reader[T] {
+			return openTopic[T](store, topic, cfg.follow, st, sub, par)
+		},
+	}
+	if cfg.follow {
+		// A follow-mode tail is a single cursor, so the stage defaults to
+		// one subtask; bounded replay leaves the choice to the environment
+		// (splits spread across any parallelism).
+		src.hint = 1
+	}
+	return src
 }
 
 // topicScanState is the per-stage shared state of one topic replay: the
@@ -166,15 +171,14 @@ type topicScanState struct {
 	end  atomic.Int64 // next-offset of the frozen view; -1 until planned
 }
 
-func (t *topicSource[T]) newState() *topicScanState {
+func newTopicScanState(store *TopicStore, topic string, split int64) *topicScanState {
 	st := &topicScanState{}
 	st.end.Store(-1)
-	split := t.cfg.splitSize
 	if split <= 0 {
 		split = DefaultSplitSize
 	}
 	st.plan = &dataflow.ScanPlan{SplitSize: split, FixedSplits: func() ([]dataflow.Split, error) {
-		tp, err := t.store.s.Topic(t.topic)
+		tp, err := store.s.Topic(topic)
 		if err != nil {
 			return nil, err
 		}
@@ -192,50 +196,21 @@ func (t *topicSource[T]) newState() *topicScanState {
 	return st
 }
 
-// openShared implements sharedOpener: the stage's slot holds the shared scan
-// state, like the file connectors' plan.
-func (t *topicSource[T]) openShared(slot *any, sub, par int) Reader[T] {
-	if sub == 0 || *slot == nil {
-		*slot = t.newState()
-	}
-	return t.open((*slot).(*topicScanState), sub, par)
-}
-
-func (t *topicSource[T]) Open(sub, par int) Reader[T] {
-	// Direct-use fallback; see jsonlSource.Open.
-	if sub == 0 || t.state == nil {
-		t.state = t.newState()
-	}
-	return t.open(t.state, sub, par)
-}
-
-// PreferredParallelism implements ParallelismHinter: a follow-mode tail is a
-// single cursor, so the stage defaults to one subtask; bounded replay leaves
-// the choice to the environment (splits spread across any parallelism).
-func (t *topicSource[T]) PreferredParallelism() int {
-	if t.cfg.follow {
-		return 1
-	}
-	return 0
-}
-
-func (t *topicSource[T]) open(st *topicScanState, sub, par int) Reader[T] {
+// openTopic opens one subtask's reader of a topic: its share of the split
+// scan over the frozen view and, in follow mode, the tail after it.
+func openTopic[T any](store *TopicStore, topic string, follow bool, st *topicScanState, sub, par int) Reader[T] {
 	dec := newJSONDecoder[T]()
-	scan := &dataflow.SplitScanSource{
-		Plan: st.plan, Subtask: sub, Parallelism: par,
-		Reader: &topicSplitReader[T]{store: t.store, topic: t.topic, dec: dec},
-	}
-	hist := &funcReader[T]{src: scan}
-	if !t.cfg.follow {
+	hist := newScanReader[T](st.plan, sub, par, &topicSplitReader[T]{store: store, topic: topic, dec: dec})
+	if !follow {
 		return hist
 	}
 	if par > 1 {
 		return &errReader[T]{err: fmt.Errorf(
 			"streamline: topic %q: follow mode runs at source parallelism 1, got %d (drop WithSourceParallelism or WithFollow)",
-			t.topic, par)}
+			topic, par)}
 	}
 	return &topicFollowReader[T]{
-		store: t.store, topic: t.topic, st: st, hist: hist, dec: dec,
+		store: store, topic: topic, st: st, hist: hist, dec: dec,
 		end: -1, tailOff: -1,
 	}
 }
